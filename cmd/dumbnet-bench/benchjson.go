@@ -260,25 +260,25 @@ func microBenches() []struct {
 		// a map probe returning cached wire bytes (0 allocs), and post-patch
 		// pays compute plus the dense-graph rebuild the mutation forced.
 		{"PathRequestCold", func(b *testing.B) {
-			svc, _, src, dst := benchRouteService(b)
+			c, _, q := benchRouteService(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				svc.Invalidate()
-				if _, err := svc.LookupWire(src, dst); err != nil {
+				c.Routes().Invalidate()
+				if _, err := c.Resolve(q); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"PathRequestWarm", func(b *testing.B) {
-			svc, _, src, dst := benchRouteService(b)
-			if _, err := svc.LookupWire(src, dst); err != nil {
+			c, _, q := benchRouteService(b)
+			if _, err := c.Resolve(q); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := svc.LookupWire(src, dst); err != nil {
+				if _, err := c.Resolve(q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -301,20 +301,20 @@ func microBenches() []struct {
 				b.Fatal(err)
 			}
 			c.SetVirtualization(vnet.ControllerAdapter{M: m})
-			svc := c.Routes()
-			if _, err := svc.LookupTenantWire("bench", members[0], members[2]); err != nil {
+			q := controller.RouteQuery{Src: members[0], Dst: members[2], Tenant: "bench", Scope: controller.ScopeTenant}
+			if _, err := c.Resolve(q); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := svc.LookupTenantWire("bench", members[0], members[2]); err != nil {
+				if _, err := c.Resolve(q); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}},
 		{"PathRequestPostPatch", func(b *testing.B) {
-			svc, tp, src, dst := benchRouteService(b)
+			c, tp, q := benchRouteService(b)
 			sw := tp.Hosts()[2].Switch
 			nb := tp.Neighbors(sw)[0]
 			far, err := tp.PortToward(nb.Sw, sw)
@@ -330,7 +330,7 @@ func microBenches() []struct {
 				if err := tp.Connect(sw, nb.Port, nb.Sw, far); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := svc.LookupWire(src, dst); err != nil {
+				if _, err := c.Resolve(q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -358,18 +358,18 @@ func microBenches() []struct {
 			hosts := tp.Hosts()
 			c := controller.New(eng, host.New(eng, hosts[0].Host, host.DefaultConfig()), controller.DefaultConfig())
 			c.SetMaster(tp)
-			svc := c.Mcast()
 			members := []packet.MAC{hosts[1].Host, hosts[7].Host, hosts[23].Host, hosts[41].Host}
-			if err := svc.CreateGroup(1, members); err != nil {
+			if err := c.Mcast().CreateGroup(1, members); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := svc.LookupTreeWire(1, members[0]); err != nil {
+			q := controller.RouteQuery{Src: members[0], Group: 1, Scope: controller.ScopeTree}
+			if _, err := c.Resolve(q); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := svc.LookupTreeWire(1, members[0]); err != nil {
+				if _, err := c.Resolve(q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -428,9 +428,9 @@ func allBenches() []struct {
 }
 
 // benchRouteService builds a standalone controller over a k=8 fat-tree
-// master view (80 switches, 64 hosts) and hands back its route service plus
-// a sample host pair — no fabric attached, route-service state only.
-func benchRouteService(b *testing.B) (*controller.RouteService, *topo.Topology, packet.MAC, packet.MAC) {
+// master view (80 switches, 64 hosts) and hands it back with a global route
+// query for a sample host pair — no fabric attached, route-service state only.
+func benchRouteService(b *testing.B) (*controller.Controller, *topo.Topology, controller.RouteQuery) {
 	tp, err := topo.FatTree(8, 2, 0)
 	if err != nil {
 		b.Fatal(err)
@@ -439,7 +439,7 @@ func benchRouteService(b *testing.B) (*controller.RouteService, *topo.Topology, 
 	hosts := tp.Hosts()
 	c := controller.New(eng, host.New(eng, hosts[0].Host, host.DefaultConfig()), controller.DefaultConfig())
 	c.SetMaster(tp)
-	return c.Routes(), tp, hosts[1].Host, hosts[len(hosts)-1].Host
+	return c, tp, controller.RouteQuery{Src: hosts[1].Host, Dst: hosts[len(hosts)-1].Host, Scope: controller.ScopeGlobal}
 }
 
 // benchMcastFanout measures one multicast switch hop: a tagged frame

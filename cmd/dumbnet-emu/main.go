@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"dumbnet/internal/chaos"
+	"dumbnet/internal/controller"
 	"dumbnet/internal/core"
 	"dumbnet/internal/host"
 	"dumbnet/internal/hybrid"
@@ -491,10 +492,11 @@ func runCollective(net *core.Network, hosts []core.MAC, bytes float64) {
 		log.Fatalf("collective: multicast: %v", err)
 	}
 	net.Run()
-	tree, err := net.Ctrl.Mcast().LookupTree(mcast.GroupID(group), members[0])
+	ans, err := net.Ctrl.Resolve(controller.RouteQuery{Src: members[0], Group: mcast.GroupID(group), Scope: controller.ScopeTree})
 	if err != nil {
 		log.Fatalf("collective: tree lookup: %v", err)
 	}
+	tree := ans.Tree()
 	fmt.Printf("  multicast broadcast: %d/%d members delivered, tree depth %d, fanout %d, %dB wire tag\n",
 		delivered, len(members)-1, tree.Depth, len(tree.Hops), len(tree.Wire()))
 	if delivered != len(members)-1 {

@@ -1,95 +1,57 @@
 // Command dumbnet-locreport prints the repository's line-of-code breakdown
-// by module — the Table 1 analogue for this reproduction.
+// by module — the Table 1 analogue for this reproduction — and the non-test
+// internal/ total the ROADMAP tracks.
 //
-//	dumbnet-locreport [-root path] [-tests]
+//	dumbnet-locreport [-root path]
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 
+	"dumbnet/internal/experiments"
 	"dumbnet/internal/metrics"
 )
-
-func countDir(dir string, includeTests bool) (code, tests int, err error) {
-	err = filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err != nil {
-			return err
-		}
-		if info.IsDir() || !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		n := 0
-		sc := bufio.NewScanner(f)
-		sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-		for sc.Scan() {
-			n++
-		}
-		if strings.HasSuffix(path, "_test.go") {
-			tests += n
-		} else {
-			code += n
-		}
-		return sc.Err()
-	})
-	return code, tests, err
-}
 
 func main() {
 	root := flag.String("root", ".", "repository root")
 	flag.Parse()
 
-	groups := []struct{ name, dir string }{
-		{"packet format", "internal/packet"},
-		{"topology & path algorithms", "internal/topo"},
-		{"event simulator", "internal/sim"},
-		{"dumb switch + baselines", "internal/dswitch"},
-		{"fabric assembly", "internal/fabric"},
-		{"consensus (controller replication)", "internal/consensus"},
-		{"controller (discovery, paths, patches)", "internal/controller"},
-		{"host agent (datapath, cache, TE)", "internal/host"},
-		{"spanning-tree baseline", "internal/stp"},
-		{"flow-level simulator", "internal/flowsim"},
-		{"workloads (HiBench models)", "internal/workload"},
-		{"FPGA resource model", "internal/fpgamodel"},
-		{"virtualization extension", "internal/vnet"},
-		{"layer-3 router extension", "internal/router"},
-		{"pHost transport extension", "internal/phost"},
-		{"core API", "internal/core"},
-		{"experiments (tables & figures)", "internal/experiments"},
-		{"metrics", "internal/metrics"},
-		{"test harness", "internal/testnet"},
-		{"commands", "cmd"},
-		{"examples", "examples"},
+	// Every package under internal/ gets a row, so a new one cannot be
+	// missed; then the trees beside it.
+	pkgs, err := os.ReadDir(filepath.Join(*root, "internal"))
+	if err != nil {
+		log.Fatal(err)
 	}
-	tbl := metrics.NewTable("Code breakdown (Go lines)", "module", "code", "tests")
-	totalCode, totalTests := 0, 0
-	for _, g := range groups {
-		dir := filepath.Join(*root, g.dir)
-		if _, err := os.Stat(dir); err != nil {
-			continue
+	var dirs []string
+	for _, p := range pkgs {
+		if p.IsDir() {
+			dirs = append(dirs, "internal/"+p.Name())
 		}
-		c, t, err := countDir(dir, true)
+	}
+	dirs = append(dirs, "cmd", "examples", "bench")
+
+	tbl := metrics.NewTable("Code breakdown (Go lines)", "module", "code", "tests")
+	internalCode, totalCode, totalTests := 0, 0, 0
+	for _, d := range dirs {
+		c, t, err := experiments.GoLines(filepath.Join(*root, d))
 		if err != nil {
 			log.Fatal(err)
 		}
+		if filepath.Dir(d) == "internal" {
+			internalCode += c
+		}
 		totalCode += c
 		totalTests += t
-		tbl.AddRow(g.name, c, t)
+		tbl.AddRow(d, c, t)
 	}
 	tbl.AddRow("TOTAL", totalCode, totalTests)
 	fmt.Println(tbl.String())
+	fmt.Printf("non-test Go lines under internal/: %d\n\n", internalCode)
 
 	// Paper comparison.
 	paper := metrics.NewTable("Paper's Table 1 (C/C++ lines) for reference",

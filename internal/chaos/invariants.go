@@ -339,7 +339,7 @@ func (r *runner) checkConvergence() {
 	// equality — is the invariant.)
 	for _, h := range r.allHosts() {
 		cache := r.n.Agent(h).Cache()
-		for _, sw := range cache.Switches() {
+		for _, sw := range cache.SwitchIDs() {
 			for _, nb := range cache.Neighbors(sw) {
 				p, err := master.PortToward(sw, nb.Sw)
 				if err != nil {

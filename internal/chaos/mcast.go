@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 
+	"dumbnet/internal/controller"
 	"dumbnet/internal/mcast"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
@@ -146,11 +147,11 @@ func (r *runner) auditMcastTrees() {
 		return
 	}
 	g := r.mcastGroups[r.auditRng.Intn(len(r.mcastGroups))]
-	tree, err := ctrl.Mcast().LookupTree(mcast.GroupID(g.id), g.src)
+	ans, err := ctrl.Resolve(controller.RouteQuery{Src: g.src, Group: mcast.GroupID(g.id), Scope: controller.ScopeTree})
 	if err != nil {
 		return
 	}
-	if err := tree.Validate(ctrl.Master()); err != nil {
+	if err := ans.Tree().Validate(ctrl.Master()); err != nil {
 		r.violate("mcast-tree", "mid-chaos: group %d tree from %v stale against master: %v", g.id, g.src, err)
 	}
 }
@@ -169,12 +170,12 @@ func (r *runner) checkMcast() {
 		return
 	}
 	for _, g := range r.mcastGroups {
-		tree, err := ctrl.Mcast().LookupTree(mcast.GroupID(g.id), g.src)
+		ans, err := ctrl.Resolve(controller.RouteQuery{Src: g.src, Group: mcast.GroupID(g.id), Scope: controller.ScopeTree})
 		if err != nil {
 			r.violate("mcast-tree", "group %d: no tree after heal: %v", g.id, err)
 			continue
 		}
-		if err := tree.Validate(r.n.Topology()); err != nil {
+		if err := ans.Tree().Validate(r.n.Topology()); err != nil {
 			r.violate("mcast-tree", "group %d: post-heal tree invalid over physical topology: %v", g.id, err)
 		}
 		done := r.probeMcast(g, true)

@@ -222,33 +222,6 @@ func (s *McastService) lookup(group mcast.GroupID, src packet.MAC) (*mcastEntry,
 	return e, nil
 }
 
-// LookupTree returns the (possibly cached) distribution tree for src sending
-// to group, cloned for safe mutation.
-//
-// Deprecated: use Controller.Resolve(RouteQuery{Src: src, Group: group,
-// Scope: ScopeTree}).Tree(). Retained as a thin shim.
-func (s *McastService) LookupTree(group mcast.GroupID, src packet.MAC) (*mcast.Tree, error) {
-	ans, err := s.c.Resolve(RouteQuery{Src: src, Group: group, Scope: ScopeTree})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Tree(), nil
-}
-
-// LookupTreeWire returns the encoded tree block src stamps into multicast
-// frame headers. The returned bytes are shared across callers and must not
-// be modified; a warm hit performs zero allocations.
-//
-// Deprecated: use Controller.Resolve(RouteQuery{Src: src, Group: group,
-// Scope: ScopeTree}).Wire. Retained as a thin shim.
-func (s *McastService) LookupTreeWire(group mcast.GroupID, src packet.MAC) ([]byte, error) {
-	ans, err := s.c.Resolve(RouteQuery{Src: src, Group: group, Scope: ScopeTree})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Wire, nil
-}
-
 // notifyGroup floods a MsgGroupEvent through the fabric: the frame ends its
 // (empty) tag path at the controller's access switch, which broadcasts it
 // hop-limited like a link alarm; every switch forwards and every host drops

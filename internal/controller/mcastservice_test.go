@@ -48,7 +48,7 @@ func TestMcastGroupLifecycle(t *testing.T) {
 	if err := svc.DeleteGroup(8); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.LookupTree(8, macs[1]); !errors.Is(err, ErrNoGroup) {
+	if _, err := treeOf(c.Resolve(RouteQuery{Src: macs[1], Group: 8, Scope: ScopeTree})); !errors.Is(err, ErrNoGroup) {
 		t.Fatalf("lookup of deleted group: err = %v", err)
 	}
 }
@@ -62,14 +62,14 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	}
 	src := macs[1]
 
-	w1, err := svc.LookupTreeWire(3, src)
+	w1, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 3, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if svc.misses.Value() != 1 || svc.hits.Value() != 0 {
 		t.Fatalf("after first lookup: hits=%d misses=%d", svc.hits.Value(), svc.misses.Value())
 	}
-	w2, err := svc.LookupTreeWire(3, src)
+	w2, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 3, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	if &w1[0] != &w2[0] {
 		t.Fatal("warm hit did not return the cached wire bytes")
 	}
-	tree, err := svc.LookupTree(3, src)
+	tree, err := treeOf(c.Resolve(RouteQuery{Src: src, Group: 3, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	// recomputed tree must validate against the healed view — the repair
 	// flow.
 	cutTreeLink(t, c, tree)
-	w3, err := svc.LookupTreeWire(3, src)
+	w3, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 3, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	if bytes.Equal(w2, w3) {
 		t.Fatal("tree unchanged after losing one of its links")
 	}
-	repaired, err := svc.LookupTree(3, src)
+	repaired, err := treeOf(c.Resolve(RouteQuery{Src: src, Group: 3, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	if err := svc.UpdateGroup(3, members[:3]); err != nil {
 		t.Fatal(err)
 	}
-	shrunk, err := svc.LookupTree(3, src)
+	shrunk, err := treeOf(c.Resolve(RouteQuery{Src: src, Group: 3, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +153,13 @@ func TestMcastTreeDeterministicPerEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := macs[1]
-	w1, err := svc.LookupTreeWire(1, src)
+	w1, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 1, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := append([]byte(nil), w1...)
 	svc.Invalidate()
-	w2, err := svc.LookupTreeWire(1, src)
+	w2, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 1, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,24 +181,24 @@ func TestWarmMcastLookupAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := macs[1]
-	if _, err := svc.LookupTreeWire(2, src); err != nil {
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 2, Scope: ScopeTree})); err != nil {
 		t.Fatal(err)
 	}
 	var sink []byte
 	allocs := testing.AllocsPerRun(1000, func() {
-		w, err := svc.LookupTreeWire(2, src)
+		w, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 2, Scope: ScopeTree}))
 		if err != nil {
 			panic(err)
 		}
 		sink = w
 	})
 	if allocs != 0 {
-		t.Fatalf("warm LookupTreeWire: %v allocs/op, want 0", allocs)
+		t.Fatalf("warm tree Resolve: %v allocs/op, want 0", allocs)
 	}
 	_ = sink
 }
 
-// TestMcastLookupCloneSafety: mutating a LookupTree result must not corrupt
+// TestMcastLookupCloneSafety: mutating a Tree() result must not corrupt
 // the cached tree.
 func TestMcastLookupCloneSafety(t *testing.T) {
 	c, _, macs := newRouteTestController(t)
@@ -207,22 +207,22 @@ func TestMcastLookupCloneSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := macs[1]
-	baseline, err := svc.LookupTreeWire(4, src)
+	baseline, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 4, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte(nil), baseline...)
-	tree, err := svc.LookupTree(4, src)
+	tree, err := treeOf(c.Resolve(RouteQuery{Src: src, Group: 4, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tree.Wire()[0] ^= 0xFF
 	tree.Members[0] = packet.MACFromUint64(0xDEAD)
-	after, err := svc.LookupTreeWire(4, src)
+	after, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 4, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, after) {
-		t.Fatal("mutating a LookupTree clone corrupted the cached wire form")
+		t.Fatal("mutating a Tree() clone corrupted the cached wire form")
 	}
 }

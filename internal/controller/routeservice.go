@@ -166,33 +166,6 @@ func (s *RouteService) computeEntry(m *topo.Topology, key pairKey, sc *topo.Dens
 	return &routeEntry{top: m, version: version, topoGen: gen, pg: pg, wire: pg.Marshal()}, nil
 }
 
-// Lookup returns the (possibly cached) path graph for src -> dst, cloned
-// for safe mutation.
-//
-// Deprecated: use Controller.Resolve(RouteQuery{Src: src, Dst: dst,
-// Scope: ScopeGlobal}).Graph(). Retained as a thin shim.
-func (s *RouteService) Lookup(src, dst packet.MAC) (*topo.PathGraph, error) {
-	ans, err := s.c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Graph(), nil
-}
-
-// LookupWire returns the serialized path graph (the MsgPathResponse blob
-// body) for src -> dst. The returned bytes are shared across callers and
-// must not be modified; a warm hit performs zero allocations.
-//
-// Deprecated: use Controller.Resolve(RouteQuery{Src: src, Dst: dst,
-// Scope: ScopeGlobal}).Wire. Retained as a thin shim.
-func (s *RouteService) LookupWire(src, dst packet.MAC) ([]byte, error) {
-	ans, err := s.c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Wire, nil
-}
-
 // freshTenant reports whether e still answers for master m at tenant
 // generation tgen.
 func (e *tenantEntry) fresh(m *topo.Topology, version, tgen uint64) bool {
@@ -231,33 +204,6 @@ func (s *RouteService) lookupTenant(tenant string, src, dst packet.MAC) (*tenant
 		tenantGen: tgen, pg: pg, wire: pg.Marshal()}
 	s.tcache[key] = e
 	return e, nil
-}
-
-// LookupTenant returns the (possibly cached) slice-restricted path graph
-// for a tenant member pair, cloned for safe mutation.
-//
-// Deprecated: use Controller.Resolve(RouteQuery{Src: src, Dst: dst,
-// Tenant: tenant, Scope: ScopeTenant}).Graph(). Retained as a thin shim.
-func (s *RouteService) LookupTenant(tenant string, src, dst packet.MAC) (*topo.PathGraph, error) {
-	ans, err := s.c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: tenant, Scope: ScopeTenant})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Graph(), nil
-}
-
-// LookupTenantWire returns the serialized slice-restricted path graph. The
-// returned bytes are shared and must not be modified; a warm hit performs
-// zero allocations.
-//
-// Deprecated: use Controller.Resolve(RouteQuery{Src: src, Dst: dst,
-// Tenant: tenant, Scope: ScopeTenant}).Wire. Retained as a thin shim.
-func (s *RouteService) LookupTenantWire(tenant string, src, dst packet.MAC) ([]byte, error) {
-	ans, err := s.c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: tenant, Scope: ScopeTenant})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Wire, nil
 }
 
 // AuditTenantRoutes re-verifies every cached tenant answer against the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dumbnet/internal/host"
+	"dumbnet/internal/mcast"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
@@ -33,14 +34,14 @@ func TestRouteServiceCacheHitAndInvalidate(t *testing.T) {
 	svc := c.Routes()
 	src, dst := macs[1], macs[len(macs)-1]
 
-	w1, err := svc.LookupWire(src, dst)
+	w1, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if svc.misses.Value() != 1 || svc.hits.Value() != 0 {
 		t.Fatalf("after first lookup: hits=%d misses=%d", svc.hits.Value(), svc.misses.Value())
 	}
-	w2, err := svc.LookupWire(src, dst)
+	w2, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestRouteServiceCacheHitAndInvalidate(t *testing.T) {
 	if err := tp.Disconnect(at.Switch, nb.Port); err != nil {
 		t.Fatal(err)
 	}
-	w3, err := svc.LookupWire(src, dst)
+	w3, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestRouteServiceCacheHitAndInvalidate(t *testing.T) {
 	// Replacing the master object entirely must also invalidate.
 	svcInval := svc.invalidated.Value()
 	c.SetMaster(tp.Clone())
-	if _, err := svc.LookupWire(src, dst); err != nil {
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal})); err != nil {
 		t.Fatal(err)
 	}
 	if svc.invalidated.Value() != svcInval+1 {
@@ -92,39 +93,37 @@ func TestRouteServiceCacheHitAndInvalidate(t *testing.T) {
 // a warm path-request lookup performs zero allocations.
 func TestWarmPathRequestAllocFree(t *testing.T) {
 	c, _, macs := newRouteTestController(t)
-	svc := c.Routes()
 	src, dst := macs[1], macs[len(macs)-1]
-	if _, err := svc.LookupWire(src, dst); err != nil {
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal})); err != nil {
 		t.Fatal(err)
 	}
 	var sink []byte
 	allocs := testing.AllocsPerRun(1000, func() {
-		w, err := svc.LookupWire(src, dst)
+		w, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 		if err != nil {
 			panic(err)
 		}
 		sink = w
 	})
 	if allocs != 0 {
-		t.Fatalf("warm LookupWire: %v allocs/op, want 0", allocs)
+		t.Fatalf("warm Resolve: %v allocs/op, want 0", allocs)
 	}
 	_ = sink
 }
 
-// TestLookupCloneSafety is the aliasing regression test: mutating a Lookup
+// TestLookupCloneSafety is the aliasing regression test: mutating a Graph()
 // result must not corrupt the cached entry or the wire bytes later callers
 // receive.
 func TestLookupCloneSafety(t *testing.T) {
 	c, _, macs := newRouteTestController(t)
-	svc := c.Routes()
 	src, dst := macs[1], macs[len(macs)-1]
-	baseline, err := svc.LookupWire(src, dst)
+	baseline, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := append([]byte(nil), baseline...)
 
-	pg, err := svc.Lookup(src, dst)
+	pg, err := graphOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,23 +131,23 @@ func TestLookupCloneSafety(t *testing.T) {
 	if len(pg.Backup) > 0 {
 		pg.Backup[len(pg.Backup)-1] = 0xBEEF
 	}
-	for _, sw := range pg.Graph.Switches() {
+	for _, sw := range pg.Graph.SwitchIDs() {
 		pg.Graph.RemoveSwitch(sw)
 	}
 
-	after, err := svc.LookupWire(src, dst)
+	after, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, after) {
-		t.Fatal("mutating a Lookup clone corrupted the cached wire form")
+		t.Fatal("mutating a Graph() clone corrupted the cached wire form")
 	}
-	pg2, err := svc.Lookup(src, dst)
+	pg2, err := graphOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if pg2.Primary[0] == 0xDEAD || pg2.Graph.NumSwitches() == 0 {
-		t.Fatal("mutating a Lookup clone corrupted the cached path graph")
+		t.Fatal("mutating a Graph() clone corrupted the cached path graph")
 	}
 }
 
@@ -169,7 +168,7 @@ func TestWarmShardingDeterministic(t *testing.T) {
 			if a == b {
 				continue
 			}
-			w, err := svc.LookupWire(a, b)
+			w, err := wireOf(c.Resolve(RouteQuery{Src: a, Dst: b, Scope: ScopeGlobal}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,7 +186,7 @@ func TestWarmShardingDeterministic(t *testing.T) {
 			if a == b {
 				continue
 			}
-			w, err := svc.LookupWire(a, b)
+			w, err := wireOf(c.Resolve(RouteQuery{Src: a, Dst: b, Scope: ScopeGlobal}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -198,7 +197,7 @@ func TestWarmShardingDeterministic(t *testing.T) {
 	}
 	// Everything the warm-up installed must now be a hit.
 	hits := svc.hits.Value()
-	if _, err := svc.LookupWire(macs[1], macs[2]); err != nil {
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[2], Scope: ScopeGlobal})); err != nil {
 		t.Fatal(err)
 	}
 	if svc.hits.Value() != hits+1 {
@@ -228,3 +227,11 @@ func TestPathRequestCoalescing(t *testing.T) {
 		t.Fatalf("misses = %d, want 2 (one per distinct pair)", got)
 	}
 }
+
+// wireOf, graphOf and treeOf project one field out of a Resolve result, so a
+// test can write `w, err := wireOf(c.Resolve(q))`.
+func wireOf(a RouteAnswer, err error) ([]byte, error) { return a.Wire, err }
+
+func graphOf(a RouteAnswer, err error) (*topo.PathGraph, error) { return a.Graph(), err }
+
+func treeOf(a RouteAnswer, err error) (*mcast.Tree, error) { return a.Tree(), err }

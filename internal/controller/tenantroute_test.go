@@ -43,14 +43,14 @@ func TestTenantLookupCachesPerGeneration(t *testing.T) {
 	svc := c.Routes()
 	src, dst := macs[1], macs[4]
 
-	w1, err := svc.LookupTenantWire("red", src, dst)
+	w1, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if svc.tmisses.Value() != 1 || svc.thits.Value() != 0 {
 		t.Fatalf("first lookup: hits=%d misses=%d", svc.thits.Value(), svc.tmisses.Value())
 	}
-	w2, err := svc.LookupTenantWire("red", src, dst)
+	w2, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestTenantLookupCachesPerGeneration(t *testing.T) {
 	if err := m.MigrateHost("red", macs[2], macs[9]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.LookupTenantWire("red", src, dst); err != nil {
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant})); err != nil {
 		t.Fatal(err)
 	}
 	if svc.tinvalid.Value() != 1 {
@@ -73,14 +73,14 @@ func TestTenantLookupCachesPerGeneration(t *testing.T) {
 	}
 
 	// Mutating tenant "blue" must NOT disturb red's rebuilt entry.
-	before, err := svc.LookupTenantWire("red", src, dst)
+	before, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := m.DeleteTenant("blue"); err != nil {
 		t.Fatal(err)
 	}
-	after, err := svc.LookupTenantWire("red", src, dst)
+	after, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,28 +94,27 @@ func TestTenantLookupCachesPerGeneration(t *testing.T) {
 
 func TestTenantLookupRefusals(t *testing.T) {
 	c, m, macs := newTenantTestController(t)
-	svc := c.Routes()
 
 	// Cross-tenant: src in red, dst in blue.
-	if _, err := svc.LookupTenant("red", macs[1], macs[5]); !errors.Is(err, vnet.ErrForeignHost) {
+	if _, err := graphOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[5], Tenant: "red", Scope: ScopeTenant})); !errors.Is(err, vnet.ErrForeignHost) {
 		t.Fatalf("cross-tenant lookup: %v", err)
 	}
 	// Untenanted destination.
-	if _, err := svc.LookupTenant("red", macs[1], macs[10]); !errors.Is(err, vnet.ErrForeignHost) {
+	if _, err := graphOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[10], Tenant: "red", Scope: ScopeTenant})); !errors.Is(err, vnet.ErrForeignHost) {
 		t.Fatalf("untenanted dst: %v", err)
 	}
 	// Unknown tenant.
-	if _, err := svc.LookupTenant("nope", macs[1], macs[2]); !errors.Is(err, vnet.ErrNoTenant) {
+	if _, err := graphOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[2], Tenant: "nope", Scope: ScopeTenant})); !errors.Is(err, vnet.ErrNoTenant) {
 		t.Fatalf("unknown tenant: %v", err)
 	}
 	// A deleted tenant's cached answers become unreachable.
-	if _, err := svc.LookupTenant("red", macs[1], macs[4]); err != nil {
+	if _, err := graphOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[4], Tenant: "red", Scope: ScopeTenant})); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.DeleteTenant("red"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.LookupTenant("red", macs[1], macs[4]); !errors.Is(err, vnet.ErrNoTenant) {
+	if _, err := graphOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[4], Tenant: "red", Scope: ScopeTenant})); !errors.Is(err, vnet.ErrNoTenant) {
 		t.Fatalf("deleted tenant still served: %v", err)
 	}
 }
@@ -124,21 +123,20 @@ func TestTenantLookupRefusals(t *testing.T) {
 // a warm per-tenant route lookup performs zero allocations.
 func TestWarmTenantPathRequestAllocFree(t *testing.T) {
 	c, _, macs := newTenantTestController(t)
-	svc := c.Routes()
 	src, dst := macs[1], macs[4]
-	if _, err := svc.LookupTenantWire("red", src, dst); err != nil {
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant})); err != nil {
 		t.Fatal(err)
 	}
 	var sink []byte
 	allocs := testing.AllocsPerRun(1000, func() {
-		w, err := svc.LookupTenantWire("red", src, dst)
+		w, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant}))
 		if err != nil {
 			panic(err)
 		}
 		sink = w
 	})
 	if allocs != 0 {
-		t.Fatalf("warm LookupTenantWire: %v allocs/op, want 0", allocs)
+		t.Fatalf("warm tenant Resolve: %v allocs/op, want 0", allocs)
 	}
 	_ = sink
 }
@@ -146,10 +144,10 @@ func TestWarmTenantPathRequestAllocFree(t *testing.T) {
 func TestAuditTenantRoutesEvictsEscapedEntries(t *testing.T) {
 	c, m, macs := newTenantTestController(t)
 	svc := c.Routes()
-	if _, err := svc.LookupTenantWire("red", macs[1], macs[4]); err != nil {
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[4], Tenant: "red", Scope: ScopeTenant})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.LookupTenantWire("blue", macs[5], macs[8]); err != nil {
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: macs[5], Dst: macs[8], Tenant: "blue", Scope: ScopeTenant})); err != nil {
 		t.Fatal(err)
 	}
 	checked, evicted := svc.AuditTenantRoutes()
@@ -164,7 +162,7 @@ func TestAuditTenantRoutesEvictsEscapedEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sw := range ten.View().Switches() {
+	for _, sw := range ten.View().SwitchIDs() {
 		for _, nb := range ten.View().Neighbors(sw) {
 			ten.View().RemoveEdgeByPort(sw, nb.Port)
 		}

@@ -10,8 +10,9 @@
 package experiments
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,37 +66,25 @@ func (r *Result) AllPass() bool {
 	return true
 }
 
-// countGoLines counts non-test Go lines under dir (relative to root).
-func countGoLines(root string, dirs []string, includeTests bool) (int, error) {
-	total := 0
-	for _, d := range dirs {
-		err := filepath.Walk(filepath.Join(root, d), func(path string, info os.FileInfo, err error) error {
-			if err != nil {
-				return err
-			}
-			if info.IsDir() || !strings.HasSuffix(path, ".go") {
-				return nil
-			}
-			if !includeTests && strings.HasSuffix(path, "_test.go") {
-				return nil
-			}
-			f, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			sc := bufio.NewScanner(f)
-			sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-			for sc.Scan() {
-				total++
-			}
-			return sc.Err()
-		})
-		if err != nil {
-			return 0, err
+// GoLines counts the lines of Go source under dir, test files apart. It is
+// the one line counter: Table1 and dumbnet-locreport both report from it.
+func GoLines(dir string) (code, tests int, err error) {
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
 		}
-	}
-	return total, nil
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if n := bytes.Count(src, []byte{'\n'}); strings.HasSuffix(path, "_test.go") {
+			tests += n
+		} else {
+			code += n
+		}
+		return nil
+	})
+	return code, tests, err
 }
 
 // Table1 reproduces the code-breakdown table: the paper reports C/C++ line
@@ -117,16 +106,18 @@ func Table1(repoRoot string) (*Result, error) {
 	}
 	tbl := metrics.NewTable("Table 1: code breakdown (paper C/C++ lines vs this repo's Go lines)",
 		"module", "paper LoC", "this repo LoC")
-	total := 0
 	for _, r := range rows {
-		n, err := countGoLines(repoRoot, r.dirs, false)
-		if err != nil {
-			return nil, err
+		n := 0
+		for _, d := range r.dirs {
+			code, _, err := GoLines(filepath.Join(repoRoot, d))
+			if err != nil {
+				return nil, err
+			}
+			n += code
 		}
-		total += n
 		tbl.AddRow(r.module, r.paper, n)
 	}
-	all, err := countGoLines(repoRoot, []string{"internal"}, false)
+	all, _, err := GoLines(filepath.Join(repoRoot, "internal"))
 	if err != nil {
 		return nil, err
 	}

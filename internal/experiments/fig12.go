@@ -31,15 +31,16 @@ func Fig12(cubeSide int, trials int, seed int64) (*Result, error) {
 	for _, h := range hosts {
 		bySwitch[h.Switch] = h.Host
 	}
+	g, sc := cube.Dense(), topo.NewDenseScratch()
 	// pairAt finds a host pair whose switch distance is exactly len.
 	pairAt := func(length int) (packet.MAC, packet.MAC, bool) {
 		for tries := 0; tries < 500; tries++ {
 			src := hosts[rng.Intn(len(hosts))]
-			dist := topo.Distances(cube, src.Switch)
+			si, _ := g.IndexOf(src.Switch)
 			var cands []packet.SwitchID
-			for sw, d := range dist {
-				if d == length {
-					cands = append(cands, sw)
+			for i, d := range g.BFSInto(sc, si) {
+				if int(d) == length {
+					cands = append(cands, g.IDOf(int32(i)))
 				}
 			}
 			if len(cands) == 0 {

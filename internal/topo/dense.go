@@ -3,70 +3,61 @@ package topo
 import (
 	"math"
 	"math/rand"
+	"slices"
 )
 
-// Dense, index-compressed routing kernels. The map-based walks in route.go
-// allocate fresh map[SwitchID]int state per call; at controller scale
-// (thousands of path requests against a mostly-static fabric) that garbage
-// dominates. A DenseGraph maps switch IDs to contiguous ints once per
-// topology generation and lays the adjacency out in CSR form, so BFS and
-// Dijkstra run over reusable slice-backed scratch buffers with zero
-// steady-state allocations (guarded by AllocsPerRun tests, like PR 2 did
-// for the dataplane).
+// The routing kernels. BFS, weighted shortest path and Yen's k-shortest
+// paths exist once, here, over an index-compressed CSR graph and reusable
+// slice-backed scratch: a DenseGraph maps switch IDs to contiguous ints and
+// lays the adjacency out flat, so the kernels allocate nothing in steady
+// state (guarded by AllocsPerRun tests, like the dataplane). The entry
+// points in route.go, pathgraph.go and mcast run on them; the map-based
+// walks they replaced live on in oracle_test.go as the reference.
 
-// DenseGraph is an immutable, index-compressed CSR snapshot of a topology's
-// switch graph. Node indices are the rank of each switch ID in ascending
-// order; per-node edge order equals Topology.Neighbors order (local port
-// order), which keeps equal-cost tie-breaking — including the rng draw
-// sequence — identical to the map-based kernels.
+// DenseGraph is an index-compressed CSR snapshot of a View's switch graph.
+// Node indices are the rank of each switch ID in ascending order; per-node
+// edge order equals the view's Neighbors order (local port order for a
+// Topology, neighbour ID order for a Subgraph), which is what fixes
+// equal-cost tie-breaking and the rng draw sequence.
 type DenseGraph struct {
-	gen   uint64
-	ids   []SwitchID         // node index -> switch ID, ascending
-	index map[SwitchID]int32 // switch ID -> node index
-	start []int32            // CSR row offsets, len(ids)+1
-	nbr   []int32            // edge target node index
-	port  []Port             // local out-port per edge, parallel to nbr
+	ids   []SwitchID // node index -> switch ID, ascending
+	start []int32    // CSR row offsets, len(ids)+1
+	nbr   []int32    // edge target node index
+	port  []Port     // local out-port per edge, parallel to nbr
 }
 
-// NewDenseGraph snapshots a topology's switch graph. Prefer Topology.Dense,
+// NewDenseGraph snapshots a view's switch graph. Prefer Topology.Dense,
 // which caches one snapshot per topology generation.
-func NewDenseGraph(t *Topology) *DenseGraph {
-	ids := t.SwitchIDs()
-	g := &DenseGraph{
-		gen:   t.Generation(),
-		ids:   ids,
-		index: make(map[SwitchID]int32, len(ids)),
-		start: make([]int32, len(ids)+1),
-	}
-	for i, id := range ids {
-		g.index[id] = int32(i)
-	}
-	for i, id := range ids {
-		g.start[i+1] = g.start[i] + int32(len(t.Neighbors(id)))
-	}
-	g.nbr = make([]int32, g.start[len(ids)])
-	g.port = make([]Port, g.start[len(ids)])
-	e := 0
-	for _, id := range ids {
-		for _, nb := range t.Neighbors(id) {
-			g.nbr[e] = g.index[nb.Sw]
-			g.port[e] = nb.Port
-			e++
-		}
-	}
+func NewDenseGraph(v View) *DenseGraph {
+	g := &DenseGraph{}
+	g.snapshot(v, 0)
 	return g
+}
+
+// snapshot rebuilds g from v in place, reusing the edge arrays; edges is a
+// capacity hint for a first build (a reused g has grown to fit already).
+func (g *DenseGraph) snapshot(v View, edges int) {
+	g.ids = v.SwitchIDs()
+	g.start = append(slices.Grow(g.start[:0], len(g.ids)+1), 0)
+	g.nbr, g.port = slices.Grow(g.nbr[:0], edges), slices.Grow(g.port[:0], edges)
+	for _, id := range g.ids {
+		for _, nb := range v.Neighbors(id) {
+			if j, ok := g.IndexOf(nb.Sw); ok {
+				g.nbr = append(g.nbr, j)
+				g.port = append(g.port, nb.Port)
+			}
+		}
+		g.start = append(g.start, int32(len(g.nbr)))
+	}
 }
 
 // NumNodes reports the number of switches in the snapshot.
 func (g *DenseGraph) NumNodes() int { return len(g.ids) }
 
-// Generation reports the topology generation the snapshot was built from.
-func (g *DenseGraph) Generation() uint64 { return g.gen }
-
 // IndexOf maps a switch ID to its dense node index.
 func (g *DenseGraph) IndexOf(id SwitchID) (int32, bool) {
-	i, ok := g.index[id]
-	return i, ok
+	i, ok := slices.BinarySearch(g.ids, id)
+	return int32(i), ok
 }
 
 // IDOf maps a dense node index back to its switch ID.
@@ -85,11 +76,7 @@ func (g *DenseGraph) EdgePort(e int32) Port { return g.port[e] }
 
 // PortBetween returns from's lowest-numbered port toward to (the same
 // lowest-port-wins answer Topology.PortToward gives).
-func (g *DenseGraph) PortBetween(from, to int32) (Port, bool) { return g.reversePort(from, to) }
-
-// reversePort returns from's lowest-numbered port toward to (the same
-// lowest-port-wins answer Topology.PortToward gives).
-func (g *DenseGraph) reversePort(from, to int32) (Port, bool) {
+func (g *DenseGraph) PortBetween(from, to int32) (Port, bool) {
 	for e := g.start[from]; e < g.start[from+1]; e++ {
 		if g.nbr[e] == to {
 			return g.port[e], true
@@ -98,9 +85,16 @@ func (g *DenseGraph) reversePort(from, to int32) (Port, bool) {
 	return 0, false
 }
 
-// Bitset is a reusable visited-set over dense node indices — the scratch
-// replacement for the per-call map[SwitchID]bool sets the routing walks
-// used to allocate.
+// idsOf converts a path of node indices into switch IDs.
+func (g *DenseGraph) idsOf(p []int32) SwitchPath {
+	out := make(SwitchPath, len(p))
+	for i, idx := range p {
+		out[i] = g.ids[idx]
+	}
+	return out
+}
+
+// Bitset is a reusable set over dense node (or edge) indices.
 type Bitset struct {
 	words []uint64
 }
@@ -128,9 +122,10 @@ func (b *Bitset) Has(i int32) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
 // scratch serves one goroutine at a time; the zero value is ready to use and
 // grows to the largest graph it has seen.
 type DenseScratch struct {
-	dist   []int32 // BFS hop counts (-1 = unreached)
-	queue  []int32 // BFS visit order / work queue
-	distB  []int32 // second BFS front (detour windows)
+	g      DenseGraph // snapshot of a view that keeps none of its own (denseOf)
+	dist   []int32    // BFS hop counts (-1 = unreached)
+	queue  []int32    // BFS visit order / work queue
+	distB  []int32    // second BFS front (detour windows)
 	queueB []int32
 	wdist  []float64 // Dijkstra tentative distances
 	prev   []int32   // Dijkstra predecessors
@@ -139,21 +134,30 @@ type DenseScratch struct {
 	path   []int32   // primary path buffer
 	pathB  []int32   // backup path buffer
 	cand   []int32   // equal-cost candidate set
+	mask   denseMask // Yen: root nodes and used links hidden from a spur search
+	arena  []int32   // Yen: accepted and candidate paths, back to back
+	found  []span    // Yen: accepted paths, in order
+	queued []span    // Yen: candidates not yet accepted
 }
+
+// denseMask hides nodes and CSR edges from a search.
+type denseMask struct {
+	nodes, edges Bitset
+}
+
+// span locates one path inside DenseScratch.arena.
+type span struct{ off, n int32 }
+
+func (sc *DenseScratch) at(s span) []int32 { return sc.arena[s.off : s.off+s.n] }
 
 // NewDenseScratch returns an empty scratch; buffers grow on first use.
 func NewDenseScratch() *DenseScratch { return &DenseScratch{} }
 
-func growI32(s []int32, n int) []int32 {
+// grow returns s resized to n elements, reallocating only when it must; the
+// contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growF64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -161,10 +165,10 @@ func growF64(s []float64, n int) []float64 {
 // bfsInto runs BFS from src, filling dist with hop counts (-1 unreached) and
 // returning the visit-order queue (which doubles as the reached-node list).
 // maxDepth < 0 means unbounded; otherwise nodes at depth maxDepth are
-// recorded but not expanded, matching boundedDistances in pathgraph.go.
-func (g *DenseGraph) bfsInto(dist, queue []int32, src, maxDepth int32) ([]int32, []int32) {
+// recorded but not expanded. A non-nil mask hides its nodes and edges.
+func (g *DenseGraph) bfsInto(dist, queue []int32, src, maxDepth int32, mask *denseMask) ([]int32, []int32) {
 	n := len(g.ids)
-	dist = growI32(dist, n)
+	dist = grow(dist, n)
 	for i := range dist {
 		dist[i] = -1
 	}
@@ -180,10 +184,12 @@ func (g *DenseGraph) bfsInto(dist, queue []int32, src, maxDepth int32) ([]int32,
 			continue
 		}
 		for e := g.start[cur]; e < g.start[cur+1]; e++ {
-			if nb := g.nbr[e]; dist[nb] < 0 {
-				dist[nb] = dist[cur] + 1
-				queue = append(queue, nb)
+			nb := g.nbr[e]
+			if dist[nb] >= 0 || (mask != nil && (mask.edges.Has(e) || mask.nodes.Has(nb))) {
+				continue
 			}
+			dist[nb] = dist[cur] + 1
+			queue = append(queue, nb)
 		}
 	}
 	return dist, queue
@@ -192,35 +198,42 @@ func (g *DenseGraph) bfsInto(dist, queue []int32, src, maxDepth int32) ([]int32,
 // BFSInto computes hop counts from src into sc.dist and returns it; the
 // slice is owned by sc and overwritten by the next kernel call.
 func (g *DenseGraph) BFSInto(sc *DenseScratch, src int32) []int32 {
-	sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, src, -1)
+	sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, src, -1, nil)
 	return sc.dist
 }
 
 // ShortestPathInto appends one shortest path from src to dst (as dense node
-// indices) to buf[:0] and returns it. Tie-breaking matches ShortestPath
-// exactly: BFS from dst then a downhill walk collecting candidates in local
-// port order; the first candidate wins with a nil rng, a uniform draw
-// otherwise — so a shared rng seed yields the identical path.
+// indices) to buf[:0] and returns it: BFS from dst, then a downhill walk
+// collecting each hop's candidates in edge order. The first candidate wins
+// with a nil rng (lowest port on a Topology), a uniform draw otherwise
+// (paper §4.3: "randomizes the choice for equal cost links"). On error the
+// result is buf emptied, so `sc.path, err = ...` keeps the buffer.
 func (g *DenseGraph) ShortestPathInto(sc *DenseScratch, src, dst int32, rng *rand.Rand, buf []int32) ([]int32, error) {
+	return g.shortestPath(sc, src, dst, rng, buf, nil)
+}
+
+func (g *DenseGraph) shortestPath(sc *DenseScratch, src, dst int32, rng *rand.Rand, buf []int32, mask *denseMask) ([]int32, error) {
 	buf = buf[:0]
 	if src == dst {
 		return append(buf, src), nil
 	}
-	sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, dst, -1)
+	sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, dst, -1, mask)
 	if sc.dist[src] < 0 {
-		return nil, ErrNoPath
+		return buf[:0], ErrNoPath
 	}
 	buf = append(buf, src)
 	for cur := src; cur != dst; {
 		want := sc.dist[cur] - 1
 		sc.cand = sc.cand[:0]
 		for e := g.start[cur]; e < g.start[cur+1]; e++ {
-			if nb := g.nbr[e]; sc.dist[nb] == want {
+			// Masked nodes are unreached; a masked edge may still lead
+			// to a node that was reached another way.
+			if nb := g.nbr[e]; sc.dist[nb] == want && (mask == nil || !mask.edges.Has(e)) {
 				sc.cand = append(sc.cand, nb)
 			}
 		}
 		if len(sc.cand) == 0 {
-			return nil, ErrNoPath
+			return buf[:0], ErrNoPath
 		}
 		next := sc.cand[0]
 		if rng != nil && len(sc.cand) > 1 {
@@ -234,13 +247,14 @@ func (g *DenseGraph) ShortestPathInto(sc *DenseScratch, src, dst int32, rng *ran
 
 // WeightedShortestPathInto runs Dijkstra from src to dst with per-edge
 // weights from cost (values <= 0 count as 1), appending the path to buf[:0].
-// Selection order — smallest distance, then smallest node index — reproduces
-// WeightedShortestPath's smallest-ID tie-break, and relaxation uses strict
-// improvement, so both implementations return the same path.
+// Used for backup paths, where primary-path links are made expensive (§4.3).
+// Selection is by smallest distance, then smallest node index (= smallest
+// switch ID), with strict-improvement relaxation: a heap-free scan, since the
+// graphs are small and the fixed order keeps results reproducible.
 func (g *DenseGraph) WeightedShortestPathInto(sc *DenseScratch, src, dst int32, cost func(a, b int32) float64, buf []int32) ([]int32, error) {
 	n := len(g.ids)
-	sc.wdist = growF64(sc.wdist, n)
-	sc.prev = growI32(sc.prev, n)
+	sc.wdist = grow(sc.wdist, n)
+	sc.prev = grow(sc.prev, n)
 	for i := range sc.wdist {
 		sc.wdist[i] = math.Inf(1)
 		sc.prev[i] = -1
@@ -259,7 +273,7 @@ func (g *DenseGraph) WeightedShortestPathInto(sc *DenseScratch, src, dst int32, 
 			}
 		}
 		if best < 0 {
-			return nil, ErrNoPath
+			return buf[:0], ErrNoPath
 		}
 		if best == dst {
 			break
@@ -288,11 +302,130 @@ func (g *DenseGraph) WeightedShortestPathInto(sc *DenseScratch, src, dst int32, 
 		}
 		cur = sc.prev[cur]
 		if cur < 0 {
-			return nil, ErrNoPath
+			return buf[:0], ErrNoPath
 		}
 	}
 	for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
 		buf[i], buf[j] = buf[j], buf[i]
 	}
 	return buf, nil
+}
+
+// primaryBackupInto computes the §4.3 route pair between src and dst: a
+// shortest path with randomized equal-cost choice into sc.path, and into
+// sc.pathB the shortest path once every primary link costs penalty, so the
+// two share as few links as they can. A backup is best-effort: sc.pathB is
+// left empty when there is none.
+func (g *DenseGraph) primaryBackupInto(sc *DenseScratch, src, dst int32, penalty float64, rng *rand.Rand) error {
+	var err error
+	if sc.path, err = g.ShortestPathInto(sc, src, dst, rng, sc.path); err != nil {
+		return err
+	}
+	// The primary is short, so a linear membership scan beats an edge set.
+	cost := func(a, b int32) float64 {
+		p := sc.path
+		for i := 0; i+1 < len(p); i++ {
+			if (p[i] == a && p[i+1] == b) || (p[i] == b && p[i+1] == a) {
+				return penalty
+			}
+		}
+		return 1
+	}
+	sc.pathB, _ = g.WeightedShortestPathInto(sc, src, dst, cost, sc.pathB) // best-effort
+	return nil
+}
+
+// KShortestPaths returns up to k loop-free shortest paths from src to dst in
+// ascending length order (Yen's algorithm over unit weights); paths of equal
+// length are ordered by switch ID, hop by hop. Each spur search is the
+// shortest-path kernel under a mask that hides the root's nodes and the
+// links earlier paths took out of the spur node. Only the returned paths are
+// allocated; the candidate pool lives in sc.
+func (g *DenseGraph) KShortestPaths(sc *DenseScratch, src, dst int32, k int) ([]SwitchPath, error) {
+	var err error
+	if sc.path, err = g.ShortestPathInto(sc, src, dst, nil, sc.path); err != nil {
+		return nil, err
+	}
+	sc.arena = append(sc.arena[:0], sc.path...)
+	sc.found = append(sc.found[:0], span{0, int32(len(sc.path))})
+	sc.queued = sc.queued[:0]
+	for len(sc.found) < k {
+		last := sc.found[len(sc.found)-1]
+		for i := int32(0); i+1 < last.n; i++ {
+			root := sc.at(last)[:i+1]
+			sc.mask.nodes.Reset(len(g.ids))
+			sc.mask.edges.Reset(len(g.nbr))
+			for _, x := range root[:i] {
+				sc.mask.nodes.Set(x)
+			}
+			for _, s := range sc.found {
+				if p := sc.at(s); s.n > i+1 && slices.Equal(p[:i+1], root) {
+					g.maskLink(&sc.mask.edges, p[i], p[i+1])
+				}
+			}
+			if sc.pathB, err = g.shortestPath(sc, root[i], dst, nil, sc.pathB, &sc.mask); err != nil {
+				continue
+			}
+			// root aliases the arena; appending from it is safe because
+			// the copy source sits below the append point.
+			off := int32(len(sc.arena))
+			sc.arena = append(append(sc.arena, root[:i]...), sc.pathB...)
+			total := span{off, int32(len(sc.arena)) - off}
+			if sc.known(total) {
+				sc.arena = sc.arena[:off]
+				continue
+			}
+			sc.queued = append(sc.queued, total)
+		}
+		if len(sc.queued) == 0 {
+			break
+		}
+		best := 0
+		for c := 1; c < len(sc.queued); c++ {
+			if sc.less(sc.queued[c], sc.queued[best]) {
+				best = c
+			}
+		}
+		sc.found = append(sc.found, sc.queued[best])
+		sc.queued[best] = sc.queued[len(sc.queued)-1]
+		sc.queued = sc.queued[:len(sc.queued)-1]
+	}
+	out := make([]SwitchPath, len(sc.found))
+	for i, s := range sc.found {
+		out[i] = g.idsOf(sc.at(s))
+	}
+	return out, nil
+}
+
+// maskLink hides every edge between a and b, both directions.
+func (g *DenseGraph) maskLink(edges *Bitset, a, b int32) {
+	for _, d := range [2][2]int32{{a, b}, {b, a}} {
+		for e := g.start[d[0]]; e < g.start[d[0]+1]; e++ {
+			if g.nbr[e] == d[1] {
+				edges.Set(e)
+			}
+		}
+	}
+}
+
+// known reports whether path s was already accepted or queued.
+func (sc *DenseScratch) known(s span) bool {
+	p := sc.at(s)
+	for _, list := range [2][]span{sc.found, sc.queued} {
+		for _, o := range list {
+			if slices.Equal(sc.at(o), p) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// less orders paths by length, then hop by hop by node index (which ranks
+// like switch ID).
+func (sc *DenseScratch) less(a, b span) bool {
+	if a.n != b.n {
+		return a.n < b.n
+	}
+	return slices.Compare(sc.at(a), sc.at(b)) < 0
 }

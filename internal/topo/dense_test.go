@@ -1,118 +1,164 @@
 package topo
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
-// denseTestTopos builds a few structurally different fabrics the dense
-// kernels are checked against their map-based counterparts on.
-func denseTestTopos(t *testing.T) map[string]*Topology {
+// oracleTopos builds structurally different fabrics the kernels are checked
+// against the map oracle on.
+func oracleTopos(t *testing.T) map[string]*Topology {
 	t.Helper()
 	out := make(map[string]*Topology)
+	add := func(name string, tp *Topology, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = tp
+	}
 	ft, err := FatTree(4, 1, 0)
-	if err != nil {
-		t.Fatalf("fat-tree: %v", err)
-	}
-	out["fat-tree"] = ft
+	add("fat-tree", ft, err)
+	cb, err := Cube(3, 1, 0)
+	add("cube", cb, err)
 	ls, err := LeafSpine(3, 6, 2, 0)
-	if err != nil {
-		t.Fatalf("leaf-spine: %v", err)
-	}
-	out["leaf-spine"] = ls
-	rr, err := RandomRegular(24, 4, 2, 0, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatalf("random-regular: %v", err)
-	}
-	out["random-regular"] = rr
-	return out
-}
-
-func idxPathToIDs(g *DenseGraph, p []int32) SwitchPath {
-	out := make(SwitchPath, len(p))
-	for i, idx := range p {
-		out[i] = g.IDOf(idx)
+	add("leaf-spine", ls, err)
+	for _, seed := range []int64{7, 11} {
+		rr, err := RandomRegular(24, 4, 2, 0, rand.New(rand.NewSource(seed)))
+		add(fmt.Sprintf("random-regular/%d", seed), rr, err)
 	}
 	return out
 }
 
-// TestDenseKernelsMatchMapKernels asserts the dense BFS/shortest-path/
-// Dijkstra kernels return bit-identical answers to the map-based ones in
-// route.go — including the rng draw sequence on equal-cost ties.
-func TestDenseKernelsMatchMapKernels(t *testing.T) {
-	for name, tp := range denseTestTopos(t) {
-		g := tp.Dense()
+// oracleViews returns every topology of oracleTopos plus, for each, the
+// Subgraph views routing really runs on: two path-graph bodies, and one of
+// them again after a host-style RemoveEdgeByPort patch. Subgraphs list
+// neighbours in ID order where a Topology lists them in port order, so they
+// exercise the other tie-break.
+func oracleViews(t *testing.T) map[string]View {
+	t.Helper()
+	out := make(map[string]View)
+	for name, tp := range oracleTopos(t) {
+		out[name] = tp
+		hosts := tp.Hosts()
+		for i, pair := range [][2]int{{0, len(hosts) - 1}, {1, len(hosts) / 2}} {
+			pg, err := BuildPathGraph(tp, hosts[pair[0]].Host, hosts[pair[1]].Host,
+				PathGraphOptions{Epsilon: 2}, rand.New(rand.NewSource(int64(i))))
+			if err != nil {
+				t.Fatalf("%s: path graph %d: %v", name, i, err)
+			}
+			out[fmt.Sprintf("%s/pathgraph%d", name, i)] = pg.Graph
+			if i == 0 {
+				cut := pg.Graph.Clone()
+				port, err := cut.PortToward(pg.Primary[0], pg.Primary[1])
+				if err != nil || !cut.RemoveEdgeByPort(pg.Primary[0], port) {
+					t.Fatalf("%s: cut primary's first link: %v", name, err)
+				}
+				out[name+"/pathgraph0-cut"] = cut
+			}
+		}
+	}
+	return out
+}
+
+func samePaths(a, b []SwitchPath) bool {
+	return slices.EqualFunc(a, b, SwitchPath.Equal)
+}
+
+// TestKernelsMatchOracle holds the shipped routing entry points to the map
+// oracle on every view: the same distances, the same shortest path for a nil
+// rng, the same path *and* the same rng state after a randomized choice, the
+// same backup under a penalty, the same Yen path list.
+func TestKernelsMatchOracle(t *testing.T) {
+	for name, v := range oracleViews(t) {
+		g := NewDenseGraph(v)
 		sc := NewDenseScratch()
-		ids := tp.SwitchIDs()
+		ids := v.SwitchIDs()
 		for _, src := range ids {
 			si, ok := g.IndexOf(src)
 			if !ok {
 				t.Fatalf("%s: switch %d missing from dense index", name, src)
 			}
-			// BFS distances.
-			want := Distances(tp, src)
-			dist := g.BFSInto(sc, si)
-			for i, d := range dist {
+			want := OracleDistances(v, src)
+			for i, d := range g.BFSInto(sc, si) {
 				wd, ok := want[g.IDOf(int32(i))]
 				if !ok {
 					wd = -1
 				}
 				if int(d) != wd {
-					t.Fatalf("%s: dist %d->%d: dense %d, map %d", name, src, g.IDOf(int32(i)), d, wd)
+					t.Fatalf("%s: dist %d->%d: dense %d, oracle %d", name, src, g.IDOf(int32(i)), d, wd)
 				}
 			}
 			for _, dst := range ids {
-				di, _ := g.IndexOf(dst)
-				// Deterministic shortest path.
-				wantP, wantErr := ShortestPath(tp, src, dst, nil)
-				gotIdx, gotErr := g.ShortestPathInto(sc, si, di, nil, nil)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: %d->%d err mismatch: map %v, dense %v", name, src, dst, wantErr, gotErr)
+				wantP, wantErr := oracleShortestPath(v, src, dst, nil)
+				gotP, gotErr := ShortestPath(v, src, dst, nil)
+				if !errors.Is(gotErr, wantErr) || !wantP.Equal(gotP) {
+					t.Fatalf("%s: %d->%d: oracle %v (%v), dense %v (%v)", name, src, dst, wantP, wantErr, gotP, gotErr)
 				}
-				if wantErr == nil && !wantP.Equal(idxPathToIDs(g, gotIdx)) {
-					t.Fatalf("%s: %d->%d path mismatch: map %v, dense %v", name, src, dst, wantP, idxPathToIDs(g, gotIdx))
-				}
-				// Randomized shortest path: identical seeds must draw the
-				// identical path.
 				r1 := rand.New(rand.NewSource(int64(src)*1000 + int64(dst)))
 				r2 := rand.New(rand.NewSource(int64(src)*1000 + int64(dst)))
-				wantP, wantErr = ShortestPath(tp, src, dst, r1)
-				gotIdx, gotErr = g.ShortestPathInto(sc, si, di, r2, nil)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: %d->%d rng err mismatch", name, src, dst)
+				wantP, wantErr = oracleShortestPath(v, src, dst, r1)
+				gotP, gotErr = ShortestPath(v, src, dst, r2)
+				if !errors.Is(gotErr, wantErr) || !wantP.Equal(gotP) {
+					t.Fatalf("%s: %d->%d rng: oracle %v (%v), dense %v (%v)", name, src, dst, wantP, wantErr, gotP, gotErr)
 				}
-				if wantErr == nil && !wantP.Equal(idxPathToIDs(g, gotIdx)) {
-					t.Fatalf("%s: %d->%d rng path mismatch: map %v, dense %v", name, src, dst, wantP, idxPathToIDs(g, gotIdx))
+				if r1.Int63() != r2.Int63() {
+					t.Fatalf("%s: %d->%d: rng state diverged after the randomized walk", name, src, dst)
 				}
 			}
 		}
-		// Weighted paths with some links penalized, as backup computation does.
-		for trial := 0; trial < 20; trial++ {
+		// Backup paths: the primary's links penalized, as §4.3 does.
+		for trial := 0; trial < 40; trial++ {
 			r := rand.New(rand.NewSource(int64(trial)))
-			src := ids[r.Intn(len(ids))]
-			dst := ids[r.Intn(len(ids))]
-			penal := [2]SwitchID{ids[r.Intn(len(ids))], ids[r.Intn(len(ids))]}
-			wantP, wantErr := WeightedShortestPath(tp, src, dst, func(a, b SwitchID) float64 {
-				if (a == penal[0] && b == penal[1]) || (a == penal[1] && b == penal[0]) {
-					return 10
+			src, dst := ids[r.Intn(len(ids))], ids[r.Intn(len(ids))]
+			penalty := []float64{8, 1.5, 100}[trial%3]
+			wantP, err := oracleShortestPath(v, src, dst, rand.New(rand.NewSource(int64(trial))))
+			gotP, gotB, gotErr := PrimaryBackup(v, src, dst, PathGraphOptions{BackupPenalty: penalty}, rand.New(rand.NewSource(int64(trial))))
+			if !errors.Is(gotErr, err) || !wantP.Equal(gotP) {
+				t.Fatalf("%s: primary %d->%d: oracle %v (%v), dense %v (%v)", name, src, dst, wantP, err, gotP, gotErr)
+			}
+			if err != nil {
+				continue
+			}
+			onPrimary := map[[2]SwitchID]bool{}
+			for i := 0; i+1 < len(wantP); i++ {
+				onPrimary[[2]SwitchID{wantP[i], wantP[i+1]}] = true
+				onPrimary[[2]SwitchID{wantP[i+1], wantP[i]}] = true
+			}
+			wantB, err := oracleWeightedShortestPath(v, src, dst, func(a, b SwitchID) float64 {
+				if onPrimary[[2]SwitchID{a, b}] {
+					return penalty
 				}
 				return 1
 			})
-			si, _ := g.IndexOf(src)
-			di, _ := g.IndexOf(dst)
-			pi0, _ := g.IndexOf(penal[0])
-			pi1, _ := g.IndexOf(penal[1])
-			gotIdx, gotErr := g.WeightedShortestPathInto(sc, si, di, func(a, b int32) float64 {
-				if (a == pi0 && b == pi1) || (a == pi1 && b == pi0) {
-					return 10
-				}
-				return 1
-			}, nil)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: weighted %d->%d err mismatch: map %v, dense %v", name, src, dst, wantErr, gotErr)
+			if err != nil {
+				wantB = nil
 			}
-			if wantErr == nil && !wantP.Equal(idxPathToIDs(g, gotIdx)) {
-				t.Fatalf("%s: weighted %d->%d mismatch: map %v, dense %v", name, src, dst, wantP, idxPathToIDs(g, gotIdx))
+			if !wantB.Equal(gotB) {
+				t.Fatalf("%s: backup %d->%d penalty %v: oracle %v, dense %v", name, src, dst, penalty, wantB, gotB)
+			}
+		}
+		// Yen. All pairs on the small views, a stride of them on the rest.
+		stride := 1
+		if len(ids) > 12 {
+			stride = 5
+		}
+		n := 0
+		for _, src := range ids {
+			for _, dst := range ids {
+				if n++; n%stride != 0 {
+					continue
+				}
+				for _, k := range []int{1, 4, 8} {
+					want, wantErr := oracleKShortestPaths(v, src, dst, k)
+					got, gotErr := KShortestPaths(v, src, dst, k)
+					if !errors.Is(gotErr, wantErr) || !samePaths(want, got) {
+						t.Fatalf("%s: yen k=%d %d->%d: oracle %v (%v), dense %v (%v)", name, k, src, dst, want, wantErr, got, gotErr)
+					}
+				}
 			}
 		}
 	}
@@ -244,6 +290,76 @@ func TestBuildPathGraphScratchMatchesBuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKShortestPathsAllocsOnlyResult pins what Yen costs on a k=8 fat-tree
+// once the scratch is warm: the returned paths and the slice holding them.
+func TestKShortestPathsAllocsOnlyResult(t *testing.T) {
+	tp, err := FatTree(8, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tp.Dense()
+	sc := NewDenseScratch()
+	hosts := tp.Hosts()
+	si, _ := g.IndexOf(hosts[0].Switch)
+	di, _ := g.IndexOf(hosts[len(hosts)-1].Switch)
+	const k = 8
+	run := func() {
+		ps, err := g.KShortestPaths(sc, si, di, k)
+		if err != nil || len(ps) != k {
+			t.Fatalf("yen: %d paths, %v", len(ps), err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(50, run); n != k+1 {
+		t.Fatalf("warm KShortestPaths(k=%d) allocates %v/op, want %d (the paths and their slice)", k, n, k+1)
+	}
+}
+
+// TestTopologyConcurrentReaders routes over one topology from several
+// goroutines at once, starting right after a mutation so the readers also
+// race to rebuild the derived adjacency and dense snapshot. Run under -race.
+func TestTopologyConcurrentReaders(t *testing.T) {
+	tp, err := FatTree(4, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := tp.Hosts()
+	nb := tp.Neighbors(hosts[0].Switch)[0]
+	if err := tp.Disconnect(hosts[0].Switch, nb.Port); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]string, len(hosts))
+	ref := tp.Clone()
+	for i, h := range hosts {
+		tags, err := ref.HostPath(hosts[0].Host, h.Host, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = tags.String()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i, h := range hosts {
+				tags, err := tp.HostPath(hosts[0].Host, h.Host, nil)
+				if err != nil || tags.String() != want[i] {
+					t.Errorf("worker %d: path to host %d = %v (%v), want %s", w, i, tags, err, want[i])
+				}
+				if _, err := tp.HostPath(h.Host, hosts[0].Host, rng); err != nil {
+					t.Errorf("worker %d: randomized path from host %d: %v", w, i, err)
+				}
+				if _, err := KShortestPaths(tp, hosts[0].Switch, h.Switch, 4); err != nil {
+					t.Errorf("worker %d: yen to host %d: %v", w, i, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // BenchmarkKShortestPathsK8 exercises the Yen's duplicate filter at k=8,

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"dumbnet/internal/packet"
 )
@@ -62,26 +63,26 @@ type HostAttach struct {
 }
 
 // Topology is the full fabric graph. It is not safe for concurrent mutation;
-// readers may share a frozen topology.
+// any number of readers may share a topology nobody is mutating.
 type Topology struct {
 	switches map[SwitchID]*Switch
 	hosts    map[MAC]HostAttach
-	// neighbors caches per-switch adjacent switches in deterministic
-	// (port) order; rebuilt lazily after mutation.
-	neighbors map[SwitchID][]Neighbor
-	dirty     bool
 	// gen counts mutations; it is the invalidation token for everything
-	// derived from this topology (the dense snapshot below, the
-	// controller's path-graph cache).
-	gen   uint64
-	dense *DenseGraph
+	// derived from this topology (the two caches below, the controller's
+	// path-graph cache).
+	gen uint64
+	// Derived state, dropped by every mutation and rebuilt by the first
+	// read after it. Concurrent readers may all be that first read: each
+	// builds the same value and the first to publish wins.
+	neighbors atomic.Pointer[map[SwitchID][]Neighbor] // per switch, in port order
+	dense     atomic.Pointer[DenseGraph]
 }
 
 // mutated invalidates every cache derived from the topology.
 func (t *Topology) mutated() {
-	t.dirty = true
 	t.gen++
-	t.dense = nil
+	t.neighbors.Store(nil)
+	t.dense.Store(nil)
 }
 
 // Generation returns the mutation counter. Any change to switches, links or
@@ -91,13 +92,23 @@ func (t *Topology) Generation() uint64 { return t.gen }
 
 // Dense returns the index-compressed CSR snapshot of the switch graph for
 // the current generation, rebuilding it lazily after mutations. The snapshot
-// is immutable; it may be shared across goroutines as long as nobody mutates
-// the topology concurrently.
+// is immutable and shared by every reader of this generation.
 func (t *Topology) Dense() *DenseGraph {
-	if t.dense == nil || t.dense.gen != t.gen {
-		t.dense = NewDenseGraph(t)
+	if g := t.dense.Load(); g != nil {
+		return g
 	}
-	return t.dense
+	g := &DenseGraph{}
+	g.snapshot(t, 2*t.NumLinks())
+	return publish(&t.dense, g)
+}
+
+// publish installs v as the derived value unless a concurrent reader already
+// installed its own (equal) one, and returns whichever is installed.
+func publish[T any](p *atomic.Pointer[T], v *T) *T {
+	if p.CompareAndSwap(nil, v) {
+		return v
+	}
+	return p.Load()
 }
 
 // Errors reported by topology operations.
@@ -122,7 +133,6 @@ func New() *Topology {
 	return &Topology{
 		switches: make(map[SwitchID]*Switch),
 		hosts:    make(map[MAC]HostAttach),
-		dirty:    true,
 	}
 }
 
@@ -294,10 +304,7 @@ func (t *Topology) RemoveSwitch(id SwitchID) error {
 	if !ok {
 		return ErrNoSwitch
 	}
-	for p := range sw.wired {
-		// Disconnect mutates sw.wired; collect first.
-		_ = p
-	}
+	// Disconnect mutates sw.wired; collect first.
 	ports := make([]Port, 0, len(sw.wired))
 	for p := range sw.wired {
 		ports = append(ports, p)
@@ -361,9 +368,19 @@ func (t *Topology) PortToward(from, to SwitchID) (Port, error) {
 	return 0, ErrNoLink
 }
 
-// rebuildNeighbors refreshes the adjacency cache.
-func (t *Topology) rebuildNeighbors() {
-	t.neighbors = make(map[SwitchID][]Neighbor, len(t.switches))
+// Neighbors returns the switches adjacent to id in deterministic port order.
+// The returned slice must not be mutated.
+func (t *Topology) Neighbors(id SwitchID) []Neighbor {
+	m := t.neighbors.Load()
+	if m == nil {
+		m = t.deriveNeighbors()
+	}
+	return (*m)[id]
+}
+
+// deriveNeighbors rebuilds and publishes the adjacency cache.
+func (t *Topology) deriveNeighbors() *map[SwitchID][]Neighbor {
+	m := make(map[SwitchID][]Neighbor, len(t.switches))
 	for id, sw := range t.switches {
 		var nbs []Neighbor
 		for p, ep := range sw.wired {
@@ -372,18 +389,9 @@ func (t *Topology) rebuildNeighbors() {
 			}
 		}
 		sort.Slice(nbs, func(i, j int) bool { return nbs[i].Port < nbs[j].Port })
-		t.neighbors[id] = nbs
+		m[id] = nbs
 	}
-	t.dirty = false
-}
-
-// Neighbors returns the switches adjacent to id in deterministic port order.
-// The returned slice must not be mutated.
-func (t *Topology) Neighbors(id SwitchID) []Neighbor {
-	if t.dirty {
-		t.rebuildNeighbors()
-	}
-	return t.neighbors[id]
+	return publish(&t.neighbors, &m)
 }
 
 // Clone returns a deep copy.
@@ -427,31 +435,16 @@ func (t *Topology) Equal(o *Topology) bool {
 	return true
 }
 
-// Connected reports whether every switch can reach every other switch. The
-// walk runs over the dense snapshot with a visited bitmap instead of a
-// per-call map[SwitchID]bool.
+// Connected reports whether every switch can reach every other switch.
 func (t *Topology) Connected() bool {
 	if len(t.switches) == 0 {
 		return true
 	}
+	sc := scratchPool.Get().(*DenseScratch)
+	defer scratchPool.Put(sc)
 	g := t.Dense()
-	n := len(g.ids)
-	var seen Bitset
-	seen.Reset(n)
-	queue := make([]int32, 1, n)
-	seen.Set(0)
-	reached := 1
-	for head := 0; head < len(queue); head++ {
-		cur := queue[head]
-		for e := g.start[cur]; e < g.start[cur+1]; e++ {
-			if nb := g.nbr[e]; !seen.Has(nb) {
-				seen.Set(nb)
-				reached++
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return reached == n
+	g.BFSInto(sc, 0)
+	return len(sc.queue) == len(g.ids)
 }
 
 // Validate checks structural invariants: all wiring is symmetric and host

@@ -133,7 +133,7 @@ func TestMcastTreePropertiesRandomizedTopologies(t *testing.T) {
 				// Shortest-path property: every member's attachment switch is
 				// in the tree, and every tree switch sits at exactly its BFS
 				// distance from the root — the SPT merge takes no detours.
-				dist := topo.Distances(tp, tree.Root)
+				dist := topo.OracleDistances(tp, tree.Root)
 				for _, m := range want {
 					at, err := tp.HostAt(m)
 					if err != nil {

@@ -66,51 +66,22 @@ func BuildPathGraphScratch(t *Topology, src, dst MAC, opts PathGraphOptions, rng
 	if err != nil {
 		return nil, err
 	}
-	g := t.Dense()
-	si, ok := g.IndexOf(sat.Switch)
-	if !ok {
-		return nil, ErrNoSwitch
-	}
-	di, ok := g.IndexOf(dat.Switch)
-	if !ok {
-		return nil, ErrNoSwitch
-	}
-	sc.path, err = g.ShortestPathInto(sc, si, di, rng, sc.path)
+	g, si, di, err := densePair(t, sc, sat.Switch, dat.Switch)
 	if err != nil {
 		return nil, err
 	}
-	primary := make(SwitchPath, len(sc.path))
-	for i, idx := range sc.path {
-		primary[i] = g.ids[idx]
+	if err := g.primaryBackupInto(sc, si, di, opts.BackupPenalty, rng); err != nil {
+		return nil, err
 	}
-
-	// Backup: re-run shortest path with primary links penalized, so it
-	// shares as few links as possible (unless unavoidable). The primary is
-	// short, so a linear membership scan beats building an edge set.
-	cost := func(a, b int32) float64 {
-		p := sc.path
-		for i := 0; i+1 < len(p); i++ {
-			if (p[i] == a && p[i+1] == b) || (p[i] == b && p[i+1] == a) {
-				return opts.BackupPenalty
-			}
-		}
-		return 1
-	}
+	primary := g.idsOf(sc.path)
 	var backup SwitchPath
-	sc.pathB, err = g.WeightedShortestPathInto(sc, si, di, cost, sc.pathB)
-	if err == nil {
-		backup = make(SwitchPath, len(sc.pathB))
-		for i, idx := range sc.pathB {
-			backup[i] = g.ids[idx]
-		}
+	if len(sc.pathB) > 0 {
+		backup = g.idsOf(sc.pathB)
 	}
-	// else: a backup is best-effort; single-homed segments may have none.
 
 	nodes := detourNodesDense(g, sc, opts)
-	if backup != nil {
-		for _, idx := range sc.pathB {
-			nodes.Set(idx)
-		}
+	for _, idx := range sc.pathB {
+		nodes.Set(idx)
 	}
 
 	// Induce the subgraph on the node set, in ascending node order.
@@ -124,7 +95,7 @@ func BuildPathGraphScratch(t *Topology, src, dst MAC, opts PathGraphOptions, rng
 			if !nodes.Has(nb) {
 				continue
 			}
-			rp, ok := g.reversePort(nb, i)
+			rp, ok := g.PortBetween(nb, i)
 			if !ok {
 				return nil, ErrNoLink
 			}
@@ -160,8 +131,8 @@ func detourNodesDense(g *DenseGraph, sc *DenseScratch, opts PathGraphOptions) *B
 			bIdx = l - 1
 		}
 		a, b := primary[aIdx], primary[bIdx]
-		sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, a, bound)
-		sc.distB, sc.queueB = g.bfsInto(sc.distB, sc.queueB, b, bound)
+		sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, a, bound, nil)
+		sc.distB, sc.queueB = g.bfsInto(sc.distB, sc.queueB, b, bound, nil)
 		for _, x := range sc.queue {
 			if sc.distB[x] >= 0 && sc.dist[x]+sc.distB[x] <= bound {
 				sc.nodes.Set(x)

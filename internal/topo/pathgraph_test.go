@@ -206,7 +206,7 @@ func TestPathGraphProperty(t *testing.T) {
 		}
 		a1, _ := tp.HostAt(src)
 		a2, _ := tp.HostAt(dst)
-		want := Distances(tp, a1.Switch)[a2.Switch]
+		want := OracleDistances(tp, a1.Switch)[a2.Switch]
 		if len(pg.Primary)-1 != want {
 			return false
 		}

@@ -1,275 +1,131 @@
 package topo
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
+	"sync"
 
 	"dumbnet/internal/packet"
 )
 
 // View is a read-only adjacency view of a switch graph. Both the full
-// Topology and a cached PathGraph implement it, so routing algorithms run
-// unchanged on either (hosts route within their cache, the controller
-// within the global view).
+// Topology and a Subgraph (a host's TopoCache, a path-graph body, a tenant
+// slice) implement it, so the routing kernels run unchanged on either: hosts
+// route within their cache, the controller within the global view.
 type View interface {
+	// SwitchIDs lists the view's switches in ascending order.
+	SwitchIDs() []SwitchID
 	// Neighbors returns adjacent switches in deterministic order.
 	Neighbors(id SwitchID) []Neighbor
+}
+
+// attachedView is a View that also knows where hosts plug in.
+type attachedView interface {
+	View
+	HostAt(h MAC) (HostAttach, error)
+	PortToward(from, to SwitchID) (Port, error)
 }
 
 // SwitchPath is a hop-by-hop sequence of switch IDs, source-side first.
 type SwitchPath []SwitchID
 
 // Equal reports element-wise equality.
-func (p SwitchPath) Equal(o SwitchPath) bool {
-	if len(p) != len(o) {
-		return false
-	}
-	for i := range p {
-		if p[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}
+func (p SwitchPath) Equal(o SwitchPath) bool { return slices.Equal(p, o) }
 
 // Clone copies the path.
 func (p SwitchPath) Clone() SwitchPath { return append(SwitchPath(nil), p...) }
 
-// Distances returns BFS hop counts from src to every reachable switch.
-func Distances(v View, src SwitchID) map[SwitchID]int {
-	dist := map[SwitchID]int{src: 0}
-	queue := []SwitchID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range v.Neighbors(cur) {
-			if _, ok := dist[nb.Sw]; !ok {
-				dist[nb.Sw] = dist[cur] + 1
-				queue = append(queue, nb.Sw)
-			}
-		}
+// scratchPool serves the entry points that take no scratch of their own.
+// Pooling, rather than a scratch field on the view, is what keeps a Topology
+// safe for concurrent readers and keeps a thousand host TopoCaches from each
+// pinning buffers.
+var scratchPool = sync.Pool{New: func() any { return NewDenseScratch() }}
+
+// denseOf returns the CSR form of v: the per-generation snapshot a Topology
+// caches, or for any other view (there may be thousands of host caches) a
+// snapshot built into sc that lasts until sc's next denseOf.
+func denseOf(v View, sc *DenseScratch) *DenseGraph {
+	if t, ok := v.(*Topology); ok {
+		return t.Dense()
 	}
-	return dist
+	sc.g.snapshot(v, 0)
+	return &sc.g
+}
+
+// densePair resolves two switches of v to node indices of its CSR form.
+func densePair(v View, sc *DenseScratch, src, dst SwitchID) (g *DenseGraph, si, di int32, err error) {
+	g = denseOf(v, sc)
+	si, sok := g.IndexOf(src)
+	di, dok := g.IndexOf(dst)
+	if !sok || !dok {
+		return nil, 0, 0, ErrNoPath
+	}
+	return g, si, di, nil
 }
 
 // ShortestPath returns one shortest switch path from src to dst. When rng is
 // non-nil, ties between equal-cost next hops are broken uniformly at random
 // (paper §4.3: "randomizes the choice for equal cost links ... useful for
-// load balancing"); with a nil rng the lowest-port neighbor wins, making the
-// result deterministic.
+// load balancing"); with a nil rng the first neighbor in the view's order
+// wins, making the result deterministic.
 func ShortestPath(v View, src, dst SwitchID, rng *rand.Rand) (SwitchPath, error) {
 	if src == dst {
 		return SwitchPath{src}, nil
 	}
-	// BFS from dst so dist[x] is hops to destination; then walk downhill.
-	dist := Distances(v, dst)
-	if _, ok := dist[src]; !ok {
-		return nil, ErrNoPath
+	sc := scratchPool.Get().(*DenseScratch)
+	defer scratchPool.Put(sc)
+	g, si, di, err := densePair(v, sc, src, dst)
+	if err != nil {
+		return nil, err
 	}
-	path := SwitchPath{src}
-	cur := src
-	for cur != dst {
-		var candidates []SwitchID
-		want := dist[cur] - 1
-		for _, nb := range v.Neighbors(cur) {
-			if d, ok := dist[nb.Sw]; ok && d == want {
-				candidates = append(candidates, nb.Sw)
-			}
-		}
-		if len(candidates) == 0 {
-			return nil, ErrNoPath
-		}
-		next := candidates[0]
-		if rng != nil && len(candidates) > 1 {
-			next = candidates[rng.Intn(len(candidates))]
-		}
-		path = append(path, next)
-		cur = next
+	if sc.path, err = g.ShortestPathInto(sc, si, di, rng, sc.path); err != nil {
+		return nil, err
 	}
-	return path, nil
+	return g.idsOf(sc.path), nil
 }
 
-// WeightedShortestPath runs Dijkstra with per-link weights given by cost
-// (defaulting to 1 when cost returns 0 or less). Used for backup-path
-// computation, where primary-path links are made expensive (§4.3).
-func WeightedShortestPath(v View, src, dst SwitchID, cost func(a, b SwitchID) float64) (SwitchPath, error) {
-	type qitem struct {
-		sw   SwitchID
-		dist float64
+// PrimaryBackup returns the §4.3 route pair between two switches of v: a
+// shortest path with randomized equal-cost choice, and a backup that avoids
+// the primary's links where opts.BackupPenalty makes that cheaper (nil when
+// there is none).
+func PrimaryBackup(v View, src, dst SwitchID, opts PathGraphOptions, rng *rand.Rand) (primary, backup SwitchPath, err error) {
+	sc := scratchPool.Get().(*DenseScratch)
+	defer scratchPool.Put(sc)
+	g, si, di, err := densePair(v, sc, src, dst)
+	if err != nil {
+		return nil, nil, err
 	}
-	dist := map[SwitchID]float64{src: 0}
-	prev := map[SwitchID]SwitchID{}
-	visited := map[SwitchID]bool{}
-	// Simple heap-free Dijkstra; graphs here are small enough, and the
-	// deterministic scan order keeps results reproducible.
-	for {
-		// Pick the unvisited node with the smallest distance.
-		best := qitem{dist: -1}
-		for sw, d := range dist {
-			if visited[sw] {
-				continue
-			}
-			if best.dist < 0 || d < best.dist || (d == best.dist && sw < best.sw) {
-				best = qitem{sw: sw, dist: d}
-			}
-		}
-		if best.dist < 0 {
-			return nil, ErrNoPath
-		}
-		if best.sw == dst {
-			break
-		}
-		visited[best.sw] = true
-		for _, nb := range v.Neighbors(best.sw) {
-			if visited[nb.Sw] {
-				continue
-			}
-			w := cost(best.sw, nb.Sw)
-			if w <= 0 {
-				w = 1
-			}
-			nd := best.dist + w
-			if d, ok := dist[nb.Sw]; !ok || nd < d {
-				dist[nb.Sw] = nd
-				prev[nb.Sw] = best.sw
-			}
-		}
+	if err := g.primaryBackupInto(sc, si, di, opts.withDefaults().BackupPenalty, rng); err != nil {
+		return nil, nil, err
 	}
-	// Reconstruct.
-	var rev SwitchPath
-	for cur := dst; ; {
-		rev = append(rev, cur)
-		if cur == src {
-			break
-		}
-		p, ok := prev[cur]
-		if !ok {
-			return nil, ErrNoPath
-		}
-		cur = p
+	if len(sc.pathB) > 0 {
+		backup = g.idsOf(sc.pathB)
 	}
-	out := make(SwitchPath, len(rev))
-	for i, sw := range rev {
-		out[len(rev)-1-i] = sw
-	}
-	return out, nil
+	return g.idsOf(sc.path), backup, nil
 }
 
 // KShortestPaths returns up to k loop-free shortest paths from src to dst in
 // ascending length order (Yen's algorithm over the unweighted view). Paths
 // of equal length are ordered deterministically.
 func KShortestPaths(v View, src, dst SwitchID, k int) ([]SwitchPath, error) {
-	first, err := ShortestPath(v, src, dst, nil)
+	sc := scratchPool.Get().(*DenseScratch)
+	defer scratchPool.Put(sc)
+	g, si, di, err := densePair(v, sc, src, dst)
 	if err != nil {
 		return nil, err
 	}
-	paths := []SwitchPath{first}
-	if k <= 1 {
-		return paths, nil
-	}
-	// seen holds the encoding of every accepted path and queued candidate,
-	// replacing the O(k²·n) containsPath scans the duplicate filter used to
-	// do per spur path.
-	seen := map[string]bool{pathKey(first): true}
-	var candidates []SwitchPath
-	for len(paths) < k {
-		last := paths[len(paths)-1]
-		// For each spur node in the previous path...
-		for i := 0; i < len(last)-1; i++ {
-			spur := last[i]
-			root := last[:i+1].Clone()
-			// Build a filtered view: remove links used by previous
-			// paths sharing this root, and remove root nodes.
-			removedEdges := map[[2]SwitchID]bool{}
-			for _, p := range paths {
-				if len(p) > i && p[:i+1].Equal(root) && len(p) > i+1 {
-					removedEdges[[2]SwitchID{p[i], p[i+1]}] = true
-					removedEdges[[2]SwitchID{p[i+1], p[i]}] = true
-				}
-			}
-			removedNodes := map[SwitchID]bool{}
-			for _, sw := range root[:len(root)-1] {
-				removedNodes[sw] = true
-			}
-			fv := filteredView{v: v, edges: removedEdges, nodes: removedNodes}
-			spurPath, err := ShortestPath(fv, spur, dst, nil)
-			if err != nil {
-				continue
-			}
-			total := append(root[:len(root)-1].Clone(), spurPath...)
-			if key := pathKey(total); !seen[key] {
-				seen[key] = true
-				candidates = append(candidates, total)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.Slice(candidates, func(a, b int) bool {
-			if len(candidates[a]) != len(candidates[b]) {
-				return len(candidates[a]) < len(candidates[b])
-			}
-			return lessPath(candidates[a], candidates[b])
-		})
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
-	}
-	return paths, nil
+	return g.KShortestPaths(sc, si, di, k)
 }
 
-// pathKey returns the big-endian byte encoding of a path — the hash-set key
-// KShortestPaths dedups with.
-func pathKey(p SwitchPath) string {
-	b := make([]byte, 4*len(p))
-	for i, sw := range p {
-		binary.BigEndian.PutUint32(b[4*i:], uint32(sw))
-	}
-	return string(b)
-}
-
-func lessPath(a, b SwitchPath) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// filteredView hides a set of edges and nodes from an underlying view.
-type filteredView struct {
-	v     View
-	edges map[[2]SwitchID]bool
-	nodes map[SwitchID]bool
-}
-
-func (f filteredView) Neighbors(id SwitchID) []Neighbor {
-	if f.nodes[id] {
-		return nil
-	}
-	var out []Neighbor
-	for _, nb := range f.v.Neighbors(id) {
-		if f.nodes[nb.Sw] || f.edges[[2]SwitchID{id, nb.Sw}] {
-			continue
-		}
-		out = append(out, nb)
-	}
-	return out
-}
-
-// TagsForSwitchPath encodes a switch-level path into the outgoing-port tag
+// tagsForSwitchPath encodes a switch-level path into the outgoing-port tag
 // sequence a packet header carries: for each hop the local port toward the
 // next switch, and finally the port where the destination host attaches.
-func (t *Topology) TagsForSwitchPath(sp SwitchPath, dst MAC) (packet.Path, error) {
+func tagsForSwitchPath(v attachedView, sp SwitchPath, dst MAC) (packet.Path, error) {
 	if len(sp) == 0 {
 		return nil, ErrNoPath
 	}
-	at, err := t.HostAt(dst)
+	at, err := v.HostAt(dst)
 	if err != nil {
 		return nil, err
 	}
@@ -278,32 +134,43 @@ func (t *Topology) TagsForSwitchPath(sp SwitchPath, dst MAC) (packet.Path, error
 	}
 	tags := make(packet.Path, 0, len(sp))
 	for i := 0; i+1 < len(sp); i++ {
-		p, err := t.PortToward(sp[i], sp[i+1])
+		p, err := v.PortToward(sp[i], sp[i+1])
 		if err != nil {
 			return nil, fmt.Errorf("%w: no link %d->%d", ErrNoLink, sp[i], sp[i+1])
 		}
 		tags = append(tags, p)
 	}
-	tags = append(tags, at.Port)
-	return tags, nil
+	return append(tags, at.Port), nil
+}
+
+// hostPath computes one source-routed tag path from host src to host dst
+// over v, with randomized equal-cost choice when rng != nil.
+func hostPath(v attachedView, src, dst MAC, rng *rand.Rand) (packet.Path, error) {
+	sat, err := v.HostAt(src)
+	if err != nil {
+		return nil, err
+	}
+	dat, err := v.HostAt(dst)
+	if err != nil {
+		return nil, err
+	}
+	sp, err := ShortestPath(v, sat.Switch, dat.Switch, rng)
+	if err != nil {
+		return nil, err
+	}
+	return tagsForSwitchPath(v, sp, dst)
+}
+
+// TagsForSwitchPath encodes a switch path as header tags ending at dst's
+// attachment port.
+func (t *Topology) TagsForSwitchPath(sp SwitchPath, dst MAC) (packet.Path, error) {
+	return tagsForSwitchPath(t, sp, dst)
 }
 
 // HostPath computes one source-routed tag path from host src to host dst
 // over the topology, with randomized equal-cost choice when rng != nil.
 func (t *Topology) HostPath(src, dst MAC, rng *rand.Rand) (packet.Path, error) {
-	sat, err := t.HostAt(src)
-	if err != nil {
-		return nil, err
-	}
-	dat, err := t.HostAt(dst)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := ShortestPath(t, sat.Switch, dat.Switch, rng)
-	if err != nil {
-		return nil, err
-	}
-	return t.TagsForSwitchPath(sp, dst)
+	return hostPath(t, src, dst, rng)
 }
 
 // WalkTags follows a tag path starting from the switch where host src

@@ -11,7 +11,7 @@ import (
 
 func TestDistances(t *testing.T) {
 	tp, _ := Line(4, 4)
-	d := Distances(tp, 1)
+	d := OracleDistances(tp, 1)
 	for i := 1; i <= 4; i++ {
 		if d[SwitchID(i)] != i-1 {
 			t.Fatalf("dist[%d] = %d", i, d[SwitchID(i)])
@@ -69,8 +69,8 @@ func TestShortestPathRandomizedTieBreak(t *testing.T) {
 	}
 }
 
-func TestWeightedShortestPathAvoidsPenalty(t *testing.T) {
-	// Square: 1-2-4 and 1-3-4; penalize 1-2.
+func TestBackupAvoidsPrimaryLinks(t *testing.T) {
+	// Square: 1-2-4 and 1-3-4; the primary takes the lower port, via 2.
 	tp := New()
 	for i := 1; i <= 4; i++ {
 		_ = tp.AddSwitch(SwitchID(i), 4)
@@ -79,17 +79,12 @@ func TestWeightedShortestPathAvoidsPenalty(t *testing.T) {
 	_ = tp.Connect(2, 2, 4, 1)
 	_ = tp.Connect(1, 2, 3, 1)
 	_ = tp.Connect(3, 2, 4, 2)
-	p, err := WeightedShortestPath(tp, 1, 4, func(a, b SwitchID) float64 {
-		if (a == 1 && b == 2) || (a == 2 && b == 1) {
-			return 10
-		}
-		return 1
-	})
+	primary, backup, err := PrimaryBackup(tp, 1, 4, PathGraphOptions{BackupPenalty: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Equal(SwitchPath{1, 3, 4}) {
-		t.Fatalf("path = %v, want via 3", p)
+	if !primary.Equal(SwitchPath{1, 2, 4}) || !backup.Equal(SwitchPath{1, 3, 4}) {
+		t.Fatalf("primary %v backup %v, want via 2 and via 3", primary, backup)
 	}
 }
 
@@ -250,7 +245,7 @@ func TestHostPathProperty(t *testing.T) {
 		}
 		a1, _ := tp.HostAt(h1)
 		a2, _ := tp.HostAt(h2)
-		d := Distances(tp, a1.Switch)[a2.Switch]
+		d := OracleDistances(tp, a1.Switch)[a2.Switch]
 		return len(tags) == d+1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

@@ -2,8 +2,9 @@ package topo
 
 import (
 	"bytes"
-	"fmt"
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dumbnet/internal/packet"
@@ -114,13 +115,13 @@ func (s *Subgraph) NumLinks() int {
 // NumHosts reports how many host attachments are cached.
 func (s *Subgraph) NumHosts() int { return len(s.hosts) }
 
-// Switches lists the covered switch IDs in ascending order.
-func (s *Subgraph) Switches() []SwitchID {
+// SwitchIDs lists the covered switch IDs in ascending order.
+func (s *Subgraph) SwitchIDs() []SwitchID {
 	out := make([]SwitchID, 0, len(s.adj))
 	for id := range s.adj {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -148,7 +149,7 @@ func (s *Subgraph) Neighbors(id SwitchID) []Neighbor {
 	for sw, p := range m {
 		out = append(out, Neighbor{Sw: sw, Port: p})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Sw < out[j].Sw })
+	slices.SortFunc(out, func(a, b Neighbor) int { return cmp.Compare(a.Sw, b.Sw) })
 	return out
 }
 
@@ -189,66 +190,10 @@ func (s *Subgraph) Clone() *Subgraph {
 // TagsForSwitchPath encodes a switch path into port tags using only cached
 // knowledge, ending at dst's attachment port.
 func (s *Subgraph) TagsForSwitchPath(sp SwitchPath, dst MAC) (packet.Path, error) {
-	if len(sp) == 0 {
-		return nil, ErrNoPath
-	}
-	at, err := s.HostAt(dst)
-	if err != nil {
-		return nil, err
-	}
-	if at.Switch != sp[len(sp)-1] {
-		return nil, fmt.Errorf("%w: path ends at %d, host on %d", ErrPathInvalid, sp[len(sp)-1], at.Switch)
-	}
-	tags := make(packet.Path, 0, len(sp))
-	for i := 0; i+1 < len(sp); i++ {
-		p, err := s.PortToward(sp[i], sp[i+1])
-		if err != nil {
-			return nil, err
-		}
-		tags = append(tags, p)
-	}
-	return append(tags, at.Port), nil
+	return tagsForSwitchPath(s, sp, dst)
 }
 
 // HostPath computes a tag path between two cached hosts over the subgraph.
 func (s *Subgraph) HostPath(src, dst MAC, rng *rand.Rand) (packet.Path, error) {
-	sat, err := s.HostAt(src)
-	if err != nil {
-		return nil, err
-	}
-	dat, err := s.HostAt(dst)
-	if err != nil {
-		return nil, err
-	}
-	sp, err := ShortestPath(s, sat.Switch, dat.Switch, rng)
-	if err != nil {
-		return nil, err
-	}
-	return s.TagsForSwitchPath(sp, dst)
-}
-
-// KHostPaths returns up to k distinct tag paths between cached hosts,
-// shortest first — the PathTable's per-destination path set (§5.2).
-func (s *Subgraph) KHostPaths(src, dst MAC, k int) ([]packet.Path, error) {
-	sat, err := s.HostAt(src)
-	if err != nil {
-		return nil, err
-	}
-	dat, err := s.HostAt(dst)
-	if err != nil {
-		return nil, err
-	}
-	sps, err := KShortestPaths(s, sat.Switch, dat.Switch, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]packet.Path, 0, len(sps))
-	for _, sp := range sps {
-		tags, err := s.TagsForSwitchPath(sp, dst)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tags)
-	}
-	return out, nil
+	return hostPath(s, src, dst, rng)
 }

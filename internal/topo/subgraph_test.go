@@ -86,14 +86,14 @@ func TestSubgraphHostPathAndK(t *testing.T) {
 	if len(tags) != 3 {
 		t.Fatalf("tags = %v", tags)
 	}
-	paths, err := s.KHostPaths(h1, h2, 4)
+	paths, err := KShortestPaths(s, 1, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(paths) != 2 {
 		t.Fatalf("k-paths = %d, want 2 (two sides of the square)", len(paths))
 	}
-	if string(paths[0]) == string(paths[1]) {
+	if paths[0].Equal(paths[1]) {
 		t.Fatal("duplicate k-paths")
 	}
 }

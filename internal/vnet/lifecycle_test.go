@@ -118,7 +118,7 @@ func TestSliceRepairOnLinkUp(t *testing.T) {
 	var sw, peer packet.SwitchID
 	var port, back topo.Port
 	found := false
-	for _, id := range ten.View().Switches() {
+	for _, id := range ten.View().SwitchIDs() {
 		for _, nb := range ten.View().Neighbors(id) {
 			p, err := ten.View().PortToward(nb.Sw, id)
 			if err != nil {

@@ -537,24 +537,9 @@ func (m *Manager) PathGraphFor(id TenantID, src, dst packet.MAC) (*topo.PathGrap
 		return nil, fmt.Errorf("path graph %q: %v: %w", id, dst, ErrForeignHost)
 	}
 	rng := rand.New(rand.NewSource(pairSeed(m.seed, id, t.gen, src, dst)))
-	primary, err := topo.ShortestPath(t.view, sat.Switch, dat.Switch, rng)
+	primary, backup, err := topo.PrimaryBackup(t.view, sat.Switch, dat.Switch, m.opts, rng)
 	if err != nil {
 		return nil, fmt.Errorf("path graph %q: %v->%v: %w: %v", id, src, dst, ErrNotRoutable, err)
-	}
-	onPrimary := map[[2]topo.SwitchID]bool{}
-	for i := 0; i+1 < len(primary); i++ {
-		onPrimary[[2]topo.SwitchID{primary[i], primary[i+1]}] = true
-		onPrimary[[2]topo.SwitchID{primary[i+1], primary[i]}] = true
-	}
-	backup, err := topo.WeightedShortestPath(t.view, sat.Switch, dat.Switch,
-		func(a, b topo.SwitchID) float64 {
-			if onPrimary[[2]topo.SwitchID{a, b}] {
-				return 8
-			}
-			return 1
-		})
-	if err != nil {
-		backup = nil
 	}
 	return &topo.PathGraph{Src: src, Dst: dst, Primary: primary, Backup: backup, Graph: t.view.Clone()}, nil
 }
@@ -704,7 +689,7 @@ func (m *Manager) AuditViews() []string {
 	var out []string
 	for _, t := range m.sortedTenantsLocked() {
 		m.met.audits.Inc()
-		for _, sw := range t.view.Switches() {
+		for _, sw := range t.view.SwitchIDs() {
 			for _, nb := range t.view.Neighbors(sw) {
 				p, err := t.baseline.PortToward(sw, nb.Sw)
 				if err != nil {

@@ -157,3 +157,48 @@ func TestApplyLinkDownPatchesViews(t *testing.T) {
 		t.Fatalf("links %d -> %d, want -1", before, ten.View().NumLinks())
 	}
 }
+
+// TestPathGraphForHonoursBackupPenalty: the backup route in a tenant answer is
+// priced with the manager's PathGraphOptions, as the untenanted path graph is.
+func TestPathGraphForHonoursBackupPenalty(t *testing.T) {
+	// 1-2-4 is the only shortest path; 1-3-5-4 is link-disjoint and one hop
+	// longer, inside the ε=1 detour window so the slice contains it.
+	src, dst := packet.MACFromUint64(1), packet.MACFromUint64(2)
+	for _, tc := range []struct {
+		penalty float64
+		backup  topo.SwitchPath
+	}{
+		{0, topo.SwitchPath{1, 3, 5, 4}},   // default 8: reusing both primary links costs 16 > 3
+		{1.2, topo.SwitchPath{1, 2, 4}},    // 2.4 < 3: the primary is its own cheapest backup
+		{100, topo.SwitchPath{1, 3, 5, 4}}, // dearer than the default changes nothing here
+	} {
+		tp := topo.New()
+		for id := topo.SwitchID(1); id <= 5; id++ {
+			if err := tp.AddSwitch(id, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, l := range [][4]int{{1, 1, 2, 1}, {2, 2, 4, 1}, {1, 2, 3, 1}, {3, 2, 5, 1}, {5, 2, 4, 2}} {
+			if err := tp.Connect(topo.SwitchID(l[0]), topo.Port(l[1]), topo.SwitchID(l[2]), topo.Port(l[3])); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tp.AttachHost(src, 1, 4); err != nil {
+			t.Fatal(err)
+		}
+		if err := tp.AttachHost(dst, 4, 4); err != nil {
+			t.Fatal(err)
+		}
+		m := NewManager(tp, topo.PathGraphOptions{Epsilon: 1, BackupPenalty: tc.penalty}, 1)
+		if _, err := m.CreateTenant("a", []packet.MAC{src, dst}); err != nil {
+			t.Fatal(err)
+		}
+		pg, err := m.PathGraphFor("a", src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !pg.Primary.Equal(topo.SwitchPath{1, 2, 4}) || !pg.Backup.Equal(tc.backup) {
+			t.Errorf("penalty %v: primary %v backup %v, want backup %v", tc.penalty, pg.Primary, pg.Backup, tc.backup)
+		}
+	}
+}
