@@ -104,6 +104,9 @@ type Controller struct {
 	routes *RouteService
 	// mcast is the multicast group registry and tree cache.
 	mcast *McastService
+	// sc is the routing-kernel scratch both services compute misses on; they
+	// run only on this controller's engine thread, so one serves both.
+	sc *topo.DenseScratch
 	// pathWaiters coalesces concurrent path requests per host pair: the
 	// first request schedules the compute, later arrivals within the
 	// processing window just queue their sequence numbers.
@@ -139,6 +142,7 @@ func New(eng *sim.Engine, agent *host.Agent, cfg Config) *Controller {
 		rng:         rand.New(rand.NewSource(int64(agent.MAC()[5]) + 7)),
 		graveyard:   make(map[host.HopRef]removedLink),
 		pathWaiters: make(map[pairKey][]uint64),
+		sc:          topo.NewDenseScratch(),
 	}
 	c.routes = newRouteService(c)
 	c.mcast = newMcastService(c)
@@ -158,6 +162,27 @@ func (c *Controller) Master() *topo.Topology { return c.master }
 
 // Version returns the topology epoch.
 func (c *Controller) Version() uint64 { return c.version }
+
+// Epoch names one state of a controller's topology view: the topology
+// object (SetMaster installs a new one), the controller's patch epoch, and
+// the topology's own mutation generation. Every applied patch — link
+// up/down, switch crash, host change — moves at least one of them, so an
+// answer computed under one Epoch is valid exactly while the controller
+// still reports an equal one. It is the controller's part of every
+// generation-cache token (see DESIGN.md, "Generation cache").
+type Epoch struct {
+	top          *topo.Topology
+	version, gen uint64
+}
+
+// Epoch returns the controller's current topology epoch.
+func (c *Controller) Epoch() Epoch {
+	ep := Epoch{top: c.master, version: c.version}
+	if c.master != nil {
+		ep.gen = c.master.Generation()
+	}
+	return ep
+}
 
 // SetMaster installs a topology view directly (used by replicas receiving a
 // snapshot, and by tests).

@@ -4,23 +4,22 @@ import (
 	"errors"
 	"sort"
 
+	"dumbnet/internal/gencache"
 	"dumbnet/internal/mcast"
 	"dumbnet/internal/packet"
-	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
 )
 
 // The multicast service: the controller-side half of source-routed
 // multicast. It owns the group registry (who is in which group) and a cache
-// of computed distribution trees, keyed per (group, source). Trees follow
-// the route service's lazy generation-invalidation discipline — an entry is
-// fresh only while the topology object, the controller's patch epoch, the
-// topology generation, AND the group's own membership generation all still
-// match — so chaos-driven link churn or a membership change can never serve
-// a stale tree; the next lookup recomputes over the healed view (the §4.2
-// repair flow, applied to trees). Switches stay dumb throughout: the whole
-// tree travels in the packet, and the only control-plane signal is a
-// hop-limited MsgGroupEvent flood telling hosts to drop cached trees.
+// of computed distribution trees, keyed per (group, source). Trees live in a
+// generation cache (internal/gencache) stamped with the controller's Epoch
+// AND the group's own membership generation, so chaos-driven link churn or
+// a membership change can never serve a stale tree; the next lookup
+// recomputes over the healed view (the §4.2 repair flow, applied to trees).
+// Switches stay dumb throughout: the whole tree travels in the packet, and
+// the only control-plane signal is a hop-limited MsgGroupEvent flood telling
+// hosts to drop cached trees.
 
 // Errors.
 var (
@@ -29,7 +28,7 @@ var (
 )
 
 // mcastGroup is one registered group: its member set and a mutation counter
-// bumped on every membership change (the cache's fourth freshness token).
+// bumped on every membership change (the group half of treeEpoch).
 type mcastGroup struct {
 	members []packet.MAC
 	gen     uint64
@@ -42,26 +41,20 @@ type mcastKey struct {
 	src   packet.MAC
 }
 
-// mcastEntry is one cached tree with its freshness tokens.
-type mcastEntry struct {
-	top      *topo.Topology
-	version  uint64
-	topoGen  uint64
+// treeEpoch is the tree plane's token: the controller's Epoch plus the
+// group's membership generation.
+type treeEpoch struct {
+	Epoch
 	groupGen uint64
-	tree     *mcast.Tree
 }
 
 // McastService computes, caches, and invalidates multicast trees.
 type McastService struct {
 	c      *Controller
 	groups map[mcast.GroupID]*mcastGroup
-	cache  map[mcastKey]*mcastEntry
-	sc     *topo.DenseScratch
+	trees  *gencache.Cache[mcastKey, treeEpoch, *RouteAnswer]
 
-	hits        *trace.Counter
-	misses      *trace.Counter
-	invalidated *trace.Counter
-	notifies    *trace.Counter
+	notifies *trace.Counter
 	// treeSize observes each computed tree's wire size — the deterministic
 	// per-compute cost measure (cf. ctrl.route.pgsize).
 	treeSize *trace.Histogram
@@ -70,15 +63,12 @@ type McastService struct {
 func newMcastService(c *Controller) *McastService {
 	reg := c.eng.Metrics()
 	return &McastService{
-		c:           c,
-		groups:      make(map[mcast.GroupID]*mcastGroup),
-		cache:       make(map[mcastKey]*mcastEntry),
-		sc:          topo.NewDenseScratch(),
-		hits:        reg.Counter("ctrl.mcast.hit"),
-		misses:      reg.Counter("ctrl.mcast.miss"),
-		invalidated: reg.Counter("ctrl.mcast.invalidated"),
-		notifies:    reg.Counter("ctrl.mcast.notifies"),
-		treeSize:    reg.ValueHistogram("ctrl.mcast.treesize"),
+		c:      c,
+		groups: make(map[mcast.GroupID]*mcastGroup),
+		trees: gencache.New[mcastKey, treeEpoch, *RouteAnswer](
+			reg.Counter("ctrl.mcast.hit"), reg.Counter("ctrl.mcast.miss"), reg.Counter("ctrl.mcast.invalidated")),
+		notifies: reg.Counter("ctrl.mcast.notifies"),
+		treeSize: reg.ValueHistogram("ctrl.mcast.treesize"),
 	}
 }
 
@@ -86,7 +76,7 @@ func newMcastService(c *Controller) *McastService {
 func (c *Controller) Mcast() *McastService { return c.mcast }
 
 // groupSeed derives the tree builder's equal-cost tie-break seed. Like
-// pairSeed it depends only on the identity and the freshness tokens, so the
+// pairSeed it depends only on the identity and the token, so the
 // same (group, source, epoch) always yields the same tree — and trees
 // re-randomize their equal-cost choices each topology or membership epoch,
 // spreading load the way §4.3 intends for unicast.
@@ -134,11 +124,7 @@ func (s *McastService) DeleteGroup(id mcast.GroupID) error {
 		return ErrNoGroup
 	}
 	delete(s.groups, id)
-	for k := range s.cache {
-		if k.group == id {
-			delete(s.cache, k)
-		}
-	}
+	s.trees.DeleteFunc(func(k mcastKey, _ *RouteAnswer) bool { return k.group == id })
 	s.notifyGroup(id, g.gen+1)
 	return nil
 }
@@ -172,54 +158,37 @@ func (s *McastService) Groups() []mcast.GroupID {
 }
 
 // Len reports how many (group, source) trees are currently cached.
-func (s *McastService) Len() int { return len(s.cache) }
+func (s *McastService) Len() int { return s.trees.Len() }
 
 // Invalidate drops every cached tree. Generation checks make this
 // unnecessary for correctness; benchmarks use it to force cold computes.
-func (s *McastService) Invalidate() {
-	for k := range s.cache {
-		delete(s.cache, k)
-	}
-}
+func (s *McastService) Invalidate() { s.trees.Clear() }
 
-// fresh reports whether e still answers for master m at group generation g.
-func (e *mcastEntry) fresh(m *topo.Topology, version, groupGen uint64) bool {
-	return e.top == m && e.version == version && e.topoGen == m.Generation() && e.groupGen == groupGen
-}
-
-// lookup returns a valid cache entry for (group, src), computing one on miss
-// or staleness. A warm hit is a single map probe and allocates nothing.
-func (s *McastService) lookup(group mcast.GroupID, src packet.MAC) (*mcastEntry, error) {
-	m := s.c.master
-	if m == nil {
-		return nil, ErrNoTopology
+// lookup answers (group, src) from the tree plane, computing the tree on
+// miss or staleness — a topology patch or membership change since it was
+// computed is the repair path. A warm hit is a single map probe and
+// allocates nothing.
+func (s *McastService) lookup(group mcast.GroupID, src packet.MAC) (RouteAnswer, error) {
+	if s.c.master == nil {
+		return RouteAnswer{}, ErrNoTopology
 	}
 	g, ok := s.groups[group]
 	if !ok {
-		return nil, ErrNoGroup
+		return RouteAnswer{}, ErrNoGroup
 	}
-	key := mcastKey{group: group, src: src}
-	if e, ok := s.cache[key]; ok {
-		if e.fresh(m, s.c.version, g.gen) {
-			s.hits.Inc()
-			return e, nil
-		}
-		// Lazy invalidation: a topology patch or membership change bumped a
-		// freshness token since this tree was computed — the repair path.
-		s.invalidated.Inc()
-		delete(s.cache, key)
+	tok := treeEpoch{s.c.Epoch(), g.gen}
+	if a, ok := s.trees.Get(mcastKey{group, src}, tok); ok {
+		return *a, nil
 	}
-	s.misses.Inc()
-	version, topoGen := s.c.version, m.Generation()
-	seed := groupSeed(group, src, version, topoGen, g.gen)
-	tree, err := mcast.BuildTree(m, group, src, g.members, seed, s.sc)
+	seed := groupSeed(group, src, tok.version, tok.gen, g.gen)
+	tree, err := mcast.BuildTree(tok.top, group, src, g.members, seed, s.c.sc)
 	if err != nil {
-		return nil, err
+		return RouteAnswer{}, err
 	}
-	e := &mcastEntry{top: m, version: version, topoGen: topoGen, groupGen: g.gen, tree: tree}
-	s.cache[key] = e
-	s.treeSize.Observe(int64(len(tree.Wire())))
-	return e, nil
+	a := &RouteAnswer{Wire: tree.Wire(), Scope: ScopeTree, tree: tree}
+	s.trees.Put(mcastKey{group, src}, tok, a)
+	s.treeSize.Observe(int64(len(a.Wire)))
+	return *a, nil
 }
 
 // notifyGroup floods a MsgGroupEvent through the fabric: the frame ends its

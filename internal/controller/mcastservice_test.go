@@ -66,15 +66,15 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.misses.Value() != 1 || svc.hits.Value() != 0 {
-		t.Fatalf("after first lookup: hits=%d misses=%d", svc.hits.Value(), svc.misses.Value())
+	if count(c, "ctrl.mcast.miss") != 1 || count(c, "ctrl.mcast.hit") != 0 {
+		t.Fatalf("after first lookup: hits=%d misses=%d", count(c, "ctrl.mcast.hit"), count(c, "ctrl.mcast.miss"))
 	}
 	w2, err := wireOf(c.Resolve(RouteQuery{Src: src, Group: 3, Scope: ScopeTree}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.hits.Value() != 1 {
-		t.Fatalf("second lookup was not a hit (hits=%d)", svc.hits.Value())
+	if count(c, "ctrl.mcast.hit") != 1 {
+		t.Fatalf("second lookup was not a hit (hits=%d)", count(c, "ctrl.mcast.hit"))
 	}
 	if &w1[0] != &w2[0] {
 		t.Fatal("warm hit did not return the cached wire bytes")
@@ -95,8 +95,8 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.invalidated.Value() != 1 {
-		t.Fatalf("mutation did not invalidate (invalidated=%d)", svc.invalidated.Value())
+	if count(c, "ctrl.mcast.invalidated") != 1 {
+		t.Fatalf("mutation did not invalidate (invalidated=%d)", count(c, "ctrl.mcast.invalidated"))
 	}
 	if bytes.Equal(w2, w3) {
 		t.Fatal("tree unchanged after losing one of its links")
@@ -110,7 +110,7 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	}
 
 	// A membership change must invalidate too.
-	inval := svc.invalidated.Value()
+	inval := count(c, "ctrl.mcast.invalidated")
 	if err := svc.UpdateGroup(3, members[:3]); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMcastLookupCachesAndInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.invalidated.Value() != inval+1 {
+	if count(c, "ctrl.mcast.invalidated") != inval+1 {
 		t.Fatal("membership change did not invalidate cached tree")
 	}
 	if len(shrunk.Members) != 3 {

@@ -131,10 +131,10 @@ func (c *Controller) Resolve(q RouteQuery) (RouteAnswer, error) {
 	switch q.Scope {
 	case ScopeAuto:
 		if q.Group != 0 {
-			return c.resolveTree(q)
+			return c.mcast.lookup(q.Group, q.Src)
 		}
 		if q.Tenant != "" {
-			return c.resolveTenant(q)
+			return c.routes.lookupTenant(q.Tenant, q.Src, q.Dst)
 		}
 		// Tenancy inference, exactly as the wire path-request handler has
 		// always done it: a tenanted source is confined to its slice, and
@@ -142,61 +142,31 @@ func (c *Controller) Resolve(q RouteQuery) (RouteAnswer, error) {
 		if c.virt != nil {
 			if tenant, ok := c.virt.TenantOf(q.Src); ok {
 				q.Tenant = tenant
-				return c.resolveTenant(q)
+				return c.routes.lookupTenant(q.Tenant, q.Src, q.Dst)
 			}
 			if _, ok := c.virt.TenantOf(q.Dst); ok {
 				return RouteAnswer{}, ErrIsolated
 			}
 		}
-		return c.resolveGlobal(q)
+		return c.routes.lookup(q.Src, q.Dst)
 	case ScopeGlobal:
 		if q.Group != 0 {
 			return RouteAnswer{}, ErrBadQuery
 		}
-		return c.resolveGlobal(q)
+		return c.routes.lookup(q.Src, q.Dst)
 	case ScopeTenant:
 		if q.Tenant == "" || q.Group != 0 {
 			return RouteAnswer{}, ErrBadQuery
 		}
-		return c.resolveTenant(q)
+		return c.routes.lookupTenant(q.Tenant, q.Src, q.Dst)
 	case ScopeTree:
 		if q.Group == 0 {
 			return RouteAnswer{}, ErrBadQuery
 		}
-		return c.resolveTree(q)
+		return c.mcast.lookup(q.Group, q.Src)
 	case ScopeFabric:
 		return RouteAnswer{}, ErrFabricScope
 	default:
 		return RouteAnswer{}, ErrBadQuery
 	}
-}
-
-func (c *Controller) resolveGlobal(q RouteQuery) (RouteAnswer, error) {
-	e, err := c.routes.lookup(q.Src, q.Dst)
-	if err != nil {
-		return RouteAnswer{}, err
-	}
-	return RouteAnswer{Wire: e.wire, Scope: ScopeGlobal, pg: e.pg}, nil
-}
-
-func (c *Controller) resolveTenant(q RouteQuery) (RouteAnswer, error) {
-	e, err := c.routes.lookupTenant(q.Tenant, q.Src, q.Dst)
-	if err != nil {
-		// Scope and Tenant are reported even on failure so callers (the
-		// path-request handler's refusal accounting) can tell a refused
-		// slice answer from a global miss.
-		return RouteAnswer{Scope: ScopeTenant, Tenant: q.Tenant}, err
-	}
-	return RouteAnswer{Wire: e.wire, Scope: ScopeTenant, Tenant: q.Tenant, pg: e.pg}, nil
-}
-
-func (c *Controller) resolveTree(q RouteQuery) (RouteAnswer, error) {
-	if c.mcast == nil {
-		return RouteAnswer{}, ErrNoTopology
-	}
-	e, err := c.mcast.lookup(q.Group, q.Src)
-	if err != nil {
-		return RouteAnswer{}, err
-	}
-	return RouteAnswer{Wire: e.tree.Wire(), Scope: ScopeTree, tree: e.tree}, nil
 }

@@ -4,15 +4,15 @@ import (
 	"math/rand"
 	"sync"
 
+	"dumbnet/internal/gencache"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
 )
 
 // The route service: the controller's path-graph answers, made O(cache hit).
-// Computed path graphs are cached per host pair and invalidated lazily by
-// the topology generation counter — every applied patch (link up/down,
-// switch crash, host change) bumps Topology.Generation, so chaos-driven
+// Computed path graphs are cached per host pair in generation caches
+// (internal/gencache) stamped with the controller's Epoch, so chaos-driven
 // churn can never serve a stale route. Misses run Algorithm 1 over the
 // dense routing kernels with a reused scratch, and the serialized wire form
 // is cached alongside the graph so a warm path request allocates nothing.
@@ -25,18 +25,6 @@ type pairKey struct {
 	src, dst packet.MAC
 }
 
-// routeEntry is one cached answer. It is valid only while all three
-// freshness tokens still match the controller's state: the topology object
-// identity (SetMaster installs a new object), the controller's patch epoch,
-// and the topology's own mutation generation.
-type routeEntry struct {
-	top     *topo.Topology
-	version uint64
-	topoGen uint64
-	pg      *topo.PathGraph // immutable; Lookup clones before returning
-	wire    []byte          // pg.Marshal(), shared by every coalesced reply
-}
-
 // tenantKey identifies one cached slice-restricted answer: a tenant and a
 // member host pair. A composite struct key keeps warm lookups map-probe
 // cheap (no string concatenation, zero allocations).
@@ -45,36 +33,26 @@ type tenantKey struct {
 	src, dst packet.MAC
 }
 
-// tenantEntry is a cached slice answer. On top of routeEntry's three
-// freshness tokens it carries the tenant's generation, so both topology
-// change and tenant mutation (create/delete/migrate/resize, slice repair)
-// invalidate it lazily.
-type tenantEntry struct {
-	top       *topo.Topology
-	version   uint64
-	topoGen   uint64
+// tenantEpoch is the tenant plane's token: the controller's Epoch plus the
+// tenant's generation, so both topology change and tenant mutation
+// (create/delete/migrate/resize, slice repair) invalidate lazily. An
+// unknown tenant reports generation 0 and is refused by the virtualizer,
+// so nothing is ever stored under it.
+type tenantEpoch struct {
+	Epoch
 	tenantGen uint64
-	pg        *topo.PathGraph
-	wire      []byte
 }
 
 // RouteService caches and serves the controller's path graphs.
 type RouteService struct {
 	c      *Controller
-	cache  map[pairKey]*routeEntry
-	tcache map[tenantKey]*tenantEntry
-	sc     *topo.DenseScratch
+	global *gencache.Cache[pairKey, Epoch, *RouteAnswer]
+	tenant *gencache.Cache[tenantKey, tenantEpoch, *RouteAnswer]
 
-	hits        *trace.Counter
-	misses      *trace.Counter
-	invalidated *trace.Counter
-	coalesced   *trace.Counter
-	warmed      *trace.Counter
-	thits       *trace.Counter
-	tmisses     *trace.Counter
-	tinvalid    *trace.Counter
-	tevicted    *trace.Counter
-	taudits     *trace.Counter
+	coalesced *trace.Counter
+	warmed    *trace.Counter
+	tevicted  *trace.Counter
+	taudits   *trace.Counter
 	// compute observes the size (switch count) of each Algorithm-1 result —
 	// a deterministic per-compute cost measure (wall-clock timing would leak
 	// nondeterminism into metric output; dumbnet-bench carries the timings).
@@ -84,29 +62,24 @@ type RouteService struct {
 func newRouteService(c *Controller) *RouteService {
 	reg := c.eng.Metrics()
 	return &RouteService{
-		c:           c,
-		cache:       make(map[pairKey]*routeEntry),
-		tcache:      make(map[tenantKey]*tenantEntry),
-		sc:          topo.NewDenseScratch(),
-		hits:        reg.Counter("ctrl.route.hit"),
-		misses:      reg.Counter("ctrl.route.miss"),
-		invalidated: reg.Counter("ctrl.route.invalidated"),
-		coalesced:   reg.Counter("ctrl.route.coalesced"),
-		warmed:      reg.Counter("ctrl.route.warmed"),
-		thits:       reg.Counter("ctrl.route.tenant_hit"),
-		tmisses:     reg.Counter("ctrl.route.tenant_miss"),
-		tinvalid:    reg.Counter("ctrl.route.tenant_invalidated"),
-		tevicted:    reg.Counter("ctrl.route.tenant_evicted"),
-		taudits:     reg.Counter("ctrl.route.tenant_audits"),
-		compute:     reg.ValueHistogram("ctrl.route.pgsize"),
+		c: c,
+		global: gencache.New[pairKey, Epoch, *RouteAnswer](
+			reg.Counter("ctrl.route.hit"), reg.Counter("ctrl.route.miss"), reg.Counter("ctrl.route.invalidated")),
+		tenant: gencache.New[tenantKey, tenantEpoch, *RouteAnswer](
+			reg.Counter("ctrl.route.tenant_hit"), reg.Counter("ctrl.route.tenant_miss"), reg.Counter("ctrl.route.tenant_invalidated")),
+		coalesced: reg.Counter("ctrl.route.coalesced"),
+		warmed:    reg.Counter("ctrl.route.warmed"),
+		tevicted:  reg.Counter("ctrl.route.tenant_evicted"),
+		taudits:   reg.Counter("ctrl.route.tenant_audits"),
+		compute:   reg.ValueHistogram("ctrl.route.pgsize"),
 	}
 }
 
 // pairSeed derives the equal-cost tie-break seed for one cached pair. It
-// depends only on the pair and the freshness tokens, so a cached answer is
-// identical no matter which code path (request, warm-up shard, audit)
-// computed it first — and re-randomizes each topology epoch, preserving the
-// §4.3 load-balancing intent across invalidations.
+// depends only on the pair and the epoch, so a cached answer is identical
+// no matter which code path (request, warm-up shard, audit) computed it
+// first — and re-randomizes each topology epoch, preserving the §4.3
+// load-balancing intent across invalidations.
 func pairSeed(src, dst packet.MAC, version, gen uint64) int64 {
 	h := uint64(1469598103934665603) // FNV-1a
 	for _, b := range src {
@@ -120,90 +93,64 @@ func pairSeed(src, dst packet.MAC, version, gen uint64) int64 {
 	return int64(h)
 }
 
-// fresh reports whether e still answers for master m.
-func (e *routeEntry) fresh(m *topo.Topology, version uint64) bool {
-	return e.top == m && e.version == version && e.topoGen == m.Generation()
+// lookup answers (src, dst) from the global plane, computing and caching
+// the answer on miss or staleness.
+func (s *RouteService) lookup(src, dst packet.MAC) (RouteAnswer, error) {
+	if s.c.master == nil {
+		return RouteAnswer{}, ErrNoTopology
+	}
+	ep := s.c.Epoch()
+	if a, ok := s.global.Get(pairKey{src, dst}, ep); ok {
+		return *a, nil
+	}
+	a, err := s.computeAnswer(ep, pairKey{src, dst}, s.c.sc)
+	if err != nil {
+		return RouteAnswer{}, err
+	}
+	s.compute.Observe(int64(a.pg.Graph.NumSwitches()))
+	s.global.Put(pairKey{src, dst}, ep, a)
+	return *a, nil
 }
 
-// lookup returns a valid cache entry for (src, dst), computing and caching
-// one on miss or staleness.
-func (s *RouteService) lookup(src, dst packet.MAC) (*routeEntry, error) {
-	m := s.c.master
-	if m == nil {
-		return nil, ErrNoTopology
-	}
-	key := pairKey{src: src, dst: dst}
-	if e, ok := s.cache[key]; ok {
-		if e.fresh(m, s.c.version) {
-			s.hits.Inc()
-			return e, nil
-		}
-		// Lazy invalidation: a patch bumped a freshness token since this
-		// entry was computed.
-		s.invalidated.Inc()
-		delete(s.cache, key)
-	}
-	s.misses.Inc()
-	e, err := s.computeEntry(m, key, s.sc)
+// computeAnswer runs Algorithm 1 for key at epoch ep over the given
+// scratch. It touches no registry instruments, so warm-up shards may call
+// it concurrently (each with its own scratch).
+func (s *RouteService) computeAnswer(ep Epoch, key pairKey, sc *topo.DenseScratch) (*RouteAnswer, error) {
+	rng := rand.New(rand.NewSource(pairSeed(key.src, key.dst, ep.version, ep.gen)))
+	pg, err := topo.BuildPathGraphScratch(ep.top, key.src, key.dst, s.c.cfg.PathGraph, rng, sc)
 	if err != nil {
 		return nil, err
 	}
-	s.compute.Observe(int64(e.pg.Graph.NumSwitches()))
-	s.cache[key] = e
-	return e, nil
+	return &RouteAnswer{Wire: pg.Marshal(), Scope: ScopeGlobal, pg: pg}, nil
 }
 
-// computeEntry runs Algorithm 1 for key over the given scratch. It touches
-// no registry instruments, so warm-up shards may call it concurrently (each
-// with its own scratch).
-func (s *RouteService) computeEntry(m *topo.Topology, key pairKey, sc *topo.DenseScratch) (*routeEntry, error) {
-	version, gen := s.c.version, m.Generation()
-	rng := rand.New(rand.NewSource(pairSeed(key.src, key.dst, version, gen)))
-	pg, err := topo.BuildPathGraphScratch(m, key.src, key.dst, s.c.cfg.PathGraph, rng, sc)
-	if err != nil {
-		return nil, err
-	}
-	return &routeEntry{top: m, version: version, topoGen: gen, pg: pg, wire: pg.Marshal()}, nil
-}
-
-// freshTenant reports whether e still answers for master m at tenant
-// generation tgen.
-func (e *tenantEntry) fresh(m *topo.Topology, version, tgen uint64) bool {
-	return e.top == m && e.version == version && e.topoGen == m.Generation() && e.tenantGen == tgen
-}
-
-// lookupTenant returns a valid cached slice answer for a tenant member
-// pair, recomputing through the virtualizer on miss or staleness. The
-// answer is computed entirely inside the slice (the virtualizer never sees
-// topology the tenant may not), and a warm hit allocates nothing.
-func (s *RouteService) lookupTenant(tenant string, src, dst packet.MAC) (*tenantEntry, error) {
-	m := s.c.master
-	if m == nil {
-		return nil, ErrNoTopology
+// lookupTenant answers a tenant member pair from the slice plane,
+// recomputing through the virtualizer on miss or staleness. The answer is
+// computed entirely inside the slice (the virtualizer never sees topology
+// the tenant may not), and a warm hit allocates nothing. Scope and Tenant
+// are reported even on failure so callers (the path-request handler's
+// refusal accounting) can tell a refused slice answer from a global miss.
+func (s *RouteService) lookupTenant(tenant string, src, dst packet.MAC) (RouteAnswer, error) {
+	refused := RouteAnswer{Scope: ScopeTenant, Tenant: tenant}
+	if s.c.master == nil {
+		return refused, ErrNoTopology
 	}
 	v := s.c.virt
 	if v == nil {
-		return nil, ErrIsolated
+		return refused, ErrIsolated
 	}
-	tgen, known := v.TenantGeneration(tenant)
-	key := tenantKey{tenant: tenant, src: src, dst: dst}
-	if e, ok := s.tcache[key]; ok {
-		if known && e.fresh(m, s.c.version, tgen) {
-			s.thits.Inc()
-			return e, nil
-		}
-		s.tinvalid.Inc()
-		delete(s.tcache, key)
+	tgen, _ := v.TenantGeneration(tenant)
+	tok := tenantEpoch{s.c.Epoch(), tgen}
+	if a, ok := s.tenant.Get(tenantKey{tenant, src, dst}, tok); ok {
+		return *a, nil
 	}
-	s.tmisses.Inc()
 	pg, err := v.PathGraphFor(tenant, src, dst)
 	if err != nil {
-		return nil, err
+		return refused, err
 	}
-	e := &tenantEntry{top: m, version: s.c.version, topoGen: m.Generation(),
-		tenantGen: tgen, pg: pg, wire: pg.Marshal()}
-	s.tcache[key] = e
-	return e, nil
+	a := &RouteAnswer{Wire: pg.Marshal(), Scope: ScopeTenant, Tenant: tenant, pg: pg}
+	s.tenant.Put(tenantKey{tenant, src, dst}, tok, a)
+	return *a, nil
 }
 
 // AuditTenantRoutes re-verifies every cached tenant answer against the
@@ -217,30 +164,27 @@ func (s *RouteService) AuditTenantRoutes() (checked, evicted int) {
 	if v == nil {
 		return 0, 0
 	}
-	for key, e := range s.tcache {
-		checked++
-		s.taudits.Inc()
-		if err := s.auditTenantEntry(v, key, e); err != nil {
-			delete(s.tcache, key)
-			s.tevicted.Inc()
-			evicted++
-		}
-	}
+	checked = s.tenant.Len()
+	s.taudits.Add(uint64(checked))
+	evicted = s.tenant.DeleteFunc(func(key tenantKey, a *RouteAnswer) bool {
+		return s.auditTenantEntry(v, key, a.pg) != nil
+	})
+	s.tevicted.Add(uint64(evicted))
 	return checked, evicted
 }
 
 // auditTenantEntry replays a cached answer's tag routes through the slice
 // verifier.
-func (s *RouteService) auditTenantEntry(v Virtualizer, key tenantKey, e *tenantEntry) error {
-	tags, err := e.pg.PrimaryTags()
+func (s *RouteService) auditTenantEntry(v Virtualizer, key tenantKey, pg *topo.PathGraph) error {
+	tags, err := pg.PrimaryTags()
 	if err != nil {
 		return err
 	}
 	if err := v.VerifyTenantRoute(key.tenant, key.src, key.dst, tags); err != nil {
 		return err
 	}
-	if len(e.pg.Backup) > 0 {
-		btags, err := e.pg.BackupTags()
+	if len(pg.Backup) > 0 {
+		btags, err := pg.BackupTags()
 		if err != nil {
 			return err
 		}
@@ -252,21 +196,24 @@ func (s *RouteService) auditTenantEntry(v Virtualizer, key tenantKey, e *tenantE
 }
 
 // Len reports how many pairs are currently cached (fresh or not).
-func (s *RouteService) Len() int { return len(s.cache) }
+func (s *RouteService) Len() int { return s.global.Len() }
 
 // TenantLen reports how many tenant pairs are currently cached.
-func (s *RouteService) TenantLen() int { return len(s.tcache) }
+func (s *RouteService) TenantLen() int { return s.tenant.Len() }
+
+// DropTenant drops every cached answer of one tenant. A deleted tenant's
+// keys are never probed again, so lazy invalidation alone would keep them
+// forever; the tenant-delete path calls this on every live controller.
+func (s *RouteService) DropTenant(tenant string) {
+	s.tenant.DeleteFunc(func(k tenantKey, _ *RouteAnswer) bool { return k.tenant == tenant })
+}
 
 // Invalidate drops every cached entry (global and tenant). Generation
 // checks make this unnecessary for correctness; benchmarks use it to force
 // cold computes.
 func (s *RouteService) Invalidate() {
-	for k := range s.cache {
-		delete(s.cache, k)
-	}
-	for k := range s.tcache {
-		delete(s.tcache, k)
-	}
+	s.global.Clear()
+	s.tenant.Clear()
 }
 
 // Warm precomputes path graphs for the given host pairs across a worker
@@ -282,7 +229,7 @@ func (s *RouteService) Warm(pairs [][2]packet.MAC, workers int) int {
 		return 0
 	}
 	m.Dense()
-	version := s.c.version
+	ep := s.c.Epoch()
 	if workers < 1 {
 		workers = 1
 	}
@@ -291,7 +238,7 @@ func (s *RouteService) Warm(pairs [][2]packet.MAC, workers int) int {
 	}
 	type result struct {
 		key pairKey
-		e   *routeEntry
+		a   *RouteAnswer
 	}
 	out := make([][]result, workers)
 	var wg sync.WaitGroup
@@ -302,14 +249,14 @@ func (s *RouteService) Warm(pairs [][2]packet.MAC, workers int) int {
 			sc := topo.NewDenseScratch()
 			for i := w; i < len(pairs); i += workers {
 				key := pairKey{src: pairs[i][0], dst: pairs[i][1]}
-				if e, ok := s.cache[key]; ok && e.fresh(m, version) {
+				if _, ok := s.global.Peek(key, ep); ok {
 					continue
 				}
-				e, err := s.computeEntry(m, key, sc)
+				a, err := s.computeAnswer(ep, key, sc)
 				if err != nil {
 					continue
 				}
-				out[w] = append(out[w], result{key: key, e: e})
+				out[w] = append(out[w], result{key: key, a: a})
 			}
 		}(w)
 	}
@@ -317,8 +264,8 @@ func (s *RouteService) Warm(pairs [][2]packet.MAC, workers int) int {
 	n := 0
 	for _, rs := range out {
 		for _, r := range rs {
-			s.cache[r.key] = r.e
-			s.compute.Observe(int64(r.e.pg.Graph.NumSwitches()))
+			s.global.Put(r.key, ep, r.a)
+			s.compute.Observe(int64(r.a.pg.Graph.NumSwitches()))
 			n++
 		}
 	}

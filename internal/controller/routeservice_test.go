@@ -29,24 +29,26 @@ func newRouteTestController(t testing.TB) (*Controller, *topo.Topology, []packet
 	return c, tp, macs
 }
 
+// count reads one of c's registry counters by its published name.
+func count(c *Controller, name string) uint64 { return c.eng.Metrics().Counter(name).Value() }
+
 func TestRouteServiceCacheHitAndInvalidate(t *testing.T) {
 	c, tp, macs := newRouteTestController(t)
-	svc := c.Routes()
 	src, dst := macs[1], macs[len(macs)-1]
 
 	w1, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.misses.Value() != 1 || svc.hits.Value() != 0 {
-		t.Fatalf("after first lookup: hits=%d misses=%d", svc.hits.Value(), svc.misses.Value())
+	if count(c, "ctrl.route.miss") != 1 || count(c, "ctrl.route.hit") != 0 {
+		t.Fatalf("after first lookup: hits=%d misses=%d", count(c, "ctrl.route.hit"), count(c, "ctrl.route.miss"))
 	}
 	w2, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.hits.Value() != 1 {
-		t.Fatalf("second lookup was not a hit (hits=%d)", svc.hits.Value())
+	if count(c, "ctrl.route.hit") != 1 {
+		t.Fatalf("second lookup was not a hit (hits=%d)", count(c, "ctrl.route.hit"))
 	}
 	if &w1[0] != &w2[0] {
 		t.Fatal("warm hit did not return the cached wire bytes")
@@ -65,8 +67,8 @@ func TestRouteServiceCacheHitAndInvalidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.invalidated.Value() != 1 {
-		t.Fatalf("mutation did not invalidate (invalidated=%d)", svc.invalidated.Value())
+	if count(c, "ctrl.route.invalidated") != 1 {
+		t.Fatalf("mutation did not invalidate (invalidated=%d)", count(c, "ctrl.route.invalidated"))
 	}
 	pg, err := topo.UnmarshalPathGraph(w3)
 	if err != nil {
@@ -79,12 +81,12 @@ func TestRouteServiceCacheHitAndInvalidate(t *testing.T) {
 	}
 
 	// Replacing the master object entirely must also invalidate.
-	svcInval := svc.invalidated.Value()
+	svcInval := count(c, "ctrl.route.invalidated")
 	c.SetMaster(tp.Clone())
 	if _, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal})); err != nil {
 		t.Fatal(err)
 	}
-	if svc.invalidated.Value() != svcInval+1 {
+	if count(c, "ctrl.route.invalidated") != svcInval+1 {
 		t.Fatal("SetMaster did not invalidate cached entry")
 	}
 }
@@ -196,11 +198,11 @@ func TestWarmShardingDeterministic(t *testing.T) {
 		}
 	}
 	// Everything the warm-up installed must now be a hit.
-	hits := svc.hits.Value()
+	hits := count(c, "ctrl.route.hit")
 	if _, err := wireOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[2], Scope: ScopeGlobal})); err != nil {
 		t.Fatal(err)
 	}
-	if svc.hits.Value() != hits+1 {
+	if count(c, "ctrl.route.hit") != hits+1 {
 		t.Fatal("post-warm-up lookup missed the cache")
 	}
 }
@@ -220,10 +222,10 @@ func TestPathRequestCoalescing(t *testing.T) {
 	if got := c.Stats().PathResponses; got != 3 {
 		t.Fatalf("PathResponses = %d, want 3 (one per seq)", got)
 	}
-	if got := c.routes.coalesced.Value(); got != 1 {
+	if got := count(c, "ctrl.route.coalesced"); got != 1 {
 		t.Fatalf("coalesced = %d, want 1", got)
 	}
-	if got := c.routes.misses.Value(); got != 2 {
+	if got := count(c, "ctrl.route.miss"); got != 2 {
 		t.Fatalf("misses = %d, want 2 (one per distinct pair)", got)
 	}
 }

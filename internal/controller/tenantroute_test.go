@@ -40,22 +40,21 @@ func newTenantTestController(t testing.TB) (*Controller, *vnet.Manager, []packet
 
 func TestTenantLookupCachesPerGeneration(t *testing.T) {
 	c, m, macs := newTenantTestController(t)
-	svc := c.Routes()
 	src, dst := macs[1], macs[4]
 
 	w1, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.tmisses.Value() != 1 || svc.thits.Value() != 0 {
-		t.Fatalf("first lookup: hits=%d misses=%d", svc.thits.Value(), svc.tmisses.Value())
+	if count(c, "ctrl.route.tenant_miss") != 1 || count(c, "ctrl.route.tenant_hit") != 0 {
+		t.Fatalf("first lookup: hits=%d misses=%d", count(c, "ctrl.route.tenant_hit"), count(c, "ctrl.route.tenant_miss"))
 	}
 	w2, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if svc.thits.Value() != 1 {
-		t.Fatalf("second lookup was not a hit (hits=%d)", svc.thits.Value())
+	if count(c, "ctrl.route.tenant_hit") != 1 {
+		t.Fatalf("second lookup was not a hit (hits=%d)", count(c, "ctrl.route.tenant_hit"))
 	}
 	if &w1[0] != &w2[0] {
 		t.Fatal("warm hit did not return the cached wire bytes")
@@ -68,8 +67,8 @@ func TestTenantLookupCachesPerGeneration(t *testing.T) {
 	if _, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant})); err != nil {
 		t.Fatal(err)
 	}
-	if svc.tinvalid.Value() != 1 {
-		t.Fatalf("tenant mutation did not invalidate (tinvalid=%d)", svc.tinvalid.Value())
+	if count(c, "ctrl.route.tenant_invalidated") != 1 {
+		t.Fatalf("tenant mutation did not invalidate (tinvalid=%d)", count(c, "ctrl.route.tenant_invalidated"))
 	}
 
 	// Mutating tenant "blue" must NOT disturb red's rebuilt entry.

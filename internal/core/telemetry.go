@@ -60,12 +60,8 @@ func (n *Network) EnableTelemetry(cfg telemetry.Config) (*telemetry.Hub, error) 
 			a.SetLinkHealth(c.Board())
 		}
 	}
-	if n.group != nil {
-		for _, c := range n.group.Controllers() {
-			c.SetTelemetry(hub)
-		}
-	} else {
-		n.Ctrl.SetTelemetry(hub)
+	for _, c := range n.controllers() {
+		c.SetTelemetry(hub)
 	}
 	hub.Start()
 	n.hub = hub

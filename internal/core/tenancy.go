@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dumbnet/internal/controller"
 	"dumbnet/internal/host"
 	"dumbnet/internal/vnet"
 )
@@ -70,21 +71,34 @@ func (n *Network) installVirtualization() {
 		return
 	}
 	ad := vnet.ControllerAdapter{M: n.vnet}
-	if n.group != nil {
-		for _, c := range n.group.Controllers() {
-			c.SetVirtualization(ad)
-		}
-		return
+	for _, c := range n.controllers() {
+		c.SetVirtualization(ad)
 	}
-	n.Ctrl.SetVirtualization(ad)
+}
+
+// controllers lists every controller answering for this network: the
+// replica group's members, or the lone bootstrap controller.
+func (n *Network) controllers() []*controller.Controller {
+	if n.group != nil {
+		return n.group.Controllers()
+	}
+	return []*controller.Controller{n.Ctrl}
 }
 
 // onTenantChange is the manager's OnChange hook: after any committed tenant
 // mutation, hosts whose permission changed forget all cached route state
 // (PathTable entries and non-self TopoCache attachments), and every other
 // host forgets state pointing at the touched hosts. Re-queries then get
-// slice-restricted (or refused) answers from the controller.
+// slice-restricted (or refused) answers from the controller. A deleted
+// tenant's cached answers are dropped from every controller here, as
+// McastService.DeleteGroup does for trees: its keys are never probed again,
+// so lazy invalidation would never reach them.
 func (n *Network) onTenantChange(ch vnet.Change) {
+	if ch.Kind == vnet.ChangeDelete {
+		for _, c := range n.controllers() {
+			c.Routes().DropTenant(string(ch.Tenant))
+		}
+	}
 	touched := make(map[MAC]bool, len(ch.Members)+len(ch.Departed))
 	for _, m := range ch.Members {
 		touched[m] = true

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"dumbnet/internal/controller"
 	"dumbnet/internal/core"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/vnet"
@@ -58,6 +59,49 @@ func TestTenancyEndToEnd(t *testing.T) {
 	// red hosts are untenanted now; blue is still walled off.
 	if _, err := n.PingSync(red[0], blue[0]); err == nil {
 		t.Fatal("untenanted -> tenanted ping completed after delete")
+	}
+}
+
+// TestDeleteTenantDropsControllerCache: a deleted tenant's keys are never
+// probed again, so lazy invalidation cannot reclaim its cached answers;
+// DeleteTenant must drop them on every replica without waiting for an audit.
+func TestDeleteTenantDropsControllerCache(t *testing.T) {
+	tp, err := topo.Testbed()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := core.New(tp, core.WithTenants(2), core.WithReplicas(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	v := n.Vnet()
+	ids := v.Tenants()
+	red, _ := v.Members(ids[0])
+	blue, _ := v.Members(ids[1])
+	ctrls := n.Group().Controllers()
+	if len(ctrls) != 3 {
+		t.Fatalf("replica group has %d controllers, want 3", len(ctrls))
+	}
+	for i, c := range ctrls {
+		for _, pair := range [][2]core.MAC{{red[0], red[1]}, {red[1], red[0]}, {blue[0], blue[1]}} {
+			if _, err := c.Resolve(controller.RouteQuery{Src: pair[0], Dst: pair[1]}); err != nil {
+				t.Fatalf("controller %d: warm %v: %v", i, pair, err)
+			}
+		}
+		if got := c.Routes().TenantLen(); got != 3 {
+			t.Fatalf("controller %d: TenantLen = %d after warming, want 3", i, got)
+		}
+	}
+	if err := v.DeleteTenant(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range ctrls {
+		if got := c.Routes().TenantLen(); got != 1 {
+			t.Fatalf("controller %d: TenantLen = %d after deleting %q, want 1 (the other tenant's pair)", i, got, ids[0])
+		}
 	}
 }
 

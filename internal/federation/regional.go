@@ -4,8 +4,9 @@ import (
 	"sync"
 
 	"dumbnet/internal/controller"
+	"dumbnet/internal/gencache"
 	"dumbnet/internal/packet"
-	"dumbnet/internal/topo"
+	"dumbnet/internal/trace"
 )
 
 // Member is one fabric in the federation as the regional plane sees it:
@@ -46,25 +47,14 @@ type fedKey struct {
 	src, dst packet.MAC
 }
 
-// fedEntry is one cached route with its freshness vector: both member
-// controllers' topology identity, patch epoch, and topology generation,
+// fedEpoch is the regional plane's token: both member controllers' Epochs
 // plus the federation health generation. Any member repair, controller
-// restart, WAN flag transition, or gateway crash makes the entry stale and
-// the next Resolve recomputes over the healed view — the same lazy
-// generation-invalidation discipline the local route service uses, lifted
-// one level up.
-type fedEntry struct {
-	srcTop, dstTop *topo.Topology
-	srcVer, dstVer uint64
-	srcGen, dstGen uint64
-	wanGen         uint64
-	route          Route
-}
-
-func (e *fedEntry) fresh(sm, dm *controller.Controller, wanGen uint64) bool {
-	return e.wanGen == wanGen &&
-		e.srcTop == sm.Master() && e.srcVer == sm.Version() && e.srcGen == e.srcTop.Generation() &&
-		e.dstTop == dm.Master() && e.dstVer == dm.Version() && e.dstGen == e.dstTop.Generation()
+// restart, WAN flag transition, or gateway crash moves it, and the next
+// Resolve recomputes over the healed view — the local route service's
+// generation cache, lifted one level up.
+type fedEpoch struct {
+	src, dst controller.Epoch
+	wanGen   uint64
 }
 
 // RegionalStats counts resolver cache outcomes.
@@ -87,19 +77,18 @@ type Regional struct {
 	hostFab map[packet.MAC]int
 	links   []*WANLink
 	hub     *RegionalHub
-	cache   map[fedKey]*fedEntry
-	stats   RegionalStats
+	cache   *gencache.Cache[fedKey, fedEpoch, *Route]
+
+	hits, misses, invalidated trace.Counter
+	refused                   uint64
 }
 
 // NewRegional returns an empty regional resolver over the federation's
 // WAN links and health hub. Members are added with AddMember.
 func NewRegional(hub *RegionalHub, links []*WANLink) *Regional {
-	return &Regional{
-		hostFab: make(map[packet.MAC]int),
-		links:   links,
-		hub:     hub,
-		cache:   make(map[fedKey]*fedEntry),
-	}
+	r := &Regional{hostFab: make(map[packet.MAC]int), links: links, hub: hub}
+	r.cache = gencache.New[fedKey, fedEpoch, *Route](&r.hits, &r.misses, &r.invalidated)
+	return r
 }
 
 // AddMember registers one member fabric and its host population.
@@ -129,14 +118,15 @@ func (r *Regional) FabricOf(m packet.MAC) (int, bool) {
 func (r *Regional) Stats() RegionalStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	return RegionalStats{Hits: r.hits.Value(), Misses: r.misses.Value(),
+		Invalidated: r.invalidated.Value(), Refused: r.refused}
 }
 
 // Len reports how many inter-fabric routes are currently cached.
 func (r *Regional) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.cache)
+	return r.cache.Len()
 }
 
 // Invalidate drops every cached inter-fabric route. Generation checks make
@@ -145,9 +135,7 @@ func (r *Regional) Len() int {
 func (r *Regional) Invalidate() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for k := range r.cache {
-		delete(r.cache, k)
-	}
+	r.cache.Clear()
 }
 
 // Resolve answers a route query anywhere in the federation. Queries whose
@@ -186,30 +174,19 @@ func (r *Regional) Resolve(q controller.RouteQuery) (Route, error) {
 
 	sm, dm := r.members[sf].Ctrl, r.members[df].Ctrl
 	wanGen := r.hub.Gen()
-	key := fedKey{src: q.Src, dst: q.Dst}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if e, ok := r.cache[key]; ok {
-		if e.fresh(sm, dm, wanGen) {
-			r.stats.Hits++
-			return e.route, nil
-		}
-		r.stats.Invalidated++
-		delete(r.cache, key)
+	tok := fedEpoch{sm.Epoch(), dm.Epoch(), wanGen}
+	if route, ok := r.cache.Get(fedKey{q.Src, q.Dst}, tok); ok {
+		return *route, nil
 	}
-	r.stats.Misses++
 	route, err := r.compose(q, sf, df, sm, dm)
 	if err != nil {
 		return Route{}, err
 	}
-	r.cache[key] = &fedEntry{
-		srcTop: sm.Master(), srcVer: sm.Version(), srcGen: sm.Master().Generation(),
-		dstTop: dm.Master(), dstVer: dm.Version(), dstGen: dm.Master().Generation(),
-		wanGen: wanGen,
-		route:  route,
-	}
-	return route, nil
+	r.cache.Put(fedKey{q.Src, q.Dst}, tok, route)
+	return *route, nil
 }
 
 // compose builds an inter-fabric route: pick the healthiest WAN link by ID
@@ -218,7 +195,7 @@ func (r *Regional) Resolve(q controller.RouteQuery) (Route, error) {
 // the two local legs at the member controllers. Refusal on no live link is
 // deliberate: a stale route over a dead WAN link would widen the blast
 // radius of the failure.
-func (r *Regional) compose(q controller.RouteQuery, sf, df int, sm, dm *controller.Controller) (Route, error) {
+func (r *Regional) compose(q controller.RouteQuery, sf, df int, sm, dm *controller.Controller) (*Route, error) {
 	var chosen, flagged *WANLink
 	for _, w := range r.links {
 		if w.Peer(sf) != df && w.Peer(df) != sf {
@@ -240,11 +217,11 @@ func (r *Regional) compose(q controller.RouteQuery, sf, df int, sm, dm *controll
 		chosen = flagged
 	}
 	if chosen == nil {
-		r.stats.Refused++
-		return Route{}, ErrNoWANPath
+		r.refused++
+		return nil, ErrNoWANPath
 	}
 	gwNear, gwFar := chosen.gatewayFor(sf), chosen.gatewayFor(df)
-	route := Route{
+	route := &Route{
 		Src: q.Src, Dst: q.Dst,
 		SrcFabric: sf, DstFabric: df,
 		Gateway: gwNear.MAC(), FarGateway: gwFar.MAC(),
@@ -253,14 +230,14 @@ func (r *Regional) compose(q controller.RouteQuery, sf, df int, sm, dm *controll
 	if q.Src != gwNear.MAC() {
 		ans, err := sm.Resolve(controller.RouteQuery{Src: q.Src, Dst: gwNear.MAC(), Scope: controller.ScopeGlobal})
 		if err != nil {
-			return Route{}, err
+			return nil, err
 		}
 		route.SrcWire = ans.Wire
 	}
 	if q.Dst != gwFar.MAC() {
 		ans, err := dm.Resolve(controller.RouteQuery{Src: gwFar.MAC(), Dst: q.Dst, Scope: controller.ScopeGlobal})
 		if err != nil {
-			return Route{}, err
+			return nil, err
 		}
 		route.DstWire = ans.Wire
 	}

@@ -127,7 +127,7 @@ type DenseScratch struct {
 	queue  []int32    // BFS visit order / work queue
 	distB  []int32    // second BFS front (detour windows)
 	queueB []int32
-	wdist  []float64 // Dijkstra tentative distances
+	wdist  []float64 // Dijkstra tentative distances (+Inf: unreached or settled)
 	prev   []int32   // Dijkstra predecessors
 	done   Bitset    // Dijkstra visited set
 	nodes  Bitset    // path-graph node set under construction
@@ -250,7 +250,12 @@ func (g *DenseGraph) shortestPath(sc *DenseScratch, src, dst int32, rng *rand.Ra
 // Used for backup paths, where primary-path links are made expensive (§4.3).
 // Selection is by smallest distance, then smallest node index (= smallest
 // switch ID), with strict-improvement relaxation: a heap-free scan, since the
-// graphs are small and the fixed order keeps results reproducible.
+// graphs are small and the fixed order keeps results reproducible. Weights
+// are positive, so every open node at the smallest open distance is final
+// and nothing relaxed from one can join them: one scan finds that distance
+// and one ascending pass settles the whole level, in the order selecting
+// the minimum again for each node would (which cost a scan of all 320
+// switches per settled switch on a k=16 fat-tree, most of a cold compute).
 func (g *DenseGraph) WeightedShortestPathInto(sc *DenseScratch, src, dst int32, cost func(a, b int32) float64, buf []int32) ([]int32, error) {
 	n := len(g.ids)
 	sc.wdist = grow(sc.wdist, n)
@@ -261,36 +266,37 @@ func (g *DenseGraph) WeightedShortestPathInto(sc *DenseScratch, src, dst int32, 
 	}
 	sc.done.Reset(n)
 	sc.wdist[src] = 0
+settle:
 	for {
-		best := int32(-1)
 		bd := math.Inf(1)
-		for i := int32(0); i < int32(n); i++ {
-			if sc.done.Has(i) || math.IsInf(sc.wdist[i], 1) {
-				continue
-			}
-			if best < 0 || sc.wdist[i] < bd {
-				best, bd = i, sc.wdist[i]
-			}
+		for _, d := range sc.wdist {
+			bd = min(bd, d)
 		}
-		if best < 0 {
+		if math.IsInf(bd, 1) {
 			return buf[:0], ErrNoPath
 		}
-		if best == dst {
-			break
-		}
-		sc.done.Set(best)
-		for e := g.start[best]; e < g.start[best+1]; e++ {
-			nb := g.nbr[e]
-			if sc.done.Has(nb) {
+		for best := int32(0); best < int32(n); best++ {
+			if sc.wdist[best] != bd {
 				continue
 			}
-			w := cost(best, nb)
-			if w <= 0 {
-				w = 1
+			if best == dst {
+				break settle
 			}
-			if nd := bd + w; nd < sc.wdist[nb] {
-				sc.wdist[nb] = nd
-				sc.prev[nb] = best
+			sc.done.Set(best)
+			sc.wdist[best] = math.Inf(1) // settled: out of later scans
+			for e := g.start[best]; e < g.start[best+1]; e++ {
+				nb := g.nbr[e]
+				if sc.done.Has(nb) {
+					continue
+				}
+				w := cost(best, nb)
+				if w <= 0 {
+					w = 1
+				}
+				if nd := bd + w; nd < sc.wdist[nb] {
+					sc.wdist[nb] = nd
+					sc.prev[nb] = best
+				}
 			}
 		}
 	}

@@ -141,6 +141,28 @@ func TestKernelsMatchOracle(t *testing.T) {
 				t.Fatalf("%s: backup %d->%d penalty %v: oracle %v, dense %v", name, src, dst, penalty, wantB, gotB)
 			}
 		}
+		// Dijkstra under mixed per-link weights from a small set: many
+		// equal distances (the index tie-break) and nodes improved more
+		// than once (the frontier's lazy deletion).
+		for trial := 0; trial < 40; trial++ {
+			r := rand.New(rand.NewSource(int64(1000 + trial)))
+			src, dst := ids[r.Intn(len(ids))], ids[r.Intn(len(ids))]
+			weight := func(a, b SwitchID) float64 {
+				if a > b {
+					a, b = b, a
+				}
+				return []float64{1, 1.5, 2, 3, 0}[(int(a)*31+int(b)*17+trial)%5]
+			}
+			want, wantErr := oracleWeightedShortestPath(v, src, dst, weight)
+			si, _ := g.IndexOf(src)
+			di, _ := g.IndexOf(dst)
+			got, gotErr := g.WeightedShortestPathInto(sc, si, di, func(a, b int32) float64 {
+				return weight(g.IDOf(a), g.IDOf(b))
+			}, nil)
+			if !errors.Is(gotErr, wantErr) || !want.Equal(g.idsOf(got)) {
+				t.Fatalf("%s: weighted %d->%d trial %d: oracle %v (%v), dense %v (%v)", name, src, dst, trial, want, wantErr, g.idsOf(got), gotErr)
+			}
+		}
 		// Yen. All pairs on the small views, a stride of them on the rest.
 		stride := 1
 		if len(ids) > 12 {
