@@ -10,6 +10,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -124,7 +125,11 @@ type Network struct {
 	perpetual bool
 }
 
-// echo protocol markers inside MsgData-style payloads.
+// Core-protocol payloads are one kind byte followed by a body. They are never
+// assembled in a buffer of their own: the kind byte (plus, for echoes and
+// probes, the sequence number) is the head of a two-part host send, the body
+// the caller handed in is its second part, and both are written once, into
+// the outgoing frame.
 const (
 	kindData byte = iota + 1
 	kindEchoReq
@@ -358,8 +363,7 @@ func (n *Network) dispatch(at, src MAC, payload []byte) {
 		}
 	case kindEchoReq:
 		// Reply with the same token.
-		reply := append([]byte{kindEchoRep}, body...)
-		_ = n.agents[at].SendData(src, reply)
+		_ = sendKind(n.agents[at], src, kindEchoRep, body)
 	case kindEchoRep:
 		if len(body) >= 8 {
 			var seq uint64
@@ -406,7 +410,25 @@ func (n *Network) dispatch(at, src MAC, payload []byte) {
 	}
 }
 
-// OnReceive installs a data sink for a host.
+// sendKind sends one core-protocol message from a to dst.
+func sendKind(a *host.Agent, dst MAC, kind byte, body []byte) error {
+	head := [1]byte{kind}
+	return a.SendParts(dst, packet.EtherTypeIPv4, head[:], body, host.FlowKey{Dst: dst})
+}
+
+// seqHead is the head of a sequence-numbered message (echo request,
+// multicast probe): the kind byte and the big-endian sequence number.
+func seqHead(kind byte, seq uint64) [9]byte {
+	var h [9]byte
+	h[0] = kind
+	binary.BigEndian.PutUint64(h[1:], seq)
+	return h
+}
+
+// OnReceive installs a data sink for a host. The payload handed to fn
+// aliases the receive buffer, which is recycled when fn returns: it is valid
+// only for the duration of the call, and a sink that keeps bytes must copy
+// them.
 func (n *Network) OnReceive(h MAC, fn func(src MAC, payload []byte)) error {
 	if _, ok := n.agents[h]; !ok {
 		return ErrNoSuchHost
@@ -427,7 +449,7 @@ func (n *Network) Send(src, dst MAC, payload []byte) error {
 	if !n.booted {
 		return ErrNotDeployed
 	}
-	return a.SendData(dst, append([]byte{kindData}, payload...))
+	return sendKind(a, dst, kindData, payload)
 }
 
 // Ping measures an application-level RTT: the echo reply hands back the
@@ -448,9 +470,8 @@ func (n *Network) Ping(src, dst MAC, cb func(rtt sim.Time)) error {
 	seq := n.pingSeq
 	n.pingWait[seq] = func(at sim.Time) { cb(at - sentAt) }
 	n.mu.Unlock()
-	body := []byte{kindEchoReq, byte(seq >> 56), byte(seq >> 48), byte(seq >> 40), byte(seq >> 32),
-		byte(seq >> 24), byte(seq >> 16), byte(seq >> 8), byte(seq)}
-	return a.SendData(dst, body)
+	head := seqHead(kindEchoReq, seq)
+	return a.SendParts(dst, packet.EtherTypeIPv4, head[:], nil, host.FlowKey{Dst: dst})
 }
 
 // PingSync is Ping plus engine drain, returning the measured RTT.

@@ -5,6 +5,7 @@ import (
 
 	"dumbnet/internal/controller"
 	"dumbnet/internal/federation"
+	"dumbnet/internal/host"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/telemetry"
@@ -186,10 +187,7 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 		for _, gw := range f.gateways[i] {
 			gwAgent := mem.agents[gw.MAC()]
 			gw.SetDeliver(func(dst MAC, env []byte) {
-				body := make([]byte, 0, 1+len(env))
-				body = append(body, kindFedDeliver)
-				body = append(body, env...)
-				_ = gwAgent.SendData(dst, body)
+				_ = sendKind(gwAgent, dst, kindFedDeliver, env)
 			})
 		}
 	}
@@ -363,7 +361,9 @@ func (f *Federation) Windows() (parallel, solo uint64) { return f.group.Windows(
 
 // OnReceive installs a data sink for federated envelopes arriving at h.
 // Intra-fabric traffic sent through the member Network keeps using the
-// member's own OnReceive.
+// member's own OnReceive. As there, the payload is valid only for the
+// duration of the call: it aliases a receive buffer that is recycled when
+// fn returns.
 func (f *Federation) OnReceive(h MAC, fn func(src MAC, payload []byte)) error {
 	fab, ok := f.regional.FabricOf(h)
 	if !ok {
@@ -448,7 +448,10 @@ func (f *Federation) sendEnvelope(src, dst MAC, kind byte, seq uint64, payload [
 	if err != nil {
 		return err
 	}
-	env := federation.Envelope{
+	// Head: the relay kind byte and the envelope header (32 bytes hold
+	// both without growing); body: the caller's payload, untouched.
+	head := append(make([]byte, 0, 32), kindFedRelay)
+	head = federation.Envelope{
 		Kind:      kind,
 		SrcFabric: r.SrcFabric,
 		DstFabric: r.DstFabric,
@@ -456,12 +459,9 @@ func (f *Federation) sendEnvelope(src, dst MAC, kind byte, seq uint64, payload [
 		Src:       src,
 		Dst:       dst,
 		Seq:       seq,
-		Payload:   payload,
-	}.Encode()
-	body := make([]byte, 0, 1+len(env))
-	body = append(body, kindFedRelay)
-	body = append(body, env...)
-	return f.nets[r.SrcFabric].agents[src].SendData(r.Gateway, body)
+	}.AppendHeader(head)
+	return f.nets[r.SrcFabric].agents[src].SendParts(r.Gateway, packet.EtherTypeIPv4, head, payload,
+		host.FlowKey{Dst: r.Gateway})
 }
 
 // handleDeliver terminates federation envelopes at their destination host.

@@ -48,7 +48,8 @@ func (n *Network) UpdateMcastGroup(id uint32, members []MAC) error {
 // Multicast sends an application payload from src to every member of the
 // group (runs in virtual time; call Run to drain events).
 func (n *Network) Multicast(src MAC, id uint32, payload []byte) error {
-	return n.mcastSend(src, id, append([]byte{kindData}, payload...))
+	head := [1]byte{kindData}
+	return n.mcastSend(src, id, head[:], payload)
 }
 
 // MulticastProbe sends a delivery probe: cb fires once per member delivery,
@@ -61,16 +62,16 @@ func (n *Network) MulticastProbe(src MAC, id uint32, cb func(member MAC)) error 
 	seq := n.mcastSeq
 	n.mcastWait[seq] = cb
 	n.mu.Unlock()
-	body := []byte{kindMcastProbe, byte(seq >> 56), byte(seq >> 48), byte(seq >> 40), byte(seq >> 32),
-		byte(seq >> 24), byte(seq >> 16), byte(seq >> 8), byte(seq)}
-	return n.mcastSend(src, id, body)
+	head := seqHead(kindMcastProbe, seq)
+	return n.mcastSend(src, id, head[:], nil)
 }
 
-// mcastSend transmits a core-protocol body to a group, fetching the sender's
-// tree from the controller on a cache miss (the in-process analogue of the
-// path-request round trip — and like a real fetch, it fails while the
-// controller is down, leaving the host to retry later).
-func (n *Network) mcastSend(src MAC, id uint32, body []byte) error {
+// mcastSend transmits a core-protocol message (head, then body) to a group,
+// fetching the sender's tree from the controller on a cache miss (the
+// in-process analogue of the path-request round trip — and like a real
+// fetch, it fails while the controller is down, leaving the host to retry
+// later).
+func (n *Network) mcastSend(src MAC, id uint32, head, body []byte) error {
 	a, ok := n.agents[src]
 	if !ok {
 		return ErrNoSuchHost
@@ -78,7 +79,7 @@ func (n *Network) mcastSend(src MAC, id uint32, body []byte) error {
 	if !n.booted {
 		return ErrNotDeployed
 	}
-	err := a.SendMcast(id, packet.EtherTypeIPv4, body)
+	err := a.SendMcastParts(id, packet.EtherTypeIPv4, head, body)
 	if err == nil {
 		return nil
 	}
@@ -94,5 +95,5 @@ func (n *Network) mcastSend(src MAC, id uint32, body []byte) error {
 		return err
 	}
 	a.SetMcastTree(id, ans.Wire)
-	return a.SendMcast(id, packet.EtherTypeIPv4, body)
+	return a.SendMcastParts(id, packet.EtherTypeIPv4, head, body)
 }

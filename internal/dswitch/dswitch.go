@@ -50,13 +50,13 @@ func DefaultConfig() Config {
 
 // Stats counts what the switch did.
 type Stats struct {
-	Forwarded     uint64 // data frames forwarded by tag
-	IDReplies     uint64 // ID-query replies generated
-	FloodsIn      uint64 // control broadcasts received (link + group events)
-	FloodsOut     uint64 // control broadcast transmissions
-	FloodsSquelch uint64 // duplicate broadcast copies dropped by storm control
-	McastIn       uint64 // multicast tree frames received
-	McastFanout   uint64 // multicast branch copies transmitted
+	Forwarded      uint64 // data frames forwarded by tag
+	IDReplies      uint64 // ID-query replies generated
+	FloodsIn       uint64 // control broadcasts received (link + group events)
+	FloodsOut      uint64 // control broadcast transmissions
+	FloodsSquelch  uint64 // duplicate broadcast copies dropped by storm control
+	McastIn        uint64 // multicast tree frames received
+	McastFanout    uint64 // multicast branch copies transmitted
 	DropBadMcast   uint64 // multicast frames with malformed trees
 	DropNoPort     uint64 // tag named an unwired or out-of-range port
 	DropLinkDown   uint64 // tag named a port whose link is down

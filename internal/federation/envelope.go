@@ -40,18 +40,20 @@ type Envelope struct {
 	Payload []byte
 }
 
-// Encode serializes the envelope into a fresh buffer.
+// AppendHeader appends the fixed 24-byte envelope header (everything but
+// the payload) to dst. A sender puts the header in the head of a two-part
+// host send and the payload in its body, so the envelope is assembled once,
+// in the outgoing frame.
+func (e Envelope) AppendHeader(dst []byte) []byte {
+	dst = append(dst, e.Kind, byte(e.SrcFabric), byte(e.DstFabric), e.TTL)
+	dst = append(dst, e.Src[:]...)
+	dst = append(dst, e.Dst[:]...)
+	return binary.BigEndian.AppendUint64(dst, e.Seq)
+}
+
+// Encode serializes the envelope, header and payload, into a fresh buffer.
 func (e Envelope) Encode() []byte {
-	b := make([]byte, envHeader+len(e.Payload))
-	b[0] = e.Kind
-	b[1] = byte(e.SrcFabric)
-	b[2] = byte(e.DstFabric)
-	b[3] = e.TTL
-	copy(b[4:10], e.Src[:])
-	copy(b[10:16], e.Dst[:])
-	binary.BigEndian.PutUint64(b[16:24], e.Seq)
-	copy(b[envHeader:], e.Payload)
-	return b
+	return append(e.AppendHeader(make([]byte, 0, envHeader+len(e.Payload))), e.Payload...)
 }
 
 // DecodeEnvelope parses an envelope header in place (Payload aliases b).

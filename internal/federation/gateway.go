@@ -70,7 +70,13 @@ type wanEnd struct {
 	gw *Gateway
 }
 
-func (e *wanEnd) Receive(port int, frame []byte) { e.gw.fromWAN(frame) }
+// Receive owns the WAN buffer: unless the gateway sent it on toward another
+// fabric, it goes back to the frame pool once the envelope is consumed.
+func (e *wanEnd) Receive(port int, frame []byte) {
+	if !e.gw.fromWAN(frame) {
+		packet.PutBuffer(frame)
+	}
+}
 
 // GatewayStats counts a gateway's envelope dispositions.
 type GatewayStats struct {
@@ -103,7 +109,7 @@ type Gateway struct {
 
 	// deliver injects an envelope into the local fabric toward a local
 	// destination host; installed by the embedding layer (core), which owns
-	// the host agents.
+	// the host agents. env is valid only for the duration of the call.
 	deliver func(dst packet.MAC, env []byte)
 
 	stats GatewayStats
@@ -127,7 +133,8 @@ func (g *Gateway) Links() []*WANLink { return g.links }
 // simulation is parked.
 func (g *Gateway) Stats() GatewayStats { return g.stats }
 
-// SetDeliver installs the local-fabric injection hook.
+// SetDeliver installs the local-fabric injection hook. The envelope handed
+// to fn is a WAN buffer that is recycled when fn returns.
 func (g *Gateway) SetDeliver(fn func(dst packet.MAC, env []byte)) { g.deliver = fn }
 
 // attach registers a WAN link terminating here (links arrive in ID order).
@@ -200,7 +207,9 @@ func (g *Gateway) pickLink(dstFab int) *WANLink {
 }
 
 // RelayOut accepts an envelope from a local host (core's kindFedRelay
-// dispatch) and puts it on a WAN link. Runs on the gateway's shard engine.
+// dispatch) and puts it on a WAN link in a pooled buffer of its own; env,
+// a slice of the host's receive buffer, is not retained. Runs on the
+// gateway's shard engine.
 func (g *Gateway) RelayOut(env []byte) {
 	if g.Down() {
 		g.stats.DropDown++
@@ -217,42 +226,44 @@ func (g *Gateway) RelayOut(env []byte) {
 		return
 	}
 	g.stats.Relayed++
-	buf := make([]byte, len(env))
+	buf := packet.GetBuffer(len(env))
 	copy(buf, env)
 	w.sendFrom(g, buf)
 }
 
 // fromWAN handles an envelope arriving off a WAN link: deliver locally
 // when this is the destination fabric, otherwise forward toward it. Runs
-// on the gateway's shard engine; the frame buffer is owned here.
-func (g *Gateway) fromWAN(frame []byte) {
+// on the gateway's shard engine. It reports whether the frame buffer was
+// passed on to the next WAN link; otherwise the caller still owns it.
+func (g *Gateway) fromWAN(frame []byte) (forwarded bool) {
 	if g.Down() {
 		g.stats.DropDown++
-		return
+		return false
 	}
 	e, ok := DecodeEnvelope(frame)
 	if !ok {
 		g.stats.DropBad++
-		return
+		return false
 	}
 	if e.DstFabric == g.fabric {
 		if g.deliver != nil {
 			g.stats.Delivered++
 			g.deliver(e.Dst, frame)
 		}
-		return
+		return false
 	}
 	if !decTTL(frame) {
 		g.stats.DropBad++
-		return
+		return false
 	}
 	w := g.pickLink(e.DstFabric)
 	if w == nil {
 		g.stats.DropNoPath++
-		return
+		return false
 	}
 	g.stats.Transited++
 	w.sendFrom(g, frame)
+	return true
 }
 
 // NewWANLink wires a WAN link between two gateways on their respective

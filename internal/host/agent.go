@@ -161,7 +161,8 @@ func (k FlowKey) hash() uint64 {
 	return h
 }
 
-// pendingPacket is a queued send awaiting a path.
+// pendingPacket is a queued send awaiting a path. payload is the queue's
+// own copy: the caller's buffers are free again as soon as Send returns.
 type pendingPacket struct {
 	innerType uint16
 	payload   []byte
@@ -209,6 +210,9 @@ type Agent struct {
 	bulkSeq      uint32
 
 	// OnData delivers application payloads (src, innerType, payload).
+	// payload aliases the receive buffer, which goes back to the frame pool
+	// when the callback returns: it is valid only for the duration of the
+	// call, and a sink that keeps bytes must copy them.
 	OnData func(src packet.MAC, innerType uint16, payload []byte)
 	// OnControl, when set, sees every control message before the agent's
 	// own handling; returning true consumes it. The controller embeds an
@@ -365,10 +369,11 @@ func (a *Agent) nextSeq() uint64 {
 }
 
 // deliverEvent defers one parsed frame through the datapath processing
-// delay. Pooled, so the per-frame receive path allocates nothing beyond
-// what the frame itself requires. buf is the raw receive buffer, recycled
-// after control frames (whose payloads DecodeControl copies out in full);
-// data frame buffers stay alive because OnData may retain the payload.
+// delay. Pooled, so the per-frame receive path allocates nothing. buf is the
+// raw receive buffer, which the agent owns from Receive on and returns to
+// the frame pool once deliver is done with it: DecodeControl copies control
+// payloads out in full, and OnData payloads are callback-scoped. It is nil
+// for the self-addressed loopback, whose payload is a plain heap copy.
 type deliverEvent struct {
 	a   *Agent
 	f   packet.Frame
@@ -379,7 +384,7 @@ var deliverPool = sync.Pool{New: func() any { return new(deliverEvent) }}
 
 func (d *deliverEvent) RunEvent() {
 	d.a.deliver(&d.f)
-	if d.buf != nil && d.f.InnerType == packet.EtherTypeControl {
+	if d.buf != nil {
 		packet.PutBuffer(d.buf)
 	}
 	*d = deliverEvent{}
@@ -389,34 +394,50 @@ func (d *deliverEvent) RunEvent() {
 // SendFrame transmits a raw DumbNet frame with explicit tags after the
 // datapath processing delay. Exported for the controller and extensions.
 func (a *Agent) SendFrame(dst packet.MAC, tags packet.Path, innerType uint16, payload []byte) error {
+	return a.sendFrame(dst, tags, innerType, nil, payload)
+}
+
+// sendFrame is the one encode path: it writes the header and head through
+// the frame encoder and body straight after it, once, into a pooled buffer
+// that the uplink owns from then on. Neither head nor body is retained.
+func (a *Agent) sendFrame(dst packet.MAC, tags packet.Path, innerType uint16, head, body []byte) error {
 	if dst == a.mac && len(tags) == 0 {
 		// Self-addressed control (e.g. the controller's own agent talking
 		// to the controller process): loop back locally.
 		d := deliverPool.Get().(*deliverEvent)
 		d.a = a
-		d.f = packet.Frame{Dst: dst, Src: a.mac, InnerType: innerType, Payload: payload}
+		d.f = packet.Frame{Dst: dst, Src: a.mac, InnerType: innerType, Payload: joinParts(head, body)}
 		a.eng.AfterEvent(a.cfg.ProcessDelay, d)
 		return nil
 	}
 	if a.link == nil {
 		return fmt.Errorf("host %v: no uplink", a.mac)
 	}
-	f := packet.Frame{Dst: dst, Src: a.mac, Tags: tags, InnerType: innerType, Payload: payload}
+	f := packet.Frame{Dst: dst, Src: a.mac, Tags: tags, InnerType: innerType, Payload: head}
+	total := len(head) + len(body)
 	var buf []byte
+	var n int
 	var err error
 	if a.cfg.UseMPLS {
-		buf = packet.GetBuffer(packet.EncodedLenMPLS(len(tags), len(payload)))
-		_, err = f.EncodeMPLSTo(buf)
+		buf = packet.GetBuffer(packet.EncodedLenMPLS(len(tags), total))
+		n, err = f.EncodeMPLSTo(buf)
 	} else {
-		buf = packet.GetBuffer(packet.EncodedLen(len(tags), len(payload)))
-		_, err = f.EncodeTo(buf)
+		buf = packet.GetBuffer(packet.EncodedLen(len(tags), total))
+		n, err = f.EncodeTo(buf)
 	}
 	if err != nil {
 		packet.PutBuffer(buf)
 		return err
 	}
+	copy(buf[n:], body)
 	a.link.SendFromAfter(a, buf, a.cfg.ProcessDelay+a.cfg.EncapDelay)
 	return nil
+}
+
+// joinParts returns a fresh copy of head+body — for the cold paths that
+// keep a payload past the send call without encoding it into a frame.
+func joinParts(head, body []byte) []byte {
+	return append(append(make([]byte, 0, len(head)+len(body)), head...), body...)
 }
 
 // SendData sends an application payload to dst with the default flow key.
@@ -427,9 +448,18 @@ func (a *Agent) SendData(dst packet.MAC, payload []byte) error {
 // Send routes a payload to dst, querying the controller on a path miss and
 // queueing the packet until the path graph arrives.
 func (a *Agent) Send(dst packet.MAC, innerType uint16, payload []byte, flow FlowKey) error {
+	return a.SendParts(dst, innerType, nil, payload, flow)
+}
+
+// SendParts is Send for a payload that exists in two pieces — a protocol
+// head the caller just built and a body it was handed — so that layering a
+// header on top of a payload costs no intermediate buffer: both are written
+// once, into the frame. The agent keeps neither slice; the caller may reuse
+// them as soon as SendParts returns.
+func (a *Agent) SendParts(dst packet.MAC, innerType uint16, head, body []byte, flow FlowKey) error {
 	if dst == a.mac {
 		if a.OnData != nil {
-			a.OnData(a.mac, innerType, payload)
+			a.OnData(a.mac, innerType, joinParts(head, body))
 		}
 		return nil
 	}
@@ -437,7 +467,7 @@ func (a *Agent) Send(dst packet.MAC, innerType uint16, payload []byte, flow Flow
 	if ok {
 		a.noteSend(dst, tags, hops)
 		a.stats.Sent++
-		return a.SendFrame(dst, tags, innerType, payload)
+		return a.sendFrame(dst, tags, innerType, head, body)
 	}
 	// Path miss: queue and query the controller.
 	if a.ctrl.IsZero() {
@@ -448,7 +478,10 @@ func (a *Agent) Send(dst packet.MAC, innerType uint16, payload []byte, flow Flow
 		a.stats.PendingDrops++
 		return ErrPending
 	}
-	a.pending[dst] = append(a.pending[dst], pendingPacket{innerType: innerType, payload: payload, flow: flow})
+	// The queue outlives this call, so it holds its own copy: the caller's
+	// slices may be a receive buffer about to be recycled, or a buffer the
+	// application is about to refill.
+	a.pending[dst] = append(a.pending[dst], pendingPacket{innerType: innerType, payload: joinParts(head, body), flow: flow})
 	a.requestPath(dst)
 	return nil
 }

@@ -74,6 +74,29 @@ func TestSendWithColdCacheQueriesController(t *testing.T) {
 	}
 }
 
+// A send that misses the path cache waits in the pending queue until the
+// controller answers. The queue must own its bytes: the caller is free to
+// refill its buffer as soon as Send returns (a router forwarding out of a
+// receive buffer, an application reusing one send buffer).
+func TestPendingSendOwnsItsPayload(t *testing.T) {
+	n := deployTestbed(t)
+	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	got := collectData(n.Agent(dst))
+	head, body := []byte("head:"), []byte("original")
+	if err := n.Agent(src).SendParts(dst, packet.EtherTypeIPv4, head, body, host.FlowKey{Dst: dst}); err != nil {
+		t.Fatal(err)
+	}
+	if n.Agent(src).RoutesReady(dst) {
+		t.Fatal("destination was not cold: the send did not queue")
+	}
+	copy(head, "HEAD!")
+	copy(body, "clobber!")
+	n.Run()
+	if len(*got) != 1 || (*got)[0] != "head:original" {
+		t.Fatalf("delivered = %q, want the bytes as they were at Send", *got)
+	}
+}
+
 func TestSecondSendUsesCache(t *testing.T) {
 	n := deployTestbed(t)
 	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]

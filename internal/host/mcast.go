@@ -51,6 +51,12 @@ func (a *Agent) McastTreeCount() int { return len(a.mcastTrees) }
 // SendMcast transmits a payload to a multicast group using the cached tree.
 // ErrNoTree means the application must fetch a tree first.
 func (a *Agent) SendMcast(group uint32, innerType uint16, payload []byte) error {
+	return a.SendMcastParts(group, innerType, nil, payload)
+}
+
+// SendMcastParts is SendMcast for a two-piece payload (see SendParts): head
+// and body are written once, into the frame, and neither is retained.
+func (a *Agent) SendMcastParts(group uint32, innerType uint16, head, body []byte) error {
 	wire, ok := a.mcastTrees[group]
 	if !ok {
 		return ErrNoTree
@@ -58,11 +64,13 @@ func (a *Agent) SendMcast(group uint32, innerType uint16, payload []byte) error 
 	if a.link == nil {
 		return fmt.Errorf("host %v: no uplink", a.mac)
 	}
-	buf := packet.GetBuffer(packet.EncodedLenMcast(len(wire), len(payload)))
-	if _, err := packet.EncodeMcastTo(buf, packet.McastMAC(group), a.mac, 0, wire, innerType, payload); err != nil {
+	buf := packet.GetBuffer(packet.EncodedLenMcast(len(wire), len(head)+len(body)))
+	n, err := packet.EncodeMcastTo(buf, packet.McastMAC(group), a.mac, 0, wire, innerType, head)
+	if err != nil {
 		packet.PutBuffer(buf)
 		return err
 	}
+	copy(buf[n:], body)
 	a.stats.McastSent++
 	a.link.SendFromAfter(a, buf, a.cfg.ProcessDelay+a.cfg.EncapDelay)
 	return nil

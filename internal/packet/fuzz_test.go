@@ -36,7 +36,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, b := range seedFrames(f) {
 		f.Add(b)
 	}
-	f.Add([]byte{})                      // empty
+	f.Add([]byte{})                        // empty
 	f.Add(make([]byte, EthernetHeaderLen)) // header-only, wrong EtherType
 	f.Add(bytes.Repeat([]byte{0x98}, 64))  // junk
 	long := seedFrames(f)[0]

@@ -152,7 +152,7 @@ func TestOtherTrafficChains(t *testing.T) {
 	n.Agent(dst).OnData = nil // reset: install transport-chained handler fresh
 	tr2 := phost.New(n.Eng, n.Agent(dst), phost.DefaultConfig())
 	_ = tr2
-	n.Agent(dst).OnData = func(from packet.MAC, it uint16, p []byte) { got = p }
+	n.Agent(dst).OnData = func(from packet.MAC, it uint16, p []byte) { got = append([]byte(nil), p...) }
 	if err := n.Agent(src).SendData(dst, []byte("plain")); err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,7 @@ func TestRouterForwardsAcrossSubnets(t *testing.T) {
 	n.Agent(dstMAC).OnData = func(from packet.MAC, it uint16, payload []byte) {
 		_, _, body, err := router.DecodeIP(payload)
 		if err == nil {
-			got, gotFrom = body, from
+			got, gotFrom = append([]byte(nil), body...), from
 		}
 	}
 	// Host in subnet A sends an IP packet to 11.0.0.1 via the gateway.
@@ -145,7 +145,7 @@ func TestShortcutBypassesRouter(t *testing.T) {
 	var got []byte
 	n.Agent(dstMAC).OnData = func(from packet.MAC, it uint16, payload []byte) {
 		_, _, body, _ := router.DecodeIP(payload)
-		got = body
+		got = append([]byte(nil), body...)
 	}
 	fwdBefore := r.Stats().Forwarded
 	pkt := router.EncodeIP(0x0A000001, uint32AsIP(dstIP), []byte("direct"))

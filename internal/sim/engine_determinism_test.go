@@ -135,13 +135,13 @@ func TestEngineBucketOrdering(t *testing.T) {
 	record := func(id int) func() { return func() { got = append(got, id) } }
 	// Arm the bucket at t=50, divert to the heap, return to the bucket time,
 	// then schedule earlier and later events around it.
-	e.At(50, record(0))  // arms bucket@50
-	e.At(20, record(1))  // heap
-	e.At(50, record(2))  // bucket append
-	e.At(10, record(3))  // heap
-	e.At(50, record(4))  // bucket append
-	e.At(70, record(5))  // heap
-	e.At(20, record(6))  // heap, FIFO after id 1
+	e.At(50, record(0)) // arms bucket@50
+	e.At(20, record(1)) // heap
+	e.At(50, record(2)) // bucket append
+	e.At(10, record(3)) // heap
+	e.At(50, record(4)) // bucket append
+	e.At(70, record(5)) // heap
+	e.At(20, record(6)) // heap, FIFO after id 1
 	e.Run()
 	want := []int{3, 1, 6, 0, 2, 4, 5}
 	if len(got) != len(want) {

@@ -10,7 +10,10 @@ import (
 // NIC. Receive runs at frame-delivery virtual time.
 type Node interface {
 	// Receive is invoked with the local port the frame arrived on and the
-	// frame bytes (owned by the receiver).
+	// frame bytes. The receiver owns the buffer from here on: it sends it on
+	// (a switch forwarding it), or returns it to packet's frame pool when it
+	// is done — after which every slice of it, payloads handed to
+	// application callbacks included, is dead.
 	Receive(port int, frame []byte)
 }
 

@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -398,15 +399,15 @@ func (g *ShardGroup) merge() {
 		if len(g.scratch) == 0 {
 			continue
 		}
-		sort.Slice(g.scratch, func(a, b int) bool {
-			x, y := &g.scratch[a], &g.scratch[b]
-			if x.ev.at != y.ev.at {
-				return x.ev.at < y.ev.at
+		// (at, src, idx) is a total order, so an unstable sort is exact.
+		slices.SortFunc(g.scratch, func(x, y mergeItem) int {
+			if c := cmp.Compare(x.ev.at, y.ev.at); c != 0 {
+				return c
 			}
-			if x.src != y.src {
-				return x.src < y.src
+			if c := cmp.Compare(x.src, y.src); c != 0 {
+				return c
 			}
-			return x.idx < y.idx
+			return cmp.Compare(x.idx, y.idx)
 		})
 		d := g.shards[dst]
 		for i := range g.scratch {
