@@ -409,6 +409,7 @@ func main() {
 			})
 		}
 		net.Run()
+		printQueueStats(net)
 	}
 
 	if *telemetryOn {
@@ -428,6 +429,23 @@ func main() {
 
 	fmt.Printf("\nvirtual time elapsed: %v, events processed: %d\n",
 		net.Eng.Now().Duration(), net.Eng.Processed())
+}
+
+// printQueueStats prints the engine queue's high-water marks and their
+// ratio — events per same-deadline run, the property the queue's cost
+// depends on. A sharded run sums each shard's peaks.
+func printQueueStats(net *core.Network) {
+	st, where := net.Eng.QueueStats(), ""
+	if g := net.SimGroup(); g != nil {
+		st, where = sim.QueueStats{}, fmt.Sprintf(" (summed over %d shards)", g.NumShards())
+		for i := 0; i < g.NumShards(); i++ {
+			s := g.Shard(i).QueueStats()
+			st.PeakPending += s.PeakPending
+			st.PeakRuns += s.PeakRuns
+		}
+	}
+	fmt.Printf("\nengine queue: peak %d events pending, peak %d runs, %.1f events per run%s\n",
+		st.PeakPending, st.PeakRuns, float64(st.PeakPending)/float64(max(st.PeakRuns, 1)), where)
 }
 
 // runHybridWave pushes a ring of bulk transfers through the fluid layer —

@@ -69,7 +69,7 @@ func runSeeded(seed int64) (uint64, uint64, Time) {
 // TestEngineDeterminismGolden pins the exact seeded behavior of the engine:
 // two runs with the same seed must agree event-for-event, different seeds
 // must diverge, and seed 42 must reproduce the recorded golden fingerprint —
-// guarding the pooled-event/bucket scheduler against silent ordering drift.
+// guarding the same-deadline-run scheduler against silent ordering drift.
 // If a deliberate scheduler change shifts the golden values, re-record them
 // from the failure message.
 func TestEngineDeterminismGolden(t *testing.T) {
@@ -92,56 +92,91 @@ func TestEngineDeterminismGolden(t *testing.T) {
 }
 
 // TestEngineAfterStepAllocFree locks in the headline property of the
-// concrete-typed heap + bucket scheduler: a steady-state schedule/execute
-// cycle performs zero heap allocations.
+// runs-and-arena queue: a steady-state schedule/execute cycle performs zero
+// heap allocations, on a shallow queue and at a packet wave's depth — where
+// the arena and run heap must also stop growing once they cover the peak.
 func TestEngineAfterStepAllocFree(t *testing.T) {
-	e := NewEngine(1)
-	fn := func() {}
-	// Warm up: grow the heap and bucket backing arrays past steady state.
-	for i := 0; i < 256; i++ {
-		e.After(Time(i%7), fn)
-	}
-	e.Run()
-	if allocs := testing.AllocsPerRun(1000, func() {
-		e.After(10, fn)
-		e.Step()
-	}); allocs != 0 {
-		t.Fatalf("After+Step allocated %.1f times per op, want 0", allocs)
-	}
-	// The typed-event path must also be allocation-free given a pooled (here:
-	// reused) handler.
-	h := &countingHandler{}
-	if allocs := testing.AllocsPerRun(1000, func() {
-		e.AfterEvent(10, h)
-		e.Step()
-	}); allocs != 0 {
-		t.Fatalf("AfterEvent+Step allocated %.1f times per op, want 0", allocs)
-	}
-	if h.n != 1000+1 {
-		t.Fatalf("handler ran %d times", h.n)
-	}
+	t.Run("shallow", func(t *testing.T) {
+		e := NewEngine(1)
+		fn := func() {}
+		// Warm up: grow the arena and run heap past steady state.
+		for i := 0; i < 256; i++ {
+			e.After(Time(i%7), fn)
+		}
+		e.Run()
+		if allocs := testing.AllocsPerRun(1000, func() {
+			e.After(10, fn)
+			e.Step()
+		}); allocs != 0 {
+			t.Fatalf("After+Step allocated %.1f times per op, want 0", allocs)
+		}
+		// The typed-event path must also be allocation-free given a pooled
+		// (here: reused) handler.
+		h := &countingHandler{}
+		if allocs := testing.AllocsPerRun(1000, func() {
+			e.AfterEvent(10, h)
+			e.Step()
+		}); allocs != 0 {
+			t.Fatalf("AfterEvent+Step allocated %.1f times per op, want 0", allocs)
+		}
+		if h.n != 1000+1 {
+			t.Fatalf("handler ran %d times", h.n)
+		}
+	})
+	t.Run("depth", func(t *testing.T) {
+		// pkt-wave's shape: 6k events pending over 500 deadlines, 12 each,
+		// scheduled four deadlines interleaved at a time.
+		const pending, deadlines = 6000, 500
+		e := NewEngine(1)
+		h := &countingHandler{}
+		wave := func() {
+			for i := 0; i < pending; i++ {
+				e.AfterEvent(Time(i/48*4+i%4)*100, h)
+			}
+			for e.Step() {
+			}
+		}
+		wave() // unmeasured: grows the arena and run heap to the peak
+		grown := cap(e.arena)
+		if allocs := testing.AllocsPerRun(1000, wave); allocs != 0 {
+			t.Fatalf("a %d-event wave allocated %.1f times, want 0", pending, allocs)
+		}
+		st := e.QueueStats()
+		if st.PeakPending != pending || st.PeakRuns < deadlines {
+			t.Fatalf("QueueStats %+v, want %d pending over at least %d runs", st, pending, deadlines)
+		}
+		// After 1,000 waves the queue holds what one wave needed and no
+		// more: a node per peak pending event, at most one run per event.
+		if len(e.arena)-1 > st.PeakPending || cap(e.arena) != grown {
+			t.Fatalf("arena %d nodes (cap %d, %d after one wave) for peak pending %d",
+				len(e.arena)-1, cap(e.arena), grown, st.PeakPending)
+		}
+		if cap(e.runs) > st.PeakPending {
+			t.Fatalf("run heap capacity %d exceeds peak pending %d", cap(e.runs), st.PeakPending)
+		}
+	})
 }
 
 type countingHandler struct{ n int }
 
 func (h *countingHandler) RunEvent() { h.n++ }
 
-// TestEngineBucketOrdering stresses the same-deadline bucket fast path
-// against the heap: interleaved duplicate and distinct deadlines must still
-// execute in exact (time, FIFO) order.
-func TestEngineBucketOrdering(t *testing.T) {
+// TestEngineInterleavedRunsOrdering interleaves same-deadline runs: events
+// for one deadline scheduled between events for others must join their run
+// and still execute in exact (time, FIFO) order.
+func TestEngineInterleavedRunsOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
 	record := func(id int) func() { return func() { got = append(got, id) } }
-	// Arm the bucket at t=50, divert to the heap, return to the bucket time,
-	// then schedule earlier and later events around it.
-	e.At(50, record(0)) // arms bucket@50
-	e.At(20, record(1)) // heap
-	e.At(50, record(2)) // bucket append
-	e.At(10, record(3)) // heap
-	e.At(50, record(4)) // bucket append
-	e.At(70, record(5)) // heap
-	e.At(20, record(6)) // heap, FIFO after id 1
+	// Open a run at t=50, open others, return to t=50, then schedule earlier
+	// and later events around it.
+	e.At(50, record(0)) // opens run@50
+	e.At(20, record(1)) // opens run@20
+	e.At(50, record(2)) // joins run@50
+	e.At(10, record(3)) // opens run@10
+	e.At(50, record(4)) // joins run@50
+	e.At(70, record(5)) // opens run@70
+	e.At(20, record(6)) // joins run@20, FIFO after id 1
 	e.Run()
 	want := []int{3, 1, 6, 0, 2, 4, 5}
 	if len(got) != len(want) {
@@ -157,9 +192,10 @@ func TestEngineBucketOrdering(t *testing.T) {
 	}
 }
 
-// TestEngineBucketRearmAcrossSteps covers bucket re-arming while earlier
-// heap events still exist, including events scheduled from inside handlers.
-func TestEngineBucketRearmAcrossSteps(t *testing.T) {
+// TestEngineRunReopenedFromHandler covers a handler scheduling at its own
+// instant after its run drained (After(0) reopens the deadline) and a hop
+// later, while earlier runs still exist.
+func TestEngineRunReopenedFromHandler(t *testing.T) {
 	e := NewEngine(1)
 	var got []Time
 	e.At(30, func() {

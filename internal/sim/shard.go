@@ -17,7 +17,7 @@ const maxTime = Time(1<<63 - 1)
 // Conservative parallel discrete-event simulation.
 //
 // A ShardGroup partitions the model across n Engines (shards), each with its
-// own event heap, rng stream, tracer, and metrics registry. Shards advance
+// own event queue, rng stream, tracer, and metrics registry. Shards advance
 // concurrently inside bounded time windows [T, T+la) where T is the global
 // minimum next-event time and la — the lookahead — is the minimum latency of
 // any cross-shard link. A frame sent across shards at time t arrives no
@@ -39,7 +39,7 @@ const maxTime = Time(1<<63 - 1)
 // speed instead of crawling forward one lookahead per barrier.
 
 // crossEvent is one buffered cross-shard event awaiting merge at a barrier.
-// Exactly one of fn/h is set, mirroring event.
+// Exactly one of fn/h is set, mirroring node.
 type crossEvent struct {
 	at Time
 	fn func()

@@ -129,6 +129,75 @@ func TestShardedCrossOrdering(t *testing.T) {
 	}
 }
 
+// TestShardedRunLeavesShardClocksApart shows why pkt-wave-s2 has pkt-wave's
+// digest but not its latency percentiles: Run stops each shard's clock at
+// that shard's own last event, while one engine stops at the last event of
+// all. Whatever the caller schedules next with After — the next round's
+// sends and pings — starts earlier on a shard that went quiet first, so
+// from the second round on the shards' traffic meets at other relative
+// times than on one engine. (RunUntil clamps every clock to its deadline
+// and has no such gap.)
+func TestShardedRunLeavesShardClocksApart(t *testing.T) {
+	nextRound := func(shards int) Time {
+		g := NewShardedEngine(1, Shards(shards))
+		defer g.Close()
+		busy, quiet := g.Shard(0), g.Shard(shards-1)
+		busy.At(10*Microsecond, func() {})
+		quiet.At(3*Microsecond, func() {})
+		g.Run()
+		var at Time
+		quiet.After(Microsecond, func() { at = quiet.Now() })
+		g.Run()
+		return at
+	}
+	if one, two := nextRound(1), nextRound(2); one != 11*Microsecond || two != 4*Microsecond {
+		t.Fatalf("next round's first event at %v on one engine, %v on two shards; want 11µs and 4µs",
+			one.Duration(), two.Duration())
+	}
+}
+
+// TestShardedSameDeadlineTieOrder pins a second, smaller 1-vs-2-shard
+// difference: same-deadline order. Two frames tie at one switch port: X
+// crosses from shard 0, sent at t=0; Y is local to the switch's shard, sent
+// at t=500ns; both arrive at t=1µs and leave on one output link, so the one
+// the switch sees first is serialized first. On one engine X's delivery
+// takes its sequence number when it is sent, before Y's, and goes first. On
+// two shards it takes one when the barrier merges it at the end of the
+// window — after Y's — so Y goes first. The output instants are the same;
+// which frame gets which is not.
+func TestShardedSameDeadlineTieOrder(t *testing.T) {
+	type arrival struct {
+		tag byte
+		at  Time
+	}
+	run := func(shards int) []arrival {
+		g := NewShardedEngine(1, Shards(shards))
+		defer g.Close()
+		ea, es := g.Shard(0), g.Shard(shards-1)
+		var got []arrival
+		sink := &funcNode{fn: func(_ int, f []byte) { got = append(got, arrival{f[0], es.Now()}) }}
+		sw, a, b := &funcNode{}, &funcNode{}, &funcNode{}
+		out := NewLink(es, sw, 9, sink, 1, LinkConfig{BandwidthBps: 1e9})
+		sw.fn = func(_ int, f []byte) { out.SendFrom(sw, f) }
+		fromA := NewLinkBetween(ea, a, 1, es, sw, 1, LinkConfig{PropDelay: Microsecond})
+		fromB := NewLink(es, b, 1, sw, 2, LinkConfig{PropDelay: 500 * Nanosecond})
+		ea.At(0, func() { fromA.SendFrom(a, append([]byte{'X'}, make([]byte, 124)...)) })
+		es.At(500*Nanosecond, func() { fromB.SendFrom(b, append([]byte{'Y'}, make([]byte, 124)...)) })
+		g.Run()
+		return got
+	}
+	one, two := run(1), run(2)
+	if len(one) != 2 || len(two) != 2 {
+		t.Fatalf("arrivals: one engine %v, two shards %v", one, two)
+	}
+	if one[0].tag != 'X' || two[0].tag != 'Y' {
+		t.Fatalf("tie order: one engine %c first, two shards %c first; want X, then Y", one[0].tag, two[0].tag)
+	}
+	if one[0].at != two[0].at || one[1].at != two[1].at {
+		t.Fatalf("output instants differ: one engine %v, two shards %v", one, two)
+	}
+}
+
 // funcNode is a comparable Node wrapping a callback (SendFrom identifies
 // endpoints by ==, so a bare func type won't do).
 type funcNode struct {
