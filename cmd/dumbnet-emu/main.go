@@ -410,6 +410,9 @@ func main() {
 		}
 		net.Run()
 		printQueueStats(net)
+		if ly := net.Hybrid(); ly != nil {
+			printFluidStats(ly)
+		}
 	}
 
 	if *telemetryOn {
@@ -446,6 +449,17 @@ func printQueueStats(net *core.Network) {
 	}
 	fmt.Printf("\nengine queue: peak %d events pending, peak %d runs, %.1f events per run%s\n",
 		st.PeakPending, st.PeakRuns, float64(st.PeakPending)/float64(max(st.PeakRuns, 1)), where)
+}
+
+// printFluidStats prints what the fluid layer's rate recomputation cost:
+// settle passes, flow re-rates per completed flow, and the mean and peak
+// size of the component each pass re-waterfilled.
+func printFluidStats(ly *hybrid.Layer) {
+	st := ly.FluidStats()
+	passes := float64(max(st.Settles, 1))
+	fmt.Printf("fluid: %d settles, %.1f re-rates per completed flow, component mean %.1f links / %.1f flows, peak %d links / %d flows\n",
+		st.Settles, float64(st.Flows)/float64(max(ly.Stats().Completed, 1)),
+		float64(st.Links)/passes, float64(st.Flows)/passes, st.PeakLinks, st.PeakFlows)
 }
 
 // runHybridWave pushes a ring of bulk transfers through the fluid layer —

@@ -14,12 +14,19 @@
 // closure keep bit-identical rates; allocate() retains the classic
 // full progressive-filling pass as the brute-force oracle the
 // incremental path is tested against.
+//
+// Within a component, each bottleneck comes off one indexed min-heap that
+// holds a single (share, linkID) entry per link, re-keyed in place as
+// flows are fixed. (share, linkID) is a total order, so the heap picks the
+// same bottleneck as the oracle's ascending scan, lowest index on ties.
 package flowsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -267,24 +274,32 @@ type Simulator struct {
 	linkDirty []bool
 
 	// Scratch reused across settle calls.
-	epoch     int64
-	linkMark  []int64
-	remCap    []float64
-	nUnfixed  []int32
-	linkVer   []uint32 // bumped whenever a link's remCap/nUnfixed changes
-	shares    shareHeap
-	compLinks []LinkID
-	compFlows []*Flow
-	capped    []*Flow
-	done      []*Flow
+	epoch       int64
+	linkMark    []int64
+	remCap      []float64
+	nUnfixed    []int32
+	shares      shareHeap
+	linkTouched []bool   // link changed during the current fix step
+	touched     []LinkID // the links linkTouched marks
+	compLinks   []LinkID
+	compFlows   []*Flow
+	capped      []*Flow
+	done        []*Flow
 
 	// OnFinish is invoked as each flow completes.
 	OnFinish func(f *Flow, now float64)
 
-	// DebugSettles / DebugSettleFlows count non-trivial settle passes and
-	// the flows they re-rated (profiling aid; no functional effect).
-	DebugSettles     uint64
-	DebugSettleFlows uint64
+	stats SettleStats
+}
+
+// SettleStats counts the non-trivial settle passes and the components
+// they re-waterfilled (profiling aid; no functional effect).
+type SettleStats struct {
+	Settles   uint64 // settle passes
+	Flows     uint64 // flow re-rates, summed over the passes
+	Links     uint64 // component links, summed over the passes
+	PeakFlows int    // largest component re-waterfilled, in flows
+	PeakLinks int    // largest component re-waterfilled, in links
 }
 
 // NewSimulator creates a simulator over the network.
@@ -307,7 +322,8 @@ func (s *Simulator) ensureLink(l int) {
 		s.linkMark = append(s.linkMark, 0)
 		s.remCap = append(s.remCap, 0)
 		s.nUnfixed = append(s.nUnfixed, 0)
-		s.linkVer = append(s.linkVer, 0)
+		s.shares.pos = append(s.shares.pos, -1)
+		s.linkTouched = append(s.linkTouched, false)
 	}
 }
 
@@ -507,8 +523,6 @@ func (s *Simulator) settle() {
 			}
 		}
 	}
-	// Ascending link order reproduces the oracle's lowest-index tie-break.
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
 
 	capped := s.capped[:0]
 	unfixed := 0
@@ -527,8 +541,12 @@ func (s *Simulator) settle() {
 		s.nUnfixed[int(l)] = int32(len(s.linkFlows[int(l)]))
 	}
 	sortCapped(capped)
-	s.DebugSettles++
-	s.DebugSettleFlows += uint64(len(flows))
+	st := &s.stats
+	st.Settles++
+	st.Flows += uint64(len(flows))
+	st.Links += uint64(len(links))
+	st.PeakFlows = max(st.PeakFlows, len(flows))
+	st.PeakLinks = max(st.PeakLinks, len(links))
 	s.waterfill(links, capped, unfixed)
 	s.compLinks = links[:0]
 	s.compFlows = flows[:0]
@@ -540,114 +558,41 @@ func (s *Simulator) settle() {
 // so the (unstable) sort is deterministic. The oracle uses the same
 // comparator.
 func sortCapped(capped []*Flow) {
-	sort.Slice(capped, func(i, j int) bool {
-		if capped[i].RateCap != capped[j].RateCap {
-			return capped[i].RateCap < capped[j].RateCap
+	slices.SortFunc(capped, func(a, b *Flow) int {
+		if c := cmp.Compare(a.RateCap, b.RateCap); c != 0 {
+			return c
 		}
-		if capped[i].ID != capped[j].ID {
-			return capped[i].ID < capped[j].ID
+		if c := cmp.Compare(a.ID, b.ID); c != 0 {
+			return c
 		}
-		return capped[i].aseq < capped[j].aseq
+		return cmp.Compare(a.aseq, b.aseq)
 	})
 }
 
-// scanThreshold is the component size (links) above which waterfill
-// switches from the linear min-scan to the lazy min-heap. Both produce
-// the identical fix sequence, so the crossover only trades constants:
-// the scan is cache-friendly and allocation-free for the small components
-// typical of fidelity-scale runs; the heap wins once components span
-// thousands of links (k>=16 fat-trees under full shuffle load).
-const scanThreshold = 512
-
 // waterfill runs progressive filling restricted to the given links. remCap
 // and nUnfixed must already be initialized for every link in links.
+//
+// Every link with unfixed flows holds one entry in an indexed min-heap
+// keyed by (share, linkID), share = remCap/nUnfixed. After each fix step
+// (one bottleneck's flows, or one capped flow) the links it changed are
+// re-keyed in place, and a link left with no unfixed flows leaves the
+// heap. (share, linkID) is a total order, so the head is always the link
+// the oracle's ascending strictly-less-than scan picks — the lowest index
+// among equal shares — whatever the heap's layout, and its share is the
+// same quotient the scan computes: the fix sequence, and with it every
+// floating-point rate, is bit-identical to allocate().
 func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int) {
-	if len(links) <= scanThreshold {
-		s.waterfillScan(links, capped, unfixed)
-		return
-	}
-	s.waterfillHeap(links, capped, unfixed)
-}
-
-// waterfillScan finds each bottleneck with a strictly-less-than scan over
-// the component links in ascending order (lowest index wins ties).
-func (s *Simulator) waterfillScan(links []LinkID, capped []*Flow, unfixed int) {
-	capIdx := 0
-	fix := func(f *Flow, rate float64) {
-		if f.fixed {
-			return
-		}
-		f.fixed = true
-		f.rate = rate
-		unfixed--
-		for _, l := range f.uniq {
-			s.remCap[int(l)] -= rate
-			if s.remCap[int(l)] < 0 {
-				s.remCap[int(l)] = 0
-			}
-			s.nUnfixed[int(l)]--
-		}
-		s.pushFin(f)
-	}
-	for unfixed > 0 {
-		minShare := math.Inf(1)
-		minLink := -1
-		for _, l := range links {
-			if s.nUnfixed[int(l)] == 0 {
-				continue
-			}
-			share := s.remCap[int(l)] / float64(s.nUnfixed[int(l)])
-			if share < minShare {
-				minShare, minLink = share, int(l)
-			}
-		}
-		for capIdx < len(capped) && capped[capIdx].fixed {
-			capIdx++
-		}
-		if capIdx < len(capped) && capped[capIdx].RateCap < minShare {
-			fix(capped[capIdx], capped[capIdx].RateCap)
-			continue
-		}
-		if minLink < 0 {
-			// Remaining flows are unconstrained by links: give them caps.
-			for _, f := range capped {
-				if !f.fixed {
-					fix(f, f.RateCap)
-				}
-			}
-			break
-		}
-		for _, f := range s.linkFlows[minLink] {
-			fix(f, minShare)
-		}
-	}
-}
-
-// waterfillHeap finds the next bottleneck with a lazy min-heap keyed by
-// (share, linkID) instead of rescanning every component link per
-// iteration. Each heap entry snapshots the link's version; fixing a flow
-// bumps the version of every link it crosses and pushes a fresh entry, so
-// stale snapshots are discarded on pop. The (share, linkID) order
-// reproduces exactly the ascending-scan's strictly-less-than selection —
-// lowest index among equal shares — and shares are the same
-// remCap/nUnfixed quotients the scan would compute, so the fix sequence
-// (and therefore every floating-point rate) is bit-identical to both
-// waterfillScan and the allocate() oracle.
-func (s *Simulator) waterfillHeap(links []LinkID, capped []*Flow, unfixed int) {
-	h := s.shares[:0]
+	h := &s.shares
 	for _, l := range links {
-		if s.nUnfixed[int(l)] == 0 {
-			continue
+		if s.nUnfixed[int(l)] > 0 {
+			h.pos[int(l)] = int32(len(h.ent))
+			h.ent = append(h.ent, shareEntry{share: s.share(l), link: int32(l)})
 		}
-		h = append(h, shareEntry{
-			share: s.remCap[int(l)] / float64(s.nUnfixed[int(l)]),
-			link:  int32(l),
-			ver:   s.linkVer[int(l)],
-		})
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
+	for i := len(h.ent)/2 - 1; i >= 0; i-- {
+		h.down(i, h.ent[i])
 	}
+	touched := s.touched[:0]
 	capIdx := 0
 	fix := func(f *Flow, rate float64) {
 		if f.fixed {
@@ -662,13 +607,9 @@ func (s *Simulator) waterfillHeap(links []LinkID, capped []*Flow, unfixed int) {
 				s.remCap[int(l)] = 0
 			}
 			s.nUnfixed[int(l)]--
-			s.linkVer[int(l)]++
-			if s.nUnfixed[int(l)] > 0 {
-				h.push(shareEntry{
-					share: s.remCap[int(l)] / float64(s.nUnfixed[int(l)]),
-					link:  int32(l),
-					ver:   s.linkVer[int(l)],
-				})
+			if !s.linkTouched[int(l)] {
+				s.linkTouched[int(l)] = true
+				touched = append(touched, l)
 			}
 		}
 		s.pushFin(f)
@@ -676,23 +617,16 @@ func (s *Simulator) waterfillHeap(links []LinkID, capped []*Flow, unfixed int) {
 	for unfixed > 0 {
 		minShare := math.Inf(1)
 		minLink := -1
-		for len(h) > 0 {
-			e := h[0]
-			if e.ver != s.linkVer[e.link] || s.nUnfixed[e.link] == 0 {
-				h.pop()
-				continue
-			}
-			minShare, minLink = e.share, int(e.link)
-			break
+		// As in allocate()'s scan, an infinite share is no bottleneck.
+		if len(h.ent) > 0 && h.ent[0].share < minShare {
+			minShare, minLink = h.ent[0].share, int(h.ent[0].link)
 		}
 		for capIdx < len(capped) && capped[capIdx].fixed {
 			capIdx++
 		}
 		if capIdx < len(capped) && capped[capIdx].RateCap < minShare {
 			fix(capped[capIdx], capped[capIdx].RateCap)
-			continue
-		}
-		if minLink < 0 {
+		} else if minLink < 0 {
 			// Remaining flows are unconstrained by links: give them caps.
 			for _, f := range capped {
 				if !f.fixed {
@@ -700,73 +634,117 @@ func (s *Simulator) waterfillHeap(links []LinkID, capped []*Flow, unfixed int) {
 				}
 			}
 			break
+		} else {
+			for _, f := range s.linkFlows[minLink] {
+				fix(f, minShare)
+			}
 		}
-		for _, f := range s.linkFlows[minLink] {
-			fix(f, minShare)
+		for _, l := range touched {
+			s.linkTouched[int(l)] = false
+			i := int(h.pos[int(l)])
+			if s.nUnfixed[int(l)] == 0 {
+				h.remove(i)
+			} else {
+				h.rekey(i, s.share(l))
+			}
 		}
+		touched = touched[:0]
 	}
-	s.shares = h[:0]
+	// The capped-flow exit leaves marks and entries behind; the next
+	// settle needs both cleared.
+	for _, l := range touched {
+		s.linkTouched[int(l)] = false
+	}
+	for _, e := range h.ent {
+		h.pos[e.link] = -1
+	}
+	h.ent = h.ent[:0]
+	s.touched = touched[:0]
 }
 
-// shareEntry is a snapshot of a link's fair share during waterfill; ver
-// invalidates it once the link's remCap or nUnfixed changes.
+// share is link l's fair share of its remaining capacity.
+func (s *Simulator) share(l LinkID) float64 {
+	return s.remCap[int(l)] / float64(s.nUnfixed[int(l)])
+}
+
 type shareEntry struct {
 	share float64
 	link  int32
-	ver   uint32
 }
 
-// shareHeap is a binary min-heap over (share, link): the same order the
-// ascending scan's strictly-less-than minimum search induces.
-type shareHeap []shareEntry
-
-func (h shareHeap) less(i, j int) bool {
-	if h[i].share != h[j].share {
-		return h[i].share < h[j].share
+func (a shareEntry) before(b shareEntry) bool {
+	if a.share != b.share {
+		return a.share < b.share
 	}
-	return h[i].link < h[j].link
+	return a.link < b.link
 }
 
-func (h *shareHeap) push(e shareEntry) {
-	*h = append(*h, e)
-	i := len(*h) - 1
+// shareHeap is an indexed binary min-heap over (share, link), the order
+// the ascending scan's strictly-less-than minimum search induces. pos
+// locates each link's one entry, so re-keying or removing it is a sift in
+// place rather than a fresh push. Sifts move a hole and store the sifted
+// entry once, so each step writes one entry and one position.
+type shareHeap struct {
+	ent []shareEntry
+	pos []int32 // link → index in ent; -1 when the link has no entry
+}
+
+func (h *shareHeap) set(i int, e shareEntry) {
+	h.ent[i] = e
+	h.pos[e.link] = int32(i)
+}
+
+// rekey sets entry i's share and restores the heap order around it.
+func (h *shareHeap) rekey(i int, share float64) {
+	e := h.ent[i]
+	e.share = share
+	h.down(h.up(i, e), e)
+}
+
+// remove deletes entry i.
+func (h *shareHeap) remove(i int) {
+	h.pos[h.ent[i].link] = -1
+	n := len(h.ent) - 1
+	last := h.ent[n]
+	h.ent = h.ent[:n]
+	if i < n {
+		h.down(h.up(i, last), last)
+	}
+}
+
+// up moves the hole at i toward the root past every parent e precedes and
+// returns where the hole stops; e itself is not stored.
+func (h *shareHeap) up(i int, e shareEntry) int {
 	for i > 0 {
 		p := (i - 1) / 2
-		if !(*h).less(i, p) {
+		if !e.before(h.ent[p]) {
 			break
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		h.set(i, h.ent[p])
 		i = p
 	}
+	return i
 }
 
-func (h *shareHeap) pop() {
-	old := *h
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	if n > 0 {
-		(*h).down(0)
-	}
-}
-
-func (h shareHeap) down(i int) {
-	n := len(h)
+// down moves the hole at i toward the leaves past every child that
+// precedes e, then stores e in it.
+func (h *shareHeap) down(i int, e shareEntry) {
+	n := len(h.ent)
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(l, m) {
-			m = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, m) {
-			m = r
+		if c+1 < n && h.ent[c+1].before(h.ent[c]) {
+			c++
 		}
-		if m == i {
-			return
+		if !h.ent[c].before(e) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		h.set(i, h.ent[c])
+		i = c
 	}
+	h.set(i, e)
 }
 
 // maybeCompactFins rebuilds the finish heap when stale (version-mismatched)
@@ -1027,6 +1005,9 @@ func (s *Simulator) AllDone() bool {
 	}
 	return true
 }
+
+// SettleStats returns the settle-pass counters.
+func (s *Simulator) SettleStats() SettleStats { return s.stats }
 
 // RateOf returns a flow's instantaneous rate after the latest allocation.
 func (s *Simulator) RateOf(f *Flow) float64 {

@@ -39,25 +39,6 @@ func TestIncrementalMatchesOracle(t *testing.T) {
 			return p
 		}
 
-		check := func(step int) {
-			s.settle()
-			type snap struct {
-				f *Flow
-				r uint64
-			}
-			var snaps []snap
-			for _, f := range s.active {
-				snaps = append(snaps, snap{f, math.Float64bits(f.rate)})
-			}
-			s.allocate() // oracle: full recompute from scratch
-			for _, sn := range snaps {
-				if got := math.Float64bits(sn.f.rate); got != sn.r {
-					t.Fatalf("seed %d step %d flow %d: incremental rate %x (%v) != oracle %x (%v)",
-						seed, step, sn.f.ID, sn.r, math.Float64frombits(sn.r), got, sn.f.rate)
-				}
-			}
-		}
-
 		for step := 0; step < 250; step++ {
 			switch op := rng.Intn(10); {
 			case op < 4: // add a flow
@@ -97,9 +78,178 @@ func TestIncrementalMatchesOracle(t *testing.T) {
 			default: // advance time
 				s.RunUntil(s.Now() + rng.Float64()*2)
 			}
-			check(step)
+			checkOracle(t, s, seed, step)
 		}
 		s.Run()
+	}
+}
+
+// checkOracle settles s, then recomputes every active flow's rate with the
+// brute-force allocate() pass and fails unless both are bit-identical.
+func checkOracle(t *testing.T, s *Simulator, seed int64, step int) {
+	t.Helper()
+	s.settle()
+	type snap struct {
+		f *Flow
+		r uint64
+	}
+	snaps := make([]snap, 0, len(s.active))
+	for _, f := range s.active {
+		snaps = append(snaps, snap{f, math.Float64bits(f.rate)})
+	}
+	s.allocate() // oracle: full recompute from scratch
+	for _, sn := range snaps {
+		if got := math.Float64bits(sn.f.rate); got != sn.r {
+			t.Fatalf("seed %d step %d flow %d: incremental rate %x (%v) != oracle %x (%v)",
+				seed, step, sn.f.ID, sn.r, math.Float64frombits(sn.r), got, sn.f.rate)
+		}
+	}
+}
+
+// leafSpine is an in-package fluid graph shaped like a two-tier Clos:
+// every host has an uplink and a downlink, every leaf a directed link to
+// and from every spine. All links share one capacity, so fair shares tie
+// often and the waterfill's link-index tie-break decides the fix order.
+type leafSpine struct {
+	n                     *Network
+	leaves, spines, hosts int // hosts per leaf
+}
+
+func newLeafSpine(leaves, spines, hosts int, capBps float64) *leafSpine {
+	ls := &leafSpine{n: NewNetwork(), leaves: leaves, spines: spines, hosts: hosts}
+	for i := 0; i < 2*leaves*hosts+2*leaves*spines; i++ {
+		ls.n.AddLink(capBps)
+	}
+	return ls
+}
+
+func (ls *leafSpine) numHosts() int { return ls.leaves * ls.hosts }
+
+// path routes host src to host dst through spine sp (ignored within a leaf).
+func (ls *leafSpine) path(src, dst, sp int) []LinkID {
+	up, down := LinkID(2*src), LinkID(2*dst+1)
+	sl, dl := src/ls.hosts, dst/ls.hosts
+	if sl == dl {
+		return []LinkID{up, down}
+	}
+	fabric := 2 * ls.numHosts()
+	toSpine := LinkID(fabric + 2*(sl*ls.spines+sp))
+	fromSpine := LinkID(fabric + 2*(dl*ls.spines+sp) + 1)
+	return []LinkID{up, toSpine, fromSpine, down}
+}
+
+// largestComponent returns the link count of the largest connected
+// component of the flow↔link sharing graph.
+func largestComponent(s *Simulator) int {
+	seen := make([]bool, len(s.linkFlows))
+	best := 0
+	for start := range s.linkFlows {
+		if seen[start] || len(s.linkFlows[start]) == 0 {
+			continue
+		}
+		seen[start] = true
+		q := []int{start}
+		for qi := 0; qi < len(q); qi++ {
+			for _, f := range s.linkFlows[q[qi]] {
+				for _, l := range f.uniq {
+					if !seen[l] {
+						seen[l] = true
+						q = append(q, int(l))
+					}
+				}
+			}
+		}
+		best = max(best, len(q))
+	}
+	return best
+}
+
+// TestIncrementalMatchesOracleLarge is the oracle test at the component
+// sizes the HiBench shuffle produces: a few hundred multi-hop flows couple
+// more than 600 equal-capacity links into one component, then adds,
+// completions, reroutes and capacity flaps each re-waterfill it, and the
+// rates must stay bit-identical to allocate() after every step.
+func TestIncrementalMatchesOracleLarge(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ls := newLeafSpine(16, 16, 8, 100)
+		s := NewSimulator(ls.n)
+		var live []*Flow
+		add := func() {
+			src, dst := rng.Intn(ls.numHosts()), rng.Intn(ls.numHosts())
+			f := &Flow{
+				ID:   len(live),
+				Path: ls.path(src, dst, rng.Intn(ls.spines)),
+				Size: float64(rng.Intn(800) + 200),
+			}
+			if rng.Intn(8) == 0 {
+				f.RateCap = float64(rng.Intn(4)+1) * 5
+			}
+			live = append(live, f)
+			s.Add(f)
+		}
+		for i := 0; i < 480; i++ {
+			add()
+		}
+		if c := largestComponent(s); c < 600 {
+			t.Fatalf("seed %d: largest component has %d links, want >= 600", seed, c)
+		}
+		checkOracle(t, s, seed, -1)
+		for step := 0; step < 200; step++ {
+			switch op := rng.Intn(10); {
+			case op < 3:
+				add()
+			case op < 5: // reroute a live flow through another spine
+				f := live[rng.Intn(len(live))]
+				if f.Finished {
+					continue
+				}
+				src, dst := int(f.Path[0])/2, int(f.Path[len(f.Path)-1])/2
+				s.Reroute(f, ls.path(src, dst, rng.Intn(ls.spines)))
+			case op < 7: // flap a link to zero, half or full capacity
+				l := LinkID(rng.Intn(ls.n.NumLinks()))
+				ls.n.SetCapacity(l, float64(rng.Intn(3))*50)
+			default: // advance time: flows complete
+				s.RunUntil(s.Now() + rng.Float64()*0.5)
+			}
+			checkOracle(t, s, seed, step)
+		}
+	}
+}
+
+// TestSettleAllocFree pins the waterfill scratch (share heap, position
+// array, touched list, component lists) as reused: once a large component
+// has settled, re-waterfilling it after a capacity flap allocates nothing.
+func TestSettleAllocFree(t *testing.T) {
+	ls := newLeafSpine(16, 16, 8, 100)
+	s := NewSimulator(ls.n)
+	rng := rand.New(rand.NewSource(1))
+	var probe *Flow
+	for i := 0; i < 480; i++ {
+		src, dst := rng.Intn(ls.numHosts()), rng.Intn(ls.numHosts())
+		f := &Flow{ID: i, Path: ls.path(src, dst, rng.Intn(ls.spines)), Size: 1e12}
+		if i%8 == 0 {
+			f.RateCap = 20
+		}
+		s.Add(f)
+		probe = f
+	}
+	if c := largestComponent(s); c <= 512 {
+		t.Fatalf("largest component has %d links, want > 512", c)
+	}
+	l := probe.Path[0]
+	flip := 0
+	flap := func() {
+		flip ^= 1
+		ls.n.SetCapacity(l, float64(50+50*flip))
+		s.RateOf(probe)
+	}
+	// Warm until the finish heap has reached its compaction high-water mark.
+	for i := 0; i < 16; i++ {
+		flap()
+	}
+	if allocs := testing.AllocsPerRun(100, flap); allocs != 0 {
+		t.Fatalf("settle after a capacity flap allocates %v/op, want 0", allocs)
 	}
 }
 

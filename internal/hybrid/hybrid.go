@@ -599,8 +599,13 @@ func (ly *Layer) NumFluidLinks() int { return ly.net.NumLinks() }
 // non-trivial rate recomputations ran and how many flow re-rates they did
 // in total. Profiling aid for scale runs.
 func (ly *Layer) FluidDebug() (settles, reRates uint64) {
-	return ly.fsim.DebugSettles, ly.fsim.DebugSettleFlows
+	st := ly.fsim.SettleStats()
+	return st.Settles, st.Flows
 }
+
+// FluidStats reports the fluid simulator's settle passes together with
+// the size of the components they re-waterfilled.
+func (ly *Layer) FluidStats() flowsim.SettleStats { return ly.fsim.SettleStats() }
 
 // Quiesced reports whether no fluid flows remain in flight.
 func (ly *Layer) Quiesced() bool { return len(ly.open) == 0 }

@@ -193,14 +193,26 @@ func runHybridWorkload(t *testing.T, seed int64, withChaos bool) (uint64, hybrid
 	return n.Hybrid().Digest(), st
 }
 
+// Determinism goldens: the completion digests of the k=4 ring (plain and
+// under the chaos battery) and the k=8 smoke ring. Comparing two runs in
+// one process cannot catch a change to the fluid layer's floating-point
+// order, which moves every run alike; these constants can. A change that
+// moves one must say which and why.
+const (
+	goldenK4Plain = 0x7ed469e29b41b3c0
+	goldenK4Chaos = 0x71d4f73c2bbfb234
+	goldenK8Smoke = 0xccd03c9deb2058ac
+)
+
 // TestHybridDeterminism: identical seeds must yield bit-identical
 // completion digests, with and without the chaos battery running over the
-// in-flight flows.
+// in-flight flows, and the digests must match the recorded goldens.
 func TestHybridDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		withChaos bool
-	}{{"plain", false}, {"chaos", true}} {
+		golden    uint64
+	}{{"plain", false, goldenK4Plain}, {"chaos", true, goldenK4Chaos}} {
 		t.Run(tc.name, func(t *testing.T) {
 			d1, s1 := runHybridWorkload(t, 42, tc.withChaos)
 			d2, s2 := runHybridWorkload(t, 42, tc.withChaos)
@@ -209,6 +221,9 @@ func TestHybridDeterminism(t *testing.T) {
 			}
 			if s1 != s2 {
 				t.Fatalf("stats mismatch across identical runs: %+v vs %+v", s1, s2)
+			}
+			if d1 != tc.golden {
+				t.Fatalf("digest %016x, golden %016x", d1, tc.golden)
 			}
 			t.Logf("digest %016x stats %+v", d1, s1)
 		})
@@ -292,6 +307,9 @@ func TestHybridSmokeK8(t *testing.T) {
 	d2, s2 := run()
 	if d1 != d2 || s1 != s2 {
 		t.Fatalf("k=8 smoke not reproducible: %016x/%+v vs %016x/%+v", d1, s1, d2, s2)
+	}
+	if d1 != goldenK8Smoke {
+		t.Fatalf("k=8 digest %016x, golden %016x", d1, uint64(goldenK8Smoke))
 	}
 	t.Logf("k=8 digest %016x stats %+v", d1, s1)
 }
