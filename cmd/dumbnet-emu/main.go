@@ -452,13 +452,15 @@ func printQueueStats(net *core.Network) {
 }
 
 // printFluidStats prints what the fluid layer's rate recomputation cost:
-// settle passes, flow re-rates per completed flow, and the mean and peak
-// size of the component each pass re-waterfilled.
+// settle passes and the share that resumed at a completion's frontier,
+// re-filled rates and component flows per completed flow, and the mean
+// and peak size of the component each pass covered.
 func printFluidStats(ly *hybrid.Layer) {
 	st := ly.FluidStats()
 	passes := float64(max(st.Settles, 1))
-	fmt.Printf("fluid: %d settles, %.1f re-rates per completed flow, component mean %.1f links / %.1f flows, peak %d links / %d flows\n",
-		st.Settles, float64(st.Flows)/float64(max(ly.Stats().Completed, 1)),
+	completed := float64(max(ly.Stats().Completed, 1))
+	fmt.Printf("fluid: %d settles (%.0f%% resumed), %.1f re-fills / %.1f component flows per completed flow, component mean %.1f links / %.1f flows, peak %d links / %d flows\n",
+		st.Settles, 100*float64(st.Resumed)/passes, float64(st.Refilled)/completed, float64(st.Flows)/completed,
 		float64(st.Links)/passes, float64(st.Flows)/passes, st.PeakLinks, st.PeakFlows)
 }
 

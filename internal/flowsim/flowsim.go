@@ -19,6 +19,21 @@
 // holds a single (share, linkID) entry per link, re-keyed in place as
 // flows are fixed. (share, linkID) is a total order, so the heap picks the
 // same bottleneck as the oracle's ascending scan, lowest index on ties.
+//
+// A settle dirtied only by completions resumes the filling rather than
+// restarting it. Every fix step has a global number, every flow records
+// the run and step that fixed it, and every link logs its remaining
+// capacity after each step that touched it. Say a finished flow f was
+// fixed at step K. No pick before K involved f: a bottleneck carrying f
+// would have fixed f. Without f, a link that carried it has share
+// R/(n−1) instead of R/n, which IEEE division never makes smaller. So
+// every earlier pick, and every capped-flow comparison, repeats
+// bit-for-bit, and the resumed settle keeps the flows fixed before K,
+// restores each link's capacity from its last mark before K, and fills
+// only the rest. It resumes only when no arrival, reroute or capacity
+// change dirtied a link since the last settle and every finished flow and
+// every component flow carries the same run; otherwise it fills the
+// component from zero under a fresh run.
 package flowsim
 
 import (
@@ -90,6 +105,8 @@ type Flow struct {
 	aseq      int64    // activation sequence: per-link lists sort by this
 	ver       int32    // invalidates stale finish-heap entries
 	activeIdx int      // position in Simulator.active (swap-remove)
+	run       int64    // waterfill run that fixed the rate (0: none yet)
+	step      int64    // global fix step at which that run fixed it
 	fixed     bool     // scratch: waterfill fixed-flow flag
 	mark      int64    // scratch: closure-visited epoch
 }
@@ -255,14 +272,14 @@ func (h finHeap) down(i int) {
 
 // Simulator advances flows through time.
 type Simulator struct {
-	net     *Network
-	now     float64
-	flows   []*Flow
-	active  []*Flow // unordered (swap-remove); sort by aseq when order matters
-	actions actionHeap
-	fins    finHeap
-	seq     int64
-	aseqCtr int64
+	net             *Network
+	now             float64
+	added, finished int     // flows registered and flows completed
+	active          []*Flow // unordered (swap-remove); sort by aseq when order matters
+	actions         actionHeap
+	fins            finHeap
+	seq             int64
+	aseqCtr         int64
 
 	// linkFlows[l] holds the active flows traversing link l, ordered by
 	// activation sequence — the same order the oracle's progressive
@@ -272,6 +289,20 @@ type Simulator struct {
 
 	dirty     []LinkID
 	linkDirty []bool
+
+	// fixLog[l] holds link l's remaining capacity after each fix step of
+	// the waterfill that last covered it, in step order. A full run clears
+	// it; a resumed run truncates it at its frontier and appends.
+	fixLog  [][]fixMark
+	runCtr  int64
+	stepCtr int64
+	// resumeRun is the run every flow finished since the last settle
+	// shares, and frontier the earliest step one of them was fixed at. 0
+	// means none finished; -1 means the next settle fills from zero: an
+	// arrival, reroute or capacity change dirtied a link, or the finished
+	// flows came from different runs.
+	resumeRun int64
+	frontier  int64
 
 	// Scratch reused across settle calls.
 	epoch       int64
@@ -296,10 +327,18 @@ type Simulator struct {
 // they re-waterfilled (profiling aid; no functional effect).
 type SettleStats struct {
 	Settles   uint64 // settle passes
-	Flows     uint64 // flow re-rates, summed over the passes
+	Resumed   uint64 // settle passes that resumed at a completion's frontier
+	Flows     uint64 // component flows, summed over the passes
+	Refilled  uint64 // flows whose rate was recomputed, summed over the passes
 	Links     uint64 // component links, summed over the passes
 	PeakFlows int    // largest component re-waterfilled, in flows
 	PeakLinks int    // largest component re-waterfilled, in links
+}
+
+// fixMark is a link's remaining capacity after one fix step.
+type fixMark struct {
+	step int64
+	rem  float64
 }
 
 // NewSimulator creates a simulator over the network.
@@ -308,6 +347,7 @@ func NewSimulator(net *Network) *Simulator {
 	net.onSet = append(net.onSet, func(l LinkID) {
 		s.ensureLink(int(l))
 		s.markDirty(l)
+		s.resumeRun = -1
 	})
 	return s
 }
@@ -324,6 +364,7 @@ func (s *Simulator) ensureLink(l int) {
 		s.nUnfixed = append(s.nUnfixed, 0)
 		s.shares.pos = append(s.shares.pos, -1)
 		s.linkTouched = append(s.linkTouched, false)
+		s.fixLog = append(s.fixLog, nil)
 	}
 }
 
@@ -338,7 +379,7 @@ func (s *Simulator) markDirty(l LinkID) {
 func (s *Simulator) Add(f *Flow) {
 	f.sim = s
 	f.remaining = f.Size
-	s.flows = append(s.flows, f)
+	s.added++
 	if f.Start > s.now {
 		start := f.Start
 		s.At(start, func() { s.activate(f) })
@@ -394,6 +435,7 @@ func (s *Simulator) activate(f *Flow) {
 		s.linkFlows[int(l)] = append(s.linkFlows[int(l)], f) // max aseq: append keeps order
 		s.markDirty(l)
 	}
+	s.resumeRun = -1
 }
 
 // removeFromLink deletes f from link l's list, preserving order. The list
@@ -433,6 +475,7 @@ func (s *Simulator) Reroute(f *Flow, path []LinkID) {
 	if !f.active {
 		return // not yet started (or finished): activation reads Path
 	}
+	s.resumeRun = -1
 	for _, l := range f.uniq {
 		s.removeFromLink(l, f)
 		s.markDirty(l)
@@ -491,11 +534,16 @@ func (s *Simulator) pushFin(f *Flow) {
 // settle re-waterfills the connected component(s) of the flow↔link graph
 // reachable from the dirty links. Per-component progressive filling yields
 // the same fix sequence — and therefore bit-identical floating-point
-// rates — as the full pass in allocate(); see the oracle test.
+// rates — as the full pass in allocate(); see the oracle test. When only
+// completions dirtied the component and all of it, finished flows
+// included, came from one run, the filling resumes at the earliest step a
+// finished flow was fixed at (the package comment gives the argument).
 func (s *Simulator) settle() {
 	if len(s.dirty) == 0 {
 		return
 	}
+	run, frontier := s.resumeRun, s.frontier
+	s.resumeRun = 0
 	s.epoch++
 	links := s.compLinks[:0]
 	flows := s.compFlows[:0]
@@ -514,6 +562,9 @@ func (s *Simulator) settle() {
 				continue
 			}
 			f.mark = s.epoch
+			if f.run != run {
+				run = -1
+			}
 			flows = append(flows, f)
 			for _, l2 := range f.uniq {
 				if s.linkMark[int(l2)] != s.epoch {
@@ -524,30 +575,64 @@ func (s *Simulator) settle() {
 		}
 	}
 
+	// The starting state: every link at its capacity under a fresh run, or,
+	// resuming, at its last mark before the frontier.
+	resume := run > 0
+	if !resume {
+		s.runCtr++
+		run = s.runCtr
+	}
+	for _, l := range links {
+		marks := s.fixLog[int(l)]
+		if !resume {
+			marks = marks[:0]
+		}
+		for len(marks) > 0 && marks[len(marks)-1].step >= frontier {
+			marks = marks[:len(marks)-1]
+		}
+		s.fixLog[int(l)] = marks
+		s.remCap[int(l)] = s.net.capacity[int(l)]
+		if len(marks) > 0 {
+			s.remCap[int(l)] = marks[len(marks)-1].rem
+		}
+		s.nUnfixed[int(l)] = 0
+	}
 	capped := s.capped[:0]
 	unfixed := 0
 	for _, f := range flows {
 		s.drain(f)
+		f.ver++ // stale finish projections no longer count
+		if resume && f.step < frontier {
+			// The rate stands; its finish is re-projected from the drained
+			// remainder, exactly as a full pass would.
+			s.pushFin(f)
+			continue
+		}
 		f.rate = 0
 		f.fixed = false
-		f.ver++ // stale finish projections no longer count
+		for _, l := range f.uniq {
+			s.nUnfixed[int(l)]++
+		}
 		if f.RateCap > 0 {
 			capped = append(capped, f)
 		}
 		unfixed++
 	}
-	for _, l := range links {
-		s.remCap[int(l)] = s.net.capacity[int(l)]
-		s.nUnfixed[int(l)] = int32(len(s.linkFlows[int(l)]))
-	}
 	sortCapped(capped)
 	st := &s.stats
 	st.Settles++
+	if resume {
+		st.Resumed++
+	}
 	st.Flows += uint64(len(flows))
+	st.Refilled += uint64(unfixed)
 	st.Links += uint64(len(links))
 	st.PeakFlows = max(st.PeakFlows, len(flows))
 	st.PeakLinks = max(st.PeakLinks, len(links))
-	s.waterfill(links, capped, unfixed)
+	s.waterfill(links, capped, unfixed, run)
+	// Clear the scratch so it holds no flow past its completion.
+	clear(flows)
+	clear(capped)
 	s.compLinks = links[:0]
 	s.compFlows = flows[:0]
 	s.capped = capped[:0]
@@ -581,7 +666,11 @@ func sortCapped(capped []*Flow) {
 // among equal shares — whatever the heap's layout, and its share is the
 // same quotient the scan computes: the fix sequence, and with it every
 // floating-point rate, is bit-identical to allocate().
-func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int) {
+//
+// Each fix step takes the next global step number; a fixed flow records
+// it with run, and every link the step changes logs its remaining
+// capacity, which is what a later settle resumes from.
+func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int, run int64) {
 	h := &s.shares
 	for _, l := range links {
 		if s.nUnfixed[int(l)] > 0 {
@@ -600,12 +689,14 @@ func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int) {
 		}
 		f.fixed = true
 		f.rate = rate
+		f.run, f.step = run, s.stepCtr
 		unfixed--
 		for _, l := range f.uniq {
 			s.remCap[int(l)] -= rate
 			if s.remCap[int(l)] < 0 {
 				s.remCap[int(l)] = 0
 			}
+			s.fixLog[int(l)] = append(s.fixLog[int(l)], fixMark{step: s.stepCtr, rem: s.remCap[int(l)]})
 			s.nUnfixed[int(l)]--
 			if !s.linkTouched[int(l)] {
 				s.linkTouched[int(l)] = true
@@ -615,6 +706,7 @@ func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int) {
 		s.pushFin(f)
 	}
 	for unfixed > 0 {
+		s.stepCtr++
 		minShare := math.Inf(1)
 		minLink := -1
 		// As in allocate()'s scan, an infinite share is no bottleneck.
@@ -893,12 +985,23 @@ func (s *Simulator) finishDue() {
 		f.Finished = true
 		f.active = false
 		f.End = s.now
+		s.finished++
 		// Swap-remove from the active set.
 		last := len(s.active) - 1
 		s.active[f.activeIdx] = s.active[last]
 		s.active[f.activeIdx].activeIdx = f.activeIdx
 		s.active[last] = nil
 		s.active = s.active[:last]
+		if len(f.uniq) > 0 {
+			switch {
+			case s.resumeRun == 0:
+				s.resumeRun, s.frontier = f.run, f.step
+			case s.resumeRun != f.run:
+				s.resumeRun = -1
+			default:
+				s.frontier = min(s.frontier, f.step)
+			}
+		}
 		for _, l := range f.uniq {
 			s.removeFromLink(l, f)
 			s.markDirty(l)
@@ -911,6 +1014,7 @@ func (s *Simulator) finishDue() {
 			s.OnFinish(f, s.now)
 		}
 	}
+	clear(s.done[nDone:])
 	s.done = s.done[:nDone]
 }
 
@@ -997,14 +1101,7 @@ func (s *Simulator) VisitFlowsOn(l LinkID, fn func(*Flow)) {
 }
 
 // AllDone reports whether every flow has finished.
-func (s *Simulator) AllDone() bool {
-	for _, f := range s.flows {
-		if !f.Finished {
-			return false
-		}
-	}
-	return true
-}
+func (s *Simulator) AllDone() bool { return s.finished == s.added }
 
 // SettleStats returns the settle-pass counters.
 func (s *Simulator) SettleStats() SettleStats { return s.stats }
@@ -1017,11 +1114,5 @@ func (s *Simulator) RateOf(f *Flow) float64 {
 
 // String summarizes simulator state.
 func (s *Simulator) String() string {
-	done := 0
-	for _, f := range s.flows {
-		if f.Finished {
-			done++
-		}
-	}
-	return fmt.Sprintf("flowsim t=%.3fs %d/%d flows done", s.now, done, len(s.flows))
+	return fmt.Sprintf("flowsim t=%.3fs %d/%d flows done", s.now, s.finished, s.added)
 }

@@ -2,8 +2,10 @@ package flowsim
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -181,6 +183,36 @@ func TestOnFinishCallback(t *testing.T) {
 	if len(finished) != 2 || finished[0] != 1 || finished[1] != 2 {
 		t.Fatalf("finished = %v", finished)
 	}
+}
+
+// TestFinishedFlowReleased checks the simulator keeps no reference to a
+// finished flow its caller has dropped: a long run must not hold every
+// flow it has ever carried.
+func TestFinishedFlowReleased(t *testing.T) {
+	n := NewNetwork()
+	l := n.AddLink(100)
+	s := NewSimulator(n)
+	released := make(chan struct{})
+	func() {
+		f := &Flow{ID: 1, Path: []LinkID{l}, Size: 100, RateCap: 50}
+		runtime.SetFinalizer(f, func(*Flow) { close(released) })
+		s.Add(f)
+		s.Add(&Flow{ID: 2, Path: []LinkID{l}, Size: 50})
+	}()
+	s.Run()
+	if !s.AllDone() {
+		t.Fatalf("%v", s)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			runtime.KeepAlive(s)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a finished flow is still reachable from its simulator")
 }
 
 func TestPathlessFlowInstant(t *testing.T) {

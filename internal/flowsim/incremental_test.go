@@ -168,7 +168,10 @@ func largestComponent(s *Simulator) int {
 // sizes the HiBench shuffle produces: a few hundred multi-hop flows couple
 // more than 600 equal-capacity links into one component, then adds,
 // completions, reroutes and capacity flaps each re-waterfill it, and the
-// rates must stay bit-identical to allocate() after every step.
+// rates must stay bit-identical to allocate() after every step. A
+// completion-only phase then checks every settle that resumes at a
+// finished flow's frontier, and a last phase finishes flows of two
+// separately settled components in one tick, which must fill from zero.
 func TestIncrementalMatchesOracleLarge(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -214,20 +217,76 @@ func TestIncrementalMatchesOracleLarge(t *testing.T) {
 			}
 			checkOracle(t, s, seed, step)
 		}
+
+		// Completions alone, one tick at a time, until every flow is done.
+		// Healing every link first leaves no flow stalled.
+		for l := 0; l < ls.n.NumLinks(); l++ {
+			ls.n.SetCapacity(LinkID(l), 100)
+		}
+		for i := 0; i < 480; i++ {
+			add()
+		}
+		checkOracle(t, s, seed, -1)
+		before := s.SettleStats()
+		for step := 200; s.ActiveCount() > 0; step++ {
+			next, ok := s.NextEventTime()
+			if !ok {
+				t.Fatalf("seed %d step %d: %d flows active and no event pending", seed, step, s.ActiveCount())
+			}
+			s.RunUntil(next)
+			checkOracle(t, s, seed, step)
+		}
+		after := s.SettleStats()
+		if after.Resumed == before.Resumed {
+			t.Fatalf("seed %d: no completion-only settle resumed (%d settles)", seed, after.Settles-before.Settles)
+		}
+		if after.Refilled-before.Refilled >= after.Flows-before.Flows {
+			t.Fatalf("seed %d: resumed settles refilled %d of %d component flows", seed,
+				after.Refilled-before.Refilled, after.Flows-before.Flows)
+		}
+
+		// Two components, settled apart and so filled by different runs,
+		// each finish a flow in the same tick.
+		pair := func(h int) *Flow {
+			short := &Flow{ID: len(live), Path: ls.path(h, h+1, 0), Size: 100}
+			long := &Flow{ID: len(live) + 1, Path: ls.path(h, h+2, 0), Size: 200}
+			live = append(live, short, long)
+			s.Add(short)
+			s.Add(long)
+			s.RateOf(short)
+			return short
+		}
+		a, b := pair(0), pair(ls.hosts)
+		before = s.SettleStats()
+		next, _ := s.NextEventTime()
+		s.RunUntil(next)
+		if !a.Finished || !b.Finished {
+			t.Fatalf("seed %d: the two short flows did not finish in one tick", seed)
+		}
+		checkOracle(t, s, seed, -2)
+		if after := s.SettleStats(); after.Settles == before.Settles || after.Resumed != before.Resumed {
+			t.Fatalf("seed %d: completions from two runs: %d settles, %d resumed, want a full one",
+				seed, after.Settles-before.Settles, after.Resumed-before.Resumed)
+		}
+		s.Run()
 	}
 }
 
 // TestSettleAllocFree pins the waterfill scratch (share heap, position
-// array, touched list, component lists) as reused: once a large component
-// has settled, re-waterfilling it after a capacity flap allocates nothing.
+// array, touched list, component lists, fix logs) as reused: once a large
+// component has settled, re-waterfilling it after a capacity flap, and
+// resuming it after a completion, allocate nothing.
 func TestSettleAllocFree(t *testing.T) {
 	ls := newLeafSpine(16, 16, 8, 100)
 	s := NewSimulator(ls.n)
 	rng := rand.New(rand.NewSource(1))
 	var probe *Flow
-	for i := 0; i < 480; i++ {
+	for i := 0; i < 680; i++ {
 		src, dst := rng.Intn(ls.numHosts()), rng.Intn(ls.numHosts())
 		f := &Flow{ID: i, Path: ls.path(src, dst, rng.Intn(ls.spines)), Size: 1e12}
+		if i >= 480 {
+			f.Size = float64(1000 + 37*i) // short: one completes every few ticks
+		}
 		if i%8 == 0 {
 			f.RateCap = 20
 		}
@@ -250,6 +309,22 @@ func TestSettleAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, flap); allocs != 0 {
 		t.Fatalf("settle after a capacity flap allocates %v/op, want 0", allocs)
+	}
+
+	complete := func() {
+		next, _ := s.NextEventTime()
+		s.RunUntil(next)
+	}
+	for i := 0; i < 16; i++ {
+		complete()
+	}
+	before := s.SettleStats()
+	if allocs := testing.AllocsPerRun(100, complete); allocs != 0 {
+		t.Fatalf("settle resumed after a completion allocates %v/op, want 0", allocs)
+	}
+	after := s.SettleStats()
+	if n := after.Settles - before.Settles; n == 0 || after.Resumed-before.Resumed != n {
+		t.Fatalf("%d settles after completions, %d resumed; want all resumed", n, after.Resumed-before.Resumed)
 	}
 }
 

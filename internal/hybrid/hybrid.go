@@ -596,11 +596,11 @@ func (ly *Layer) Engine() *sim.Engine { return ly.eng }
 func (ly *Layer) NumFluidLinks() int { return ly.net.NumLinks() }
 
 // FluidDebug reports the fluid simulator's settle-pass counters: how many
-// non-trivial rate recomputations ran and how many flow re-rates they did
-// in total. Profiling aid for scale runs.
+// non-trivial rate recomputations ran and how many flow rates they
+// recomputed in total. Profiling aid for scale runs.
 func (ly *Layer) FluidDebug() (settles, reRates uint64) {
 	st := ly.fsim.SettleStats()
-	return st.Settles, st.Flows
+	return st.Settles, st.Refilled
 }
 
 // FluidStats reports the fluid simulator's settle passes together with
