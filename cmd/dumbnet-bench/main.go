@@ -125,25 +125,21 @@ func registry(repoRoot string) []experiment {
 	}
 }
 
+// The flags are package-level so the tests can check the docs against them.
+var (
+	runName     = flag.String("run", "all", "experiment to run (or 'all')")
+	quick       = flag.Bool("quick", false, "smaller sweeps for fast runs")
+	list        = flag.Bool("list", false, "list experiments")
+	root        = flag.String("repo", ".", "repository root (for table1)")
+	hybridK     = flag.Int("hybrid-scale", 0, "run the HiBench suite on a k-ary fat-tree (k/2 hosts per edge) through the hybrid fluid layer and print durations, events/sec, the completion digest and peak RSS to stderr")
+	hybridWidth = flag.Int("hybrid-width", 8, "shuffle width (peers per worker) for -hybrid-scale")
+	hybridGB    = flag.Float64("hybrid-gb", 0.5, "per-job input size in GB for -hybrid-scale")
+	pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+	cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
+)
+
 func main() {
-	var (
-		runName     = flag.String("run", "all", "experiment to run (or 'all')")
-		quick       = flag.Bool("quick", false, "smaller sweeps for fast runs")
-		list        = flag.Bool("list", false, "list experiments")
-		root        = flag.String("repo", ".", "repository root (for table1)")
-		benchJSON   = flag.String("bench-json", "", "run the microbenchmark suite and write results to this JSON file")
-		benchLabel  = flag.String("bench-label", "current", "label recorded for the bench run in -bench-json output")
-		benchAppend = flag.Bool("bench-append", false, "append the bench run to an existing -bench-json file instead of overwriting")
-		benchFilter = flag.String("bench-filter", "", "only run benchmarks whose name contains this substring (for -bench-json / -bench-gate)")
-		benchGate   = flag.String("bench-gate", "", "run the suite and fail if ns/op regresses beyond -bench-gate-pct or allocs/op grows vs this baseline JSON")
-		benchGatePc = flag.Float64("bench-gate-pct", 15, "ns/op regression tolerance (percent) for -bench-gate")
-		hybridK     = flag.Int("hybrid-scale", 0, "run the HiBench suite on a k-ary fat-tree (k/2 hosts per edge) through the hybrid fluid layer and record events/sec + peak RSS; combine with -bench-json/-bench-append/-bench-label")
-		hybridWidth = flag.Int("hybrid-width", 8, "shuffle width (peers per worker) for -hybrid-scale")
-		hybridGB    = flag.Float64("hybrid-gb", 0.5, "per-job input size in GB for -hybrid-scale")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile  = flag.String("memprofile", "", "write a heap profile to this file at exit")
-	)
 	flag.Parse()
 
 	if *pprofAddr != "" {
@@ -182,22 +178,8 @@ func main() {
 	}
 
 	if *hybridK > 0 {
-		if err := runHybridScaleJSON(*benchJSON, *benchLabel, *benchAppend, *hybridK, *hybridWidth, *hybridGB); err != nil {
+		if _, _, err := runHybridScale(os.Stderr, *hybridK, *hybridWidth, *hybridGB); err != nil {
 			fmt.Fprintf(os.Stderr, "hybrid-scale: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchGate != "" {
-		if err := gateBench(*benchGate, *benchFilter, *benchGatePc); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-gate: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchLabel, *benchAppend, *benchFilter); err != nil {
-			fmt.Fprintf(os.Stderr, "bench-json: %v\n", err)
 			os.Exit(1)
 		}
 		return

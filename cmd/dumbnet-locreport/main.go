@@ -1,6 +1,7 @@
 // Command dumbnet-locreport prints the repository's line-of-code breakdown
 // by module — the Table 1 analogue for this reproduction — and the non-test
-// internal/ total the ROADMAP tracks.
+// internal/ total the ROADMAP tracks. Beside the raw line counts it prints
+// sloc: the non-test lines that hold code, neither blank nor comment only.
 //
 //	dumbnet-locreport [-root path]
 package main
@@ -8,10 +9,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"go/scanner"
+	"go/token"
+	"io/fs"
 	"log"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"dumbnet/internal/experiments"
 	"dumbnet/internal/metrics"
@@ -35,23 +40,29 @@ func main() {
 	}
 	dirs = append(dirs, "cmd", "examples", "bench")
 
-	tbl := metrics.NewTable("Code breakdown (Go lines)", "module", "code", "tests")
-	internalCode, totalCode, totalTests := 0, 0, 0
+	tbl := metrics.NewTable("Code breakdown (Go lines)", "module", "code", "sloc", "tests")
+	internalCode, internalSloc, totalCode, totalSloc, totalTests := 0, 0, 0, 0, 0
 	for _, d := range dirs {
 		c, t, err := experiments.GoLines(filepath.Join(*root, d))
 		if err != nil {
 			log.Fatal(err)
 		}
+		sloc, err := slocLines(filepath.Join(*root, d))
+		if err != nil {
+			log.Fatal(err)
+		}
 		if filepath.Dir(d) == "internal" {
 			internalCode += c
+			internalSloc += sloc
 		}
 		totalCode += c
+		totalSloc += sloc
 		totalTests += t
-		tbl.AddRow(d, c, t)
+		tbl.AddRow(d, c, sloc, t)
 	}
-	tbl.AddRow("TOTAL", totalCode, totalTests)
+	tbl.AddRow("TOTAL", totalCode, totalSloc, totalTests)
 	fmt.Println(tbl.String())
-	fmt.Printf("non-test Go lines under internal/: %d\n\n", internalCode)
+	fmt.Printf("non-test Go lines under internal/: %d (sloc %d)\n\n", internalCode, internalSloc)
 
 	// Paper comparison.
 	paper := metrics.NewTable("Paper's Table 1 (C/C++ lines) for reference",
@@ -69,4 +80,45 @@ func main() {
 		paper.AddRow(k, rows[k])
 	}
 	fmt.Println(paper.String())
+}
+
+// slocLines counts the lines of non-test Go source under dir that hold a
+// token: blank lines and lines holding only comments do not count, and a
+// multi-line string counts every line it spans. It lives here, not in
+// experiments.GoLines, so that the counter does not add to the internal/
+// total that Table1 reports.
+func slocLines(dir string) (int, error) {
+	total := 0
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fset := token.NewFileSet()
+		file := fset.AddFile(path, -1, len(src))
+		var s scanner.Scanner
+		s.Init(file, src, nil, 0) // mode 0 skips comments
+		last := 0                 // the last line counted
+		for {
+			pos, tok, lit := s.Scan()
+			if tok == token.EOF {
+				return nil
+			}
+			if tok == token.SEMICOLON && lit == "\n" {
+				continue // inserted at a line end, not written
+			}
+			first, end := file.Line(pos), file.Line(pos)+strings.Count(lit, "\n")
+			if first <= last {
+				first = last + 1
+			}
+			if end >= first {
+				total += end - first + 1
+				last = end
+			}
+		}
+	})
+	return total, err
 }

@@ -272,7 +272,7 @@ func TestFederationDeterministic(t *testing.T) {
 
 // TestRegionalWarmLookupAllocFree guards the regional warm path: once a
 // cross-fabric route is cached and every freshness token matches, Resolve
-// must not allocate. This is the bench-gate invariant in CI.
+// must not allocate; bench/ times the same call as federation.resolve_warm_ns.
 func TestRegionalWarmLookupAllocFree(t *testing.T) {
 	fed := buildFederation(t, core.DefaultFederationConfig(7))
 	q := controller.RouteQuery{Src: fed.Hosts(0)[0], Dst: fed.Hosts(1)[0], Scope: controller.ScopeFabric}

@@ -256,3 +256,44 @@ func TestEncodeToShortBuffer(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestFrameCodecAllocFree guards the per-frame codec primitives: encoding
+// into a caller's buffer, decoding into a caller's Frame and popping the
+// top tag in place each cost 0 allocs/op.
+func TestFrameCodecAllocFree(t *testing.T) {
+	f := &Frame{Dst: mac(1), Src: mac(2), Tags: Path{2, 3, 5, 1}, InnerType: EtherTypeIPv4, Payload: make([]byte, 1450)}
+	wire, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(wire))
+	t.Run("EncodeTo", func(t *testing.T) {
+		if n := testing.AllocsPerRun(1000, func() {
+			if _, err := f.EncodeTo(buf); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("Frame.EncodeTo: %v allocs/op, want 0", n)
+		}
+	})
+	t.Run("DecodeFrom", func(t *testing.T) {
+		var g Frame
+		if n := testing.AllocsPerRun(1000, func() {
+			if err := DecodeFrom(&g, wire); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("DecodeFrom: %v allocs/op, want 0", n)
+		}
+	})
+	t.Run("PopTag", func(t *testing.T) {
+		if n := testing.AllocsPerRun(1000, func() {
+			copy(buf, wire)
+			if _, _, err := PopTag(buf); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("PopTag: %v allocs/op, want 0", n)
+		}
+	})
+}

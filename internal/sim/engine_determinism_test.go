@@ -161,6 +161,28 @@ type countingHandler struct{ n int }
 
 func (h *countingHandler) RunEvent() { h.n++ }
 
+// TestLinkForwardAllocFree guards one link traversal: SendFrom plus the Run
+// that drains its serialization and delivery events costs 0 allocs/op once
+// the event pools are warm.
+func TestLinkForwardAllocFree(t *testing.T) {
+	e := NewEngine(1)
+	delivered := 0
+	a, b := &funcNode{}, &funcNode{fn: func(int, []byte) { delivered++ }}
+	l := NewLink(e, a, 1, b, 1, LinkConfig{PropDelay: Microsecond, BandwidthBps: 10e9})
+	frame := make([]byte, 1500)
+	send := func() {
+		l.SendFrom(a, frame)
+		e.Run()
+	}
+	send() // warm the event pools
+	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
+		t.Fatalf("SendFrom+Run allocated %.1f times per frame, want 0", allocs)
+	}
+	if delivered != 1000+2 {
+		t.Fatalf("link delivered %d frames, want %d", delivered, 1000+2)
+	}
+}
+
 // TestEngineInterleavedRunsOrdering interleaves same-deadline runs: events
 // for one deadline scheduled between events for others must join their run
 // and still execute in exact (time, FIFO) order.

@@ -419,3 +419,32 @@ func TestHubExporters(t *testing.T) {
 		}
 	}
 }
+
+// TestConsumerAllocFree guards the streaming consumer's two hot calls at
+// k=16 fat-tree scale (320 switches with 16 fabric ports each): ingesting a
+// hop on a known link, and the window flush that runs the detectors over
+// every directed link, each cost 0 allocs/op.
+func TestConsumerAllocFree(t *testing.T) {
+	c := telemetry.NewOfflineConsumer(telemetry.DefaultConfig())
+	r := trace.Record{Kind: trace.KindHop, Dur: 100, Src: mac(7), Dst: mac(9)}
+	for sw := 1; sw <= 320; sw++ {
+		for p := 1; p <= 16; p++ {
+			r.Sw, r.Port = packet.SwitchID(sw), packet.Tag(p)
+			c.IngestRecord(&r)
+		}
+	}
+	t.Run("IngestRecord", func(t *testing.T) {
+		r.Sw, r.Port = 1, 1
+		if n := testing.AllocsPerRun(1000, func() {
+			r.At++
+			c.IngestRecord(&r)
+		}); n != 0 {
+			t.Errorf("IngestRecord: %v allocs/op, want 0", n)
+		}
+	})
+	t.Run("EndWindow", func(t *testing.T) {
+		if n := testing.AllocsPerRun(100, c.EndWindow); n != 0 {
+			t.Errorf("EndWindow over 5120 links: %v allocs/op, want 0", n)
+		}
+	})
+}
