@@ -1,0 +1,51 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestGoldenOutput runs the emulator on fixed flag sets and compares its
+// stdout byte for byte with testdata/<name>.golden. Every run is seeded, so
+// a difference is a behaviour change: a route, a rate, an event order.
+// After an intended change, regenerate a golden with
+//
+//	go run ./cmd/dumbnet-emu <args> > cmd/dumbnet-emu/testdata/<name>.golden
+func TestGoldenOutput(t *testing.T) {
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("needs the go command to build the emulator")
+	}
+	bin := filepath.Join(t.TempDir(), "dumbnet-emu")
+	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		name string
+		args string
+	}{
+		// A real multicast broadcast, then the flow-level collective suite
+		// through workload.RunJob.
+		{"collective", "-topo testbed -pings 1 -collective"},
+		// A bulk-transfer wave through the hybrid fluid layer.
+		{"hybrid", "-topo fattree -k 4 -pings 1 -hybrid"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.Command(bin, strings.Fields(tc.args)...).Output()
+			if err != nil {
+				t.Fatalf("dumbnet-emu %s: %v", tc.args, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("dumbnet-emu %s differs from its golden\n--- got\n%s--- want\n%s", tc.args, got, want)
+			}
+		})
+	}
+}

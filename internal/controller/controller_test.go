@@ -8,22 +8,16 @@ import (
 
 	"dumbnet/internal/consensus"
 	"dumbnet/internal/controller"
+	"dumbnet/internal/core"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
-	"dumbnet/internal/testnet"
 	"dumbnet/internal/topo"
 )
 
 // discoverOn runs full discovery over the real fabric for a topology.
-func discoverOn(t *testing.T, tp *topo.Topology, maxPorts int) (*testnet.Net, controller.DiscoveryReport) {
+func discoverOn(t *testing.T, tp *topo.Topology, maxPorts int) (*core.Network, controller.DiscoveryReport) {
 	t.Helper()
-	opts := testnet.DefaultOptions()
-	opts.SkipBootstrap = true
-	opts.Controller.Discovery.MaxPorts = maxPorts
-	n, err := testnet.Build(tp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := undiscovered(t, tp, maxPorts)
 	tr := controller.NewFabricTransport(n.Ctrl)
 	var report controller.DiscoveryReport
 	var derr error
@@ -47,7 +41,7 @@ func TestDiscoveryLine(t *testing.T) {
 	if report.Switches != 3 || report.Links != 2 || report.Hosts != 2 {
 		t.Fatalf("report = %+v", report)
 	}
-	if err := testnet.SameTopologyStructure(n.Ctrl.Master(), tp); err != nil {
+	if err := sameTopologyStructure(n.Ctrl.Master(), tp); err != nil {
 		t.Fatalf("discovered topology differs: %v", err)
 	}
 	if report.Probes == 0 || report.Duration <= 0 {
@@ -61,7 +55,7 @@ func TestDiscoveryTestbed(t *testing.T) {
 	if report.Switches != 7 || report.Links != 10 || report.Hosts != 27 {
 		t.Fatalf("report = %+v", report)
 	}
-	if err := testnet.SameTopologyStructure(n.Ctrl.Master(), tp); err != nil {
+	if err := sameTopologyStructure(n.Ctrl.Master(), tp); err != nil {
 		t.Fatalf("discovered topology differs: %v", err)
 	}
 }
@@ -71,7 +65,7 @@ func TestDiscoveryWithAmbiguousParallelSpines(t *testing.T) {
 	// ambiguity: both return paths look identical from the controller.
 	tp, _ := topo.LeafSpine(2, 2, 2, 8)
 	n, report := discoverOn(t, tp, 8)
-	if err := testnet.SameTopologyStructure(n.Ctrl.Master(), tp); err != nil {
+	if err := sameTopologyStructure(n.Ctrl.Master(), tp); err != nil {
 		t.Fatalf("ambiguity resolution failed: %v", err)
 	}
 	if report.Links != 4 {
@@ -100,7 +94,7 @@ func TestDiscoveryCubeViaOracle(t *testing.T) {
 	if !done || derr != nil {
 		t.Fatalf("done=%v err=%v", done, derr)
 	}
-	if err := testnet.SameTopologyStructure(c.Master(), tp); err != nil {
+	if err := sameTopologyStructure(c.Master(), tp); err != nil {
 		t.Fatalf("oracle discovery differs: %v", err)
 	}
 }
@@ -119,7 +113,7 @@ func TestOracleAndFabricDiscoveryAgree(t *testing.T) {
 	c.Discover(tr, func(controller.DiscoveryReport, error) {})
 	eng.Run()
 
-	if err := testnet.SameTopologyStructure(nFab.Ctrl.Master(), c.Master()); err != nil {
+	if err := sameTopologyStructure(nFab.Ctrl.Master(), c.Master()); err != nil {
 		t.Fatalf("fabric vs oracle: %v", err)
 	}
 }
@@ -173,7 +167,8 @@ func TestPostDiscoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Run()
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	got := 0
 	n.Agent(dst).OnData = func(packet.MAC, uint16, []byte) { got++ }
 	if err := n.Agent(src).SendData(dst, []byte("post-discovery")); err != nil {
@@ -189,9 +184,11 @@ func TestReplicationSnapshotAndPatch(t *testing.T) {
 	// Three controllers share a consensus log; a failure handled by the
 	// primary must update every replica's view.
 	tp, _ := topo.Testbed()
-	opts := testnet.DefaultOptions()
-	n, err := testnet.Build(tp, opts)
+	n, err := core.New(tp)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
 	// Build two extra (off-fabric) replicas plus the live controller.
@@ -213,7 +210,7 @@ func TestReplicationSnapshotAndPatch(t *testing.T) {
 		if r.Master() == nil {
 			t.Fatalf("replica %d has no snapshot", i)
 		}
-		if err := testnet.SameTopologyStructure(r.Master(), tp); err != nil {
+		if err := sameTopologyStructure(r.Master(), tp); err != nil {
 			t.Fatalf("replica %d snapshot differs: %v", i, err)
 		}
 	}
@@ -259,7 +256,7 @@ func TestDiscoveryRandomTopologyProperty(t *testing.T) {
 		if derr != nil {
 			t.Fatalf("seed %d: %v", seed, derr)
 		}
-		if err := testnet.SameTopologyStructure(c.Master(), tp); err != nil {
+		if err := sameTopologyStructure(c.Master(), tp); err != nil {
 			t.Fatalf("seed %d: discovered topology differs: %v", seed, err)
 		}
 	}
@@ -303,14 +300,8 @@ func TestDiscoveryParallelLinks(t *testing.T) {
 // owned and yields, becoming a replica.
 func TestSecondControllerYields(t *testing.T) {
 	tp, _ := topo.Testbed()
-	opts := testnet.DefaultOptions()
-	opts.SkipBootstrap = true
-	opts.Controller.Discovery.MaxPorts = 16
-	n, err := testnet.Build(tp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Controller A: the testnet default. Run it to completion + bootstrap.
+	n := undiscovered(t, tp, 16)
+	// Controller A: the deployment's own. Run it to completion + bootstrap.
 	trA := controller.NewFabricTransport(n.Ctrl)
 	doneA := false
 	n.Ctrl.Discover(trA, func(r controller.DiscoveryReport, err error) {
@@ -329,7 +320,8 @@ func TestSecondControllerYields(t *testing.T) {
 	n.Run()
 
 	// Controller B: promote an ordinary host and let it probe.
-	bMAC := n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	bMAC := hosts[len(hosts)-1]
 	cfg := controller.DefaultConfig()
 	cfg.Discovery.MaxPorts = 16
 	ctrlB := controller.New(n.Eng, n.Agent(bMAC), cfg)
@@ -353,14 +345,9 @@ func TestSecondControllerYields(t *testing.T) {
 // yield logic must not fire on un-bootstrapped networks.
 func TestSecondControllerWinsWhenFirstAbsent(t *testing.T) {
 	tp, _ := topo.Testbed()
-	opts := testnet.DefaultOptions()
-	opts.SkipBootstrap = true
-	opts.Controller.Discovery.MaxPorts = 16
-	n, err := testnet.Build(tp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bMAC := n.Hosts[len(n.Hosts)-1]
+	n := undiscovered(t, tp, 16)
+	hosts := n.Hosts()
+	bMAC := hosts[len(hosts)-1]
 	cfg := controller.DefaultConfig()
 	cfg.Discovery.MaxPorts = 16
 	ctrlB := controller.New(n.Eng, n.Agent(bMAC), cfg)

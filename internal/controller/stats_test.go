@@ -5,25 +5,29 @@ import (
 	"testing"
 
 	"dumbnet/internal/controller"
+	"dumbnet/internal/core"
 	"dumbnet/internal/packet"
-	"dumbnet/internal/testnet"
 	"dumbnet/internal/topo"
 )
 
 // deployForStats builds a bootstrapped testbed and pushes some traffic so
 // the counters are non-zero.
-func deployForStats(t *testing.T) *testnet.Net {
+func deployForStats(t *testing.T) *core.Network {
 	t.Helper()
 	tp, err := topo.Testbed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := testnet.Build(tp, testnet.DefaultOptions())
+	n, err := core.New(tp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	hosts := n.Hosts()
 	for i := 0; i < 5; i++ {
-		_ = n.Agent(n.Hosts[0]).SendData(n.Hosts[len(n.Hosts)-1], []byte("traffic"))
+		_ = n.Agent(hosts[0]).SendData(hosts[len(hosts)-1], []byte("traffic"))
 	}
 	n.Run()
 	return n
@@ -48,7 +52,7 @@ func TestQuerySwitchStats(t *testing.T) {
 func TestQuerySwitchStatsCountersMatch(t *testing.T) {
 	n := deployForStats(t)
 	// Pick the source host's leaf: it definitely forwarded the traffic.
-	at, _ := n.Topo.HostAt(n.Hosts[0])
+	at, _ := n.Topo.HostAt(n.Hosts()[0])
 	var reply *packet.StatsReply
 	n.Ctrl.QuerySwitchStats(at.Switch, func(r *packet.StatsReply, err error) { reply = r })
 	n.Run()

@@ -274,6 +274,13 @@ func (n *Network) Bootstrap() error {
 		return err
 	}
 	n.Eng.Run()
+	return n.finishBoot()
+}
+
+// finishBoot marks the network up and applies what the options deferred to
+// boot: replication, then tenancy (so the manager tracks the replicated
+// master), then telemetry (so the tenant resolver sees carved slices).
+func (n *Network) finishBoot() error {
 	n.booted = true
 	if err := n.applyPendingReplication(); err != nil {
 		return err
@@ -328,14 +335,7 @@ func (n *Network) Discover(maxPorts int) (controller.DiscoveryReport, error) {
 		return report, err
 	}
 	n.Eng.Run()
-	n.booted = true
-	if err := n.applyPendingReplication(); err != nil {
-		return report, err
-	}
-	if err := n.applyPendingTenancy(); err != nil {
-		return report, err
-	}
-	return report, n.applyPendingTelemetry()
+	return report, n.finishBoot()
 }
 
 // reconfigureDiscovery rebuilds the controller with a new port bound.

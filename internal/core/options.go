@@ -2,9 +2,6 @@ package core
 
 import (
 	"dumbnet/internal/chaos"
-	"dumbnet/internal/controller"
-	"dumbnet/internal/fabric"
-	"dumbnet/internal/host"
 	"dumbnet/internal/hybrid"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/telemetry"
@@ -18,7 +15,6 @@ import (
 //
 //	n, err := core.New(t,
 //	    core.WithSeed(42),
-//	    core.WithShards(8),
 //	    core.WithTracer(rec),
 //	    core.WithReplicasAt(h3, h7),
 //	    core.WithChaos(chaos.DefaultConfig(42)))
@@ -48,8 +44,8 @@ func defaultOptions() options {
 }
 
 // WithConfig replaces the whole bundled Config (seed, fabric, host,
-// controller, controller placement). Later fine-grained options override
-// individual fields.
+// controller, controller placement). Later WithSeed and WithHostFlood
+// options override their fields.
 func WithConfig(cfg Config) Option {
 	return func(o *options) { o.cfg = cfg }
 }
@@ -57,27 +53,6 @@ func WithConfig(cfg Config) Option {
 // WithSeed sets the simulation seed.
 func WithSeed(seed int64) Option {
 	return func(o *options) { o.cfg.Seed = seed }
-}
-
-// WithFabric sets the physical fabric parameters.
-func WithFabric(cfg fabric.Config) Option {
-	return func(o *options) { o.cfg.Fabric = cfg }
-}
-
-// WithHost sets the host-agent configuration.
-func WithHost(cfg host.Config) Option {
-	return func(o *options) { o.cfg.Host = cfg }
-}
-
-// WithController sets the controller configuration.
-func WithController(cfg controller.Config) Option {
-	return func(o *options) { o.cfg.Controller = cfg }
-}
-
-// WithControllerHost picks which topology host runs the controller (default:
-// first host by MAC order).
-func WithControllerHost(m MAC) Option {
-	return func(o *options) { o.cfg.ControllerHost = m }
 }
 
 // WithShards runs the deployment on n parallel simulation shards: the

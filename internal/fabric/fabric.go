@@ -147,15 +147,6 @@ func (f *Fabric) EngineFor(id packet.SwitchID) *sim.Engine {
 	return f.group.Shard(f.shardOf[id])
 }
 
-// ShardOf returns the shard index owning a switch (0 in single-shard
-// builds).
-func (f *Fabric) ShardOf(id packet.SwitchID) int {
-	if f.group == nil {
-		return 0
-	}
-	return f.shardOf[id]
-}
-
 // registerMetrics binds the fabric's aggregate stats into the engine's
 // unified registry as lazy collectors: the hot paths keep bumping their
 // plain struct counters, and the registry evaluates these sums only at

@@ -1089,17 +1089,6 @@ func (s *Simulator) NextEventTime() (float64, bool) {
 // ActiveCount reports the number of started, unfinished flows.
 func (s *Simulator) ActiveCount() int { return len(s.active) }
 
-// VisitFlowsOn calls fn for each active flow traversing link l, in
-// activation order.
-func (s *Simulator) VisitFlowsOn(l LinkID, fn func(*Flow)) {
-	if int(l) >= len(s.linkFlows) {
-		return
-	}
-	for _, f := range s.linkFlows[int(l)] {
-		fn(f)
-	}
-}
-
 // AllDone reports whether every flow has finished.
 func (s *Simulator) AllDone() bool { return s.finished == s.added }
 

@@ -5,24 +5,33 @@ import (
 	"fmt"
 	"testing"
 
+	"dumbnet/internal/core"
 	"dumbnet/internal/host"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
-	"dumbnet/internal/testnet"
 	"dumbnet/internal/topo"
 )
 
-func deployTestbed(t *testing.T) *testnet.Net {
+// deploy builds tp under cfg and bootstraps it.
+func deploy(t *testing.T, tp *topo.Topology, cfg core.Config) *core.Network {
+	t.Helper()
+	n, err := core.New(tp, core.WithConfig(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+func deployTestbed(t *testing.T) *core.Network {
 	t.Helper()
 	tp, err := topo.Testbed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := testnet.Build(tp, testnet.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
+	return deploy(t, tp, core.DefaultConfig())
 }
 
 // collectData installs a data sink on an agent.
@@ -36,7 +45,7 @@ func collectData(a *host.Agent) *[]string {
 
 func TestBootstrapDeliversHello(t *testing.T) {
 	n := deployTestbed(t)
-	for _, m := range n.Hosts {
+	for _, m := range n.Hosts() {
 		a := n.Agent(m)
 		ctrl, path, ok := a.Controller()
 		if !ok {
@@ -56,7 +65,8 @@ func TestBootstrapDeliversHello(t *testing.T) {
 
 func TestSendWithColdCacheQueriesController(t *testing.T) {
 	n := deployTestbed(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	got := collectData(n.Agent(dst))
 	if err := n.Agent(src).SendData(dst, []byte("hello")); err != nil {
 		t.Fatal(err)
@@ -80,7 +90,8 @@ func TestSendWithColdCacheQueriesController(t *testing.T) {
 // receive buffer, an application reusing one send buffer).
 func TestPendingSendOwnsItsPayload(t *testing.T) {
 	n := deployTestbed(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	got := collectData(n.Agent(dst))
 	head, body := []byte("head:"), []byte("original")
 	if err := n.Agent(src).SendParts(dst, packet.EtherTypeIPv4, head, body, host.FlowKey{Dst: dst}); err != nil {
@@ -99,7 +110,8 @@ func TestPendingSendOwnsItsPayload(t *testing.T) {
 
 func TestSecondSendUsesCache(t *testing.T) {
 	n := deployTestbed(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	got := collectData(n.Agent(dst))
 	_ = n.Agent(src).SendData(dst, []byte("one"))
 	n.Run()
@@ -117,13 +129,13 @@ func TestSecondSendUsesCache(t *testing.T) {
 func TestAllPairsConnectivity(t *testing.T) {
 	n := deployTestbed(t)
 	received := make(map[packet.MAC]int)
-	for _, m := range n.Hosts {
+	for _, m := range n.Hosts() {
 		m := m
 		n.Agent(m).OnData = func(src packet.MAC, it uint16, p []byte) { received[m]++ }
 	}
 	sent := 0
-	for _, a := range n.Hosts {
-		for _, b := range n.Hosts {
+	for _, a := range n.Hosts() {
+		for _, b := range n.Hosts() {
 			if a == b {
 				continue
 			}
@@ -146,7 +158,8 @@ func TestAllPairsConnectivity(t *testing.T) {
 func TestFailoverUsesCachedAlternative(t *testing.T) {
 	n := deployTestbed(t)
 	// Hosts on different leaves: leaf switches are 3..7, spines 1-2.
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	got := collectData(n.Agent(dst))
 	_ = n.Agent(src).SendData(dst, []byte("warm"))
 	n.Run()
@@ -176,15 +189,15 @@ func TestFailoverUsesCachedAlternative(t *testing.T) {
 func TestLinkEventDeduplication(t *testing.T) {
 	n := deployTestbed(t)
 	// Warm some paths so hosts know each other (enables host flooding).
-	for _, m := range n.Hosts[:5] {
-		_ = n.Agent(n.Hosts[5]).SendData(m, []byte("w"))
+	for _, m := range n.Hosts()[:5] {
+		_ = n.Agent(n.Hosts()[5]).SendData(m, []byte("w"))
 	}
 	n.Run()
 	if err := n.Fab.FailLink(1, 3); err != nil {
 		t.Fatal(err)
 	}
 	n.Run()
-	for _, m := range n.Hosts {
+	for _, m := range n.Hosts() {
 		st := n.Agent(m).Stats()
 		if st.EventsSeen > 2 { // one per failed-link side at most
 			t.Fatalf("host %v saw %d distinct events", m, st.EventsSeen)
@@ -195,7 +208,7 @@ func TestLinkEventDeduplication(t *testing.T) {
 func TestTopoPatchArrivesAndApplies(t *testing.T) {
 	n := deployTestbed(t)
 	patched := 0
-	for _, m := range n.Hosts {
+	for _, m := range n.Hosts() {
 		n.Agent(m).OnPatch = func(p *topo.Patch) { patched++ }
 	}
 	if err := n.Fab.FailLink(2, 4); err != nil {
@@ -232,7 +245,7 @@ func TestLinkRestorePatches(t *testing.T) {
 
 func TestSendToSelf(t *testing.T) {
 	n := deployTestbed(t)
-	h := n.Hosts[0]
+	h := n.Hosts()[0]
 	got := collectData(n.Agent(h))
 	if err := n.Agent(h).SendData(h, []byte("loop")); err != nil {
 		t.Fatal(err)
@@ -253,13 +266,10 @@ func TestSendWithoutControllerFails(t *testing.T) {
 
 func TestPendingQueueOverflow(t *testing.T) {
 	tp, _ := topo.Testbed()
-	opts := testnet.DefaultOptions()
-	opts.Host.MaxPending = 4
-	n, err := testnet.Build(tp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst := n.Hosts[0], n.Hosts[1]
+	cfg := core.DefaultConfig()
+	cfg.Host.MaxPending = 4
+	n := deploy(t, tp, cfg)
+	src, dst := n.Hosts()[0], n.Hosts()[1]
 	// Queue more than MaxPending before running the engine.
 	var lastErr error
 	for i := 0; i < 10; i++ {
@@ -277,7 +287,7 @@ func TestPendingQueueOverflow(t *testing.T) {
 
 func TestWarmUp(t *testing.T) {
 	n := deployTestbed(t)
-	src, dst := n.Hosts[0], n.Hosts[2]
+	src, dst := n.Hosts()[0], n.Hosts()[2]
 	if err := n.Agent(src).WarmUp(dst); err != nil {
 		t.Fatal(err)
 	}
@@ -293,13 +303,11 @@ func TestWarmUp(t *testing.T) {
 
 func TestInstallRouteVerification(t *testing.T) {
 	tp, _ := topo.Testbed()
-	opts := testnet.DefaultOptions()
-	opts.Host.VerifyPaths = true
-	n, err := testnet.Build(tp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	cfg := core.DefaultConfig()
+	cfg.Host.VerifyPaths = true
+	n := deploy(t, tp, cfg)
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	// Learn topology first.
 	_ = n.Agent(src).SendData(dst, []byte("w"))
 	n.Run()
@@ -386,16 +394,13 @@ func TestDataPathLatencyCharged(t *testing.T) {
 	// ProcessDelay must appear in end-to-end delivery time.
 	tp, _ := topo.Line(2, 4)
 	run := func(delay sim.Time) sim.Time {
-		opts := testnet.DefaultOptions()
-		opts.Host.ProcessDelay = delay
-		n, err := testnet.Build(tp.Clone(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := n.Hosts[0]
+		cfg := core.DefaultConfig()
+		cfg.Host.ProcessDelay = delay
+		n := deploy(t, tp.Clone(), cfg)
+		src := n.Hosts()[0]
 		dst := n.Ctrl.MAC()
 		var at sim.Time = -1
-		n.Agents[dst].OnData = func(packet.MAC, uint16, []byte) { at = n.Eng.Now() }
+		n.Agent(dst).OnData = func(packet.MAC, uint16, []byte) { at = n.Eng.Now() }
 		start := n.Eng.Now()
 		_ = n.Agent(src).SendData(dst, []byte("ping"))
 		n.Run()

@@ -3,10 +3,10 @@ package host_test
 import (
 	"testing"
 
+	"dumbnet/internal/core"
 	"dumbnet/internal/host"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
-	"dumbnet/internal/testnet"
 	"dumbnet/internal/topo"
 )
 
@@ -15,28 +15,25 @@ import (
 
 // deployECN builds a two-spine fabric with ECN marking enabled and one
 // deliberately slow spine so its queues build up.
-func deployECN(t *testing.T) *testnet.Net {
+func deployECN(t *testing.T) *core.Network {
 	t.Helper()
 	tp, err := topo.LeafSpine(2, 2, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testnet.DefaultOptions()
-	opts.Fabric.Switch.ECNThreshold = 20 * sim.Microsecond
+	cfg := core.DefaultConfig()
+	cfg.Fabric.Switch.ECNThreshold = 20 * sim.Microsecond
 	// Slow fabric links so a burst queues: 100 Mbps, deep queue.
-	opts.Fabric.SwitchLink.BandwidthBps = 100e6
-	opts.Fabric.SwitchLink.MaxBacklog = 200 * sim.Millisecond
-	opts.Host.ProcessDelay = 0 // let bursts hit the queue back-to-back
-	n, err := testnet.Build(tp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
+	cfg.Fabric.SwitchLink.BandwidthBps = 100e6
+	cfg.Fabric.SwitchLink.MaxBacklog = 200 * sim.Millisecond
+	cfg.Host.ProcessDelay = 0 // let bursts hit the queue back-to-back
+	return deploy(t, tp, cfg)
 }
 
 func TestECNMarkingOnCongestedPort(t *testing.T) {
 	n := deployECN(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	_ = n.Agent(src).SendData(dst, []byte("warm"))
 	n.Run()
 	// Burst enough 1 KB frames to exceed the 20 µs backlog threshold at
@@ -59,7 +56,8 @@ func TestECNMarkingOnCongestedPort(t *testing.T) {
 
 func TestECNEchoReachesSender(t *testing.T) {
 	n := deployECN(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	var notified []packet.MAC
 	n.Agent(src).OnCongestionNotice = func(d packet.MAC) { notified = append(notified, d) }
 	// Receiver needs a cached route back to echo; warm both directions.
@@ -84,7 +82,8 @@ func TestECNEchoReachesSender(t *testing.T) {
 
 func TestECNEchoRateLimited(t *testing.T) {
 	n := deployECN(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	_ = n.Agent(src).SendData(dst, []byte("warm"))
 	n.Run()
 	_ = n.Agent(dst).SendData(src, []byte("warm-back"))
@@ -104,7 +103,8 @@ func TestECNEchoRateLimited(t *testing.T) {
 
 func TestECNChooserReroutesOnCongestion(t *testing.T) {
 	n := deployECN(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	chooser := host.NewECNChooser(100*sim.Microsecond, nil)
 	n.Agent(src).SetPolicy(chooser)
 	_ = n.Agent(src).SendData(dst, []byte("warm"))

@@ -3,8 +3,8 @@ package host_test
 import (
 	"testing"
 
+	"dumbnet/internal/core"
 	"dumbnet/internal/packet"
-	"dumbnet/internal/testnet"
 	"dumbnet/internal/topo"
 )
 
@@ -12,24 +12,21 @@ import (
 // stacks, switches pop labels, and the whole control plane (path queries,
 // patches, failover) runs unchanged on top.
 
-func deployMPLS(t *testing.T) *testnet.Net {
+func deployMPLS(t *testing.T) *core.Network {
 	t.Helper()
 	tp, err := topo.Testbed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := testnet.DefaultOptions()
-	opts.Host.UseMPLS = true
-	n, err := testnet.Build(tp, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
+	cfg := core.DefaultConfig()
+	cfg.Host.UseMPLS = true
+	return deploy(t, tp, cfg)
 }
 
 func TestMPLSEndToEnd(t *testing.T) {
 	n := deployMPLS(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	got := collectData(n.Agent(dst))
 	if err := n.Agent(src).SendData(dst, []byte("over mpls")); err != nil {
 		t.Fatal(err)
@@ -45,7 +42,8 @@ func TestMPLSEndToEnd(t *testing.T) {
 
 func TestMPLSFailover(t *testing.T) {
 	n := deployMPLS(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	got := collectData(n.Agent(dst))
 	_ = n.Agent(src).SendData(dst, []byte("warm"))
 	n.Run()
@@ -67,14 +65,10 @@ func TestMPLSAndNativeHostsInterop(t *testing.T) {
 	// A sender in MPLS mode and a receiver in native mode still talk: the
 	// receiving NIC accepts both encodings.
 	tp, _ := topo.Testbed()
-	opts := testnet.DefaultOptions()
-	n, err := testnet.Build(tp, opts) // all native
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := deploy(t, tp, core.DefaultConfig()) // all native
 	// Flip one sender to MPLS by rebuilding its config... the encoding is
 	// per-agent config, so emulate by sending a hand-built MPLS frame.
-	src, dst := n.Hosts[0], n.Hosts[1]
+	src, dst := n.Hosts()[0], n.Hosts()[1]
 	tags, err := n.Topo.HostPath(src, dst, nil)
 	if err != nil {
 		t.Fatal(err)

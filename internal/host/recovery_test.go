@@ -197,7 +197,8 @@ func TestControllerFailoverRotatesThroughReplicaList(t *testing.T) {
 
 func TestBlackholeDetectionAndRecovery(t *testing.T) {
 	n := deployTestbed(t)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	delivered := collectData(n.Agent(dst))
 	// Warm both directions so the detector arms (it needs return traffic
 	// before silence means anything).
@@ -243,9 +244,9 @@ func TestBlackholeDetectionAndRecovery(t *testing.T) {
 func TestStage1UnderLossyFlappingLinks(t *testing.T) {
 	n := deployTestbed(t)
 	// Warm a mesh of paths so hosts know each other (enables host floods).
-	for _, m := range n.Hosts {
-		if m != n.Hosts[0] {
-			_ = n.Agent(n.Hosts[0]).SendData(m, []byte("w"))
+	for _, m := range n.Hosts() {
+		if m != n.Hosts()[0] {
+			_ = n.Agent(n.Hosts()[0]).SendData(m, []byte("w"))
 		}
 	}
 	n.Run()
@@ -262,7 +263,7 @@ func TestStage1UnderLossyFlappingLinks(t *testing.T) {
 	n.RunFor(2 * sim.Second) // drain the alarm-suppression window
 
 	dups := uint64(0)
-	for _, m := range n.Hosts {
+	for _, m := range n.Hosts() {
 		st := n.Agent(m).Stats()
 		dups += st.EventsDup
 		// Dedup must keep the distinct-event count near the real number of
@@ -277,13 +278,13 @@ func TestStage1UnderLossyFlappingLinks(t *testing.T) {
 	}
 	// Full connectivity after the storm.
 	got := 0
-	for _, m := range n.Hosts {
+	for _, m := range n.Hosts() {
 		m := m
 		n.Agent(m).OnData = func(packet.MAC, uint16, []byte) { got++ }
 	}
 	sent := 0
-	for i, a := range n.Hosts {
-		b := n.Hosts[(i+1)%len(n.Hosts)]
+	for i, a := range n.Hosts() {
+		b := n.Hosts()[(i+1)%len(n.Hosts())]
 		if a == b {
 			continue
 		}

@@ -108,7 +108,6 @@ var ErrSharded = errors.New("hybrid: fluid layer requires a single-shard fabric"
 // Layer is the fluid bulk-traffic layer over a built fabric.
 type Layer struct {
 	eng   *sim.Engine
-	fab   *fabric.Fabric
 	dense *topo.DenseGraph
 	net   *flowsim.Network
 	fsim  *flowsim.Simulator
@@ -145,7 +144,6 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) (*Layer, error) {
 	g := t.Dense()
 	ly := &Layer{
 		eng:      eng,
-		fab:      fab,
 		dense:    g,
 		net:      flowsim.NewNetwork(),
 		cfg:      cfg.withDefaults(),
@@ -251,19 +249,6 @@ func fluidBps(bps float64) float64 {
 
 func (ly *Layer) hostUp(h int32) int32   { return ly.edgeCount + 2*h }
 func (ly *Layer) hostDown(h int32) int32 { return ly.edgeCount + 2*h + 1 }
-
-// WatchHostLink must be called after a host is attached later than New
-// (core attaches hosts after building the fabric). It is idempotent.
-func (ly *Layer) WatchHostLink(mac packet.MAC) {
-	h, ok := ly.hostIdx[mac]
-	if !ok {
-		return
-	}
-	if l := ly.fab.HostLink(mac); l != nil {
-		up, down := ly.hostUp(h), ly.hostDown(h)
-		l.Watch(func(on bool) { ly.linkFlip(on, up, down) })
-	}
-}
 
 // nowSec converts the engine clock to fluid seconds.
 func (ly *Layer) nowSec() float64 { return float64(ly.eng.Now()) / 1e9 }
@@ -591,9 +576,6 @@ func (ly *Layer) Stats() Stats {
 
 // Engine returns the engine driving the layer.
 func (ly *Layer) Engine() *sim.Engine { return ly.eng }
-
-// NumFluidLinks reports the size of the fluid capacity graph.
-func (ly *Layer) NumFluidLinks() int { return ly.net.NumLinks() }
 
 // FluidDebug reports the fluid simulator's settle-pass counters: how many
 // non-trivial rate recomputations ran and how many flow rates they

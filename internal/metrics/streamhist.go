@@ -41,10 +41,6 @@ func (h *StreamHist) Observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))]++
 }
 
-// ObserveSim records a sim.Time without the import (any int64 nanosecond
-// count).
-func (h *StreamHist) ObserveSim(v int64) { h.Observe(v) }
-
 // Count reports the number of observations.
 func (h *StreamHist) Count() uint64 { return h.count }
 

@@ -4,35 +4,38 @@ import (
 	"errors"
 	"testing"
 
+	"dumbnet/internal/core"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/phost"
 	"dumbnet/internal/sim"
-	"dumbnet/internal/testnet"
 	"dumbnet/internal/topo"
 )
 
 // deployPHost builds a warmed testbed with a transport on every host.
-func deployPHost(t *testing.T, cfg phost.Config) (*testnet.Net, map[packet.MAC]*phost.Transport) {
+func deployPHost(t *testing.T, cfg phost.Config) (*core.Network, map[packet.MAC]*phost.Transport) {
 	t.Helper()
 	tp, err := topo.Testbed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := testnet.Build(tp, testnet.DefaultOptions())
+	n, err := core.New(tp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
 	// Warm all pairs so the transport never stalls on path queries.
-	for _, a := range n.Hosts {
-		for _, b := range n.Hosts {
+	for _, a := range n.Hosts() {
+		for _, b := range n.Hosts() {
 			if a != b {
 				_ = n.Agent(a).WarmUp(b)
 			}
 		}
 	}
 	n.Run()
-	tr := make(map[packet.MAC]*phost.Transport, len(n.Hosts))
-	for _, m := range n.Hosts {
+	tr := make(map[packet.MAC]*phost.Transport, len(n.Hosts()))
+	for _, m := range n.Hosts() {
 		tr[m] = phost.New(n.Eng, n.Agent(m), cfg)
 	}
 	return n, tr
@@ -41,7 +44,8 @@ func deployPHost(t *testing.T, cfg phost.Config) (*testnet.Net, map[packet.MAC]*
 func TestSingleFlowCompletes(t *testing.T) {
 	cfg := phost.DefaultConfig()
 	n, tr := deployPHost(t, cfg)
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	var dur sim.Time = -1
 	const flowBytes = 2_000_000 // ~1380 packets
 	if _, err := tr[src].SendFlow(dst, flowBytes, func(d sim.Time) { dur = d }); err != nil {
@@ -70,8 +74,8 @@ func TestSingleFlowCompletes(t *testing.T) {
 
 func TestSRPTPrefersShortFlows(t *testing.T) {
 	n, tr := deployPHost(t, phost.DefaultConfig())
-	dst := n.Hosts[0]
-	longSrc, shortSrc := n.Hosts[1], n.Hosts[2]
+	dst := n.Hosts()[0]
+	longSrc, shortSrc := n.Hosts()[1], n.Hosts()[2]
 	var longDone, shortDone sim.Time = -1, -1
 	// Start the long flow first; the short one must still finish first.
 	if _, err := tr[longSrc].SendFlow(dst, 20_000_000, func(d sim.Time) { longDone = n.Eng.Now() }); err != nil {
@@ -93,10 +97,10 @@ func TestSRPTPrefersShortFlows(t *testing.T) {
 
 func TestManyToOneIncast(t *testing.T) {
 	n, tr := deployPHost(t, phost.DefaultConfig())
-	dst := n.Hosts[0]
+	dst := n.Hosts()[0]
 	done := 0
 	for i := 1; i <= 8; i++ {
-		src := n.Hosts[i]
+		src := n.Hosts()[i]
 		if _, err := tr[src].SendFlow(dst, 1_000_000, func(sim.Time) { done++ }); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +121,8 @@ func TestManyToOneIncast(t *testing.T) {
 
 func TestFlowSurvivesLinkFailure(t *testing.T) {
 	n, tr := deployPHost(t, phost.DefaultConfig())
-	src, dst := n.Hosts[0], n.Hosts[len(n.Hosts)-1]
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
 	var dur sim.Time = -1
 	if _, err := tr[src].SendFlow(dst, 10_000_000, func(d sim.Time) { dur = d }); err != nil {
 		t.Fatal(err)
@@ -136,14 +141,14 @@ func TestFlowSurvivesLinkFailure(t *testing.T) {
 
 func TestRejectsEmptyFlow(t *testing.T) {
 	n, tr := deployPHost(t, phost.DefaultConfig())
-	if _, err := tr[n.Hosts[0]].SendFlow(n.Hosts[1], 0, nil); !errors.Is(err, phost.ErrFlowTooSmall) {
+	if _, err := tr[n.Hosts()[0]].SendFlow(n.Hosts()[1], 0, nil); !errors.Is(err, phost.ErrFlowTooSmall) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestOtherTrafficChains(t *testing.T) {
 	n, tr := deployPHost(t, phost.DefaultConfig())
-	src, dst := n.Hosts[0], n.Hosts[1]
+	src, dst := n.Hosts()[0], n.Hosts()[1]
 	_ = tr // transports installed on all hosts
 	var got []byte
 	prev := n.Agent(dst).OnData
@@ -166,7 +171,7 @@ func TestSmallFlowWithinFreeWindow(t *testing.T) {
 	// A flow smaller than the free-token window needs no tokens at all.
 	cfg := phost.DefaultConfig()
 	n, tr := deployPHost(t, cfg)
-	src, dst := n.Hosts[0], n.Hosts[1]
+	src, dst := n.Hosts()[0], n.Hosts()[1]
 	var dur sim.Time = -1
 	if _, err := tr[src].SendFlow(dst, int64(cfg.PacketBytes*2), func(d sim.Time) { dur = d }); err != nil {
 		t.Fatal(err)

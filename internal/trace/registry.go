@@ -144,11 +144,6 @@ func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	in.fn = fn
 }
 
-// Names returns the registered names in registration order.
-func (r *Registry) Names() []string {
-	return append([]string(nil), r.order...)
-}
-
 // SnapshotEntry is one instrument's value at snapshot time.
 type SnapshotEntry struct {
 	Name  string

@@ -3,8 +3,8 @@ package vnet_test
 import (
 	"testing"
 
+	"dumbnet/internal/core"
 	"dumbnet/internal/packet"
-	"dumbnet/internal/testnet"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/vnet"
 )
@@ -12,19 +12,22 @@ import (
 // End-to-end §6.1: the controller's path service enforces tenant isolation
 // over the live fabric.
 
-func deployTenants(t *testing.T) (*testnet.Net, *vnet.Manager, []packet.MAC, []packet.MAC) {
+func deployTenants(t *testing.T) (*core.Network, *vnet.Manager, []packet.MAC, []packet.MAC) {
 	t.Helper()
 	tp, err := topo.Testbed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := testnet.Build(tp, testnet.DefaultOptions())
+	n, err := core.New(tp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
 	mgr := vnet.NewManager(n.Ctrl.Master(), topo.PathGraphOptions{}, 1)
-	red := n.Hosts[0:4]
-	blue := n.Hosts[10:14]
+	red := n.Hosts()[0:4]
+	blue := n.Hosts()[10:14]
 	if _, err := mgr.CreateTenant("red", red); err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestCrossTenantTrafficRefused(t *testing.T) {
 
 func TestUntenantedHostsUnaffected(t *testing.T) {
 	n, _, _, _ := deployTenants(t)
-	free1, free2 := n.Hosts[20], n.Hosts[21]
+	free1, free2 := n.Hosts()[20], n.Hosts()[21]
 	got := 0
 	n.Agent(free2).OnData = func(packet.MAC, uint16, []byte) { got++ }
 	if err := n.Agent(free1).SendData(free2, []byte("global")); err != nil {

@@ -35,16 +35,34 @@ func (c *Cluster) Workers() int { return len(c.Agents) }
 // hybrid fluid layer and returns the job duration in virtual time. Each
 // stage waits for its dependencies, runs ComputeSec of computation, then
 // opens its transfers as fluid flows; the stage completes when the last
-// flow's completion event fires. The engine is drained to run the job;
-// callers on perpetual deployments (replication heartbeats, telemetry
-// flushes) should prefer RunJobsOnFabric which bounds the drain.
+// flow's completion event fires. The engine is drained to run the job.
 func RunJobOnFabric(job Job, c *Cluster) (sim.Time, error) {
-	d, err := scheduleJob(job, c)
+	if len(c.MACs) != len(c.Agents) {
+		return 0, fmt.Errorf("workload: cluster has %d agents but %d MACs", len(c.Agents), len(c.MACs))
+	}
+	for si, st := range job.Stages {
+		for _, f := range st.Flows {
+			if f.Src < 0 || f.Src >= c.Workers() || f.Dst < 0 || f.Dst >= c.Workers() {
+				return 0, fmt.Errorf("workload: stage %d (%s) places worker %d/%d outside the %d-host cluster",
+					si, st.Name, f.Src, f.Dst, c.Workers())
+			}
+		}
+	}
+	r := &fabricRun{c: c}
+	if err := r.init(job, r); err != nil {
+		return 0, err
+	}
+	eng := c.Layer.Engine()
+	r.start(eng.Now())
+	eng.Run()
+	d, err := r.duration()
 	if err != nil {
 		return 0, err
 	}
-	c.Layer.Engine().Run()
-	return d.result()
+	if r.failed > 0 {
+		return 0, fmt.Errorf("workload: %d transfers failed route reservation", r.failed)
+	}
+	return d, nil
 }
 
 // RunJobsOnFabric runs jobs sequentially (each starts when the previous
@@ -61,118 +79,30 @@ func RunJobsOnFabric(jobs []Job, c *Cluster) ([]sim.Time, error) {
 	return out, nil
 }
 
-// dagRun tracks one in-flight job.
-type dagRun struct {
-	job     Job
-	c       *Cluster
-	base    sim.Time
-	jobEnd  sim.Time
-	remDeps []int
-	deps    [][]int // stage -> dependents
-	remFlow []int
-	done    []bool
-	failed  int
+// fabricRun walks a job on the cluster's engine, in nanoseconds.
+type fabricRun struct {
+	walk[sim.Time]
+	c      *Cluster
+	failed int // transfers whose route reservation failed
 }
 
-func secToTime(s float64) sim.Time { return sim.Time(math.Ceil(s * 1e9)) }
+func (r *fabricRun) at(t sim.Time, fn func())   { r.c.Layer.Engine().At(t, fn) }
+func (r *fabricRun) delay(sec float64) sim.Time { return sim.Time(math.Ceil(sec * 1e9)) }
 
-// scheduleJob validates the DAG, checks worker placement, and schedules
-// the root stages on the engine. Nothing advances until the engine runs.
-func scheduleJob(job Job, c *Cluster) (*dagRun, error) {
-	if err := job.Validate(); err != nil {
-		return nil, err
+func (r *fabricRun) open(stage, fi int, fl Flow, _ sim.Time) {
+	// One FlowKey per transfer: repeated src->dst pairs hash to distinct
+	// paths, exactly like distinct packet flows would.
+	key := host.FlowKey{
+		Dst:     r.c.MACs[fl.Dst],
+		SrcPort: uint16(fi),
+		DstPort: uint16(stage),
+		Proto:   0xFE,
 	}
-	for si, st := range job.Stages {
-		for _, f := range st.Flows {
-			if f.Src < 0 || f.Src >= c.Workers() || f.Dst < 0 || f.Dst >= c.Workers() {
-				return nil, fmt.Errorf("workload: stage %d (%s) places worker %d/%d outside the %d-host cluster",
-					si, st.Name, f.Src, f.Dst, c.Workers())
+	r.c.Layer.Open(r.c.Agents[fl.Src], r.c.MACs[fl.Dst], int64(math.Ceil(fl.Bytes)), key,
+		func(f *hybrid.Flow) {
+			if f.Failed {
+				r.failed++
 			}
-		}
-	}
-	n := len(job.Stages)
-	d := &dagRun{
-		job:     job,
-		c:       c,
-		base:    c.Layer.Engine().Now(),
-		remDeps: make([]int, n),
-		deps:    make([][]int, n),
-		remFlow: make([]int, n),
-		done:    make([]bool, n),
-	}
-	for i, st := range job.Stages {
-		d.remDeps[i] = len(st.Deps)
-		for _, dep := range st.Deps {
-			d.deps[dep] = append(d.deps[dep], i)
-		}
-	}
-	for i := range job.Stages {
-		if d.remDeps[i] == 0 {
-			d.startStage(i, d.base)
-		}
-	}
-	return d, nil
-}
-
-func (d *dagRun) startStage(i int, at sim.Time) {
-	st := d.job.Stages[i]
-	eng := d.c.Layer.Engine()
-	start := at + secToTime(st.ComputeSec)
-	if len(st.Flows) == 0 {
-		eng.At(start, func() { d.completeStage(i, start) })
-		return
-	}
-	d.remFlow[i] = len(st.Flows)
-	stage := i
-	eng.At(start, func() {
-		for fi, fl := range st.Flows {
-			// One FlowKey per transfer: repeated src->dst pairs hash to
-			// distinct paths, exactly like distinct packet flows would.
-			key := host.FlowKey{
-				Dst:     d.c.MACs[fl.Dst],
-				SrcPort: uint16(fi),
-				DstPort: uint16(stage),
-				Proto:   0xFE,
-			}
-			d.c.Layer.Open(d.c.Agents[fl.Src], d.c.MACs[fl.Dst], int64(math.Ceil(fl.Bytes)), key,
-				func(f *hybrid.Flow) {
-					if f.Failed {
-						d.failed++
-					}
-					d.remFlow[stage]--
-					if d.remFlow[stage] == 0 {
-						d.completeStage(stage, f.End)
-					}
-				})
-		}
-	})
-}
-
-func (d *dagRun) completeStage(i int, now sim.Time) {
-	if d.done[i] {
-		return
-	}
-	d.done[i] = true
-	if now > d.jobEnd {
-		d.jobEnd = now
-	}
-	for _, dep := range d.deps[i] {
-		d.remDeps[dep]--
-		if d.remDeps[dep] == 0 {
-			d.startStage(dep, now)
-		}
-	}
-}
-
-// result reports the job duration once the engine has drained.
-func (d *dagRun) result() (sim.Time, error) {
-	for i, ok := range d.done {
-		if !ok {
-			return 0, fmt.Errorf("workload: stage %d (%s) never completed", i, d.job.Stages[i].Name)
-		}
-	}
-	if d.failed > 0 {
-		return 0, fmt.Errorf("workload: %d transfers failed route reservation", d.failed)
-	}
-	return d.jobEnd - d.base, nil
+			r.flowDone(stage, f.End)
+		})
 }

@@ -2,10 +2,12 @@ package workload_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"dumbnet/internal/core"
 	"dumbnet/internal/hybrid"
+	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/workload"
@@ -133,15 +135,50 @@ func stageBytes(s workload.Stage) float64 {
 	return sum
 }
 
-// TestClusterPlacementChecked: out-of-range workers are a scheduling
-// error, not a panic.
+// TestClusterPlacementChecked: out-of-range workers and a cluster with
+// fewer MACs than agents are scheduling errors, not panics.
 func TestClusterPlacementChecked(t *testing.T) {
 	_, c := buildCluster(t, 4, 1)
+	short := *c
+	short.MACs = c.MACs[:len(c.MACs)-1]
+	for _, tc := range []struct {
+		name string
+		c    *workload.Cluster
+		dst  int
+	}{
+		{"worker outside the cluster", c, c.Workers() + 5},
+		{"fewer MACs than agents", &short, c.Workers() - 1},
+	} {
+		j := workload.Job{Stages: []workload.Stage{{
+			Name:  "bad",
+			Flows: []workload.Flow{{Src: 0, Dst: tc.dst, Bytes: 1e6}},
+		}}}
+		if _, err := workload.RunJobOnFabric(j, tc.c); err == nil {
+			t.Errorf("%s: expected placement error", tc.name)
+		}
+	}
+}
+
+// TestRunJobOnFabricReservationFails: a transfer to a host the fabric does
+// not have cannot reserve a route. Its stage still completes, so the job
+// ends, and RunJobOnFabric reports the failed transfer instead of a
+// duration.
+func TestRunJobOnFabricReservationFails(t *testing.T) {
+	_, c := buildCluster(t, 4, 1)
+	c.MACs = append([]packet.MAC(nil), c.MACs...)
+	c.MACs[1] = packet.MACFromUint64(0xdead)
 	j := workload.Job{Stages: []workload.Stage{{
-		Name:  "bad",
-		Flows: []workload.Flow{{Src: 0, Dst: c.Workers() + 5, Bytes: 1e6}},
+		Name: "shuffle",
+		Flows: []workload.Flow{
+			{Src: 0, Dst: 1, Bytes: 1e6},
+			{Src: 0, Dst: 2, Bytes: 1e6},
+		},
 	}}}
-	if _, err := workload.RunJobOnFabric(j, c); err == nil {
-		t.Fatal("expected placement error")
+	_, err := workload.RunJobOnFabric(j, c)
+	if err == nil || !strings.Contains(err.Error(), "1 transfers failed route reservation") {
+		t.Fatalf("err = %v, want one failed route reservation", err)
+	}
+	if st := c.Layer.Stats(); st.Failed != 1 || st.Completed != 1 || st.Active != 0 {
+		t.Fatalf("layer stats = %+v, want one failed and one completed transfer", st)
 	}
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dumbnet/internal/flowsim"
@@ -136,6 +137,26 @@ func TestRunJobParallelDeps(t *testing.T) {
 	// join waits for the slower branch: 3 + 1.
 	if math.Abs(dur-4) > 1e-6 {
 		t.Fatalf("duration = %v, want 4", dur)
+	}
+}
+
+// A flow over a dead (zero-capacity) link never finishes, so its stage
+// and everything after it never complete: RunJob names the first stuck
+// stage instead of returning a duration.
+func TestRunJobStageNeverCompletes(t *testing.T) {
+	net := flowsim.NewNetwork()
+	dead := net.AddLink(0)
+	job := Job{
+		Name: "stuck",
+		Stages: []Stage{
+			{Name: "compute", ComputeSec: 1},
+			{Name: "transfer", Deps: []int{0}, Flows: []Flow{{Src: 0, Dst: 1, Bytes: 1e6}}},
+			{Name: "finish", Deps: []int{1}, ComputeSec: 1},
+		},
+	}
+	_, err := RunJob(job, net, func(int, int, int) []flowsim.LinkID { return []flowsim.LinkID{dead} })
+	if err == nil || !strings.Contains(err.Error(), "stage 1 (transfer) never completed") {
+		t.Fatalf("err = %v, want stage 1 never completed", err)
 	}
 }
 
