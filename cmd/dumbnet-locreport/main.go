@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"go/scanner"
 	"go/token"
+	"io"
 	"io/fs"
 	"log"
 	"os"
@@ -25,12 +26,18 @@ import (
 func main() {
 	root := flag.String("root", ".", "repository root")
 	flag.Parse()
-
-	// Every package under internal/ gets a row, so a new one cannot be
-	// missed; then the trees beside it.
-	pkgs, err := os.ReadDir(filepath.Join(*root, "internal"))
-	if err != nil {
+	if err := report(os.Stdout, *root); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// report writes the breakdown of the tree at root to w.
+func report(w io.Writer, root string) error {
+	// Every package under internal/ gets a row, so a new one cannot be
+	// missed; then the trees beside it that exist.
+	pkgs, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		return err
 	}
 	var dirs []string
 	for _, p := range pkgs {
@@ -38,18 +45,22 @@ func main() {
 			dirs = append(dirs, "internal/"+p.Name())
 		}
 	}
-	dirs = append(dirs, "cmd", "examples", "bench")
+	for _, d := range []string{"cmd", "examples", "bench"} {
+		if _, err := os.Stat(filepath.Join(root, d)); err == nil {
+			dirs = append(dirs, d)
+		}
+	}
 
 	tbl := metrics.NewTable("Code breakdown (Go lines)", "module", "code", "sloc", "tests")
 	internalCode, internalSloc, totalCode, totalSloc, totalTests := 0, 0, 0, 0, 0
 	for _, d := range dirs {
-		c, t, err := experiments.GoLines(filepath.Join(*root, d))
+		c, t, err := experiments.GoLines(filepath.Join(root, d))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		sloc, err := slocLines(filepath.Join(*root, d))
+		sloc, err := slocLines(filepath.Join(root, d))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if filepath.Dir(d) == "internal" {
 			internalCode += c
@@ -61,8 +72,8 @@ func main() {
 		tbl.AddRow(d, c, sloc, t)
 	}
 	tbl.AddRow("TOTAL", totalCode, totalSloc, totalTests)
-	fmt.Println(tbl.String())
-	fmt.Printf("non-test Go lines under internal/: %d (sloc %d)\n\n", internalCode, internalSloc)
+	fmt.Fprintln(w, tbl.String())
+	fmt.Fprintf(w, "non-test Go lines under internal/: %d (sloc %d)\n\n", internalCode, internalSloc)
 
 	// Paper comparison.
 	paper := metrics.NewTable("Paper's Table 1 (C/C++ lines) for reference",
@@ -79,7 +90,8 @@ func main() {
 	for _, k := range keys {
 		paper.AddRow(k, rows[k])
 	}
-	fmt.Println(paper.String())
+	_, err = fmt.Fprintln(w, paper.String())
+	return err
 }
 
 // slocLines counts the lines of non-test Go source under dir that hold a

@@ -20,6 +20,11 @@
 // flows are fixed. (share, linkID) is a total order, so the heap picks the
 // same bottleneck as the oracle's ascending scan, lowest index on ties.
 //
+// Projected completions live in a second indexed min-heap, one (at, aseq)
+// entry per flow with a positive or infinite rate. An entry is re-keyed in
+// place only when its time moves, and leaves when its flow stalls or
+// finishes; aseq is unique, so flows complete in (at, aseq) order.
+//
 // A settle dirtied only by completions resumes the filling rather than
 // restarting it. Every fix step has a global number, every flow records
 // the run and step that fixed it, and every link logs its remaining
@@ -103,7 +108,7 @@ type Flow struct {
 	sim       *Simulator
 	uniq      []LinkID // deduplicated Path, first-occurrence order
 	aseq      int64    // activation sequence: per-link lists sort by this
-	ver       int32    // invalidates stale finish-heap entries
+	finPos    int32    // index of the flow's finish-heap entry; -1 when it has none
 	activeIdx int      // position in Simulator.active (swap-remove)
 	run       int64    // waterfill run that fixed the rate (0: none yet)
 	step      int64    // global fix step at which that run fixed it
@@ -203,71 +208,73 @@ func (h actionHeap) down(i int) {
 	}
 }
 
-// finEntry is a projected flow completion. Entries are invalidated rather
-// than removed when a flow's rate changes: ver must match the flow's
-// current version for the entry to count.
+// finEntry is a flow's projected completion.
 type finEntry struct {
 	at   float64
 	aseq int64
-	ver  int32
 	f    *Flow
 }
 
+func (a finEntry) before(b finEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.aseq < b.aseq
+}
+
+// finHeap is an indexed binary min-heap over (at, aseq), each entry at its
+// flow's finPos. up and down move a hole, as in shareHeap.
 type finHeap []finEntry
 
-func (h finHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].aseq < h[j].aseq
+func (h finHeap) set(i int, e finEntry) {
+	h[i] = e
+	e.f.finPos = int32(i)
 }
 
-func (h *finHeap) push(e finEntry) {
-	*h = append(*h, e)
-	h.up(len(*h) - 1)
-}
-
-func (h *finHeap) pop() finEntry {
+// remove deletes entry i and returns it.
+func (h *finHeap) remove(i int) finEntry {
 	old := *h
-	e := old[0]
+	e := old[i]
+	e.f.finPos = -1
 	n := len(old) - 1
-	old[0] = old[n]
-	old[n] = finEntry{}
+	last := old[n]
+	old[n] = finEntry{} // release the flow for GC
 	*h = old[:n]
-	if n > 0 {
-		h.down(0)
+	if i < n {
+		h.down(h.up(i, last), last)
 	}
 	return e
 }
 
-func (h finHeap) up(i int) {
+func (h finHeap) up(i int, e finEntry) int {
 	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		p := (i - 1) / 2
+		if !e.before(h[p]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+		h.set(i, h[p])
+		i = p
 	}
+	return i
 }
 
-func (h finHeap) down(i int) {
+func (h finHeap) down(i int, e finEntry) {
 	n := len(h)
 	for {
-		l := 2*i + 1
-		if l >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
 		}
-		if !h.less(m, i) {
+		if !h[c].before(e) {
 			break
 		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		h.set(i, h[c])
+		i = c
 	}
+	h.set(i, e)
 }
 
 // Simulator advances flows through time.
@@ -326,13 +333,15 @@ type Simulator struct {
 // SettleStats counts the non-trivial settle passes and the components
 // they re-waterfilled (profiling aid; no functional effect).
 type SettleStats struct {
-	Settles   uint64 // settle passes
-	Resumed   uint64 // settle passes that resumed at a completion's frontier
-	Flows     uint64 // component flows, summed over the passes
-	Refilled  uint64 // flows whose rate was recomputed, summed over the passes
-	Links     uint64 // component links, summed over the passes
-	PeakFlows int    // largest component re-waterfilled, in flows
-	PeakLinks int    // largest component re-waterfilled, in links
+	Settles     uint64 // settle passes
+	Resumed     uint64 // settle passes that resumed at a completion's frontier
+	Flows       uint64 // component flows, summed over the passes
+	Refilled    uint64 // flows whose rate was recomputed, summed over the passes
+	Links       uint64 // component links, summed over the passes
+	Reprojected uint64 // finish projections recomputed for flows already holding an entry
+	Moved       uint64 // those whose finish time changed, so the entry was re-keyed
+	PeakFlows   int    // largest component re-waterfilled, in flows
+	PeakLinks   int    // largest component re-waterfilled, in links
 }
 
 // fixMark is a link's remaining capacity after one fix step.
@@ -375,10 +384,15 @@ func (s *Simulator) markDirty(l LinkID) {
 	}
 }
 
-// Add registers a flow; its Start may be now or in the future.
+// Add registers a flow; its Start may be now or in the future. A flow is
+// added once: adding it again, here or to another simulator, panics.
 func (s *Simulator) Add(f *Flow) {
+	if f.sim != nil {
+		panic(fmt.Sprintf("flowsim: flow %d added twice", f.ID))
+	}
 	f.sim = s
 	f.remaining = f.Size
+	f.finPos = -1
 	s.added++
 	if f.Start > s.now {
 		start := f.Start
@@ -415,24 +429,27 @@ func (s *Simulator) activate(f *Flow) {
 	f.upd = s.now
 	f.activeIdx = len(s.active)
 	s.active = append(s.active, f)
+	s.place(f)
+}
+
+// place puts an active flow on the links of its Path. Pathless, uncapped
+// flows complete at an effectively infinite rate; capped ones at exactly
+// their cap. These form singleton components, so no waterfill is needed
+// (the oracle's progressive filling assigns the identical values).
+func (s *Simulator) place(f *Flow) {
 	f.uniq = dedupInto(f.uniq[:0], f.Path)
 	if len(f.uniq) == 0 {
-		// Pathless: uncapped flows complete at an effectively infinite
-		// rate; capped ones at exactly their cap. These form singleton
-		// components, so no waterfill is needed (the oracle's
-		// progressive filling assigns the identical values).
+		s.drain(f)
+		f.rate = math.Inf(1)
 		if f.RateCap > 0 {
 			f.rate = f.RateCap
-		} else {
-			f.rate = math.Inf(1)
 		}
-		f.ver++
 		s.pushFin(f)
 		return
 	}
 	for _, l := range f.uniq {
 		s.ensureLink(int(l))
-		s.linkFlows[int(l)] = append(s.linkFlows[int(l)], f) // max aseq: append keeps order
+		s.insertIntoLink(l, f)
 		s.markDirty(l)
 	}
 	s.resumeRun = -1
@@ -450,10 +467,14 @@ func (s *Simulator) removeFromLink(l LinkID, f *Flow) {
 	}
 }
 
-// insertIntoLink adds f to link l's list at its aseq position.
+// insertIntoLink adds f to link l's list at its aseq position: the end for
+// an activation, which holds the largest aseq yet.
 func (s *Simulator) insertIntoLink(l LinkID, f *Flow) {
 	lst := s.linkFlows[int(l)]
-	i := sort.Search(len(lst), func(i int) bool { return lst[i].aseq >= f.aseq })
+	i := len(lst)
+	if i > 0 && lst[i-1].aseq > f.aseq {
+		i = sort.Search(i, func(i int) bool { return lst[i].aseq >= f.aseq })
+	}
 	lst = append(lst, nil)
 	copy(lst[i+1:], lst[i:])
 	lst[i] = f
@@ -480,23 +501,7 @@ func (s *Simulator) Reroute(f *Flow, path []LinkID) {
 		s.removeFromLink(l, f)
 		s.markDirty(l)
 	}
-	f.uniq = dedupInto(f.uniq[:0], f.Path)
-	if len(f.uniq) == 0 {
-		s.drain(f)
-		if f.RateCap > 0 {
-			f.rate = f.RateCap
-		} else {
-			f.rate = math.Inf(1)
-		}
-		f.ver++
-		s.pushFin(f)
-		return
-	}
-	for _, l := range f.uniq {
-		s.ensureLink(int(l))
-		s.insertIntoLink(l, f)
-		s.markDirty(l)
-	}
+	s.place(f)
 }
 
 // drain charges a flow's lazily-accounted progress up to the current time.
@@ -515,12 +520,17 @@ func (s *Simulator) drain(f *Flow) {
 	f.upd = s.now
 }
 
-// pushFin projects the flow's completion under its current rate. Residuals
-// draining in under a picosecond complete now: their finish time is below
-// float64 time resolution and waiting on them would stall the clock.
+// pushFin projects the flow's completion under its current rate into its
+// finish-heap entry, which a stalled flow gives up. Residuals draining in
+// under a picosecond complete now: their finish time is below float64 time
+// resolution and waiting on them would stall the clock.
 func (s *Simulator) pushFin(f *Flow) {
-	if f.rate <= 0 && !math.IsInf(f.rate, 1) {
-		return // stalled: a future re-rate will re-project
+	i := int(f.finPos)
+	if f.rate <= 0 {
+		if i >= 0 {
+			s.fins.remove(i)
+		}
+		return
 	}
 	at := s.now
 	if !math.IsInf(f.rate, 1) {
@@ -528,7 +538,18 @@ func (s *Simulator) pushFin(f *Flow) {
 			at = s.now + d
 		}
 	}
-	s.fins.push(finEntry{at: at, aseq: f.aseq, ver: f.ver, f: f})
+	if i >= 0 {
+		s.stats.Reprojected++
+		if s.fins[i].at == at {
+			return
+		}
+		s.stats.Moved++
+	} else {
+		i = len(s.fins)
+		s.fins = append(s.fins, finEntry{})
+	}
+	e := finEntry{at: at, aseq: f.aseq, f: f}
+	s.fins.down(s.fins.up(i, e), e)
 }
 
 // settle re-waterfills the connected component(s) of the flow↔link graph
@@ -601,13 +622,13 @@ func (s *Simulator) settle() {
 	unfixed := 0
 	for _, f := range flows {
 		s.drain(f)
-		f.ver++ // stale finish projections no longer count
 		if resume && f.step < frontier {
 			// The rate stands; its finish is re-projected from the drained
 			// remainder, exactly as a full pass would.
 			s.pushFin(f)
 			continue
 		}
+		// The finish entry stays until the fix re-projects it.
 		f.rate = 0
 		f.fixed = false
 		for _, l := range f.uniq {
@@ -629,14 +650,21 @@ func (s *Simulator) settle() {
 	st.Links += uint64(len(links))
 	st.PeakFlows = max(st.PeakFlows, len(flows))
 	st.PeakLinks = max(st.PeakLinks, len(links))
-	s.waterfill(links, capped, unfixed, run)
+	if s.waterfill(links, capped, unfixed, run) > 0 {
+		// Uncapped flows on infinite-capacity links only are never fixed:
+		// they stall at rate 0, as in allocate().
+		for _, f := range flows {
+			if !f.fixed {
+				s.pushFin(f)
+			}
+		}
+	}
 	// Clear the scratch so it holds no flow past its completion.
 	clear(flows)
 	clear(capped)
 	s.compLinks = links[:0]
 	s.compFlows = flows[:0]
 	s.capped = capped[:0]
-	s.maybeCompactFins()
 }
 
 // sortCapped orders capped flows by (RateCap, ID, aseq) — a total order,
@@ -669,8 +697,9 @@ func sortCapped(capped []*Flow) {
 //
 // Each fix step takes the next global step number; a fixed flow records
 // it with run, and every link the step changes logs its remaining
-// capacity, which is what a later settle resumes from.
-func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int, run int64) {
+// capacity, which is what a later settle resumes from. It returns the
+// number of flows it left unfixed.
+func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int, run int64) int {
 	h := &s.shares
 	for _, l := range links {
 		if s.nUnfixed[int(l)] > 0 {
@@ -752,6 +781,7 @@ func (s *Simulator) waterfill(links []LinkID, capped []*Flow, unfixed int, run i
 	}
 	h.ent = h.ent[:0]
 	s.touched = touched[:0]
+	return unfixed
 }
 
 // share is link l's fair share of its remaining capacity.
@@ -837,24 +867,6 @@ func (h *shareHeap) down(i int, e shareEntry) {
 		i = c
 	}
 	h.set(i, e)
-}
-
-// maybeCompactFins rebuilds the finish heap when stale (version-mismatched)
-// entries dominate, bounding memory under heavy re-rating.
-func (s *Simulator) maybeCompactFins() {
-	if len(s.fins) <= 3*len(s.active)+64 {
-		return
-	}
-	kept := s.fins[:0]
-	for _, e := range s.fins {
-		if e.f.active && !e.f.Finished && e.ver == e.f.ver {
-			kept = append(kept, e)
-		}
-	}
-	s.fins = kept
-	for i := len(s.fins)/2 - 1; i >= 0; i-- {
-		s.fins.down(i)
-	}
 }
 
 // allocate recomputes every active flow's rate from scratch with the
@@ -948,17 +960,8 @@ func (s *Simulator) allocate() {
 	}
 }
 
-// peekNext returns the earliest pending event (completion or action),
-// discarding stale finish projections from the heap top.
+// peekNext returns the earliest pending event (completion or action).
 func (s *Simulator) peekNext() (float64, bool) {
-	for len(s.fins) > 0 {
-		e := s.fins[0]
-		if !e.f.active || e.f.Finished || e.ver != e.f.ver {
-			s.fins.pop()
-			continue
-		}
-		break
-	}
 	t := math.Inf(1)
 	ok := false
 	if len(s.fins) > 0 {
@@ -975,11 +978,7 @@ func (s *Simulator) peekNext() (float64, bool) {
 func (s *Simulator) finishDue() {
 	nDone := len(s.done)
 	for len(s.fins) > 0 && s.fins[0].at <= s.now {
-		e := s.fins.pop()
-		f := e.f
-		if !f.active || f.Finished || e.ver != f.ver {
-			continue
-		}
+		f := s.fins.remove(0).f
 		f.remaining = 0
 		f.upd = s.now
 		f.Finished = true

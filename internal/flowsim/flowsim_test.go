@@ -215,6 +215,45 @@ func TestFinishedFlowReleased(t *testing.T) {
 	t.Fatal("a finished flow is still reachable from its simulator")
 }
 
+// TestAddTwicePanics: adding a registered flow again would reset its
+// progress and count it twice, so AllDone could never hold. Add refuses,
+// before touching any state.
+func TestAddTwicePanics(t *testing.T) {
+	n := NewNetwork()
+	l := n.AddLink(100)
+	s := NewSimulator(n)
+	f := &Flow{ID: 7, Path: []LinkID{l}, Size: 100}
+	s.Add(f)
+	func() {
+		defer func() {
+			if r := recover(); r != "flowsim: flow 7 added twice" {
+				t.Fatalf("second Add recovered %v, want the added-twice panic", r)
+			}
+		}()
+		s.Add(f)
+	}()
+	s.Run()
+	if !s.AllDone() || !approx(f.End, 1, 1e-9) {
+		t.Fatalf("%v, end %v", s, f.End)
+	}
+}
+
+// TestInfiniteCapacityStalls: a flow whose only link turns infinite is
+// never fixed by the filling, so, as in allocate(), it runs at rate 0 and
+// drops the finish it projected at its earlier rate.
+func TestInfiniteCapacityStalls(t *testing.T) {
+	n := NewNetwork()
+	l := n.AddLink(100)
+	s := NewSimulator(n)
+	f := &Flow{ID: 1, Path: []LinkID{l}, Size: 1000}
+	s.Add(f)
+	s.At(5, func() { n.SetCapacity(l, math.Inf(1)) })
+	s.Run()
+	if f.Finished || f.rate != 0 || f.finPos != -1 {
+		t.Fatalf("finished=%v end=%v rate=%v finPos=%d", f.Finished, f.End, f.rate, f.finPos)
+	}
+}
+
 func TestPathlessFlowInstant(t *testing.T) {
 	s := NewSimulator(NewNetwork())
 	f := &Flow{ID: 1, Size: 1000}

@@ -78,17 +78,43 @@ func TestIncrementalMatchesOracle(t *testing.T) {
 			default: // advance time
 				s.RunUntil(s.Now() + rng.Float64()*2)
 			}
-			checkOracle(t, s, seed, step)
+			checkOracle(t, s, live, seed, step)
 		}
+
+		// Two flows on link 0 leave the finish heap when it fails and come
+		// back when it heals; a reroute onto an empty path then turns one
+		// pathless, and it completes at once.
+		n.SetCapacity(0, baseCap[0])
+		a := &Flow{ID: nextID, Path: []LinkID{0}, Size: 1e9}
+		b := &Flow{ID: nextID + 1, Path: []LinkID{0}, Size: 1e9}
+		live = append(live, a, b)
+		s.Add(a)
+		s.Add(b)
+		for i, c := range []float64{baseCap[0], 0, baseCap[0]} {
+			n.SetCapacity(0, c)
+			checkOracle(t, s, live, seed, 250+i)
+			if held := a.finPos >= 0 && b.finPos >= 0; held != (c > 0) {
+				t.Fatalf("seed %d: link 0 at capacity %v, its flows hold finish entries: %v", seed, c, held)
+			}
+		}
+		s.Reroute(a, nil)
+		checkOracle(t, s, live, seed, 253)
+		s.RunUntil(s.Now())
+		if !a.Finished || a.End != s.Now() {
+			t.Fatalf("seed %d: pathless flow finished=%v end=%v at t=%v", seed, a.Finished, a.End, s.Now())
+		}
+		checkOracle(t, s, live, seed, 254)
 		s.Run()
 	}
 }
 
-// checkOracle settles s, then recomputes every active flow's rate with the
-// brute-force allocate() pass and fails unless both are bit-identical.
-func checkOracle(t *testing.T, s *Simulator, seed int64, step int) {
+// checkOracle settles s, checks the finish heap, then recomputes every
+// active flow's rate with the brute-force allocate() pass and fails unless
+// both are bit-identical.
+func checkOracle(t *testing.T, s *Simulator, live []*Flow, seed int64, step int) {
 	t.Helper()
 	s.settle()
+	checkFinHeap(t, s, live, seed, step)
 	type snap struct {
 		f *Flow
 		r uint64
@@ -103,6 +129,51 @@ func checkOracle(t *testing.T, s *Simulator, seed int64, step int) {
 			t.Fatalf("seed %d step %d flow %d: incremental rate %x (%v) != oracle %x (%v)",
 				seed, step, sn.f.ID, sn.r, math.Float64frombits(sn.r), got, sn.f.rate)
 		}
+	}
+}
+
+// checkFinHeap asserts the finish heap's invariant over every flow added to
+// s: an active flow with a positive or infinite rate owns exactly one
+// entry, at its finPos, keyed by its aseq and the finish its rate projects
+// from its last drain; a stalled, finished or not-yet-started flow owns
+// none; and the heap order holds.
+func checkFinHeap(t *testing.T, s *Simulator, live []*Flow, seed int64, step int) {
+	t.Helper()
+	h := s.fins
+	for i, e := range h {
+		if int(e.f.finPos) != i {
+			t.Fatalf("seed %d step %d: entry %d holds flow %d, whose finPos is %d", seed, step, i, e.f.ID, e.f.finPos)
+		}
+		if i > 0 && e.before(h[(i-1)/2]) {
+			t.Fatalf("seed %d step %d: finish heap out of order at entry %d", seed, step, i)
+		}
+	}
+	holders := 0
+	for _, f := range live {
+		if !f.active || f.rate <= 0 {
+			if f.finPos != -1 {
+				t.Fatalf("seed %d step %d: flow %d (active %v, finished %v, rate %v) holds entry %d, want none",
+					seed, step, f.ID, f.active, f.Finished, f.rate, f.finPos)
+			}
+			continue
+		}
+		holders++
+		if f.finPos < 0 {
+			t.Fatalf("seed %d step %d: flow %d at rate %v holds no finish entry", seed, step, f.ID, f.rate)
+		}
+		at := f.upd
+		if !math.IsInf(f.rate, 1) {
+			if d := f.remaining / f.rate; d >= 1e-12 {
+				at = f.upd + d
+			}
+		}
+		if e := h[f.finPos]; e.aseq != f.aseq || e.at != at {
+			t.Fatalf("seed %d step %d: flow %d entry (at %v, aseq %d), want (%v, %d)",
+				seed, step, f.ID, e.at, e.aseq, at, f.aseq)
+		}
+	}
+	if holders != len(h) {
+		t.Fatalf("seed %d step %d: %d finish entries for %d flows with a rate", seed, step, len(h), holders)
 	}
 }
 
@@ -197,7 +268,7 @@ func TestIncrementalMatchesOracleLarge(t *testing.T) {
 		if c := largestComponent(s); c < 600 {
 			t.Fatalf("seed %d: largest component has %d links, want >= 600", seed, c)
 		}
-		checkOracle(t, s, seed, -1)
+		checkOracle(t, s, live, seed, -1)
 		for step := 0; step < 200; step++ {
 			switch op := rng.Intn(10); {
 			case op < 3:
@@ -215,7 +286,7 @@ func TestIncrementalMatchesOracleLarge(t *testing.T) {
 			default: // advance time: flows complete
 				s.RunUntil(s.Now() + rng.Float64()*0.5)
 			}
-			checkOracle(t, s, seed, step)
+			checkOracle(t, s, live, seed, step)
 		}
 
 		// Completions alone, one tick at a time, until every flow is done.
@@ -226,7 +297,7 @@ func TestIncrementalMatchesOracleLarge(t *testing.T) {
 		for i := 0; i < 480; i++ {
 			add()
 		}
-		checkOracle(t, s, seed, -1)
+		checkOracle(t, s, live, seed, -1)
 		before := s.SettleStats()
 		for step := 200; s.ActiveCount() > 0; step++ {
 			next, ok := s.NextEventTime()
@@ -234,7 +305,7 @@ func TestIncrementalMatchesOracleLarge(t *testing.T) {
 				t.Fatalf("seed %d step %d: %d flows active and no event pending", seed, step, s.ActiveCount())
 			}
 			s.RunUntil(next)
-			checkOracle(t, s, seed, step)
+			checkOracle(t, s, live, seed, step)
 		}
 		after := s.SettleStats()
 		if after.Resumed == before.Resumed {
@@ -263,7 +334,7 @@ func TestIncrementalMatchesOracleLarge(t *testing.T) {
 		if !a.Finished || !b.Finished {
 			t.Fatalf("seed %d: the two short flows did not finish in one tick", seed)
 		}
-		checkOracle(t, s, seed, -2)
+		checkOracle(t, s, live, seed, -2)
 		if after := s.SettleStats(); after.Settles == before.Settles || after.Resumed != before.Resumed {
 			t.Fatalf("seed %d: completions from two runs: %d settles, %d resumed, want a full one",
 				seed, after.Settles-before.Settles, after.Resumed-before.Resumed)
@@ -303,7 +374,8 @@ func TestSettleAllocFree(t *testing.T) {
 		ls.n.SetCapacity(l, float64(50+50*flip))
 		s.RateOf(probe)
 	}
-	// Warm until the finish heap has reached its compaction high-water mark.
+	// Warm the scratch and the finish heap (one entry per flow with a rate)
+	// up to their steady sizes.
 	for i := 0; i < 16; i++ {
 		flap()
 	}

@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,8 +84,11 @@ func criticalComputeSec(j workload.Job) float64 {
 }
 
 // TestHiBenchOnFabricDeterminism: same seed, same suite — identical
-// durations and fluid digests.
+// durations and fluid digests, and both equal to the recorded values, so a
+// change that reorders completions deterministically still fails.
 func TestHiBenchOnFabricDeterminism(t *testing.T) {
+	const wantDigest = 0xdc12e56f6aa82638
+	wantDurs := []sim.Time{2060373792, 1090783642, 111625659, 1091161175, 2140058066}
 	run := func() ([]sim.Time, uint64) {
 		_, c := buildCluster(t, 4, 9)
 		jobs := workload.HiBenchSuiteWidth(c.Workers(), 2, 0.01)
@@ -103,6 +107,12 @@ func TestHiBenchOnFabricDeterminism(t *testing.T) {
 		if d1[i] != d2[i] {
 			t.Fatalf("job %d duration mismatch: %v vs %v", i, d1[i], d2[i])
 		}
+	}
+	if g1 != wantDigest {
+		t.Errorf("digest %#016x, want %#016x", g1, uint64(wantDigest))
+	}
+	if !slices.Equal(d1, wantDurs) {
+		t.Errorf("durations %d, want %d", d1, wantDurs)
 	}
 }
 
