@@ -33,6 +33,11 @@ func TestGoldenOutput(t *testing.T) {
 		{"collective", "-topo testbed -pings 1 -collective"},
 		// A bulk-transfer wave through the hybrid fluid layer.
 		{"hybrid", "-topo fattree -k 4 -pings 1 -hybrid"},
+		// A chaos run that crashes the primary controller, with two
+		// replicas attached through EnableReplicationAt.
+		{"ctrl-crash", "-topo leafspine -k 4 -n 2 -pings 0 -discover=false -chaos -ctrl-crash -chaos-events 8"},
+		// Tenants carved at boot, then a chaos run with tenant churn.
+		{"tenants-churn", "-topo fattree -k 4 -pings 1 -tenants 3 -churn -chaos -chaos-events 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))

@@ -76,10 +76,6 @@ type Config struct {
 	// and post-heal exactly-once delivery to every member over repaired
 	// trees.
 	Mcast bool
-	// McastGroups is how many groups to create (default 2).
-	McastGroups int
-	// McastGroupSize is how many hosts each group spans (default 4).
-	McastGroupSize int
 }
 
 // DefaultConfig is the standard scenario: ~1% loss, flapping, switch
@@ -114,12 +110,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantSize <= 0 {
 		c.TenantSize = 3
-	}
-	if c.McastGroups <= 0 {
-		c.McastGroups = 2
-	}
-	if c.McastGroupSize <= 0 {
-		c.McastGroupSize = 4
 	}
 	return c
 }

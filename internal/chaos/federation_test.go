@@ -50,9 +50,9 @@ func TestFederationChaosBattery(t *testing.T) {
 	}
 }
 
-// TestFederationChaosDeterminism replays the same seed on two freshly
-// built federations and requires identical event traces and digests; a
-// different seed must diverge.
+// TestFederationChaosDeterminism replays seed 33 on a freshly built
+// federation and requires its recorded digest; a different seed must
+// diverge, and neither may violate an invariant.
 func TestFederationChaosDeterminism(t *testing.T) {
 	run := func(seed int64) *chaos.Report {
 		fed := buildFederation(t, 21)
@@ -62,15 +62,12 @@ func TestFederationChaosDeterminism(t *testing.T) {
 		}
 		return rep
 	}
+	const want uint64 = 0xcde10629f0b14381
 	a := run(33)
-	b := run(33)
+	if got := a.Digest(); got != want {
+		t.Fatalf("seed 33 digest = %#016x, want %#016x; trace:\n%v", got, want, a.Trace)
+	}
 	c := run(34)
-	if !chaos.TraceEqual(a.Trace, b.Trace) {
-		t.Fatalf("same seed diverged:\n%v\nvs\n%v", a.Trace, b.Trace)
-	}
-	if a.Digest() != b.Digest() {
-		t.Fatalf("same-seed digests differ: %#x vs %#x", a.Digest(), b.Digest())
-	}
 	if chaos.TraceEqual(a.Trace, c.Trace) {
 		t.Fatalf("different seeds produced identical traces")
 	}

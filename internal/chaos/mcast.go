@@ -38,7 +38,14 @@ func (g mcastChaosGroup) isMember(m packet.MAC) bool {
 	return false
 }
 
-// setupMcastGroups carves Config.McastGroups disjoint groups out of the
+// The multicast scenario's carve: how many groups, and how many hosts each
+// spans.
+const (
+	mcastGroups    = 2
+	mcastGroupSize = 4
+)
+
+// setupMcastGroups carves mcastGroups disjoint groups out of the
 // host list before any fault is injected, and drains the group-event floods
 // so every designated sender starts from an announced group. On fabrics too
 // small for the configured carve, groups shrink (to at least two members)
@@ -46,7 +53,7 @@ func (g mcastChaosGroup) isMember(m packet.MAC) bool {
 // degraded scenario still replays bit-identically per seed.
 func (r *runner) setupMcastGroups() error {
 	hosts := r.n.Hosts()
-	groups, size := r.cfg.McastGroups, r.cfg.McastGroupSize
+	groups, size := mcastGroups, mcastGroupSize
 	if groups*size > len(hosts) {
 		if s := len(hosts) / groups; s < size {
 			size = s

@@ -61,10 +61,10 @@ func TestMcastTreeRepairUnderChaos(t *testing.T) {
 	}
 }
 
-// TestMcastChaosDeterminism: the multicast scenario must stay bit-identical
-// under the same seed — probes and audits draw from the scenario rngs, so
-// the digest (which now covers mcast-group and mcast-probe events) must
-// reproduce exactly.
+// TestMcastChaosDeterminism: the multicast scenario must reproduce its
+// recorded digest — probes and audits draw from the scenario rngs, and the
+// digest covers mcast-group and mcast-probe events — and a different seed
+// must diverge.
 func TestMcastChaosDeterminism(t *testing.T) {
 	run := func(seed int64) *chaos.Report {
 		n := buildNetwork(t, 7, true)
@@ -77,13 +77,10 @@ func TestMcastChaosDeterminism(t *testing.T) {
 		}
 		return rep
 	}
+	const want uint64 = 0xcc3f30e0f0d18258
 	a := run(11)
-	b := run(11)
-	if !chaos.TraceEqual(a.Trace, b.Trace) {
-		t.Fatalf("same seed diverged:\n%v\nvs\n%v", a.Trace, b.Trace)
-	}
-	if a.Digest() != b.Digest() {
-		t.Fatalf("same seed, different digests: %x vs %x", a.Digest(), b.Digest())
+	if got := a.Digest(); got != want {
+		t.Fatalf("seed 11 digest = %#016x, want %#016x; trace:\n%v", got, want, a.Trace)
 	}
 	if c := run(12); a.Digest() == c.Digest() {
 		t.Fatal("different seeds produced identical digests")

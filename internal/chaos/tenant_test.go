@@ -67,9 +67,9 @@ func TestTenantChurnChaos(t *testing.T) {
 	}
 }
 
-// TestTenantChurnDeterminism: same seed, same trace AND same digest —
+// TestTenantChurnDeterminism: seed 11 must reproduce its recorded digest —
 // tenant mutations (map-ordered internally) must not leak nondeterminism
-// into the event stream.
+// into the event stream — and a different seed must diverge.
 func TestTenantChurnDeterminism(t *testing.T) {
 	run := func(seed int64) *chaos.Report {
 		n := buildTenantNetwork(t, 7)
@@ -79,13 +79,10 @@ func TestTenantChurnDeterminism(t *testing.T) {
 		}
 		return rep
 	}
+	const want uint64 = 0xd8da891ea445a88f
 	a := run(11)
-	b := run(11)
-	if !chaos.TraceEqual(a.Trace, b.Trace) {
-		t.Fatalf("same seed diverged:\n%v\nvs\n%v", a.Trace, b.Trace)
-	}
-	if a.Digest() != b.Digest() {
-		t.Fatalf("same trace, different digests: %016x vs %016x", a.Digest(), b.Digest())
+	if got := a.Digest(); got != want {
+		t.Fatalf("seed 11 digest = %#016x, want %#016x; trace:\n%v", got, want, a.Trace)
 	}
 	c := run(12)
 	if chaos.TraceEqual(a.Trace, c.Trace) {

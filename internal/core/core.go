@@ -13,6 +13,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dumbnet/internal/chaos"
@@ -86,6 +87,7 @@ type Network struct {
 	mcastWait map[uint64]func(member MAC)
 
 	booted   bool
+	features []feature // refusals features set at construction; EnableReplicationAt checks them
 	group    *controller.ReplicaGroup
 	simGroup *sim.ShardGroup // nil in single-engine runs
 	chaosCfg *chaos.Config   // stored by WithChaos for RunChaos
@@ -100,15 +102,9 @@ type Network struct {
 	fedSeq       uint64
 	fedWait      map[uint64]func(rtt sim.Time)
 
-	// replication requested via options, applied when the network boots.
-	pendingReplicas   int
-	pendingReplicasAt []MAC
-
 	// virtualization requested via options (WithTenants), applied when the
-	// network boots — after replication, so the manager tracks the
-	// replicated master.
+	// network boots.
 	pendingTenants int // -1 = off
-	tenantCls      vnet.Class
 	vnet           *vnet.Manager
 
 	// telemetry requested via options (WithTelemetry), applied when the
@@ -145,23 +141,20 @@ const (
 
 // New deploys a topology: switches and links come up, every host gets an
 // agent, one host becomes the controller. Behaviour beyond the defaults is
-// selected with functional options (WithSeed, WithShards, WithReplicasAt,
-// WithTracer, WithChaos, WithPolicy, ...). The network still needs
-// Bootstrap (instant) or Discover (probe-based) before traffic flows.
+// selected with functional options (WithSeed, WithShards, WithTenants,
+// WithTracer, WithChaos, WithPolicy, ...); a pair of options the refusals
+// table rules out is an ErrIncompatible. The network still needs Bootstrap
+// (instant) or Discover (probe-based) before traffic flows; controller
+// replication is then EnableReplicationAt.
 func New(t *topo.Topology, opts ...Option) (*Network, error) {
 	o := defaultOptions()
 	for _, opt := range opts {
 		opt(&o)
 	}
 	cfg := o.cfg
-	if o.shards > 1 && (o.replicas > 0 || len(o.replicasAt) > 0) {
-		return nil, fmt.Errorf("core: WithShards(%d) cannot be combined with controller replication (consensus timers are single-engine)", o.shards)
-	}
-	if o.shards > 1 && o.hybrid != nil {
-		return nil, fmt.Errorf("core: WithShards(%d) cannot be combined with WithHybridFlows (the fluid layer shares one engine clock)", o.shards)
-	}
-	if o.fedEngine != nil && (o.shards > 1 || o.hybrid != nil || o.replicas > 0 || len(o.replicasAt) > 0) {
-		return nil, fmt.Errorf("core: WithFederation cannot be combined with WithShards, WithHybridFlows, or controller replication (a member fabric lives whole on its federation shard)")
+	features := o.features()
+	if err := refuse(features); err != nil {
+		return nil, err
 	}
 
 	var (
@@ -194,22 +187,20 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 		ctrlMAC = hosts[0].Host
 	}
 	n := &Network{
-		Topo:              t,
-		Fab:               fab,
-		cfg:               cfg,
-		agents:            make(map[MAC]*host.Agent, len(hosts)),
-		receivers:         make(map[MAC]func(MAC, []byte)),
-		pingWait:          make(map[uint64]func(sim.Time)),
-		mcastWait:         make(map[uint64]func(MAC)),
-		fedReceivers:      make(map[MAC]func(MAC, []byte)),
-		fedWait:           make(map[uint64]func(sim.Time)),
-		simGroup:          simGroup,
-		chaosCfg:          o.chaos,
-		pendingReplicas:   o.replicas,
-		pendingReplicasAt: o.replicasAt,
-		pendingTenants:    o.tenants,
-		tenantCls:         o.tenantCls,
-		pendingTelemetry:  o.telemetry,
+		Topo:             t,
+		Fab:              fab,
+		cfg:              cfg,
+		agents:           make(map[MAC]*host.Agent, len(hosts)),
+		receivers:        make(map[MAC]func(MAC, []byte)),
+		pingWait:         make(map[uint64]func(sim.Time)),
+		mcastWait:        make(map[uint64]func(MAC)),
+		fedReceivers:     make(map[MAC]func(MAC, []byte)),
+		fedWait:          make(map[uint64]func(sim.Time)),
+		features:         features,
+		simGroup:         simGroup,
+		chaosCfg:         o.chaos,
+		pendingTenants:   o.tenants,
+		pendingTelemetry: o.telemetry,
 	}
 	found := false
 	for _, at := range hosts {
@@ -278,37 +269,20 @@ func (n *Network) Bootstrap() error {
 }
 
 // finishBoot marks the network up and applies what the options deferred to
-// boot: replication, then tenancy (so the manager tracks the replicated
-// master), then telemetry (so the tenant resolver sees carved slices).
+// boot, once: tenancy, then telemetry (so the tenant resolver sees carved
+// slices).
 func (n *Network) finishBoot() error {
 	n.booted = true
-	if err := n.applyPendingReplication(); err != nil {
+	tenants, tele := n.pendingTenants, n.pendingTelemetry
+	n.pendingTenants, n.pendingTelemetry = -1, nil
+	if err := n.bootTenancy(tenants); err != nil {
 		return err
 	}
-	if err := n.applyPendingTenancy(); err != nil {
-		return err
+	if tele == nil {
+		return nil
 	}
-	return n.applyPendingTelemetry()
-}
-
-// applyPendingReplication stands up replication requested at construction
-// (WithReplicas / WithReplicasAt) once the network has booted.
-func (n *Network) applyPendingReplication() error {
-	if n.pendingReplicas > 0 {
-		total := n.pendingReplicas
-		n.pendingReplicas = 0
-		if _, err := n.EnableReplication(total); err != nil {
-			return err
-		}
-	}
-	if len(n.pendingReplicasAt) > 0 {
-		macs := n.pendingReplicasAt
-		n.pendingReplicasAt = nil
-		if _, err := n.EnableReplicationAt(macs); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := n.EnableTelemetry(*tele)
+	return err
 }
 
 // Discover runs real probe-message topology discovery through the fabric,
@@ -602,50 +576,20 @@ func (n *Network) Run() {
 // RunFor advances virtual time by d.
 func (n *Network) RunFor(d sim.Time) { n.Eng.RunFor(d) }
 
-// EnableReplication stands up total-1 additional controller replicas and
-// routes every topology mutation through a consensus log (the paper's
-// ZooKeeper role, §4.1/§4.2). Call after Bootstrap; the current master view
-// is proposed as the initial snapshot once a leader is elected. Returns the
-// replica group; RunFor enough virtual time (seconds) for elections and
-// replication to settle.
-//
-// Prefer constructing with WithReplicas(total), which applies this
-// automatically after Bootstrap/Discover.
-func (n *Network) EnableReplication(total int) (*controller.ReplicaGroup, error) {
-	if !n.booted {
-		return nil, ErrNotDeployed
-	}
-	if n.simGroup != nil {
-		return nil, fmt.Errorf("core: controller replication is not supported in sharded runs")
-	}
-	if total < 1 {
-		total = 3
-	}
-	n.perpetual = true
-	ctrls := []*controller.Controller{n.Ctrl}
-	for i := 1; i < total; i++ {
-		mac := packet.MAC{0x02, 0xCC, 0, 0, 0, byte(i)}
-		agent := host.New(n.Eng, mac, n.cfg.Host)
-		ctrls = append(ctrls, controller.New(n.Eng, agent, n.cfg.Controller))
-	}
-	return n.finishReplication(ctrls)
-}
-
 // EnableReplicationAt promotes existing fabric-attached hosts to controller
-// replicas of the bootstrap controller. Unlike EnableReplication's
-// synthetic replicas (which have no uplink), these can actually answer
-// path requests over the wire — so hosts can fail over to them when the
-// primary crashes. The replica list (with per-host paths) is advertised to
-// every host. Call after Bootstrap.
-//
-// Prefer constructing with WithReplicasAt(macs...), which applies this
-// automatically after Bootstrap/Discover.
+// replicas of the bootstrap controller and routes every topology mutation
+// through a consensus log (the paper's ZooKeeper role, §4.1/§4.2). The
+// replicas answer path requests over the wire, so hosts fail over to them
+// when the primary crashes; the replica list (with per-host paths) is
+// advertised to every host. Call after Bootstrap or Discover: the current
+// master view is proposed as the initial snapshot once a leader is
+// elected. Sharded runs and federation members refuse it (see refusals).
 func (n *Network) EnableReplicationAt(macs []MAC) (*controller.ReplicaGroup, error) {
 	if !n.booted {
 		return nil, ErrNotDeployed
 	}
-	if n.simGroup != nil {
-		return nil, fmt.Errorf("core: controller replication is not supported in sharded runs")
+	if err := refuse(append(slices.Clip(n.features), featReplication)); err != nil {
+		return nil, err
 	}
 	n.perpetual = true
 	ctrls := []*controller.Controller{n.Ctrl}

@@ -223,24 +223,28 @@ func TestDeterministicRuns(t *testing.T) {
 
 func TestEnableReplication(t *testing.T) {
 	n := deploy(t)
-	group, err := n.EnableReplication(3)
+	hosts := n.Hosts()
+	group, err := n.EnableReplicationAt([]core.MAC{hosts[5], hosts[11]})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if group.Cluster.Size() != 3 {
 		t.Fatalf("cluster size = %d", group.Cluster.Size())
 	}
+	if n.Group() != group {
+		t.Fatal("Group() does not return the replica group")
+	}
 	// A failure must propagate to every replica's view through the log.
 	if err := n.FailLink(2, 5); err != nil {
 		t.Fatal(err)
 	}
 	n.RunFor(3 * sim.Second)
-	if _, err := n.Ctrl.Master().PortToward(2, 5); err == nil {
-		t.Fatal("live controller still has the failed link")
+	for i, c := range group.Controllers() {
+		if _, err := c.Master().PortToward(2, 5); err == nil {
+			t.Fatalf("replica %d still has the failed link", i)
+		}
 	}
-	// And traffic still flows (the replicas are bookkeeping, not the data
-	// path).
-	hosts := n.Hosts()
+	// And traffic still flows.
 	if _, err := n.PingSync(hosts[0], hosts[len(hosts)-1]); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +256,7 @@ func TestEnableReplicationBeforeBootstrapFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.EnableReplication(3); !errors.Is(err, core.ErrNotDeployed) {
+	if _, err := n.EnableReplicationAt(n.Hosts()[:2]); !errors.Is(err, core.ErrNotDeployed) {
 		t.Fatalf("err = %v", err)
 	}
 }

@@ -32,7 +32,8 @@ type FabricSpec struct {
 	// from the same generator do not collide; callers address hosts by the
 	// relabeled MACs (Federation.Hosts / Network.Hosts).
 	Topo *topo.Topology
-	// Opts are passed through to core.New (WithFederation is appended).
+	// Opts are passed through to core.New, which refuses the ones a member
+	// cannot take (see refusals).
 	Opts []Option
 }
 
@@ -129,7 +130,7 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: relabel member %s: %w", name, err)
 		}
-		opts := append(append([]Option(nil), spec.Opts...), WithFederation(group.Shard(i)))
+		opts := append(append([]Option(nil), spec.Opts...), withFederation(group.Shard(i)))
 		n, err := New(t, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("core: build member %s: %w", name, err)

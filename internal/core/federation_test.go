@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
 	"dumbnet/internal/controller"
@@ -290,5 +291,19 @@ func TestRegionalWarmLookupAllocFree(t *testing.T) {
 	st := fed.Regional().Stats()
 	if st.Misses != 1 {
 		t.Fatalf("warm loop re-missed: %+v", st)
+	}
+}
+
+// TestFederationMemberRefusesReplication: a member fabric shares its shard's
+// clock with the federation, so replication on it is refused through the
+// refusals table rather than started.
+func TestFederationMemberRefusesReplication(t *testing.T) {
+	fed := buildFederation(t, core.DefaultFederationConfig(7))
+	n := fed.Network(0)
+	if _, err := n.EnableReplicationAt(n.Hosts()[:2]); !errors.Is(err, core.ErrIncompatible) {
+		t.Fatalf("EnableReplicationAt on a federation member: err = %v, want ErrIncompatible", err)
+	}
+	if n.Group() != nil {
+		t.Fatal("a refused replication left a replica group behind")
 	}
 }

@@ -1,42 +1,45 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"slices"
+
 	"dumbnet/internal/chaos"
 	"dumbnet/internal/hybrid"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/telemetry"
 	"dumbnet/internal/trace"
-	"dumbnet/internal/vnet"
 )
 
-// Option configures New. The functional-options constructor replaces the
-// former pattern of building a Network and then calling post-hoc mutators
-// (EnableReplication, EnableReplicationAt, manual tracer attachment):
+// Option configures New:
 //
 //	n, err := core.New(t,
 //	    core.WithSeed(42),
 //	    core.WithTracer(rec),
-//	    core.WithReplicasAt(h3, h7),
+//	    core.WithTenants(3),
 //	    core.WithChaos(chaos.DefaultConfig(42)))
+//	err = n.Bootstrap()
+//	group, err := n.EnableReplicationAt([]core.MAC{h3, h7})
+//	rep, err := n.RunChaos()
 //
-// Replication options are recorded at construction and applied
-// automatically when Bootstrap or Discover completes (replication requires
-// a booted network). A chaos config is stored for RunChaos.
+// Tenancy and telemetry are recorded at construction and applied when
+// Bootstrap or Discover completes. Controller replication has one switch,
+// EnableReplicationAt on the booted network. A chaos config is stored for
+// RunChaos. Pairs of features that cannot run together are refused with
+// ErrIncompatible, by the one table in refusals.
 type Option func(*options)
 
 type options struct {
-	cfg        Config
-	shards     int
-	replicas   int   // synthetic replicas (WithReplicas); 0 = off
-	replicasAt []MAC // fabric-attached replicas (WithReplicasAt)
-	tracer     *trace.Recorder
-	chaos      *chaos.Config
-	policy     string     // routing policy installed on every host; "" = default
-	tenants    int        // -1 = virtualization off; 0 = manager only; n>0 = carve n tenants
-	tenantCls  vnet.Class // degradation class for carved tenants
-	telemetry  *telemetry.Config
-	hybrid     *hybrid.Config
-	fedEngine  *sim.Engine // externally owned engine (WithFederation)
+	cfg       Config
+	shards    int
+	tracer    *trace.Recorder
+	chaos     *chaos.Config
+	policy    string // routing policy installed on every host; "" = default
+	tenants   int    // -1 = virtualization off; 0 = manager only; n>0 = carve n tenants
+	telemetry *telemetry.Config
+	hybrid    *hybrid.Config
+	fedEngine *sim.Engine // externally owned engine (withFederation)
 }
 
 func defaultOptions() options {
@@ -60,24 +63,10 @@ func WithSeed(seed int64) Option {
 // land on their region's engine, and Run/RunFor advance all shards
 // concurrently under the conservative window protocol. n <= 1 keeps the
 // classic single-engine deployment (bit-identical to previous releases).
-// Sharded runs currently exclude controller replication (consensus timers
-// are single-engine) — combining them is a construction error.
+// Sharded runs refuse controller replication and WithHybridFlows (see
+// refusals).
 func WithShards(n int) Option {
 	return func(o *options) { o.shards = n }
-}
-
-// WithReplicas stands up total-1 synthetic controller replicas (no fabric
-// uplink — consensus-only, as EnableReplication did) once the network
-// boots.
-func WithReplicas(total int) Option {
-	return func(o *options) { o.replicas = total }
-}
-
-// WithReplicasAt promotes the given fabric-attached hosts to controller
-// replicas once the network boots, and advertises the replica list to every
-// host (as EnableReplicationAt did).
-func WithReplicasAt(macs ...MAC) Option {
-	return func(o *options) { o.replicasAt = append([]MAC(nil), macs...) }
 }
 
 // WithTracer attaches a flight recorder at construction. In a sharded run
@@ -95,19 +84,14 @@ func WithChaos(cfg chaos.Config) Option {
 }
 
 // WithTenants enables network virtualization (§6.1) once the network
-// boots: a vnet.Manager is installed on the controller(s) and the
+// boots: a vnet.Manager is installed on the controller and the
 // non-controller hosts are carved into count equal tenants ("t000",
-// "t001", ...). count == 0 installs the manager with no tenants — create
-// them at runtime (chaos churn does). Applied after replication setup so
-// the manager tracks the replicated master.
+// "t001", ...), leaving any remainder hosts untenanted. count == 0 installs
+// the manager with no tenants — create them at runtime (chaos churn does).
+// EnableReplicationAt later re-points the manager at the replicated master
+// and installs it on every replica.
 func WithTenants(count int) Option {
 	return func(o *options) { o.tenants = count }
-}
-
-// WithTenantClass sets the degradation class (routing policy, path-query
-// retry budget) applied to tenants carved by WithTenants.
-func WithTenantClass(class vnet.Class) Option {
-	return func(o *options) { o.tenantCls = class }
 }
 
 // WithHostFlood toggles the hosts' stage-1 peer-to-peer link-event flood
@@ -133,21 +117,17 @@ func WithPolicy(name string) Option {
 // advance as fluid flows under max-min fair sharing inside the same event
 // engine — the scaling mode that reaches k=32/k=64 fat-trees on one core.
 // Control traffic, failure recovery and telemetry stay packet-accurate.
-// Incompatible with WithShards (the fluid layer shares one engine clock);
-// combining them is a construction error. Pass hybrid.Config{} for
-// defaults.
+// Refused with WithShards and on federation members (see refusals). Pass
+// hybrid.Config{} for defaults.
 func WithHybridFlows(cfg hybrid.Config) Option {
 	return func(o *options) { o.hybrid = &cfg }
 }
 
-// WithFederation places the whole deployment on an externally owned engine
-// — in practice one shard of a federation's engine group (core.Federate) —
-// instead of creating its own. The deployment is then one member fabric of
-// a metro/WAN federation: Run/RunFor on it advance the entire group.
-// Incompatible with WithShards, WithHybridFlows, and controller
-// replication (each assumes the deployment owns its engine); combining
-// them is a construction error.
-func WithFederation(eng *sim.Engine) Option {
+// withFederation places the whole deployment on an externally owned engine
+// — one shard of a federation's engine group — instead of creating its
+// own. Federate passes it; the deployment is then one member fabric of a
+// metro/WAN federation, and Run/RunFor on it advance the entire group.
+func withFederation(eng *sim.Engine) Option {
 	return func(o *options) { o.fedEngine = eng }
 }
 
@@ -156,9 +136,71 @@ func WithFederation(eng *sim.Engine) Option {
 // detectors publish verdicts to per-shard scoreboards, and the controller
 // exposes the merged view (ctrl.telemetry.* metrics, snapshot exporters).
 // Combine with WithPolicy("telemetry") to close the loop — agents then
-// steer flows off scoreboard-flagged links. Applied after replication and
-// tenancy, so the heavy-hitter sketch sees tenant labels. Use
+// steer flows off scoreboard-flagged links. Applied after tenancy, so the
+// heavy-hitter sketch sees tenant labels. Federation members take
+// FederationConfig.Telemetry instead (see refusals). Use
 // telemetry.DefaultConfig() for standard thresholds.
 func WithTelemetry(cfg telemetry.Config) Option {
 	return func(o *options) { o.telemetry = &cfg }
+}
+
+// ErrIncompatible is wrapped by every refusal to combine two features. The
+// message names both features and the reason.
+var ErrIncompatible = errors.New("core: incompatible features")
+
+// A feature is a switch some other switch refuses, named after the call
+// that turns it on.
+type feature string
+
+const (
+	featShards      feature = "WithShards"
+	featHybrid      feature = "WithHybridFlows"
+	featTelemetry   feature = "WithTelemetry"
+	featFederation  feature = "Federate"
+	featReplication feature = "EnableReplicationAt"
+)
+
+// refusals is the one table of feature pairs a deployment refuses. New
+// checks the construction options against it, EnableReplicationAt checks
+// them plus replication. Every pair not listed is supported; DESIGN.md
+// carries the full pair table and the pairwise test enforces it.
+var refusals = []struct {
+	a, b   feature
+	reason string
+}{
+	{featShards, featReplication, "consensus timers are single-engine"},
+	{featShards, featHybrid, "the fluid layer shares one engine clock"},
+	{featFederation, featShards, "a member fabric lives whole on its federation shard"},
+	{featFederation, featHybrid, "a member fabric does not own its engine clock"},
+	{featFederation, featReplication, "a member fabric does not own its engine clock"},
+	{featFederation, featTelemetry, "member flush timers would stall the other members' boot; use FederationConfig.Telemetry"},
+}
+
+// refuse returns the first refused pair among the features on, wrapping
+// ErrIncompatible, or nil.
+func refuse(on []feature) error {
+	for _, r := range refusals {
+		if slices.Contains(on, r.a) && slices.Contains(on, r.b) {
+			return fmt.Errorf("%w: %s with %s (%s)", ErrIncompatible, r.a, r.b, r.reason)
+		}
+	}
+	return nil
+}
+
+// features lists the construction options that appear in refusals.
+func (o *options) features() []feature {
+	var on []feature
+	if o.shards > 1 {
+		on = append(on, featShards)
+	}
+	if o.hybrid != nil {
+		on = append(on, featHybrid)
+	}
+	if o.telemetry != nil {
+		on = append(on, featTelemetry)
+	}
+	if o.fedEngine != nil {
+		on = append(on, featFederation)
+	}
+	return on
 }

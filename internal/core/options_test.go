@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -96,50 +97,21 @@ func TestShardedSendReceive(t *testing.T) {
 	}
 }
 
+// TestShardsRejectReplication: replication on a sharded network is refused
+// through the refusals table, with an error naming both features.
 func TestShardsRejectReplication(t *testing.T) {
-	tp, err := topo.Testbed()
-	if err != nil {
-		t.Fatal(err)
+	n := shardedNet(t, 1, 2)
+	_, err := n.EnableReplicationAt(n.Hosts()[:2])
+	if !errors.Is(err, core.ErrIncompatible) {
+		t.Fatalf("EnableReplicationAt on a sharded network: err = %v, want ErrIncompatible", err)
 	}
-	if _, err := core.New(tp, core.WithShards(2), core.WithReplicas(3)); err == nil {
-		t.Fatal("WithShards + WithReplicas should fail at construction")
-	}
-	n, err := core.New(tp, core.WithShards(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.EnableReplication(3); err == nil {
-		t.Fatal("EnableReplication should fail on a sharded network")
-	}
-}
-
-func TestWithReplicasAtOption(t *testing.T) {
-	tp, err := topo.LeafSpine(2, 3, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := tp.Hosts()
-	n, err := core.New(tp,
-		core.WithSeed(5),
-		core.WithReplicasAt(hosts[2].Host, hosts[4].Host))
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"WithShards", "EnableReplicationAt"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("refusal %q does not name %s", err, name)
+		}
 	}
 	if n.Group() != nil {
-		t.Fatal("replication should not start before Bootstrap")
-	}
-	if err := n.Bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	g := n.Group()
-	if g == nil {
-		t.Fatal("Bootstrap should have applied WithReplicasAt")
-	}
-	if got := len(g.MACs()); got != 3 {
-		t.Fatalf("replica group size = %d, want 3", got)
+		t.Fatal("a refused replication left a replica group behind")
 	}
 }
 

@@ -14,20 +14,6 @@ import (
 // routing policy consults to steer flows off flagged links — the closed
 // loop.
 
-// applyPendingTelemetry starts telemetry requested at construction
-// (WithTelemetry) once the network has booted. Running last (after
-// replication and tenancy) means the tenant resolver sees the carved
-// slices.
-func (n *Network) applyPendingTelemetry() error {
-	if n.pendingTelemetry == nil {
-		return nil
-	}
-	cfg := *n.pendingTelemetry
-	n.pendingTelemetry = nil
-	_, err := n.EnableTelemetry(cfg)
-	return err
-}
-
 // EnableTelemetry attaches streaming trace analytics to the booted network:
 // per-shard consumers over (possibly newly installed) flight recorders, the
 // merged hub on the controller, and shard-local scoreboards on every agent.
@@ -36,7 +22,8 @@ func (n *Network) applyPendingTelemetry() error {
 // time-bounded (as with replication heartbeats).
 //
 // Prefer constructing with WithTelemetry(cfg), which applies this
-// automatically after Bootstrap/Discover.
+// automatically after Bootstrap/Discover. Federate calls it on each member
+// once every member has booted (FederationConfig.Telemetry).
 func (n *Network) EnableTelemetry(cfg telemetry.Config) (*telemetry.Hub, error) {
 	if !n.booted {
 		return nil, ErrNotDeployed

@@ -14,51 +14,33 @@ import (
 // longer vouches for — the stale-cache escape a pre-tenancy host would
 // otherwise ride into a freshly carved slice.
 
-// applyPendingTenancy installs virtualization requested at construction
-// (WithTenants) once the network has booted.
-func (n *Network) applyPendingTenancy() error {
-	if n.pendingTenants < 0 {
+// bootTenancy applies WithTenants(count) at boot: a vnet.Manager over the
+// controller's master view, and the non-controller hosts carved into count
+// equal tenants ("t000", "t001", ...), leaving any remainder hosts
+// untenanted. count == 0 installs the manager alone (churn drivers create
+// tenants at runtime); count < 0 leaves virtualization off.
+func (n *Network) bootTenancy(count int) error {
+	if count < 0 {
 		return nil
 	}
-	count := n.pendingTenants
-	n.pendingTenants = -1
-	_, err := n.EnableTenancy(count)
-	return err
-}
-
-// EnableTenancy installs a vnet.Manager over the controller's master view
-// and carves the non-controller hosts into count equal tenants ("t000",
-// "t001", ...), leaving any remainder hosts untenanted. count == 0 installs
-// the manager with no tenants (churn drivers create them at runtime).
-// Idempotent on the manager: calling again only carves more tenants.
-//
-// Prefer constructing with WithTenants(count), which applies this
-// automatically after Bootstrap/Discover.
-func (n *Network) EnableTenancy(count int) (*vnet.Manager, error) {
-	if !n.booted {
-		return nil, ErrNotDeployed
+	n.vnet = vnet.NewManager(n.Ctrl.Master(), n.cfg.Controller.PathGraph, n.cfg.Seed)
+	n.vnet.SetMetrics(n.Eng.Metrics())
+	n.vnet.OnChange = n.onTenantChange
+	n.installVirtualization()
+	if count == 0 {
+		return nil
 	}
-	if n.vnet == nil {
-		mgr := vnet.NewManager(n.Ctrl.Master(), n.cfg.Controller.PathGraph, n.cfg.Seed)
-		mgr.SetMetrics(n.Eng.Metrics())
-		mgr.OnChange = n.onTenantChange
-		n.vnet = mgr
-		n.installVirtualization()
+	size := len(n.hosts) / count
+	if size < 2 {
+		return fmt.Errorf("core: %d hosts cannot form %d tenants of >= 2", len(n.hosts), count)
 	}
-	if count > 0 {
-		size := len(n.hosts) / count
-		if size < 2 {
-			return nil, fmt.Errorf("core: %d hosts cannot form %d tenants of >= 2", len(n.hosts), count)
-		}
-		for i := 0; i < count; i++ {
-			id := vnet.TenantID(fmt.Sprintf("t%03d", i))
-			members := n.hosts[i*size : (i+1)*size]
-			if _, err := n.vnet.CreateTenantClass(id, members, n.tenantCls); err != nil {
-				return nil, err
-			}
+	for i := 0; i < count; i++ {
+		id := vnet.TenantID(fmt.Sprintf("t%03d", i))
+		if _, err := n.vnet.CreateTenant(id, n.hosts[i*size:(i+1)*size]); err != nil {
+			return err
 		}
 	}
-	return n.vnet, nil
+	return nil
 }
 
 // Vnet returns the virtualization manager (nil when tenancy is off).

@@ -5,6 +5,7 @@ import (
 
 	"dumbnet/internal/controller"
 	"dumbnet/internal/core"
+	"dumbnet/internal/host"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/vnet"
 )
@@ -70,11 +71,15 @@ func TestDeleteTenantDropsControllerCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := core.New(tp, core.WithTenants(2), core.WithReplicas(3))
+	n, err := core.New(tp, core.WithTenants(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	hosts := n.Hosts()
+	if _, err := n.EnableReplicationAt([]core.MAC{hosts[5], hosts[11]}); err != nil {
 		t.Fatal(err)
 	}
 	v := n.Vnet()
@@ -145,30 +150,23 @@ func TestMigrationMovesReachability(t *testing.T) {
 	}
 }
 
-// TestTenantClassAppliesPolicy: WithTenantClass pushes the degradation
-// class (routing policy + request budget) onto carved members.
+// TestTenantClassAppliesPolicy: a tenant's degradation class (routing
+// policy + request budget) is pushed onto its members, and members dropped
+// back out revert to the default budget.
 func TestTenantClassAppliesPolicy(t *testing.T) {
-	tp, err := topo.Testbed()
-	if err != nil {
+	n := deployTenanted(t, 0)
+	members := n.Hosts()[:3]
+	if _, err := n.Vnet().CreateTenantClass("red", members, vnet.Class{Policy: "rr", RequestBudget: 2}); err != nil {
 		t.Fatal(err)
 	}
-	n, err := core.New(tp,
-		core.WithTenants(2),
-		core.WithTenantClass(vnet.Class{Policy: "rr", RequestBudget: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	ids := n.Vnet().Tenants()
-	members, _ := n.Vnet().Members(ids[0])
 	a := n.Agent(members[0])
 	if got := a.RequestBudget(); got != 2 {
 		t.Fatalf("member budget = %d, want 2", got)
 	}
-	// Members dropped back out of a tenant revert to the default budget.
-	if err := n.Vnet().DeleteTenant(ids[0]); err != nil {
+	if _, ok := a.Chooser.(*host.RoundRobinChooser); !ok {
+		t.Fatalf("member chooser is %T, want the tenant class's rr", a.Chooser)
+	}
+	if err := n.Vnet().DeleteTenant("red"); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.RequestBudget(); got == 2 {

@@ -17,8 +17,8 @@
 // lookahead a single fabric's 500ns links allow.
 //
 // The package deliberately does not import core or chaos: core embeds it
-// (core.Federate / core.WithFederation) and supplies the host-side
-// dispatch glue; chaos drives it through an interface.
+// (core.Federate) and supplies the host-side dispatch glue; chaos drives it
+// through an interface.
 package federation
 
 import "errors"
