@@ -38,6 +38,12 @@ func TestGoldenOutput(t *testing.T) {
 		{"ctrl-crash", "-topo leafspine -k 4 -n 2 -pings 0 -discover=false -chaos -ctrl-crash -chaos-events 8"},
 		// Tenants carved at boot, then a chaos run with tenant churn.
 		{"tenants-churn", "-topo fattree -k 4 -pings 1 -tenants 3 -churn -chaos -chaos-events 8"},
+		// Two federated fat-trees, then the WAN battery: link cuts and
+		// gateway crashes, printed as event text.
+		{"federate-chaos", "-topo fattree -k 4 -federate 2 -pings 1 -chaos -chaos-events 8"},
+		// A chaos run with online telemetry, ending in the hub's final
+		// view and the metrics table.
+		{"telemetry-chaos", "-topo leafspine -k 4 -n 2 -pings 1 -discover=false -telemetry -chaos -chaos-events 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))

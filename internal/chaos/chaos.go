@@ -115,10 +115,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Event is one entry in the scenario trace. The struct stays comparable
-// (==) so TraceEqual and the determinism digest work field-for-field.
+// (==), so two traces compare with slices.Equal.
 type Event struct {
 	At     sim.Time
-	Kind   string
+	Kind   trace.ScenarioOp
 	A, B   packet.SwitchID // link events
 	Sw     packet.SwitchID // switch events
 	Tenant string          // tenant-lifecycle events
@@ -128,17 +128,17 @@ type Event struct {
 // String renders the event compactly.
 func (e Event) String() string {
 	switch e.Kind {
-	case "fail-link", "heal-link", "flap-link":
+	case trace.ScenarioFailLink, trace.ScenarioHealLink, trace.ScenarioFlapLink:
 		return fmt.Sprintf("%v %s %d<->%d", e.At, e.Kind, e.A, e.B)
-	case "crash-switch", "restart-switch":
+	case trace.ScenarioCrashSwitch, trace.ScenarioRestartSwitch:
 		return fmt.Sprintf("%v %s %d", e.At, e.Kind, e.Sw)
-	case "create-tenant", "delete-tenant", "mcast-group", "mcast-probe":
+	case trace.ScenarioCreateTenant, trace.ScenarioDeleteTenant, trace.ScenarioMcastGroup, trace.ScenarioMcastProbe:
 		return fmt.Sprintf("%v %s %s", e.At, e.Kind, e.Tenant)
-	case "migrate-host":
+	case trace.ScenarioMigrateHost:
 		return fmt.Sprintf("%v %s %s -> %v", e.At, e.Kind, e.Tenant, e.Host)
-	case "fail-wan", "heal-wan":
+	case trace.ScenarioFailWAN, trace.ScenarioHealWAN:
 		return fmt.Sprintf("%v %s wan%d", e.At, e.Kind, e.A)
-	case "crash-gateway", "restart-gateway":
+	case trace.ScenarioCrashGateway, trace.ScenarioRestartGateway:
 		return fmt.Sprintf("%v %s %v", e.At, e.Kind, e.Host)
 	default:
 		return fmt.Sprintf("%v %s", e.At, e.Kind)
@@ -208,19 +208,6 @@ func (r *Report) TimelineSummary() string {
 		b.WriteString(r.Timelines[i].String())
 	}
 	return b.String()
-}
-
-// TraceEqual compares two traces event-for-event (the determinism check).
-func TraceEqual(a, b []Event) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 type pair struct{ a, b packet.SwitchID }
@@ -317,14 +304,14 @@ func Run(n Target, cfg Config) (*Report, error) {
 	}
 
 	r.n.Fabric().ImpairAllLinks(sim.Impairment{LossProb: cfg.Loss, CorruptProb: cfg.Corrupt, JitterMax: cfg.Jitter})
-	r.record("impair", pair{}, 0)
+	r.record(Event{Kind: trace.ScenarioImpair})
 
 	ctrlCrashAt := cfg.Events / 3
 	for i := 0; i < cfg.Events; i++ {
 		if cfg.CrashController && i == ctrlCrashAt && !r.ctrlDown {
 			n.Controller().Crash()
 			r.ctrlDown = true
-			r.record("crash-ctrl", pair{}, 0)
+			r.record(Event{Kind: trace.ScenarioCrashCtrl})
 		} else {
 			r.step()
 		}
@@ -346,44 +333,22 @@ func Run(n Target, cfg Config) (*Report, error) {
 	return r.rep, nil
 }
 
-// scenarioOpFor maps a trace-event kind string to its flight-recorder op.
-func scenarioOpFor(kind string) trace.ScenarioOp {
-	switch kind {
-	case "impair":
-		return trace.ScenarioImpair
-	case "fail-link":
-		return trace.ScenarioFailLink
-	case "heal-link":
-		return trace.ScenarioHealLink
-	case "flap-link":
-		return trace.ScenarioFlapLink
-	case "crash-switch":
-		return trace.ScenarioCrashSwitch
-	case "restart-switch":
-		return trace.ScenarioRestartSwitch
-	case "crash-ctrl":
-		return trace.ScenarioCrashCtrl
-	case "restart-ctrl":
-		return trace.ScenarioRestartCtrl
-	case "heal-all":
-		return trace.ScenarioHealAll
-	case "create-tenant":
-		return trace.ScenarioCreateTenant
-	case "delete-tenant":
-		return trace.ScenarioDeleteTenant
-	case "migrate-host":
-		return trace.ScenarioMigrateHost
+// record stamps e with the current time, appends it to the report trace,
+// and publishes it to the flight recorder. Multicast events stay out of the
+// recorder, so enabling them does not shift what a traced run keeps.
+func (r *runner) record(e Event) {
+	e.At = r.n.Engine().Now()
+	r.rep.Trace = append(r.rep.Trace, e)
+	tr, at := r.n.Engine().Tracer(), int64(e.At)
+	switch e.Kind {
+	case trace.ScenarioMcastGroup, trace.ScenarioMcastProbe:
+	case trace.ScenarioCreateTenant, trace.ScenarioDeleteTenant, trace.ScenarioMigrateHost:
+		tr.ScenarioTenant(at, e.Kind, e.Host)
+	case trace.ScenarioCrashSwitch, trace.ScenarioRestartSwitch:
+		tr.Scenario(at, e.Kind, e.Sw, 0)
+	default:
+		tr.Scenario(at, e.Kind, e.A, e.B)
 	}
-	return trace.ScenarioIdle
-}
-
-func (r *runner) record(kind string, p pair, sw packet.SwitchID) {
-	r.rep.Trace = append(r.rep.Trace, Event{At: r.n.Engine().Now(), Kind: kind, A: p.a, B: p.b, Sw: sw})
-	a, b := p.a, p.b
-	if kind == "crash-switch" || kind == "restart-switch" {
-		a, b = sw, 0
-	}
-	r.n.Engine().Tracer().Scenario(int64(r.n.Engine().Now()), scenarioOpFor(kind), a, b)
 }
 
 // viewConnected checks whether the fabric's switch graph stays connected
@@ -521,7 +486,7 @@ func (r *runner) step() {
 				p := c[r.rng.Intn(len(c))]
 				_ = r.n.FailLink(p.a, p.b)
 				r.down[p] = true
-				r.record("fail-link", p, 0)
+				r.record(Event{Kind: trace.ScenarioFailLink, A: p.a, B: p.b})
 				return
 			}
 		case actHeal:
@@ -529,7 +494,7 @@ func (r *runner) step() {
 				p := c[r.rng.Intn(len(c))]
 				_ = r.n.RestoreLink(p.a, p.b)
 				delete(r.down, p)
-				r.record("heal-link", p, 0)
+				r.record(Event{Kind: trace.ScenarioHealLink, A: p.a, B: p.b})
 				return
 			}
 		case actFlap:
@@ -547,7 +512,7 @@ func (r *runner) step() {
 				cycles := 2 + r.rng.Intn(3)
 				l.StartFlap(0, downFor, upFor, cycles)
 				r.flap[p] = true
-				r.record("flap-link", p, 0)
+				r.record(Event{Kind: trace.ScenarioFlapLink, A: p.a, B: p.b})
 				return
 			}
 		case actCrash:
@@ -558,7 +523,7 @@ func (r *runner) step() {
 				sw := c[r.rng.Intn(len(c))]
 				_ = r.n.CrashSwitch(sw)
 				r.crashed[sw] = true
-				r.record("crash-switch", pair{}, sw)
+				r.record(Event{Kind: trace.ScenarioCrashSwitch, Sw: sw})
 				return
 			}
 		case actRestart:
@@ -566,7 +531,7 @@ func (r *runner) step() {
 				sw := c[r.rng.Intn(len(c))]
 				_ = r.n.RestartSwitch(sw)
 				delete(r.crashed, sw)
-				r.record("restart-switch", pair{}, sw)
+				r.record(Event{Kind: trace.ScenarioRestartSwitch, Sw: sw})
 				return
 			}
 		case actCreateTenant:
@@ -583,7 +548,7 @@ func (r *runner) step() {
 			}
 		}
 	}
-	r.record("idle", pair{}, 0)
+	r.record(Event{Kind: trace.ScenarioIdle})
 }
 
 // freeHosts lists non-controller hosts not owned by any tenant, in the
@@ -614,7 +579,7 @@ func (r *runner) createTenant() bool {
 		return false
 	}
 	r.tenantSeq++
-	r.recordTenant("create-tenant", id, packet.MAC{})
+	r.record(Event{Kind: trace.ScenarioCreateTenant, Tenant: string(id)})
 	return true
 }
 
@@ -634,7 +599,7 @@ func (r *runner) deleteTenant() bool {
 		return false
 	}
 	r.assertOthersStable(id, "delete-tenant", before)
-	r.recordTenant("delete-tenant", id, packet.MAC{})
+	r.record(Event{Kind: trace.ScenarioDeleteTenant, Tenant: string(id)})
 	return true
 }
 
@@ -661,14 +626,8 @@ func (r *runner) migrateHost() bool {
 		return false
 	}
 	r.assertOthersStable(id, "migrate-host", before)
-	r.recordTenant("migrate-host", id, to)
+	r.record(Event{Kind: trace.ScenarioMigrateHost, Tenant: string(id), Host: to})
 	return true
-}
-
-func (r *runner) recordTenant(kind string, id vnet.TenantID, h packet.MAC) {
-	now := r.n.Engine().Now()
-	r.rep.Trace = append(r.rep.Trace, Event{At: now, Kind: kind, Tenant: string(id), Host: h})
-	r.n.Engine().Tracer().ScenarioTenant(int64(now), scenarioOpFor(kind), h)
 }
 
 // stableProbe is one other-tenant route answer captured before a mutation.
@@ -822,8 +781,8 @@ func (r *runner) healAll() {
 	if r.ctrlDown {
 		r.n.Controller().Restart()
 		r.ctrlDown = false
-		r.record("restart-ctrl", pair{}, 0)
+		r.record(Event{Kind: trace.ScenarioRestartCtrl})
 	}
 	r.n.Fabric().ImpairAllLinks(sim.Impairment{})
-	r.record("heal-all", pair{}, 0)
+	r.record(Event{Kind: trace.ScenarioHealAll})
 }

@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dumbnet/internal/chaos"
@@ -57,20 +58,20 @@ func TestChaosAcceptance(t *testing.T) {
 		}
 	}
 	// The trace must contain the demanded ingredients.
-	kinds := map[string]int{}
+	kinds := map[trace.ScenarioOp]int{}
 	for _, e := range rep.Trace {
 		kinds[e.Kind]++
 	}
-	injected := kinds["fail-link"] + kinds["heal-link"] + kinds["flap-link"] +
-		kinds["crash-switch"] + kinds["restart-switch"]
+	injected := kinds[trace.ScenarioFailLink] + kinds[trace.ScenarioHealLink] + kinds[trace.ScenarioFlapLink] +
+		kinds[trace.ScenarioCrashSwitch] + kinds[trace.ScenarioRestartSwitch]
 	if injected < 20 {
 		t.Errorf("only %d randomized fail/heal events injected, want >= 20 (trace: %v)", injected, kinds)
 	}
-	if kinds["crash-ctrl"] != 1 || kinds["restart-ctrl"] != 1 {
+	if kinds[trace.ScenarioCrashCtrl] != 1 || kinds[trace.ScenarioRestartCtrl] != 1 {
 		t.Errorf("controller crash/restart missing from trace: %v", kinds)
 	}
-	if kinds["idle"] > 0 {
-		t.Logf("note: %d idle steps (no eligible fault)", kinds["idle"])
+	if kinds[trace.ScenarioIdle] > 0 {
+		t.Logf("note: %d idle steps (no eligible fault)", kinds[trace.ScenarioIdle])
 	}
 	// The chaos phase must actually have exercised failover machinery
 	// somewhere: at least one host rotated to a backup controller.
@@ -102,7 +103,7 @@ func TestChaosDeterminism(t *testing.T) {
 		t.Fatalf("seed 11 digest = %#016x, want %#016x; trace:\n%v", got, want, a.Trace)
 	}
 	c := run(12)
-	if chaos.TraceEqual(a.Trace, c.Trace) {
+	if slices.Equal(a.Trace, c.Trace) {
 		t.Fatal("different seeds produced identical traces — rng not wired through")
 	}
 }
@@ -163,11 +164,11 @@ func TestRouteCacheInvalidationUnderChaos(t *testing.T) {
 			t.Errorf("invariant violated: %v", v)
 		}
 	}
-	kinds := map[string]int{}
+	kinds := map[trace.ScenarioOp]int{}
 	for _, e := range rep.Trace {
 		kinds[e.Kind]++
 	}
-	if kinds["fail-link"] == 0 {
+	if kinds[trace.ScenarioFailLink] == 0 {
 		t.Fatalf("scenario injected no link failures (trace: %v)", kinds)
 	}
 
@@ -217,13 +218,13 @@ func TestChaosPartitionAvoidance(t *testing.T) {
 	}
 	for _, e := range rep.Trace {
 		switch e.Kind {
-		case "fail-link", "flap-link":
+		case trace.ScenarioFailLink, trace.ScenarioFlapLink:
 			downOrFlap[[2]core.SwitchID{e.A, e.B}] = true
-		case "heal-link":
+		case trace.ScenarioHealLink:
 			delete(downOrFlap, [2]core.SwitchID{e.A, e.B})
-		case "crash-switch":
+		case trace.ScenarioCrashSwitch:
 			crashed[e.Sw] = true
-		case "restart-switch":
+		case trace.ScenarioRestartSwitch:
 			delete(crashed, e.Sw)
 		}
 		if mirror = rebuild(); !mirror.Connected() {

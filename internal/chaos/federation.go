@@ -6,6 +6,7 @@ import (
 
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
+	"dumbnet/internal/trace"
 )
 
 // The federation battery: randomized WAN partitions and border-gateway
@@ -206,13 +207,11 @@ func (r *fedRunner) samplePairs() {
 	}
 }
 
-func (r *fedRunner) record(kind string, wan int, gw packet.MAC) {
-	r.rep.Trace = append(r.rep.Trace, Event{
-		At:   r.t.Engine().Now(),
-		Kind: kind,
-		A:    packet.SwitchID(wan),
-		Host: gw,
-	})
+// record stamps e with the current time and appends it to the report
+// trace. WAN events never reach a flight recorder.
+func (r *fedRunner) record(e Event) {
+	e.At = r.t.Engine().Now()
+	r.rep.Trace = append(r.rep.Trace, e)
 }
 
 // step injects one randomized event among the currently possible kinds.
@@ -235,21 +234,21 @@ func (r *fedRunner) step() {
 	}
 
 	type choice struct {
-		kind string
+		kind trace.ScenarioOp
 		n    int
 	}
 	var kinds []choice
 	if len(upWANs) > 0 {
-		kinds = append(kinds, choice{"fail-wan", len(upWANs)})
+		kinds = append(kinds, choice{trace.ScenarioFailWAN, len(upWANs)})
 	}
 	if len(downWANs) > 0 {
-		kinds = append(kinds, choice{"heal-wan", len(downWANs)})
+		kinds = append(kinds, choice{trace.ScenarioHealWAN, len(downWANs)})
 	}
 	if r.cfg.GatewayCrash && len(liveGws) > 0 {
-		kinds = append(kinds, choice{"crash-gateway", len(liveGws)})
+		kinds = append(kinds, choice{trace.ScenarioCrashGateway, len(liveGws)})
 	}
 	if r.cfg.GatewayCrash && len(deadGws) > 0 {
-		kinds = append(kinds, choice{"restart-gateway", len(deadGws)})
+		kinds = append(kinds, choice{trace.ScenarioRestartGateway, len(deadGws)})
 	}
 	if len(kinds) == 0 {
 		return
@@ -257,26 +256,26 @@ func (r *fedRunner) step() {
 	c := kinds[r.rng.Intn(len(kinds))]
 	pick := r.rng.Intn(c.n)
 	switch c.kind {
-	case "fail-wan":
+	case trace.ScenarioFailWAN:
 		id := upWANs[pick]
 		_ = r.t.FailWAN(id)
 		r.wanDown[id] = true
-		r.record("fail-wan", id, packet.MAC{})
-	case "heal-wan":
+		r.record(Event{Kind: c.kind, A: packet.SwitchID(id)})
+	case trace.ScenarioHealWAN:
 		id := downWANs[pick]
 		_ = r.t.RestoreWAN(id)
 		delete(r.wanDown, id)
-		r.record("heal-wan", id, packet.MAC{})
-	case "crash-gateway":
+		r.record(Event{Kind: c.kind, A: packet.SwitchID(id)})
+	case trace.ScenarioCrashGateway:
 		m := liveGws[pick]
 		_ = r.t.CrashGateway(m)
 		r.gwDown[m] = true
-		r.record("crash-gateway", 0, m)
-	case "restart-gateway":
+		r.record(Event{Kind: c.kind, Host: m})
+	case trace.ScenarioRestartGateway:
 		m := deadGws[pick]
 		_ = r.t.RestartGateway(m)
 		delete(r.gwDown, m)
-		r.record("restart-gateway", 0, m)
+		r.record(Event{Kind: c.kind, Host: m})
 	}
 }
 
@@ -347,7 +346,7 @@ func (r *fedRunner) healAll() {
 			delete(r.gwDown, m)
 		}
 	}
-	r.record("heal-all-wan", 0, packet.MAC{})
+	r.record(Event{Kind: trace.ScenarioHealAllWAN})
 }
 
 // check runs the post-heal invariants: WAN flags all cleared, the resolver

@@ -1,6 +1,7 @@
 package chaos_test
 
 import (
+	"slices"
 	"testing"
 
 	"dumbnet/internal/chaos"
@@ -68,7 +69,7 @@ func TestFederationChaosDeterminism(t *testing.T) {
 		t.Fatalf("seed 33 digest = %#016x, want %#016x; trace:\n%v", got, want, a.Trace)
 	}
 	c := run(34)
-	if chaos.TraceEqual(a.Trace, c.Trace) {
+	if slices.Equal(a.Trace, c.Trace) {
 		t.Fatalf("different seeds produced identical traces")
 	}
 	if len(a.Violations)+len(c.Violations) != 0 {

@@ -7,6 +7,7 @@ import (
 	"dumbnet/internal/mcast"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
+	"dumbnet/internal/trace"
 )
 
 // Multicast under chaos: groups are created before impairment, probes fire
@@ -77,16 +78,11 @@ func (r *runner) setupMcastGroups() error {
 			return fmt.Errorf("chaos: create multicast group %d: %w", g.id, err)
 		}
 		r.mcastGroups = append(r.mcastGroups, g)
-		r.recordMcast("mcast-group", g.id)
+		r.record(Event{Kind: trace.ScenarioMcastGroup, Tenant: fmt.Sprintf("g%d", g.id)})
 	}
 	// Drain the creates' group-event floods before the impairment starts.
 	r.n.RunFor(10 * sim.Millisecond)
 	return nil
-}
-
-func (r *runner) recordMcast(kind string, id uint32) {
-	now := r.n.Engine().Now()
-	r.rep.Trace = append(r.rep.Trace, Event{At: now, Kind: kind, Tenant: fmt.Sprintf("g%d", id)})
 }
 
 // probeMcast fires one delivery probe at a group. The callback outlives the
@@ -186,7 +182,7 @@ func (r *runner) checkMcast() {
 			r.violate("mcast-tree", "group %d: post-heal tree invalid over physical topology: %v", g.id, err)
 		}
 		done := r.probeMcast(g, true)
-		r.recordMcast("mcast-probe", g.id)
+		r.record(Event{Kind: trace.ScenarioMcastProbe, Tenant: fmt.Sprintf("g%d", g.id)})
 		deadline := r.n.Engine().Now() + r.cfg.Deadline
 		for !done() && r.n.Engine().Now() < deadline {
 			r.n.RunFor(50 * sim.Millisecond)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dumbnet/internal/chaos"
+	"dumbnet/internal/trace"
 )
 
 // TestMcastTreeRepairUnderChaos is the issue's tree-repair battery: two
@@ -26,17 +27,17 @@ func TestMcastTreeRepairUnderChaos(t *testing.T) {
 			t.Errorf("invariant violated: %v", v)
 		}
 	}
-	kinds := map[string]int{}
+	kinds := map[trace.ScenarioOp]int{}
 	for _, e := range rep.Trace {
 		kinds[e.Kind]++
 	}
-	if kinds["mcast-group"] != 2 {
-		t.Errorf("mcast-group events = %d, want 2 (trace: %v)", kinds["mcast-group"], kinds)
+	if kinds[trace.ScenarioMcastGroup] != 2 {
+		t.Errorf("mcast-group events = %d, want 2 (trace: %v)", kinds[trace.ScenarioMcastGroup], kinds)
 	}
-	if kinds["mcast-probe"] != 2 {
-		t.Errorf("post-heal mcast-probe events = %d, want 2", kinds["mcast-probe"])
+	if kinds[trace.ScenarioMcastProbe] != 2 {
+		t.Errorf("post-heal mcast-probe events = %d, want 2", kinds[trace.ScenarioMcastProbe])
 	}
-	if kinds["fail-link"] == 0 {
+	if kinds[trace.ScenarioFailLink] == 0 {
 		t.Errorf("scenario injected no link failures (trace: %v)", kinds)
 	}
 

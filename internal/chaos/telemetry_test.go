@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dumbnet/internal/chaos"
@@ -81,7 +82,7 @@ func TestTelemetryChaosDigestUnchanged(t *testing.T) {
 	}
 	repOff, traceOff := run(false)
 	repOn, traceOn := run(true)
-	if !chaos.TraceEqual(repOff.Trace, repOn.Trace) {
+	if !slices.Equal(repOff.Trace, repOn.Trace) {
 		t.Fatalf("telemetry perturbed the chaos event trace:\n%v\nvs\n%v", repOff.Trace, repOn.Trace)
 	}
 	if repOff.Digest() != repOn.Digest() {

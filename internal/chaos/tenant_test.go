@@ -1,11 +1,13 @@
 package chaos_test
 
 import (
+	"slices"
 	"testing"
 
 	"dumbnet/internal/chaos"
 	"dumbnet/internal/core"
 	"dumbnet/internal/topo"
+	"dumbnet/internal/trace"
 )
 
 // buildTenantNetwork stands up the churn fabric: the acceptance leaf-spine
@@ -52,16 +54,16 @@ func TestTenantChurnChaos(t *testing.T) {
 			t.Errorf("invariant violated: %v", v)
 		}
 	}
-	kinds := map[string]int{}
+	kinds := map[trace.ScenarioOp]int{}
 	for _, e := range rep.Trace {
 		kinds[e.Kind]++
 	}
-	churned := kinds["create-tenant"] + kinds["delete-tenant"] + kinds["migrate-host"]
+	churned := kinds[trace.ScenarioCreateTenant] + kinds[trace.ScenarioDeleteTenant] + kinds[trace.ScenarioMigrateHost]
 	if churned == 0 {
 		t.Errorf("no tenant-churn events in trace: %v", kinds)
 	}
-	faults := kinds["fail-link"] + kinds["heal-link"] + kinds["flap-link"] +
-		kinds["crash-switch"] + kinds["restart-switch"]
+	faults := kinds[trace.ScenarioFailLink] + kinds[trace.ScenarioHealLink] + kinds[trace.ScenarioFlapLink] +
+		kinds[trace.ScenarioCrashSwitch] + kinds[trace.ScenarioRestartSwitch]
 	if faults == 0 {
 		t.Errorf("churn displaced every fault event: %v", kinds)
 	}
@@ -85,7 +87,7 @@ func TestTenantChurnDeterminism(t *testing.T) {
 		t.Fatalf("seed 11 digest = %#016x, want %#016x; trace:\n%v", got, want, a.Trace)
 	}
 	c := run(12)
-	if chaos.TraceEqual(a.Trace, c.Trace) {
+	if slices.Equal(a.Trace, c.Trace) {
 		t.Fatal("different seeds produced identical traces")
 	}
 	if a.Digest() == c.Digest() {

@@ -96,10 +96,6 @@ type Controller struct {
 	// virt, when set, restricts path answers per tenant (§6.1).
 	virt Virtualizer
 
-	// telemetry, when set, is the merged telemetry-hub view the controller
-	// republishes (ctrl.telemetry.* metrics, snapshot exporters).
-	telemetry TelemetryView
-
 	// routes is the cached path-graph service behind handlePathRequest.
 	routes *RouteService
 	// mcast is the multicast group registry and tree cache.

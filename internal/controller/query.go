@@ -16,10 +16,7 @@ import (
 // answers. The federation layer extends the same request type with a
 // fabric scope — an inter-fabric query carries ScopeFabric and is answered
 // by the regional resolver, which composes local RouteAnswers from each
-// member controller with a WAN hop.
-//
-// The old methods survive as thin deprecated shims over Resolve (see the
-// API-migration table in DESIGN.md).
+// member controller with a WAN hop. Resolve is the only lookup entry point.
 
 // RouteScope selects which routing plane answers a query.
 type RouteScope uint8

@@ -168,7 +168,7 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 		eng = o.fedEngine
 		fab, err = fabric.Build(eng, t, cfg.Fabric)
 	} else if o.shards > 1 {
-		simGroup = sim.NewShardedEngine(cfg.Seed, sim.Shards(o.shards))
+		simGroup = sim.NewShardedEngine(cfg.Seed, o.shards)
 		part := topo.PartitionShards(t, o.shards)
 		fab, err = fabric.BuildSharded(simGroup, t, cfg.Fabric, part)
 	} else {

@@ -110,7 +110,7 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 	if len(specs) > fabricStride {
 		return nil, fmt.Errorf("core: too many member fabrics (%d)", len(specs))
 	}
-	group := sim.NewShardedEngine(cfg.Seed, sim.Shards(len(specs)))
+	group := sim.NewShardedEngine(cfg.Seed, len(specs))
 	f := &Federation{
 		cfg:      cfg,
 		group:    group,
@@ -210,7 +210,7 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 			}
 			f.perpetual = true
 		}
-		f.hub.AddMember(f.names[i], n.hub)
+		f.hub.AddMember(n.hub)
 	}
 	return f, nil
 }

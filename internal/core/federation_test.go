@@ -307,3 +307,24 @@ func TestFederationMemberRefusesReplication(t *testing.T) {
 		t.Fatal("a refused replication left a replica group behind")
 	}
 }
+
+// TestFederationRefusesTenants: the regional resolver has no tenant scope
+// and member isolation refuses cross-fabric pings to tenanted hosts, so a
+// tenanted member is refused at Federate rather than booted.
+func TestFederationRefusesTenants(t *testing.T) {
+	ta, err := topo.FatTree(4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := topo.FatTree(4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = core.Federate(core.DefaultFederationConfig(7),
+		core.FabricSpec{Name: "west", Topo: ta, Opts: []core.Option{core.WithTenants(2)}},
+		core.FabricSpec{Name: "east", Topo: tb},
+	)
+	if !errors.Is(err, core.ErrIncompatible) {
+		t.Fatalf("Federate with a tenanted member: err = %v, want ErrIncompatible", err)
+	}
+}

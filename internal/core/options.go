@@ -89,7 +89,8 @@ func WithChaos(cfg chaos.Config) Option {
 // "t001", ...), leaving any remainder hosts untenanted. count == 0 installs
 // the manager with no tenants — create them at runtime (chaos churn does).
 // EnableReplicationAt later re-points the manager at the replicated master
-// and installs it on every replica.
+// and installs it on every replica. Federation members refuse it (see
+// refusals).
 func WithTenants(count int) Option {
 	return func(o *options) { o.tenants = count }
 }
@@ -133,12 +134,12 @@ func withFederation(eng *sim.Engine) Option {
 
 // WithTelemetry enables the online telemetry subsystem once the network
 // boots: a streaming consumer taps each engine's flight recorder, windowed
-// detectors publish verdicts to per-shard scoreboards, and the controller
-// exposes the merged view (ctrl.telemetry.* metrics, snapshot exporters).
-// Combine with WithPolicy("telemetry") to close the loop — agents then
-// steer flows off scoreboard-flagged links. Applied after tenancy, so the
-// heavy-hitter sketch sees tenant labels. Federation members take
-// FederationConfig.Telemetry instead (see refusals). Use
+// detectors publish verdicts to per-shard scoreboards, and Network.Telemetry
+// returns the hub that merges them (snapshot, JSON and Prometheus
+// exporters). Combine with WithPolicy("telemetry") to close the loop —
+// agents then steer flows off scoreboard-flagged links. Applied after
+// tenancy, so the heavy-hitter sketch sees tenant labels. Federation members
+// take FederationConfig.Telemetry instead (see refusals). Use
 // telemetry.DefaultConfig() for standard thresholds.
 func WithTelemetry(cfg telemetry.Config) Option {
 	return func(o *options) { o.telemetry = &cfg }
@@ -156,6 +157,7 @@ const (
 	featShards      feature = "WithShards"
 	featHybrid      feature = "WithHybridFlows"
 	featTelemetry   feature = "WithTelemetry"
+	featTenants     feature = "WithTenants"
 	featFederation  feature = "Federate"
 	featReplication feature = "EnableReplicationAt"
 )
@@ -174,6 +176,7 @@ var refusals = []struct {
 	{featFederation, featHybrid, "a member fabric does not own its engine clock"},
 	{featFederation, featReplication, "a member fabric does not own its engine clock"},
 	{featFederation, featTelemetry, "member flush timers would stall the other members' boot; use FederationConfig.Telemetry"},
+	{featFederation, featTenants, "the regional resolver has no tenant scope and member isolation refuses cross-fabric pings"},
 }
 
 // refuse returns the first refused pair among the features on, wrapping
@@ -198,6 +201,9 @@ func (o *options) features() []feature {
 	}
 	if o.telemetry != nil {
 		on = append(on, featTelemetry)
+	}
+	if o.tenants >= 0 {
+		on = append(on, featTenants)
 	}
 	if o.fedEngine != nil {
 		on = append(on, featFederation)

@@ -31,14 +31,14 @@ func pairFeatures() []pairFeature {
 	fs := []pairFeature{
 		{name: "shards", opts: []core.Option{core.WithShards(2)}, table: []string{"WithShards"}},
 		{name: "replication", replicate: true, table: []string{"EnableReplicationAt"}},
-		{name: "tenants", opts: []core.Option{core.WithTenants(2)}},
+		{name: "tenants", opts: []core.Option{core.WithTenants(2)}, table: []string{"WithTenants"}},
 		{name: "telemetry", opts: []core.Option{core.WithTelemetry(telemetry.DefaultConfig())}, table: []string{"WithTelemetry"}},
 		{name: "hybrid", opts: []core.Option{core.WithHybridFlows(hybrid.Config{})}, table: []string{"WithHybridFlows"}},
 		{name: "federation", federate: true, table: []string{"Federate"}},
 		{name: "host-flood-off", opts: []core.Option{core.WithHostFlood(false)}},
 		{name: "link-chaos", chaos: func(c *chaos.Config) { c.Loss, c.Flap, c.CrashSwitches = 0.01, true, true }},
 		{name: "ctrl-crash", replicate: true, chaos: func(c *chaos.Config) { c.CrashController = true }, table: []string{"EnableReplicationAt"}},
-		{name: "churn", opts: []core.Option{core.WithTenants(2)}, chaos: func(c *chaos.Config) { c.TenantChurn = true }},
+		{name: "churn", opts: []core.Option{core.WithTenants(2)}, chaos: func(c *chaos.Config) { c.TenantChurn = true }, table: []string{"WithTenants"}},
 		{name: "mcast", chaos: func(c *chaos.Config) { c.Mcast = true }},
 	}
 	// A host runs one routing policy, so policies pair with every other
@@ -59,6 +59,7 @@ var refusedPairs = [][2]string{
 	{"Federate", "WithHybridFlows"},
 	{"Federate", "EnableReplicationAt"},
 	{"Federate", "WithTelemetry"},
+	{"Federate", "WithTenants"},
 }
 
 // knownDefects are pairs with an open correctness defect (ROADMAP.md's
@@ -66,8 +67,6 @@ var refusedPairs = [][2]string{
 var knownDefects = map[string]bool{
 	"tenants+ctrl-crash": true, // (1) controller crash × static tenants
 	"ctrl-crash+churn":   true, // (2) tenant churn × controller crash
-	"tenants+federation": true, // (6) tenanted members fail the WAN battery's reachability sweep
-	"federation+churn":   true, // (6)
 }
 
 // refusalFor returns the refused pair the two features turn on, if any.

@@ -9,17 +9,17 @@ import (
 // Online telemetry wiring: one telemetry.Consumer per simulation engine
 // (shard), each subscribed to that engine's flight recorder through a
 // non-blocking tap and flushed by an in-sim periodic event; a telemetry.Hub
-// merges them into the fabric view the controller republishes. Agents get
-// their own shard's scoreboard (host.LinkHealth), which the "telemetry"
-// routing policy consults to steer flows off flagged links — the closed
-// loop.
+// merges them into the one fabric view, read through Network.Telemetry.
+// Agents get their own shard's scoreboard (host.LinkHealth), which the
+// "telemetry" routing policy consults to steer flows off flagged links — the
+// closed loop.
 
 // EnableTelemetry attaches streaming trace analytics to the booted network:
 // per-shard consumers over (possibly newly installed) flight recorders, the
-// merged hub on the controller, and shard-local scoreboards on every agent.
-// Idempotent — a second call returns the existing hub. The periodic flush
-// events keep the event queue non-empty forever, so drains become
-// time-bounded (as with replication heartbeats).
+// merged hub (returned, and served by Telemetry), and shard-local
+// scoreboards on every agent. Idempotent — a second call returns the
+// existing hub. The periodic flush events keep the event queue non-empty
+// forever, so drains become time-bounded (as with replication heartbeats).
 //
 // Prefer constructing with WithTelemetry(cfg), which applies this
 // automatically after Bootstrap/Discover. Federate calls it on each member
@@ -46,9 +46,6 @@ func (n *Network) EnableTelemetry(cfg telemetry.Config) (*telemetry.Hub, error) 
 		if c := hub.ConsumerFor(a.Engine()); c != nil {
 			a.SetLinkHealth(c.Board())
 		}
-	}
-	for _, c := range n.controllers() {
-		c.SetTelemetry(hub)
 	}
 	hub.Start()
 	n.hub = hub

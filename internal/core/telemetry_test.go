@@ -176,29 +176,18 @@ func TestEnableTelemetryLifecycle(t *testing.T) {
 	if err != nil || again != hub {
 		t.Fatalf("second EnableTelemetry = (%p, %v), want (%p, nil)", again, err, hub)
 	}
-	// The controller republishes the merged view.
-	if n.Ctrl.Telemetry() == nil {
-		t.Fatal("controller has no telemetry view")
+	// The network's hub is the one merged view, with both exporters.
+	if n.Telemetry() != hub {
+		t.Fatal("Network.Telemetry does not return the enabled hub")
 	}
-	if _, err := n.Ctrl.TelemetryJSON(); err != nil {
+	if _, err := hub.SnapshotJSON(); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := n.Ctrl.WriteTelemetryProm(&sb); err != nil {
+	if err := hub.WriteProm(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "dumbnet_telemetry_windows_total") {
 		t.Fatalf("prometheus export missing telemetry families:\n%s", sb.String())
-	}
-	// ctrl.telemetry.* lazy counters land in the metrics snapshot.
-	snap := n.Eng.Metrics().Snapshot(int64(n.Eng.Now()))
-	found := false
-	for _, e := range snap.Entries {
-		if e.Name == "ctrl.telemetry.windows" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("ctrl.telemetry.windows not registered in the metrics registry")
 	}
 }

@@ -5,9 +5,9 @@
 // authoritative for intra-fabric route queries; a Regional resolver answers
 // inter-fabric queries by composing local path-graph answers from the two
 // member controllers with a WAN hop between border gateways, under its own
-// generation-invalidated cache. A RegionalHub rolls per-fabric telemetry
-// hubs up into one federation view whose scoreboard includes WAN-link
-// health, and gateway selection steers inter-fabric traffic across
+// generation-invalidated cache. A RegionalHub tracks WAN-link health and
+// rolls the member hubs' flag counts up into one federation count, and
+// gateway selection steers inter-fabric traffic across
 // alternate gateways when a WAN link is flagged or down.
 //
 // The simulation substrate maps one member fabric to one shard engine of a

@@ -1,29 +1,28 @@
 package federation
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sync/atomic"
 
 	"dumbnet/internal/telemetry"
 )
 
-// RegionalHub rolls the member fabrics' telemetry hubs up into one
-// federation-wide view and adds the plane the members cannot see: WAN-link
-// health. Per-link flags are raised on failure (via Link.Watch) or by the
-// operator/telemetry pipeline (FlagWAN) and steer gateway selection toward
-// alternates; every health transition bumps a generation counter that the
-// Regional resolver folds into its cache-freshness vector, so a flagged or
-// downed WAN link invalidates every cached inter-fabric route at once.
+// RegionalHub rolls the member fabrics' flag counters up into one
+// federation-wide count and adds the plane the members cannot see: WAN-link
+// health. Each member's full telemetry view stays on its own hub
+// (core.Network.Telemetry). Per-link flags are raised on failure (via
+// Link.Watch) or by the operator/telemetry pipeline (FlagWAN) and steer
+// gateway selection toward alternates; every health transition bumps a
+// generation counter that the Regional resolver folds into its
+// cache-freshness vector, so a flagged or downed WAN link invalidates every
+// cached inter-fabric route at once.
 //
 // Link watch callbacks fire on whichever shard engine performs the flip —
 // a failure on the near shard, a restore on the far one — so all mutable
-// state here is atomic. The merged read methods (TelemetryView) follow the
-// telemetry.Hub contract: driver goroutine only, simulation parked.
+// state here is atomic. The roll-up methods (Flagged, Raised, Cleared)
+// follow the telemetry.Hub contract: driver goroutine only, simulation
+// parked.
 type RegionalHub struct {
 	members []*telemetry.Hub // per-fabric hubs; nil when a member runs without telemetry
-	names   []string
 
 	flags        []atomic.Bool // by WAN link ID
 	gen          atomic.Uint64
@@ -39,8 +38,7 @@ func NewRegionalHub(nWAN int) *RegionalHub {
 
 // AddMember registers one member fabric's telemetry hub (nil is allowed:
 // the member then contributes nothing to the rolled-up counters).
-func (h *RegionalHub) AddMember(name string, hub *telemetry.Hub) {
-	h.names = append(h.names, name)
+func (h *RegionalHub) AddMember(hub *telemetry.Hub) {
 	h.members = append(h.members, hub)
 }
 
@@ -108,8 +106,8 @@ func (h *RegionalHub) noteGatewayDown(delta int64) {
 // GatewaysDown counts currently crashed gateways.
 func (h *RegionalHub) GatewaysDown() int { return int(h.gatewaysDown.Load()) }
 
-// controller.TelemetryView: the rolled-up federation scoreboard. Each
-// method sums the member hubs and adds the WAN plane where it has one.
+// The rolled-up federation scoreboard. Each method sums the member hubs and
+// adds the WAN plane.
 
 // Flagged counts flagged subjects across every member plus flagged WAN
 // links.
@@ -143,113 +141,4 @@ func (h *RegionalHub) Cleared() uint64 {
 		}
 	}
 	return n
-}
-
-// Flushes totals completed telemetry windows across members.
-func (h *RegionalHub) Flushes() uint64 {
-	var n uint64
-	for _, m := range h.members {
-		if m != nil {
-			n += m.Flushes()
-		}
-	}
-	return n
-}
-
-// TapDropped totals records lost to full tap buffers across members.
-func (h *RegionalHub) TapDropped() uint64 {
-	var n uint64
-	for _, m := range h.members {
-		if m != nil {
-			n += m.TapDropped()
-		}
-	}
-	return n
-}
-
-// HealBreaches totals SLO-violating recoveries across members.
-func (h *RegionalHub) HealBreaches() uint64 {
-	var n uint64
-	for _, m := range h.members {
-		if m != nil {
-			n += m.HealBreaches()
-		}
-	}
-	return n
-}
-
-// WANStat is one WAN link's health in a regional snapshot.
-type WANStat struct {
-	ID      int  `json:"wan"`
-	Flagged bool `json:"flagged,omitempty"`
-}
-
-// RegionalSnapshot is the merged federation view at one instant.
-type RegionalSnapshot struct {
-	Gen          uint64                         `json:"health_gen"`
-	Flagged      int                            `json:"flagged"`
-	GatewaysDown int                            `json:"gateways_down"`
-	WAN          []WANStat                      `json:"wan"`
-	Fabrics      map[string]*telemetry.Snapshot `json:"fabrics,omitempty"`
-}
-
-// Snapshot merges the member snapshots under the WAN health plane. Driver
-// goroutine only (sim parked).
-func (h *RegionalHub) Snapshot() *RegionalSnapshot {
-	s := &RegionalSnapshot{
-		Gen:          h.Gen(),
-		Flagged:      h.Flagged(),
-		GatewaysDown: h.GatewaysDown(),
-	}
-	for i := range h.flags {
-		s.WAN = append(s.WAN, WANStat{ID: i, Flagged: h.flags[i].Load()})
-	}
-	for i, m := range h.members {
-		if m == nil {
-			continue
-		}
-		if s.Fabrics == nil {
-			s.Fabrics = make(map[string]*telemetry.Snapshot, len(h.members))
-		}
-		s.Fabrics[h.names[i]] = m.Snapshot()
-	}
-	return s
-}
-
-// SnapshotJSON renders the merged regional snapshot as indented JSON.
-func (h *RegionalHub) SnapshotJSON() ([]byte, error) {
-	return json.MarshalIndent(h.Snapshot(), "", "  ")
-}
-
-// WriteProm renders the federation plane in Prometheus text exposition
-// format (dumbnet_federation_* family). Member fabrics export their own
-// dumbnet_telemetry_* families through their controllers; duplicating them
-// here would emit repeated metric families, so only the regional plane is
-// written.
-func (h *RegionalHub) WriteProm(w io.Writer) error {
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# TYPE dumbnet_federation_health_gen counter\n")
-	p("dumbnet_federation_health_gen %d\n", h.Gen())
-	p("# TYPE dumbnet_federation_flagged gauge\n")
-	p("dumbnet_federation_flagged %d\n", h.Flagged())
-	p("# TYPE dumbnet_federation_gateways_down gauge\n")
-	p("dumbnet_federation_gateways_down %d\n", h.GatewaysDown())
-	p("# TYPE dumbnet_federation_wan_flagged gauge\n")
-	for i := range h.flags {
-		v := 0
-		if h.flags[i].Load() {
-			v = 1
-		}
-		p("dumbnet_federation_wan_flagged{wan=\"%d\"} %d\n", i, v)
-	}
-	p("# TYPE dumbnet_federation_wan_flags_raised_total counter\n")
-	p("dumbnet_federation_wan_flags_raised_total %d\n", h.wanRaised.Load())
-	p("# TYPE dumbnet_federation_wan_flags_cleared_total counter\n")
-	p("dumbnet_federation_wan_flags_cleared_total %d\n", h.wanCleared.Load())
-	return err
 }

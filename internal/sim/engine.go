@@ -183,8 +183,7 @@ func NewEngine(seed int64) *Engine {
 
 // Now returns the current virtual time. In a sharded run Now is shard-affine:
 // calling it from another shard's event handler is a determinism bug, and
-// panics when shard checks are enabled (-race builds or
-// DUMBNET_SHARD_CHECKS=1).
+// panics when shard checks are enabled (-race builds).
 func (e *Engine) Now() Time {
 	if e.group != nil {
 		e.checkAffinity("Now")

@@ -46,18 +46,6 @@ type crossEvent struct {
 	h  Handler
 }
 
-// Option configures NewShardedEngine.
-type Option func(*groupConfig)
-
-type groupConfig struct {
-	shards int
-}
-
-// Shards sets the number of shards (engines) in the group. n must be >= 1.
-func Shards(n int) Option {
-	return func(c *groupConfig) { c.shards = n }
-}
-
 // ShardGroup owns n shard Engines and advances them in lockstep windows.
 // Construction, wiring, and result inspection happen on one goroutine while
 // the group is idle; Run/RunUntil/RunFor drive the parallel phase.
@@ -98,34 +86,30 @@ type mergeItem struct {
 	idx int
 }
 
-// NewShardedEngine creates a shard group whose shard 0 is seeded with seed
-// exactly (so a single-shard group replays the same rng stream as
-// NewEngine(seed)); the remaining shards get distinct deterministic seeds
-// derived from it. Each shard has its own metrics registry; tracers are
-// attached per shard with Engine.SetTracer.
-func NewShardedEngine(seed int64, opts ...Option) *ShardGroup {
-	cfg := groupConfig{shards: 1}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.shards < 1 {
-		panic(fmt.Sprintf("sim: NewShardedEngine with %d shards", cfg.shards))
+// NewShardedEngine creates a group of n shards (n >= 1) whose shard 0 is
+// seeded with seed exactly (so a single-shard group replays the same rng
+// stream as NewEngine(seed)); the remaining shards get distinct
+// deterministic seeds derived from it. Each shard has its own metrics
+// registry; tracers are attached per shard with Engine.SetTracer.
+func NewShardedEngine(seed int64, n int) *ShardGroup {
+	if n < 1 {
+		panic(fmt.Sprintf("sim: NewShardedEngine with %d shards", n))
 	}
 	g := &ShardGroup{
 		lookahead: maxTime,
-		shards:    make([]*Engine, cfg.shards),
-		outbox:    make([][][]crossEvent, cfg.shards),
-		next:      make([]Time, cfg.shards),
-		work:      make([]chan Time, cfg.shards),
+		shards:    make([]*Engine, n),
+		outbox:    make([][][]crossEvent, n),
+		next:      make([]Time, n),
+		work:      make([]chan Time, n),
 	}
 	for i := range g.shards {
 		e := NewEngine(shardSeed(seed, i))
 		e.group = g
 		e.shard = i
 		g.shards[i] = e
-		g.outbox[i] = make([][]crossEvent, cfg.shards)
+		g.outbox[i] = make([][]crossEvent, n)
 	}
-	for i := 1; i < cfg.shards; i++ {
+	for i := 1; i < n; i++ {
 		g.work[i] = make(chan Time)
 		go g.worker(i)
 	}

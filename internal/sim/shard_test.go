@@ -46,7 +46,7 @@ func buildPingPair(g *ShardGroup, limit int) (*pingNode, *pingNode) {
 
 func TestShardedPingDeterministic(t *testing.T) {
 	run := func(shards int) (uint64, uint64, uint64) {
-		g := NewShardedEngine(7, Shards(shards))
+		g := NewShardedEngine(7, shards)
 		defer g.Close()
 		a, b := buildPingPair(g, 200)
 		g.Run()
@@ -84,7 +84,7 @@ func TestShardGroupSingleShardMatchesEngine(t *testing.T) {
 	}
 	plain := NewEngine(99)
 	h1, c1 := runOn(plain, plain.Run)
-	g := NewShardedEngine(99, Shards(1))
+	g := NewShardedEngine(99, 1)
 	defer g.Close()
 	h2, c2 := runOn(g.Shard(0), g.Run)
 	if h1 != h2 || c1 != c2 {
@@ -97,7 +97,7 @@ func TestShardGroupSingleShardMatchesEngine(t *testing.T) {
 // executed in (time, source shard, production order) order at the receiver.
 func TestShardedCrossOrdering(t *testing.T) {
 	const senders = 3
-	g := NewShardedEngine(1, Shards(senders+1))
+	g := NewShardedEngine(1, senders+1)
 	defer g.Close()
 	rxEng := g.Shard(0)
 
@@ -139,7 +139,7 @@ func TestShardedCrossOrdering(t *testing.T) {
 // and has no such gap.)
 func TestShardedRunLeavesShardClocksApart(t *testing.T) {
 	nextRound := func(shards int) Time {
-		g := NewShardedEngine(1, Shards(shards))
+		g := NewShardedEngine(1, shards)
 		defer g.Close()
 		busy, quiet := g.Shard(0), g.Shard(shards-1)
 		busy.At(10*Microsecond, func() {})
@@ -171,7 +171,7 @@ func TestShardedSameDeadlineTieOrder(t *testing.T) {
 		at  Time
 	}
 	run := func(shards int) []arrival {
-		g := NewShardedEngine(1, Shards(shards))
+		g := NewShardedEngine(1, shards)
 		defer g.Close()
 		ea, es := g.Shard(0), g.Shard(shards-1)
 		var got []arrival
@@ -213,7 +213,7 @@ func (f *funcNode) Receive(port int, frame []byte) {
 // TestShardedRunUntilClampsClocks verifies that after RunUntil all shards sit
 // at the deadline even if some never executed an event.
 func TestShardedRunUntilClampsClocks(t *testing.T) {
-	g := NewShardedEngine(3, Shards(4))
+	g := NewShardedEngine(3, 4)
 	defer g.Close()
 	g.Shard(1).At(2*Millisecond, func() {})
 	g.RunUntil(10 * Millisecond)
@@ -230,7 +230,7 @@ func TestShardedRunUntilClampsClocks(t *testing.T) {
 // TestCrossLinkLookaheadValidation: a cross-shard link with zero propagation
 // delay must be rejected — it would collapse the conservative window.
 func TestCrossLinkLookaheadValidation(t *testing.T) {
-	g := NewShardedEngine(1, Shards(2))
+	g := NewShardedEngine(1, 2)
 	defer g.Close()
 	defer func() {
 		if recover() == nil {
@@ -259,7 +259,7 @@ func TestShardAffinityGuard(t *testing.T) {
 		shardDebug = true
 		defer func() { shardDebug = old }()
 	}
-	g := NewShardedEngine(5, Shards(2))
+	g := NewShardedEngine(5, 2)
 	defer g.Close()
 	// Force concurrent windows with a cross link so both shards are active.
 	a, b := buildPingPair(g, 50)
@@ -282,7 +282,7 @@ func TestShardAffinityGuard(t *testing.T) {
 // TestShardedSetUpCrossLink: failing a cross-shard link mid-run drops
 // in-flight traffic without deadlock, and restoring it lets traffic resume.
 func TestShardedSetUpCrossLink(t *testing.T) {
-	g := NewShardedEngine(11, Shards(2))
+	g := NewShardedEngine(11, 2)
 	defer g.Close()
 	a, b := buildPingPair(g, 1<<30)
 	link := a.link
@@ -307,7 +307,7 @@ func TestShardedSetUpCrossLink(t *testing.T) {
 // TestShardedSoloFastPath: a run where only one shard ever has events should
 // still complete and stay bounded by cross arrivals it produces itself.
 func TestShardedSoloFastPath(t *testing.T) {
-	g := NewShardedEngine(2, Shards(3))
+	g := NewShardedEngine(2, 3)
 	defer g.Close()
 	e := g.Shard(2)
 	count := 0
@@ -329,7 +329,7 @@ func TestShardedSoloFastPath(t *testing.T) {
 }
 
 func BenchmarkShardGroupPingPong(b *testing.B) {
-	g := NewShardedEngine(1, Shards(2))
+	g := NewShardedEngine(1, 2)
 	defer g.Close()
 	a, _ := buildPingPair(g, 1<<30)
 	_ = a

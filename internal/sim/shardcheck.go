@@ -3,18 +3,17 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"sync/atomic"
 )
 
 // shardDebug gates the shard-affinity guards on Now/Rand/schedule. They are
-// always on in -race builds (where nondeterminism bugs are being hunted
-// anyway) and can be forced in normal builds with DUMBNET_SHARD_CHECKS=1.
-// When off, the sharded hot path pays a single boolean load; a standalone
-// engine pays only the group==nil branch.
-var shardDebug = raceEnabled || os.Getenv("DUMBNET_SHARD_CHECKS") == "1"
+// on in -race builds, where nondeterminism bugs are being hunted anyway; a
+// test may switch them on in a normal build. When off, the sharded hot path
+// pays a single boolean load; a standalone engine pays only the group==nil
+// branch.
+var shardDebug = raceEnabled
 
 // curGoid returns the current goroutine's id, parsed from the stack header
 // ("goroutine 123 [running]:"). Only used on the debug path — it costs a

@@ -27,7 +27,7 @@ func (m *monNode) PortStateChanged(port int, up bool) {
 // observe anything.
 func TestCrossLinkSetUpWANLookahead(t *testing.T) {
 	const wan = 5 * Millisecond
-	g := NewShardedEngine(3, Shards(2))
+	g := NewShardedEngine(3, 2)
 	defer g.Close()
 	a := &monNode{eng: g.Shard(0)}
 	b := &monNode{eng: g.Shard(1)}
@@ -73,7 +73,7 @@ func TestCrossLinkSetUpWANLookahead(t *testing.T) {
 // takes effect on both ends at once — fault injection between runs must
 // not need a warm-up window.
 func TestCrossLinkSetUpIdleImmediate(t *testing.T) {
-	g := NewShardedEngine(3, Shards(2))
+	g := NewShardedEngine(3, 2)
 	defer g.Close()
 	a := &monNode{eng: g.Shard(0)}
 	b := &monNode{eng: g.Shard(1)}
@@ -97,7 +97,7 @@ func TestCrossLinkSetUpIdleImmediate(t *testing.T) {
 // duration — the property that makes fabric-per-shard federation pay.
 func TestCrossShardWindowScalesWithWANDelay(t *testing.T) {
 	windows := func(prop Time) uint64 {
-		g := NewShardedEngine(9, Shards(2))
+		g := NewShardedEngine(9, 2)
 		defer g.Close()
 		a := &pingNode{eng: g.Shard(0), limit: 1 << 30}
 		b := &pingNode{eng: g.Shard(1), limit: 1 << 30}

@@ -107,7 +107,7 @@ func (h *Hub) Cleared() uint64 {
 }
 
 // Flushes totals completed windows; TapDropped totals records lost to full
-// tap buffers; HealBreaches totals SLO-violating recoveries.
+// tap buffers.
 func (h *Hub) Flushes() uint64 {
 	var n uint64
 	for _, c := range h.consumers {
@@ -120,14 +120,6 @@ func (h *Hub) TapDropped() uint64 {
 	var n uint64
 	for _, c := range h.consumers {
 		n += c.TapDropped()
-	}
-	return n
-}
-
-func (h *Hub) HealBreaches() uint64 {
-	var n uint64
-	for _, c := range h.consumers {
-		n += c.healBreaches
 	}
 	return n
 }

@@ -2,8 +2,8 @@
 // consumer fed by a non-blocking, drop-counted tap on trace.Recorder
 // (trace.Tap), windowed aggregators over the record stream, a detector set
 // whose verdicts land in a congestion Scoreboard, and a Hub that merges
-// per-shard consumers into one fabric view for the controller's
-// ctrl.telemetry.* metrics and JSON/Prometheus exporters.
+// per-shard consumers into the one fabric view (core.Network.Telemetry),
+// with JSON and Prometheus exporters.
 //
 // DumbNet's switches are dumb — there are no switch counters to scrape — so
 // visibility comes from the end-host/controller trace stream the fabric
@@ -22,7 +22,7 @@
 //     agents on the same shard. Flushes touch no network state and draw no
 //     randomness, so attaching telemetry leaves every other event — and
 //     therefore the chaos determinism digests — bit-identical.
-//   - Cross-shard merging (Hub snapshots, controller metrics) happens on
+//   - Cross-shard merging (Hub snapshots) happens on
 //     demand from the driver goroutine between runs, never inside a window.
 package telemetry
 

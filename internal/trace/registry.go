@@ -10,8 +10,8 @@ import (
 // The unified metrics registry: ordered, named counters, gauges and
 // sim-time histograms, plus lazily-evaluated counter functions that bind
 // existing component stats (switch Stats structs, link LinkStats) into the
-// registry without forcing those hot paths through a map lookup. It absorbs
-// the role metrics.CounterSet used to play for fabric drop accounting.
+// registry without forcing those hot paths through a map lookup. Fabric drop
+// accounting is published through it too.
 //
 // The registry is single-threaded like the simulator; instruments are
 // cheap value holders the caller caches a pointer to, so a hot path pays

@@ -163,7 +163,9 @@ func (o RecoveryOp) String() string {
 // ScenarioOp labels a chaos-driver event (KindScenario records).
 type ScenarioOp uint8
 
-// Scenario events, mirroring internal/chaos's trace kinds.
+// Scenario events: the kind of every chaos.Event. The multicast and WAN
+// kinds appear in chaos reports only; the chaos driver never records them
+// in the flight recorder.
 const (
 	ScenarioImpair ScenarioOp = iota + 1
 	ScenarioFailLink
@@ -178,6 +180,13 @@ const (
 	ScenarioCreateTenant
 	ScenarioDeleteTenant
 	ScenarioMigrateHost
+	ScenarioMcastGroup
+	ScenarioMcastProbe
+	ScenarioFailWAN
+	ScenarioHealWAN
+	ScenarioCrashGateway
+	ScenarioRestartGateway
+	ScenarioHealAllWAN
 )
 
 func (o ScenarioOp) String() string {
@@ -208,6 +217,20 @@ func (o ScenarioOp) String() string {
 		return "delete-tenant"
 	case ScenarioMigrateHost:
 		return "migrate-host"
+	case ScenarioMcastGroup:
+		return "mcast-group"
+	case ScenarioMcastProbe:
+		return "mcast-probe"
+	case ScenarioFailWAN:
+		return "fail-wan"
+	case ScenarioHealWAN:
+		return "heal-wan"
+	case ScenarioCrashGateway:
+		return "crash-gateway"
+	case ScenarioRestartGateway:
+		return "restart-gateway"
+	case ScenarioHealAllWAN:
+		return "heal-all-wan"
 	}
 	return "?"
 }
