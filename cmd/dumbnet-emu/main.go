@@ -54,6 +54,22 @@ func buildTopology(kind string, k, n int) (*topo.Topology, int, error) {
 	}
 }
 
+// checkFlags refuses flag values the layers below would otherwise replace
+// with their defaults without a word.
+func checkFlags(chaosEvents, federate, gateways int, wanDelay time.Duration) error {
+	switch {
+	case chaosEvents < 1:
+		return fmt.Errorf("-chaos-events %d: need at least 1 event", chaosEvents)
+	case federate < 0 || federate == 1:
+		return fmt.Errorf("-federate %d: need 0 (off) or at least 2 fabrics", federate)
+	case gateways < 1:
+		return fmt.Errorf("-gateways %d: need at least 1 gateway per fabric pair", gateways)
+	case wanDelay <= 0:
+		return fmt.Errorf("-wan-delay %v: need a positive WAN propagation delay", wanDelay)
+	}
+	return nil
+}
+
 func main() {
 	var (
 		kind     = flag.String("topo", "testbed", "topology: testbed|fattree|cube|leafspine")
@@ -77,7 +93,7 @@ func main() {
 		flap      = flag.Bool("flap", true, "include link-flap events in the chaos mix")
 		crashSw   = flag.Bool("crash-switches", true, "include switch crash/restart events in the chaos mix")
 		ctrlCrash = flag.Bool("ctrl-crash", false, "crash the primary controller mid-chaos (attaches 2 replicas)")
-		churn     = flag.Bool("churn", false, "interleave tenant create/delete/migrate events into the chaos mix (needs -tenants)")
+		churn     = flag.Bool("churn", false, "interleave tenant create/delete/migrate events into the chaos mix (installs the tenant manager; -tenants N also carves N tenants at boot)")
 		mcastSoak = flag.Bool("mcast", false, "carve multicast groups before impairment and probe them through the chaos mix")
 		checkCap  = flag.Int("check-cap", 0, "cap post-chaos pair sweeps at this many host pairs (0 = exhaustive)")
 
@@ -104,6 +120,10 @@ func main() {
 	)
 	flag.Parse()
 	log.SetFlags(0)
+	if err := checkFlags(*chaosEvts, *federate, *gateways, *wanDelay); err != nil {
+		fmt.Fprintf(os.Stderr, "dumbnet-emu: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *pprofAddr != "" {
 		go func() {

@@ -2,12 +2,39 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// emuBin is the emulator binary TestMain builds once for every test here.
+var emuBin string
+
+func TestMain(m *testing.M) {
+	os.Exit(func() int {
+		gobin, err := exec.LookPath("go")
+		if err != nil {
+			fmt.Println("skipping: needs the go command to build the emulator")
+			return 0
+		}
+		dir, err := os.MkdirTemp("", "dumbnet-emu-test")
+		if err != nil {
+			fmt.Println(err)
+			return 1
+		}
+		defer os.RemoveAll(dir)
+		emuBin = filepath.Join(dir, "dumbnet-emu")
+		if out, err := exec.Command(gobin, "build", "-o", emuBin, ".").CombinedOutput(); err != nil {
+			fmt.Printf("build: %v\n%s", err, out)
+			return 1
+		}
+		return m.Run()
+	}())
+}
 
 // TestGoldenOutput runs the emulator on fixed flag sets and compares its
 // stdout byte for byte with testdata/<name>.golden. Every run is seeded, so
@@ -16,14 +43,6 @@ import (
 //
 //	go run ./cmd/dumbnet-emu <args> > cmd/dumbnet-emu/testdata/<name>.golden
 func TestGoldenOutput(t *testing.T) {
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("needs the go command to build the emulator")
-	}
-	bin := filepath.Join(t.TempDir(), "dumbnet-emu")
-	if out, err := exec.Command(gobin, "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
 	for _, tc := range []struct {
 		name string
 		args string
@@ -44,18 +63,55 @@ func TestGoldenOutput(t *testing.T) {
 		// A chaos run with online telemetry, ending in the hub's final
 		// view and the metrics table.
 		{"telemetry-chaos", "-topo leafspine -k 4 -n 2 -pings 1 -discover=false -telemetry -chaos -chaos-events 8"},
+		// Discovery on the paper's testbed, a link failure with failover,
+		// and the per-switch counters and engine queue stats.
+		{"fail-stats", "-topo testbed -pings 1 -fail -stats"},
+		// Multicast groups probed through a chaos run.
+		{"mcast-chaos", "-topo leafspine -k 4 -n 2 -pings 0 -discover=false -chaos -mcast -chaos-events 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", tc.name+".golden"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := exec.Command(bin, strings.Fields(tc.args)...).Output()
+			got, err := exec.Command(emuBin, strings.Fields(tc.args)...).Output()
 			if err != nil {
 				t.Fatalf("dumbnet-emu %s: %v", tc.args, err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("dumbnet-emu %s differs from its golden\n--- got\n%s--- want\n%s", tc.args, got, want)
+			}
+		})
+	}
+}
+
+// TestBadFlagsRefused checks that a flag value the layers below would
+// silently replace with a default stops the emulator with a non-zero exit
+// and a message naming the flag.
+func TestBadFlagsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		flag string
+	}{
+		{"-topo fattree -k 4 -federate 2 -pings 0 -wan-delay 0", "-wan-delay"},
+		{"-topo fattree -k 4 -federate 2 -pings 0 -wan-delay -1ms", "-wan-delay"},
+		{"-topo leafspine -k 4 -n 2 -pings 0 -discover=false -chaos -chaos-events -3", "-chaos-events"},
+		{"-topo leafspine -k 4 -n 2 -pings 0 -discover=false -chaos -chaos-events 0", "-chaos-events"},
+		{"-topo fattree -k 4 -federate 1 -pings 0", "-federate"},
+		{"-topo fattree -k 4 -federate -2 -pings 0", "-federate"},
+		{"-topo fattree -k 4 -federate 2 -pings 0 -gateways 0", "-gateways"},
+	} {
+		t.Run(tc.args, func(t *testing.T) {
+			var stderr bytes.Buffer
+			cmd := exec.Command(emuBin, strings.Fields(tc.args)...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) {
+				t.Fatalf("dumbnet-emu %s: err = %v, want a non-zero exit", tc.args, err)
+			}
+			if msg := stderr.String(); !strings.Contains(msg, tc.flag+" ") {
+				t.Fatalf("dumbnet-emu %s: stderr %q does not name %s", tc.args, msg, tc.flag)
 			}
 		})
 	}

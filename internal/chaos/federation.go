@@ -63,9 +63,6 @@ type FederationConfig struct {
 	Events int
 	// MeanGap is the mean virtual-time gap between events.
 	MeanGap sim.Time
-	// GatewayCrash enables border-gateway crash/restart events alongside
-	// WAN link cuts.
-	GatewayCrash bool
 	// Settle is how long the federation gets after the final heal before
 	// the reachability check.
 	Settle sim.Time
@@ -83,7 +80,6 @@ func DefaultFederationConfig(seed int64) FederationConfig {
 		Seed:          seed,
 		Events:        16,
 		MeanGap:       50 * sim.Millisecond,
-		GatewayCrash:  true,
 		Settle:        2 * sim.Second,
 		Deadline:      2 * sim.Second,
 		MaxPairChecks: 8,
@@ -244,10 +240,10 @@ func (r *fedRunner) step() {
 	if len(downWANs) > 0 {
 		kinds = append(kinds, choice{trace.ScenarioHealWAN, len(downWANs)})
 	}
-	if r.cfg.GatewayCrash && len(liveGws) > 0 {
+	if len(liveGws) > 0 {
 		kinds = append(kinds, choice{trace.ScenarioCrashGateway, len(liveGws)})
 	}
-	if r.cfg.GatewayCrash && len(deadGws) > 0 {
+	if len(deadGws) > 0 {
 		kinds = append(kinds, choice{trace.ScenarioRestartGateway, len(deadGws)})
 	}
 	if len(kinds) == 0 {

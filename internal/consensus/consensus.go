@@ -51,24 +51,14 @@ func (r Role) String() string {
 	}
 }
 
-// Config tunes protocol timing.
-type Config struct {
-	HeartbeatInterval  sim.Time
-	ElectionTimeoutMin sim.Time
-	ElectionTimeoutMax sim.Time
-	// MessageDelay is the one-way replica-to-replica latency.
-	MessageDelay sim.Time
-}
-
-// DefaultConfig uses data-center-ish timing.
-func DefaultConfig() Config {
-	return Config{
-		HeartbeatInterval:  20 * sim.Millisecond,
-		ElectionTimeoutMin: 100 * sim.Millisecond,
-		ElectionTimeoutMax: 200 * sim.Millisecond,
-		MessageDelay:       500 * sim.Microsecond,
-	}
-}
+// Protocol timing, data-center-ish.
+const (
+	heartbeatInterval  = 20 * sim.Millisecond
+	electionTimeoutMin = 100 * sim.Millisecond
+	electionTimeoutMax = 200 * sim.Millisecond
+	// messageDelay is the one-way replica-to-replica latency.
+	messageDelay = 500 * sim.Microsecond
+)
 
 // Errors.
 var (
@@ -109,7 +99,6 @@ type message struct {
 // Cluster is the replica group plus its message bus.
 type Cluster struct {
 	eng   *sim.Engine
-	cfg   Config
 	nodes []*Node
 	// blocked[a][b] drops messages a->b (one direction).
 	blocked map[NodeID]map[NodeID]bool
@@ -117,8 +106,8 @@ type Cluster struct {
 
 // NewCluster creates n replicas. Apply (optional) is invoked on every node
 // for each committed entry, in log order.
-func NewCluster(eng *sim.Engine, n int, cfg Config, apply func(node NodeID, e Entry)) *Cluster {
-	c := &Cluster{eng: eng, cfg: cfg, blocked: make(map[NodeID]map[NodeID]bool)}
+func NewCluster(eng *sim.Engine, n int, apply func(node NodeID, e Entry)) *Cluster {
+	c := &Cluster{eng: eng, blocked: make(map[NodeID]map[NodeID]bool)}
 	for i := 0; i < n; i++ {
 		node := &Node{
 			id:       NodeID(i),
@@ -182,13 +171,13 @@ func (c *Cluster) block(a, b NodeID, v bool) {
 	c.blocked[a][b] = v
 }
 
-// send delivers a message after the configured delay unless blocked.
+// send delivers a message after messageDelay unless blocked.
 func (c *Cluster) send(from, to NodeID, m message) {
 	if c.blocked[from][to] {
 		return
 	}
 	dst := c.nodes[int(to)]
-	c.eng.After(c.cfg.MessageDelay, func() { dst.deliver(m) })
+	c.eng.After(messageDelay, func() { dst.deliver(m) })
 }
 
 func (c *Cluster) quorum() int { return len(c.nodes)/2 + 1 }
@@ -287,11 +276,7 @@ func (n *Node) lastLogTerm() uint64 {
 
 func (n *Node) resetElectionTimer() {
 	c := n.cluster
-	span := int64(c.cfg.ElectionTimeoutMax - c.cfg.ElectionTimeoutMin)
-	timeout := c.cfg.ElectionTimeoutMin
-	if span > 0 {
-		timeout += sim.Time(c.eng.Rand().Int63n(span))
-	}
+	timeout := electionTimeoutMin + sim.Time(c.eng.Rand().Int63n(int64(electionTimeoutMax-electionTimeoutMin)))
 	deadline := c.eng.Now() + timeout
 	n.electionDeadline = deadline
 	c.eng.At(deadline, func() { n.electionCheck(deadline) })
@@ -344,7 +329,7 @@ func (n *Node) heartbeat() {
 		return
 	}
 	n.broadcastAppend()
-	n.cluster.eng.After(n.cluster.cfg.HeartbeatInterval, func() { n.heartbeat() })
+	n.cluster.eng.After(heartbeatInterval, func() { n.heartbeat() })
 }
 
 func (n *Node) broadcastAppend() {

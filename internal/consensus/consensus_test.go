@@ -15,7 +15,7 @@ func newTestCluster(t *testing.T, n int, seed int64) (*sim.Engine, *Cluster, map
 	t.Helper()
 	eng := sim.NewEngine(seed)
 	applied := make(map[NodeID][]Entry)
-	c := NewCluster(eng, n, DefaultConfig(), func(id NodeID, e Entry) {
+	c := NewCluster(eng, n, func(id NodeID, e Entry) {
 		applied[id] = append(applied[id], e)
 	})
 	return eng, c, applied

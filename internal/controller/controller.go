@@ -22,12 +22,16 @@ import (
 	"dumbnet/internal/trace"
 )
 
+// requestDelay models per-path-request processing cost.
+const requestDelay = 3 * sim.Microsecond
+
+// PathGraphOptions returns the Algorithm-1 constants (s = 2, ε = 1) the
+// controller issues path graphs with; tenant slices are priced with the
+// same ones.
+func PathGraphOptions() topo.PathGraphOptions { return topo.PathGraphOptions{S: 2, Epsilon: 1} }
+
 // Config tunes the controller.
 type Config struct {
-	// PathGraph sets the Algorithm-1 constants for issued path graphs.
-	PathGraph topo.PathGraphOptions
-	// RequestDelay models per-path-request processing cost.
-	RequestDelay sim.Time
 	// PatchDelay models per-host patch transmission processing cost.
 	PatchDelay sim.Time
 	// Discovery configures the prober.
@@ -37,10 +41,8 @@ type Config struct {
 // DefaultConfig mirrors the prototype.
 func DefaultConfig() Config {
 	return Config{
-		PathGraph:    topo.PathGraphOptions{S: 2, Epsilon: 1},
-		RequestDelay: 3 * sim.Microsecond,
-		PatchDelay:   2 * sim.Microsecond,
-		Discovery:    DefaultDiscoveryConfig(),
+		PatchDelay: 2 * sim.Microsecond,
+		Discovery:  DefaultDiscoveryConfig(),
 	}
 }
 
@@ -325,7 +327,7 @@ func (c *Controller) handlePathRequest(req *packet.PathRequest) {
 		return
 	}
 	c.pathWaiters[key] = []uint64{req.Seq}
-	c.eng.After(c.cfg.RequestDelay, func() { c.answerPathRequests(key) })
+	c.eng.After(requestDelay, func() { c.answerPathRequests(key) })
 }
 
 // answerPathRequests serves every request coalesced under key: one path
@@ -586,12 +588,11 @@ type ReplicaGroup struct {
 	controllers []*Controller
 }
 
-// NewReplicaGroup wires controllers[i] to consensus node i. The cluster
-// must be created with the group's Apply function; use BuildReplicaGroup
-// for the common case.
-func BuildReplicaGroup(eng *sim.Engine, controllers []*Controller, ccfg consensus.Config) *ReplicaGroup {
+// BuildReplicaGroup wires controllers[i] to node i of a new consensus
+// cluster that applies every committed entry through the group.
+func BuildReplicaGroup(eng *sim.Engine, controllers []*Controller) *ReplicaGroup {
 	g := &ReplicaGroup{controllers: controllers}
-	g.Cluster = consensus.NewCluster(eng, len(controllers), ccfg, g.apply)
+	g.Cluster = consensus.NewCluster(eng, len(controllers), g.apply)
 	for i, ctrl := range controllers {
 		ctrl.replica = g.Cluster.Node(consensus.NodeID(i))
 		ctrl.forward = func(data []byte) {

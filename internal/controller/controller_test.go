@@ -6,7 +6,6 @@ import (
 
 	"testing"
 
-	"dumbnet/internal/consensus"
 	"dumbnet/internal/controller"
 	"dumbnet/internal/core"
 	"dumbnet/internal/packet"
@@ -195,7 +194,7 @@ func TestReplicationSnapshotAndPatch(t *testing.T) {
 	eng := n.Eng
 	r2 := controller.New(eng, newBareAgent(eng, packet.MACFromUint64(200)), controller.DefaultConfig())
 	r3 := controller.New(eng, newBareAgent(eng, packet.MACFromUint64(201)), controller.DefaultConfig())
-	group := controller.BuildReplicaGroup(eng, []*controller.Controller{n.Ctrl, r2, r3}, consensus.DefaultConfig())
+	group := controller.BuildReplicaGroup(eng, []*controller.Controller{n.Ctrl, r2, r3})
 	n.RunFor(2 * sim.Second) // elect
 	primary := group.Primary()
 	if primary == nil {

@@ -117,7 +117,7 @@ func (s *RouteService) lookup(src, dst packet.MAC) (RouteAnswer, error) {
 // it concurrently (each with its own scratch).
 func (s *RouteService) computeAnswer(ep Epoch, key pairKey, sc *topo.DenseScratch) (*RouteAnswer, error) {
 	rng := rand.New(rand.NewSource(pairSeed(key.src, key.dst, ep.version, ep.gen)))
-	pg, err := topo.BuildPathGraphScratch(ep.top, key.src, key.dst, s.c.cfg.PathGraph, rng, sc)
+	pg, err := topo.BuildPathGraphScratch(ep.top, key.src, key.dst, PathGraphOptions(), rng, sc)
 	if err != nil {
 		return nil, err
 	}

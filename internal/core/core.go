@@ -17,7 +17,6 @@ import (
 	"sync"
 
 	"dumbnet/internal/chaos"
-	"dumbnet/internal/consensus"
 	"dumbnet/internal/controller"
 	"dumbnet/internal/fabric"
 	"dumbnet/internal/host"
@@ -41,9 +40,6 @@ type Config struct {
 	Fabric     fabric.Config
 	Host       host.Config
 	Controller controller.Config
-	// ControllerHost picks which topology host runs the controller
-	// (zero value: the first host by MAC order).
-	ControllerHost MAC
 }
 
 // DefaultConfig mirrors the paper's prototype: 10 GbE links, DPDK-like host
@@ -182,10 +178,7 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("core: topology has no hosts")
 	}
-	ctrlMAC := cfg.ControllerHost
-	if ctrlMAC.IsZero() {
-		ctrlMAC = hosts[0].Host
-	}
+	ctrlMAC := hosts[0].Host // the controller runs on the first host by MAC order
 	n := &Network{
 		Topo:             t,
 		Fab:              fab,
@@ -202,7 +195,6 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 		pendingTenants:   o.tenants,
 		pendingTelemetry: o.telemetry,
 	}
-	found := false
 	for _, at := range hosts {
 		// In a sharded run each host lives on its attachment switch's shard.
 		heng := eng
@@ -228,13 +220,9 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 		if at.Host == ctrlMAC {
 			n.Ctrl = controller.New(heng, agent, cfg.Controller)
 			n.Eng = heng
-			found = true
 		} else {
 			n.hosts = append(n.hosts, at.Host)
 		}
-	}
-	if !found {
-		return nil, fmt.Errorf("core: controller host %v not in topology", ctrlMAC)
 	}
 	if o.tracer != nil {
 		n.Eng.SetTracer(o.tracer)
@@ -617,7 +605,7 @@ func (n *Network) EnableReplicationAt(macs []MAC) (*controller.ReplicaGroup, err
 // finishReplication builds the consensus group, waits out the election, and
 // replicates the bootstrap master as the initial snapshot.
 func (n *Network) finishReplication(ctrls []*controller.Controller) (*controller.ReplicaGroup, error) {
-	group := controller.BuildReplicaGroup(n.Eng, ctrls, consensus.DefaultConfig())
+	group := controller.BuildReplicaGroup(n.Eng, ctrls)
 	// Elect, then replicate the snapshot from whichever replica leads.
 	n.RunFor(2 * sim.Second)
 	primary := group.Primary()

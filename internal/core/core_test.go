@@ -158,35 +158,6 @@ func TestSetPolicyPerHost(t *testing.T) {
 	}
 }
 
-func TestCustomControllerHost(t *testing.T) {
-	tp, _ := topo.Testbed()
-	cfg := core.DefaultConfig()
-	cfg.ControllerHost = tp.Hosts()[5].Host
-	n, err := core.New(tp, core.WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.Ctrl.MAC() != tp.Hosts()[5].Host {
-		t.Fatal("controller host not honored")
-	}
-	if err := n.Bootstrap(); err != nil {
-		t.Fatal(err)
-	}
-	hosts := n.Hosts()
-	if _, err := n.PingSync(hosts[0], hosts[1]); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBadControllerHost(t *testing.T) {
-	tp, _ := topo.Testbed()
-	cfg := core.DefaultConfig()
-	cfg.ControllerHost[0] = 0xFF
-	if _, err := core.New(tp, core.WithConfig(cfg)); err == nil {
-		t.Fatal("bogus controller host accepted")
-	}
-}
-
 // Full-stack determinism: identical seeds must reproduce a run event for
 // event — same RTTs, same switch counters, same event count.
 func TestDeterministicRuns(t *testing.T) {

@@ -23,7 +23,7 @@ func (n *Network) bootTenancy(count int) error {
 	if count < 0 {
 		return nil
 	}
-	n.vnet = vnet.NewManager(n.Ctrl.Master(), n.cfg.Controller.PathGraph, n.cfg.Seed)
+	n.vnet = vnet.NewManager(n.Ctrl.Master(), controller.PathGraphOptions(), n.cfg.Seed)
 	n.vnet.SetMetrics(n.Eng.Metrics())
 	n.vnet.OnChange = n.onTenantChange
 	n.installVirtualization()

@@ -21,10 +21,12 @@ import (
 	"dumbnet/internal/trace"
 )
 
+// forwardDelay is the per-hop pipeline latency (pop label + demux) of a
+// shallow two-stage hardware pipeline.
+const forwardDelay = 500 * sim.Nanosecond
+
 // Config tunes the (few) physical characteristics of a dumb switch.
 type Config struct {
-	// ForwardDelay is the per-hop pipeline latency (pop label + demux).
-	ForwardDelay sim.Time
 	// NotifyHops is the flood hop limit for link-event broadcasts
 	// (paper: "a max of 5 hops is often enough").
 	NotifyHops uint8
@@ -38,11 +40,9 @@ type Config struct {
 	ECNThreshold sim.Time
 }
 
-// DefaultConfig mirrors the paper's constants; forwarding latency matches a
-// shallow two-stage hardware pipeline.
+// DefaultConfig mirrors the paper's constants.
 func DefaultConfig() Config {
 	return Config{
-		ForwardDelay:   500 * sim.Nanosecond,
 		NotifyHops:     5,
 		SuppressWindow: sim.Second,
 	}
@@ -251,7 +251,7 @@ func (s *Switch) receiveMPLS(frame []byte) {
 		return
 	}
 	if s.transmit(int(tag), rest, &s.stats.Forwarded) {
-		s.eng.Tracer().PacketHop(int64(s.eng.Now()), int64(s.cfg.ForwardDelay), s.id, tag, rest)
+		s.eng.Tracer().PacketHop(int64(s.eng.Now()), int64(forwardDelay), s.id, tag, rest)
 	}
 }
 
@@ -308,7 +308,7 @@ func (s *Switch) receiveMcast(frame []byte) {
 		buf := packet.GetBuffer(packet.McastBranchLen(len(sub), len(tail)))
 		packet.BuildMcastBranch(buf, frame, sub, tail)
 		if s.transmit(int(it.Port()), buf, &s.stats.McastFanout) {
-			s.eng.Tracer().PacketHop(now, int64(s.cfg.ForwardDelay), s.id, it.Port(), buf)
+			s.eng.Tracer().PacketHop(now, int64(forwardDelay), s.id, it.Port(), buf)
 		}
 	}
 	// Every branch copied what it needed; the original is dead. The link
@@ -326,7 +326,7 @@ func (s *Switch) forward(frame []byte) {
 		return
 	}
 	if s.transmit(int(tag), rest, &s.stats.Forwarded) {
-		s.eng.Tracer().PacketHop(int64(s.eng.Now()), int64(s.cfg.ForwardDelay), s.id, tag, rest)
+		s.eng.Tracer().PacketHop(int64(s.eng.Now()), int64(forwardDelay), s.id, tag, rest)
 	}
 }
 
@@ -351,7 +351,7 @@ func (s *Switch) transmit(port int, frame []byte, okCounter *uint64) bool {
 		packet.MarkCE(frame)
 		s.stats.ECNMarked++
 	}
-	l.SendFromAfter(s, frame, s.cfg.ForwardDelay)
+	l.SendFromAfter(s, frame, forwardDelay)
 	return true
 }
 

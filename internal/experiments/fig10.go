@@ -103,7 +103,7 @@ func nativeRTTs(t *topo.Topology, cfg Fig10Config, pairs [][2]packet.MAC) (*metr
 	eng := sim.NewEngine(1)
 	ef, err := stp.BuildEthernet(eng, t,
 		sim.LinkConfig{PropDelay: 500 * sim.Nanosecond, BandwidthBps: 10e9},
-		sim.Microsecond, stp.DefaultConfig())
+		sim.Microsecond)
 	if err != nil {
 		return nil, err
 	}

@@ -222,7 +222,7 @@ func stpFailover(cfg Fig11bConfig) (*metrics.TimeSeries, error) {
 	eng := sim.NewEngine(1)
 	ef, err := stp.BuildEthernet(eng, t,
 		sim.LinkConfig{PropDelay: 500 * sim.Nanosecond, BandwidthBps: cfg.RateBps},
-		sim.Microsecond, stp.DefaultConfig())
+		sim.Microsecond)
 	if err != nil {
 		return nil, err
 	}

@@ -18,55 +18,36 @@ import (
 	"dumbnet/internal/trace"
 )
 
-// Config tunes the agent.
-type Config struct {
-	// KPaths is how many shortest paths the PathTable caches per
+// Datapath constants of the prototype agent.
+const (
+	// kPaths is how many shortest paths the PathTable caches per
 	// destination (paper: "TopoCache computes k shortest paths and
 	// PathTable caches them all").
-	KPaths int
+	kPaths = 4
+	// encapDelay is the extra header-manipulation cost of inserting the
+	// tag stack (the "+MPLS header copy" overhead of Fig 9).
+	encapDelay = 80 * sim.Nanosecond
+	// maxPending bounds packets queued per destination while a path
+	// request is outstanding.
+	maxPending = 128
+)
+
+// Config tunes the agent.
+type Config struct {
 	// ProcessDelay models the per-packet software datapath cost (the
 	// DPDK/KNI overhead measured in Fig 9/10); charged on send and on
 	// receive.
 	ProcessDelay sim.Time
-	// EncapDelay is the extra header-manipulation cost of inserting the
-	// tag stack (the "+MPLS header copy" overhead of Fig 9).
-	EncapDelay sim.Time
-	// RequestTimeout is the base controller path-request retry interval;
-	// retries back off exponentially from it (with jitter) up to
-	// RequestBackoffMax.
-	RequestTimeout sim.Time
-	// RequestBackoffMax caps the exponential retry backoff; 0 means 80 ms.
-	RequestBackoffMax sim.Time
 	// RequestBudget is how many attempts a path query gets per controller
 	// before failing over to the next advertised replica (and, once every
 	// replica's budget is spent, abandoning the query); 0 means 6.
 	RequestBudget int
-	// MaxSeenEvents caps the link-event dedup map with FIFO eviction;
-	// 0 means 4096, negative means unbounded.
-	MaxSeenEvents int
-	// BlackholeThreshold is how many consecutive sends to a destination
-	// with no return traffic trigger blackhole handling (invalidate the
-	// path, mark its hops suspect, re-query). 0 means 8, negative
-	// disables detection.
-	BlackholeThreshold int
-	// BlackholeWindow is how long the return-traffic silence must last
-	// before the send counter can trigger; 0 means 10 ms.
-	BlackholeWindow sim.Time
-	// SuspectTTL is how long blackhole-suspected hops are avoided when
-	// synthesizing paths from the TopoCache; 0 means 1 s.
-	SuspectTTL sim.Time
-	// MaxPending bounds packets queued per destination while a path
-	// request is outstanding.
-	MaxPending int
 	// VerifyPaths runs the path verifier on every application-installed
 	// route (§6.1). Routes from the agent's own cache are trusted.
 	VerifyPaths bool
 	// UseMPLS selects the commodity-switch encoding (§5.3): routing tags
 	// travel as an MPLS label stack instead of the native one-byte tags.
 	UseMPLS bool
-	// ECNEchoInterval rate-limits congestion echoes per source (the ECN
-	// extension); 0 means the 500 µs default.
-	ECNEchoInterval sim.Time
 	// DisableHostFlood turns off stage-1 peer-to-peer flooding, leaving
 	// only the switches' hop-limited broadcast — used by the hop-limit
 	// ablation to measure how far the hardware flood alone reaches.
@@ -76,17 +57,8 @@ type Config struct {
 // DefaultConfig mirrors the prototype's behaviour.
 func DefaultConfig() Config {
 	return Config{
-		KPaths:             4,
-		ProcessDelay:       2 * sim.Microsecond,
-		EncapDelay:         80 * sim.Nanosecond,
-		RequestTimeout:     5 * sim.Millisecond,
-		RequestBackoffMax:  80 * sim.Millisecond,
-		RequestBudget:      6,
-		MaxPending:         128,
-		MaxSeenEvents:      4096,
-		BlackholeThreshold: 8,
-		BlackholeWindow:    10 * sim.Millisecond,
-		SuspectTTL:         sim.Second,
+		ProcessDelay:  2 * sim.Microsecond,
+		RequestBudget: 6,
 	}
 }
 
@@ -259,35 +231,8 @@ type bhState struct {
 
 // New creates an agent for the host with the given MAC.
 func New(eng *sim.Engine, mac packet.MAC, cfg Config) *Agent {
-	if cfg.KPaths <= 0 {
-		cfg.KPaths = 4
-	}
-	if cfg.MaxPending <= 0 {
-		cfg.MaxPending = 128
-	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * sim.Millisecond
-	}
-	if cfg.RequestBackoffMax <= 0 {
-		cfg.RequestBackoffMax = 80 * sim.Millisecond
-	}
-	if cfg.RequestBackoffMax < cfg.RequestTimeout {
-		cfg.RequestBackoffMax = cfg.RequestTimeout
-	}
 	if cfg.RequestBudget <= 0 {
 		cfg.RequestBudget = 6
-	}
-	if cfg.MaxSeenEvents == 0 {
-		cfg.MaxSeenEvents = 4096
-	}
-	if cfg.BlackholeThreshold == 0 {
-		cfg.BlackholeThreshold = 8
-	}
-	if cfg.BlackholeWindow <= 0 {
-		cfg.BlackholeWindow = 10 * sim.Millisecond
-	}
-	if cfg.SuspectTTL <= 0 {
-		cfg.SuspectTTL = sim.Second
 	}
 	a := &Agent{
 		eng:         eng,
@@ -306,7 +251,7 @@ func New(eng *sim.Engine, mac packet.MAC, cfg Config) *Agent {
 		suspect:     make(map[HopRef]sim.Time),
 		mcastTrees:  make(map[uint32][]byte),
 	}
-	a.table = NewPathTable(cfg.KPaths)
+	a.table = NewPathTable(kPaths)
 	a.Chooser = NewStickyChooser()
 	return a
 }
@@ -430,7 +375,7 @@ func (a *Agent) sendFrame(dst packet.MAC, tags packet.Path, innerType uint16, he
 		return err
 	}
 	copy(buf[n:], body)
-	a.link.SendFromAfter(a, buf, a.cfg.ProcessDelay+a.cfg.EncapDelay)
+	a.link.SendFromAfter(a, buf, a.cfg.ProcessDelay+encapDelay)
 	return nil
 }
 
@@ -474,7 +419,7 @@ func (a *Agent) SendParts(dst packet.MAC, innerType uint16, head, body []byte, f
 		a.stats.NoRouteDrops++
 		return ErrNoController
 	}
-	if len(a.pending[dst]) >= a.cfg.MaxPending {
+	if len(a.pending[dst]) >= maxPending {
 		a.stats.PendingDrops++
 		return ErrPending
 	}

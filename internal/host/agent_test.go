@@ -265,14 +265,11 @@ func TestSendWithoutControllerFails(t *testing.T) {
 }
 
 func TestPendingQueueOverflow(t *testing.T) {
-	tp, _ := topo.Testbed()
-	cfg := core.DefaultConfig()
-	cfg.Host.MaxPending = 4
-	n := deploy(t, tp, cfg)
+	n := deployTestbed(t)
 	src, dst := n.Hosts()[0], n.Hosts()[1]
 	// Queue more than MaxPending before running the engine.
 	var lastErr error
-	for i := 0; i < 10; i++ {
+	for i := 0; i < host.MaxPending+6; i++ {
 		if err := n.Agent(src).SendData(dst, []byte("x")); err != nil {
 			lastErr = err
 		}
@@ -280,8 +277,8 @@ func TestPendingQueueOverflow(t *testing.T) {
 	if !errors.Is(lastErr, host.ErrPending) {
 		t.Fatalf("overflow err = %v", lastErr)
 	}
-	if n.Agent(src).Stats().PendingDrops == 0 {
-		t.Fatal("no pending drops counted")
+	if got := n.Agent(src).Stats().PendingDrops; got != 6 {
+		t.Fatalf("PendingDrops = %d, want 6", got)
 	}
 }
 

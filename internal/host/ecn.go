@@ -11,6 +11,9 @@ import (
 // traffic onto another of the k cached paths. Everything below runs on
 // hosts — the switch contribution is one stateless flag write.
 
+// ecnEchoInterval rate-limits congestion echoes per source.
+const ecnEchoInterval = 500 * sim.Microsecond
+
 // CongestionAware is implemented by route choosers that react to ECN
 // echoes.
 type CongestionAware interface {
@@ -27,11 +30,7 @@ func (a *Agent) handleCE(src packet.MAC) {
 		return
 	}
 	now := a.eng.Now()
-	interval := a.cfg.ECNEchoInterval
-	if interval <= 0 {
-		interval = 500 * sim.Microsecond
-	}
-	if last, ok := a.lastEcho[src]; ok && now-last < interval {
+	if last, ok := a.lastEcho[src]; ok && now-last < ecnEchoInterval {
 		return
 	}
 	tags, ok := a.routeFor(src, FlowKey{Dst: src})

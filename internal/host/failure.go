@@ -12,6 +12,10 @@ import (
 // over affected PathTable entries, and floods the event on to every host it
 // knows, peer-to-peer style. No controller involvement.
 
+// maxSeenEvents caps the link-event dedup set; the oldest entry is evicted
+// first.
+const maxSeenEvents = 4096
+
 // handleLinkEvent processes a switch-originated broadcast.
 func (a *Agent) handleLinkEvent(ev *packet.LinkEvent) {
 	a.applyLinkEvent(ev, true)
@@ -36,19 +40,17 @@ func (a *Agent) applyLinkEvent(ev *packet.LinkEvent, flood bool) {
 	}
 	a.seenEvents[key] = true
 	a.stats.EventsSeen++
-	if a.cfg.MaxSeenEvents > 0 {
-		a.eventOrder = append(a.eventOrder, key)
-		for len(a.seenEvents) > a.cfg.MaxSeenEvents {
-			delete(a.seenEvents, a.eventOrder[a.eventHead])
-			a.eventHead++
-			a.stats.EventsEvicted++
-		}
-		// Compact the FIFO slice once the dead prefix dominates, keeping
-		// its footprint proportional to the live dedup set.
-		if a.eventHead > 64 && a.eventHead > len(a.eventOrder)/2 {
-			a.eventOrder = append(a.eventOrder[:0], a.eventOrder[a.eventHead:]...)
-			a.eventHead = 0
-		}
+	a.eventOrder = append(a.eventOrder, key)
+	for len(a.seenEvents) > maxSeenEvents {
+		delete(a.seenEvents, a.eventOrder[a.eventHead])
+		a.eventHead++
+		a.stats.EventsEvicted++
+	}
+	// Compact the FIFO slice once the dead prefix dominates, keeping its
+	// footprint proportional to the live dedup set.
+	if a.eventHead > 64 && a.eventHead > len(a.eventOrder)/2 {
+		a.eventOrder = append(a.eventOrder[:0], a.eventOrder[a.eventHead:]...)
+		a.eventHead = 0
 	}
 
 	a.eng.Tracer().Recovery(int64(a.eng.Now()), trace.RecoveryNotify, ev.Switch, ev.Port, ev.Up, a.mac, packet.MAC{})

@@ -72,7 +72,7 @@ func (a *Agent) SendMcastParts(group uint32, innerType uint16, head, body []byte
 	}
 	copy(buf[n:], body)
 	a.stats.McastSent++
-	a.link.SendFromAfter(a, buf, a.cfg.ProcessDelay+a.cfg.EncapDelay)
+	a.link.SendFromAfter(a, buf, a.cfg.ProcessDelay+encapDelay)
 	return nil
 }
 

@@ -159,7 +159,7 @@ func cachedPathFor(view *topo.Subgraph, sp topo.SwitchPath, dst packet.MAC) (Cac
 // fillTableFromCache recomputes the PathTable entry for dst from the
 // TopoCache, reporting success.
 func (a *Agent) fillTableFromCache(dst packet.MAC) bool {
-	paths, err := routesFromView(a.cache, a.mac, dst, a.cfg.KPaths)
+	paths, err := routesFromView(a.cache, a.mac, dst, kPaths)
 	if err != nil || len(paths) == 0 {
 		return false
 	}
@@ -306,7 +306,7 @@ func (a *Agent) handlePathResponse(blob *packet.Blob) {
 	}
 
 	entry := &TableEntry{}
-	if paths, err := routesFromView(a.cache, a.mac, dst, a.cfg.KPaths); err == nil {
+	if paths, err := routesFromView(a.cache, a.mac, dst, kPaths); err == nil {
 		entry.Paths = a.filterSuspects(paths)
 	}
 	if len(pg.Backup) > 0 {

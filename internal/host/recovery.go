@@ -45,20 +45,37 @@ func (a *Agent) failoverController() {
 	a.eng.Tracer().Ctrl(int64(a.eng.Now()), trace.CtrlFailover, a.mac, a.ctrl, 0)
 }
 
+// Path-request retry and blackhole-detection constants.
+const (
+	// requestTimeout is the base controller path-request retry interval;
+	// retries back off exponentially from it (with jitter) up to
+	// requestBackoffMax.
+	requestTimeout    = 5 * sim.Millisecond
+	requestBackoffMax = 80 * sim.Millisecond
+	// blackholeThreshold consecutive sends to a destination with no
+	// return traffic for blackholeWindow trigger blackhole handling
+	// (invalidate the path, mark its hops suspect, re-query).
+	blackholeThreshold = 8
+	blackholeWindow    = 10 * sim.Millisecond
+	// suspectTTL is how long blackhole-suspected hops are avoided when
+	// synthesizing paths from the TopoCache.
+	suspectTTL = sim.Second
+)
+
 // retryDelay computes the backoff before retry `attempt+1`: exponential from
-// RequestTimeout, capped at RequestBackoffMax, with ±25% jitter drawn from
+// requestTimeout, capped at requestBackoffMax, with ±25% jitter drawn from
 // the engine's seeded source. The exponent restarts per controller so a
 // fresh replica gets fast retries again.
 func (a *Agent) retryDelay(attempt int) sim.Time {
-	d := a.cfg.RequestTimeout
+	d := requestTimeout
 	for i := 0; i < attempt%a.cfg.RequestBudget; i++ {
 		d *= 2
-		if d >= a.cfg.RequestBackoffMax {
+		if d >= requestBackoffMax {
 			break
 		}
 	}
-	if d > a.cfg.RequestBackoffMax {
-		d = a.cfg.RequestBackoffMax
+	if d > requestBackoffMax {
+		d = requestBackoffMax
 	}
 	if j := int64(d / 4); j > 0 {
 		d += sim.Time(a.eng.Rand().Int63n(2*j+1) - j)
@@ -69,9 +86,6 @@ func (a *Agent) retryDelay(attempt int) sim.Time {
 // noteRx records return traffic from src: the path toward src is evidently
 // alive, so the blackhole counter resets and the detector (re)arms.
 func (a *Agent) noteRx(src packet.MAC) {
-	if a.cfg.BlackholeThreshold < 0 {
-		return
-	}
 	s := a.bh[src]
 	if s == nil {
 		s = &bhState{}
@@ -82,13 +96,10 @@ func (a *Agent) noteRx(src packet.MAC) {
 }
 
 // noteSend counts a data send toward dst and triggers blackhole handling
-// once BlackholeThreshold consecutive sends have gone unanswered for longer
-// than BlackholeWindow. Only destinations we have heard from at least once
+// once blackholeThreshold consecutive sends have gone unanswered for longer
+// than blackholeWindow. Only destinations we have heard from at least once
 // are eligible — one-way traffic proves nothing about the return of silence.
 func (a *Agent) noteSend(dst packet.MAC, tags packet.Path, hops []HopRef) {
-	if a.cfg.BlackholeThreshold < 0 {
-		return
-	}
 	s := a.bh[dst]
 	if s == nil {
 		s = &bhState{}
@@ -100,19 +111,19 @@ func (a *Agent) noteSend(dst packet.MAC, tags packet.Path, hops []HopRef) {
 		return // not armed: never heard from dst
 	}
 	s.sends++
-	if s.sends < a.cfg.BlackholeThreshold || a.eng.Now()-s.lastRx < a.cfg.BlackholeWindow {
+	if s.sends < blackholeThreshold || a.eng.Now()-s.lastRx < blackholeWindow {
 		return
 	}
 	a.onBlackhole(dst, s)
 }
 
 // onBlackhole invalidates the suspect path, negatively caches its hops for
-// SuspectTTL, tries a local detour from the TopoCache, and re-queries the
+// suspectTTL, tries a local detour from the TopoCache, and re-queries the
 // controller in the background.
 func (a *Agent) onBlackhole(dst packet.MAC, s *bhState) {
 	a.stats.Blackholes++
 	a.eng.Tracer().Recovery(int64(a.eng.Now()), trace.RecoveryBlackhole, 0, 0, false, a.mac, dst)
-	expiry := a.eng.Now() + a.cfg.SuspectTTL
+	expiry := a.eng.Now() + suspectTTL
 	for _, h := range s.lastHops {
 		a.suspect[h] = expiry
 	}

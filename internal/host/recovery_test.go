@@ -85,15 +85,15 @@ func TestLinkEventDuplicateOutOfOrderMissing(t *testing.T) {
 func TestSeenEventsFIFOEviction(t *testing.T) {
 	cfg := host.DefaultConfig()
 	cfg.DisableHostFlood = true
-	cfg.MaxSeenEvents = 4
 	eng, a := soloAgent(t, cfg)
-	for seq := uint64(1); seq <= 10; seq++ {
+	last := uint64(host.MaxSeenEvents + 6)
+	for seq := uint64(1); seq <= last; seq++ {
 		injectControl(t, eng, a, packet.MsgLinkEvent,
 			&packet.LinkEvent{Switch: 3, Port: 2, Seq: seq, Up: false})
 	}
 	st := a.Stats()
-	if st.EventsSeen != 10 {
-		t.Fatalf("EventsSeen = %d, want 10", st.EventsSeen)
+	if st.EventsSeen != last {
+		t.Fatalf("EventsSeen = %d, want %d", st.EventsSeen, last)
 	}
 	if st.EventsEvicted != 6 {
 		t.Fatalf("EventsEvicted = %d, want 6", st.EventsEvicted)
@@ -102,12 +102,12 @@ func TestSeenEventsFIFOEviction(t *testing.T) {
 	// (bounded memory trades perfect dedup for a hard cap).
 	injectControl(t, eng, a, packet.MsgLinkEvent,
 		&packet.LinkEvent{Switch: 3, Port: 2, Seq: 1, Up: false})
-	if got := a.Stats(); got.EventsSeen != 11 || got.EventsDup != st.EventsDup {
+	if got := a.Stats(); got.EventsSeen != last+1 || got.EventsDup != st.EventsDup {
 		t.Fatalf("evicted event not re-accepted: %+v", got)
 	}
 	// The newest entry is still deduplicated.
 	injectControl(t, eng, a, packet.MsgLinkEvent,
-		&packet.LinkEvent{Switch: 3, Port: 2, Seq: 10, Up: false})
+		&packet.LinkEvent{Switch: 3, Port: 2, Seq: last, Up: false})
 	if got := a.Stats(); got.EventsDup != st.EventsDup+1 {
 		t.Fatalf("recent event not deduplicated: %+v", got)
 	}

@@ -29,28 +29,27 @@ import (
 // EtherTypePHost is the inner EtherType multiplexing transport frames.
 const EtherTypePHost uint16 = 0x9802
 
-// Config tunes the transport.
-type Config struct {
-	// PacketBytes is the data segment size.
-	PacketBytes int
-	// DownlinkBps paces the receiver's token generation.
-	DownlinkBps float64
-	// FreeTokens is the unsolicited-packet window at flow start.
-	FreeTokens int
-	// StallTimeout is how long a fully-granted flow may sit incomplete
+// Transport constants: MTU-sized segments.
+const (
+	// packetBytes is the data segment size.
+	packetBytes = 1450
+	// freeTokens is the unsolicited-packet window at flow start.
+	freeTokens = 8
+	// stallTimeout is how long a fully-granted flow may sit incomplete
 	// before the receiver reissues tokens for the missing segments (loss
 	// recovery, e.g. across a link failure).
-	StallTimeout sim.Time
+	stallTimeout = 5 * sim.Millisecond
+)
+
+// Config tunes the transport.
+type Config struct {
+	// DownlinkBps paces the receiver's token generation.
+	DownlinkBps float64
 }
 
-// DefaultConfig matches a 10 GbE receiver with MTU-sized segments.
+// DefaultConfig matches a 10 GbE receiver.
 func DefaultConfig() Config {
-	return Config{
-		PacketBytes:  1450,
-		DownlinkBps:  10e9,
-		FreeTokens:   8,
-		StallTimeout: 5 * sim.Millisecond,
-	}
+	return Config{DownlinkBps: 10e9}
 }
 
 // seqNext is the TOKEN hint meaning "send your next unsent segment".
@@ -149,9 +148,6 @@ type recvKey struct {
 // through the agent is unaffected: the transport chains the previous OnData
 // handler for non-pHost frames.
 func New(eng *sim.Engine, agent *host.Agent, cfg Config) *Transport {
-	if cfg.PacketBytes <= 0 {
-		cfg.PacketBytes = 1450
-	}
 	if cfg.DownlinkBps <= 0 {
 		cfg.DownlinkBps = 10e9
 	}
@@ -172,7 +168,7 @@ func (t *Transport) Stats() Stats { return t.stats }
 
 // packetTime is the token pacing interval.
 func (t *Transport) packetTime() sim.Time {
-	return sim.Time(float64(t.cfg.PacketBytes*8) / t.cfg.DownlinkBps * 1e9)
+	return sim.Time(float64(packetBytes*8) / t.cfg.DownlinkBps * 1e9)
 }
 
 // SendFlow starts a transfer of `bytes` to dst; done fires (in virtual
@@ -183,7 +179,7 @@ func (t *Transport) SendFlow(dst packet.MAC, bytes int64, done func(duration sim
 	}
 	t.nextFlow++
 	id := t.nextFlow
-	pkts := uint64((bytes + int64(t.cfg.PacketBytes) - 1) / int64(t.cfg.PacketBytes))
+	pkts := uint64((bytes + packetBytes - 1) / packetBytes)
 	started := t.eng.Now()
 	f := &sendFlow{id: id, dst: dst, totalPkts: pkts, startedAt: started}
 	if done != nil {
@@ -197,7 +193,7 @@ func (t *Transport) SendFlow(dst packet.MAC, bytes int64, done func(duration sim
 		return 0, err
 	}
 	// Free-token window: cover the first RTT unsolicited.
-	free := uint64(t.cfg.FreeTokens)
+	free := uint64(freeTokens)
 	if free > pkts {
 		free = pkts
 	}
@@ -227,7 +223,7 @@ func (t *Transport) sendData(f *sendFlow, seqHint uint64) {
 		return
 	}
 	t.stats.DataPackets++
-	pad := make([]byte, t.cfg.PacketBytes-21)
+	pad := make([]byte, packetBytes-21)
 	_ = t.send(f.dst, encodeMsg(kindData, f.id, seq, 0, pad))
 }
 
@@ -275,7 +271,7 @@ func (t *Transport) onRTS(src packet.MAC, id FlowID, pkts uint64) {
 	}
 	t.stats.FlowsReceived++
 	// The free-token window is implicitly granted.
-	free := uint64(t.cfg.FreeTokens)
+	free := uint64(freeTokens)
 	if free > pkts {
 		free = pkts
 	}
@@ -327,11 +323,11 @@ func (t *Transport) tokenTick() {
 	// tokens for the segments a stalled flow is missing.
 	now := t.eng.Now()
 	for _, f := range t.receiving {
-		if now-f.lastProgress < t.cfg.StallTimeout {
+		if now-f.lastProgress < stallTimeout {
 			continue
 		}
 		reissued := 0
-		for seq := uint64(0); seq < f.totalPkts && reissued < t.cfg.FreeTokens; seq++ {
+		for seq := uint64(0); seq < f.totalPkts && reissued < freeTokens; seq++ {
 			if !f.got[seq] {
 				t.stats.TokensSent++
 				t.stats.Retransmits++
@@ -341,7 +337,7 @@ func (t *Transport) tokenTick() {
 		}
 		f.lastProgress = now // back off before the next reissue round
 	}
-	t.eng.After(t.cfg.StallTimeout, t.tokenTick)
+	t.eng.After(stallTimeout, t.tokenTick)
 }
 
 // pickSRPT returns the registered flow with the smallest remaining grant

@@ -173,7 +173,7 @@ func TestSmallFlowWithinFreeWindow(t *testing.T) {
 	n, tr := deployPHost(t, cfg)
 	src, dst := n.Hosts()[0], n.Hosts()[1]
 	var dur sim.Time = -1
-	if _, err := tr[src].SendFlow(dst, int64(cfg.PacketBytes*2), func(d sim.Time) { dur = d }); err != nil {
+	if _, err := tr[src].SendFlow(dst, 2*1450, func(d sim.Time) { dur = d }); err != nil {
 		t.Fatal(err)
 	}
 	n.Run()

@@ -143,7 +143,7 @@ type QueueStats struct {
 // (reused through a free list) chained into runs — one FIFO per deadline —
 // and a binary heap orders the runs by (deadline, seq of the first event).
 // Packet workloads schedule in same-deadline bursts (a switch forwarding a
-// batch at now+ForwardDelay, a link delivering at one serialization
+// batch at now + its forward delay, a link delivering at one serialization
 // boundary): pkt-wave keeps ~6 pending events per run, so the heap orders a
 // sixth as many entries as an event heap would. The newest-run table finds
 // the open run for a deadline in O(1). Arena, heap and table keep their

@@ -21,7 +21,7 @@ type EthernetFabric struct {
 
 // BuildEthernet assembles learning switches and links for t and starts
 // spanning tree. Hosts attach afterwards with AttachHost.
-func BuildEthernet(eng *sim.Engine, t *topo.Topology, link sim.LinkConfig, fwdDelay sim.Time, cfg Config) (*EthernetFabric, error) {
+func BuildEthernet(eng *sim.Engine, t *topo.Topology, link sim.LinkConfig, fwdDelay sim.Time) (*EthernetFabric, error) {
 	f := &EthernetFabric{
 		Eng:      eng,
 		Topo:     t,
@@ -50,7 +50,7 @@ func BuildEthernet(eng *sim.Engine, t *topo.Topology, link sim.LinkConfig, fwdDe
 			f.links[[2]packet.SwitchID{id, nb.Sw}] = l
 		}
 	}
-	f.Domain = NewDomain(eng, f.Switches, cfg)
+	f.Domain = NewDomain(eng, f.Switches)
 	return f, nil
 }
 

@@ -6,7 +6,7 @@
 // carrying (root, cost, bridge, port) priority vectors; each bridge selects
 // a root port (best vector heard), marks ports where its own vector wins as
 // designated (forwarding), and blocks the rest. Stale information ages out
-// after MaxAge, and hello-timed BPDUs repair the tree after failures —
+// after maxAge, and hello-timed BPDUs repair the tree after failures —
 // which is exactly why recovery takes several hello rounds where DumbNet
 // needs one notification flood.
 package stp
@@ -22,31 +22,21 @@ import (
 // EtherTypeBPDU marks spanning-tree protocol frames.
 const EtherTypeBPDU uint16 = 0x8181
 
-// Config sets protocol timers.
-type Config struct {
-	// HelloInterval is the BPDU transmission period.
-	HelloInterval sim.Time
-	// MaxAge is how long a stored BPDU stays valid without refresh.
-	MaxAge sim.Time
-	// ForwardTransition is the delay before a previously blocked port may
+// Protocol timers: rapid-STP scale (commodity switches in a data center
+// run RSTP; classic 802.1D's 2 s hello / 20 s max-age would make the
+// baseline absurdly slow).
+const (
+	// helloInterval is the BPDU transmission period.
+	helloInterval = 50 * sim.Millisecond
+	// maxAge is how long a stored BPDU stays valid without refresh.
+	maxAge = 300 * sim.Millisecond
+	// forwardTransition is the delay before a previously blocked port may
 	// forward again — the RSTP proposal/agreement (or legacy
 	// listening+learning) phase that dominates real reconvergence time.
-	ForwardTransition sim.Time
-	// LinkCost is the cost of every link (uniform fabric).
-	LinkCost uint32
-}
-
-// DefaultConfig uses rapid-STP-scale timers (commodity switches in a data
-// center run RSTP; classic 802.1D's 2 s hello / 20 s max-age would make the
-// baseline absurdly slow).
-func DefaultConfig() Config {
-	return Config{
-		HelloInterval:     50 * sim.Millisecond,
-		MaxAge:            300 * sim.Millisecond,
-		ForwardTransition: 150 * sim.Millisecond,
-		LinkCost:          1,
-	}
-}
+	forwardTransition = 150 * sim.Millisecond
+	// linkCost is the cost of every link (uniform fabric).
+	linkCost = 1
+)
 
 // bpdu is the priority vector exchanged between bridges.
 type bpdu struct {
@@ -114,7 +104,6 @@ const (
 type Bridge struct {
 	sw  *dswitch.LearningSwitch
 	eng *sim.Engine
-	cfg Config
 	id  uint32
 
 	// best BPDU heard per port and when it was heard.
@@ -128,11 +117,10 @@ type Bridge struct {
 
 // NewBridge attaches spanning tree to a learning switch and starts its
 // hello timer. Bridge ID is the switch ID.
-func NewBridge(eng *sim.Engine, sw *dswitch.LearningSwitch, cfg Config) *Bridge {
+func NewBridge(eng *sim.Engine, sw *dswitch.LearningSwitch) *Bridge {
 	b := &Bridge{
 		sw:           sw,
 		eng:          eng,
-		cfg:          cfg,
 		id:           uint32(sw.ID()),
 		heard:        make(map[int]bpdu),
 		heardAt:      make(map[int]sim.Time),
@@ -165,10 +153,10 @@ func (b *Bridge) myVector() bpdu {
 	best := bpdu{Root: b.id, Cost: 0, Bridge: b.id}
 	now := b.eng.Now()
 	for port, v := range b.heard {
-		if now-b.heardAt[port] > b.cfg.MaxAge {
+		if now-b.heardAt[port] > maxAge {
 			continue // aged out
 		}
-		cand := bpdu{Root: v.Root, Cost: v.Cost + b.cfg.LinkCost, Bridge: b.id}
+		cand := bpdu{Root: v.Root, Cost: v.Cost + linkCost, Bridge: b.id}
 		if cand.Root < best.Root || (cand.Root == best.Root && cand.Cost < best.Cost) {
 			best = cand
 		}
@@ -206,14 +194,14 @@ func (b *Bridge) onPortChange(port int, up bool) {
 func (b *Bridge) helloLoop() {
 	b.expireStale()
 	b.sendHellos()
-	b.eng.After(b.cfg.HelloInterval, func() { b.helloLoop() })
+	b.eng.After(helloInterval, func() { b.helloLoop() })
 }
 
 func (b *Bridge) expireStale() {
 	now := b.eng.Now()
 	changed := false
 	for port, at := range b.heardAt {
-		if now-at > b.cfg.MaxAge {
+		if now-at > maxAge {
 			delete(b.heard, port)
 			delete(b.heardAt, port)
 			changed = true
@@ -248,10 +236,10 @@ func (b *Bridge) recompute() {
 	var rootBest bpdu
 	for port := 1; port <= b.sw.Ports(); port++ {
 		v, ok := b.heard[port]
-		if !ok || now-b.heardAt[port] > b.cfg.MaxAge {
+		if !ok || now-b.heardAt[port] > maxAge {
 			continue
 		}
-		cand := bpdu{Root: v.Root, Cost: v.Cost + b.cfg.LinkCost, Bridge: v.Bridge, Port: v.Port}
+		cand := bpdu{Root: v.Root, Cost: v.Cost + linkCost, Bridge: v.Bridge, Port: v.Port}
 		if rootPort == -1 || cand.better(rootBest) {
 			rootPort, rootBest = port, cand
 		}
@@ -271,7 +259,7 @@ func (b *Bridge) recompute() {
 			role = RoleRoot
 		default:
 			v, ok := b.heard[port]
-			if !ok || now-b.heardAt[port] > b.cfg.MaxAge {
+			if !ok || now-b.heardAt[port] > maxAge {
 				role = RoleEdge // nothing on this segment speaks STP
 			} else {
 				ours := mine
@@ -299,7 +287,7 @@ func (b *Bridge) recompute() {
 			b.unblockEpoch[port]++
 			epoch := b.unblockEpoch[port]
 			p := port
-			b.eng.After(b.cfg.ForwardTransition, func() {
+			b.eng.After(forwardTransition, func() {
 				if b.unblockEpoch[p] == epoch && b.roles[p] != RoleBlocked {
 					b.sw.SetBlocked(p, false)
 				}
@@ -315,10 +303,10 @@ type Domain struct {
 }
 
 // NewDomain starts spanning tree on every switch.
-func NewDomain(eng *sim.Engine, switches map[packet.SwitchID]*dswitch.LearningSwitch, cfg Config) *Domain {
+func NewDomain(eng *sim.Engine, switches map[packet.SwitchID]*dswitch.LearningSwitch) *Domain {
 	d := &Domain{Bridges: make(map[packet.SwitchID]*Bridge, len(switches))}
 	for id, sw := range switches {
-		d.Bridges[id] = NewBridge(eng, sw, cfg)
+		d.Bridges[id] = NewBridge(eng, sw)
 	}
 	return d
 }

@@ -53,7 +53,7 @@ func buildLoop(t *testing.T) (*sim.Engine, *EthernetFabric, *sink, *sink, packet
 	_ = tp.AttachHost(m1, 1, 3)
 	_ = tp.AttachHost(m2, 3, 3)
 	eng := sim.NewEngine(1)
-	f, err := BuildEthernet(eng, tp, sim.LinkConfig{PropDelay: sim.Microsecond}, sim.Microsecond, DefaultConfig())
+	f, err := BuildEthernet(eng, tp, sim.LinkConfig{PropDelay: sim.Microsecond}, sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestReconvergenceAfterFailure(t *testing.T) {
 }
 
 func TestReconvergenceTimeBounded(t *testing.T) {
-	// Recovery should take on the order of MaxAge + a few hellos, far less
+	// Recovery should take on the order of maxAge + a few hellos, far less
 	// than a second with RSTP-scale timers.
 	eng, f, h1, h2, m1, m2 := buildLoop(t)
 	eng.RunFor(sim.Second)
@@ -183,7 +183,7 @@ func TestReconvergenceTimeBounded(t *testing.T) {
 func TestLeafSpineSTPBlocksRedundantPaths(t *testing.T) {
 	tp, _ := topo.LeafSpine(2, 3, 1, 8)
 	eng := sim.NewEngine(1)
-	f, err := BuildEthernet(eng, tp, sim.LinkConfig{PropDelay: sim.Microsecond}, sim.Microsecond, DefaultConfig())
+	f, err := BuildEthernet(eng, tp, sim.LinkConfig{PropDelay: sim.Microsecond}, sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,7 +172,7 @@ func TestSubscribeDefaultCapacity(t *testing.T) {
 // whether the tap has room (copy into preallocated buffer) or is full
 // (counter bump).
 func TestPublishWithTapAllocFree(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 1 << 10, SampleMod: 1, Drops: true, Control: true, Recovery: true})
+	r := NewRecorder(Config{Capacity: 1 << 10, SampleMod: 1})
 	tap := r.Subscribe(1 << 10)
 	frame := hopFrame(7, 9)
 	send := func() {

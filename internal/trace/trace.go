@@ -291,18 +291,12 @@ type Config struct {
 	// every sampled packet's path complete end to end, and is deterministic
 	// for a given address pair.
 	SampleMod uint64
-	// Drops records every frame drop with its cause (not sampled; drops are
-	// rare and each one is evidence).
-	Drops bool
-	// Control records control-plane spans.
-	Control bool
-	// Recovery records failure-recovery spans.
-	Recovery bool
 }
 
-// DefaultConfig traces everything with a 128Ki-record ring.
+// DefaultConfig traces everything with a 128Ki-record ring. Drops, control
+// spans and recovery spans always record; only packet hops are sampled.
 func DefaultConfig() Config {
-	return Config{Capacity: 1 << 17, SampleMod: 1, Drops: true, Control: true, Recovery: true}
+	return Config{Capacity: 1 << 17, SampleMod: 1}
 }
 
 // Recorder is the flight recorder: a preallocated ring of Records. It is
@@ -553,7 +547,7 @@ func (r *Recorder) PacketHop(at, dur int64, sw packet.SwitchID, port packet.Tag,
 // sw is 0 for link-level causes. Frames too short to carry addresses are
 // recorded with zero MACs.
 func (r *Recorder) PacketDrop(at int64, sw packet.SwitchID, cause DropCause, frame []byte) {
-	if r == nil || !r.cfg.Drops {
+	if r == nil {
 		return
 	}
 	rec := Record{At: at, Kind: KindDrop, Sw: sw, Op: uint8(cause)}
@@ -566,7 +560,7 @@ func (r *Recorder) PacketDrop(at int64, sw packet.SwitchID, cause DropCause, fra
 
 // Ctrl records a control-plane span point.
 func (r *Recorder) Ctrl(at int64, op CtrlOp, host, peer packet.MAC, seq uint64) {
-	if r == nil || !r.cfg.Control {
+	if r == nil {
 		return
 	}
 	r.append(Record{At: at, Kind: KindCtrl, Op: uint8(op), Src: host, Dst: peer, Seq: seq})
@@ -576,7 +570,7 @@ func (r *Recorder) Ctrl(at int64, op CtrlOp, host, peer packet.MAC, seq uint64) 
 // (sw, port, up). host is the acting host (zero for switch or controller
 // records); peer the affected destination where known.
 func (r *Recorder) Recovery(at int64, op RecoveryOp, sw packet.SwitchID, port packet.Tag, up bool, host, peer packet.MAC) {
-	if r == nil || !r.cfg.Recovery {
+	if r == nil {
 		return
 	}
 	r.append(Record{At: at, Kind: KindRecovery, Op: uint8(op), Sw: sw, Port: port, Up: up, Src: host, Dst: peer})

@@ -87,7 +87,7 @@ func TestFlowSampling(t *testing.T) {
 		t.Fatal("sampling decision must be deterministic per flow")
 	}
 
-	off := NewRecorder(Config{Capacity: 8, SampleMod: 0, Drops: true})
+	off := NewRecorder(Config{Capacity: 8, SampleMod: 0})
 	off.PacketHop(0, 1, 1, 0, sampledFlow)
 	if off.Len() != 0 {
 		t.Fatal("SampleMod=0 must disable hop records")
@@ -95,21 +95,6 @@ func TestFlowSampling(t *testing.T) {
 	off.PacketDrop(0, 1, DropNoPort, sampledFlow)
 	if off.Len() != 1 {
 		t.Fatal("drops are recorded regardless of sampling")
-	}
-}
-
-func TestConfigGates(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 8, SampleMod: 1, Drops: false, Control: false, Recovery: false})
-	frame := hopFrame(1, 2)
-	r.PacketDrop(0, 1, DropNoPort, frame)
-	r.Ctrl(0, CtrlPathRequest, packet.MACFromUint64(1), packet.MACFromUint64(2), 1)
-	r.Recovery(0, RecoveryDetect, 1, 2, false, packet.MAC{}, packet.MAC{})
-	if r.Len() != 0 {
-		t.Fatalf("disabled families recorded %d records", r.Len())
-	}
-	r.Scenario(0, ScenarioFailLink, 1, 2) // scenario records are never gated
-	if r.Len() != 1 {
-		t.Fatal("scenario records should bypass family gates")
 	}
 }
 
@@ -185,7 +170,7 @@ func TestRegistryKindMismatchPanics(t *testing.T) {
 
 // sampleRecords exercises every record family for export tests.
 func sampleRecords() []Record {
-	r := NewRecorder(Config{Capacity: 64, SampleMod: 1, Drops: true, Control: true, Recovery: true})
+	r := NewRecorder(Config{Capacity: 64, SampleMod: 1})
 	h1, h2 := packet.MACFromUint64(1), packet.MACFromUint64(2)
 	frame := hopFrame(1, 2)
 	r.Scenario(1000, ScenarioFailLink, 3, 5)
@@ -294,7 +279,7 @@ func TestTimelineWithoutAnchors(t *testing.T) {
 }
 
 func TestAppendDoesNotAllocate(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 1 << 10, SampleMod: 1, Drops: true, Control: true, Recovery: true})
+	r := NewRecorder(Config{Capacity: 1 << 10, SampleMod: 1})
 	frame := hopFrame(1, 2)
 	h1, h2 := packet.MACFromUint64(1), packet.MACFromUint64(2)
 	allocs := testing.AllocsPerRun(1000, func() {
