@@ -142,14 +142,8 @@ func (c *Cluster) Leader() *Node {
 
 // Partition blocks traffic between a and b in both directions.
 func (c *Cluster) Partition(a, b NodeID) {
-	c.block(a, b, true)
-	c.block(b, a, true)
-}
-
-// HealPartition restores traffic between a and b.
-func (c *Cluster) HealPartition(a, b NodeID) {
-	c.block(a, b, false)
-	c.block(b, a, false)
+	c.block(a, b)
+	c.block(b, a)
 }
 
 // Isolate cuts a node off from every peer.
@@ -164,11 +158,11 @@ func (c *Cluster) Isolate(id NodeID) {
 // Heal removes all partitions.
 func (c *Cluster) Heal() { c.blocked = make(map[NodeID]map[NodeID]bool) }
 
-func (c *Cluster) block(a, b NodeID, v bool) {
+func (c *Cluster) block(a, b NodeID) {
 	if c.blocked[a] == nil {
 		c.blocked[a] = make(map[NodeID]bool)
 	}
-	c.blocked[a][b] = v
+	c.blocked[a][b] = true
 }
 
 // send delivers a message after messageDelay unless blocked.
@@ -218,9 +212,6 @@ func (n *Node) Down() bool { return n.down }
 
 // CommitIndex returns the highest committed log index.
 func (n *Node) CommitIndex() uint64 { return n.commit }
-
-// LogLen returns the log length.
-func (n *Node) LogLen() int { return len(n.log) }
 
 // EntryAt returns the committed entry at a 1-based index.
 func (n *Node) EntryAt(index uint64) (Entry, bool) {

@@ -26,17 +26,8 @@ type Config struct {
 // DefaultConfig models the paper's testbed: 10 GbE links with sub-µs
 // propagation delay.
 func DefaultConfig() Config {
-	return Config{
-		Switch: dswitch.DefaultConfig(),
-		SwitchLink: sim.LinkConfig{
-			PropDelay:    500 * sim.Nanosecond,
-			BandwidthBps: 10e9,
-		},
-		HostLink: sim.LinkConfig{
-			PropDelay:    500 * sim.Nanosecond,
-			BandwidthBps: 10e9,
-		},
-	}
+	link := sim.LinkConfig{PropDelay: 500 * sim.Nanosecond, BandwidthBps: 10e9}
+	return Config{Switch: dswitch.DefaultConfig(), SwitchLink: link, HostLink: link}
 }
 
 // linkKey identifies a switch-to-switch link by its lower endpoint first.
@@ -162,6 +153,7 @@ func (f *Fabric) registerMetrics() {
 	}
 	drop("link-queue-overflow", func(d *DropCounters) uint64 { return d.LinkQueue })
 	drop("link-down-tx", func(d *DropCounters) uint64 { return d.LinkDownTx })
+	drop("link-lost-in-flight", func(d *DropCounters) uint64 { return d.LinkLostInFlight })
 	drop("impair-lost", func(d *DropCounters) uint64 { return d.ImpairLost })
 	drop("impair-corrupt", func(d *DropCounters) uint64 { return d.ImpairCorrupt })
 	drop("switch-no-port", func(d *DropCounters) uint64 { return d.SwNoPort })
@@ -195,7 +187,8 @@ func (f *Fabric) Switch(id packet.SwitchID) *dswitch.Switch { return f.switches[
 // AttachHost wires a host node at its attachment point recorded in the
 // topology, returning the host's uplink. In a sharded build the host link
 // lives entirely on the attachment switch's shard — the node itself must
-// have been built against that shard's engine (EngineForHost).
+// have been built against that shard's engine (EngineFor the attachment
+// switch).
 func (f *Fabric) AttachHost(mac packet.MAC, node sim.Node) (*sim.Link, error) {
 	at, err := f.Topo.HostAt(mac)
 	if err != nil {
@@ -210,16 +203,6 @@ func (f *Fabric) AttachHost(mac packet.MAC, node sim.Node) (*sim.Link, error) {
 	sw.AttachLink(int(at.Port), l)
 	f.hostLink[mac] = l
 	return l, nil
-}
-
-// EngineForHost returns the engine a host must be built on: the engine of
-// its attachment switch's shard.
-func (f *Fabric) EngineForHost(mac packet.MAC) (*sim.Engine, error) {
-	at, err := f.Topo.HostAt(mac)
-	if err != nil {
-		return nil, err
-	}
-	return f.EngineFor(at.Switch), nil
 }
 
 // HostLink returns a host's uplink.
@@ -317,23 +300,24 @@ func (f *Fabric) ImpairAllLinks(imp sim.Impairment) {
 }
 
 // DropCounters aggregates every loss class across the fabric: link-level
-// queue drops and impairment losses (both directions of every switch link
-// and host uplink) plus the dumb switches' four drop classes.
+// queue drops, in-flight losses and impairment losses (both directions of
+// every switch link and host uplink) plus the dumb switches' drop classes.
 type DropCounters struct {
-	LinkQueue     uint64 // transmit-queue overflow drops
-	LinkDownTx    uint64 // sends attempted on downed links
-	ImpairLost    uint64 // impairment loss
-	ImpairCorrupt uint64 // impairment bit corruption
-	SwNoPort      uint64
-	SwLinkDown    uint64
-	SwBadFrame    uint64
-	SwEndOfPath   uint64
-	SwSwitchDown  uint64
+	LinkQueue        uint64 // transmit-queue overflow drops
+	LinkDownTx       uint64 // sends attempted on downed links
+	LinkLostInFlight uint64 // frames on the wire when the link went down
+	ImpairLost       uint64 // impairment loss
+	ImpairCorrupt    uint64 // impairment bit corruption
+	SwNoPort         uint64
+	SwLinkDown       uint64
+	SwBadFrame       uint64
+	SwEndOfPath      uint64
+	SwSwitchDown     uint64
 }
 
 // Total sums every drop class.
 func (d DropCounters) Total() uint64 {
-	return d.LinkQueue + d.LinkDownTx + d.ImpairLost + d.ImpairCorrupt +
+	return d.LinkQueue + d.LinkDownTx + d.LinkLostInFlight + d.ImpairLost + d.ImpairCorrupt +
 		d.SwNoPort + d.SwLinkDown + d.SwBadFrame + d.SwEndOfPath + d.SwSwitchDown
 }
 
@@ -344,6 +328,7 @@ func (f *Fabric) Drops() DropCounters {
 		for _, s := range []sim.LinkStats{l.StatsFrom(true), l.StatsFrom(false)} {
 			d.LinkQueue += s.Drops
 			d.LinkDownTx += s.DownTx
+			d.LinkLostInFlight += s.LostInFlight
 			d.ImpairLost += s.ImpairLost
 			d.ImpairCorrupt += s.ImpairCorrupt
 		}

@@ -85,6 +85,23 @@ func TestFailAndRestoreLink(t *testing.T) {
 	eng.Run()
 }
 
+// TestLostInFlightCounted cuts a switch link while a frame is on the wire:
+// the loss shows in DropCounters, its Total and the fabric's registry.
+func TestLostInFlightCounted(t *testing.T) {
+	eng, fb, _ := buildTestbedFabric(t)
+	l, _ := fb.LinkBetween(1, 3)
+	l.SendFrom(fb.Switch(1), make([]byte, 100))
+	eng.After(100*sim.Nanosecond, func() { _ = fb.FailLink(1, 3) })
+	eng.Run()
+	if d := fb.Drops(); d.LinkLostInFlight != 1 || d.Total() != 1 {
+		t.Fatalf("drops %+v (total %d), want one frame lost in flight", d, d.Total())
+	}
+	e, ok := eng.Metrics().Snapshot(int64(eng.Now())).Get("fabric/drops/link-lost-in-flight")
+	if !ok || e.Value != 1 {
+		t.Fatalf("registry fabric/drops/link-lost-in-flight = %v (registered %v), want 1", e.Value, ok)
+	}
+}
+
 func TestAttachHostWiresUplink(t *testing.T) {
 	eng, fb, tp := buildTestbedFabric(t)
 	h := &sink{}

@@ -116,9 +116,6 @@ type Flow struct {
 	mark      int64    // scratch: closure-visited epoch
 }
 
-// Rate returns the flow's current allocation (bits/sec).
-func (f *Flow) Rate() float64 { return f.rate }
-
 // Remaining returns unsent bits at the simulator's current time.
 func (f *Flow) Remaining() float64 {
 	if f.Finished {

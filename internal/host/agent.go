@@ -10,7 +10,6 @@ package host
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
@@ -209,6 +208,9 @@ type Agent struct {
 	// policy) consult the telemetry scoreboard of this agent's shard.
 	linkHealth LinkHealth
 
+	// freeDelivers recycles deliver events; the agent lives on one engine.
+	freeDelivers sim.FreeList[deliverEvent]
+
 	stats Stats
 }
 
@@ -314,26 +316,26 @@ func (a *Agent) nextSeq() uint64 {
 }
 
 // deliverEvent defers one parsed frame through the datapath processing
-// delay. Pooled, so the per-frame receive path allocates nothing. buf is the
-// raw receive buffer, which the agent owns from Receive on and returns to
-// the frame pool once deliver is done with it: DecodeControl copies control
-// payloads out in full, and OnData payloads are callback-scoped. It is nil
-// for the self-addressed loopback, whose payload is a plain heap copy.
+// delay. Recycled through the agent's free list, so the per-frame receive
+// path allocates nothing. buf is the raw receive buffer, which the agent
+// owns from Receive on and returns to the frame pool once deliver is done
+// with it: DecodeControl copies control payloads out in full, and OnData
+// payloads are callback-scoped. It is nil for the self-addressed loopback,
+// whose payload is a plain heap copy.
 type deliverEvent struct {
 	a   *Agent
 	f   packet.Frame
 	buf []byte
 }
 
-var deliverPool = sync.Pool{New: func() any { return new(deliverEvent) }}
-
 func (d *deliverEvent) RunEvent() {
-	d.a.deliver(&d.f)
+	a := d.a
+	a.deliver(&d.f)
 	if d.buf != nil {
 		packet.PutBuffer(d.buf)
 	}
 	*d = deliverEvent{}
-	deliverPool.Put(d)
+	a.freeDelivers.Put(d)
 }
 
 // SendFrame transmits a raw DumbNet frame with explicit tags after the
@@ -349,7 +351,7 @@ func (a *Agent) sendFrame(dst packet.MAC, tags packet.Path, innerType uint16, he
 	if dst == a.mac && len(tags) == 0 {
 		// Self-addressed control (e.g. the controller's own agent talking
 		// to the controller process): loop back locally.
-		d := deliverPool.Get().(*deliverEvent)
+		d := a.freeDelivers.Get()
 		d.a = a
 		d.f = packet.Frame{Dst: dst, Src: a.mac, InnerType: innerType, Payload: joinParts(head, body)}
 		a.eng.AfterEvent(a.cfg.ProcessDelay, d)
@@ -469,10 +471,10 @@ func (a *Agent) routeForHops(dst packet.MAC, flow FlowKey) (packet.Path, []HopRe
 
 // Receive implements sim.Node: the ingress half of the kernel module. Both
 // encodings are accepted regardless of the send-side configuration, as on
-// a real NIC. The frame is decoded straight into a pooled deliver event:
+// a real NIC. The frame is decoded straight into a recycled deliver event:
 // no Frame allocation, no closure.
 func (a *Agent) Receive(port int, frame []byte) {
-	d := deliverPool.Get().(*deliverEvent)
+	d := a.freeDelivers.Get()
 	var err error
 	if len(frame) >= packet.EthernetHeaderLen &&
 		frame[12] == byte(packet.EtherTypeMPLS>>8) && frame[13] == byte(packet.EtherTypeMPLS&0xFF) {
@@ -490,7 +492,7 @@ func (a *Agent) Receive(port int, frame []byte) {
 		// Undecodable, or path not fully consumed: the kernel module drops
 		// it (§5.1).
 		*d = deliverEvent{}
-		deliverPool.Put(d)
+		a.freeDelivers.Put(d)
 		a.stats.BadFrames++
 		return
 	}

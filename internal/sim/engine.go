@@ -34,13 +34,33 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func FromDuration(d time.Duration) Time { return Time(d) }
 
 // Handler is the typed, allocation-free alternative to a closure callback:
-// implementations are usually pooled structs whose fields carry the event's
-// arguments. RunEvent fires at the scheduled virtual time; a pooled handler
-// should copy its fields to locals (or finish using them) and return itself
-// to its pool before or after running, never while still scheduled.
+// implementations are usually recycled structs whose fields carry the
+// event's arguments. RunEvent fires at the scheduled virtual time; a recycled
+// handler should copy its fields to locals (or finish using them) and return
+// itself to its free list before or after running, never while still
+// scheduled.
 type Handler interface {
 	RunEvent()
 }
+
+// FreeList is a LIFO stack of recycled event structs for the goroutine that
+// runs one engine: no locking, and unlike a sync.Pool the collector never
+// empties it, so it holds its high-water mark of structs in flight.
+type FreeList[T any] []*T
+
+// Get pops the most recently freed struct, or allocates one.
+func (f *FreeList[T]) Get() *T {
+	n := len(*f) - 1
+	if n < 0 {
+		return new(T)
+	}
+	x := (*f)[n]
+	*f = (*f)[:n]
+	return x
+}
+
+// Put pushes x, cleared by the caller, for a later Get.
+func (f *FreeList[T]) Put(x *T) { *f = append(*f, x) }
 
 // node is one pending event in the engine's arena: either a closure (fn) or
 // a typed Handler (h), exactly one set, and the arena index of the next
@@ -161,6 +181,13 @@ type Engine struct {
 	processed uint64
 	tracer    *trace.Recorder
 	metrics   *trace.Registry
+
+	// Free lists of the link's per-frame events, LIFO, touched only by the
+	// goroutine running this engine (see link.go). owed[s] counts the
+	// deliverEvents shard s took that ran here since the last barrier.
+	freeSends    FreeList[sendEvent]
+	freeDelivers FreeList[deliverEvent]
+	owed         []int
 
 	// Sharding state. A standalone engine (NewEngine) has group == nil and
 	// behaves exactly as before; an engine created by NewShardedEngine is
@@ -285,13 +312,9 @@ func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn, nil) }
 // After schedules fn d nanoseconds of virtual time from now.
 func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn, nil) }
 
-// AtEvent schedules a typed handler at absolute virtual time t (clamped to
-// now). Unlike At, it allocates nothing: the handler is typically a pooled
-// struct carrying its own arguments.
-func (e *Engine) AtEvent(t Time, h Handler) { e.schedule(t, nil, h) }
-
 // AfterEvent schedules a typed handler d nanoseconds of virtual time from
-// now.
+// now. Unlike After, it allocates nothing: the handler is typically a
+// recycled struct carrying its own arguments.
 func (e *Engine) AfterEvent(d Time, h Handler) { e.schedule(e.now+d, nil, h) }
 
 // nextEventTime returns the earliest scheduled deadline; ok is false when no

@@ -48,7 +48,7 @@ type benchSink struct{}
 func (*benchSink) Receive(int, []byte) {}
 
 // BenchmarkLinkForward measures one full link traversal: serialization,
-// propagation, pooled delivery event, receive.
+// propagation, recycled delivery event, receive.
 func BenchmarkLinkForward(b *testing.B) {
 	e := NewEngine(1)
 	a := &benchSink{}

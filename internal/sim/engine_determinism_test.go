@@ -2,6 +2,7 @@ package sim
 
 import (
 	"hash/fnv"
+	"runtime"
 	"testing"
 )
 
@@ -163,7 +164,7 @@ func (h *countingHandler) RunEvent() { h.n++ }
 
 // TestLinkForwardAllocFree guards one link traversal: SendFrom plus the Run
 // that drains its serialization and delivery events costs 0 allocs/op once
-// the event pools are warm.
+// the engine's free lists are warm.
 func TestLinkForwardAllocFree(t *testing.T) {
 	e := NewEngine(1)
 	delivered := 0
@@ -174,12 +175,48 @@ func TestLinkForwardAllocFree(t *testing.T) {
 		l.SendFrom(a, frame)
 		e.Run()
 	}
-	send() // warm the event pools
+	send() // warm the free lists
 	if allocs := testing.AllocsPerRun(1000, send); allocs != 0 {
 		t.Fatalf("SendFrom+Run allocated %.1f times per frame, want 0", allocs)
 	}
 	if delivered != 1000+2 {
 		t.Fatalf("link delivered %d frames, want %d", delivered, 1000+2)
+	}
+}
+
+// TestLinkEventsRecycleAcrossGC sends waves of frames through
+// SendFromAfter → SendFrom → deliver on one engine and collects twice
+// between waves: the send and deliver events live on the engine's free
+// lists, which the collector leaves alone, so every wave after the first
+// allocates nothing. (A sync.Pool is emptied by the second collection.)
+func TestLinkEventsRecycleAcrossGC(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := NewEngine(1)
+	delivered := 0
+	a, b := &funcNode{}, &funcNode{fn: func(int, []byte) { delivered++ }}
+	l := NewLink(e, a, 1, b, 1, LinkConfig{PropDelay: Microsecond, BandwidthBps: 10e9})
+	frame := make([]byte, 1500)
+	const frames, waves = 64, 10
+	wave := func() {
+		for i := 0; i < frames; i++ {
+			l.SendFromAfter(a, frame, Time(i%4)*Nanosecond)
+		}
+		e.Run()
+	}
+	wave() // unmeasured: fills the free lists, arena and run heap
+	var before, after runtime.MemStats
+	for w := 1; w < waves; w++ {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		wave()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("wave %d after two collections allocated %d times, want 0", w, n)
+		}
+	}
+	if delivered != frames*waves {
+		t.Fatalf("delivered %d frames, want %d", delivered, frames*waves)
 	}
 }
 

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sync"
-
-	"dumbnet/internal/trace"
-)
+import "dumbnet/internal/trace"
 
 // Node is anything that can receive frames from a link: a switch or a host
 // NIC. Receive runs at frame-delivery virtual time.
@@ -53,6 +49,7 @@ type LinkStats struct {
 	ImpairLost    uint64 // frames dropped by probabilistic impairment loss
 	ImpairCorrupt uint64 // frames bit-flipped by impairment corruption
 	Jittered      uint64 // frames delivered with extra impairment latency
+	LostInFlight  uint64 // frames on the wire when the receiving end went down
 }
 
 // Impairment models a degraded cable: probabilistic frame loss, random
@@ -82,12 +79,16 @@ func (imp Impairment) Active() bool {
 // the lookahead contract.
 type linkEnd struct {
 	eng  *Engine
+	link *Link
 	node Node
 	port int
 	up   bool
 	// busyUntil is when the transmitter in this direction frees up.
 	busyUntil Time
-	stats     LinkStats
+	// stats counts this end's transmissions, except LostInFlight: frames
+	// lost arriving here, counted here because only this end's engine may
+	// write it. StatsFrom reports it with the direction they travelled.
+	stats LinkStats
 }
 
 // Link is a full-duplex point-to-point cable between two nodes. Each
@@ -126,6 +127,7 @@ func NewLinkBetween(engA *Engine, aNode Node, aPort int, engB *Engine, bNode Nod
 		a:   linkEnd{eng: engA, node: aNode, port: aPort, up: true},
 		b:   linkEnd{eng: engB, node: bNode, port: bPort, up: true},
 	}
+	l.a.link, l.b.link = l, l
 	if engA != engB {
 		if engA.group == nil || engA.group != engB.group {
 			panic("sim: NewLinkBetween across engines that are not shards of one group")
@@ -138,9 +140,6 @@ func NewLinkBetween(engA *Engine, aNode Node, aPort int, engB *Engine, bNode Nod
 
 // Up reports link state: true only when both ends consider the cable live.
 func (l *Link) Up() bool { return l.a.up && l.b.up }
-
-// Ends returns the two (node, port) endpoints.
-func (l *Link) Ends() (Node, int, Node, int) { return l.a.node, l.a.port, l.b.node, l.b.port }
 
 // endFor returns the link end owned by node from; nil when from is not an
 // endpoint.
@@ -157,10 +156,20 @@ func (l *Link) endFor(from Node) *linkEnd {
 // StatsFrom returns the transmit stats for the direction originating at the
 // given node (true for endpoint A).
 func (l *Link) StatsFrom(fromA bool) LinkStats {
+	st, rx := l.b.stats, &l.a
 	if fromA {
-		return l.a.stats
+		st, rx = l.a.stats, &l.b
 	}
-	return l.b.stats
+	st.LostInFlight = rx.stats.LostInFlight
+	return st
+}
+
+// other returns the end facing e.
+func (l *Link) other(e *linkEnd) *linkEnd {
+	if e == &l.a {
+		return &l.b
+	}
+	return &l.a
 }
 
 // Backlog reports the current transmit-queue delay in the direction
@@ -262,47 +271,52 @@ func (l *Link) StartFlap(after, downFor, upFor Time, cycles int) {
 // call Restore to force it up.
 func (l *Link) StopFlap() { l.flapGen++ }
 
-// deliverEvent carries one in-flight frame to its receiving endpoint. The
-// structs are pooled so per-frame delivery costs no heap allocation — the
-// dominant event type in any traffic-carrying simulation. The event runs on
-// the receiving end's engine.
+// deliverEvent carries one in-flight frame to its receiving endpoint, and
+// sendEvent defers a SendFrom by a pipeline delay (switch forwarding, host
+// encap) without a closure per frame: the two per-hop event types of any
+// traffic-carrying simulation. Neither costs a heap allocation once warm.
+// Each engine keeps a LIFO free list of each, touched only by the goroutine
+// running that engine. A sendEvent is taken from and returned to the
+// transmitting end's engine, where it runs. A deliverEvent is taken from the
+// transmitting end's engine and returned to the receiving end's engine,
+// where it runs; across shards the receiver counts what it owes the sender,
+// and the barrier hands them back (handBack).
 type deliverEvent struct {
 	rx    *linkEnd
 	frame []byte
 }
 
-var deliverPool = sync.Pool{New: func() any { return new(deliverEvent) }}
-
 func (d *deliverEvent) RunEvent() {
-	rx, frame := d.rx, d.frame
+	rx, frame, e := d.rx, d.frame, d.rx.eng
 	*d = deliverEvent{}
-	deliverPool.Put(d)
+	e.freeDelivers.Put(d)
+	if e.owed != nil { // a shard: was d taken on another one?
+		if from := rx.link.other(rx).eng; from != e {
+			e.owed[from.shard]++
+		}
+	}
 	if !rx.up {
-		return // link died while the frame was in flight
+		rx.stats.LostInFlight++ // link died while the frame was in flight
+		return
 	}
 	rx.node.Receive(rx.port, frame)
 }
 
-// sendEvent defers a SendFrom by a pipeline delay (switch forwarding, host
-// encap) without allocating a closure per frame.
 type sendEvent struct {
-	link  *Link
-	from  Node
+	tx    *linkEnd
 	frame []byte
 }
 
-var sendPool = sync.Pool{New: func() any { return new(sendEvent) }}
-
 func (s *sendEvent) RunEvent() {
-	link, from, frame := s.link, s.from, s.frame
+	tx, frame := s.tx, s.frame
 	*s = sendEvent{}
-	sendPool.Put(s)
-	link.SendFrom(from, frame)
+	tx.eng.freeSends.Put(s)
+	tx.link.transmit(tx, frame)
 }
 
 // SendFromAfter schedules SendFrom(from, frame) after d nanoseconds of
 // virtual time on the sending end's engine. It is the hot-path form used by
-// switch forwarding and host encapsulation: the deferral is a pooled typed
+// switch forwarding and host encapsulation: the deferral is a recycled typed
 // event, so it performs no per-frame allocation where an equivalent closure
 // would.
 func (l *Link) SendFromAfter(from Node, frame []byte, d Time) {
@@ -310,8 +324,8 @@ func (l *Link) SendFromAfter(from Node, frame []byte, d Time) {
 	if tx == nil {
 		panic("sim: SendFromAfter by non-endpoint node")
 	}
-	s := sendPool.Get().(*sendEvent)
-	s.link, s.from, s.frame = l, from, frame
+	s := tx.eng.freeSends.Get()
+	s.tx, s.frame = tx, frame
 	tx.eng.AfterEvent(d, s)
 }
 
@@ -323,16 +337,16 @@ func (l *Link) SendFromAfter(from Node, frame []byte, d Time) {
 // engine, crossing the shard boundary through the group's outbox when the
 // two differ.
 func (l *Link) SendFrom(from Node, frame []byte) {
-	var tx, rx *linkEnd
-	switch {
-	case from == l.a.node:
-		tx, rx = &l.a, &l.b
-	case from == l.b.node:
-		tx, rx = &l.b, &l.a
-	default:
+	tx := l.endFor(from)
+	if tx == nil {
 		panic("sim: SendFrom by non-endpoint node")
 	}
-	eng := tx.eng
+	l.transmit(tx, frame)
+}
+
+// transmit is SendFrom from end tx.
+func (l *Link) transmit(tx *linkEnd, frame []byte) {
+	rx, eng := l.other(tx), tx.eng
 	if !tx.up {
 		tx.stats.DownTx++
 		eng.tracer.PacketDrop(int64(eng.Now()), 0, trace.DropLinkDownTx, frame)
@@ -372,7 +386,7 @@ func (l *Link) SendFrom(from Node, frame []byte) {
 		deliverAt += Time(eng.Rand().Int63n(int64(l.imp.JitterMax) + 1))
 		tx.stats.Jittered++
 	}
-	d := deliverPool.Get().(*deliverEvent)
+	d := eng.freeDelivers.Get()
 	d.rx, d.frame = rx, frame
 	eng.crossSchedule(rx.eng, deliverAt, nil, d)
 }

@@ -106,6 +106,7 @@ func NewShardedEngine(seed int64, n int) *ShardGroup {
 		e := NewEngine(shardSeed(seed, i))
 		e.group = g
 		e.shard = i
+		e.owed = make([]int, n)
 		g.shards[i] = e
 		g.outbox[i] = make([][]crossEvent, n)
 	}
@@ -378,6 +379,9 @@ func (g *ShardGroup) merge() {
 			for i := range box {
 				g.scratch = append(g.scratch, mergeItem{ev: box[i], src: src, idx: i})
 			}
+			if src != dst {
+				handBack(g.shards[dst], g.shards[src])
+			}
 			g.outbox[src][dst] = box[:0]
 		}
 		if len(g.scratch) == 0 {
@@ -424,4 +428,15 @@ func (e *Engine) crossSchedule(dst *Engine, at Time, fn func(), h Handler) {
 		e.crossMin = at
 	}
 	g.outbox[e.shard][dst.shard] = append(g.outbox[e.shard][dst.shard], crossEvent{at: at, fn: fn, h: h})
+}
+
+// handBack runs at the barrier, every shard parked. The deliverEvents that
+// src took for frames to dst went back to dst's free list when they ran;
+// dst hands back as many as it still has spare, so one-way traffic keeps
+// each struct with the engine that takes it instead of piling the structs up
+// on the receiver's list while the sender allocates fresh ones.
+func handBack(dst, src *Engine) {
+	n := max(len(dst.freeDelivers)-dst.owed[src.shard], 0)
+	src.freeDelivers = append(src.freeDelivers, dst.freeDelivers[n:]...)
+	dst.freeDelivers, dst.owed[src.shard] = dst.freeDelivers[:n], 0
 }

@@ -328,6 +328,50 @@ func TestShardedSoloFastPath(t *testing.T) {
 	}
 }
 
+// TestShardedOneWayFreeListsBounded sends frames one way across a
+// cross-shard link, one wave per lookahead, so each window runs the sender's
+// next wave on shard 0 while shard 1 delivers the last one. Deliver events
+// come from the sender's free list and return to the receiver's; the
+// barrier hands them back, so after 1,000 waves the receiver's list holds
+// no more than one wave's frames and the two lists no more than were ever
+// in flight.
+func TestShardedOneWayFreeListsBounded(t *testing.T) {
+	const frames, waves = 64, 1000
+	g := NewShardedEngine(1, 2)
+	defer g.Close()
+	ea, eb := g.Shard(0), g.Shard(1)
+	a, received := &funcNode{}, 0
+	b := &funcNode{fn: func(int, []byte) { received++ }}
+	l := NewLinkBetween(ea, a, 0, eb, b, 0, LinkConfig{PropDelay: 10 * Microsecond})
+	frame := []byte{1, 2, 3, 4}
+	sent := 0
+	var wave func()
+	wave = func() {
+		for i := 0; i < frames; i++ {
+			l.SendFromAfter(a, frame, 0)
+		}
+		if sent++; sent < waves {
+			ea.After(10*Microsecond, wave)
+		}
+	}
+	ea.At(0, wave)
+	g.Run()
+	if received != frames*waves {
+		t.Fatalf("received %d frames, want %d", received, frames*waves)
+	}
+	if parallel, _ := g.Windows(); parallel < waves/2 {
+		t.Fatalf("%d parallel windows: the two shards did not run side by side", parallel)
+	}
+	if n := len(eb.freeDelivers); n > frames {
+		t.Fatalf("receiver's free list holds %d deliver events after %d waves, want <= %d", n, waves, frames)
+	}
+	// The opening solo window sends two waves before the first delivery;
+	// no later window has more in flight.
+	if n := len(ea.freeDelivers) + len(eb.freeDelivers); n > 2*frames {
+		t.Fatalf("%d deliver events on the free lists after %d waves, want <= %d", n, waves, 2*frames)
+	}
+}
+
 func BenchmarkShardGroupPingPong(b *testing.B) {
 	g := NewShardedEngine(1, 2)
 	defer g.Close()

@@ -235,6 +235,12 @@ func TestLinkFailureMidFlight(t *testing.T) {
 	if len(b.frames) != 0 {
 		t.Fatal("in-flight frame survived link failure")
 	}
+	if n := l.StatsFrom(true).LostInFlight; n != 1 {
+		t.Fatalf("LostInFlight = %d, want 1", n)
+	}
+	if n := l.StatsFrom(false).LostInFlight; n != 0 {
+		t.Fatalf("reverse-direction LostInFlight = %d, want 0", n)
+	}
 }
 
 func TestLinkDuplicateSetUpNoNotify(t *testing.T) {

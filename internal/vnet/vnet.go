@@ -100,9 +100,6 @@ func (t *Tenant) Contains(m packet.MAC) bool { return t.hosts[m] }
 // View returns the tenant's topology slice — what its applications may see.
 func (t *Tenant) View() *topo.Subgraph { return t.view }
 
-// Baseline returns the as-built slice (the permission ceiling).
-func (t *Tenant) Baseline() *topo.Subgraph { return t.baseline }
-
 // Generation returns the tenant's mutation counter.
 func (t *Tenant) Generation() uint64 { return t.gen }
 
@@ -426,22 +423,6 @@ func (m *Manager) ResizeTenant(id TenantID, hosts []packet.MAC) error {
 	m.met.resizes.Inc()
 	ch := Change{Kind: ChangeResize, Tenant: id, Gen: gen, Members: members,
 		Departed: departed, Class: t.class}
-	m.mu.Unlock()
-	m.notify(ch)
-	return nil
-}
-
-// SetClass updates a tenant's degradation class and reports it through
-// OnChange so the deployment layer re-applies it to member hosts.
-func (m *Manager) SetClass(id TenantID, class Class) error {
-	m.mu.Lock()
-	t, ok := m.tenants[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("class %q: %w", id, ErrNoTenant)
-	}
-	t.class = class
-	ch := Change{Kind: ChangeResize, Tenant: id, Gen: t.gen, Members: sortedMACs(t.hosts), Class: class}
 	m.mu.Unlock()
 	m.notify(ch)
 	return nil
