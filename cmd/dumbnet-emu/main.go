@@ -70,6 +70,30 @@ func checkFlags(chaosEvents, federate, gateways int, wanDelay time.Duration) err
 	return nil
 }
 
+// federatedFlags are the flags a federated run honours. The rest configure
+// single-fabric features a member cannot take (tenants, shards, hybrid
+// flows) or phases runFederated does not have (link chaos, failure
+// injection, iperf, stats, tracing).
+var federatedFlags = map[string]bool{
+	"topo": true, "k": true, "n": true, "pings": true, "policy": true, "host-flood": true,
+	"federate": true, "wan-delay": true, "gateways": true,
+	"chaos": true, "chaos-seed": true, "chaos-events": true,
+	"telemetry": true, "telemetry-window": true, "telemetry-tap": true,
+	"pprof": true, "cpuprofile": true, "memprofile": true,
+}
+
+// checkFederatedFlags refuses, with -federate, every explicitly set flag
+// the federated run would otherwise drop without a word.
+func checkFederatedFlags(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !federatedFlags[f.Name] {
+			err = fmt.Errorf("-%s is not supported with -federate", f.Name)
+		}
+	})
+	return err
+}
+
 func main() {
 	var (
 		kind     = flag.String("topo", "testbed", "topology: testbed|fattree|cube|leafspine")
@@ -120,7 +144,11 @@ func main() {
 	)
 	flag.Parse()
 	log.SetFlags(0)
-	if err := checkFlags(*chaosEvts, *federate, *gateways, *wanDelay); err != nil {
+	err := checkFlags(*chaosEvts, *federate, *gateways, *wanDelay)
+	if err == nil && *federate >= 2 {
+		err = checkFederatedFlags(flag.CommandLine)
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "dumbnet-emu: %v\n", err)
 		os.Exit(2)
 	}
@@ -159,27 +187,8 @@ func main() {
 	}
 	defer writeMemProfile()
 
-	if *federate >= 2 {
-		tcfg := telemetry.DefaultConfig()
-		if *telemetryWin > 0 {
-			tcfg.Window = sim.FromDuration(*telemetryWin)
-		}
-		var tele *telemetry.Config
-		if *telemetryOn {
-			tele = &tcfg
-		}
-		runFederated(*kind, *k, *n, *federate, *wanDelay, *gateways, *pings, tele,
-			*chaosOn, *chaosSeed, *chaosEvts)
-		return
-	}
-
-	t, maxPorts, err := buildTopology(*kind, *k, *n)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("topology: %d switches, %d links, %d hosts\n",
-		t.NumSwitches(), t.NumLinks(), t.NumHosts())
-
+	// The options every fabric gets: the one deployment, or each federation
+	// member (checkFederatedFlags has refused those a member cannot take).
 	var opts []core.Option
 	if *shards > 1 {
 		opts = append(opts, core.WithShards(*shards))
@@ -206,6 +215,20 @@ func main() {
 		}
 		opts = append(opts, core.WithTelemetry(telemetryCfg))
 	}
+
+	if *federate >= 2 {
+		runFederated(*kind, *k, *n, *federate, *wanDelay, *gateways, *pings, opts, *telemetryOn,
+			*chaosOn, *chaosSeed, *chaosEvts)
+		return
+	}
+
+	t, maxPorts, err := buildTopology(*kind, *k, *n)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("topology: %d switches, %d links, %d hosts\n",
+		t.NumSwitches(), t.NumLinks(), t.NumHosts())
+
 	net, err := core.New(t, opts...)
 	if err != nil {
 		log.Fatal(err)
@@ -590,19 +613,18 @@ func runCollective(net *core.Network, hosts []core.MAC, bytes float64) {
 // optionally runs the WAN chaos battery (link cuts + gateway crashes with
 // never-widen and post-heal audits). Same seed, same chaos digest.
 func runFederated(kind string, k, n, count int, wanDelay time.Duration, gateways, pings int,
-	tele *telemetry.Config, chaosOn bool, chaosSeed int64, chaosEvts int) {
+	opts []core.Option, telemetryOn, chaosOn bool, chaosSeed int64, chaosEvts int) {
 	specs := make([]core.FabricSpec, count)
 	for i := range specs {
 		t, _, err := buildTopology(kind, k, n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		specs[i] = core.FabricSpec{Name: fmt.Sprintf("fab%d", i), Topo: t}
+		specs[i] = core.FabricSpec{Name: fmt.Sprintf("fab%d", i), Topo: t, Opts: opts}
 	}
 	cfg := core.DefaultFederationConfig(chaosSeed)
 	cfg.WAN.PropDelay = sim.FromDuration(wanDelay)
 	cfg.Gateways = gateways
-	cfg.Telemetry = tele
 	fed, err := core.Federate(cfg, specs...)
 	if err != nil {
 		log.Fatal(err)
@@ -656,7 +678,7 @@ func runFederated(kind string, k, n, count int, wanDelay time.Duration, gateways
 		}
 	}
 
-	if tele != nil {
+	if telemetryOn {
 		hub := fed.Hub()
 		fmt.Printf("\nfederated telemetry: %d flagged (%d WAN), raised %d, cleared %d, gateways down %d\n",
 			hub.Flagged(), hub.WANFlaggedCount(), hub.Raised(), hub.Cleared(), hub.GatewaysDown())

@@ -60,6 +60,10 @@ func TestGoldenOutput(t *testing.T) {
 		// Two federated fat-trees, then the WAN battery: link cuts and
 		// gateway crashes, printed as event text.
 		{"federate-chaos", "-topo fattree -k 4 -federate 2 -pings 1 -chaos -chaos-events 8"},
+		// The same WAN battery with -telemetry as a member option: member
+		// telemetry starts once both fabrics have booted, and the regional
+		// hub rolls it up with the WAN plane.
+		{"federate-telemetry", "-topo fattree -k 4 -federate 2 -pings 1 -chaos -chaos-events 8 -telemetry"},
 		// A chaos run with online telemetry, ending in the hub's final
 		// view and the metrics table.
 		{"telemetry-chaos", "-topo leafspine -k 4 -n 2 -pings 1 -discover=false -telemetry -chaos -chaos-events 8"},
@@ -86,8 +90,9 @@ func TestGoldenOutput(t *testing.T) {
 }
 
 // TestBadFlagsRefused checks that a flag value the layers below would
-// silently replace with a default stops the emulator with a non-zero exit
-// and a message naming the flag.
+// silently replace with a default, or a flag a federated run would silently
+// drop, stops the emulator with a non-zero exit and a message naming the
+// flag.
 func TestBadFlagsRefused(t *testing.T) {
 	for _, tc := range []struct {
 		args string
@@ -100,6 +105,11 @@ func TestBadFlagsRefused(t *testing.T) {
 		{"-topo fattree -k 4 -federate 1 -pings 0", "-federate"},
 		{"-topo fattree -k 4 -federate -2 -pings 0", "-federate"},
 		{"-topo fattree -k 4 -federate 2 -pings 0 -gateways 0", "-gateways"},
+		{"-topo fattree -k 4 -federate 2 -pings 0 -tenants 2", "-tenants"},
+		{"-topo fattree -k 4 -federate 2 -pings 0 -shards 2", "-shards"},
+		{"-topo fattree -k 4 -federate 2 -pings 0 -fail", "-fail"},
+		{"-topo fattree -k 4 -federate 2 -pings 0 -chaos -loss 0.05", "-loss"},
+		{"-topo fattree -k 4 -federate 2 -pings 0 -trace out.json", "-trace"},
 	} {
 		t.Run(tc.args, func(t *testing.T) {
 			var stderr bytes.Buffer

@@ -28,7 +28,9 @@ import (
 	"dumbnet/internal/vnet"
 )
 
-// Config tunes a chaos scenario.
+// Config tunes a chaos scenario. Both batteries read Seed, Events,
+// MeanGap, Settle, Deadline and MaxPairChecks; the rest are the link
+// battery's, and RunFederation refuses a config that turns one on.
 type Config struct {
 	// Seed drives every randomized choice the scenario makes.
 	Seed int64
@@ -83,16 +85,12 @@ type Config struct {
 func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:            seed,
-		Events:          24,
-		MeanGap:         40 * sim.Millisecond,
 		Loss:            0.01,
 		Jitter:          20 * sim.Microsecond,
 		Flap:            true,
 		CrashSwitches:   true,
 		CrashController: true,
-		Settle:          5 * sim.Second,
-		Deadline:        2 * sim.Second,
-	}
+	}.withDefaults()
 }
 
 func (c Config) withDefaults() Config {
@@ -212,10 +210,83 @@ func (r *Report) TimelineSummary() string {
 
 type pair struct{ a, b packet.SwitchID }
 
+// runner is the one scenario loop every battery shares. It owns the
+// config, the rng that draws every event, and the report; a battery
+// supplies what it injects, audits, heals and checks.
 type runner struct {
-	n   Target
-	cfg Config
-	rng *rand.Rand
+	target clock
+	cfg    Config
+	rng    *rand.Rand
+	rep    *Report
+}
+
+// clock is the part of a target the loop drives: the home engine that
+// stamps and traces events, and the run that advances it.
+type clock interface {
+	Engine() *sim.Engine
+	RunFor(d sim.Time)
+}
+
+// battery is one family of faults: it injects event i (with any traffic
+// that runs alongside), audits after each gap, heals every fault, and
+// checks the post-heal invariants.
+type battery interface {
+	inject(i int)
+	audit()
+	healAll()
+	check()
+}
+
+func newRunner(t clock, cfg Config) *runner {
+	cfg = cfg.withDefaults()
+	return &runner{target: t, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed)), rep: &Report{}}
+}
+
+// run drives b through the scenario: for each event, inject, draw the gap,
+// run for it, and audit; after the last, heal everything, settle, and
+// check.
+func (r *runner) run(b battery) {
+	for i := 0; i < r.cfg.Events; i++ {
+		b.inject(i)
+		gap := r.cfg.MeanGap/2 + sim.Time(r.rng.Int63n(int64(r.cfg.MeanGap)))
+		r.target.RunFor(gap)
+		b.audit()
+	}
+	b.healAll()
+	r.target.RunFor(r.cfg.Settle)
+	b.check()
+}
+
+// record stamps e with the current time, appends it to the report trace,
+// and publishes it to the flight recorder. Multicast and WAN events stay
+// out of the recorder, so enabling them does not shift what a traced run
+// keeps.
+func (r *runner) record(e Event) {
+	e.At = r.target.Engine().Now()
+	r.rep.Trace = append(r.rep.Trace, e)
+	tr, at := r.target.Engine().Tracer(), int64(e.At)
+	switch e.Kind {
+	case trace.ScenarioMcastGroup, trace.ScenarioMcastProbe,
+		trace.ScenarioFailWAN, trace.ScenarioHealWAN, trace.ScenarioCrashGateway,
+		trace.ScenarioRestartGateway, trace.ScenarioHealAllWAN:
+	case trace.ScenarioCreateTenant, trace.ScenarioDeleteTenant, trace.ScenarioMigrateHost:
+		tr.ScenarioTenant(at, e.Kind, e.Host)
+	case trace.ScenarioCrashSwitch, trace.ScenarioRestartSwitch:
+		tr.Scenario(at, e.Kind, e.Sw, 0)
+	default:
+		tr.Scenario(at, e.Kind, e.A, e.B)
+	}
+}
+
+func (r *runner) violate(inv, format string, args ...any) {
+	r.rep.Violations = append(r.rep.Violations, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
+}
+
+// linkBattery injects faults inside one fabric: lossy links, flaps, switch
+// and controller crashes, tenant churn and multicast probes.
+type linkBattery struct {
+	*runner
+	n Target
 	// auditRng drives the mid-run route-cache audits. It is separate from
 	// rng so auditing does not shift the event stream: the same Seed
 	// produces the same scenario trace with or without audits enabled.
@@ -239,8 +310,6 @@ type runner struct {
 	// callbacks fire from per-shard dispatch workers in sharded runs.
 	mcastGroups []mcastChaosGroup
 	probeMu     sync.Mutex
-
-	rep *Report
 }
 
 // Run executes a chaos scenario against a bootstrapped network: impair,
@@ -249,24 +318,21 @@ type runner struct {
 // bootstrapped and warmed; CrashController additionally requires
 // EnableReplicationAt to have run.
 func Run(n Target, cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
 	if cfg.CrashController && n.Group() == nil {
 		return nil, fmt.Errorf("chaos: CrashController requires controller replication")
 	}
 	if cfg.TenantChurn && n.Vnet() == nil {
 		return nil, fmt.Errorf("chaos: TenantChurn requires network virtualization (core.WithTenants)")
 	}
-	r := &runner{
+	r := &linkBattery{
+		runner:    newRunner(n, cfg),
 		n:         n,
-		cfg:       cfg,
-		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		auditRng:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		down:      make(map[pair]bool),
 		flap:      make(map[pair]bool),
 		crashed:   make(map[packet.SwitchID]bool),
 		protected: make(map[packet.SwitchID]bool),
 		mgr:       n.Vnet(),
-		rep:       &Report{},
 	}
 	for _, id := range n.Topology().SwitchIDs() {
 		for _, nb := range n.Topology().Neighbors(id) {
@@ -297,35 +363,16 @@ func Run(n Target, cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("chaos: network has no master view (bootstrap it first)")
 	}
 
-	if cfg.Mcast {
+	if r.cfg.Mcast {
 		if err := r.setupMcastGroups(); err != nil {
 			return nil, err
 		}
 	}
 
-	r.n.Fabric().ImpairAllLinks(sim.Impairment{LossProb: cfg.Loss, CorruptProb: cfg.Corrupt, JitterMax: cfg.Jitter})
+	r.n.Fabric().ImpairAllLinks(sim.Impairment{LossProb: r.cfg.Loss, CorruptProb: r.cfg.Corrupt, JitterMax: r.cfg.Jitter})
 	r.record(Event{Kind: trace.ScenarioImpair})
 
-	ctrlCrashAt := cfg.Events / 3
-	for i := 0; i < cfg.Events; i++ {
-		if cfg.CrashController && i == ctrlCrashAt && !r.ctrlDown {
-			n.Controller().Crash()
-			r.ctrlDown = true
-			r.record(Event{Kind: trace.ScenarioCrashCtrl})
-		} else {
-			r.step()
-		}
-		r.background()
-		gap := r.cfg.MeanGap/2 + sim.Time(r.rng.Int63n(int64(r.cfg.MeanGap)))
-		n.RunFor(gap)
-		r.auditRouteCache()
-		r.auditTenantViews()
-		r.auditMcastTrees()
-	}
-
-	r.healAll()
-	n.RunFor(cfg.Settle)
-	r.check()
+	r.run(r)
 	r.rep.Drops = n.Drops()
 	if tr := n.Engine().Tracer(); tr != nil {
 		r.rep.Timelines = trace.ExtractTimelines(tr.Records())
@@ -333,29 +380,33 @@ func Run(n Target, cfg Config) (*Report, error) {
 	return r.rep, nil
 }
 
-// record stamps e with the current time, appends it to the report trace,
-// and publishes it to the flight recorder. Multicast events stay out of the
-// recorder, so enabling them does not shift what a traced run keeps.
-func (r *runner) record(e Event) {
-	e.At = r.n.Engine().Now()
-	r.rep.Trace = append(r.rep.Trace, e)
-	tr, at := r.n.Engine().Tracer(), int64(e.At)
-	switch e.Kind {
-	case trace.ScenarioMcastGroup, trace.ScenarioMcastProbe:
-	case trace.ScenarioCreateTenant, trace.ScenarioDeleteTenant, trace.ScenarioMigrateHost:
-		tr.ScenarioTenant(at, e.Kind, e.Host)
-	case trace.ScenarioCrashSwitch, trace.ScenarioRestartSwitch:
-		tr.Scenario(at, e.Kind, e.Sw, 0)
-	default:
-		tr.Scenario(at, e.Kind, e.A, e.B)
+// inject fires event i: the primary-controller crash one third of the way
+// through when CrashController is set, otherwise a randomized step; then
+// background traffic.
+func (r *linkBattery) inject(i int) {
+	if r.cfg.CrashController && i == r.cfg.Events/3 && !r.ctrlDown {
+		r.n.Controller().Crash()
+		r.ctrlDown = true
+		r.record(Event{Kind: trace.ScenarioCrashCtrl})
+	} else {
+		r.step()
 	}
+	r.background()
+}
+
+// audit runs the mid-chaos invariants: route cache, tenant views,
+// multicast trees.
+func (r *linkBattery) audit() {
+	r.auditRouteCache()
+	r.auditTenantViews()
+	r.auditMcastTrees()
 }
 
 // viewConnected checks whether the fabric's switch graph stays connected
 // under the currently injected faults plus a candidate extra fault.
 // Flapping links count as down for the whole phase (pessimistic), so a
 // flap can never conspire with later failures into a partition.
-func (r *runner) viewConnected(extraDown *pair, extraCrash *packet.SwitchID) bool {
+func (r *linkBattery) viewConnected(extraDown *pair, extraCrash *packet.SwitchID) bool {
 	v := r.n.Topology().Clone()
 	drop := func(p pair) {
 		if pa, err := v.PortToward(p.a, p.b); err == nil {
@@ -383,7 +434,7 @@ func (r *runner) viewConnected(extraDown *pair, extraCrash *packet.SwitchID) boo
 
 // linkCandidates lists links eligible for a new fail or flap: currently
 // clean, both endpoints alive, and severable without partitioning.
-func (r *runner) linkCandidates() []pair {
+func (r *linkBattery) linkCandidates() []pair {
 	var out []pair
 	for _, p := range r.links {
 		if r.down[p] || r.flap[p] || r.crashed[p.a] || r.crashed[p.b] {
@@ -401,7 +452,7 @@ func (r *runner) linkCandidates() []pair {
 	return out
 }
 
-func (r *runner) healCandidates() []pair {
+func (r *linkBattery) healCandidates() []pair {
 	var out []pair
 	for _, p := range r.links {
 		if r.down[p] {
@@ -411,7 +462,7 @@ func (r *runner) healCandidates() []pair {
 	return out
 }
 
-func (r *runner) crashCandidates() []packet.SwitchID {
+func (r *linkBattery) crashCandidates() []packet.SwitchID {
 	var out []packet.SwitchID
 	for _, id := range r.n.Topology().SwitchIDs() {
 		if r.crashed[id] || r.protected[id] {
@@ -425,7 +476,7 @@ func (r *runner) crashCandidates() []packet.SwitchID {
 	return out
 }
 
-func (r *runner) restartCandidates() []packet.SwitchID {
+func (r *linkBattery) restartCandidates() []packet.SwitchID {
 	var out []packet.SwitchID
 	for _, id := range r.n.Topology().SwitchIDs() {
 		if r.crashed[id] {
@@ -438,7 +489,7 @@ func (r *runner) restartCandidates() []packet.SwitchID {
 // step injects one randomized event. The roll picks a preferred action;
 // if that action has no eligible target the fixed fallback order keeps
 // the event count honest.
-func (r *runner) step() {
+func (r *linkBattery) step() {
 	type action int
 	const (
 		actFail action = iota
@@ -553,7 +604,7 @@ func (r *runner) step() {
 
 // freeHosts lists non-controller hosts not owned by any tenant, in the
 // target's deterministic order.
-func (r *runner) freeHosts() []packet.MAC {
+func (r *linkBattery) freeHosts() []packet.MAC {
 	var out []packet.MAC
 	for _, m := range r.n.Hosts() {
 		if _, owned := r.mgr.TenantOf(m); !owned {
@@ -564,7 +615,7 @@ func (r *runner) freeHosts() []packet.MAC {
 }
 
 // createTenant carves a fresh tenant out of a contiguous run of free hosts.
-func (r *runner) createTenant() bool {
+func (r *linkBattery) createTenant() bool {
 	if r.mgr == nil {
 		return false
 	}
@@ -585,7 +636,7 @@ func (r *runner) createTenant() bool {
 
 // deleteTenant tears a random tenant down, asserting zero blast radius on
 // every other tenant's routes.
-func (r *runner) deleteTenant() bool {
+func (r *linkBattery) deleteTenant() bool {
 	if r.mgr == nil {
 		return false
 	}
@@ -605,7 +656,7 @@ func (r *runner) deleteTenant() bool {
 
 // migrateHost swaps a random member of a random tenant for a free host,
 // asserting zero blast radius on every other tenant's routes.
-func (r *runner) migrateHost() bool {
+func (r *linkBattery) migrateHost() bool {
 	if r.mgr == nil {
 		return false
 	}
@@ -642,7 +693,7 @@ type stableProbe struct {
 // wire answer for that tenant's first member pair. Because mutating one
 // tenant bumps neither other tenants' generations nor the master topology
 // generation, these answers must come back byte-identical afterwards.
-func (r *runner) snapshotOthers(exclude vnet.TenantID) []stableProbe {
+func (r *linkBattery) snapshotOthers(exclude vnet.TenantID) []stableProbe {
 	ctrl := r.activeCtrl()
 	if ctrl == nil {
 		return nil
@@ -670,7 +721,7 @@ func (r *runner) snapshotOthers(exclude vnet.TenantID) []stableProbe {
 // assertOthersStable re-probes every snapshot and flags any drift as a
 // tenant-blast-radius violation: mutating one tenant must not perturb
 // another tenant's routes.
-func (r *runner) assertOthersStable(mutated vnet.TenantID, kind string, before []stableProbe) {
+func (r *linkBattery) assertOthersStable(mutated vnet.TenantID, kind string, before []stableProbe) {
 	ctrl := r.activeCtrl()
 	if ctrl == nil {
 		return
@@ -697,7 +748,7 @@ func (r *runner) assertOthersStable(mutated vnet.TenantID, kind string, before [
 
 // crossDomain reports whether src->dst traffic crosses an isolation
 // boundary (one endpoint tenanted and the other not, or different tenants).
-func (r *runner) crossDomain(a, b packet.MAC) bool {
+func (r *linkBattery) crossDomain(a, b packet.MAC) bool {
 	if r.mgr == nil {
 		return false
 	}
@@ -716,7 +767,7 @@ func (r *runner) crossDomain(a, b packet.MAC) bool {
 // boundary leaked a packet. (Armed at send time only — membership may
 // legally change while a frame is in flight, but a ping issued across a
 // boundary must be refused before any payload reaches the far host.)
-func (r *runner) background() {
+func (r *linkBattery) background() {
 	hosts := r.n.Hosts()
 	if len(hosts) < 2 {
 		return
@@ -758,7 +809,7 @@ func (r *runner) background() {
 // healAll reverses every injected fault: flaps stopped and links raised,
 // failed links restored, crashed switches and the controller restarted,
 // impairments cleared.
-func (r *runner) healAll() {
+func (r *linkBattery) healAll() {
 	for _, p := range r.links {
 		if r.flap[p] {
 			if l, err := r.n.Fabric().LinkBetween(p.a, p.b); err == nil {

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
@@ -23,8 +22,8 @@ import (
 // core.Federation implements it; the indirection avoids a core import
 // cycle, exactly like Target.
 type FederationTarget interface {
-	// Engine returns the federation's home engine (member 0's shard).
-	Engine() *sim.Engine
+	// clock: the home engine is member 0's shard.
+	clock
 	// NumFabrics counts member fabrics; Hosts lists member fab's
 	// non-controller hosts; GatewayMACs lists its border gateways (a
 	// subset of Hosts); FabricOf maps a host back to its member.
@@ -52,31 +51,13 @@ type FederationTarget interface {
 	RouteWAN(src, dst packet.MAC) (wan int, gwNear, gwFar packet.MAC, err error)
 
 	Ping(src, dst packet.MAC, cb func(rtt sim.Time)) error
-	RunFor(d sim.Time)
 }
 
-// FederationConfig tunes a WAN chaos scenario.
-type FederationConfig struct {
-	// Seed drives every randomized choice.
-	Seed int64
-	// Events is how many randomized WAN/gateway fail-heal events to inject.
-	Events int
-	// MeanGap is the mean virtual-time gap between events.
-	MeanGap sim.Time
-	// Settle is how long the federation gets after the final heal before
-	// the reachability check.
-	Settle sim.Time
-	// Deadline bounds, per probed pair, how long a connectivity probe may
-	// take during the check phase.
-	Deadline sim.Time
-	// MaxPairChecks caps how many cross-fabric host pairs the audits and
-	// the post-heal sweep probe (deterministic stride sampling).
-	MaxPairChecks int
-}
-
-// DefaultFederationConfig is the standard WAN scenario.
-func DefaultFederationConfig(seed int64) FederationConfig {
-	return FederationConfig{
+// DefaultFederationConfig is the standard WAN scenario. It sets the six
+// fields the WAN battery reads — Seed, Events, MeanGap, Settle, Deadline
+// and MaxPairChecks — and leaves every link-battery switch off.
+func DefaultFederationConfig(seed int64) Config {
+	return Config{
 		Seed:          seed,
 		Events:        16,
 		MeanGap:       50 * sim.Millisecond,
@@ -86,88 +67,68 @@ func DefaultFederationConfig(seed int64) FederationConfig {
 	}
 }
 
-func (c FederationConfig) withDefaults() FederationConfig {
-	if c.Events <= 0 {
-		c.Events = 16
-	}
-	if c.MeanGap <= 0 {
-		c.MeanGap = 50 * sim.Millisecond
-	}
-	if c.Settle <= 0 {
-		c.Settle = 2 * sim.Second
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 2 * sim.Second
-	}
-	if c.MaxPairChecks <= 0 {
-		c.MaxPairChecks = 8
-	}
-	return c
-}
-
-// fedPair is one sampled cross-fabric probe pair.
-type fedPair struct {
-	src, dst packet.MAC
-}
-
-type fedRunner struct {
-	t   FederationTarget
-	cfg FederationConfig
-	rng *rand.Rand
+// wanBattery injects WAN link cuts and gateway crashes into a federation.
+type wanBattery struct {
+	*runner
+	t FederationTarget
 
 	wanDown map[int]bool
 	gwDown  map[packet.MAC]bool
-	gwAll   []packet.MAC // every gateway, deterministic order
-	pairs   []fedPair    // sampled cross-fabric pairs (no gateway endpoints)
-	intra   []fedPair    // one intra-fabric control pair per member
-
-	rep *Report
+	gwAll   []packet.MAC    // every gateway, deterministic order
+	pairs   [][2]packet.MAC // sampled cross-fabric (src, dst) pairs, no gateway endpoints
+	intra   [][2]packet.MAC // one intra-fabric control pair per member
 }
 
-// RunFederation executes a WAN chaos scenario against a booted federation:
-// inject cfg.Events randomized WAN cuts and gateway crashes with the
-// never-widen audit after every event, heal everything, settle, and check
-// post-heal reachability and flag clearance.
-func RunFederation(t FederationTarget, cfg FederationConfig) (*Report, error) {
-	cfg = cfg.withDefaults()
+// RunFederation executes a WAN chaos scenario against a booted federation
+// on the same loop as Run: inject cfg.Events randomized WAN cuts and
+// gateway crashes with the never-widen and blast-radius audits after every
+// event, heal everything, settle, and check post-heal reachability and flag
+// clearance. A cfg that turns on a link-battery switch is refused: the WAN
+// battery injects none of them.
+func RunFederation(t FederationTarget, cfg Config) (*Report, error) {
+	for _, sw := range []struct {
+		name string
+		on   bool
+	}{
+		{"Loss", cfg.Loss != 0}, {"Corrupt", cfg.Corrupt != 0}, {"Jitter", cfg.Jitter != 0},
+		{"Flap", cfg.Flap}, {"CrashSwitches", cfg.CrashSwitches}, {"CrashController", cfg.CrashController},
+		{"TenantChurn", cfg.TenantChurn}, {"Mcast", cfg.Mcast},
+	} {
+		if sw.on {
+			return nil, fmt.Errorf("chaos: the WAN battery does not inject %s", sw.name)
+		}
+	}
 	if t.NumFabrics() < 2 {
 		return nil, fmt.Errorf("chaos: federation battery needs >= 2 fabrics")
 	}
 	if t.NumWANs() == 0 {
 		return nil, fmt.Errorf("chaos: federation has no WAN links")
 	}
-	r := &fedRunner{
+	r := &wanBattery{
+		runner:  newRunner(t, cfg),
 		t:       t,
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		wanDown: make(map[int]bool),
 		gwDown:  make(map[packet.MAC]bool),
-		rep:     &Report{},
 	}
 	for fab := 0; fab < t.NumFabrics(); fab++ {
 		r.gwAll = append(r.gwAll, t.GatewayMACs(fab)...)
 	}
 	r.samplePairs()
-
-	for i := 0; i < cfg.Events; i++ {
-		r.step()
-		gap := cfg.MeanGap/2 + sim.Time(r.rng.Int63n(int64(cfg.MeanGap)))
-		t.RunFor(gap)
-		r.auditNeverWiden()
-		r.auditBlastRadius()
-	}
-
-	r.healAll()
-	t.RunFor(cfg.Settle)
-	r.check()
+	r.run(r)
 	return r.rep, nil
+}
+
+// audit runs the mid-chaos invariants: never-widen and blast radius.
+func (r *wanBattery) audit() {
+	r.auditNeverWiden()
+	r.auditBlastRadius()
 }
 
 // samplePairs picks up to MaxPairChecks cross-fabric pairs by deterministic
 // stride over the host lists (gateway hosts excluded — a crashed gateway
 // legitimately drops traffic addressed to itself), plus one intra-fabric
 // control pair per member.
-func (r *fedRunner) samplePairs() {
+func (r *wanBattery) samplePairs() {
 	isGw := make(map[packet.MAC]bool, len(r.gwAll))
 	for _, m := range r.gwAll {
 		isGw[m] = true
@@ -180,20 +141,20 @@ func (r *fedRunner) samplePairs() {
 			}
 		}
 		if len(plain[fab]) >= 2 {
-			r.intra = append(r.intra, fedPair{src: plain[fab][0], dst: plain[fab][1]})
+			r.intra = append(r.intra, [2]packet.MAC{plain[fab][0], plain[fab][1]})
 		}
 	}
-	var all []fedPair
+	var all [][2]packet.MAC
 	for i := 0; i < len(plain); i++ {
 		for j := i + 1; j < len(plain); j++ {
 			for _, s := range plain[i] {
 				for _, d := range plain[j] {
-					all = append(all, fedPair{src: s, dst: d})
+					all = append(all, [2]packet.MAC{s, d})
 				}
 			}
 		}
 	}
-	if len(all) <= r.cfg.MaxPairChecks {
+	if r.cfg.MaxPairChecks <= 0 || len(all) <= r.cfg.MaxPairChecks {
 		r.pairs = all
 		return
 	}
@@ -203,15 +164,8 @@ func (r *fedRunner) samplePairs() {
 	}
 }
 
-// record stamps e with the current time and appends it to the report
-// trace. WAN events never reach a flight recorder.
-func (r *fedRunner) record(e Event) {
-	e.At = r.t.Engine().Now()
-	r.rep.Trace = append(r.rep.Trace, e)
-}
-
-// step injects one randomized event among the currently possible kinds.
-func (r *fedRunner) step() {
+// inject fires one randomized event among the currently possible kinds.
+func (r *wanBattery) inject(int) {
 	var upWANs, downWANs []int
 	for id := 0; id < r.t.NumWANs(); id++ {
 		if r.wanDown[id] {
@@ -275,10 +229,10 @@ func (r *fedRunner) step() {
 	}
 }
 
-// liveWAN reports whether, per the runner's own fault bookkeeping, at
+// liveWAN reports whether, per the battery's own fault bookkeeping, at
 // least one WAN link between the two fabrics is usable: link up and both
 // gateways alive.
-func (r *fedRunner) liveWAN(fa, fb int) bool {
+func (r *wanBattery) liveWAN(fa, fb int) bool {
 	for id := 0; id < r.t.NumWANs(); id++ {
 		a, b, ga, gb := r.t.WANEnds(id)
 		if (a != fa || b != fb) && (a != fb || b != fa) {
@@ -294,42 +248,42 @@ func (r *fedRunner) liveWAN(fa, fb int) bool {
 // auditNeverWiden probes the regional resolver for every sampled pair
 // while faults are live: an answer must never ride a downed WAN link or a
 // crashed gateway, and when no live path exists the resolver must refuse.
-func (r *fedRunner) auditNeverWiden() {
+func (r *wanBattery) auditNeverWiden() {
 	for _, p := range r.pairs {
-		fa, _ := r.t.FabricOf(p.src)
-		fb, _ := r.t.FabricOf(p.dst)
-		wan, gwNear, gwFar, err := r.t.RouteWAN(p.src, p.dst)
+		fa, _ := r.t.FabricOf(p[0])
+		fb, _ := r.t.FabricOf(p[1])
+		wan, gwNear, gwFar, err := r.t.RouteWAN(p[0], p[1])
 		if !r.liveWAN(fa, fb) {
 			if err == nil {
-				r.violate("never-widen", fmt.Sprintf("no live WAN between fab%d and fab%d but resolver answered via wan%d", fa, fb, wan))
+				r.violate("never-widen", "no live WAN between fab%d and fab%d but resolver answered via wan%d", fa, fb, wan)
 			}
 			continue
 		}
 		if err != nil {
-			r.violate("never-widen", fmt.Sprintf("live WAN exists between fab%d and fab%d but resolver refused: %v", fa, fb, err))
+			r.violate("never-widen", "live WAN exists between fab%d and fab%d but resolver refused: %v", fa, fb, err)
 			continue
 		}
 		if r.wanDown[wan] {
-			r.violate("never-widen", fmt.Sprintf("route %v->%v rides downed wan%d", p.src, p.dst, wan))
+			r.violate("never-widen", "route %v->%v rides downed wan%d", p[0], p[1], wan)
 		}
 		if r.gwDown[gwNear] || r.gwDown[gwFar] {
-			r.violate("never-widen", fmt.Sprintf("route %v->%v rides crashed gateway (%v or %v)", p.src, p.dst, gwNear, gwFar))
+			r.violate("never-widen", "route %v->%v rides crashed gateway (%v or %v)", p[0], p[1], gwNear, gwFar)
 		}
 	}
 }
 
 // auditBlastRadius verifies WAN chaos does not leak into member fabrics:
 // one intra-fabric ping per member must keep succeeding mid-scenario.
-func (r *fedRunner) auditBlastRadius() {
+func (r *wanBattery) auditBlastRadius() {
 	for _, p := range r.intra {
-		if !r.pingOK(p.src, p.dst, r.cfg.Deadline) {
-			fab, _ := r.t.FabricOf(p.src)
-			r.violate("blast-radius", fmt.Sprintf("intra-fabric ping %v->%v failed in fab%d during WAN chaos", p.src, p.dst, fab))
+		if !r.pingOK(p[0], p[1], r.cfg.Deadline) {
+			fab, _ := r.t.FabricOf(p[0])
+			r.violate("blast-radius", "intra-fabric ping %v->%v failed in fab%d during WAN chaos", p[0], p[1], fab)
 		}
 	}
 }
 
-func (r *fedRunner) healAll() {
+func (r *wanBattery) healAll() {
 	for id := 0; id < r.t.NumWANs(); id++ {
 		if r.wanDown[id] {
 			_ = r.t.RestoreWAN(id)
@@ -348,42 +302,42 @@ func (r *fedRunner) healAll() {
 // check runs the post-heal invariants: WAN flags all cleared, the resolver
 // answers every sampled pair over live links, and every sampled pair is
 // reachable end-to-end.
-func (r *fedRunner) check() {
+func (r *wanBattery) check() {
 	if n := r.t.WANFlaggedCount(); n != 0 {
-		r.violate("wan-flag-clear", fmt.Sprintf("%d WAN health flags still raised after heal", n))
+		r.violate("wan-flag-clear", "%d WAN health flags still raised after heal", n)
 	}
 	for _, m := range r.gwAll {
 		if r.t.GatewayDown(m) {
-			r.violate("post-heal", fmt.Sprintf("gateway %v still down after heal", m))
+			r.violate("post-heal", "gateway %v still down after heal", m)
 		}
 	}
 	for id := 0; id < r.t.NumWANs(); id++ {
 		if !r.t.WANUp(id) {
-			r.violate("post-heal", fmt.Sprintf("wan%d still down after heal", id))
+			r.violate("post-heal", "wan%d still down after heal", id)
 		}
 	}
 	for _, p := range r.pairs {
-		if _, _, _, err := r.t.RouteWAN(p.src, p.dst); err != nil {
-			r.violate("federation-reachability", fmt.Sprintf("post-heal resolve %v->%v: %v", p.src, p.dst, err))
+		if _, _, _, err := r.t.RouteWAN(p[0], p[1]); err != nil {
+			r.violate("federation-reachability", "post-heal resolve %v->%v: %v", p[0], p[1], err)
 			continue
 		}
 		ok := false
 		for attempt := 0; attempt < 3; attempt++ {
-			if r.pingOK(p.src, p.dst, r.cfg.Deadline) {
+			if r.pingOK(p[0], p[1], r.cfg.Deadline) {
 				ok = true
 				break
 			}
 			r.rep.PingRetries++
 		}
 		if !ok {
-			r.violate("federation-reachability", fmt.Sprintf("post-heal ping %v->%v lost", p.src, p.dst))
+			r.violate("federation-reachability", "post-heal ping %v->%v lost", p[0], p[1])
 		}
 	}
 }
 
 // pingOK fires one probe and drives the federation until the echo lands or
 // the deadline passes.
-func (r *fedRunner) pingOK(src, dst packet.MAC, deadline sim.Time) bool {
+func (r *wanBattery) pingOK(src, dst packet.MAC, deadline sim.Time) bool {
 	done := false
 	if err := r.t.Ping(src, dst, func(sim.Time) { done = true }); err != nil {
 		return false
@@ -393,8 +347,4 @@ func (r *fedRunner) pingOK(src, dst packet.MAC, deadline sim.Time) bool {
 		r.t.RunFor(step)
 	}
 	return done
-}
-
-func (r *fedRunner) violate(inv, detail string) {
-	r.rep.Violations = append(r.rep.Violations, Violation{Invariant: inv, Detail: detail})
 }

@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"slices"
+	"strings"
 	"testing"
 
 	"dumbnet/internal/chaos"
@@ -74,5 +75,17 @@ func TestFederationChaosDeterminism(t *testing.T) {
 	}
 	if len(a.Violations)+len(c.Violations) != 0 {
 		t.Fatalf("violations: seed33=%d seed34=%d", len(a.Violations), len(c.Violations))
+	}
+}
+
+// TestFederationRefusesLinkSwitches: the WAN battery shares Config with the
+// link battery but injects none of its faults, so a config that turns one
+// on is refused rather than silently ignored.
+func TestFederationRefusesLinkSwitches(t *testing.T) {
+	fed := buildFederation(t, 21)
+	cfg := chaos.DefaultFederationConfig(21)
+	cfg.Flap = true
+	if _, err := chaos.RunFederation(fed, cfg); err == nil || !strings.Contains(err.Error(), "Flap") {
+		t.Fatalf("RunFederation with Flap: err = %v, want a refusal naming Flap", err)
 	}
 }

@@ -20,7 +20,7 @@ import (
 //  3. convergence — the controller masters match the real topology again,
 //     and every edge in every host's TopoCache agrees with the master.
 
-func (r *runner) check() {
+func (r *linkBattery) check() {
 	r.checkConnectivity()
 	r.checkNoLoops()
 	r.checkConvergence()
@@ -33,7 +33,7 @@ func (r *runner) check() {
 // Cross-domain pairs are excluded — isolation asserts they must NOT connect,
 // which checkIsolation probes separately. MaxPairChecks > 0 thins the list
 // by a deterministic stride so huge fabrics stay checkable.
-func (r *runner) samplePairs() [][2]packet.MAC {
+func (r *linkBattery) samplePairs() [][2]packet.MAC {
 	hosts := r.allHosts()
 	var all [][2]packet.MAC
 	for _, src := range hosts {
@@ -55,15 +55,11 @@ func (r *runner) samplePairs() [][2]packet.MAC {
 	return out
 }
 
-func (r *runner) violate(inv, format string, args ...any) {
-	r.rep.Violations = append(r.rep.Violations, Violation{Invariant: inv, Detail: fmt.Sprintf(format, args...)})
-}
-
-func (r *runner) allHosts() []packet.MAC {
+func (r *linkBattery) allHosts() []packet.MAC {
 	return append([]packet.MAC{r.n.Controller().MAC()}, r.n.Hosts()...)
 }
 
-func (r *runner) checkConnectivity() {
+func (r *linkBattery) checkConnectivity() {
 	for _, p := range r.samplePairs() {
 		src, dst := p[0], p[1]
 		deadline := r.n.Engine().Now() + r.cfg.Deadline
@@ -85,7 +81,7 @@ func (r *runner) checkConnectivity() {
 	}
 }
 
-func (r *runner) checkNoLoops() {
+func (r *linkBattery) checkNoLoops() {
 	for _, h := range r.allHosts() {
 		a := r.n.Agent(h)
 		for _, dst := range a.Table().Destinations() {
@@ -145,7 +141,7 @@ func walkPath(t *topo.Topology, src packet.MAC, tags packet.Path, dst packet.MAC
 // activeCtrl returns the controller whose route service is authoritative:
 // the consensus leader when replicated (nil during elections), the sole
 // controller otherwise.
-func (r *runner) activeCtrl() *controller.Controller {
+func (r *linkBattery) activeCtrl() *controller.Controller {
 	if g := r.n.Group(); g != nil {
 		return g.Primary()
 	}
@@ -154,7 +150,7 @@ func (r *runner) activeCtrl() *controller.Controller {
 
 // masterView picks the authoritative master: the consensus leader's when
 // replicated, the sole controller's otherwise.
-func (r *runner) masterView() *topo.Topology {
+func (r *linkBattery) masterView() *topo.Topology {
 	if g := r.n.Group(); g != nil {
 		if p := g.Primary(); p != nil {
 			return p.Master()
@@ -169,7 +165,7 @@ func (r *runner) masterView() *topo.Topology {
 // controller's current view — generation-based invalidation must keep
 // cached path graphs exactly as fresh as the master. Transient "no path"
 // errors are legitimate mid-chaos; stale hops are not.
-func (r *runner) auditRouteCache() {
+func (r *linkBattery) auditRouteCache() {
 	ctrl := r.activeCtrl()
 	if ctrl == nil || ctrl.Down() || ctrl.Master() == nil {
 		return
@@ -193,7 +189,7 @@ func (r *runner) auditRouteCache() {
 
 // assertPathInView verifies every consecutive hop of the answer's primary
 // and backup paths is a live link in v.
-func (r *runner) assertPathInView(v *topo.Topology, when string, src, dst packet.MAC, pg *topo.PathGraph) {
+func (r *linkBattery) assertPathInView(v *topo.Topology, when string, src, dst packet.MAC, pg *topo.PathGraph) {
 	check := func(name string, p topo.SwitchPath) {
 		for i := 0; i+1 < len(p); i++ {
 			if _, err := v.PortToward(p[i], p[i+1]); err != nil {
@@ -210,7 +206,7 @@ func (r *runner) assertPathInView(v *topo.Topology, when string, src, dst packet
 // with the fabric whole again, every pair must get a valid path graph whose
 // primary and backup walk only links that physically exist. A stale cached
 // route surviving the chaos phase fails here.
-func (r *runner) checkRouteService() {
+func (r *linkBattery) checkRouteService() {
 	ctrl := r.activeCtrl()
 	if ctrl == nil || ctrl.Down() {
 		r.violate("route-cache", "no live controller after heal")
@@ -256,7 +252,7 @@ func (r *runner) checkRouteService() {
 // (views may only narrow under faults, never widen), and every cached
 // tenant route still inside its slice — entries that now escape are
 // evicted by the route service's own audit and recomputed on demand.
-func (r *runner) auditTenantViews() {
+func (r *linkBattery) auditTenantViews() {
 	if r.mgr == nil {
 		return
 	}
@@ -272,7 +268,7 @@ func (r *runner) auditTenantViews() {
 // past its baseline, the manager refuses to answer for foreign hosts, and
 // real cross-domain traffic still fails end to end even with the fabric
 // fully healed — the strongest form of "zero cross-tenant deliveries".
-func (r *runner) checkIsolation() {
+func (r *linkBattery) checkIsolation() {
 	if r.mgr == nil {
 		return
 	}
@@ -315,7 +311,7 @@ func (r *runner) checkIsolation() {
 	}
 }
 
-func (r *runner) checkConvergence() {
+func (r *linkBattery) checkConvergence() {
 	master := r.masterView()
 	if g := r.n.Group(); g != nil {
 		// Every replica must hold the same view (they applied the same

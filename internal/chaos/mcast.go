@@ -52,7 +52,7 @@ const (
 // small for the configured carve, groups shrink (to at least two members)
 // and then thin out — a deterministic function of the host count, so the
 // degraded scenario still replays bit-identically per seed.
-func (r *runner) setupMcastGroups() error {
+func (r *linkBattery) setupMcastGroups() error {
 	hosts := r.n.Hosts()
 	groups, size := mcastGroups, mcastGroupSize
 	if groups*size > len(hosts) {
@@ -92,7 +92,7 @@ func (r *runner) setupMcastGroups() error {
 // demands every member was reached exactly once — the post-heal invariant;
 // mid-chaos callers pass strict=false and rely only on the callback's
 // always-invariants.
-func (r *runner) probeMcast(g mcastChaosGroup, strict bool) func() bool {
+func (r *linkBattery) probeMcast(g mcastChaosGroup, strict bool) func() bool {
 	delivered := make(map[packet.MAC]int, len(g.members))
 	// Bit corruption can rewrite a port in the in-flight tree and land a
 	// copy on the wrong host; with Corrupt armed, mid-chaos probes keep
@@ -139,7 +139,7 @@ func (r *runner) probeMcast(g mcastChaosGroup, strict bool) func() bool {
 // exactly as fresh as the master, even while links are still going down.
 // "No tree computable" is legitimate mid-chaos; a stale or looping tree is
 // not. Draws from auditRng so enabling audits does not shift the scenario.
-func (r *runner) auditMcastTrees() {
+func (r *linkBattery) auditMcastTrees() {
 	if !r.cfg.Mcast || len(r.mcastGroups) == 0 {
 		return
 	}
@@ -163,7 +163,7 @@ func (r *runner) auditMcastTrees() {
 // again, every group's tree must be recomputed over the healed master (and
 // replay cleanly over the physical topology), and a fresh probe must reach
 // every member exactly once within Deadline.
-func (r *runner) checkMcast() {
+func (r *linkBattery) checkMcast() {
 	if !r.cfg.Mcast {
 		return
 	}

@@ -15,9 +15,8 @@ import (
 // offer chaos as a construction option (core.WithChaos) without an import
 // cycle, and lets tests drive scenarios against purpose-built harnesses.
 type Target interface {
-	// Engine returns the deployment's home engine (the controller's shard
-	// in a sharded run): scenario tracing and virtual-time reads go there.
-	Engine() *sim.Engine
+	// clock: the home engine is the controller's shard in a sharded run.
+	clock
 	// Topology is the deployment's physical graph (the generator
 	// blueprint, not the controller's view).
 	Topology() *topo.Topology
@@ -37,7 +36,6 @@ type Target interface {
 
 	Ping(src, dst packet.MAC, cb func(rtt sim.Time)) error
 	PingSync(src, dst packet.MAC) (sim.Time, error)
-	RunFor(d sim.Time)
 
 	// CreateMcastGroup registers a multicast group at the controller;
 	// MulticastProbe sends a delivery probe whose callback fires once per

@@ -88,15 +88,12 @@ type Network struct {
 	simGroup *sim.ShardGroup // nil in single-engine runs
 	chaosCfg *chaos.Config   // stored by WithChaos for RunChaos
 
-	// federation hooks, installed by core.Federate before any traffic runs
-	// and read (under mu: dispatch fires on shard workers) on the gateway
-	// and destination hosts of federated envelopes. The sibling maps hold
-	// this member's federated data sinks and in-flight federated echoes.
-	fedRelay     func(at MAC, env []byte)
-	fedDeliver   func(at MAC, env []byte)
-	fedReceivers map[MAC]func(src MAC, payload []byte)
-	fedSeq       uint64
-	fedWait      map[uint64]func(rtt sim.Time)
+	// federation hooks, run on the gateway and destination hosts of
+	// federated envelopes. core.Federate writes them once, before the group
+	// first runs, so shard workers read them without mu. Federated data and
+	// echoes land in receivers and pingWait like intra-fabric ones.
+	fedRelay   func(at MAC, env []byte)
+	fedDeliver func(at MAC, env []byte)
 
 	// virtualization requested via options (WithTenants), applied when the
 	// network boots.
@@ -104,7 +101,8 @@ type Network struct {
 	vnet           *vnet.Manager
 
 	// telemetry requested via options (WithTelemetry), applied when the
-	// network boots — last, so the tenant resolver sees carved slices.
+	// network boots — last, so the tenant resolver sees carved slices — or,
+	// on a federation member, by Federate once every member has booted.
 	pendingTelemetry *telemetry.Config
 	hub              *telemetry.Hub
 
@@ -187,8 +185,6 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 		receivers:        make(map[MAC]func(MAC, []byte)),
 		pingWait:         make(map[uint64]func(sim.Time)),
 		mcastWait:        make(map[uint64]func(MAC)),
-		fedReceivers:     make(map[MAC]func(MAC, []byte)),
-		fedWait:          make(map[uint64]func(sim.Time)),
 		features:         features,
 		simGroup:         simGroup,
 		chaosCfg:         o.chaos,
@@ -258,17 +254,30 @@ func (n *Network) Bootstrap() error {
 
 // finishBoot marks the network up and applies what the options deferred to
 // boot, once: tenancy, then telemetry (so the tenant resolver sees carved
-// slices).
+// slices). A federation member leaves its telemetry pending: the flush
+// timers would keep the shared queues busy, and the next member's
+// Bootstrap drains them to quiescence, so Federate starts it once every
+// member has booted.
 func (n *Network) finishBoot() error {
 	n.booted = true
-	tenants, tele := n.pendingTenants, n.pendingTelemetry
-	n.pendingTenants, n.pendingTelemetry = -1, nil
+	tenants := n.pendingTenants
+	n.pendingTenants = -1
 	if err := n.bootTenancy(tenants); err != nil {
 		return err
 	}
+	if slices.Contains(n.features, featFederation) {
+		return nil
+	}
+	return n.startTelemetry()
+}
+
+// startTelemetry enables the telemetry WithTelemetry deferred to boot, once.
+func (n *Network) startTelemetry() error {
+	tele := n.pendingTelemetry
 	if tele == nil {
 		return nil
 	}
+	n.pendingTelemetry = nil
 	_, err := n.EnableTelemetry(*tele)
 	return err
 }
@@ -317,58 +326,69 @@ func (n *Network) dispatch(at, src MAC, payload []byte) {
 	kind, body := payload[0], payload[1:]
 	switch kind {
 	case kindData:
-		n.mu.Lock()
-		fn := n.receivers[at]
-		n.mu.Unlock()
-		if fn != nil {
-			fn(src, body)
-		}
+		n.deliver(at, src, body)
 	case kindEchoReq:
 		// Reply with the same token.
 		_ = sendKind(n.agents[at], src, kindEchoRep, body)
 	case kindEchoRep:
 		if len(body) >= 8 {
-			var seq uint64
-			for i := 0; i < 8; i++ {
-				seq = seq<<8 | uint64(body[i])
-			}
-			n.mu.Lock()
-			fn := n.pingWait[seq]
-			delete(n.pingWait, seq)
-			n.mu.Unlock()
-			if fn != nil {
-				fn(n.agents[at].Engine().Now())
-			}
+			n.echoed(at, binary.BigEndian.Uint64(body))
 		}
 	case kindFedRelay:
-		n.mu.Lock()
-		relay := n.fedRelay
-		n.mu.Unlock()
-		if relay != nil {
-			relay(at, body)
+		if n.fedRelay != nil {
+			n.fedRelay(at, body)
 		}
 	case kindFedDeliver:
-		n.mu.Lock()
-		deliver := n.fedDeliver
-		n.mu.Unlock()
-		if deliver != nil {
-			deliver(at, body)
+		if n.fedDeliver != nil {
+			n.fedDeliver(at, body)
 		}
 	case kindMcastProbe:
 		if len(body) >= 8 {
-			var seq uint64
-			for i := 0; i < 8; i++ {
-				seq = seq<<8 | uint64(body[i])
-			}
 			// Probe callbacks persist: they fire once per delivering member,
 			// so duplicate deliveries are observable to the caller.
 			n.mu.Lock()
-			fn := n.mcastWait[seq]
+			fn := n.mcastWait[binary.BigEndian.Uint64(body)]
 			n.mu.Unlock()
 			if fn != nil {
 				fn(at)
 			}
 		}
+	}
+}
+
+// deliver hands a data payload arriving at host at to its sink. Intra-fabric
+// frames and federation envelopes both end here.
+func (n *Network) deliver(at, src MAC, body []byte) {
+	n.mu.Lock()
+	fn := n.receivers[at]
+	n.mu.Unlock()
+	if fn != nil {
+		fn(src, body)
+	}
+}
+
+// expectEcho registers cb for the echo of a ping a is about to send and
+// returns the ping's sequence number. RTT is measured on the source host's
+// own clock: the echo comes back to a, so send and receive read the same
+// shard's engine.
+func (n *Network) expectEcho(a *host.Agent, cb func(rtt sim.Time)) uint64 {
+	sentAt := a.Engine().Now()
+	n.mu.Lock()
+	n.pingSeq++
+	seq := n.pingSeq
+	n.pingWait[seq] = func(at sim.Time) { cb(at - sentAt) }
+	n.mu.Unlock()
+	return seq
+}
+
+// echoed completes ping seq, whose echo just reached host at.
+func (n *Network) echoed(at MAC, seq uint64) {
+	n.mu.Lock()
+	fn := n.pingWait[seq]
+	delete(n.pingWait, seq)
+	n.mu.Unlock()
+	if fn != nil {
+		fn(n.agents[at].Engine().Now())
 	}
 }
 
@@ -424,30 +444,32 @@ func (n *Network) Ping(src, dst MAC, cb func(rtt sim.Time)) error {
 	if !n.booted {
 		return ErrNotDeployed
 	}
-	// RTT is measured on the source host's own clock: the echo reply comes
-	// back to src, so send and receive read the same shard's engine.
-	sentAt := a.Engine().Now()
-	n.mu.Lock()
-	n.pingSeq++
-	seq := n.pingSeq
-	n.pingWait[seq] = func(at sim.Time) { cb(at - sentAt) }
-	n.mu.Unlock()
-	head := seqHead(kindEchoReq, seq)
+	head := seqHead(kindEchoReq, n.expectEcho(a, cb))
 	return a.SendParts(dst, packet.EtherTypeIPv4, head[:], nil, host.FlowKey{Dst: dst})
 }
 
 // PingSync is Ping plus engine drain, returning the measured RTT.
 func (n *Network) PingSync(src, dst MAC) (sim.Time, error) {
+	return pingSync(n.Eng, n.perpetual, 100, n.Ping, src, dst)
+}
+
+// pingSync fires ping and drives d until the echo lands: a full drain, or,
+// when perpetual timers keep the queue non-empty, at most steps slices of
+// 10 ms.
+func pingSync(d interface {
+	Run()
+	RunFor(sim.Time)
+}, perpetual bool, steps int, ping func(src, dst MAC, cb func(sim.Time)) error, src, dst MAC) (sim.Time, error) {
 	var rtt sim.Time = -1
-	if err := n.Ping(src, dst, func(r sim.Time) { rtt = r }); err != nil {
+	if err := ping(src, dst, func(r sim.Time) { rtt = r }); err != nil {
 		return 0, err
 	}
-	if n.perpetual {
-		for i := 0; i < 100 && rtt < 0; i++ {
-			n.Eng.RunFor(10 * sim.Millisecond)
+	if perpetual {
+		for i := 0; i < steps && rtt < 0; i++ {
+			d.RunFor(10 * sim.Millisecond)
 		}
 	} else {
-		n.Eng.Run()
+		d.Run()
 	}
 	if rtt < 0 {
 		return 0, fmt.Errorf("core: ping %v->%v lost", src, dst)
@@ -528,7 +550,7 @@ func (n *Network) RunChaos() (*chaos.Report, error) {
 	return chaos.Run(n, *n.chaosCfg)
 }
 
-// SetPolicy installs a registered routing policy (see host.PolicyNames) on
+// SetPolicy installs a named routing policy (see host.PolicyNames) on
 // one host.
 func (n *Network) SetPolicy(h MAC, name string) error {
 	a, ok := n.agents[h]
@@ -539,7 +561,7 @@ func (n *Network) SetPolicy(h MAC, name string) error {
 	return err
 }
 
-// SetPolicyAll installs a registered routing policy on every host,
+// SetPolicyAll installs a named routing policy on every host,
 // controller included. Each host gets a fresh policy instance.
 func (n *Network) SetPolicyAll(name string) error {
 	for _, a := range n.agents {

@@ -8,7 +8,6 @@ import (
 	"dumbnet/internal/host"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
-	"dumbnet/internal/telemetry"
 	"dumbnet/internal/topo"
 )
 
@@ -42,16 +41,14 @@ type FederationConfig struct {
 	// Seed seeds the shared engine group.
 	Seed int64
 	// WAN configures every WAN link. PropDelay must be positive (it is the
-	// cross-shard lookahead); the default models a metro interconnect:
-	// 5 ms propagation, 10 Gb/s.
+	// cross-shard lookahead); BandwidthBps 0 is an infinite rate, as on
+	// every link. The default models a metro interconnect: 5 ms
+	// propagation, 10 Gb/s.
 	WAN sim.LinkConfig
 	// Gateways is how many border gateways each member designates — and
-	// thus how many parallel WAN links each fabric pair gets (default 2,
-	// so a WAN failure has an alternate).
+	// thus how many parallel WAN links each fabric pair gets (at least 1;
+	// the default 2 gives a WAN failure an alternate).
 	Gateways int
-	// Telemetry, when set, enables per-member telemetry and rolls the
-	// member hubs up into the regional hub.
-	Telemetry *telemetry.Config
 }
 
 // DefaultFederationConfig returns the standard metro federation tuning.
@@ -63,19 +60,6 @@ func DefaultFederationConfig(seed int64) FederationConfig {
 	}
 }
 
-func (c FederationConfig) withDefaults() FederationConfig {
-	if c.WAN.PropDelay <= 0 {
-		c.WAN.PropDelay = 5 * sim.Millisecond
-	}
-	if c.WAN.BandwidthBps == 0 {
-		c.WAN.BandwidthBps = 10e9
-	}
-	if c.Gateways <= 0 {
-		c.Gateways = 2
-	}
-	return c
-}
-
 // fabricStride separates member switch-ID and MAC namespaces: member i's
 // switches and host addresses are offset by i<<20, far above any single
 // fabric's population.
@@ -83,7 +67,6 @@ const fabricStride = 1 << 20
 
 // Federation is a deployed multi-fabric federation.
 type Federation struct {
-	cfg      FederationConfig
 	group    *sim.ShardGroup
 	nets     []*Network
 	names    []string
@@ -103,16 +86,18 @@ type Federation struct {
 // its border gateways). The returned federation is booted and ready for
 // traffic.
 func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
-	cfg = cfg.withDefaults()
-	if len(specs) < 2 {
+	switch {
+	case cfg.WAN.PropDelay <= 0:
+		return nil, fmt.Errorf("core: WAN propagation delay %v is the cross-shard lookahead and must be positive", cfg.WAN.PropDelay)
+	case cfg.Gateways < 1:
+		return nil, fmt.Errorf("core: a federation needs at least 1 gateway per member, got %d", cfg.Gateways)
+	case len(specs) < 2:
 		return nil, fmt.Errorf("core: a federation needs at least 2 member fabrics, got %d", len(specs))
-	}
-	if len(specs) > fabricStride {
+	case len(specs) > fabricStride:
 		return nil, fmt.Errorf("core: too many member fabrics (%d)", len(specs))
 	}
 	group := sim.NewShardedEngine(cfg.Seed, len(specs))
 	f := &Federation{
-		cfg:      cfg,
 		group:    group,
 		gwByHost: make(map[MAC]*federation.Gateway),
 	}
@@ -176,17 +161,14 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 		all := append([]MAC{n.Ctrl.MAC()}, n.Hosts()...)
 		f.regional.AddMember(f.names[i], n.Ctrl, f.gateways[i], all)
 
-		mem := n
-		mem.mu.Lock()
-		mem.fedRelay = func(at MAC, env []byte) {
+		n.fedRelay = func(at MAC, env []byte) {
 			if gw := f.gwByHost[at]; gw != nil {
 				gw.RelayOut(env)
 			}
 		}
-		mem.fedDeliver = f.handleDeliver
-		mem.mu.Unlock()
+		n.fedDeliver = f.handleDeliver
 		for _, gw := range f.gateways[i] {
-			gwAgent := mem.agents[gw.MAC()]
+			gwAgent := n.agents[gw.MAC()]
 			gw.SetDeliver(func(dst MAC, env []byte) {
 				_ = sendKind(gwAgent, dst, kindFedDeliver, env)
 			})
@@ -194,22 +176,21 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 	}
 
 	// Boot every member. Each Bootstrap drains the whole group; members
-	// not yet booted just idle through it. Telemetry is enabled only after
-	// the last bootstrap: its periodic flush timers keep the event queues
-	// perpetually non-empty, and Bootstrap's quiescence-draining Run would
-	// never return with one already armed on an earlier member's shard.
+	// not yet booted just idle through it. A member's WithTelemetry is
+	// started only after the last bootstrap: its periodic flush timers keep
+	// the event queues perpetually non-empty, and Bootstrap's
+	// quiescence-draining Run would never return with one already armed on
+	// an earlier member's shard.
 	for i, n := range f.nets {
 		if err := n.Bootstrap(); err != nil {
 			return nil, fmt.Errorf("core: bootstrap member %s: %w", f.names[i], err)
 		}
 	}
 	for i, n := range f.nets {
-		if cfg.Telemetry != nil {
-			if _, err := n.EnableTelemetry(*cfg.Telemetry); err != nil {
-				return nil, fmt.Errorf("core: telemetry for member %s: %w", f.names[i], err)
-			}
-			f.perpetual = true
+		if err := n.startTelemetry(); err != nil {
+			return nil, fmt.Errorf("core: telemetry for member %s: %w", f.names[i], err)
 		}
+		f.perpetual = f.perpetual || n.hub != nil
 		f.hub.AddMember(n.hub)
 	}
 	return f, nil
@@ -360,21 +341,16 @@ func (f *Federation) Now() sim.Time { return f.group.Now() }
 // observable for WAN-lookahead scaling (see the federated shard bench).
 func (f *Federation) Windows() (parallel, solo uint64) { return f.group.Windows() }
 
-// OnReceive installs a data sink for federated envelopes arriving at h.
-// Intra-fabric traffic sent through the member Network keeps using the
-// member's own OnReceive. As there, the payload is valid only for the
-// duration of the call: it aliases a receive buffer that is recycled when
-// fn returns.
+// OnReceive installs h's data sink: its member's OnReceive, so one sink
+// gets both intra-fabric and federated data. As there, the payload is valid
+// only for the duration of the call: it aliases a receive buffer that is
+// recycled when fn returns.
 func (f *Federation) OnReceive(h MAC, fn func(src MAC, payload []byte)) error {
 	fab, ok := f.regional.FabricOf(h)
 	if !ok {
 		return ErrNoSuchHost
 	}
-	n := f.nets[fab]
-	n.mu.Lock()
-	n.fedReceivers[h] = fn
-	n.mu.Unlock()
-	return nil
+	return f.nets[fab].OnReceive(h, fn)
 }
 
 // Send delivers an application payload from src to dst anywhere in the
@@ -411,33 +387,13 @@ func (f *Federation) Ping(src, dst MAC, cb func(rtt sim.Time)) error {
 		return f.nets[sf].Ping(src, dst, cb)
 	}
 	n := f.nets[sf]
-	a := n.agents[src]
-	sentAt := a.Engine().Now()
-	n.mu.Lock()
-	n.fedSeq++
-	seq := n.fedSeq
-	n.fedWait[seq] = func(at sim.Time) { cb(at - sentAt) }
-	n.mu.Unlock()
+	seq := n.expectEcho(n.agents[src], cb)
 	return f.sendEnvelope(src, dst, federation.EnvEchoReq, seq, nil)
 }
 
 // PingSync is Ping plus a federation drain, returning the measured RTT.
 func (f *Federation) PingSync(src, dst MAC) (sim.Time, error) {
-	var rtt sim.Time = -1
-	if err := f.Ping(src, dst, func(r sim.Time) { rtt = r }); err != nil {
-		return 0, err
-	}
-	if f.perpetual {
-		for i := 0; i < 400 && rtt < 0; i++ {
-			f.group.RunFor(10 * sim.Millisecond)
-		}
-	} else {
-		f.group.Run()
-	}
-	if rtt < 0 {
-		return 0, fmt.Errorf("core: federated ping %v->%v lost", src, dst)
-	}
-	return rtt, nil
+	return pingSync(f.group, f.perpetual, 400, f.Ping, src, dst)
 }
 
 // sendEnvelope resolves the regional route for (src, dst) and hands the
@@ -479,21 +435,10 @@ func (f *Federation) handleDeliver(at MAC, env []byte) {
 	n := f.nets[fab]
 	switch e.Kind {
 	case federation.EnvData:
-		n.mu.Lock()
-		fn := n.fedReceivers[at]
-		n.mu.Unlock()
-		if fn != nil {
-			fn(e.Src, e.Payload)
-		}
+		n.deliver(at, e.Src, e.Payload)
 	case federation.EnvEchoReq:
 		_ = f.sendEnvelope(at, e.Src, federation.EnvEchoRep, e.Seq, nil)
 	case federation.EnvEchoRep:
-		n.mu.Lock()
-		fn := n.fedWait[e.Seq]
-		delete(n.fedWait, e.Seq)
-		n.mu.Unlock()
-		if fn != nil {
-			fn(n.agents[at].Engine().Now())
-		}
+		n.echoed(at, e.Seq)
 	}
 }

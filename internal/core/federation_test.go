@@ -328,3 +328,134 @@ func TestFederationRefusesTenants(t *testing.T) {
 		t.Fatalf("Federate with a tenanted member: err = %v, want ErrIncompatible", err)
 	}
 }
+
+// TestFederateRefusesBadConfig: the WAN delay is the cross-shard lookahead
+// and a member needs a gateway, so Federate refuses either at zero rather
+// than substituting a default.
+func TestFederateRefusesBadConfig(t *testing.T) {
+	for name, mutate := range map[string]func(*core.FederationConfig){
+		"zero WAN delay": func(c *core.FederationConfig) { c.WAN.PropDelay = 0 },
+		"no gateways":    func(c *core.FederationConfig) { c.Gateways = 0 },
+	} {
+		cfg := core.DefaultFederationConfig(7)
+		mutate(&cfg)
+		ta, err := topo.FatTree(4, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := topo.FatTree(4, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.Federate(cfg, core.FabricSpec{Topo: ta}, core.FabricSpec{Topo: tb}); err == nil {
+			t.Errorf("%s: Federate succeeded", name)
+		}
+	}
+}
+
+// TestFederationOneSinkPerHost: Federation.OnReceive is the member's
+// OnReceive, so one sink sees both intra-fabric and cross-fabric data.
+func TestFederationOneSinkPerHost(t *testing.T) {
+	fed := buildFederation(t, core.DefaultFederationConfig(7))
+	dst := fed.Hosts(1)[0]
+	got := map[string]core.MAC{}
+	if err := fed.OnReceive(dst, func(s core.MAC, p []byte) { got[string(p)] = s }); err != nil {
+		t.Fatalf("OnReceive: %v", err)
+	}
+	local, remote := fed.Hosts(1)[1], fed.Hosts(0)[0]
+	if err := fed.Send(local, dst, []byte("local")); err != nil {
+		t.Fatalf("intra Send: %v", err)
+	}
+	if err := fed.Send(remote, dst, []byte("remote")); err != nil {
+		t.Fatalf("cross Send: %v", err)
+	}
+	fed.Run()
+	if len(got) != 2 || got["local"] != local || got["remote"] != remote {
+		t.Fatalf("sink saw %v, want local from %v and remote from %v", got, local, remote)
+	}
+}
+
+// TestFederatedTelemetryRollup: members take WithTelemetry in their own
+// Opts, and the regional hub's roll-up is the sum of the member hubs plus
+// the WAN plane — through an intra-fabric elephant flow that raises member
+// flags, a WAN cut and a gateway crash, and after the heal.
+func TestFederatedTelemetryRollup(t *testing.T) {
+	tele := []core.Option{core.WithTelemetry(closedLoopConfig())}
+	ta, err := topo.FatTree(4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := topo.FatTree(4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := core.Federate(core.DefaultFederationConfig(7),
+		core.FabricSpec{Name: "west", Topo: ta, Opts: tele},
+		core.FabricSpec{Name: "east", Topo: tb, Opts: tele})
+	if err != nil {
+		t.Fatalf("Federate: %v", err)
+	}
+	hub := fed.Hub()
+	members := func() (flagged int, raised, cleared uint64) {
+		for i := 0; i < fed.NumFabrics(); i++ {
+			h := fed.Network(i).Telemetry()
+			if h == nil {
+				t.Fatalf("member %d runs without telemetry", i)
+			}
+			flagged, raised, cleared = flagged+h.Flagged(), raised+h.Raised(), cleared+h.Cleared()
+		}
+		return
+	}
+	rollup := func(when string, wanFlagged int, wanRaised, wanCleared uint64) uint64 {
+		t.Helper()
+		f, r, c := members()
+		if hub.Flagged() != f+wanFlagged || hub.Raised() != r+wanRaised || hub.Cleared() != c+wanCleared {
+			t.Fatalf("%s: hub flagged/raised/cleared %d/%d/%d, members %d/%d/%d plus WAN %d/%d/%d",
+				when, hub.Flagged(), hub.Raised(), hub.Cleared(), f, r, c, wanFlagged, wanRaised, wanCleared)
+		}
+		return r
+	}
+	rollup("after boot", 0, 0, 0)
+
+	// An elephant across west's pods, 48 frames per 1 ms window, while a
+	// WAN link is cut and one of east's gateways is down.
+	west := fed.Network(0)
+	hosts := west.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-3] // not a gateway
+	for w := 0; w < 20; w++ {
+		west.Eng.At(west.Eng.Now()+sim.Time(w)*sim.Millisecond, func() {
+			for i := 0; i < 48; i++ {
+				_ = west.Send(src, dst, []byte("elephant"))
+			}
+		})
+	}
+	gw := fed.GatewayMACs(1)[0]
+	if err := fed.FailWAN(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.CrashGateway(gw); err != nil {
+		t.Fatal(err)
+	}
+	if got := hub.GatewaysDown(); got != 1 {
+		t.Fatalf("GatewaysDown = %d with one gateway crashed", got)
+	}
+	fed.RunFor(25 * sim.Millisecond)
+	if rollup("mid-fault", 1, 1, 0) == 0 {
+		t.Fatal("the elephant raised no member flag")
+	}
+
+	if err := fed.RestoreWAN(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.RestartGateway(gw); err != nil {
+		t.Fatal(err)
+	}
+	fed.RunFor(20 * sim.Millisecond)
+	if got := hub.GatewaysDown(); got != 0 {
+		t.Fatalf("GatewaysDown = %d after the restart", got)
+	}
+	rollup("after heal", 0, 1, 1)
+	if hub.Flagged() != 0 {
+		t.Fatalf("%d subjects still flagged after heal", hub.Flagged())
+	}
+}

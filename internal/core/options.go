@@ -105,7 +105,7 @@ func WithHostFlood(on bool) Option {
 	return func(o *options) { o.cfg.Host.DisableHostFlood = !on }
 }
 
-// WithPolicy installs a registered host routing policy (host.PolicyNames:
+// WithPolicy installs a named host routing policy (host.PolicyNames:
 // "single", "sticky", "rr", "flowlet", "ecn", "telemetry") on every host at
 // construction.
 func WithPolicy(name string) Option {
@@ -138,9 +138,10 @@ func withFederation(eng *sim.Engine) Option {
 // returns the hub that merges them (snapshot, JSON and Prometheus
 // exporters). Combine with WithPolicy("telemetry") to close the loop —
 // agents then steer flows off scoreboard-flagged links. Applied after
-// tenancy, so the heavy-hitter sketch sees tenant labels. Federation members
-// take FederationConfig.Telemetry instead (see refusals). Use
-// telemetry.DefaultConfig() for standard thresholds.
+// tenancy, so the heavy-hitter sketch sees tenant labels. On a federation
+// member it starts once every member has booted, and the member's hub rolls
+// up into Federation.Hub. Use telemetry.DefaultConfig() for standard
+// thresholds.
 func WithTelemetry(cfg telemetry.Config) Option {
 	return func(o *options) { o.telemetry = &cfg }
 }
@@ -175,7 +176,6 @@ var refusals = []struct {
 	{featFederation, featShards, "a member fabric lives whole on its federation shard"},
 	{featFederation, featHybrid, "a member fabric does not own its engine clock"},
 	{featFederation, featReplication, "a member fabric does not own its engine clock"},
-	{featFederation, featTelemetry, "member flush timers would stall the other members' boot; use FederationConfig.Telemetry"},
 	{featFederation, featTenants, "the regional resolver has no tenant scope and member isolation refuses cross-fabric pings"},
 }
 

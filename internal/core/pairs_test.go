@@ -58,7 +58,6 @@ var refusedPairs = [][2]string{
 	{"Federate", "WithShards"},
 	{"Federate", "WithHybridFlows"},
 	{"Federate", "EnableReplicationAt"},
-	{"Federate", "WithTelemetry"},
 	{"Federate", "WithTenants"},
 }
 

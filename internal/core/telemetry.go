@@ -22,8 +22,8 @@ import (
 // forever, so drains become time-bounded (as with replication heartbeats).
 //
 // Prefer constructing with WithTelemetry(cfg), which applies this
-// automatically after Bootstrap/Discover. Federate calls it on each member
-// once every member has booted (FederationConfig.Telemetry).
+// automatically after Bootstrap/Discover (on a federation member, once
+// every member has booted).
 func (n *Network) EnableTelemetry(cfg telemetry.Config) (*telemetry.Hub, error) {
 	if !n.booted {
 		return nil, ErrNotDeployed

@@ -3,7 +3,6 @@ package host
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"dumbnet/internal/sim"
 )
@@ -24,46 +23,40 @@ type Policy interface {
 	Install(a *Agent)
 }
 
-// Default knobs for registry-built policies. Policies built directly
+// Default knobs for policies built by name. Policies built directly
 // (NewFlowletChooser, NewECNChooser) take explicit parameters instead.
 const (
 	// DefaultFlowletTimeout is the idle gap that starts a new flowlet for
-	// the registry's "flowlet" policy.
+	// the "flowlet" policy.
 	DefaultFlowletTimeout = 500 * sim.Microsecond
 	// DefaultECNCooldown bounds per-destination reroute frequency for the
-	// registry's "ecn" policy.
+	// "ecn" policy.
 	DefaultECNCooldown = sim.Millisecond
 )
 
-var (
-	policyMu sync.RWMutex
-	policies = map[string]func() Policy{}
-)
-
-// RegisterPolicy adds (or replaces) a named policy factory. The factory
-// must return a fresh instance per call — policies hold per-flow state and
+// policies is the fixed name → constructor table behind NewPolicy. Each
+// constructor returns a fresh instance: policies hold per-flow state and
 // are never shared between agents.
-func RegisterPolicy(name string, factory func() Policy) {
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	policies[name] = factory
+var policies = map[string]func() Policy{
+	"single":    func() Policy { return SinglePathChooser{} },
+	"sticky":    func() Policy { return NewStickyChooser() },
+	"rr":        func() Policy { return NewRoundRobinChooser() },
+	"flowlet":   func() Policy { return NewFlowletChooser(DefaultFlowletTimeout) },
+	"ecn":       func() Policy { return NewECNChooser(DefaultECNCooldown, nil) },
+	"telemetry": func() Policy { return NewTelemetryChooser(DefaultECNCooldown) },
 }
 
-// NewPolicy builds a fresh instance of a registered policy.
+// NewPolicy builds a fresh instance of a named policy.
 func NewPolicy(name string) (Policy, error) {
-	policyMu.RLock()
 	factory, ok := policies[name]
-	policyMu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("host: unknown routing policy %q (have %v)", name, PolicyNames())
 	}
 	return factory(), nil
 }
 
-// PolicyNames lists the registered policy names, sorted.
+// PolicyNames lists the policy names, sorted.
 func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
 	names := make([]string, 0, len(policies))
 	for n := range policies {
 		names = append(names, n)
@@ -78,7 +71,7 @@ func (a *Agent) SetPolicy(p Policy) {
 	a.Chooser = p
 }
 
-// UsePolicy installs a registered policy by name and returns the instance.
+// UsePolicy installs a policy by name and returns the instance.
 func (a *Agent) UsePolicy(name string) (Policy, error) {
 	p, err := NewPolicy(name)
 	if err != nil {
@@ -86,15 +79,6 @@ func (a *Agent) UsePolicy(name string) (Policy, error) {
 	}
 	a.SetPolicy(p)
 	return p, nil
-}
-
-// The five built-in policies.
-func init() {
-	RegisterPolicy("single", func() Policy { return SinglePathChooser{} })
-	RegisterPolicy("sticky", func() Policy { return NewStickyChooser() })
-	RegisterPolicy("rr", func() Policy { return NewRoundRobinChooser() })
-	RegisterPolicy("flowlet", func() Policy { return NewFlowletChooser(DefaultFlowletTimeout) })
-	RegisterPolicy("ecn", func() Policy { return NewECNChooser(DefaultECNCooldown, nil) })
 }
 
 // Install implements Policy (no agent facilities needed).

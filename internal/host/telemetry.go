@@ -137,7 +137,3 @@ func (c *TelemetryChooser) Steered() uint64 { return c.steered }
 
 // Epoch exposes a destination's ECN reroute count.
 func (c *TelemetryChooser) Epoch(dst packet.MAC) uint64 { return c.epoch[dst] }
-
-func init() {
-	RegisterPolicy("telemetry", func() Policy { return NewTelemetryChooser(DefaultECNCooldown) })
-}

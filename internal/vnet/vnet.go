@@ -49,7 +49,7 @@ var ErrUnknownSwitch = fmt.Errorf("vnet: route crosses unknown switch: %w", ErrO
 // per-controller path-query retry budget installed on its member hosts.
 // Zero fields mean "leave the host default in place".
 type Class struct {
-	// Policy names a registered host routing policy (host.PolicyNames).
+	// Policy names a host routing policy (host.PolicyNames).
 	Policy string
 	// RequestBudget overrides the hosts' path-query retry budget.
 	RequestBudget int
