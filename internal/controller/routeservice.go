@@ -48,6 +48,9 @@ type RouteService struct {
 	c      *Controller
 	global *gencache.Cache[pairKey, Epoch, *RouteAnswer]
 	tenant *gencache.Cache[tenantKey, tenantEpoch, *RouteAnswer]
+	// rng breaks equal-cost ties for lookup's misses, reseeded per pair;
+	// like c.sc it is used only on the controller's engine thread.
+	rng *rand.Rand
 
 	coalesced *trace.Counter
 	warmed    *trace.Counter
@@ -62,7 +65,8 @@ type RouteService struct {
 func newRouteService(c *Controller) *RouteService {
 	reg := c.eng.Metrics()
 	return &RouteService{
-		c: c,
+		c:   c,
+		rng: rand.New(rand.NewSource(0)),
 		global: gencache.New[pairKey, Epoch, *RouteAnswer](
 			reg.Counter("ctrl.route.hit"), reg.Counter("ctrl.route.miss"), reg.Counter("ctrl.route.invalidated")),
 		tenant: gencache.New[tenantKey, tenantEpoch, *RouteAnswer](
@@ -103,7 +107,7 @@ func (s *RouteService) lookup(src, dst packet.MAC) (RouteAnswer, error) {
 	if a, ok := s.global.Get(pairKey{src, dst}, ep); ok {
 		return *a, nil
 	}
-	a, err := s.computeAnswer(ep, pairKey{src, dst}, s.c.sc)
+	a, err := s.computeAnswer(ep, pairKey{src, dst}, s.c.sc, s.rng)
 	if err != nil {
 		return RouteAnswer{}, err
 	}
@@ -113,10 +117,11 @@ func (s *RouteService) lookup(src, dst packet.MAC) (RouteAnswer, error) {
 }
 
 // computeAnswer runs Algorithm 1 for key at epoch ep over the given
-// scratch. It touches no registry instruments, so warm-up shards may call
-// it concurrently (each with its own scratch).
-func (s *RouteService) computeAnswer(ep Epoch, key pairKey, sc *topo.DenseScratch) (*RouteAnswer, error) {
-	rng := rand.New(rand.NewSource(pairSeed(key.src, key.dst, ep.version, ep.gen)))
+// scratch, reseeding rng with the pair's seed. It touches no registry
+// instruments, so warm-up shards may call it concurrently (each with its own
+// scratch and rng).
+func (s *RouteService) computeAnswer(ep Epoch, key pairKey, sc *topo.DenseScratch, rng *rand.Rand) (*RouteAnswer, error) {
+	rng.Seed(pairSeed(key.src, key.dst, ep.version, ep.gen))
 	pg, err := topo.BuildPathGraphScratch(ep.top, key.src, key.dst, PathGraphOptions(), rng, sc)
 	if err != nil {
 		return nil, err
@@ -246,13 +251,13 @@ func (s *RouteService) Warm(pairs [][2]packet.MAC, workers int) int {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sc := topo.NewDenseScratch()
+			sc, rng := topo.NewDenseScratch(), rand.New(rand.NewSource(0))
 			for i := w; i < len(pairs); i += workers {
 				key := pairKey{src: pairs[i][0], dst: pairs[i][1]}
 				if _, ok := s.global.Peek(key, ep); ok {
 					continue
 				}
-				a, err := s.computeAnswer(ep, key, sc)
+				a, err := s.computeAnswer(ep, key, sc, rng)
 				if err != nil {
 					continue
 				}

@@ -38,7 +38,7 @@ func Fig12(cubeSide int, trials int, seed int64) (*Result, error) {
 			src := hosts[rng.Intn(len(hosts))]
 			si, _ := g.IndexOf(src.Switch)
 			var cands []packet.SwitchID
-			for i, d := range g.BFSInto(sc, si) {
+			for i, d := range g.DistTo(sc, si) {
 				if int(d) == length {
 					cands = append(cands, g.IDOf(int32(i)))
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"dumbnet/internal/controller"
 	"dumbnet/internal/host"
 	"dumbnet/internal/metrics"
 	"dumbnet/internal/topo"
@@ -65,7 +66,7 @@ func StorageOverhead(k int, destinations int, seed int64) (*Result, error) {
 		if dst == src {
 			continue
 		}
-		pg, err := topo.BuildPathGraph(ft, src, dst, topo.PathGraphOptions{}, rng)
+		pg, err := topo.BuildPathGraph(ft, src, dst, controller.PathGraphOptions(), rng)
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"dumbnet/internal/controller"
 	"dumbnet/internal/host"
 	"dumbnet/internal/metrics"
 	"dumbnet/internal/packet"
@@ -105,7 +106,7 @@ func RunTable2Micro(sz Table2Sizes) (Table2Micro, error) {
 		if dst == origin {
 			continue
 		}
-		pg, err := topo.BuildPathGraph(ft, origin, dst, topo.PathGraphOptions{}, rng)
+		pg, err := topo.BuildPathGraph(ft, origin, dst, controller.PathGraphOptions(), rng)
 		if err != nil {
 			return out, err
 		}

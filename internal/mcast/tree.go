@@ -95,7 +95,7 @@ func BuildTree(top *topo.Topology, group GroupID, src packet.MAC, members []pack
 	if !ok {
 		return nil, fmt.Errorf("mcast: root switch %d: %w", srcAt.Switch, topo.ErrNoPath)
 	}
-	dist := g.BFSInto(sc, root)
+	dist := g.DistTo(sc, root)
 
 	n := g.NumNodes()
 	parent := make([]int32, n)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 )
 
 // The routing kernels. BFS, weighted shortest path and Yen's k-shortest
@@ -24,14 +25,11 @@ type DenseGraph struct {
 	start []int32    // CSR row offsets, len(ids)+1
 	nbr   []int32    // edge target node index
 	port  []Port     // local out-port per edge, parallel to nbr
-}
-
-// NewDenseGraph snapshots a view's switch graph. Prefer Topology.Dense,
-// which caches one snapshot per topology generation.
-func NewDenseGraph(v View) *DenseGraph {
-	g := &DenseGraph{}
-	g.snapshot(v, 0)
-	return g
+	// rows caches, per destination node, the hop count from every node to
+	// it (DistTo). Only a Topology's per-generation snapshot has rows: a
+	// mutation drops the snapshot and its rows together, while a scratch
+	// snapshot of any other view (nil rows) is rebuilt on every call.
+	rows []atomic.Pointer[[]int32]
 }
 
 // snapshot rebuilds g from v in place, reusing the edge arrays; edges is a
@@ -124,20 +122,18 @@ func (b *Bitset) Has(i int32) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
 type DenseScratch struct {
 	g      DenseGraph // snapshot of a view that keeps none of its own (denseOf)
 	dist   []int32    // BFS hop counts (-1 = unreached)
-	queue  []int32    // BFS visit order / work queue
-	distB  []int32    // second BFS front (detour windows)
-	queueB []int32
-	wdist  []float64 // Dijkstra tentative distances (+Inf: unreached or settled)
-	prev   []int32   // Dijkstra predecessors
-	done   Bitset    // Dijkstra visited set
-	nodes  Bitset    // path-graph node set under construction
-	path   []int32   // primary path buffer
-	pathB  []int32   // backup path buffer
-	cand   []int32   // equal-cost candidate set
-	mask   denseMask // Yen: root nodes and used links hidden from a spur search
-	arena  []int32   // Yen: accepted and candidate paths, back to back
-	found  []span    // Yen: accepted paths, in order
-	queued []span    // Yen: candidates not yet accepted
+	queue  []int32    // BFS work queue
+	wdist  []float64  // Dijkstra tentative distances (+Inf: unreached or settled)
+	prev   []int32    // Dijkstra predecessors
+	done   Bitset     // Dijkstra visited set
+	nodes  Bitset     // path-graph node set under construction
+	path   []int32    // primary path buffer
+	pathB  []int32    // backup path buffer
+	cand   []int32    // equal-cost candidate set
+	mask   denseMask  // Yen: root nodes and used links hidden from a spur search
+	arena  []int32    // Yen: accepted and candidate paths, back to back
+	found  []span     // Yen: accepted paths, in order
+	queued []span     // Yen: candidates not yet accepted
 }
 
 // denseMask hides nodes and CSR edges from a search.
@@ -162,11 +158,10 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// bfsInto runs BFS from src, filling dist with hop counts (-1 unreached) and
-// returning the visit-order queue (which doubles as the reached-node list).
-// maxDepth < 0 means unbounded; otherwise nodes at depth maxDepth are
-// recorded but not expanded. A non-nil mask hides its nodes and edges.
-func (g *DenseGraph) bfsInto(dist, queue []int32, src, maxDepth int32, mask *denseMask) ([]int32, []int32) {
+// bfsInto runs BFS from src, filling dist with hop counts (-1 unreached);
+// queue is the work buffer, returned for reuse. A non-nil mask hides its
+// nodes and edges.
+func (g *DenseGraph) bfsInto(dist, queue []int32, src int32, mask *denseMask) ([]int32, []int32) {
 	n := len(g.ids)
 	dist = grow(dist, n)
 	for i := range dist {
@@ -180,9 +175,6 @@ func (g *DenseGraph) bfsInto(dist, queue []int32, src, maxDepth int32, mask *den
 	queue = append(queue, src)
 	for head := 0; head < len(queue); head++ {
 		cur := queue[head]
-		if maxDepth >= 0 && dist[cur] >= maxDepth {
-			continue
-		}
 		for e := g.start[cur]; e < g.start[cur+1]; e++ {
 			nb := g.nbr[e]
 			if dist[nb] >= 0 || (mask != nil && (mask.edges.Has(e) || mask.nodes.Has(nb))) {
@@ -195,19 +187,31 @@ func (g *DenseGraph) bfsInto(dist, queue []int32, src, maxDepth int32, mask *den
 	return dist, queue
 }
 
-// BFSInto computes hop counts from src into sc.dist and returns it; the
-// slice is owned by sc and overwritten by the next kernel call.
-func (g *DenseGraph) BFSInto(sc *DenseScratch, src int32) []int32 {
-	sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, src, -1, nil)
-	return sc.dist
+// DistTo returns the hop count from every node to dst (-1 unreached), which
+// the caller must not modify. On a Topology's snapshot the row is computed
+// by its first reader and shared by every later one until the next
+// mutation; on any other snapshot it is a BFS into sc, overwritten by sc's
+// next kernel call.
+func (g *DenseGraph) DistTo(sc *DenseScratch, dst int32) []int32 {
+	if g.rows == nil {
+		sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, dst, nil)
+		return sc.dist
+	}
+	if r := g.rows[dst].Load(); r != nil {
+		return *r
+	}
+	var row []int32
+	row, sc.queue = g.bfsInto(nil, sc.queue, dst, nil)
+	return *publish(&g.rows[dst], &row)
 }
 
 // ShortestPathInto appends one shortest path from src to dst (as dense node
-// indices) to buf[:0] and returns it: BFS from dst, then a downhill walk
-// collecting each hop's candidates in edge order. The first candidate wins
-// with a nil rng (lowest port on a Topology), a uniform draw otherwise
-// (paper §4.3: "randomizes the choice for equal cost links"). On error the
-// result is buf emptied, so `sc.path, err = ...` keeps the buffer.
+// indices) to buf[:0] and returns it: the hop-count row to dst (DistTo),
+// then a downhill walk collecting each hop's candidates in edge order. The
+// first candidate wins with a nil rng (lowest port on a Topology), a uniform
+// draw otherwise (paper §4.3: "randomizes the choice for equal cost links").
+// On error the result is buf emptied, so `sc.path, err = ...` keeps the
+// buffer.
 func (g *DenseGraph) ShortestPathInto(sc *DenseScratch, src, dst int32, rng *rand.Rand, buf []int32) ([]int32, error) {
 	return g.shortestPath(sc, src, dst, rng, buf, nil)
 }
@@ -217,18 +221,24 @@ func (g *DenseGraph) shortestPath(sc *DenseScratch, src, dst int32, rng *rand.Ra
 	if src == dst {
 		return append(buf, src), nil
 	}
-	sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, dst, -1, mask)
-	if sc.dist[src] < 0 {
+	var dist []int32
+	if mask == nil {
+		dist = g.DistTo(sc, dst)
+	} else {
+		sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, dst, mask)
+		dist = sc.dist
+	}
+	if dist[src] < 0 {
 		return buf[:0], ErrNoPath
 	}
 	buf = append(buf, src)
 	for cur := src; cur != dst; {
-		want := sc.dist[cur] - 1
+		want := dist[cur] - 1
 		sc.cand = sc.cand[:0]
 		for e := g.start[cur]; e < g.start[cur+1]; e++ {
 			// Masked nodes are unreached; a masked edge may still lead
 			// to a node that was reached another way.
-			if nb := g.nbr[e]; sc.dist[nb] == want && (mask == nil || !mask.edges.Has(e)) {
+			if nb := g.nbr[e]; dist[nb] == want && (mask == nil || !mask.edges.Has(e)) {
 				sc.cand = append(sc.cand, nb)
 			}
 		}

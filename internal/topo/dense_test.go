@@ -74,8 +74,8 @@ func samePaths(a, b []SwitchPath) bool {
 // same backup under a penalty, the same Yen path list.
 func TestKernelsMatchOracle(t *testing.T) {
 	for name, v := range oracleViews(t) {
-		g := NewDenseGraph(v)
 		sc := NewDenseScratch()
+		g := denseOf(v, sc)
 		ids := v.SwitchIDs()
 		for _, src := range ids {
 			si, ok := g.IndexOf(src)
@@ -83,7 +83,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 				t.Fatalf("%s: switch %d missing from dense index", name, src)
 			}
 			want := OracleDistances(v, src)
-			for i, d := range g.BFSInto(sc, si) {
+			for i, d := range g.DistTo(sc, si) {
 				wd, ok := want[g.IDOf(int32(i))]
 				if !ok {
 					wd = -1
@@ -186,8 +186,9 @@ func TestKernelsMatchOracle(t *testing.T) {
 	}
 }
 
-// TestDenseKernelsAllocFree pins the tentpole property: with a warm scratch,
-// the BFS, shortest-path and Dijkstra kernels allocate nothing.
+// TestDenseKernelsAllocFree pins the tentpole property: with a warm scratch
+// and warm rows, the distance, shortest-path and Dijkstra kernels allocate
+// nothing.
 func TestDenseKernelsAllocFree(t *testing.T) {
 	tp, err := FatTree(4, 1, 0)
 	if err != nil {
@@ -200,7 +201,7 @@ func TestDenseKernelsAllocFree(t *testing.T) {
 	di, _ := g.IndexOf(hosts[len(hosts)-1].Switch)
 	unit := func(a, b int32) float64 { return 1 }
 	warm := func() {
-		g.BFSInto(sc, si)
+		g.DistTo(sc, si)
 		var err error
 		sc.path, err = g.ShortestPathInto(sc, si, di, nil, sc.path)
 		if err != nil {
@@ -341,7 +342,8 @@ func TestKShortestPathsAllocsOnlyResult(t *testing.T) {
 
 // TestTopologyConcurrentReaders routes over one topology from several
 // goroutines at once, starting right after a mutation so the readers also
-// race to rebuild the derived adjacency and dense snapshot. Run under -race.
+// race to rebuild the derived adjacency, the dense snapshot and its distance
+// rows (Algorithm 1's detour windows read cold rows). Run under -race.
 func TestTopologyConcurrentReaders(t *testing.T) {
 	tp, err := FatTree(4, 2, 0)
 	if err != nil {
@@ -352,7 +354,7 @@ func TestTopologyConcurrentReaders(t *testing.T) {
 	if err := tp.Disconnect(hosts[0].Switch, nb.Port); err != nil {
 		t.Fatal(err)
 	}
-	want := make([]string, len(hosts))
+	want, wantPG := make([]string, len(hosts)), make([]string, len(hosts))
 	ref := tp.Clone()
 	for i, h := range hosts {
 		tags, err := ref.HostPath(hosts[0].Host, h.Host, nil)
@@ -360,6 +362,11 @@ func TestTopologyConcurrentReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[i] = tags.String()
+		pg, err := BuildPathGraph(ref, h.Host, hosts[0].Host, PathGraphOptions{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPG[i] = string(pg.Marshal())
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -377,6 +384,10 @@ func TestTopologyConcurrentReaders(t *testing.T) {
 				}
 				if _, err := KShortestPaths(tp, hosts[0].Switch, h.Switch, 4); err != nil {
 					t.Errorf("worker %d: yen to host %d: %v", w, i, err)
+				}
+				pg, err := BuildPathGraph(tp, h.Host, hosts[0].Host, PathGraphOptions{}, nil)
+				if err != nil || string(pg.Marshal()) != wantPG[i] {
+					t.Errorf("worker %d: path graph from host %d differs (%v)", w, i, err)
 				}
 			}
 		}(w)

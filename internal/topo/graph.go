@@ -8,6 +8,7 @@ package topo
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -92,13 +93,15 @@ func (t *Topology) Generation() uint64 { return t.gen }
 
 // Dense returns the index-compressed CSR snapshot of the switch graph for
 // the current generation, rebuilding it lazily after mutations. The snapshot
-// is immutable and shared by every reader of this generation.
+// is immutable and shared by every reader of this generation, and so are the
+// hop-count rows its readers fill (DistTo).
 func (t *Topology) Dense() *DenseGraph {
 	if g := t.dense.Load(); g != nil {
 		return g
 	}
 	g := &DenseGraph{}
 	g.snapshot(t, 2*t.NumLinks())
+	g.rows = make([]atomic.Pointer[[]int32], len(g.ids))
 	return publish(&t.dense, g)
 }
 
@@ -442,9 +445,7 @@ func (t *Topology) Connected() bool {
 	}
 	sc := scratchPool.Get().(*DenseScratch)
 	defer scratchPool.Put(sc)
-	g := t.Dense()
-	g.BFSInto(sc, 0)
-	return len(sc.queue) == len(g.ids)
+	return !slices.Contains(t.Dense().DistTo(sc, 0), -1)
 }
 
 // Validate checks structural invariants: all wiring is symmetric and host

@@ -16,7 +16,8 @@ type PathGraphOptions struct {
 	// detour may replace (paper constant s, default 2).
 	S int
 	// Epsilon is the allowed extra length of a detour: a detour around an
-	// s-hop segment may be up to s+ε hops (paper constant ε, default 1).
+	// s-hop segment may be up to s+ε hops (paper constant ε; 0 allows no
+	// slack, a negative value means 1).
 	Epsilon int
 	// BackupPenalty is the multiplicative link cost applied to primary
 	// path links when computing the backup path (default 8).
@@ -54,8 +55,8 @@ func BuildPathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.
 }
 
 // BuildPathGraphScratch is BuildPathGraph over caller-owned scratch buffers.
-// The controller's route service holds one scratch per shard, so the BFS and
-// Dijkstra state behind every cache miss is reused instead of reallocated.
+// The controller's route service holds one scratch per shard, so the path
+// and Dijkstra state behind every cache miss is reused instead of reallocated.
 func BuildPathGraphScratch(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.Rand, sc *DenseScratch) (*PathGraph, error) {
 	opts = opts.withDefaults()
 	sat, err := t.HostAt(src)
@@ -109,37 +110,24 @@ func BuildPathGraphScratch(t *Topology, src, dst MAC, opts PathGraphOptions, rng
 
 // detourNodesDense implements the loop body of Algorithm 1: for every s-hop
 // window [a=p_i, b=p_{i+s}] of the primary path (held in sc.path as dense
-// indices), mark all switches x with dist(a,x)+dist(x,b) <= s+ε in sc.nodes,
-// advancing i by s/2 (at least 1). The two BFS fronts per window run over
-// scratch buffers, and the node set is a bitmap instead of a map.
+// indices; the last window is cut short at the path's end), mark all switches x with dist(a,x)+dist(x,b) <= s+ε in sc.nodes,
+// advancing i by s/2 (at least 1). The distances are g's cached rows, so g
+// must be a Topology's snapshot; the node set is a bitmap.
 func detourNodesDense(g *DenseGraph, sc *DenseScratch, opts PathGraphOptions) *Bitset {
 	sc.nodes.Reset(len(g.ids))
 	primary := sc.path
 	for _, idx := range primary {
 		sc.nodes.Set(idx)
 	}
-	l := len(primary)
-	step := opts.S / 2
-	if step < 1 {
-		step = 1
-	}
+	last, step := len(primary)-1, max(opts.S/2, 1)
 	bound := int32(opts.S + opts.Epsilon)
-	for i := 0; i < l-1; i += step {
-		aIdx := i
-		bIdx := i + opts.S
-		if bIdx > l-1 {
-			bIdx = l - 1
-		}
-		a, b := primary[aIdx], primary[bIdx]
-		sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, a, bound, nil)
-		sc.distB, sc.queueB = g.bfsInto(sc.distB, sc.queueB, b, bound, nil)
-		for _, x := range sc.queue {
-			if sc.distB[x] >= 0 && sc.dist[x]+sc.distB[x] <= bound {
-				sc.nodes.Set(x)
+	for i := 0; i < last; i += step {
+		// a and b are connected, so x reaches both or neither.
+		da, db := g.DistTo(sc, primary[i]), g.DistTo(sc, primary[min(i+opts.S, last)])
+		for x, d := range da {
+			if d >= 0 && d+db[x] <= bound {
+				sc.nodes.Set(int32(x))
 			}
-		}
-		if bIdx == l-1 && i+step >= l-1 {
-			break
 		}
 	}
 	return &sc.nodes

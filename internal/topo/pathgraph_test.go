@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -219,5 +220,127 @@ func TestPathGraphProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDetourNodesMatchOracle holds Algorithm 1's node set, built from the
+// topology's cached distance rows, to the same set computed from the map
+// oracle's BFS: the primary path; every x with dist(a,x)+dist(x,b) <= S+ε
+// for each window (a = p_i, b = p_min(i+S, last)), i stepping by max(S/2, 1);
+// and the backup path. Each fabric also gets an island of two linked
+// switches, which no window may mark.
+func TestDetourNodesMatchOracle(t *testing.T) {
+	for name, tp := range oracleTopos(t) {
+		for _, err := range []error{tp.AddSwitch(1<<20, 4), tp.AddSwitch(1<<20+1, 4), tp.Connect(1<<20, 1, 1<<20+1, 1)} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		hosts := tp.Hosts()
+		for _, s := range []int{2, 3} {
+			for _, eps := range []int{0, 1, 2} {
+				for pair := 0; pair < 12; pair++ {
+					src, dst := hosts[pair%len(hosts)], hosts[(pair*7+3)%len(hosts)]
+					opts := PathGraphOptions{S: s, Epsilon: eps}
+					pg, err := BuildPathGraph(tp, src.Host, dst.Host, opts, rand.New(rand.NewSource(int64(pair))))
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					want := map[SwitchID]bool{}
+					for _, sw := range slices.Concat(pg.Primary, pg.Backup) {
+						want[sw] = true
+					}
+					last := len(pg.Primary) - 1
+					for i := 0; i < last; i += max(s/2, 1) {
+						da := OracleDistances(tp, pg.Primary[i])
+						db := OracleDistances(tp, pg.Primary[min(i+s, last)])
+						for x, d := range da {
+							if d+db[x] <= s+eps {
+								want[x] = true
+							}
+						}
+					}
+					var wantIDs []SwitchID
+					for x := range want {
+						wantIDs = append(wantIDs, x)
+					}
+					slices.Sort(wantIDs)
+					if got := pg.Graph.SwitchIDs(); !slices.Equal(got, wantIDs) {
+						t.Fatalf("%s S=%d ε=%d %v->%v: nodes %v, oracle %v", name, s, eps, src.Switch, dst.Switch, got, wantIDs)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDistanceRowsPerGeneration pins the life of the cached distance rows: a
+// row belongs to one generation's snapshot, so after a cut no route crosses
+// the dead link and no row filled before the cut is read; a warm row costs a
+// shortest-path walk no allocation.
+func TestDistanceRowsPerGeneration(t *testing.T) {
+	tp, err := FatTree(4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := tp.Hosts()
+	sc := NewDenseScratch()
+	before := tp.Dense()
+	for i := range before.NumNodes() {
+		before.DistTo(sc, int32(i))
+	}
+	// Cut one uplink of hosts[0]'s edge switch.
+	at := hosts[0]
+	cut := tp.Neighbors(at.Switch)[0]
+	if err := tp.Disconnect(at.Switch, cut.Port); err != nil {
+		t.Fatal(err)
+	}
+	after := tp.Dense()
+	if after == before {
+		t.Fatal("Disconnect kept the snapshot")
+	}
+	for i := range after.rows {
+		if after.rows[i].Load() != nil {
+			t.Fatalf("row %d of the new generation filled before any reader", i)
+		}
+	}
+	crosses := func(p SwitchPath) bool {
+		for i := 0; i+1 < len(p); i++ {
+			if (p[i] == at.Switch && p[i+1] == cut.Sw) || (p[i] == cut.Sw && p[i+1] == at.Switch) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, h := range hosts {
+		for _, rng := range []*rand.Rand{nil, rand.New(rand.NewSource(1))} {
+			p, err := ShortestPath(tp, at.Switch, h.Switch, rng)
+			if err != nil || crosses(p) {
+				t.Fatalf("path to %d after the cut: %v (%v)", h.Switch, p, err)
+			}
+			tags, err := tp.HostPath(at.Host, h.Host, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tp.VerifyTags(at.Host, h.Host, tags); err != nil {
+				t.Fatalf("host path to %v after the cut: %v", h.Host, err)
+			}
+		}
+	}
+	ci, _ := after.IndexOf(cut.Sw)
+	ai, _ := after.IndexOf(at.Switch)
+	if before.DistTo(sc, ci)[ai] != 1 || after.DistTo(sc, ci)[ai] != 3 {
+		t.Fatalf("hops %d->%d: %d before the cut, %d after; want 1 and 3",
+			at.Switch, cut.Sw, before.DistTo(sc, ci)[ai], after.DistTo(sc, ci)[ai])
+	}
+	di, _ := after.IndexOf(hosts[len(hosts)-1].Switch)
+	walk := func() {
+		if sc.path, err = after.ShortestPathInto(sc, ai, di, nil, sc.path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	walk()
+	if n := testing.AllocsPerRun(200, walk); n != 0 {
+		t.Fatalf("warm-row ShortestPathInto: %v allocs/op, want 0", n)
 	}
 }
