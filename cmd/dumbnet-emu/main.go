@@ -496,17 +496,17 @@ func printQueueStats(net *core.Network) {
 
 // printFluidStats prints what the fluid layer's rate recomputation cost:
 // settle passes and the share that resumed at a completion's frontier,
-// re-filled rates and component flows per completed flow, the mean and
-// peak size of the component each pass covered, and the share of finish
-// re-projections that moved a completion time.
+// re-filled rates per completed flow, the mean and peak number of links
+// and flows a pass re-filled (the component on a fresh fill, what the
+// fix-log walk reached on a resume), and how many rates changed, each
+// draining its flow and re-projecting its finish.
 func printFluidStats(ly *hybrid.Layer) {
 	st := ly.FluidStats()
 	passes := float64(max(st.Settles, 1))
 	completed := float64(max(ly.Stats().Completed, 1))
-	fmt.Printf("fluid: %d settles (%.0f%% resumed), %.1f re-fills / %.1f component flows per completed flow, component mean %.1f links / %.1f flows, peak %d links / %d flows, %d finish re-projections (%.1f%% moved)\n",
-		st.Settles, 100*float64(st.Resumed)/passes, float64(st.Refilled)/completed, float64(st.Flows)/completed,
-		float64(st.Links)/passes, float64(st.Flows)/passes, st.PeakLinks, st.PeakFlows,
-		st.Reprojected, 100*float64(st.Moved)/float64(max(st.Reprojected, 1)))
+	fmt.Printf("fluid: %d settles (%.0f%% resumed), %.1f re-fills per completed flow, mean %.1f links / %.1f flows a pass, peak %d links / %d flows, %d re-anchored rates\n",
+		st.Settles, 100*float64(st.Resumed)/passes, float64(st.Flows)/completed,
+		float64(st.Links)/passes, float64(st.Flows)/passes, st.PeakLinks, st.PeakFlows, st.Reanchored)
 }
 
 // runHybridWave pushes a ring of bulk transfers through the fluid layer —

@@ -108,12 +108,15 @@ func TestIncrementalMatchesOracle(t *testing.T) {
 	}
 }
 
-// checkOracle settles s, checks the finish heap, then recomputes every
-// active flow's rate with the brute-force allocate() pass and fails unless
-// both are bit-identical.
+// checkOracle settles s, checks that only flows whose rate changed were
+// re-anchored, checks the finish heap, then recomputes every active flow's
+// rate with the brute-force allocate() pass and fails unless both are
+// bit-identical.
 func checkOracle(t *testing.T, s *Simulator, live []*Flow, seed int64, step int) {
 	t.Helper()
+	before := anchorsOf(s)
 	s.settle()
+	before.check(t, s, seed, step)
 	checkFinHeap(t, s, live, seed, step)
 	type snap struct {
 		f *Flow
@@ -128,6 +131,51 @@ func checkOracle(t *testing.T, s *Simulator, live []*Flow, seed int64, step int)
 		if got := math.Float64bits(sn.f.rate); got != sn.r {
 			t.Fatalf("seed %d step %d flow %d: incremental rate %x (%v) != oracle %x (%v)",
 				seed, step, sn.f.ID, sn.r, math.Float64frombits(sn.r), got, sn.f.rate)
+		}
+	}
+}
+
+// anchor is a flow's rate and what that rate drains from: its remainder,
+// the time it was last drained, and the finish its entry holds.
+type anchor struct {
+	f                  *Flow
+	rate               uint64
+	upd, remaining, at float64
+}
+
+// anchors is a snapshot of every active flow's anchor.
+type anchors []anchor
+
+// finAt is the finish f's entry holds, or -1 when it holds none.
+func finAt(s *Simulator, f *Flow) float64 {
+	if f.finPos < 0 {
+		return -1
+	}
+	return s.fins[f.finPos].at
+}
+
+// anchorsOf snapshots every active flow's rate and anchor.
+func anchorsOf(s *Simulator) anchors {
+	a := make(anchors, 0, len(s.active))
+	for _, f := range s.active {
+		a = append(a, anchor{f, math.Float64bits(f.rate), f.upd, f.remaining, finAt(s, f)})
+	}
+	return a
+}
+
+// check fails if a flow still active whose rate bits did not change since
+// the snapshot was drained or had its finish re-projected: only a rate
+// change re-anchors a flow.
+func (a anchors) check(t *testing.T, s *Simulator, seed int64, step int) {
+	t.Helper()
+	for _, was := range a {
+		f := was.f
+		if !f.active || math.Float64bits(f.rate) != was.rate {
+			continue
+		}
+		if f.upd != was.upd || f.remaining != was.remaining || finAt(s, f) != was.at {
+			t.Fatalf("seed %d step %d flow %d: rate %v unchanged, but (upd, remaining, finish) moved (%v, %v, %v) -> (%v, %v, %v)",
+				seed, step, f.ID, f.rate, was.upd, was.remaining, was.at, f.upd, f.remaining, finAt(s, f))
 		}
 	}
 }
@@ -209,28 +257,44 @@ func (ls *leafSpine) path(src, dst, sp int) []LinkID {
 	return []LinkID{up, toSpine, fromSpine, down}
 }
 
+// component walks the flow↔link sharing graph from the given links,
+// marking each link it reaches in seen, and counts the links and flows
+// it reaches.
+func component(s *Simulator, from []LinkID, seen []bool) (links, flows int) {
+	var q []LinkID
+	reach := func(l LinkID) {
+		if !seen[l] {
+			seen[l] = true
+			q = append(q, l)
+		}
+	}
+	for _, l := range from {
+		reach(l)
+	}
+	counted := map[*Flow]bool{}
+	for qi := 0; qi < len(q); qi++ {
+		for _, f := range s.linkFlows[q[qi]] {
+			if !counted[f] {
+				counted[f] = true
+				for _, l := range f.uniq {
+					reach(l)
+				}
+			}
+		}
+	}
+	return len(q), len(counted)
+}
+
 // largestComponent returns the link count of the largest connected
 // component of the flow↔link sharing graph.
 func largestComponent(s *Simulator) int {
 	seen := make([]bool, len(s.linkFlows))
 	best := 0
 	for start := range s.linkFlows {
-		if seen[start] || len(s.linkFlows[start]) == 0 {
-			continue
+		if !seen[start] && len(s.linkFlows[start]) > 0 {
+			links, _ := component(s, []LinkID{LinkID(start)}, seen)
+			best = max(best, links)
 		}
-		seen[start] = true
-		q := []int{start}
-		for qi := 0; qi < len(q); qi++ {
-			for _, f := range s.linkFlows[q[qi]] {
-				for _, l := range f.uniq {
-					if !seen[l] {
-						seen[l] = true
-						q = append(q, int(l))
-					}
-				}
-			}
-		}
-		best = max(best, len(q))
 	}
 	return best
 }
@@ -241,8 +305,10 @@ func largestComponent(s *Simulator) int {
 // completions, reroutes and capacity flaps each re-waterfill it, and the
 // rates must stay bit-identical to allocate() after every step. A
 // completion-only phase then checks every settle that resumes at a
-// finished flow's frontier, and a last phase finishes flows of two
-// separately settled components in one tick, which must fill from zero.
+// finished flow's frontier, and that together they re-fill fewer flows
+// than the components the finished flows left, and a last phase finishes
+// flows of two separately settled components in one tick, which must fill
+// from zero.
 func TestIncrementalMatchesOracleLarge(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -299,21 +365,32 @@ func TestIncrementalMatchesOracleLarge(t *testing.T) {
 		}
 		checkOracle(t, s, live, seed, -1)
 		before := s.SettleStats()
+		compFlows := 0
 		for step := 200; s.ActiveCount() > 0; step++ {
 			next, ok := s.NextEventTime()
 			if !ok {
 				t.Fatalf("seed %d step %d: %d flows active and no event pending", seed, step, s.ActiveCount())
 			}
+			running := anchorsOf(s)
 			s.RunUntil(next)
+			running.check(t, s, seed, step)
+			var freed []LinkID
+			for _, a := range running {
+				if a.f.Finished {
+					freed = append(freed, a.f.uniq...)
+				}
+			}
+			_, n := component(s, freed, make([]bool, len(s.linkFlows)))
+			compFlows += n
 			checkOracle(t, s, live, seed, step)
 		}
 		after := s.SettleStats()
 		if after.Resumed == before.Resumed {
 			t.Fatalf("seed %d: no completion-only settle resumed (%d settles)", seed, after.Settles-before.Settles)
 		}
-		if after.Refilled-before.Refilled >= after.Flows-before.Flows {
-			t.Fatalf("seed %d: resumed settles refilled %d of %d component flows", seed,
-				after.Refilled-before.Refilled, after.Flows-before.Flows)
+		if refilled := after.Flows - before.Flows; refilled >= uint64(compFlows) {
+			t.Fatalf("seed %d: resumed settles refilled %d flows, the components they settled held %d", seed,
+				refilled, compFlows)
 		}
 
 		// Two components, settled apart and so filled by different runs,
@@ -341,6 +418,48 @@ func TestIncrementalMatchesOracleLarge(t *testing.T) {
 		}
 		s.Run()
 	}
+}
+
+// TestResumeSplitFrontier: flow x is fixed first and ties two groups of
+// later flows into one component, but past x's step the groups share no
+// link. A completion in each group in turn must resume and re-fill only
+// its group's survivor; the other group keeps its rates, anchors and
+// finish entries, and every rate stays bit-identical to allocate().
+func TestResumeSplitFrontier(t *testing.T) {
+	n := NewNetwork()
+	a, b, c := n.AddLink(10), n.AddLink(100), n.AddLink(90)
+	d, e := n.AddLink(1000), n.AddLink(1000)
+	s := NewSimulator(n)
+	// x takes link a's 10; then c's two flows fix at 40 and b's at 45.
+	x := &Flow{ID: 0, Path: []LinkID{a, b, c}, Size: 1e9}
+	a1 := &Flow{ID: 1, Path: []LinkID{b}, Size: 45} // done at t=1
+	a2 := &Flow{ID: 2, Path: []LinkID{b, d}, Size: 1e9}
+	b1 := &Flow{ID: 3, Path: []LinkID{c}, Size: 80} // done at t=2
+	b2 := &Flow{ID: 4, Path: []LinkID{c, e}, Size: 1e9}
+	live := []*Flow{x, a1, a2, b1, b2}
+	for _, f := range live {
+		s.Add(f)
+	}
+	checkOracle(t, s, live, 0, 0)
+	for i, done := range []*Flow{a1, b1} {
+		running := anchorsOf(s)
+		before := s.SettleStats()
+		next, _ := s.NextEventTime()
+		s.RunUntil(next)
+		if !done.Finished || done.End != float64(i+1) {
+			t.Fatalf("flow %d: finished %v at %v, want t=%d", done.ID, done.Finished, done.End, i+1)
+		}
+		running.check(t, s, 0, i+1)
+		after := s.SettleStats()
+		if resumed, flows := after.Resumed-before.Resumed, after.Flows-before.Flows; resumed != 1 || flows != 1 {
+			t.Fatalf("completion of flow %d: %d resumed settles re-filled %d flows, want 1 re-filling 1", done.ID, resumed, flows)
+		}
+		checkOracle(t, s, live, 0, i+1)
+	}
+	if a2.rate != 90 || b2.rate != 80 || x.rate != 10 {
+		t.Fatalf("rates x %v, a2 %v, b2 %v; want 10, 90, 80", x.rate, a2.rate, b2.rate)
+	}
+	s.Run()
 }
 
 // TestSettleAllocFree pins the waterfill scratch (share heap, position

@@ -582,11 +582,11 @@ func (ly *Layer) Engine() *sim.Engine { return ly.eng }
 // recomputed in total. Profiling aid for scale runs.
 func (ly *Layer) FluidDebug() (settles, reRates uint64) {
 	st := ly.fsim.SettleStats()
-	return st.Settles, st.Refilled
+	return st.Settles, st.Flows
 }
 
 // FluidStats reports the fluid simulator's settle passes together with
-// the size of the components they re-waterfilled.
+// what they re-waterfilled.
 func (ly *Layer) FluidStats() flowsim.SettleStats { return ly.fsim.SettleStats() }
 
 // Quiesced reports whether no fluid flows remain in flight.
