@@ -34,6 +34,4 @@ var (
 	// ErrFederatedScope marks an inter-fabric query carrying a tenant or
 	// multicast group: those planes are fabric-local in this design.
 	ErrFederatedScope = errors.New("federation: tenant and multicast scopes do not federate")
-	// ErrEnvelope marks a malformed federation envelope.
-	ErrEnvelope = errors.New("federation: malformed envelope")
 )

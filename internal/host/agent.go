@@ -546,12 +546,6 @@ func (a *Agent) deliver(f *packet.Frame) {
 		a.handleCtrlList(msg.(*packet.CtrlList))
 	case packet.MsgGroupEvent:
 		a.handleGroupEvent(msg.(*packet.GroupEvent))
-	case packet.MsgData:
-		blob := msg.(*packet.Blob)
-		a.stats.Received++
-		if a.OnData != nil {
-			a.OnData(f.Src, packet.EtherTypeControl, blob.Body)
-		}
 	}
 }
 

@@ -74,8 +74,7 @@ func TestMPLSAndNativeHostsInterop(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := collectData(n.Agent(dst))
-	body, _ := packet.EncodeControl(packet.MsgData, &packet.Blob{Body: []byte("mixed")})
-	f := &packet.Frame{Dst: dst, Src: src, Tags: tags, InnerType: packet.EtherTypeControl, Payload: body}
+	f := &packet.Frame{Dst: dst, Src: src, Tags: tags, InnerType: packet.EtherTypeIPv4, Payload: []byte("mixed")}
 	buf, _ := f.EncodeMPLS()
 	n.Fab.HostLink(src).SendFrom(n.Agent(src), buf)
 	n.Run()

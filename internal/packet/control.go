@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Control-plane message formats carried as DumbNet frame payloads:
 // topology-discovery probes and replies (paper §4.1), the two-stage link
@@ -40,8 +37,9 @@ const (
 	MsgPathResponse
 	// MsgTopoPatch is the controller's stage-2 topology patch flood.
 	MsgTopoPatch
-	// MsgData is opaque application data (used by tests and examples).
-	MsgData
+	// Wire number 9 is reserved, so that the types below keep their byte
+	// values; both directions refuse it.
+	_
 	// MsgCongestion is a receiver's echo of a congestion-experienced mark
 	// back to the sender (the ECN extension, §8): like TCP's ECE, it tells
 	// the source which destination's path is congested.
@@ -63,40 +61,32 @@ const (
 	MsgGroupEvent
 )
 
+// msgNames names every known message type; a type without a name here is
+// unknown to both EncodeControl and DecodeControl.
+var msgNames = [...]string{
+	MsgProbe:        "probe",
+	MsgProbeReply:   "probe-reply",
+	MsgIDReply:      "id-reply",
+	MsgLinkEvent:    "link-event",
+	MsgHostFlood:    "host-flood",
+	MsgPathRequest:  "path-request",
+	MsgPathResponse: "path-response",
+	MsgTopoPatch:    "topo-patch",
+	MsgCongestion:   "congestion",
+	MsgCtrlList:     "ctrl-list",
+	MsgStatsRequest: "stats-request",
+	MsgStatsReply:   "stats-reply",
+	MsgGroupEvent:   "group-event",
+}
+
+func (t MsgType) known() bool { return int(t) < len(msgNames) && msgNames[t] != "" }
+
 // String names the message type.
 func (t MsgType) String() string {
-	switch t {
-	case MsgProbe:
-		return "probe"
-	case MsgProbeReply:
-		return "probe-reply"
-	case MsgIDReply:
-		return "id-reply"
-	case MsgLinkEvent:
-		return "link-event"
-	case MsgHostFlood:
-		return "host-flood"
-	case MsgPathRequest:
-		return "path-request"
-	case MsgPathResponse:
-		return "path-response"
-	case MsgTopoPatch:
-		return "topo-patch"
-	case MsgData:
-		return "data"
-	case MsgCongestion:
-		return "congestion"
-	case MsgCtrlList:
-		return "ctrl-list"
-	case MsgStatsRequest:
-		return "stats-request"
-	case MsgStatsReply:
-		return "stats-reply"
-	case MsgGroupEvent:
-		return "group-event"
-	default:
-		return fmt.Sprintf("msgtype(%d)", uint8(t))
+	if t.known() {
+		return msgNames[t]
 	}
+	return fmt.Sprintf("msgtype(%d)", uint8(t))
 }
 
 // SwitchID is the fixed unique identifier burned into each dumb switch.
@@ -189,371 +179,150 @@ type CtrlList struct {
 	Replicas []CtrlReplica
 }
 
-// Blob wraps opaque bytes for MsgPathResponse, MsgTopoPatch, MsgHostFlood
-// and MsgData payloads whose structure belongs to higher layers.
+// Blob wraps opaque bytes for MsgPathResponse, MsgTopoPatch and MsgHostFlood
+// payloads whose structure belongs to higher layers.
 type Blob struct {
 	Seq  uint64
 	Body []byte
 }
 
-// EncodeControl serialises a control message; msg must be one of the types
-// above (or *Blob for the blob-carrying message types).
+// EncodeControl serialises a control message; msg must be the struct above
+// that t carries (*Blob for the blob-carrying types). Paths longer than
+// MaxPathLen are truncated.
 func EncodeControl(t MsgType, msg any) ([]byte, error) {
-	var b []byte
-	put8 := func(v uint8) { b = append(b, v) }
-	put16 := func(v uint16) { b = binary.BigEndian.AppendUint16(b, v) }
-	put32 := func(v uint32) { b = binary.BigEndian.AppendUint32(b, v) }
-	put64 := func(v uint64) { b = binary.BigEndian.AppendUint64(b, v) }
-	putMAC := func(m MAC) { b = append(b, m[:]...) }
-	putPath := func(p Path) {
-		if len(p) > MaxPathLen {
-			p = p[:MaxPathLen]
-		}
-		put16(uint16(len(p)))
-		b = append(b, p...)
-	}
-	put8(uint8(t))
-	switch t {
-	case MsgProbe:
-		m, ok := msg.(*Probe)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		putMAC(m.Origin)
-		put64(m.Seq)
-		putPath(m.Path)
-		putPath(m.Return)
-	case MsgProbeReply:
-		m, ok := msg.(*ProbeReply)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		putMAC(m.Responder)
-		put64(m.Seq)
-		if m.KnowsCtrl {
-			put8(1)
-		} else {
-			put8(0)
-		}
-		putPath(m.Path)
-	case MsgIDReply:
-		m, ok := msg.(*IDReply)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		put32(uint32(m.ID))
-		put64(m.Seq)
-	case MsgLinkEvent:
-		m, ok := msg.(*LinkEvent)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		put32(uint32(m.Switch))
-		put8(m.Port)
-		if m.Up {
-			put8(1)
-		} else {
-			put8(0)
-		}
-		put64(m.Seq)
-		put8(m.HopsLeft)
-	case MsgPathRequest:
-		m, ok := msg.(*PathRequest)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		putMAC(m.Src)
-		putMAC(m.Dst)
-		put64(m.Seq)
-	case MsgCongestion:
-		m, ok := msg.(*Congestion)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		putMAC(m.Reporter)
-		put64(m.Seq)
-	case MsgStatsRequest:
-		m, ok := msg.(*StatsRequest)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		putMAC(m.Origin)
-		put64(m.Seq)
-	case MsgStatsReply:
-		m, ok := msg.(*StatsReply)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		put32(uint32(m.ID))
-		put64(m.Seq)
-		put64(m.Forwarded)
-		put64(m.Dropped)
-		put64(m.Marked)
-		put64(m.Floods)
-	case MsgCtrlList:
-		m, ok := msg.(*CtrlList)
-		if !ok || len(m.Replicas) > 255 {
-			return nil, ErrBadControlMsg
-		}
-		put64(m.Seq)
-		put8(uint8(len(m.Replicas)))
-		for _, r := range m.Replicas {
-			putMAC(r.MAC)
-			putPath(r.Path)
-		}
-	case MsgGroupEvent:
-		m, ok := msg.(*GroupEvent)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		put32(m.Group)
-		put64(m.Gen)
-		put8(m.HopsLeft)
-	case MsgPathResponse, MsgTopoPatch, MsgHostFlood, MsgData:
-		m, ok := msg.(*Blob)
-		if !ok {
-			return nil, ErrBadControlMsg
-		}
-		put64(m.Seq)
-		put32(uint32(len(m.Body)))
-		b = append(b, m.Body...)
-	default:
+	if !t.known() {
 		return nil, ErrUnknownMsgType
 	}
-	return b, nil
+	size := 64 // every fixed-size message, and a probe whose paths total 45 tags
+	if m, ok := msg.(*Blob); ok {
+		size = 13 + len(m.Body)
+	}
+	w := NewWriter(size)
+	w.U8(uint8(t))
+	var carries MsgType // the type msg's layout encodes
+	switch m := msg.(type) {
+	case *Probe:
+		carries = MsgProbe
+		w.MAC(m.Origin)
+		w.U64(m.Seq)
+		w.Path(m.Path)
+		w.Path(m.Return)
+	case *ProbeReply:
+		carries = MsgProbeReply
+		w.MAC(m.Responder)
+		w.U64(m.Seq)
+		w.Bool(m.KnowsCtrl)
+		w.Path(m.Path)
+	case *IDReply:
+		carries = MsgIDReply
+		w.U32(uint32(m.ID))
+		w.U64(m.Seq)
+	case *LinkEvent:
+		carries = MsgLinkEvent
+		w.U32(uint32(m.Switch))
+		w.U8(m.Port)
+		w.Bool(m.Up)
+		w.U64(m.Seq)
+		w.U8(m.HopsLeft)
+	case *PathRequest:
+		carries = MsgPathRequest
+		w.MAC(m.Src)
+		w.MAC(m.Dst)
+		w.U64(m.Seq)
+	case *Congestion:
+		carries = MsgCongestion
+		w.MAC(m.Reporter)
+		w.U64(m.Seq)
+	case *StatsRequest:
+		carries = MsgStatsRequest
+		w.MAC(m.Origin)
+		w.U64(m.Seq)
+	case *StatsReply:
+		carries = MsgStatsReply
+		w.U32(uint32(m.ID))
+		w.U64(m.Seq)
+		w.U64(m.Forwarded)
+		w.U64(m.Dropped)
+		w.U64(m.Marked)
+		w.U64(m.Floods)
+	case *CtrlList:
+		if len(m.Replicas) <= 255 {
+			carries = MsgCtrlList
+		}
+		w.U64(m.Seq)
+		w.U8(uint8(len(m.Replicas)))
+		for _, r := range m.Replicas {
+			w.MAC(r.MAC)
+			w.Path(r.Path)
+		}
+	case *GroupEvent:
+		carries = MsgGroupEvent
+		w.U32(m.Group)
+		w.U64(m.Gen)
+		w.U8(m.HopsLeft)
+	case *Blob:
+		if t == MsgHostFlood || t == MsgPathResponse || t == MsgTopoPatch {
+			carries = t
+		}
+		w.U64(m.Seq)
+		w.U32(uint32(len(m.Body)))
+		w.Raw(m.Body)
+	}
+	if carries != t {
+		return nil, ErrBadControlMsg
+	}
+	return w.Bytes(), nil
 }
 
 // DecodeControl parses a control message, returning its type and one of the
-// message structs above.
+// message structs above. Bytes after a fixed layout are ignored; a blob's
+// length must cover exactly the rest.
 func DecodeControl(b []byte) (MsgType, any, error) {
 	if len(b) < 1 {
 		return MsgInvalid, nil, ErrBadControlMsg
 	}
 	t := MsgType(b[0])
-	b = b[1:]
-	get8 := func() (uint8, bool) {
-		if len(b) < 1 {
-			return 0, false
-		}
-		v := b[0]
-		b = b[1:]
-		return v, true
-	}
-	get16 := func() (uint16, bool) {
-		if len(b) < 2 {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint16(b)
-		b = b[2:]
-		return v, true
-	}
-	get32 := func() (uint32, bool) {
-		if len(b) < 4 {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		return v, true
-	}
-	get64 := func() (uint64, bool) {
-		if len(b) < 8 {
-			return 0, false
-		}
-		v := binary.BigEndian.Uint64(b)
-		b = b[8:]
-		return v, true
-	}
-	getMAC := func() (MAC, bool) {
-		var m MAC
-		if len(b) < 6 {
-			return m, false
-		}
-		copy(m[:], b[:6])
-		b = b[6:]
-		return m, true
-	}
-	getPath := func() (Path, bool) {
-		n, ok := get16()
-		if !ok || int(n) > MaxPathLen || len(b) < int(n) {
-			return nil, false
-		}
-		p := Path(append([]byte(nil), b[:n]...))
-		b = b[n:]
-		return p, true
-	}
-	fail := func() (MsgType, any, error) { return MsgInvalid, nil, ErrBadControlMsg }
-
-	switch t {
-	case MsgProbe:
-		var m Probe
-		var ok bool
-		if m.Origin, ok = getMAC(); !ok {
-			return fail()
-		}
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		if m.Path, ok = getPath(); !ok {
-			return fail()
-		}
-		if m.Return, ok = getPath(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgProbeReply:
-		var m ProbeReply
-		var ok bool
-		if m.Responder, ok = getMAC(); !ok {
-			return fail()
-		}
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		kc, ok := get8()
-		if !ok {
-			return fail()
-		}
-		m.KnowsCtrl = kc != 0
-		if m.Path, ok = getPath(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgIDReply:
-		var m IDReply
-		id, ok := get32()
-		if !ok {
-			return fail()
-		}
-		m.ID = SwitchID(id)
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgLinkEvent:
-		var m LinkEvent
-		id, ok := get32()
-		if !ok {
-			return fail()
-		}
-		m.Switch = SwitchID(id)
-		if m.Port, ok = get8(); !ok {
-			return fail()
-		}
-		up, ok := get8()
-		if !ok {
-			return fail()
-		}
-		m.Up = up != 0
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		if m.HopsLeft, ok = get8(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgPathRequest:
-		var m PathRequest
-		var ok bool
-		if m.Src, ok = getMAC(); !ok {
-			return fail()
-		}
-		if m.Dst, ok = getMAC(); !ok {
-			return fail()
-		}
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgCongestion:
-		var m Congestion
-		var ok bool
-		if m.Reporter, ok = getMAC(); !ok {
-			return fail()
-		}
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgStatsRequest:
-		var m StatsRequest
-		var ok bool
-		if m.Origin, ok = getMAC(); !ok {
-			return fail()
-		}
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgStatsReply:
-		var m StatsReply
-		id, ok := get32()
-		if !ok {
-			return fail()
-		}
-		m.ID = SwitchID(id)
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		if m.Forwarded, ok = get64(); !ok {
-			return fail()
-		}
-		if m.Dropped, ok = get64(); !ok {
-			return fail()
-		}
-		if m.Marked, ok = get64(); !ok {
-			return fail()
-		}
-		if m.Floods, ok = get64(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgCtrlList:
-		var m CtrlList
-		var ok bool
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		count, ok := get8()
-		if !ok {
-			return fail()
-		}
-		for i := 0; i < int(count); i++ {
-			var r CtrlReplica
-			if r.MAC, ok = getMAC(); !ok {
-				return fail()
-			}
-			if r.Path, ok = getPath(); !ok {
-				return fail()
-			}
-			m.Replicas = append(m.Replicas, r)
-		}
-		return t, &m, nil
-	case MsgGroupEvent:
-		var m GroupEvent
-		var ok bool
-		if m.Group, ok = get32(); !ok {
-			return fail()
-		}
-		if m.Gen, ok = get64(); !ok {
-			return fail()
-		}
-		if m.HopsLeft, ok = get8(); !ok {
-			return fail()
-		}
-		return t, &m, nil
-	case MsgPathResponse, MsgTopoPatch, MsgHostFlood, MsgData:
-		var m Blob
-		var ok bool
-		if m.Seq, ok = get64(); !ok {
-			return fail()
-		}
-		n, ok := get32()
-		if !ok || int(n) != len(b) {
-			return fail()
-		}
-		m.Body = append([]byte(nil), b...)
-		return t, &m, nil
-	default:
+	if !t.known() {
 		return MsgInvalid, nil, ErrUnknownMsgType
 	}
+	r := NewReader(b[1:])
+	var msg any
+	switch t {
+	case MsgProbe:
+		msg = &Probe{Origin: r.MAC(), Seq: r.U64(), Path: r.Path(), Return: r.Path()}
+	case MsgProbeReply:
+		msg = &ProbeReply{Responder: r.MAC(), Seq: r.U64(), KnowsCtrl: r.Bool(), Path: r.Path()}
+	case MsgIDReply:
+		msg = &IDReply{ID: SwitchID(r.U32()), Seq: r.U64()}
+	case MsgLinkEvent:
+		msg = &LinkEvent{Switch: SwitchID(r.U32()), Port: r.U8(), Up: r.Bool(), Seq: r.U64(), HopsLeft: r.U8()}
+	case MsgPathRequest:
+		msg = &PathRequest{Src: r.MAC(), Dst: r.MAC(), Seq: r.U64()}
+	case MsgCongestion:
+		msg = &Congestion{Reporter: r.MAC(), Seq: r.U64()}
+	case MsgStatsRequest:
+		msg = &StatsRequest{Origin: r.MAC(), Seq: r.U64()}
+	case MsgStatsReply:
+		msg = &StatsReply{ID: SwitchID(r.U32()), Seq: r.U64(),
+			Forwarded: r.U64(), Dropped: r.U64(), Marked: r.U64(), Floods: r.U64()}
+	case MsgCtrlList:
+		m := &CtrlList{Seq: r.U64()}
+		for n := r.U8(); n > 0 && r.Ok(); n-- {
+			m.Replicas = append(m.Replicas, CtrlReplica{MAC: r.MAC(), Path: r.Path()})
+		}
+		msg = m
+	case MsgGroupEvent:
+		msg = &GroupEvent{Group: r.U32(), Gen: r.U64(), HopsLeft: r.U8()}
+	default: // MsgHostFlood, MsgPathResponse, MsgTopoPatch
+		m := &Blob{Seq: r.U64()}
+		if n := r.U32(); int(n) != len(r.Rest()) {
+			r.Fail()
+		}
+		m.Body = append([]byte(nil), r.Rest()...)
+		msg = m
+	}
+	if !r.Ok() {
+		return MsgInvalid, nil, ErrBadControlMsg
+	}
+	return t, msg, nil
 }

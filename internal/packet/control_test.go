@@ -113,7 +113,7 @@ func TestControlCtrlListRoundTrip(t *testing.T) {
 }
 
 func TestControlBlobRoundTrip(t *testing.T) {
-	for _, typ := range []MsgType{MsgPathResponse, MsgTopoPatch, MsgHostFlood, MsgData} {
+	for _, typ := range []MsgType{MsgPathResponse, MsgTopoPatch, MsgHostFlood} {
 		in := &Blob{Seq: 5, Body: []byte("opaque body")}
 		b, err := EncodeControl(typ, in)
 		if err != nil {
@@ -150,7 +150,7 @@ func TestControlDecodeMalformed(t *testing.T) {
 		t.Fatalf("unknown type: %v", err)
 	}
 	// Blob with wrong length prefix.
-	b, _ := EncodeControl(MsgData, &Blob{Body: []byte("abcd")})
+	b, _ := EncodeControl(MsgPathResponse, &Blob{Body: []byte("abcd")})
 	if _, _, err := DecodeControl(b[:len(b)-1]); !errors.Is(err, ErrBadControlMsg) {
 		t.Fatalf("truncated blob: %v", err)
 	}
@@ -161,7 +161,7 @@ func TestMsgTypeString(t *testing.T) {
 		MsgProbe: "probe", MsgProbeReply: "probe-reply", MsgIDReply: "id-reply",
 		MsgLinkEvent: "link-event", MsgHostFlood: "host-flood",
 		MsgPathRequest: "path-request", MsgPathResponse: "path-response",
-		MsgTopoPatch: "topo-patch", MsgData: "data",
+		MsgTopoPatch: "topo-patch",
 	}
 	for typ, want := range names {
 		if got := typ.String(); got != want {
@@ -170,6 +170,21 @@ func TestMsgTypeString(t *testing.T) {
 	}
 	if got := MsgType(123).String(); got != "msgtype(123)" {
 		t.Errorf("unknown = %q", got)
+	}
+}
+
+// Wire number 9 is reserved: both directions refuse it. (The later types'
+// byte values are pinned by TestControlWireGolden.)
+func TestReservedMsgType(t *testing.T) {
+	reserved := MsgType(9)
+	if _, err := EncodeControl(reserved, &Blob{Body: []byte("x")}); !errors.Is(err, ErrUnknownMsgType) {
+		t.Fatalf("encode 9: %v", err)
+	}
+	if _, _, err := DecodeControl([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}); !errors.Is(err, ErrUnknownMsgType) {
+		t.Fatalf("decode 9: %v", err)
+	}
+	if got := reserved.String(); got != "msgtype(9)" {
+		t.Fatalf("9.String() = %q", got)
 	}
 }
 
@@ -196,3 +211,32 @@ func TestLinkEventProperty(t *testing.T) {
 // fuzz_test.go (FuzzDecodeControl and friends), which replaced the old
 // quick.Check property here with mutation-guided corpora and a full
 // encode∘decode round-trip check.
+
+// Allocations per encode and decode, one message of each size class: an
+// encode sizes its buffer once, and a decode allocates the message and
+// each path or body it copies out of the frame.
+func TestControlCodecAllocs(t *testing.T) {
+	cases := []struct {
+		t        MsgType
+		msg      any
+		enc, dec float64
+	}{
+		{MsgProbe, &Probe{Origin: mac(1), Seq: 7, Path: Path{1, 2, 3, 4}, Return: Path{4, 3, 2, 1}}, 1, 3},
+		{MsgLinkEvent, &LinkEvent{Switch: 3, Port: 2, Up: true, Seq: 5, HopsLeft: 4}, 1, 1},
+		{MsgPathRequest, &PathRequest{Src: mac(1), Dst: mac(2), Seq: 1}, 1, 1},
+		{MsgCtrlList, &CtrlList{Seq: 2, Replicas: []CtrlReplica{{MAC: mac(1), Path: Path{1, 2}}, {MAC: mac(2), Path: Path{3}}}}, 1, 5},
+		{MsgPathResponse, &Blob{Seq: 4, Body: make([]byte, 300)}, 1, 2},
+	}
+	for _, c := range cases {
+		b, err := EncodeControl(c.t, c.msg)
+		if err != nil {
+			t.Fatalf("%v: %v", c.t, err)
+		}
+		enc := testing.AllocsPerRun(100, func() { _, _ = EncodeControl(c.t, c.msg) })
+		dec := testing.AllocsPerRun(100, func() { _, _, _ = DecodeControl(b) })
+		t.Logf("%v: encode %.0f allocs, decode %.0f", c.t, enc, dec)
+		if enc > c.enc || dec > c.dec {
+			t.Errorf("%v: encode %.0f allocs (max %.0f), decode %.0f (max %.0f)", c.t, enc, c.enc, dec, c.dec)
+		}
+	}
+}

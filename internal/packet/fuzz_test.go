@@ -80,7 +80,7 @@ func FuzzDecodeControl(f *testing.F) {
 		{MsgStatsReply, &StatsReply{ID: 9, Seq: 1, Forwarded: 100, Dropped: 2, Marked: 3, Floods: 4}},
 		{MsgCtrlList, &CtrlList{Seq: 2, Replicas: []CtrlReplica{{MAC: MACFromUint64(1), Path: Path{1, 2}}}}},
 		{MsgPathResponse, &Blob{Seq: 4, Body: []byte("graph")}},
-		{MsgData, &Blob{Seq: 5, Body: nil}},
+		{MsgTopoPatch, &Blob{Seq: 5, Body: nil}},
 	}
 	for _, s := range seedMsgs {
 		b, err := EncodeControl(s.t, s.msg)

@@ -143,7 +143,6 @@ var (
 	ErrTruncatedMPLS  = errors.New("packet: truncated MPLS label stack")
 	ErrNotMPLS        = errors.New("packet: not an MPLS frame")
 	ErrEmptyTagStack  = errors.New("packet: empty tag stack")
-	ErrPayloadTooBig  = errors.New("packet: payload exceeds MTU")
 	ErrBadControlMsg  = errors.New("packet: malformed control message")
 	ErrUnknownMsgType = errors.New("packet: unknown control message type")
 )

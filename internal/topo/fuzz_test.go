@@ -1,0 +1,71 @@
+package topo
+
+import (
+	"bytes"
+	"testing"
+)
+
+// The three topology wire decoders face bytes from the network: a host
+// parses path graphs and patches out of controller replies, and a
+// controller replica parses topology snapshots from its log. Each target
+// checks that decoding never panics and that whatever decodes re-encodes
+// to bytes that decode and re-encode to the same bytes.
+
+// fuzzStable runs one decoder-encoder pair over data.
+func fuzzStable[T any](t *testing.T, data []byte, decode func([]byte) (T, error), encode func(T) []byte) {
+	v, err := decode(data)
+	if err != nil {
+		return
+	}
+	enc := encode(v)
+	v2, err := decode(enc)
+	if err != nil {
+		t.Fatalf("re-encoded value failed to decode: %v\n% x", err, enc)
+	}
+	if enc2 := encode(v2); !bytes.Equal(enc, enc2) {
+		t.Fatalf("round trip not byte-stable:\n% x\n% x", enc, enc2)
+	}
+}
+
+// addSeeds adds each encoding whole and with its last byte cut.
+func addSeeds(f *testing.F, encs ...[]byte) {
+	for _, b := range encs {
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+	}
+	f.Add([]byte{})
+}
+
+func FuzzUnmarshalPathGraph(f *testing.F) {
+	cube, err := Cube(3, 1, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	hosts := cube.Hosts()
+	pg, err := BuildPathGraph(cube, hosts[0].Host, hosts[len(hosts)-1].Host, PathGraphOptions{}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSeeds(f, goldenPathGraph().Marshal(), pg.Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzStable(t, data, UnmarshalPathGraph, (*PathGraph).Marshal)
+	})
+}
+
+func FuzzUnmarshalPatch(f *testing.F) {
+	addSeeds(f, samplePatch().Marshal(), (&Patch{Version: 1}).Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzStable(t, data, UnmarshalPatch, (*Patch).Marshal)
+	})
+}
+
+func FuzzUnmarshalTopology(f *testing.F) {
+	line, err := Line(3, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	addSeeds(f, goldenTopology(f).Marshal(), line.Marshal(), New().Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fuzzStable(t, data, UnmarshalTopology, (*Topology).Marshal)
+	})
+}

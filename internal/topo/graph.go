@@ -116,19 +116,18 @@ func publish[T any](p *atomic.Pointer[T], v *T) *T {
 
 // Errors reported by topology operations.
 var (
-	ErrDupSwitch    = errors.New("topo: switch already exists")
-	ErrNoSwitch     = errors.New("topo: no such switch")
-	ErrBadPort      = errors.New("topo: port out of range")
-	ErrPortWired    = errors.New("topo: port already wired")
-	ErrDupHost      = errors.New("topo: host already attached")
-	ErrNoHost       = errors.New("topo: no such host")
-	ErrNoLink       = errors.New("topo: no such link")
-	ErrNoPath       = errors.New("topo: no path")
-	ErrBadTopology  = errors.New("topo: malformed serialized topology")
-	ErrPathInvalid  = errors.New("topo: path does not reach destination")
-	ErrSelfLoop     = errors.New("topo: switch linked to itself on same port")
-	ErrPortCount    = errors.New("topo: invalid port count")
-	ErrDisconnected = errors.New("topo: graph not connected")
+	ErrDupSwitch   = errors.New("topo: switch already exists")
+	ErrNoSwitch    = errors.New("topo: no such switch")
+	ErrBadPort     = errors.New("topo: port out of range")
+	ErrPortWired   = errors.New("topo: port already wired")
+	ErrDupHost     = errors.New("topo: host already attached")
+	ErrNoHost      = errors.New("topo: no such host")
+	ErrNoLink      = errors.New("topo: no such link")
+	ErrNoPath      = errors.New("topo: no path")
+	ErrBadTopology = errors.New("topo: malformed serialized topology")
+	ErrPathInvalid = errors.New("topo: path does not reach destination")
+	ErrSelfLoop    = errors.New("topo: switch linked to itself on same port")
+	ErrPortCount   = errors.New("topo: invalid port count")
 )
 
 // New returns an empty topology.

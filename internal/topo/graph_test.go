@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -187,7 +188,7 @@ func TestHostsSorted(t *testing.T) {
 	if len(hosts) != 2 {
 		t.Fatalf("hosts = %d", len(hosts))
 	}
-	if !lessMAC(hosts[0].Host, hosts[1].Host) {
+	if bytes.Compare(hosts[0].Host[:], hosts[1].Host[:]) >= 0 {
 		t.Fatal("hosts not sorted")
 	}
 }

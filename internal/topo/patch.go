@@ -74,91 +74,66 @@ func (p *Patch) Apply(s *Subgraph) {
 	}
 }
 
-// Marshal serialises the patch.
+const patchMagic = 0xD0B4
+
+// Marshal serialises the patch. A hello's controller path is written whole,
+// not truncated like a control message's: UnmarshalPatch refuses one over
+// packet.MaxPathLen.
 func (p *Patch) Marshal() []byte {
-	w := &wr{}
-	w.u16(0xD0B4)
-	w.u8(wireVersion)
-	w.b = append(w.b, byte(p.Version>>56), byte(p.Version>>48), byte(p.Version>>40), byte(p.Version>>32),
-		byte(p.Version>>24), byte(p.Version>>16), byte(p.Version>>8), byte(p.Version))
-	w.u16(uint16(len(p.Ops)))
+	var w packet.Writer
+	w.U16(patchMagic)
+	w.U8(wireVersion)
+	w.U64(p.Version)
+	w.U16(uint16(len(p.Ops)))
 	for _, op := range p.Ops {
-		w.u8(uint8(op.Kind))
+		w.U8(uint8(op.Kind))
 		switch op.Kind {
 		case OpLinkDown, OpSwitchDown:
-			w.u32(uint32(op.Switch))
-			w.u8(op.Port)
+			w.U32(uint32(op.Switch))
+			w.U8(op.Port)
 		case OpLinkUp:
-			w.u32(uint32(op.A))
-			w.u8(op.PA)
-			w.u32(uint32(op.B))
-			w.u8(op.PB)
+			w.U32(uint32(op.A))
+			w.U8(op.PA)
+			w.U32(uint32(op.B))
+			w.U8(op.PB)
 		case OpHostAdd:
-			w.mac(op.Attach.Host)
-			w.u32(uint32(op.Attach.Switch))
-			w.u8(op.Attach.Port)
+			writeAttach(&w, op.Attach)
 		case OpHello:
-			w.mac(op.Attach.Host)
-			w.u32(uint32(op.Attach.Switch))
-			w.u8(op.Attach.Port)
-			w.mac(op.Ctrl)
-			w.u16(uint16(len(op.CtrlPath)))
-			w.b = append(w.b, op.CtrlPath...)
+			writeAttach(&w, op.Attach)
+			w.MAC(op.Ctrl)
+			w.U16(uint16(len(op.CtrlPath)))
+			w.Raw(op.CtrlPath)
 		}
 	}
-	return w.b
+	return w.Bytes()
 }
 
 // UnmarshalPatch parses a serialized patch.
 func UnmarshalPatch(b []byte) (*Patch, error) {
-	r := &rd{b: b, ok: true}
-	if r.u16() != 0xD0B4 || r.u8() != wireVersion {
+	r := packet.NewReader(b)
+	readHeader(&r, patchMagic)
+	p := &Patch{Version: r.U64()}
+	n := int(r.U16())
+	if !r.Ok() || n > 1<<20 {
 		return nil, ErrBadTopology
 	}
-	var version uint64
-	for i := 0; i < 8; i++ {
-		version = version<<8 | uint64(r.u8())
-	}
-	n := int(r.u16())
-	if !r.ok || n > 1<<20 {
-		return nil, ErrBadTopology
-	}
-	p := &Patch{Version: version}
-	for i := 0; i < n; i++ {
-		op := PatchOp{Kind: PatchOpKind(r.u8())}
+	for i := 0; i < n && r.Ok(); i++ {
+		op := PatchOp{Kind: PatchOpKind(r.U8())}
 		switch op.Kind {
 		case OpLinkDown, OpSwitchDown:
-			op.Switch = SwitchID(r.u32())
-			op.Port = Port(r.u8())
+			op.Switch, op.Port = SwitchID(r.U32()), r.U8()
 		case OpLinkUp:
-			op.A = SwitchID(r.u32())
-			op.PA = Port(r.u8())
-			op.B = SwitchID(r.u32())
-			op.PB = Port(r.u8())
+			op.A, op.PA, op.B, op.PB = SwitchID(r.U32()), r.U8(), SwitchID(r.U32()), r.U8()
 		case OpHostAdd:
-			op.Attach.Host = r.mac()
-			op.Attach.Switch = SwitchID(r.u32())
-			op.Attach.Port = Port(r.u8())
+			op.Attach = readAttach(&r)
 		case OpHello:
-			op.Attach.Host = r.mac()
-			op.Attach.Switch = SwitchID(r.u32())
-			op.Attach.Port = Port(r.u8())
-			op.Ctrl = r.mac()
-			pl := int(r.u16())
-			if !r.ok || pl > packet.MaxPathLen || len(r.b) < pl {
-				return nil, ErrBadTopology
-			}
-			op.CtrlPath = packet.Path(append([]byte(nil), r.b[:pl]...))
-			r.b = r.b[pl:]
+			op.Attach, op.Ctrl, op.CtrlPath = readAttach(&r), r.MAC(), r.Path()
 		default:
-			return nil, ErrBadTopology
-		}
-		if !r.ok {
 			return nil, ErrBadTopology
 		}
 		p.Ops = append(p.Ops, op)
 	}
-	if !r.ok || len(r.b) != 0 {
+	if !r.Ok() || len(r.Rest()) != 0 {
 		return nil, ErrBadTopology
 	}
 	return p, nil

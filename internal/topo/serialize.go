@@ -1,8 +1,7 @@
 package topo
 
 import (
-	"encoding/binary"
-	"sort"
+	"slices"
 
 	"dumbnet/internal/packet"
 )
@@ -10,7 +9,8 @@ import (
 // Binary serialization for topologies, subgraphs and path graphs. These are
 // the payloads of MsgPathResponse / MsgTopoPatch control messages and the
 // entries replicated between controllers, so the formats are versioned and
-// deterministic (maps are emitted in sorted order).
+// deterministic (maps are emitted in sorted order). Fields go through the
+// packet package's Writer and Reader, big-endian.
 
 const (
 	topoMagic     = 0xD0B1
@@ -19,100 +19,62 @@ const (
 	wireVersion   = 1
 )
 
-type wr struct{ b []byte }
-
-func (w *wr) u8(v uint8)   { w.b = append(w.b, v) }
-func (w *wr) u16(v uint16) { w.b = binary.BigEndian.AppendUint16(w.b, v) }
-func (w *wr) u32(v uint32) { w.b = binary.BigEndian.AppendUint32(w.b, v) }
-func (w *wr) mac(m MAC)    { w.b = append(w.b, m[:]...) }
-
-type rd struct {
-	b  []byte
-	ok bool
+// readHeader reads a format's magic and version, failing r on a mismatch.
+func readHeader(r *packet.Reader, magic uint16) {
+	if r.U16() != magic || r.U8() != wireVersion {
+		r.Fail()
+	}
 }
 
-func (r *rd) u8() uint8 {
-	if len(r.b) < 1 {
-		r.ok = false
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
+func writeAttach(w *packet.Writer, at HostAttach) {
+	w.MAC(at.Host)
+	w.U32(uint32(at.Switch))
+	w.U8(at.Port)
 }
 
-func (r *rd) u16() uint16 {
-	if len(r.b) < 2 {
-		r.ok = false
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.b)
-	r.b = r.b[2:]
-	return v
-}
-
-func (r *rd) u32() uint32 {
-	if len(r.b) < 4 {
-		r.ok = false
-		return 0
-	}
-	v := binary.BigEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return v
-}
-
-func (r *rd) mac() MAC {
-	var m MAC
-	if len(r.b) < 6 {
-		r.ok = false
-		return m
-	}
-	copy(m[:], r.b[:6])
-	r.b = r.b[6:]
-	return m
+func readAttach(r *packet.Reader) HostAttach {
+	return HostAttach{Host: r.MAC(), Switch: SwitchID(r.U32()), Port: r.U8()}
 }
 
 // Marshal serialises the full topology.
 func (t *Topology) Marshal() []byte {
-	w := &wr{}
-	w.u16(topoMagic)
-	w.u8(wireVersion)
+	var w packet.Writer
+	w.U16(topoMagic)
+	w.U8(wireVersion)
 	ids := t.SwitchIDs()
-	w.u32(uint32(len(ids)))
+	w.U32(uint32(len(ids)))
 	for _, id := range ids {
 		sw := t.switches[id]
-		w.u32(uint32(id))
-		w.u16(uint16(sw.Ports))
+		w.U32(uint32(id))
+		w.U16(uint16(sw.Ports))
 		ports := make([]Port, 0, len(sw.wired))
 		for p := range sw.wired {
 			ports = append(ports, p)
 		}
-		sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-		w.u16(uint16(len(ports)))
+		slices.Sort(ports)
+		w.U16(uint16(len(ports)))
 		for _, p := range ports {
 			ep := sw.wired[p]
-			w.u8(p)
-			w.u8(uint8(ep.Kind))
+			w.U8(p)
+			w.U8(uint8(ep.Kind))
 			switch ep.Kind {
 			case EndpointSwitch:
-				w.u32(uint32(ep.Switch))
-				w.u8(ep.Port)
+				w.U32(uint32(ep.Switch))
+				w.U8(ep.Port)
 			case EndpointHost:
-				w.mac(ep.Host)
+				w.MAC(ep.Host)
 			}
 		}
 	}
-	return w.b
+	return w.Bytes()
 }
 
 // UnmarshalTopology parses a serialized topology.
 func UnmarshalTopology(b []byte) (*Topology, error) {
-	r := &rd{b: b, ok: true}
-	if r.u16() != topoMagic || r.u8() != wireVersion {
-		return nil, ErrBadTopology
-	}
-	n := int(r.u32())
-	if !r.ok || n > 1<<22 {
+	r := packet.NewReader(b)
+	readHeader(&r, topoMagic)
+	n := int(r.U32())
+	if !r.Ok() || n > 1<<22 {
 		return nil, ErrBadTopology
 	}
 	t := New()
@@ -125,37 +87,33 @@ func UnmarshalTopology(b []byte) (*Topology, error) {
 	var links []pending
 	var hosts []HostAttach
 	for i := 0; i < n; i++ {
-		id := SwitchID(r.u32())
-		ports := int(r.u16())
-		if !r.ok {
+		id := SwitchID(r.U32())
+		ports := int(r.U16())
+		if !r.Ok() {
 			return nil, ErrBadTopology
 		}
 		if err := t.AddSwitch(id, ports); err != nil {
 			return nil, err
 		}
-		wired := int(r.u16())
-		for j := 0; j < wired; j++ {
-			p := Port(r.u8())
-			kind := EndpointKind(r.u8())
-			switch kind {
+		// A truncated entry zeroes every later read, so its next kind byte
+		// (EndpointNone) or the next switch's Ok check refuses it.
+		for j := int(r.U16()); j > 0; j-- {
+			p := r.U8()
+			switch EndpointKind(r.U8()) {
 			case EndpointSwitch:
-				far := SwitchID(r.u32())
-				fp := Port(r.u8())
+				far, fp := SwitchID(r.U32()), r.U8()
 				// Record each link once (from the lower (id,port) side).
 				if id < far || (id == far && p < fp) {
 					links = append(links, pending{a: id, pa: p, b: far, pb: fp})
 				}
 			case EndpointHost:
-				hosts = append(hosts, HostAttach{Host: r.mac(), Switch: id, Port: p})
+				hosts = append(hosts, HostAttach{Host: r.MAC(), Switch: id, Port: p})
 			default:
-				return nil, ErrBadTopology
-			}
-			if !r.ok {
 				return nil, ErrBadTopology
 			}
 		}
 	}
-	if !r.ok || len(r.b) != 0 {
+	if !r.Ok() || len(r.Rest()) != 0 {
 		return nil, ErrBadTopology
 	}
 	for _, l := range links {
@@ -173,160 +131,117 @@ func UnmarshalTopology(b []byte) (*Topology, error) {
 
 // Marshal serialises the subgraph.
 func (s *Subgraph) Marshal() []byte {
-	w := &wr{}
-	w.u16(subgraphMagic)
-	w.u8(wireVersion)
+	var w packet.Writer
+	w.U16(subgraphMagic)
+	w.U8(wireVersion)
 	ids := make([]SwitchID, 0, len(s.adj))
 	for id := range s.adj {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	w.u32(uint32(len(ids)))
+	slices.Sort(ids)
+	w.U32(uint32(len(ids)))
 	for _, id := range ids {
-		w.u32(uint32(id))
+		w.U32(uint32(id))
 		m := s.adj[id]
 		nbs := make([]SwitchID, 0, len(m))
 		for nb := range m {
 			nbs = append(nbs, nb)
 		}
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i] < nbs[j] })
-		w.u16(uint16(len(nbs)))
+		slices.Sort(nbs)
+		w.U16(uint16(len(nbs)))
 		for _, nb := range nbs {
-			w.u32(uint32(nb))
-			w.u8(m[nb])
+			w.U32(uint32(nb))
+			w.U8(m[nb])
 		}
 	}
-	hosts := s.Hosts()
-	sort.Slice(hosts, func(i, j int) bool {
-		return lessMAC(hosts[i].Host, hosts[j].Host)
-	})
-	w.u32(uint32(len(hosts)))
+	hosts := s.Hosts() // MAC order
+	w.U32(uint32(len(hosts)))
 	for _, h := range hosts {
-		w.mac(h.Host)
-		w.u32(uint32(h.Switch))
-		w.u8(h.Port)
+		writeAttach(&w, h)
 	}
-	return w.b
-}
-
-func lessMAC(a, b MAC) bool {
-	for i := 0; i < 6; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return w.Bytes()
 }
 
 // UnmarshalSubgraph parses a serialized subgraph.
 func UnmarshalSubgraph(b []byte) (*Subgraph, error) {
-	s, rest, err := unmarshalSubgraphPrefix(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
+	r := packet.NewReader(b)
+	s := readSubgraph(&r)
+	if !r.Ok() || len(r.Rest()) != 0 {
 		return nil, ErrBadTopology
 	}
 	return s, nil
 }
 
-func unmarshalSubgraphPrefix(b []byte) (*Subgraph, []byte, error) {
-	r := &rd{b: b, ok: true}
-	if r.u16() != subgraphMagic || r.u8() != wireVersion {
-		return nil, nil, ErrBadTopology
-	}
-	n := int(r.u32())
-	if !r.ok || n > 1<<22 {
-		return nil, nil, ErrBadTopology
+// readSubgraph reads one serialized subgraph from r; the caller checks r.
+func readSubgraph(r *packet.Reader) *Subgraph {
+	readHeader(r, subgraphMagic)
+	n := int(r.U32())
+	if n > 1<<22 {
+		r.Fail()
 	}
 	s := NewSubgraph()
-	for i := 0; i < n; i++ {
-		id := SwitchID(r.u32())
-		cnt := int(r.u16())
-		if !r.ok {
-			return nil, nil, ErrBadTopology
-		}
+	for i := 0; i < n && r.Ok(); i++ {
+		id := SwitchID(r.U32())
+		cnt := int(r.U16())
 		if s.adj[id] == nil {
-			s.adj[id] = make(map[SwitchID]Port, cnt)
+			// Size for what the input can still hold (5 bytes a neighbour),
+			// not for a forged count.
+			s.adj[id] = make(map[SwitchID]Port, min(cnt, len(r.Rest())/5))
 		}
-		for j := 0; j < cnt; j++ {
-			nb := SwitchID(r.u32())
-			p := Port(r.u8())
-			if !r.ok {
-				return nil, nil, ErrBadTopology
-			}
-			s.adj[id][nb] = p
+		for j := 0; j < cnt && r.Ok(); j++ {
+			nb := SwitchID(r.U32())
+			s.adj[id][nb] = r.U8()
 		}
 	}
-	hn := int(r.u32())
-	if !r.ok || hn > 1<<22 {
-		return nil, nil, ErrBadTopology
+	hn := int(r.U32())
+	if hn > 1<<22 {
+		r.Fail()
 	}
-	for i := 0; i < hn; i++ {
-		at := HostAttach{}
-		at.Host = r.mac()
-		at.Switch = SwitchID(r.u32())
-		at.Port = Port(r.u8())
-		if !r.ok {
-			return nil, nil, ErrBadTopology
-		}
+	for i := 0; i < hn && r.Ok(); i++ {
+		at := readAttach(r)
 		s.hosts[at.Host] = at
 	}
-	return s, r.b, nil
+	return s
 }
 
 // Marshal serialises the path graph for a MsgPathResponse payload.
 func (pg *PathGraph) Marshal() []byte {
-	w := &wr{}
-	w.u16(pathgrafMagic)
-	w.u8(wireVersion)
-	w.mac(pg.Src)
-	w.mac(pg.Dst)
-	writePath := func(p SwitchPath) {
-		w.u16(uint16(len(p)))
+	var w packet.Writer
+	w.U16(pathgrafMagic)
+	w.U8(wireVersion)
+	w.MAC(pg.Src)
+	w.MAC(pg.Dst)
+	for _, p := range []SwitchPath{pg.Primary, pg.Backup} {
+		w.U16(uint16(len(p)))
 		for _, sw := range p {
-			w.u32(uint32(sw))
+			w.U32(uint32(sw))
 		}
 	}
-	writePath(pg.Primary)
-	writePath(pg.Backup)
-	w.b = append(w.b, pg.Graph.Marshal()...)
-	return w.b
+	w.Raw(pg.Graph.Marshal())
+	return w.Bytes()
 }
 
 // UnmarshalPathGraph parses a serialized path graph.
 func UnmarshalPathGraph(b []byte) (*PathGraph, error) {
-	r := &rd{b: b, ok: true}
-	if r.u16() != pathgrafMagic || r.u8() != wireVersion {
-		return nil, ErrBadTopology
-	}
-	pg := &PathGraph{}
-	pg.Src = r.mac()
-	pg.Dst = r.mac()
+	r := packet.NewReader(b)
+	readHeader(&r, pathgrafMagic)
 	readPath := func() SwitchPath {
-		n := int(r.u16())
-		if !r.ok || n > packet.MaxPathLen*4 {
-			r.ok = false
+		n := int(r.U16())
+		if n > packet.MaxPathLen*4 {
+			r.Fail()
+		}
+		if !r.Ok() {
 			return nil
 		}
 		p := make(SwitchPath, 0, n)
 		for i := 0; i < n; i++ {
-			p = append(p, SwitchID(r.u32()))
+			p = append(p, SwitchID(r.U32()))
 		}
 		return p
 	}
-	pg.Primary = readPath()
-	pg.Backup = readPath()
-	if !r.ok {
+	pg := &PathGraph{Src: r.MAC(), Dst: r.MAC(), Primary: readPath(), Backup: readPath()}
+	if pg.Graph = readSubgraph(&r); !r.Ok() || len(r.Rest()) != 0 {
 		return nil, ErrBadTopology
 	}
-	g, rest, err := unmarshalSubgraphPrefix(r.b)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, ErrBadTopology
-	}
-	pg.Graph = g
 	return pg, nil
 }
