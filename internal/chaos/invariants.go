@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 
 	"dumbnet/internal/controller"
 	"dumbnet/internal/packet"
@@ -82,6 +83,7 @@ func (r *linkBattery) checkConnectivity() {
 }
 
 func (r *linkBattery) checkNoLoops() {
+	var seen []packet.SwitchID
 	for _, h := range r.allHosts() {
 		a := r.n.Agent(h)
 		for _, dst := range a.Table().Destinations() {
@@ -94,48 +96,22 @@ func (r *linkBattery) checkNoLoops() {
 				paths = append(paths[:len(paths):len(paths)], *e.Backup)
 			}
 			for _, cp := range paths {
-				if err := walkPath(r.n.Topology(), h, cp.Tags, dst); err != nil {
+				// Each tag must name a wired port, no switch may repeat, and
+				// the final tag must land on dst.
+				seen = seen[:0]
+				_, _, err := topo.FollowTags(r.n.Topology(), h, dst, cp.Tags, func(sw packet.SwitchID) error {
+					if slices.Contains(seen, sw) {
+						return fmt.Errorf("forwarding loop: switch %d revisited", sw)
+					}
+					seen = append(seen, sw)
+					return nil
+				})
+				if err != nil {
 					r.violate("no-loops", "host %v route to %v: %v (tags %v)", h, dst, err, cp.Tags)
 				}
 			}
 		}
 	}
-}
-
-// walkPath replays a tag stack over the (healed) physical topology: each
-// tag must name a wired port, no switch may repeat, and the final tag must
-// land on the destination host.
-func walkPath(t *topo.Topology, src packet.MAC, tags packet.Path, dst packet.MAC) error {
-	if len(tags) == 0 {
-		return fmt.Errorf("empty tag stack")
-	}
-	at, err := t.HostAt(src)
-	if err != nil {
-		return err
-	}
-	cur := at.Switch
-	visited := map[packet.SwitchID]bool{cur: true}
-	for i, tag := range tags {
-		ep, err := t.EndpointAt(cur, topo.Port(tag))
-		if err != nil {
-			return fmt.Errorf("switch %d tag %d: %w", cur, tag, err)
-		}
-		if i == len(tags)-1 {
-			if ep.Kind != topo.EndpointHost || ep.Host != dst {
-				return fmt.Errorf("final tag at switch %d does not reach %v", cur, dst)
-			}
-			return nil
-		}
-		if ep.Kind != topo.EndpointSwitch {
-			return fmt.Errorf("mid-path tag %d at switch %d leaves the fabric", tag, cur)
-		}
-		if visited[ep.Switch] {
-			return fmt.Errorf("forwarding loop: switch %d revisited", ep.Switch)
-		}
-		visited[ep.Switch] = true
-		cur = ep.Switch
-	}
-	return fmt.Errorf("unreachable")
 }
 
 // activeCtrl returns the controller whose route service is authoritative:

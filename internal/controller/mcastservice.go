@@ -79,9 +79,10 @@ func (c *Controller) Mcast() *McastService { return c.mcast }
 // pairSeed it depends only on the identity and the token, so the
 // same (group, source, epoch) always yields the same tree — and trees
 // re-randomize their equal-cost choices each topology or membership epoch,
-// spreading load the way §4.3 intends for unicast.
+// spreading load the way §4.3 intends for unicast. It starts from
+// pairSeed's value, not FNV-1a's offset basis.
 func groupSeed(group mcast.GroupID, src packet.MAC, version, topoGen, groupGen uint64) int64 {
-	h := uint64(1469598103934665603) // FNV-1a
+	h := uint64(1469598103934665603)
 	for _, b := range src {
 		h = (h ^ uint64(b)) * 1099511628211
 	}

@@ -83,9 +83,11 @@ func newRouteService(c *Controller) *RouteService {
 // depends only on the pair and the epoch, so a cached answer is identical
 // no matter which code path (request, warm-up shard, audit) computed it
 // first — and re-randomizes each topology epoch, preserving the §4.3
-// load-balancing intent across invalidations.
+// load-balancing intent across invalidations. The loop is FNV-1a's, but
+// the start value is one digit short of its offset basis,
+// 14695981039346656037; the pinned digests fix it.
 func pairSeed(src, dst packet.MAC, version, gen uint64) int64 {
-	h := uint64(1469598103934665603) // FNV-1a
+	h := uint64(1469598103934665603)
 	for _, b := range src {
 		h = (h ^ uint64(b)) * 1099511628211
 	}

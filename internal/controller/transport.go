@@ -211,7 +211,7 @@ func (tr *OracleTransport) walk(tags, ret packet.Path) (ProbeResult, int) {
 			if zeros != 0 || len(ret) == 0 {
 				return ProbeResult{Kind: ResultLost}, hops
 			}
-			if tr.walkReturn(ep.Host, ret) {
+			if _, _, err := topo.FollowTags(tr.t, ep.Host, tr.self, ret, nil); err == nil {
 				return ProbeResult{Kind: ResultHost, Host: ep.Host}, hops + len(ret)
 			}
 			return ProbeResult{Kind: ResultLost}, hops
@@ -221,30 +221,4 @@ func (tr *OracleTransport) walk(tags, ret packet.Path) (ProbeResult, int) {
 	}
 	// Tags exhausted at a switch: ø at a switch is a drop.
 	return ProbeResult{Kind: ResultLost}, hops
-}
-
-// walkReturn checks that ret delivers a reply from host h back to the
-// prober.
-func (tr *OracleTransport) walkReturn(h packet.MAC, ret packet.Path) bool {
-	at, err := tr.t.HostAt(h)
-	if err != nil {
-		return false
-	}
-	cur := at.Switch
-	for i, tag := range ret {
-		if tag == packet.TagIDQuery {
-			return false
-		}
-		ep, err := tr.t.EndpointAt(cur, tag)
-		if err != nil || ep.Kind == topo.EndpointNone {
-			return false
-		}
-		switch ep.Kind {
-		case topo.EndpointHost:
-			return i == len(ret)-1 && ep.Host == tr.self
-		case topo.EndpointSwitch:
-			cur = ep.Switch
-		}
-	}
-	return false
 }

@@ -54,6 +54,12 @@ type Fig9Measured struct {
 	LookupAndTagNs float64 // PathTable lookup + tagged encode
 }
 
+// fig9Samples is how many samples of reps iterations each datapath cost
+// takes. The series run interleaved, one sample of each in turn, and report
+// their medians, so a burst of load on a shared machine skews one sample of
+// every series rather than the whole of one.
+const fig9Samples = 11
+
 // measureDatapath runs the real microbenchmarks.
 func measureDatapath(frameBytes, reps int) (Fig9Measured, error) {
 	var out Fig9Measured
@@ -63,42 +69,37 @@ func measureDatapath(frameBytes, reps int) (Fig9Measured, error) {
 	buf := make([]byte, frameBytes+64)
 
 	plain := &packet.Frame{Dst: dst, Src: src, InnerType: packet.EtherTypeIPv4, Payload: payload}
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := plain.EncodeTo(buf); err != nil {
-			return out, err
-		}
-	}
-	out.EncodePlainNs = float64(time.Since(start).Nanoseconds()) / float64(reps)
-
 	tagged := &packet.Frame{Dst: dst, Src: src, Tags: packet.Path{2, 3, 5, 1}, InnerType: packet.EtherTypeIPv4, Payload: payload}
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := tagged.EncodeTo(buf); err != nil {
-			return out, err
-		}
-	}
-	out.EncodeTaggedNs = float64(time.Since(start).Nanoseconds()) / float64(reps)
-
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := tagged.EncodeMPLS(); err != nil {
-			return out, err
-		}
-	}
-	out.EncodeMPLSNs = float64(time.Since(start).Nanoseconds()) / float64(reps)
-
 	pt := host.NewPathTable(4)
 	pt.Install(dst, &host.TableEntry{Paths: []host.CachedPath{{Tags: packet.Path{2, 3, 5, 1}}}})
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		e := pt.Lookup(dst)
-		tagged.Tags = e.Paths[0].Tags
-		if _, err := tagged.EncodeTo(buf); err != nil {
-			return out, err
+	series := []struct {
+		ns  *float64
+		run func() error
+	}{
+		{&out.EncodePlainNs, func() error { _, err := plain.EncodeTo(buf); return err }},
+		{&out.EncodeTaggedNs, func() error { _, err := tagged.EncodeTo(buf); return err }},
+		{&out.EncodeMPLSNs, func() error { _, err := tagged.EncodeMPLS(); return err }},
+		{&out.LookupAndTagNs, func() error {
+			tagged.Tags = pt.Lookup(dst).Paths[0].Tags
+			_, err := tagged.EncodeTo(buf)
+			return err
+		}},
+	}
+	samples := make([]metrics.Dist, len(series))
+	for range fig9Samples {
+		for i, s := range series {
+			start := time.Now()
+			for range reps {
+				if err := s.run(); err != nil {
+					return out, err
+				}
+			}
+			samples[i].Add(float64(time.Since(start).Nanoseconds()) / float64(reps))
 		}
 	}
-	out.LookupAndTagNs = float64(time.Since(start).Nanoseconds()) / float64(reps)
+	for i, s := range series {
+		*s.ns = samples[i].Median()
+	}
 	return out, nil
 }
 
@@ -126,8 +127,8 @@ func Fig9(reps int) (*Result, error) {
 		Name:  "Figure 9 — single-host throughput",
 		Table: tbl,
 		Notes: []string{
-			fmt.Sprintf("measured datapath (this repo, %d reps): plain encode %.0f ns, tagged encode %.0f ns, MPLS encode %.0f ns, lookup+tag %.0f ns",
-				reps, meas.EncodePlainNs, meas.EncodeTaggedNs, meas.EncodeMPLSNs, meas.LookupAndTagNs),
+			fmt.Sprintf("measured datapath (this repo, median of %d interleaved samples of %d reps): plain encode %.0f ns, tagged encode %.0f ns, MPLS encode %.0f ns, lookup+tag %.0f ns",
+				fig9Samples, reps, meas.EncodePlainNs, meas.EncodeTaggedNs, meas.EncodeMPLSNs, meas.LookupAndTagNs),
 			"model: 1464 B frames, 2.165 µs/pkt software base cost (calibrated to the paper's 5.41 Gbps), +4.2% MPLS header copy",
 		},
 	}

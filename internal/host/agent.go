@@ -111,8 +111,10 @@ type FlowKey struct {
 	Proto            uint8
 }
 
-// hash mixes the flow key into a uint64 (FNV-1a with a splitmix-style
-// finalizer; raw FNV low bits correlate badly under small moduli).
+// hash mixes the flow key into a uint64 (an FNV-1a loop with a
+// splitmix-style finalizer; raw FNV low bits correlate badly under small
+// moduli). The start value is one digit short of FNV-1a's offset basis,
+// 14695981039346656037; the pinned digests fix it.
 func (k FlowKey) hash() uint64 {
 	h := uint64(1469598103934665603)
 	mix := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }

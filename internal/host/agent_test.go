@@ -325,6 +325,31 @@ func TestInstallRouteVerification(t *testing.T) {
 	}
 }
 
+// TestVerifyRouteAllocFree: the path verifier accepts a valid route
+// without allocating.
+func TestVerifyRouteAllocFree(t *testing.T) {
+	tp, _ := topo.Testbed()
+	cfg := core.DefaultConfig()
+	cfg.Host.VerifyPaths = true
+	n := deploy(t, tp, cfg)
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
+	_ = n.Agent(src).SendData(dst, []byte("w"))
+	n.Run()
+	tags, err := n.Topo.HostPath(src, dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func() {
+		if err := n.Agent(src).VerifyRoute(dst, tags); err != nil {
+			t.Fatalf("valid route rejected: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, verify); allocs != 0 {
+		t.Fatalf("VerifyRoute allocates %v/op, want 0", allocs)
+	}
+}
+
 func TestPathTableDropLink(t *testing.T) {
 	pt := host.NewPathTable(4)
 	dst := packet.MACFromUint64(5)

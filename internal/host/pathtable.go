@@ -201,32 +201,10 @@ func (a *Agent) VerifyRoute(dst packet.MAC, tags packet.Path) error {
 	if a.attach.Host.IsZero() {
 		return ErrNoController
 	}
-	dat, err := a.cache.HostAt(dst)
-	if err != nil {
+	if _, _, err := topo.FollowTags(a.cache, a.attach.Host, dst, tags, nil); err != nil {
 		return ErrVerifyFailed
 	}
-	cur := a.attach.Switch
-	for i, tag := range tags {
-		if i == len(tags)-1 {
-			if cur == dat.Switch && tag == dat.Port {
-				return nil
-			}
-			return ErrVerifyFailed
-		}
-		next := packet.SwitchID(0)
-		found := false
-		for _, nb := range a.cache.Neighbors(cur) {
-			if nb.Port == tag {
-				next, found = nb.Sw, true
-				break
-			}
-		}
-		if !found {
-			return ErrVerifyFailed
-		}
-		cur = next
-	}
-	return ErrVerifyFailed
+	return nil
 }
 
 // requestPath sends (or re-sends) a MsgPathRequest for dst.

@@ -334,6 +334,12 @@ func (t *Topology) EndpointAt(id SwitchID, p Port) (Endpoint, error) {
 	return ep, nil
 }
 
+// neighborAt implements attachedView.
+func (t *Topology) neighborAt(sw SwitchID, p Port) (SwitchID, bool) {
+	ep, err := t.EndpointAt(sw, p)
+	return ep.Switch, err == nil && ep.Kind == EndpointSwitch
+}
+
 // HostAt returns the attachment point of a host.
 func (t *Topology) HostAt(h MAC) (HostAttach, error) {
 	at, ok := t.hosts[h]

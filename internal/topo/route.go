@@ -25,6 +25,8 @@ type attachedView interface {
 	View
 	HostAt(h MAC) (HostAttach, error)
 	PortToward(from, to SwitchID) (Port, error)
+	// neighborAt returns the switch that port p of sw is wired to, if any.
+	neighborAt(sw SwitchID, p Port) (SwitchID, bool)
 }
 
 // SwitchPath is a hop-by-hop sequence of switch IDs, source-side first.
@@ -173,75 +175,51 @@ func (t *Topology) HostPath(src, dst MAC, rng *rand.Rand) (packet.Path, error) {
 	return hostPath(t, src, dst, rng)
 }
 
-// WalkTags follows a tag path starting from the switch where host src
-// attaches and returns the endpoint the final tag reaches. It is the host
-// agent's path verifier (§6.1): a route is accepted only if walking it lands
-// on the intended destination.
-func (t *Topology) WalkTags(src MAC, tags packet.Path) (Endpoint, error) {
-	at, err := t.HostAt(src)
+// FollowTags is the source-route walker (§6.1, Table 2 "Path Verify"): from
+// host src's switch, every tag but the last must name a port v wires to
+// another switch, and the last must be dst's attachment port. v is a
+// *Topology or a *Subgraph (a host's TopoCache, a tenant slice). visit, when
+// non-nil, sees each switch the route reads a tag at, in order, and may stop
+// the walk with an error. On failure hop is the index of the offending tag
+// and at the switch it was read at (hop is -1 when v does not know src or
+// dst). A successful walk does not allocate.
+func FollowTags(v attachedView, src, dst MAC, tags packet.Path, visit func(SwitchID) error) (hop int, at SwitchID, err error) {
+	sat, err := v.HostAt(src)
 	if err != nil {
-		return Endpoint{}, err
+		return -1, 0, err
 	}
-	cur := at.Switch
+	dat, err := v.HostAt(dst)
+	if err != nil {
+		return -1, 0, err
+	}
+	cur := sat.Switch
+	if len(tags) == 0 {
+		return 0, cur, fmt.Errorf("%w: empty path", ErrPathInvalid)
+	}
+	last := len(tags) - 1
 	for i, tag := range tags {
-		ep, err := t.EndpointAt(cur, tag)
-		if err != nil {
-			return Endpoint{}, err
-		}
-		switch ep.Kind {
-		case EndpointNone:
-			return Endpoint{}, fmt.Errorf("%w: hop %d dead port %d on switch %d", ErrPathInvalid, i, tag, cur)
-		case EndpointHost:
-			if i != len(tags)-1 {
-				return Endpoint{}, fmt.Errorf("%w: reached host mid-path at hop %d", ErrPathInvalid, i)
+		if visit != nil {
+			if err := visit(cur); err != nil {
+				return i, cur, err
 			}
-			return ep, nil
-		case EndpointSwitch:
-			if i == len(tags)-1 {
-				return Endpoint{}, fmt.Errorf("%w: path ends on a switch-to-switch link", ErrPathInvalid)
-			}
-			cur = ep.Switch
 		}
+		if i == last {
+			if cur != dat.Switch || tag != dat.Port {
+				return i, cur, fmt.Errorf("%w: hop %d: tag %d at switch %d does not reach %v", ErrPathInvalid, i, tag, cur, dst)
+			}
+			break
+		}
+		next, ok := v.neighborAt(cur, tag)
+		if !ok {
+			return i, cur, fmt.Errorf("%w: hop %d: tag %d at switch %d is not a switch link", ErrPathInvalid, i, tag, cur)
+		}
+		cur = next
 	}
-	return Endpoint{}, fmt.Errorf("%w: empty path", ErrPathInvalid)
+	return len(tags), cur, nil
 }
 
 // VerifyTags reports whether tags routes src's packets to dst.
 func (t *Topology) VerifyTags(src, dst MAC, tags packet.Path) error {
-	ep, err := t.WalkTags(src, tags)
-	if err != nil {
-		return err
-	}
-	if ep.Kind != EndpointHost || ep.Host != dst {
-		return fmt.Errorf("%w: path reaches %v, want %v", ErrPathInvalid, ep.Host, dst)
-	}
-	return nil
-}
-
-// ReverseTags computes the reverse tag path for a forward path from src to
-// dst (ports differ per direction, so this requires topology knowledge).
-func (t *Topology) ReverseTags(src, dst MAC, tags packet.Path) (packet.Path, error) {
-	sat, err := t.HostAt(src)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.VerifyTags(src, dst, tags); err != nil {
-		return nil, err
-	}
-	// Collect the switch sequence along the forward path.
-	seq := SwitchPath{sat.Switch}
-	cur := sat.Switch
-	for i := 0; i+1 < len(tags); i++ {
-		ep, err := t.EndpointAt(cur, tags[i])
-		if err != nil {
-			return nil, err
-		}
-		cur = ep.Switch
-		seq = append(seq, cur)
-	}
-	rev := make(SwitchPath, len(seq))
-	for i, sw := range seq {
-		rev[len(seq)-1-i] = sw
-	}
-	return t.TagsForSwitchPath(rev, src)
+	_, _, err := FollowTags(t, src, dst, tags, nil)
+	return err
 }

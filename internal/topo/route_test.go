@@ -3,6 +3,7 @@ package topo
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,23 +202,103 @@ func TestWalkTagsAndVerify(t *testing.T) {
 	}
 }
 
-func TestReverseTags(t *testing.T) {
-	tp, _ := Testbed()
+// mirrorOf returns a Subgraph holding every link and host attachment of tp.
+func mirrorOf(tp *Topology) *Subgraph {
+	sg := NewSubgraph()
+	for _, id := range tp.SwitchIDs() {
+		for _, nb := range tp.Neighbors(id) {
+			ep, err := tp.EndpointAt(id, nb.Port)
+			if err != nil {
+				panic(err)
+			}
+			sg.AddEdge(id, nb.Port, ep.Switch, ep.Port)
+		}
+	}
+	for _, at := range tp.Hosts() {
+		sg.AddHost(at)
+	}
+	return sg
+}
+
+// TestFollowTagsSameOnMirror: the walker reaches the same verdict, failing
+// hop and switch sequence on a Topology and on a Subgraph mirror of it, for
+// valid routes and for one-tag mutations, truncations and extensions.
+func TestFollowTagsSameOnMirror(t *testing.T) {
+	type walk struct {
+		hop   int
+		at    SwitchID
+		ok    bool
+		trail []SwitchID
+	}
+	follow := func(v attachedView, src, dst MAC, tags packet.Path) walk {
+		var w walk
+		var err error
+		w.hop, w.at, err = FollowTags(v, src, dst, tags, func(sw SwitchID) error {
+			w.trail = append(w.trail, sw)
+			return nil
+		})
+		w.ok = err == nil
+		return w
+	}
+	for name, tp := range oracleTopos(t) {
+		sg := mirrorOf(tp)
+		hosts := tp.Hosts()
+		rng := rand.New(rand.NewSource(1))
+		rejected := 0
+		for trial := 0; trial < 30; trial++ {
+			src, dst := hosts[rng.Intn(len(hosts))].Host, hosts[rng.Intn(len(hosts))].Host
+			tags, err := tp.HostPath(src, dst, rng)
+			if err != nil {
+				t.Fatalf("%s: HostPath: %v", name, err)
+			}
+			cases := []packet.Path{tags, tags[:len(tags)-1], append(tags.Clone(), tags[len(tags)-1])}
+			for i := range tags {
+				m := tags.Clone()
+				m[i] = Port(rng.Intn(10))
+				cases = append(cases, m)
+			}
+			for i, c := range cases {
+				onTopo, onMirror := follow(tp, src, dst, c), follow(sg, src, dst, c)
+				if i == 0 && !onTopo.ok {
+					t.Fatalf("%s: valid route %v rejected at hop %d", name, c, onTopo.hop)
+				}
+				if !onTopo.ok {
+					rejected++
+				}
+				if onTopo.ok != onMirror.ok || onTopo.hop != onMirror.hop || onTopo.at != onMirror.at ||
+					!slices.Equal(onTopo.trail, onMirror.trail) {
+					t.Errorf("%s: %v -> %v tags %v: topology %+v, mirror %+v", name, src, dst, c, onTopo, onMirror)
+				}
+			}
+		}
+		if rejected == 0 {
+			t.Errorf("%s: no case was rejected", name)
+		}
+	}
+}
+
+// TestFollowTagsAllocFree: a successful walk allocates nothing on either
+// view.
+func TestFollowTagsAllocFree(t *testing.T) {
+	tp, err := FatTree(4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	hosts := tp.Hosts()
-	h1, h2 := hosts[0].Host, hosts[20].Host
-	fwd, err := tp.HostPath(h1, h2, nil)
+	src, dst := hosts[0].Host, hosts[len(hosts)-1].Host
+	tags, err := tp.HostPath(src, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev, err := tp.ReverseTags(h1, h2, fwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.VerifyTags(h2, h1, rev); err != nil {
-		t.Fatalf("reverse path invalid: %v", err)
-	}
-	if len(rev) != len(fwd) {
-		t.Fatalf("reverse length %d != forward %d", len(rev), len(fwd))
+	for name, v := range map[string]attachedView{"topology": tp, "subgraph": mirrorOf(tp)} {
+		walk := func() {
+			if _, _, err := FollowTags(v, src, dst, tags, nil); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if n := testing.AllocsPerRun(200, walk); n != 0 {
+			t.Errorf("%s: FollowTags allocates %v/op on success, want 0", name, n)
+		}
 	}
 }
 

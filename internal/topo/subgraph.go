@@ -153,6 +153,18 @@ func (s *Subgraph) Neighbors(id SwitchID) []Neighbor {
 	return out
 }
 
+// neighborAt implements attachedView. Should a merge have left two cached
+// links on one port, the lower switch ID wins, as in Neighbors order.
+func (s *Subgraph) neighborAt(sw SwitchID, p Port) (SwitchID, bool) {
+	next, ok := SwitchID(0), false
+	for nb, port := range s.adj[sw] {
+		if port == p && (!ok || nb < next) {
+			next, ok = nb, true
+		}
+	}
+	return next, ok
+}
+
 // PortToward returns the local port on from toward adjacent switch to.
 func (s *Subgraph) PortToward(from, to SwitchID) (Port, error) {
 	if p, ok := s.adj[from][to]; ok {

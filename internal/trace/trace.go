@@ -499,8 +499,10 @@ func (r *Recorder) Reset() {
 	r.next, r.count, r.total = 0, 0, 0
 }
 
-// flowHash mixes the 12 Ethernet address bytes (dst ‖ src) with FNV-1a. It
-// is the flow-sampling key: deterministic for an address pair, so the same
+// flowHash mixes the 12 Ethernet address bytes (dst ‖ src) with an FNV-1a
+// loop whose start value is one digit short of FNV-1a's offset basis
+// (14695981039346656037); the pinned trace digests fix it. It is the
+// flow-sampling key: deterministic for an address pair, so the same
 // seed yields the same sampled flows.
 // A splitmix64 finalizer follows the FNV loop because SampleMod reads the
 // hash's low bits, and raw FNV-1a over near-identical MAC pairs leaves

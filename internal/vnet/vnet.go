@@ -201,7 +201,9 @@ func (m *Manager) SetMaster(t *topo.Topology) {
 }
 
 // tenantSeed mixes the manager seed with a tenant identity and generation
-// (FNV-1a plus splitmix-style avalanche).
+// (an FNV-1a loop plus splitmix-style avalanche). The start value is one
+// digit short of FNV-1a's offset basis, 14695981039346656037; the pinned
+// digests fix it.
 func tenantSeed(seed int64, id TenantID, gen uint64) uint64 {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(id); i++ {
@@ -556,41 +558,21 @@ func (m *Manager) VerifyRoute(id TenantID, src, dst packet.MAC, tags packet.Path
 	if !t.hosts[src] || !t.hosts[dst] {
 		return fmt.Errorf("verify %q: %v->%v: %w", id, src, dst, ErrForeignHost)
 	}
-	sat, err := t.view.HostAt(src)
-	if err != nil {
-		return fmt.Errorf("verify %q: %v: %w", id, src, ErrForeignHost)
+	hop, at, err := topo.FollowTags(t.view, src, dst, tags, nil)
+	switch {
+	case err == nil:
+		return nil
+	case hop < 0: // the slice holds no attachment for src or dst
+		return fmt.Errorf("verify %q: %v->%v: %w", id, src, dst, ErrForeignHost)
+	case hop >= len(tags)-1:
+		return fmt.Errorf("verify %q: route does not end at %v: %w", id, dst, ErrOutsideSlice)
 	}
-	dat, err := t.view.HostAt(dst)
-	if err != nil {
-		return fmt.Errorf("verify %q: %v: %w", id, dst, ErrForeignHost)
+	// Distinguish a slice escape (the hop exists on the fabric but not in
+	// the permission) from a tag into the void.
+	if ep, err := m.master.EndpointAt(at, tags[hop]); err == nil && ep.Kind == topo.EndpointSwitch {
+		return fmt.Errorf("verify %q: hop %d->%d: %w", id, at, ep.Switch, ErrOutsideSlice)
 	}
-	cur := sat.Switch
-	for i, tag := range tags {
-		if i == len(tags)-1 {
-			if cur == dat.Switch && tag == dat.Port {
-				return nil
-			}
-			return fmt.Errorf("verify %q: final tag at switch %d: %w", id, cur, ErrOutsideSlice)
-		}
-		next := packet.SwitchID(0)
-		found := false
-		for _, nb := range t.view.Neighbors(cur) {
-			if nb.Port == tag {
-				next, found = nb.Sw, true
-				break
-			}
-		}
-		if !found {
-			// Distinguish a slice escape (the hop exists on the fabric but
-			// not in the permission) from a tag into the void.
-			if ep, err := m.master.EndpointAt(cur, topo.Port(tag)); err == nil && ep.Kind == topo.EndpointSwitch {
-				return fmt.Errorf("verify %q: hop %d->%d: %w", id, cur, ep.Switch, ErrOutsideSlice)
-			}
-			return fmt.Errorf("verify %q: tag %d at switch %d: %w", id, tag, cur, ErrUnknownSwitch)
-		}
-		cur = next
-	}
-	return fmt.Errorf("verify %q: route ends mid-fabric: %w", id, ErrOutsideSlice)
+	return fmt.Errorf("verify %q: tag %d at switch %d: %w", id, tags[hop], at, ErrUnknownSwitch)
 }
 
 // ApplyLinkDown patches every tenant view after a failure, mirroring the

@@ -1,7 +1,6 @@
 package workload_test
 
 import (
-	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -116,24 +115,32 @@ func TestHiBenchOnFabricDeterminism(t *testing.T) {
 	}
 }
 
-// TestWithShuffleWidth checks the partial-shuffle rewrite preserves per-
-// stage traffic volume and bounds the flow count.
-func TestWithShuffleWidth(t *testing.T) {
-	j := workload.Terasort(64, 1.0)
-	p := j.WithShuffleWidth(4)
-	for i := range j.Stages {
-		want, got := stageBytes(j.Stages[i]), stageBytes(p.Stages[i])
-		if math.Abs(want-got) > 1e-6*math.Max(want, 1) {
-			t.Errorf("stage %d: bytes %.0f != %.0f", i, got, want)
-		}
-		if len(j.Stages[i].Flows) > 0 {
-			if n := len(p.Stages[i].Flows); n != 64*4 {
-				t.Errorf("stage %d: %d flows, want %d", i, n, 64*4)
+// TestHiBenchSuiteShuffleWidth: every bounded stage is exactly the partial
+// shuffle of its full-mesh stage's summed bytes, flow for flow and bit for
+// bit, and the suite's DAGs stay valid.
+func TestHiBenchSuiteShuffleWidth(t *testing.T) {
+	const workers, width = 64, 4
+	full := workload.HiBenchSuite(workers, 1.0)
+	narrow := workload.HiBenchSuiteWidth(workers, width, 1.0)
+	for i, j := range full {
+		for s, st := range j.Stages {
+			got := narrow[i].Stages[s].Flows
+			if len(st.Flows) == 0 {
+				if len(got) != 0 {
+					t.Errorf("%s stage %d: %d flows, want none", j.Name, s, len(got))
+				}
+				continue
+			}
+			if want := workload.ShuffleWidth(workers, width, stageBytes(st)); !slices.Equal(got, want) {
+				t.Errorf("%s stage %d: flows differ from ShuffleWidth over the full stage's bytes", j.Name, s)
+			}
+			if len(got) != workers*width {
+				t.Errorf("%s stage %d: %d flows, want %d", j.Name, s, len(got), workers*width)
 			}
 		}
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+		if err := narrow[i].Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

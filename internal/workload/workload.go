@@ -56,15 +56,24 @@ func (j Job) Validate() error {
 	return nil
 }
 
-// shuffle builds an all-to-all transfer between workers moving totalBytes,
-// split evenly across the n*(n-1) cross-host pairs (same-host pairs move no
-// network bytes).
-func shuffle(workers int, totalBytes float64) []Flow {
+// shuffle builds a stage's transfer of totalBytes between workers. At width
+// 0 it is the all-to-all mesh, split evenly across the n*(n-1) cross-host
+// pairs (same-host pairs move no network bytes). At a positive width it is
+// ShuffleWidth over the mesh's total re-summed pair by pair, so a bounded
+// stage carries bit-for-bit the bytes its full mesh would.
+func shuffle(workers, width int, totalBytes float64) []Flow {
 	if workers < 2 {
 		return nil
 	}
 	pairs := workers * (workers - 1)
 	per := totalBytes / float64(pairs)
+	if width > 0 {
+		total := 0.0
+		for range pairs {
+			total += per
+		}
+		return ShuffleWidth(workers, width, total)
+	}
 	flows := make([]Flow, 0, pairs)
 	for s := 0; s < workers; s++ {
 		for d := 0; d < workers; d++ {
@@ -89,7 +98,7 @@ func ShuffleWidth(workers, width int, totalBytes float64) []Flow {
 		return nil
 	}
 	if width <= 0 || width >= workers {
-		return shuffle(workers, totalBytes)
+		return shuffle(workers, 0, totalBytes)
 	}
 	per := totalBytes / float64(workers*width)
 	flows := make([]Flow, 0, workers*width)
@@ -106,64 +115,65 @@ const gb = 1e9
 // The HiBench models: input sizes are in GB of raw data; shuffle ratios and
 // compute constants are calibrated to the relative job durations the suite
 // shows on a small cluster (Terasort shuffle-dominated, Wordcount
-// map-dominated, Pagerank iterative).
+// map-dominated, Pagerank iterative). Each builder bounds its shuffles to
+// width peers per worker; width 0 is the full mesh.
 
 // Wordcount is map-heavy with a tiny shuffle (word histograms compress
 // well).
-func Wordcount(workers int, inputGB float64) Job {
+func Wordcount(workers, width int, inputGB float64) Job {
 	return Job{
 		Name: "Wordcount",
 		Stages: []Stage{
 			{Name: "map", ComputeSec: 14 * inputGB},
 			{Name: "shuffle+reduce", Deps: []int{0}, ComputeSec: 2,
-				Flows: shuffle(workers, 0.05*inputGB*gb)},
+				Flows: shuffle(workers, width, 0.05*inputGB*gb)},
 		},
 	}
 }
 
 // Terasort moves its entire input through the shuffle.
-func Terasort(workers int, inputGB float64) Job {
+func Terasort(workers, width int, inputGB float64) Job {
 	return Job{
 		Name: "Terasort",
 		Stages: []Stage{
 			{Name: "sample+map", ComputeSec: 4 * inputGB},
 			{Name: "shuffle", Deps: []int{0}, ComputeSec: 1,
-				Flows: shuffle(workers, 1.0*inputGB*gb)},
+				Flows: shuffle(workers, width, 1.0*inputGB*gb)},
 			{Name: "reduce+write", Deps: []int{1}, ComputeSec: 5 * inputGB},
 		},
 	}
 }
 
 // Aggregation groups records: moderate shuffle.
-func Aggregation(workers int, inputGB float64) Job {
+func Aggregation(workers, width int, inputGB float64) Job {
 	return Job{
 		Name: "Aggregation",
 		Stages: []Stage{
 			{Name: "scan", ComputeSec: 6 * inputGB},
 			{Name: "shuffle+aggregate", Deps: []int{0}, ComputeSec: 2,
-				Flows: shuffle(workers, 0.3*inputGB*gb)},
+				Flows: shuffle(workers, width, 0.3*inputGB*gb)},
 		},
 	}
 }
 
 // Join scans two tables and shuffles both to the join stage.
-func Join(workers int, inputGB float64) Job {
+func Join(workers, width int, inputGB float64) Job {
 	return Job{
 		Name: "Join",
 		Stages: []Stage{
 			{Name: "scan-left", ComputeSec: 5 * inputGB},
 			{Name: "scan-right", ComputeSec: 4 * inputGB},
 			{Name: "shuffle-left", Deps: []int{0}, ComputeSec: 1,
-				Flows: shuffle(workers, 0.45*inputGB*gb)},
+				Flows: shuffle(workers, width, 0.45*inputGB*gb)},
 			{Name: "shuffle-right", Deps: []int{1}, ComputeSec: 1,
-				Flows: shuffle(workers, 0.35*inputGB*gb)},
+				Flows: shuffle(workers, width, 0.35*inputGB*gb)},
 			{Name: "join+write", Deps: []int{2, 3}, ComputeSec: 4 * inputGB},
 		},
 	}
 }
 
 // Pagerank iterates: each superstep shuffles the rank vector.
-func Pagerank(workers int, inputGB float64) Job {
+func Pagerank(workers, width int, inputGB float64) Job {
 	j := Job{Name: "Pagerank"}
 	j.Stages = append(j.Stages, Stage{Name: "load", ComputeSec: 5 * inputGB})
 	prev := 0
@@ -172,7 +182,7 @@ func Pagerank(workers int, inputGB float64) Job {
 			Name:       fmt.Sprintf("iter-%d", it+1),
 			Deps:       []int{prev},
 			ComputeSec: 2 * inputGB,
-			Flows:      shuffle(workers, 0.35*inputGB*gb),
+			Flows:      shuffle(workers, width, 0.35*inputGB*gb),
 		})
 		prev = len(j.Stages) - 1
 	}
@@ -181,50 +191,21 @@ func Pagerank(workers int, inputGB float64) Job {
 
 // HiBenchSuite returns the five jobs at a common scale.
 func HiBenchSuite(workers int, inputGB float64) []Job {
-	return []Job{
-		Aggregation(workers, inputGB),
-		Join(workers, inputGB),
-		Pagerank(workers, inputGB),
-		Terasort(workers, inputGB),
-		Wordcount(workers, inputGB),
-	}
-}
-
-// WithShuffleWidth rewrites every transfer stage as a partial shuffle of
-// the given width over the same worker set, preserving the stage's total
-// bytes. This is how the HiBench jobs scale to thousands of workers: the
-// DAG shape and traffic volume stay, the quadratic flow count goes.
-func (j Job) WithShuffleWidth(width int) Job {
-	out := Job{Name: j.Name, Stages: make([]Stage, len(j.Stages))}
-	for i, st := range j.Stages {
-		ns := st
-		if len(st.Flows) > 0 {
-			workers := 0
-			total := 0.0
-			for _, f := range st.Flows {
-				if f.Src >= workers {
-					workers = f.Src + 1
-				}
-				if f.Dst >= workers {
-					workers = f.Dst + 1
-				}
-				total += f.Bytes
-			}
-			ns.Flows = ShuffleWidth(workers, width, total)
-		}
-		out.Stages[i] = ns
-	}
-	return out
+	return HiBenchSuiteWidth(workers, 0, inputGB)
 }
 
 // HiBenchSuiteWidth is HiBenchSuite with every shuffle bounded to width
-// peers per worker — the form that runs at fat-tree scale.
+// peers per worker — the form that runs at fat-tree scale: the DAG shape and
+// traffic volume stay, the quadratic flow count goes. Width 0 is the full
+// suite.
 func HiBenchSuiteWidth(workers, width int, inputGB float64) []Job {
-	jobs := HiBenchSuite(workers, inputGB)
-	for i := range jobs {
-		jobs[i] = jobs[i].WithShuffleWidth(width)
+	return []Job{
+		Aggregation(workers, width, inputGB),
+		Join(workers, width, inputGB),
+		Pagerank(workers, width, inputGB),
+		Terasort(workers, width, inputGB),
+		Wordcount(workers, width, inputGB),
 	}
-	return jobs
 }
 
 // --- Micro-benchmark traffic -------------------------------------------
@@ -252,7 +233,7 @@ func Permutation(hosts int, bytes float64, rng *rand.Rand) []Flow {
 
 // AllToAll builds a full mesh moving totalBytes.
 func AllToAll(hosts int, totalBytes float64) []Flow {
-	return shuffle(hosts, totalBytes)
+	return shuffle(hosts, 0, totalBytes)
 }
 
 // Incast builds n-to-1 traffic into dst.

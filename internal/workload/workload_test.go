@@ -10,7 +10,7 @@ import (
 )
 
 func TestShuffleCoversAllPairs(t *testing.T) {
-	flows := shuffle(4, 1200)
+	flows := shuffle(4, 0, 1200)
 	if len(flows) != 12 {
 		t.Fatalf("flows = %d, want 12", len(flows))
 	}
@@ -29,7 +29,7 @@ func TestShuffleCoversAllPairs(t *testing.T) {
 	if math.Abs(sum-1200) > 1e-9 {
 		t.Fatalf("total = %v", sum)
 	}
-	if shuffle(1, 100) != nil {
+	if shuffle(1, 0, 100) != nil {
 		t.Fatal("single worker should have no shuffle")
 	}
 }
@@ -51,9 +51,9 @@ func TestJobsValidateAndHaveTraffic(t *testing.T) {
 func TestJobShuffleOrdering(t *testing.T) {
 	// Terasort must move the most bytes; Wordcount the least (Fig 13's
 	// jobs stress the network very differently).
-	ts := Terasort(8, 2).TotalBytes()
-	wc := Wordcount(8, 2).TotalBytes()
-	ag := Aggregation(8, 2).TotalBytes()
+	ts := Terasort(8, 0, 2).TotalBytes()
+	wc := Wordcount(8, 0, 2).TotalBytes()
+	ag := Aggregation(8, 0, 2).TotalBytes()
 	if !(ts > ag && ag > wc) {
 		t.Fatalf("bytes ordering: ts=%v ag=%v wc=%v", ts, ag, wc)
 	}
@@ -194,7 +194,7 @@ func TestHiBenchFlowletBeatsSinglePath(t *testing.T) {
 	// The core Fig 13 property: with a constrained fabric, flowlet TE
 	// finishes shuffle-heavy jobs faster than single-path routing.
 	build := func() *LeafSpineNet { return NewLeafSpine(2, 5, 5, 10e9, 0.5e9) }
-	job := Terasort(25, 2)
+	job := Terasort(25, 0, 2)
 	lsF := build()
 	durFlowlet, err := RunJob(job, lsF.Net, lsF.FlowletPolicy())
 	if err != nil {
@@ -211,7 +211,7 @@ func TestHiBenchFlowletBeatsSinglePath(t *testing.T) {
 }
 
 func TestECMPBetweenFlowletAndSingle(t *testing.T) {
-	job := Terasort(25, 2)
+	job := Terasort(25, 0, 2)
 	run := func(policy func(*LeafSpineNet) RouteFunc) float64 {
 		ls := NewLeafSpine(2, 5, 5, 10e9, 0.5e9)
 		dur, err := RunJob(job, ls.Net, policy(ls))
