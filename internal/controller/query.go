@@ -98,17 +98,24 @@ type RouteAnswer struct {
 	// tenant.
 	Tenant string
 
+	// switches is how many switches a computed global answer's graph
+	// holds, for the ctrl.route.pgsize histogram.
+	switches int
+	// pg is a tenant answer's slice-built graph, replayed by the tenant
+	// route audit.
 	pg   *topo.PathGraph
 	tree *mcast.Tree
 }
 
-// Graph returns a mutable clone of a unicast answer's path graph, nil for
-// tree answers. Cloning allocates; hot paths should use Wire.
+// Graph decodes a unicast answer's Wire into a fresh path graph the caller
+// may mutate; nil for tree answers. Decoding builds the graph's maps, so hot
+// paths should use Wire.
 func (a RouteAnswer) Graph() *topo.PathGraph {
-	if a.pg == nil {
+	if a.Scope == ScopeTree {
 		return nil
 	}
-	return a.pg.Clone()
+	pg, _ := topo.UnmarshalPathGraph(a.Wire) // nil if Wire holds none
+	return pg
 }
 
 // Tree returns a mutable clone of a ScopeTree answer's distribution tree,

@@ -13,9 +13,10 @@ import (
 // The route service: the controller's path-graph answers, made O(cache hit).
 // Computed path graphs are cached per host pair in generation caches
 // (internal/gencache) stamped with the controller's Epoch, so chaos-driven
-// churn can never serve a stale route. Misses run Algorithm 1 over the
-// dense routing kernels with a reused scratch, and the serialized wire form
-// is cached alongside the graph so a warm path request allocates nothing.
+// churn can never serve a stale route. A miss runs Algorithm 1 over the
+// dense routing kernels with a reused scratch and writes the answer's wire
+// form straight from the dense node set; the cache keeps those bytes and a
+// switch count, no graph, so a warm path request allocates nothing.
 
 // pairKey identifies one cached path-graph: a requesting host and a
 // destination host. Caching per host pair (rather than per switch pair)
@@ -113,7 +114,7 @@ func (s *RouteService) lookup(src, dst packet.MAC) (RouteAnswer, error) {
 	if err != nil {
 		return RouteAnswer{}, err
 	}
-	s.compute.Observe(int64(a.pg.Graph.NumSwitches()))
+	s.compute.Observe(int64(a.switches))
 	s.global.Put(pairKey{src, dst}, ep, a)
 	return *a, nil
 }
@@ -124,11 +125,11 @@ func (s *RouteService) lookup(src, dst packet.MAC) (RouteAnswer, error) {
 // scratch and rng).
 func (s *RouteService) computeAnswer(ep Epoch, key pairKey, sc *topo.DenseScratch, rng *rand.Rand) (*RouteAnswer, error) {
 	rng.Seed(pairSeed(key.src, key.dst, ep.version, ep.gen))
-	pg, err := topo.BuildPathGraphScratch(ep.top, key.src, key.dst, PathGraphOptions(), rng, sc)
+	wire, switches, err := topo.WritePathGraph(ep.top, key.src, key.dst, PathGraphOptions(), rng, sc)
 	if err != nil {
 		return nil, err
 	}
-	return &RouteAnswer{Wire: pg.Marshal(), Scope: ScopeGlobal, pg: pg}, nil
+	return &RouteAnswer{Wire: wire, Scope: ScopeGlobal, switches: switches}, nil
 }
 
 // lookupTenant answers a tenant member pair from the slice plane,
@@ -272,7 +273,7 @@ func (s *RouteService) Warm(pairs [][2]packet.MAC, workers int) int {
 	for _, rs := range out {
 		for _, r := range rs {
 			s.global.Put(r.key, ep, r.a)
-			s.compute.Observe(int64(r.a.pg.Graph.NumSwitches()))
+			s.compute.Observe(int64(r.a.switches))
 			n++
 		}
 	}

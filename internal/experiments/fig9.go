@@ -54,15 +54,37 @@ type Fig9Measured struct {
 	LookupAndTagNs float64 // PathTable lookup + tagged encode
 }
 
-// fig9Samples is how many samples of reps iterations each datapath cost
-// takes. The series run interleaved, one sample of each in turn, and report
-// their medians, so a burst of load on a shared machine skews one sample of
-// every series rather than the whole of one.
-const fig9Samples = 11
+// wallSamples is how many samples of reps iterations each wall-clock cost
+// takes (Fig 9's datapath, Table 2's kernel functions). The series run
+// interleaved, one sample of each in turn, and report their medians, so a
+// burst of load on a shared machine skews one sample of every series
+// rather than the whole of one.
+const wallSamples = 11
+
+// interleavedMedians times each run over wallSamples interleaved samples
+// of reps calls and returns each one's median ns per call.
+func interleavedMedians(reps int, runs ...func() error) ([]float64, error) {
+	samples := make([]metrics.Dist, len(runs))
+	for range wallSamples {
+		for i, run := range runs {
+			start := time.Now()
+			for range reps {
+				if err := run(); err != nil {
+					return nil, err
+				}
+			}
+			samples[i].Add(float64(time.Since(start).Nanoseconds()) / float64(reps))
+		}
+	}
+	out := make([]float64, len(runs))
+	for i := range samples {
+		out[i] = samples[i].Median()
+	}
+	return out, nil
+}
 
 // measureDatapath runs the real microbenchmarks.
 func measureDatapath(frameBytes, reps int) (Fig9Measured, error) {
-	var out Fig9Measured
 	payload := make([]byte, frameBytes-packet.EthernetHeaderLen-7)
 	dst := packet.MACFromUint64(1)
 	src := packet.MACFromUint64(2)
@@ -72,35 +94,19 @@ func measureDatapath(frameBytes, reps int) (Fig9Measured, error) {
 	tagged := &packet.Frame{Dst: dst, Src: src, Tags: packet.Path{2, 3, 5, 1}, InnerType: packet.EtherTypeIPv4, Payload: payload}
 	pt := host.NewPathTable(4)
 	pt.Install(dst, &host.TableEntry{Paths: []host.CachedPath{{Tags: packet.Path{2, 3, 5, 1}}}})
-	series := []struct {
-		ns  *float64
-		run func() error
-	}{
-		{&out.EncodePlainNs, func() error { _, err := plain.EncodeTo(buf); return err }},
-		{&out.EncodeTaggedNs, func() error { _, err := tagged.EncodeTo(buf); return err }},
-		{&out.EncodeMPLSNs, func() error { _, err := tagged.EncodeMPLS(); return err }},
-		{&out.LookupAndTagNs, func() error {
+	ns, err := interleavedMedians(reps,
+		func() error { _, err := plain.EncodeTo(buf); return err },
+		func() error { _, err := tagged.EncodeTo(buf); return err },
+		func() error { _, err := tagged.EncodeMPLS(); return err },
+		func() error {
 			tagged.Tags = pt.Lookup(dst).Paths[0].Tags
 			_, err := tagged.EncodeTo(buf)
 			return err
-		}},
+		})
+	if err != nil {
+		return Fig9Measured{}, err
 	}
-	samples := make([]metrics.Dist, len(series))
-	for range fig9Samples {
-		for i, s := range series {
-			start := time.Now()
-			for range reps {
-				if err := s.run(); err != nil {
-					return out, err
-				}
-			}
-			samples[i].Add(float64(time.Since(start).Nanoseconds()) / float64(reps))
-		}
-	}
-	for i, s := range series {
-		*s.ns = samples[i].Median()
-	}
-	return out, nil
+	return Fig9Measured{EncodePlainNs: ns[0], EncodeTaggedNs: ns[1], EncodeMPLSNs: ns[2], LookupAndTagNs: ns[3]}, nil
 }
 
 // Fig9 produces the throughput comparison.
@@ -128,7 +134,7 @@ func Fig9(reps int) (*Result, error) {
 		Table: tbl,
 		Notes: []string{
 			fmt.Sprintf("measured datapath (this repo, median of %d interleaved samples of %d reps): plain encode %.0f ns, tagged encode %.0f ns, MPLS encode %.0f ns, lookup+tag %.0f ns",
-				fig9Samples, reps, meas.EncodePlainNs, meas.EncodeTaggedNs, meas.EncodeMPLSNs, meas.LookupAndTagNs),
+				wallSamples, reps, meas.EncodePlainNs, meas.EncodeTaggedNs, meas.EncodeMPLSNs, meas.LookupAndTagNs),
 			"model: 1464 B frames, 2.165 µs/pkt software base cost (calibrated to the paper's 5.41 Gbps), +4.2% MPLS header copy",
 		},
 	}

@@ -51,7 +51,7 @@ func StorageOverhead(k int, destinations int, seed int64) (*Result, error) {
 	hosts := ft.Hosts()
 	src := hosts[0].Host
 
-	cache := topo.NewSubgraph()
+	cache, sc := topo.NewSubgraph(), topo.NewDenseScratch()
 	pt := host.NewPathTable(4)
 	tbl := metrics.NewTable(
 		fmt.Sprintf("§7.3 storage overhead: host caches on a k=%d fat-tree (%d switches)", k, ft.NumSwitches()),
@@ -66,11 +66,9 @@ func StorageOverhead(k int, destinations int, seed int64) (*Result, error) {
 		if dst == src {
 			continue
 		}
-		pg, err := topo.BuildPathGraph(ft, src, dst, controller.PathGraphOptions(), rng)
-		if err != nil {
+		if _, err := topo.BuildPathGraphInto(cache, ft, src, dst, controller.PathGraphOptions(), rng, sc); err != nil {
 			return nil, err
 		}
-		cache.Merge(pg.Graph)
 		sat, _ := cache.HostAt(src)
 		dat, _ := cache.HostAt(dst)
 		sps, err := topo.KShortestPaths(cache, sat.Switch, dat.Switch, 4)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"dumbnet/internal/controller"
 	"dumbnet/internal/host"
@@ -42,9 +41,8 @@ type Table2Micro struct {
 }
 
 // RunTable2Micro executes the three microbenchmarks and returns per-op
-// latencies.
+// latencies, each the median of interleaved samples (interleavedMedians).
 func RunTable2Micro(sz Table2Sizes) (Table2Micro, error) {
-	var out Table2Micro
 	rng := rand.New(rand.NewSource(42))
 
 	// --- PathTable lookup over 10K random entries. ---
@@ -55,13 +53,6 @@ func RunTable2Micro(sz Table2Sizes) (Table2Micro, error) {
 		keys = append(keys, m)
 		pt.Install(m, &host.TableEntry{Paths: []host.CachedPath{{Tags: packet.Path{1, 2, 3}}}})
 	}
-	start := time.Now()
-	var sink *host.TableEntry
-	for i := 0; i < sz.Reps; i++ {
-		sink = pt.Lookup(keys[rng.Intn(len(keys))])
-	}
-	out.LookupNs = float64(time.Since(start).Nanoseconds()) / float64(sz.Reps)
-	_ = sink
 
 	// --- Path verify: walk a VerifyLen-tag path against the topology.
 	// A fat-tree's diameter is too small for a 16-hop path, so the verify
@@ -70,24 +61,17 @@ func RunTable2Micro(sz Table2Sizes) (Table2Micro, error) {
 	side := (sz.VerifyLen + 2) / 3 // 3 dims * (side-1) hops + host tag
 	cube, err := topo.CubeDims([]int{side, side, side}, 1, 0)
 	if err != nil {
-		return out, err
+		return Table2Micro{}, err
 	}
 	ch := cube.Hosts()
 	src, dst := ch[0].Host, ch[len(ch)-1].Host
 	vtags, err := cube.HostPath(src, dst, nil)
 	if err != nil {
-		return out, err
+		return Table2Micro{}, err
 	}
 	if len(vtags) < sz.VerifyLen-3 {
-		return out, fmt.Errorf("experiments: verify path only %d tags", len(vtags))
+		return Table2Micro{}, fmt.Errorf("experiments: verify path only %d tags", len(vtags))
 	}
-	start = time.Now()
-	for i := 0; i < sz.Reps; i++ {
-		if err := cube.VerifyTags(src, dst, vtags); err != nil {
-			return out, err
-		}
-	}
-	out.VerifyNs = float64(time.Since(start).Nanoseconds()) / float64(sz.Reps)
 
 	// --- Find path: what the kernel module's path-cache service actually
 	// does — search the host's TopoCache (merged path graphs), not the
@@ -95,33 +79,38 @@ func RunTable2Micro(sz Table2Sizes) (Table2Micro, error) {
 	// route computation inside it. ---
 	ft, err := topo.FatTree(sz.FatTreeK, 1, 0)
 	if err != nil {
-		return out, err
+		return Table2Micro{}, err
 	}
 	hosts := ft.Hosts()
 	origin := hosts[0].Host
-	cache := topo.NewSubgraph()
+	cache, sc := topo.NewSubgraph(), topo.NewDenseScratch()
 	var dsts []packet.MAC
 	for i := 0; i < 8; i++ {
 		dst := hosts[rng.Intn(len(hosts))].Host
 		if dst == origin {
 			continue
 		}
-		pg, err := topo.BuildPathGraph(ft, origin, dst, controller.PathGraphOptions(), rng)
-		if err != nil {
-			return out, err
+		if _, err := topo.BuildPathGraphInto(cache, ft, origin, dst, controller.PathGraphOptions(), rng, sc); err != nil {
+			return Table2Micro{}, err
 		}
-		cache.Merge(pg.Graph)
 		dsts = append(dsts, dst)
 	}
-	reps := sz.Reps
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		if _, err := cache.HostPath(origin, dsts[i%len(dsts)], rng); err != nil {
-			return out, err
-		}
+
+	var sink *host.TableEntry
+	next := 0
+	ns, err := interleavedMedians(sz.Reps,
+		func() error { sink = pt.Lookup(keys[rng.Intn(len(keys))]); return nil },
+		func() error { return cube.VerifyTags(src, dst, vtags) },
+		func() error {
+			next++
+			_, err := cache.HostPath(origin, dsts[next%len(dsts)], rng)
+			return err
+		})
+	_ = sink
+	if err != nil {
+		return Table2Micro{}, err
 	}
-	out.FindNs = float64(time.Since(start).Nanoseconds()) / float64(reps)
-	return out, nil
+	return Table2Micro{LookupNs: ns[0], VerifyNs: ns[1], FindNs: ns[2]}, nil
 }
 
 // Table2 runs the microbenchmarks and formats the comparison.
@@ -137,7 +126,8 @@ func Table2(sz Table2Sizes) (*Result, error) {
 	tbl.AddRow("PathTable lookup", 0.37, m.LookupNs/1000)
 	tbl.AddRow("Path verify", 7.17, m.VerifyNs/1000)
 	tbl.AddRow("Find path", 1.50, m.FindNs/1000)
-	res := &Result{Name: "Table 2 — kernel-module function latencies", Table: tbl}
+	res := &Result{Name: "Table 2 — kernel-module function latencies", Table: tbl,
+		Notes: []string{fmt.Sprintf("measured: median of %d interleaved samples of %d reps each", wallSamples, sz.Reps)}}
 	res.Checks = append(res.Checks,
 		Check{
 			Claim: "lookup is the cheapest operation (sub-µs hash lookup)",

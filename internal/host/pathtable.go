@@ -263,16 +263,16 @@ func (a *Agent) sendPathRequest(dst packet.MAC, attempt int) {
 	})
 }
 
-// handlePathResponse integrates a controller-issued path graph.
+// handlePathResponse integrates a controller-issued path graph: the body is
+// read straight into the TopoCache, and only once all of it has checked out.
 func (a *Agent) handlePathResponse(blob *packet.Blob) {
-	pg, err := topo.UnmarshalPathGraph(blob.Body)
+	pg, err := topo.DecodePathGraph(blob.Body, a.cache)
 	if err != nil {
 		a.stats.BadFrames++
 		return
 	}
 	a.stats.PathResponses++
 	a.eng.Tracer().Ctrl(int64(a.eng.Now()), trace.CtrlPathResponse, a.mac, pg.Dst, blob.Seq)
-	a.cache.Merge(pg.Graph)
 	dst := pg.Dst
 	delete(a.requestOpen, dst)
 	delete(a.requestCtrl, dst)

@@ -17,6 +17,9 @@ func NewWriter(size int) Writer { return Writer{b: make([]byte, 0, size)} }
 // Bytes returns everything written so far.
 func (w *Writer) Bytes() []byte { return w.b }
 
+// Reset empties w, keeping its buffer for the next message.
+func (w *Writer) Reset() { w.b = w.b[:0] }
+
 // U8, U16, U32, U64, MAC and Raw each append one field; Raw appends p as is.
 func (w *Writer) U8(v uint8)   { w.b = append(w.b, v) }
 func (w *Writer) U16(v uint16) { w.b = binary.BigEndian.AppendUint16(w.b, v) }
@@ -59,6 +62,9 @@ func (r *Reader) Ok() bool { return !r.failed }
 // Fail marks the input malformed, for a decoder's own checks (a count over
 // its cap, an unknown kind).
 func (r *Reader) Fail() { r.b, r.failed = nil, true }
+
+// Skip consumes n bytes unread, failing the Reader if fewer remain.
+func (r *Reader) Skip(n int) { r.next(n) }
 
 // Rest returns the unread bytes without consuming them.
 func (r *Reader) Rest() []byte { return r.b }

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"sync/atomic"
+
+	"dumbnet/internal/packet"
 )
 
 // The routing kernels. BFS, weighted shortest path and Yen's k-shortest
@@ -120,20 +122,22 @@ func (b *Bitset) Has(i int32) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
 // scratch serves one goroutine at a time; the zero value is ready to use and
 // grows to the largest graph it has seen.
 type DenseScratch struct {
-	g      DenseGraph // snapshot of a view that keeps none of its own (denseOf)
-	dist   []int32    // BFS hop counts (-1 = unreached)
-	queue  []int32    // BFS work queue
-	wdist  []float64  // Dijkstra tentative distances (+Inf: unreached or settled)
-	prev   []int32    // Dijkstra predecessors
-	done   Bitset     // Dijkstra visited set
-	nodes  Bitset     // path-graph node set under construction
-	path   []int32    // primary path buffer
-	pathB  []int32    // backup path buffer
-	cand   []int32    // equal-cost candidate set
-	mask   denseMask  // Yen: root nodes and used links hidden from a spur search
-	arena  []int32    // Yen: accepted and candidate paths, back to back
-	found  []span     // Yen: accepted paths, in order
-	queued []span     // Yen: candidates not yet accepted
+	g      DenseGraph    // snapshot of a view that keeps none of its own (denseOf)
+	dist   []int32       // BFS hop counts (-1 = unreached)
+	queue  []int32       // BFS work queue
+	wdist  []float64     // Dijkstra tentative distances (+Inf: unreached or settled)
+	prev   []int32       // Dijkstra predecessors
+	done   Bitset        // Dijkstra visited set
+	nodes  Bitset        // path-graph node set under construction
+	path   []int32       // primary path buffer
+	pathB  []int32       // backup path buffer
+	nbrs   []uint64      // path-graph writer: one node's in-set edges
+	w      packet.Writer // path-graph writer: the answer's wire form
+	cand   []int32       // equal-cost candidate set
+	mask   denseMask     // Yen: root nodes and used links hidden from a spur search
+	arena  []int32       // Yen: accepted and candidate paths, back to back
+	found  []span        // Yen: accepted paths, in order
+	queued []span        // Yen: candidates not yet accepted
 }
 
 // denseMask hides nodes and CSR edges from a search.

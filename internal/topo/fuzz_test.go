@@ -3,6 +3,8 @@ package topo
 import (
 	"bytes"
 	"testing"
+
+	"dumbnet/internal/packet"
 )
 
 // The three topology wire decoders face bytes from the network: a host
@@ -47,9 +49,43 @@ func FuzzUnmarshalPathGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	addSeeds(f, goldenPathGraph().Marshal(), pg.Marshal())
+	// A host cache that already holds the golden graph's switches, one of
+	// its links on another port and a host it does not name.
+	base := goldenPathGraph().Graph
+	base.AddEdge(1, 7, 2, 7)
+	base.AddHost(HostAttach{Host: packet.MACFromUint64(0x33), Switch: 9, Port: 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzStable(t, data, UnmarshalPathGraph, (*PathGraph).Marshal)
+		checkDecodeIntoCache(t, data, base)
 	})
+}
+
+// checkDecodeIntoCache decodes data into a copy of base and holds the
+// result to the reader DecodePathGraph replaced: the same verdict; on
+// acceptance, the cache that reader's graph merged into base gives; on
+// rejection, base's bytes unchanged.
+func checkDecodeIntoCache(t *testing.T, data []byte, base *Subgraph) {
+	t.Helper()
+	cache := base.Clone()
+	pg, err := DecodePathGraph(data, cache)
+	ref, refErr := oracleUnmarshalPathGraph(data)
+	if (err != nil) != (refErr != nil) {
+		t.Fatalf("verdict %v, the reference reader's %v\n% x", err, refErr, data)
+	}
+	if err != nil {
+		if !bytes.Equal(cache.Marshal(), base.Marshal()) {
+			t.Fatalf("a rejected body changed the cache\n% x", data)
+		}
+		return
+	}
+	want := base.Clone()
+	want.Merge(ref.Graph)
+	if !bytes.Equal(cache.Marshal(), want.Marshal()) {
+		t.Fatalf("decoding into the cache differs from decode-then-Merge\n% x", data)
+	}
+	if pg.Graph != cache || pg.Src != ref.Src || pg.Dst != ref.Dst || !pg.Primary.Equal(ref.Primary) || !pg.Backup.Equal(ref.Backup) {
+		t.Fatalf("header differs from the reference reader's\n% x", data)
+	}
 }
 
 func FuzzUnmarshalPatch(f *testing.F) {

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"sort"
+
+	"dumbnet/internal/packet"
 )
 
 // The reference implementations of the routing algorithms: the map-based
@@ -226,4 +228,108 @@ func (f filteredView) Neighbors(id SwitchID) []Neighbor {
 		out = append(out, nb)
 	}
 	return out
+}
+
+// oraclePathGraph is Algorithm 1 as it was shipped before WritePathGraph:
+// the same dense node set, induced into a Subgraph in ascending node order
+// and each node's port order (a later write to a link's port wins), then
+// marshalled. The writer must produce these bytes.
+func oraclePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.Rand) ([]byte, error) {
+	opts = opts.withDefaults()
+	sc := NewDenseScratch()
+	sat, err := t.HostAt(src)
+	if err != nil {
+		return nil, err
+	}
+	dat, err := t.HostAt(dst)
+	if err != nil {
+		return nil, err
+	}
+	g, si, di, err := densePair(t, sc, sat.Switch, dat.Switch)
+	if err != nil {
+		return nil, err
+	}
+	if err := g.primaryBackupInto(sc, si, di, opts.BackupPenalty, rng); err != nil {
+		return nil, err
+	}
+	primary := g.idsOf(sc.path)
+	var backup SwitchPath
+	if len(sc.pathB) > 0 {
+		backup = g.idsOf(sc.pathB)
+	}
+	nodes := pathGraphNodes(g, sc, opts)
+	sub := NewSubgraph()
+	for i := int32(0); i < int32(len(g.ids)); i++ {
+		if !nodes.Has(i) {
+			continue
+		}
+		for e := g.start[i]; e < g.start[i+1]; e++ {
+			nb := g.nbr[e]
+			if !nodes.Has(nb) {
+				continue
+			}
+			rp, ok := g.PortBetween(nb, i)
+			if !ok {
+				return nil, ErrNoLink
+			}
+			sub.AddEdge(g.ids[i], g.port[e], g.ids[nb], rp)
+		}
+	}
+	sub.AddHost(sat)
+	sub.AddHost(dat)
+	return (&PathGraph{Src: src, Dst: dst, Primary: primary, Backup: backup, Graph: sub}).Marshal(), nil
+}
+
+// oracleUnmarshalPathGraph is the path-graph reader as it was shipped
+// before DecodePathGraph: it builds a fresh Subgraph while it reads, and a
+// host then merged that into its cache. DecodePathGraph must accept exactly
+// what it accepts and leave a cache as that merge did.
+func oracleUnmarshalPathGraph(b []byte) (*PathGraph, error) {
+	r := packet.NewReader(b)
+	readHeader(&r, pathgrafMagic)
+	readPath := func() SwitchPath {
+		n := int(r.U16())
+		if n > packet.MaxPathLen*4 {
+			r.Fail()
+		}
+		if !r.Ok() {
+			return nil
+		}
+		p := make(SwitchPath, 0, n)
+		for i := 0; i < n; i++ {
+			p = append(p, SwitchID(r.U32()))
+		}
+		return p
+	}
+	pg := &PathGraph{Src: r.MAC(), Dst: r.MAC(), Primary: readPath(), Backup: readPath()}
+	readHeader(&r, subgraphMagic)
+	n := int(r.U32())
+	if n > 1<<22 {
+		r.Fail()
+	}
+	s := NewSubgraph()
+	for i := 0; i < n && r.Ok(); i++ {
+		id := SwitchID(r.U32())
+		cnt := int(r.U16())
+		if s.adj[id] == nil {
+			s.adj[id] = make(map[SwitchID]Port, min(cnt, len(r.Rest())/5))
+		}
+		for j := 0; j < cnt && r.Ok(); j++ {
+			nb := SwitchID(r.U32())
+			s.adj[id][nb] = r.U8()
+		}
+	}
+	hn := int(r.U32())
+	if hn > 1<<22 {
+		r.Fail()
+	}
+	for i := 0; i < hn && r.Ok(); i++ {
+		at := readAttach(&r)
+		s.hosts[at.Host] = at
+	}
+	if !r.Ok() || len(r.Rest()) != 0 {
+		return nil, ErrBadTopology
+	}
+	pg.Graph = s
+	return pg, nil
 }

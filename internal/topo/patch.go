@@ -81,8 +81,7 @@ const patchMagic = 0xD0B4
 // packet.MaxPathLen.
 func (p *Patch) Marshal() []byte {
 	var w packet.Writer
-	w.U16(patchMagic)
-	w.U8(wireVersion)
+	writeHeader(&w, patchMagic)
 	w.U64(p.Version)
 	w.U16(uint16(len(p.Ops)))
 	for _, op := range p.Ops {

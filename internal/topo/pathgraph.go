@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Path graph construction (paper §4.3, Algorithm 1). A path graph is the
@@ -37,10 +40,10 @@ func (o PathGraphOptions) withDefaults() PathGraphOptions {
 	return o
 }
 
-// PathGraph is the controller's answer to a path request: a connected
+// PathGraph is the answer to a path request as a host reads it: a connected
 // subgraph of the fabric containing the primary path, local detours, and a
 // backup path, plus the attachment points needed to turn switch paths into
-// tag paths.
+// tag paths. The controller keeps only the wire form (WritePathGraph).
 type PathGraph struct {
 	Src, Dst MAC
 	Primary  SwitchPath
@@ -51,74 +54,124 @@ type PathGraph struct {
 // BuildPathGraph runs Algorithm 1 on the full topology for the host pair
 // (src, dst). rng (optional) randomizes equal-cost primary choices.
 func BuildPathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.Rand) (*PathGraph, error) {
-	return BuildPathGraphScratch(t, src, dst, opts, rng, NewDenseScratch())
+	return BuildPathGraphInto(NewSubgraph(), t, src, dst, opts, rng, NewDenseScratch())
 }
 
 // BuildPathGraphScratch is BuildPathGraph over caller-owned scratch buffers.
-// The controller's route service holds one scratch per shard, so the path
-// and Dijkstra state behind every cache miss is reused instead of reallocated.
 func BuildPathGraphScratch(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.Rand, sc *DenseScratch) (*PathGraph, error) {
-	opts = opts.withDefaults()
-	sat, err := t.HostAt(src)
+	return BuildPathGraphInto(NewSubgraph(), t, src, dst, opts, rng, sc)
+}
+
+// BuildPathGraphInto runs Algorithm 1 for (src, dst) and reads the answer
+// into s the way a host reads a path response into its TopoCache: the wire
+// form WritePathGraph writes, through DecodePathGraph. It returns the path
+// graph with Graph set to s.
+func BuildPathGraphInto(s *Subgraph, t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.Rand, sc *DenseScratch) (*PathGraph, error) {
+	wire, _, err := WritePathGraph(t, src, dst, opts, rng, sc)
 	if err != nil {
 		return nil, err
 	}
-	dat, err := t.HostAt(dst)
+	return DecodePathGraph(wire, s)
+}
+
+// WritePathGraph runs Algorithm 1 for the host pair (src, dst) and returns
+// the answer in wire form (the MsgPathResponse body, PathGraph.Marshal's
+// layout) and how many switches its graph holds. No Subgraph is built: the
+// body is written from the dense node set, over sc's buffers. The
+// controller's route service holds one scratch per shard, so the path and
+// Dijkstra state behind every cache miss is reused instead of reallocated.
+//
+// The graph lists every node of the set in ascending ID order (each has a
+// neighbour in the set, or is the one switch of a same-switch pair), and
+// each node's in-set neighbours in ascending ID order. On parallel links a
+// node names its lowest port toward a higher-ID neighbour and its highest
+// toward a lower-ID one: the ports a Subgraph induced in ascending node and
+// port order is left with, so the bytes are the ones its Marshal wrote
+// (TestPathGraphWireMatchesOracle).
+func WritePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.Rand, sc *DenseScratch) (wire []byte, switches int, err error) {
+	opts = opts.withDefaults()
+	sat, dat, err := attachPair(t, src, dst)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	g, si, di, err := densePair(t, sc, sat.Switch, dat.Switch)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := g.primaryBackupInto(sc, si, di, opts.BackupPenalty, rng); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	primary := g.idsOf(sc.path)
-	var backup SwitchPath
-	if len(sc.pathB) > 0 {
-		backup = g.idsOf(sc.pathB)
-	}
+	nodes := pathGraphNodes(g, sc, opts)
 
-	nodes := detourNodesDense(g, sc, opts)
-	for _, idx := range sc.pathB {
-		nodes.Set(idx)
+	w := &sc.w
+	w.Reset()
+	writeHeader(w, pathgrafMagic)
+	w.MAC(src)
+	w.MAC(dst)
+	for _, p := range [2][]int32{sc.path, sc.pathB} {
+		w.U16(uint16(len(p)))
+		for _, idx := range p {
+			w.U32(uint32(g.ids[idx]))
+		}
 	}
-
-	// Induce the subgraph on the node set, in ascending node order.
-	sub := NewSubgraph()
+	writeHeader(w, subgraphMagic)
+	countAt := len(w.Bytes())
+	w.U32(0)
 	for i := int32(0); i < int32(len(g.ids)); i++ {
 		if !nodes.Has(i) {
 			continue
 		}
+		// In-set edges as neighbour<<8 | port, the port inverted toward a
+		// lower ID: sorted, each neighbour's first entry is the one to keep.
+		nbrs := sc.nbrs[:0]
 		for e := g.start[i]; e < g.start[i+1]; e++ {
-			nb := g.nbr[e]
-			if !nodes.Has(nb) {
-				continue
+			if nb, p := g.nbr[e], g.port[e]; nodes.Has(nb) {
+				if nb < i {
+					p = ^p
+				}
+				nbrs = append(nbrs, uint64(nb)<<8|uint64(p))
 			}
-			rp, ok := g.PortBetween(nb, i)
-			if !ok {
-				return nil, ErrNoLink
-			}
-			sub.AddEdge(g.ids[i], g.port[e], g.ids[nb], rp)
 		}
+		slices.Sort(nbrs)
+		nbrs = slices.CompactFunc(nbrs, func(a, b uint64) bool { return a>>8 == b>>8 })
+		w.U32(uint32(g.ids[i]))
+		w.U16(uint16(len(nbrs)))
+		for _, v := range nbrs {
+			nb, p := int32(v>>8), Port(v)
+			if nb < i {
+				p = ^p
+			}
+			w.U32(uint32(g.ids[nb]))
+			w.U8(p)
+		}
+		sc.nbrs = nbrs
+		switches++
 	}
-	sub.AddHost(sat)
-	sub.AddHost(dat)
-	return &PathGraph{Src: src, Dst: dst, Primary: primary, Backup: backup, Graph: sub}, nil
+	binary.BigEndian.PutUint32(w.Bytes()[countAt:], uint32(switches))
+	hosts := []HostAttach{sat, dat}
+	slices.SortFunc(hosts, byHost)
+	hosts = slices.CompactFunc(hosts, func(a, b HostAttach) bool { return a.Host == b.Host })
+	w.U32(uint32(len(hosts)))
+	for _, at := range hosts {
+		writeAttach(w, at)
+	}
+	return bytes.Clone(w.Bytes()), switches, nil
 }
 
-// detourNodesDense implements the loop body of Algorithm 1: for every s-hop
-// window [a=p_i, b=p_{i+s}] of the primary path (held in sc.path as dense
-// indices; the last window is cut short at the path's end), mark all switches x with dist(a,x)+dist(x,b) <= s+ε in sc.nodes,
+// pathGraphNodes marks Algorithm 1's node set in sc.nodes: the primary and
+// backup paths (held in sc.path and sc.pathB as dense indices) and, for
+// every s-hop window [a=p_i, b=p_{i+s}] of the primary (the last window cut
+// short at the path's end), all switches x with dist(a,x)+dist(x,b) <= s+ε,
 // advancing i by s/2 (at least 1). The distances are g's cached rows, so g
 // must be a Topology's snapshot; the node set is a bitmap.
-func detourNodesDense(g *DenseGraph, sc *DenseScratch, opts PathGraphOptions) *Bitset {
+func pathGraphNodes(g *DenseGraph, sc *DenseScratch, opts PathGraphOptions) *Bitset {
 	sc.nodes.Reset(len(g.ids))
-	primary := sc.path
-	for _, idx := range primary {
-		sc.nodes.Set(idx)
+	for _, p := range [2][]int32{sc.path, sc.pathB} {
+		for _, idx := range p {
+			sc.nodes.Set(idx)
+		}
 	}
+	primary := sc.path
 	last, step := len(primary)-1, max(opts.S/2, 1)
 	bound := int32(opts.S + opts.Epsilon)
 	for i := 0; i < last; i += step {
@@ -131,18 +184,6 @@ func detourNodesDense(g *DenseGraph, sc *DenseScratch, opts PathGraphOptions) *B
 		}
 	}
 	return &sc.nodes
-}
-
-// Clone deep-copies the path graph, so callers may mutate the result without
-// aliasing a cached instance.
-func (pg *PathGraph) Clone() *PathGraph {
-	return &PathGraph{
-		Src:     pg.Src,
-		Dst:     pg.Dst,
-		Primary: pg.Primary.Clone(),
-		Backup:  pg.Backup.Clone(),
-		Graph:   pg.Graph.Clone(),
-	}
 }
 
 // Validate checks internal consistency: primary and backup lie inside the

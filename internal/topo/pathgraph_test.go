@@ -1,10 +1,13 @@
 package topo
 
 import (
+	"bytes"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"dumbnet/internal/packet"
 )
 
 func mustCube(t *testing.T, n int) *Topology {
@@ -185,6 +188,37 @@ func TestUnmarshalPathGraphErrors(t *testing.T) {
 	}
 }
 
+// TestDecodePathGraphTruncatedLeavesCache cuts a path response in the middle
+// of its first switch's neighbour list: the reader must refuse it without
+// writing that switch's first neighbours, or anything else, into the cache.
+func TestDecodePathGraphTruncatedLeavesCache(t *testing.T) {
+	tp := mustCube(t, 3)
+	hosts := tp.Hosts()
+	pg, err := BuildPathGraph(tp, hosts[0].Host, hosts[len(hosts)-1].Host, PathGraphOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := pg.Marshal()
+	// Header, both paths, the graph's header and count, the first switch's
+	// ID and neighbour count, then one and a half neighbours.
+	cut := 3 + 6 + 6 + 2 + 4*len(pg.Primary) + 2 + 4*len(pg.Backup) + 3 + 4 + 4 + 2 + 5 + 2
+	if first := pg.Graph.SwitchIDs()[0]; len(pg.Graph.Neighbors(first)) < 2 {
+		t.Fatalf("switch %d has fewer than two neighbours to cut between", first)
+	}
+	cache := NewSubgraph()
+	cache.AddEdge(100, 1, 101, 1)
+	before := cache.Marshal()
+	if _, err := DecodePathGraph(b[:cut], cache); err == nil {
+		t.Fatal("a body cut inside a neighbour list was accepted")
+	}
+	if !bytes.Equal(cache.Marshal(), before) {
+		t.Fatal("a refused body changed the cache")
+	}
+	if _, err := DecodePathGraph(b, cache); err != nil || cache.NumSwitches() != pg.Graph.NumSwitches()+2 {
+		t.Fatalf("whole body: %v, %d switches cached", err, cache.NumSwitches())
+	}
+}
+
 // Property: for random host pairs on a cube, the path graph validates, its
 // primary is a shortest path, and the subgraph is connected between the two
 // attachment switches.
@@ -268,6 +302,71 @@ func TestDetourNodesMatchOracle(t *testing.T) {
 					if got := pg.Graph.SwitchIDs(); !slices.Equal(got, wantIDs) {
 						t.Fatalf("%s S=%d ε=%d %v->%v: nodes %v, oracle %v", name, s, eps, src.Switch, dst.Switch, got, wantIDs)
 					}
+				}
+			}
+		}
+	}
+}
+
+// parallelLinkFabric is a four-switch ring whose 1–2 and 3–4 hops are two
+// links each, wired so a lower-ID end's lowest port meets the higher-ID
+// end's highest: only the writer's port rule for parallel links decides
+// which ports those hops go out with. Switch 1 has two hosts, so one pair
+// shares its switch.
+func parallelLinkFabric(t *testing.T) *Topology {
+	t.Helper()
+	tp := New()
+	for id := SwitchID(1); id <= 4; id++ {
+		if err := tp.AddSwitch(id, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, l := range [][4]int{{1, 1, 2, 3}, {1, 2, 2, 1}, {2, 2, 3, 1}, {3, 2, 4, 3}, {3, 3, 4, 1}, {4, 2, 1, 3}} {
+		if err := tp.Connect(SwitchID(l[0]), Port(l[1]), SwitchID(l[2]), Port(l[3])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, sw := range []SwitchID{1, 1, 2, 3, 4} {
+		if err := tp.AttachHost(packet.MACFromUint64(uint64(i+1)), sw, Port(8-i%2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tp
+}
+
+// TestPathGraphWireMatchesOracle holds WritePathGraph to the bytes the
+// induce-then-Marshal reference in oracle_test.go writes, for every ordered
+// host pair of every oracleTopos fabric, a k=8 fat-tree and a fabric with
+// parallel links; the switch count it reports is the decoded graph's.
+func TestPathGraphWireMatchesOracle(t *testing.T) {
+	fabrics := oracleTopos(t)
+	ft8, err := FatTree(8, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabrics["fat-tree/k8"] = ft8
+	fabrics["parallel-links"] = parallelLinkFabric(t)
+	sc := NewDenseScratch()
+	for name, tp := range fabrics {
+		hosts := tp.Hosts()
+		opts := PathGraphOptions{Epsilon: 1 + len(hosts)%2}
+		for i, src := range hosts {
+			for j, dst := range hosts {
+				seed := int64(i*len(hosts) + j)
+				want, wantErr := oraclePathGraph(tp, src.Host, dst.Host, opts, rand.New(rand.NewSource(seed)))
+				got, switches, err := WritePathGraph(tp, src.Host, dst.Host, opts, rand.New(rand.NewSource(seed)), sc)
+				if (err != nil) != (wantErr != nil) {
+					t.Fatalf("%s %d->%d: error %v, oracle %v", name, i, j, err, wantErr)
+				}
+				if err != nil {
+					continue
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s %d->%d: wire differs from the oracle's\n got % x\nwant % x", name, i, j, got, want)
+				}
+				pg, err := UnmarshalPathGraph(got)
+				if err != nil || pg.Graph.NumSwitches() != switches {
+					t.Fatalf("%s %d->%d: %d switches reported, decoded %v (%v)", name, i, j, switches, pg, err)
 				}
 			}
 		}

@@ -145,14 +145,18 @@ func tagsForSwitchPath(v attachedView, sp SwitchPath, dst MAC) (packet.Path, err
 	return append(tags, at.Port), nil
 }
 
+// attachPair looks up where hosts src and dst attach in v.
+func attachPair(v attachedView, src, dst MAC) (sat, dat HostAttach, err error) {
+	if sat, err = v.HostAt(src); err == nil {
+		dat, err = v.HostAt(dst)
+	}
+	return sat, dat, err
+}
+
 // hostPath computes one source-routed tag path from host src to host dst
 // over v, with randomized equal-cost choice when rng != nil.
 func hostPath(v attachedView, src, dst MAC, rng *rand.Rand) (packet.Path, error) {
-	sat, err := v.HostAt(src)
-	if err != nil {
-		return nil, err
-	}
-	dat, err := v.HostAt(dst)
+	sat, dat, err := attachPair(v, src, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -184,11 +188,7 @@ func (t *Topology) HostPath(src, dst MAC, rng *rand.Rand) (packet.Path, error) {
 // and at the switch it was read at (hop is -1 when v does not know src or
 // dst). A successful walk does not allocate.
 func FollowTags(v attachedView, src, dst MAC, tags packet.Path, visit func(SwitchID) error) (hop int, at SwitchID, err error) {
-	sat, err := v.HostAt(src)
-	if err != nil {
-		return -1, 0, err
-	}
-	dat, err := v.HostAt(dst)
+	sat, dat, err := attachPair(v, src, dst)
 	if err != nil {
 		return -1, 0, err
 	}

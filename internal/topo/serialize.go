@@ -19,6 +19,12 @@ const (
 	wireVersion   = 1
 )
 
+// writeHeader writes a format's magic and version.
+func writeHeader(w *packet.Writer, magic uint16) {
+	w.U16(magic)
+	w.U8(wireVersion)
+}
+
 // readHeader reads a format's magic and version, failing r on a mismatch.
 func readHeader(r *packet.Reader, magic uint16) {
 	if r.U16() != magic || r.U8() != wireVersion {
@@ -39,8 +45,7 @@ func readAttach(r *packet.Reader) HostAttach {
 // Marshal serialises the full topology.
 func (t *Topology) Marshal() []byte {
 	var w packet.Writer
-	w.U16(topoMagic)
-	w.U8(wireVersion)
+	writeHeader(&w, topoMagic)
 	ids := t.SwitchIDs()
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
@@ -132,26 +137,16 @@ func UnmarshalTopology(b []byte) (*Topology, error) {
 // Marshal serialises the subgraph.
 func (s *Subgraph) Marshal() []byte {
 	var w packet.Writer
-	w.U16(subgraphMagic)
-	w.U8(wireVersion)
-	ids := make([]SwitchID, 0, len(s.adj))
-	for id := range s.adj {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
+	writeHeader(&w, subgraphMagic)
+	ids := s.SwitchIDs()
 	w.U32(uint32(len(ids)))
 	for _, id := range ids {
+		nbs := s.Neighbors(id) // ID order
 		w.U32(uint32(id))
-		m := s.adj[id]
-		nbs := make([]SwitchID, 0, len(m))
-		for nb := range m {
-			nbs = append(nbs, nb)
-		}
-		slices.Sort(nbs)
 		w.U16(uint16(len(nbs)))
 		for _, nb := range nbs {
-			w.U32(uint32(nb))
-			w.U8(m[nb])
+			w.U32(uint32(nb.Sw))
+			w.U8(nb.Port)
 		}
 	}
 	hosts := s.Hosts() // MAC order
@@ -162,53 +157,10 @@ func (s *Subgraph) Marshal() []byte {
 	return w.Bytes()
 }
 
-// UnmarshalSubgraph parses a serialized subgraph.
-func UnmarshalSubgraph(b []byte) (*Subgraph, error) {
-	r := packet.NewReader(b)
-	s := readSubgraph(&r)
-	if !r.Ok() || len(r.Rest()) != 0 {
-		return nil, ErrBadTopology
-	}
-	return s, nil
-}
-
-// readSubgraph reads one serialized subgraph from r; the caller checks r.
-func readSubgraph(r *packet.Reader) *Subgraph {
-	readHeader(r, subgraphMagic)
-	n := int(r.U32())
-	if n > 1<<22 {
-		r.Fail()
-	}
-	s := NewSubgraph()
-	for i := 0; i < n && r.Ok(); i++ {
-		id := SwitchID(r.U32())
-		cnt := int(r.U16())
-		if s.adj[id] == nil {
-			// Size for what the input can still hold (5 bytes a neighbour),
-			// not for a forged count.
-			s.adj[id] = make(map[SwitchID]Port, min(cnt, len(r.Rest())/5))
-		}
-		for j := 0; j < cnt && r.Ok(); j++ {
-			nb := SwitchID(r.U32())
-			s.adj[id][nb] = r.U8()
-		}
-	}
-	hn := int(r.U32())
-	if hn > 1<<22 {
-		r.Fail()
-	}
-	for i := 0; i < hn && r.Ok(); i++ {
-		at := readAttach(r)
-		s.hosts[at.Host] = at
-	}
-	return s
-}
-
 // Marshal serialises the path graph for a MsgPathResponse payload.
 func (pg *PathGraph) Marshal() []byte {
 	var w packet.Writer
-	w.U16(pathgrafMagic)
-	w.U8(wireVersion)
+	writeHeader(&w, pathgrafMagic)
 	w.MAC(pg.Src)
 	w.MAC(pg.Dst)
 	for _, p := range []SwitchPath{pg.Primary, pg.Backup} {
@@ -223,25 +175,64 @@ func (pg *PathGraph) Marshal() []byte {
 
 // UnmarshalPathGraph parses a serialized path graph.
 func UnmarshalPathGraph(b []byte) (*PathGraph, error) {
+	return DecodePathGraph(b, NewSubgraph())
+}
+
+// DecodePathGraph reads a serialized path graph into s and returns it with
+// Graph set to s. It checks all of b before it writes anything, so a
+// rejected b leaves s as it was; an accepted one is written the way Merge
+// writes, the incoming port winning on a conflict. This is how a host takes
+// a path response into its TopoCache with no Subgraph in between.
+func DecodePathGraph(b []byte, s *Subgraph) (*PathGraph, error) {
 	r := packet.NewReader(b)
 	readHeader(&r, pathgrafMagic)
 	readPath := func() SwitchPath {
 		n := int(r.U16())
-		if n > packet.MaxPathLen*4 {
+		if n > packet.MaxPathLen*4 || len(r.Rest()) < 4*n {
 			r.Fail()
-		}
-		if !r.Ok() {
 			return nil
 		}
-		p := make(SwitchPath, 0, n)
-		for i := 0; i < n; i++ {
-			p = append(p, SwitchID(r.U32()))
+		p := make(SwitchPath, n)
+		for i := range p {
+			p[i] = SwitchID(r.U32())
 		}
 		return p
 	}
-	pg := &PathGraph{Src: r.MAC(), Dst: r.MAC(), Primary: readPath(), Backup: readPath()}
-	if pg.Graph = readSubgraph(&r); !r.Ok() || len(r.Rest()) != 0 {
+	pg := &PathGraph{Src: r.MAC(), Dst: r.MAC(), Primary: readPath(), Backup: readPath(), Graph: s}
+	// The graph: every switch with its (neighbour, port) list, then the
+	// host attachments. Check the counts and the length first.
+	body := r.Rest()
+	readHeader(&r, subgraphMagic)
+	n := r.U32()
+	if n > 1<<22 {
+		r.Fail()
+	}
+	for i := n; i > 0 && r.Ok(); i-- {
+		r.Skip(4)
+		r.Skip(5 * int(r.U16()))
+	}
+	hn := r.U32()
+	if hn > 1<<22 {
+		r.Fail()
+	}
+	if r.Skip(11 * int(hn)); !r.Ok() || len(r.Rest()) != 0 {
 		return nil, ErrBadTopology
+	}
+	r = packet.NewReader(body[3:])
+	for i := r.U32(); i > 0; i-- {
+		id, cnt := SwitchID(r.U32()), int(r.U16())
+		m := s.adj[id]
+		if m == nil {
+			m = make(map[SwitchID]Port, cnt)
+			s.adj[id] = m
+		}
+		for ; cnt > 0; cnt-- {
+			m[SwitchID(r.U32())] = r.U8() // neighbour, then port
+		}
+	}
+	for i := r.U32(); i > 0; i-- {
+		at := readAttach(&r)
+		s.hosts[at.Host] = at
 	}
 	return pg, nil
 }

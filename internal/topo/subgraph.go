@@ -5,13 +5,12 @@ import (
 	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"dumbnet/internal/packet"
 )
 
 // Subgraph is a lightweight partial view of the fabric: the structure hosts
-// cache locally (TopoCache) and the body of a controller-issued path graph.
+// cache locally (TopoCache), a tenant's slice, and a decoded path graph.
 // Unlike Topology it stores only directed port mappings between switches it
 // knows about, plus the host attachments it has learned.
 type Subgraph struct {
@@ -125,19 +124,20 @@ func (s *Subgraph) SwitchIDs() []SwitchID {
 	return out
 }
 
-// Hosts returns the cached attachments (unsorted).
+// Hosts returns the cached attachments in MAC order, so callers that fan
+// frames out over this list (the stage-1 host flood) schedule sends in a
+// deterministic order.
 func (s *Subgraph) Hosts() []HostAttach {
 	out := make([]HostAttach, 0, len(s.hosts))
 	for _, at := range s.hosts {
 		out = append(out, at)
 	}
-	// MAC-sorted so callers that fan frames out over this list (the stage-1
-	// host flood) schedule sends in a deterministic order.
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i].Host[:], out[j].Host[:]) < 0
-	})
+	slices.SortFunc(out, byHost)
 	return out
 }
+
+// byHost orders host attachments by MAC.
+func byHost(a, b HostAttach) int { return bytes.Compare(a.Host[:], b.Host[:]) }
 
 // Neighbors implements View with deterministic (ID-sorted) order.
 func (s *Subgraph) Neighbors(id SwitchID) []Neighbor {

@@ -116,11 +116,26 @@ func TestSubgraphMergeAndClone(t *testing.T) {
 	}
 }
 
+// unmarshalSubgraph reads a serialized subgraph through the one reader,
+// DecodePathGraph, behind an empty path-graph header.
+func unmarshalSubgraph(b []byte) (*Subgraph, error) {
+	var w packet.Writer
+	w.U16(pathgrafMagic)
+	w.U8(wireVersion)
+	w.Raw(make([]byte, 6+6+2+2)) // zero MACs, no primary, no backup
+	w.Raw(b)
+	pg, err := UnmarshalPathGraph(w.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	return pg.Graph, nil
+}
+
 func TestSubgraphSerializationRoundTrip(t *testing.T) {
 	s := buildSquareSub()
 	s.AddHost(HostAttach{Host: packet.MACFromUint64(1), Switch: 1, Port: 8})
 	b := s.Marshal()
-	got, err := UnmarshalSubgraph(b)
+	got, err := unmarshalSubgraph(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +152,15 @@ func TestSubgraphSerializationRoundTrip(t *testing.T) {
 }
 
 func TestUnmarshalSubgraphErrors(t *testing.T) {
-	if _, err := UnmarshalSubgraph(nil); err == nil {
+	if _, err := unmarshalSubgraph(nil); err == nil {
 		t.Fatal("nil should fail")
 	}
 	s := buildSquareSub()
 	b := s.Marshal()
-	if _, err := UnmarshalSubgraph(b[:len(b)-1]); err == nil {
+	if _, err := unmarshalSubgraph(b[:len(b)-1]); err == nil {
 		t.Fatal("truncated should fail")
 	}
-	if _, err := UnmarshalSubgraph(append(b, 1)); err == nil {
+	if _, err := unmarshalSubgraph(append(b, 1)); err == nil {
 		t.Fatal("trailing should fail")
 	}
 }

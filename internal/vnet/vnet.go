@@ -233,15 +233,13 @@ func pairSeed(seed int64, id TenantID, gen uint64, src, dst packet.MAC) int64 {
 // buildSlice computes the union of path graphs between every member pair:
 // members can reach each other with detour headroom but see nothing else.
 func (m *Manager) buildSlice(id TenantID, gen uint64, hosts []packet.MAC) (*topo.Subgraph, error) {
-	view := topo.NewSubgraph()
+	view, sc := topo.NewSubgraph(), topo.NewDenseScratch()
 	rng := rand.New(rand.NewSource(int64(tenantSeed(m.seed, id, gen))))
 	for i := 0; i < len(hosts); i++ {
 		for j := i + 1; j < len(hosts); j++ {
-			pg, err := topo.BuildPathGraph(m.master, hosts[i], hosts[j], m.opts, rng)
-			if err != nil {
+			if _, err := topo.BuildPathGraphInto(view, m.master, hosts[i], hosts[j], m.opts, rng, sc); err != nil {
 				return nil, fmt.Errorf("%w: %v<->%v: %v", ErrNotRoutable, hosts[i], hosts[j], err)
 			}
-			view.Merge(pg.Graph)
 		}
 	}
 	return view, nil
