@@ -83,6 +83,9 @@ func runHybridScale(w io.Writer, k, width int, inputGB float64) (digest uint64, 
 	n.Run()
 	fmt.Fprintf(w, "hybrid-scale: warmed %d host pairs in %v\n", warmed, time.Since(start))
 
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs := ms.Mallocs
 	wall := time.Now()
 	ev0 := n.Eng.Processed()
 	durs, err := workload.RunJobsOnFabric(jobs, c)
@@ -91,7 +94,8 @@ func runHybridScale(w io.Writer, k, width int, inputGB float64) (digest uint64, 
 	}
 	wallSec := time.Since(wall).Seconds()
 	events := n.Eng.Processed() - ev0
-	st := n.Hybrid().Stats()
+	runtime.ReadMemStats(&ms)
+	st := n.Hybrid().Stats() // the warm-up opens no flows: every completion is the jobs'
 	for i, j := range jobs {
 		fmt.Fprintf(w, "hybrid-scale: %-12s %8.3fs virtual\n", j.Name, float64(durs[i])/1e9)
 	}
@@ -100,8 +104,7 @@ func runHybridScale(w io.Writer, k, width int, inputGB float64) (digest uint64, 
 		st.Completed, events, wallSec, float64(events)/wallSec, digest)
 	settles, reRates := n.Hybrid().FluidDebug()
 	fmt.Fprintf(w, "hybrid-scale: %d settle passes, %d flow re-rates\n", settles, reRates)
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	fmt.Fprintf(w, "hybrid-scale: %.3f allocations per completed flow\n", float64(ms.Mallocs-mallocs)/float64(max(st.Completed, 1)))
 	fmt.Fprintf(w, "hybrid-scale: peak RSS %.1f MiB, heap sys %.1f MiB\n",
 		float64(peakRSSBytes())/(1<<20), float64(ms.HeapSys)/(1<<20))
 	return digest, warmed, nil

@@ -103,6 +103,7 @@ type Flow struct {
 	Size    float64  // bits to transfer
 	Start   float64  // arrival time, seconds
 	RateCap float64  // optional per-flow cap (e.g. NIC speed); 0 = none
+	Owner   any      // the caller's back-reference; flowsim never reads it
 
 	// Results, valid after the flow finishes.
 	Finished bool
@@ -408,22 +409,6 @@ func (s *Simulator) Add(f *Flow) {
 	}
 }
 
-func dedupInto(dst, path []LinkID) []LinkID {
-	for _, l := range path {
-		dup := false
-		for _, d := range dst {
-			if d == l {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, l)
-		}
-	}
-	return dst
-}
-
 func (s *Simulator) activate(f *Flow) {
 	if f.active || f.Finished {
 		return
@@ -441,8 +426,18 @@ func (s *Simulator) activate(f *Flow) {
 // flows complete at an effectively infinite rate; capped ones at exactly
 // their cap. These form singleton components, so no waterfill is needed
 // (the oracle's progressive filling assigns the identical values).
+//
+// uniq is Path itself unless a link repeats, when it is a deduplicated
+// copy: flowsim never writes into a flow's Path or uniq.
 func (s *Simulator) place(f *Flow) {
-	f.uniq = dedupInto(f.uniq[:0], f.Path)
+	f.uniq = f.Path
+	for i, l := range f.Path {
+		if shared := len(f.uniq) == len(f.Path); shared && slices.Contains(f.Path[:i], l) {
+			f.uniq = slices.Clone(f.Path[:i]) // l repeats: from here on uniq is a copy
+		} else if !shared && !slices.Contains(f.uniq, l) {
+			f.uniq = append(f.uniq, l)
+		}
+	}
 	if len(f.uniq) == 0 {
 		s.drain(f)
 		f.rate = math.Inf(1)

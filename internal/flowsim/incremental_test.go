@@ -3,6 +3,7 @@ package flowsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -641,5 +642,97 @@ func TestRerouteAtCompletionInstant(t *testing.T) {
 	}
 	if !approx(f.End, 10, 1e-6) {
 		t.Fatalf("end = %v", f.End)
+	}
+}
+
+// TestCallerOwnsPathStorage pins the storage contract a caller that keeps
+// a flow's path in its own memory relies on: flowsim never writes into a
+// flow's Path, a Path without a repeated link serves as the flow's link set
+// as it is (so adding the flow allocates nothing), Reroute copies the new
+// path, and a finished flow's path is never read again. The caller
+// scribbles over its path storage after every Reroute and every
+// completion; each flow must stay on exactly the links of the path it was
+// last given, and every rate must still match the allocate() oracle.
+func TestCallerOwnsPathStorage(t *testing.T) {
+	ls := newLeafSpine(4, 4, 4, 100)
+	s := NewSimulator(ls.n)
+	rng := rand.New(rand.NewSource(1))
+	randPath := func(dst []LinkID) []LinkID {
+		src := rng.Intn(ls.numHosts())
+		return append(dst, ls.path(src, (src+1+rng.Intn(ls.numHosts()-1))%ls.numHosts(), rng.Intn(ls.spines))...)
+	}
+	scribble := func(p []LinkID) {
+		for i := range p {
+			p[i] = LinkID(rng.Intn(ls.n.NumLinks()))
+		}
+	}
+	const perPhase = 96
+	flows := make([]Flow, 2*perPhase)
+	bufs := make([][4]LinkID, len(flows)) // the caller's path storage, one per flow
+	want := map[*Flow][]LinkID{}
+	var live []*Flow
+	for i := range flows {
+		f := &flows[i]
+		*f = Flow{ID: i, Path: randPath(bufs[i][:0]), Size: float64(500 + rng.Intn(5000))}
+		want[f] = slices.Clone(f.Path)
+		live = append(live, f)
+	}
+	s.OnFinish = func(f *Flow, _ float64) { scribble(f.Path) }
+	added := 0
+	add := func() {
+		s.Add(live[added])
+		added++
+	}
+	// onLinks fails unless every active flow sits on exactly the links of
+	// the path it was last given, and no link lists anything else.
+	onLinks := func(step int) {
+		t.Helper()
+		listed, held := 0, 0
+		for _, lst := range s.linkFlows {
+			listed += len(lst)
+		}
+		for _, f := range s.active {
+			for _, l := range want[f] {
+				if !slices.Contains(s.linkFlows[l], f) {
+					t.Fatalf("step %d: flow %d missing from link %d of its path %v", step, f.ID, l, want[f])
+				}
+			}
+			held += len(want[f])
+		}
+		if listed != held {
+			t.Fatalf("step %d: links list %d flow entries, the active paths hold %d", step, listed, held)
+		}
+	}
+	// The first half grows every list the simulator keeps to its working
+	// size; adding the second half must then allocate nothing.
+	for range perPhase {
+		add()
+	}
+	s.Run()
+	if allocs := testing.AllocsPerRun(perPhase-1, add); allocs != 0 {
+		t.Fatalf("adding a flow whose path has no repeated link allocates %v, want 0", allocs)
+	}
+	checkOracle(t, s, live[:added], 1, 0)
+	onLinks(0)
+	scratch := make([]LinkID, 0, 4)
+	for step := 1; s.ActiveCount() > 0; step++ {
+		if f := live[perPhase+rng.Intn(perPhase)]; step%3 == 0 && !f.Finished {
+			old := f.Path
+			scratch = randPath(scratch[:0])
+			s.Reroute(f, scratch)
+			want[f] = slices.Clone(scratch)
+			scribble(scratch)
+			scribble(old)
+		} else {
+			next, _ := s.NextEventTime()
+			s.RunUntil(next)
+		}
+		checkOracle(t, s, live[:added], 1, step)
+		onLinks(step)
+	}
+	for _, f := range live {
+		if !f.Finished {
+			t.Fatalf("flow %d never finished", f.ID)
+		}
 	}
 }

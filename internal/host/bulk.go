@@ -22,41 +22,44 @@ import (
 // chaos, and a lost frame stalls the transfer rather than corrupting the
 // measurement silently.
 
-// RouteCallback receives a reserved route. ok=false means the route could
-// not be resolved (no controller, or the request budget was exhausted).
-// A nil hops with ok=true is the loopback case (dst == self).
-type RouteCallback func(tags packet.Path, hops []HopRef, ok bool)
+// RouteWaiter hears the outcome of a reservation that missed the path
+// table. ok=false means the route could not be resolved (no controller, or
+// the request budget was exhausted).
+type RouteWaiter interface {
+	RouteResolved(tags packet.Path, hops []HopRef, ok bool)
+}
 
 // pendingResolve is a route reservation awaiting a controller response.
 type pendingResolve struct {
 	flow FlowKey
-	cb   RouteCallback
+	w    RouteWaiter
 }
 
-// ResolveRoute reserves a source route to dst for a bulk transfer: on a
-// path-table hit the callback fires synchronously; on a miss the query
-// goes to the controller (sharing the retry budget, failover and tracing
-// of the packet path) and the callback fires when the route installs or
-// the query is abandoned.
-func (a *Agent) ResolveRoute(dst packet.MAC, flow FlowKey, cb RouteCallback) {
+// ResolveRoute reserves a source route to dst for a bulk transfer. A
+// path-table hit returns the route at once with ok=true (nil hops for the
+// loopback dst == self) and never calls w. A miss returns ok=false: the
+// query goes to the controller (sharing the retry budget, failover and
+// tracing of the packet path) and w hears the outcome when the route
+// installs or the query is abandoned — at once when there is no controller
+// to ask.
+func (a *Agent) ResolveRoute(dst packet.MAC, flow FlowKey, w RouteWaiter) (packet.Path, []HopRef, bool) {
 	a.stats.BulkResolves++
 	if dst == a.mac {
-		cb(nil, nil, true)
-		return
+		return nil, nil, true
 	}
 	if tags, hops, ok := a.routeForHops(dst, flow); ok {
-		cb(tags, hops, true)
-		return
+		return tags, hops, true
 	}
 	if a.ctrl.IsZero() {
-		cb(nil, nil, false)
-		return
+		w.RouteResolved(nil, nil, false)
+		return nil, nil, false
 	}
 	if a.pendingRoute == nil {
 		a.pendingRoute = make(map[packet.MAC][]pendingResolve)
 	}
-	a.pendingRoute[dst] = append(a.pendingRoute[dst], pendingResolve{flow: flow, cb: cb})
+	a.pendingRoute[dst] = append(a.pendingRoute[dst], pendingResolve{flow: flow, w: w})
 	a.requestPath(dst)
+	return nil, nil, false
 }
 
 // flushPendingRoutes resolves queued reservations after a route for dst
@@ -68,14 +71,10 @@ func (a *Agent) flushPendingRoutes(dst packet.MAC, ok bool) {
 	}
 	delete(a.pendingRoute, dst)
 	for _, p := range queued {
-		if !ok {
-			p.cb(nil, nil, false)
-			continue
-		}
-		if tags, hops, hit := a.routeForHops(dst, p.flow); hit {
-			p.cb(tags, hops, true)
+		if ok {
+			p.w.RouteResolved(a.routeForHops(dst, p.flow))
 		} else {
-			p.cb(nil, nil, false)
+			p.w.RouteResolved(nil, nil, false)
 		}
 	}
 }

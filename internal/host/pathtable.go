@@ -2,7 +2,6 @@ package host
 
 import (
 	"dumbnet/internal/packet"
-	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
 )
@@ -331,6 +330,3 @@ func (a *Agent) WarmUp(dst packet.MAC) error {
 	a.requestPath(dst)
 	return nil
 }
-
-// engNow is a tiny helper for tests.
-func (a *Agent) engNow() sim.Time { return a.eng.Now() }

@@ -40,9 +40,6 @@ func (c *StickyChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int {
 	return idx
 }
 
-// Rebind clears a flow's binding (after failover the next packet re-hashes).
-func (c *StickyChooser) Rebind(flow FlowKey) { delete(c.bound, flow) }
-
 // FlowletChooser implements flowlet-based traffic engineering (§6.2): the
 // routing function keys on a flowlet ID — the flow key plus a counter that
 // advances whenever the inter-packet gap exceeds Timeout — so consecutive

@@ -77,13 +77,31 @@ type Flow struct {
 	Failed bool // route could not be reserved
 	End    sim.Time
 
-	fl        *flowsim.Flow
+	fl        flowsim.Flow
+	path      [8]flowsim.LinkID // fl.Path's storage until a reroute: a fat-tree route of up to 7 switches
+	ly        *Layer
 	agent     *host.Agent
 	key       host.FlowKey
 	onDone    func(*Flow)
 	openIdx   int
 	retries   int
 	rerouting bool
+}
+
+// flowSlab is how many Flows Open carves from one allocation.
+const flowSlab = 64
+
+// resolver is the host.RouteWaiter view of a Flow: an admission that
+// missed the path table, or a reroute probe, hears its route here.
+type resolver Flow
+
+func (r *resolver) RouteResolved(tags packet.Path, hops []host.HopRef, ok bool) {
+	f := (*Flow)(r)
+	if f.rerouting {
+		f.ly.rerouted(f, hops, ok)
+	} else {
+		f.ly.admit(f, tags, hops, ok)
+	}
 }
 
 // FCT returns the flow completion time.
@@ -120,14 +138,15 @@ type Layer struct {
 	linkUp    []bool    // fluid link -> current state
 	capOf     []float64 // fluid link -> configured capacity (bps)
 
-	open     []*Flow
-	byFsimID map[int]*Flow
-	nextID   uint64
+	open   []*Flow
+	slab   []Flow // Open carves flows from here
+	nextID uint64
 
 	digest uint64
 	stats  Stats
 
 	timerGen   uint64
+	timers     sim.FreeList[fluidTimer]
 	timerArmed bool
 	timerAt    sim.Time
 	flushArmed bool
@@ -143,12 +162,12 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) (*Layer, error) {
 	t := fab.Topo
 	g := t.Dense()
 	ly := &Layer{
-		eng:      eng,
-		dense:    g,
-		net:      flowsim.NewNetwork(),
-		cfg:      cfg.withDefaults(),
-		hostIdx:  make(map[packet.MAC]int32),
-		byFsimID: make(map[int]*Flow),
+		eng:     eng,
+		dense:   g,
+		net:     flowsim.NewNetwork(),
+		cfg:     cfg.withDefaults(),
+		hostIdx: make(map[packet.MAC]int32),
+		digest:  14695981039346656037, // FNV-1a offset basis
 	}
 	fcfg := fab.Config()
 	swBps := fluidBps(fcfg.SwitchLink.BandwidthBps)
@@ -308,16 +327,15 @@ func (ly *Layer) pathAlive(path []flowsim.LinkID) bool {
 	return true
 }
 
-// fluidPath maps a reserved source route (host-side hop references) to
-// fluid link IDs: source uplink, one directed CSR edge per switch-to-
-// switch hop, and the destination downlink (the final hop's port points
-// at the host, which the byPort table resolves to the downlink).
-func (ly *Layer) fluidPath(src packet.MAC, hops []host.HopRef) ([]flowsim.LinkID, error) {
+// fluidPath appends to path the fluid link IDs of a reserved source route
+// (host-side hop references): source uplink, one directed CSR edge per
+// switch-to-switch hop, and the destination downlink (the final hop's port
+// points at the host, which the byPort table resolves to the downlink).
+func (ly *Layer) fluidPath(path []flowsim.LinkID, src packet.MAC, hops []host.HopRef) ([]flowsim.LinkID, error) {
 	h, ok := ly.hostIdx[src]
 	if !ok {
 		return nil, fmt.Errorf("hybrid: unknown source host %v", src)
 	}
-	path := make([]flowsim.LinkID, 0, len(hops)+1)
 	path = append(path, flowsim.LinkID(ly.hostUp(h)))
 	for _, hop := range hops {
 		idx, ok := ly.dense.IndexOf(hop.Switch)
@@ -352,21 +370,18 @@ func (ly *Layer) wireBits(tagLen int, bytes int64) float64 {
 // round-trip on a cold path table); the transfer then advances fluidly.
 // onDone, if set, fires at the flow's completion engine event.
 func (ly *Layer) Open(a *host.Agent, dst packet.MAC, bytes int64, key host.FlowKey, onDone func(*Flow)) *Flow {
-	ly.nextID++
-	f := &Flow{
-		ID:     ly.nextID,
-		Src:    a.MAC(),
-		Dst:    dst,
-		Bytes:  bytes,
-		Start:  ly.eng.Now(),
-		agent:  a,
-		key:    key,
-		onDone: onDone,
+	if len(ly.slab) == 0 {
+		ly.slab = make([]Flow, flowSlab)
 	}
+	f := &ly.slab[0]
+	ly.slab = ly.slab[1:]
+	ly.nextID++
+	f.ID, f.Src, f.Dst, f.Bytes, f.Start = ly.nextID, a.MAC(), dst, bytes, ly.eng.Now()
+	f.ly, f.agent, f.key, f.onDone = ly, a, key, onDone
 	ly.stats.Opened++
-	a.ResolveRoute(dst, key, func(tags packet.Path, hops []host.HopRef, ok bool) {
-		ly.admit(f, tags, hops, ok)
-	})
+	if tags, hops, ok := a.ResolveRoute(dst, key, (*resolver)(f)); ok {
+		ly.admit(f, tags, hops, true)
+	}
 	return f
 }
 
@@ -378,11 +393,10 @@ func (ly *Layer) admit(f *Flow, tags packet.Path, hops []host.HopRef, ok bool) {
 		ly.finish(f, true)
 		return
 	}
-	var path []flowsim.LinkID
+	path := f.path[:0]
 	if f.Dst != f.Src {
 		var err error
-		path, err = ly.fluidPath(f.Src, hops)
-		if err != nil {
+		if path, err = ly.fluidPath(path, f.Src, hops); err != nil {
 			ly.finish(f, true)
 			return
 		}
@@ -395,11 +409,10 @@ func (ly *Layer) admit(f *Flow, tags packet.Path, hops []host.HopRef, ok bool) {
 	if ly.nowSec() > ly.fsim.Now() {
 		ly.syncNow()
 	}
-	f.fl = &flowsim.Flow{ID: int(f.ID), Path: path, Size: ly.wireBits(len(tags), f.Bytes)}
+	f.fl = flowsim.Flow{ID: int(f.ID), Path: path, Size: ly.wireBits(len(tags), f.Bytes), Owner: f}
 	f.openIdx = len(ly.open)
 	ly.open = append(ly.open, f)
-	ly.byFsimID[f.fl.ID] = f
-	ly.fsim.Add(f.fl)
+	ly.fsim.Add(&f.fl)
 	ly.armFlush()
 }
 
@@ -436,11 +449,11 @@ func (ly *Layer) finish(f *Flow, failed bool) {
 // flowFinished is the flowsim completion callback; it runs inside the
 // fluid-advance engine event.
 func (ly *Layer) flowFinished(fl *flowsim.Flow, nowSec float64) {
-	f := ly.byFsimID[fl.ID]
+	f, _ := fl.Owner.(*Flow)
 	if f == nil {
 		return
 	}
-	delete(ly.byFsimID, fl.ID)
+	fl.Owner = nil
 	// Swap-remove from the open list.
 	last := len(ly.open) - 1
 	ly.open[f.openIdx] = ly.open[last]
@@ -478,23 +491,29 @@ func (ly *Layer) tryReroute(f *Flow) {
 		ly.stats.GiveUps++ // flow stays stalled; a heal resumes it
 		return
 	}
-	f.agent.ResolveRoute(f.Dst, f.key, func(tags packet.Path, hops []host.HopRef, ok bool) {
-		if f.Done {
+	if _, hops, ok := f.agent.ResolveRoute(f.Dst, f.key, (*resolver)(f)); ok {
+		ly.rerouted(f, hops, true)
+	}
+}
+
+// rerouted moves a stranded flow onto a freshly reserved route, or retries
+// after RerouteDelay when the route is missing or still crosses a dead link.
+func (ly *Layer) rerouted(f *Flow, hops []host.HopRef, ok bool) {
+	if f.Done {
+		f.rerouting = false
+		return
+	}
+	if ok {
+		if path, err := ly.fluidPath(nil, f.Src, hops); err == nil && ly.pathAlive(path) {
+			ly.syncNow()
+			ly.fsim.Reroute(&f.fl, path)
+			ly.stats.Rerouted++
 			f.rerouting = false
+			ly.reschedule()
 			return
 		}
-		if ok {
-			if path, err := ly.fluidPath(f.Src, hops); err == nil && ly.pathAlive(path) {
-				ly.syncNow()
-				ly.fsim.Reroute(f.fl, path)
-				ly.stats.Rerouted++
-				f.rerouting = false
-				ly.reschedule()
-				return
-			}
-		}
-		ly.eng.After(ly.cfg.RerouteDelay, func() { ly.tryReroute(f) })
-	})
+	}
+	ly.eng.After(ly.cfg.RerouteDelay, func() { ly.tryReroute(f) })
 }
 
 // reschedule arms (or re-arms) the single engine event that re-enters the
@@ -514,25 +533,34 @@ func (ly *Layer) reschedule() {
 		return // the armed timer fires first and will re-arm
 	}
 	ly.timerGen++
-	gen := ly.timerGen
 	ly.timerArmed, ly.timerAt = true, at
-	ly.eng.At(at, func() {
-		if gen != ly.timerGen {
-			return
-		}
+	ev := ly.timers.Get()
+	*ev = fluidTimer{ly, ly.timerGen}
+	ly.eng.AfterEvent(at-ly.eng.Now(), ev)
+}
+
+// fluidTimer is the completion-timer event, recycled on the layer's free
+// list. A re-arm or disarm bumps the layer's generation, which leaves a
+// queued timer stale.
+type fluidTimer struct {
+	ly  *Layer
+	gen uint64
+}
+
+func (t *fluidTimer) RunEvent() {
+	ly, gen := t.ly, t.gen
+	ly.timers.Put(t)
+	if gen == ly.timerGen {
 		ly.timerArmed = false
 		ly.syncNow()
 		ly.reschedule()
-	})
+	}
 }
 
 // digestFlow folds one completion record into the FNV-1a digest: flow ID,
 // endpoints, size, start/end nanoseconds and the failure flag, in
 // completion order. Two runs of the same seed must agree bit for bit.
 func (ly *Layer) digestFlow(f *Flow) {
-	if ly.digest == 0 {
-		ly.digest = 14695981039346656037
-	}
 	h := ly.digest
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
@@ -560,12 +588,7 @@ func (ly *Layer) digestFlow(f *Flow) {
 
 // Digest returns the FNV-1a digest over all completion records so far —
 // the hybrid determinism golden.
-func (ly *Layer) Digest() uint64 {
-	if ly.digest == 0 {
-		return 14695981039346656037
-	}
-	return ly.digest
-}
+func (ly *Layer) Digest() uint64 { return ly.digest }
 
 // Stats returns fluid-layer counters.
 func (ly *Layer) Stats() Stats {
@@ -588,6 +611,3 @@ func (ly *Layer) FluidDebug() (settles, reRates uint64) {
 // FluidStats reports the fluid simulator's settle passes together with
 // what they re-waterfilled.
 func (ly *Layer) FluidStats() flowsim.SettleStats { return ly.fsim.SettleStats() }
-
-// Quiesced reports whether no fluid flows remain in flight.
-func (ly *Layer) Quiesced() bool { return len(ly.open) == 0 }

@@ -118,7 +118,7 @@ func hybridFCTs(t *testing.T, k int, xs []xfer) []sim.Time {
 		}
 		fcts[i] = f.End - start
 	}
-	if !n.Hybrid().Quiesced() {
+	if n.Hybrid().Stats().Active != 0 {
 		t.Fatalf("fluid layer not quiesced after Run")
 	}
 	return fcts

@@ -48,7 +48,7 @@ func RunJobOnFabric(job Job, c *Cluster) (sim.Time, error) {
 			}
 		}
 	}
-	r := &fabricRun{c: c}
+	r := &fabricRun{c: c, onDone: make([]func(*hybrid.Flow), len(job.Stages))}
 	if err := r.init(job, r); err != nil {
 		return 0, err
 	}
@@ -83,7 +83,8 @@ func RunJobsOnFabric(jobs []Job, c *Cluster) ([]sim.Time, error) {
 type fabricRun struct {
 	walk[sim.Time]
 	c      *Cluster
-	failed int // transfers whose route reservation failed
+	onDone []func(*hybrid.Flow) // per stage: its transfers' completion callback
+	failed int                  // transfers whose route reservation failed
 }
 
 func (r *fabricRun) at(t sim.Time, fn func())   { r.c.Layer.Engine().At(t, fn) }
@@ -98,11 +99,13 @@ func (r *fabricRun) open(stage, fi int, fl Flow, _ sim.Time) {
 		DstPort: uint16(stage),
 		Proto:   0xFE,
 	}
-	r.c.Layer.Open(r.c.Agents[fl.Src], r.c.MACs[fl.Dst], int64(math.Ceil(fl.Bytes)), key,
-		func(f *hybrid.Flow) {
+	if r.onDone[stage] == nil {
+		r.onDone[stage] = func(f *hybrid.Flow) {
 			if f.Failed {
 				r.failed++
 			}
 			r.flowDone(stage, f.End)
-		})
+		}
+	}
+	r.c.Layer.Open(r.c.Agents[fl.Src], r.c.MACs[fl.Dst], int64(math.Ceil(fl.Bytes)), key, r.onDone[stage])
 }

@@ -1,11 +1,13 @@
 package workload_test
 
 import (
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"dumbnet/internal/core"
+	"dumbnet/internal/host"
 	"dumbnet/internal/hybrid"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
@@ -13,9 +15,9 @@ import (
 	"dumbnet/internal/workload"
 )
 
-func buildCluster(t *testing.T, k int, seed int64) (*core.Network, *workload.Cluster) {
+func buildCluster(t *testing.T, k, hostsPerEdge int, seed int64) (*core.Network, *workload.Cluster) {
 	t.Helper()
-	ft, err := topo.FatTree(k, 1, 0)
+	ft, err := topo.FatTree(k, hostsPerEdge, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func buildCluster(t *testing.T, k int, seed int64) (*core.Network, *workload.Clu
 // least the job's compute critical path, at most that plus a generous
 // network allowance.
 func TestHiBenchOnFabric(t *testing.T) {
-	_, c := buildCluster(t, 4, 1)
+	_, c := buildCluster(t, 4, 1, 1)
 	inputGB := 0.02 // keeps shuffles in the MB range
 	jobs := workload.HiBenchSuiteWidth(c.Workers(), 3, inputGB)
 	durs, err := workload.RunJobsOnFabric(jobs, c)
@@ -89,7 +91,7 @@ func TestHiBenchOnFabricDeterminism(t *testing.T) {
 	const wantDigest = 0xdc12e56f6aa82638
 	wantDurs := []sim.Time{2060373792, 1090783642, 111625659, 1091161175, 2140058066}
 	run := func() ([]sim.Time, uint64) {
-		_, c := buildCluster(t, 4, 9)
+		_, c := buildCluster(t, 4, 1, 9)
 		jobs := workload.HiBenchSuiteWidth(c.Workers(), 2, 0.01)
 		durs, err := workload.RunJobsOnFabric(jobs, c)
 		if err != nil {
@@ -155,7 +157,7 @@ func stageBytes(s workload.Stage) float64 {
 // TestClusterPlacementChecked: out-of-range workers and a cluster with
 // fewer MACs than agents are scheduling errors, not panics.
 func TestClusterPlacementChecked(t *testing.T) {
-	_, c := buildCluster(t, 4, 1)
+	_, c := buildCluster(t, 4, 1, 1)
 	short := *c
 	short.MACs = c.MACs[:len(c.MACs)-1]
 	for _, tc := range []struct {
@@ -181,7 +183,7 @@ func TestClusterPlacementChecked(t *testing.T) {
 // ends, and RunJobOnFabric reports the failed transfer instead of a
 // duration.
 func TestRunJobOnFabricReservationFails(t *testing.T) {
-	_, c := buildCluster(t, 4, 1)
+	_, c := buildCluster(t, 4, 1, 1)
 	c.MACs = append([]packet.MAC(nil), c.MACs...)
 	c.MACs[1] = packet.MACFromUint64(0xdead)
 	j := workload.Job{Stages: []workload.Stage{{
@@ -198,4 +200,74 @@ func TestRunJobOnFabricReservationFails(t *testing.T) {
 	if st := c.Layer.Stats(); st.Failed != 1 || st.Completed != 1 || st.Active != 0 {
 		t.Fatalf("layer stats = %+v, want one failed and one completed transfer", st)
 	}
+}
+
+// TestFluidAdmissionAllocs: on a warm path table a fluid transfer costs at
+// most 0.1 allocations from Open to completion, amortised. A route hit
+// resolves in place (no callback closure), the flow owns its fluid path and
+// its flowsim.Flow, completions find their flow without a map, and the job
+// builds one completion callback per stage.
+func TestFluidAdmissionAllocs(t *testing.T) {
+	n, c := buildCluster(t, 4, 2, 1)
+	const width, stages = 8, 2
+	for s := range c.Workers() {
+		for i := 1; i <= width; i++ {
+			if err := c.Agents[s].WarmUp(c.MACs[(s+i)%c.Workers()]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	n.Run()
+	job := workload.Job{Name: "shuffles"}
+	for s := range stages {
+		st := workload.Stage{Name: "shuffle", Flows: workload.ShuffleWidth(c.Workers(), width, 64e6)}
+		if s > 0 {
+			st.Deps = []int{s - 1}
+		}
+		job.Stages = append(job.Stages, st)
+	}
+	const runs = 10
+	before := c.Layer.Stats()
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := workload.RunJobOnFabric(job, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	after := c.Layer.Stats()
+	if after.Failed != before.Failed || after.Active != 0 {
+		t.Fatalf("layer stats %+v after %+v: want every transfer completed", after, before)
+	}
+	perRun := float64(after.Completed-before.Completed) / (runs + 1) // AllocsPerRun warms up once
+	perFlow := allocs / perRun
+	t.Logf("%.0f allocations per job of %.0f transfers: %.3f per completed flow", allocs, perRun, perFlow)
+	if perFlow > 0.1 {
+		t.Fatalf("%.3f allocations per completed flow, want at most 0.1", perFlow)
+	}
+
+	// A warm Go map reuses its slots under insert/delete churn, so a
+	// per-flow map would cost no allocation here. Check instead that no map
+	// the layer holds grows while transfers are in flight.
+	lens := mapLens(c.Layer)
+	for s := range c.Workers() {
+		dst := c.MACs[(s+1)%c.Workers()]
+		c.Layer.Open(c.Agents[s], dst, 1e6, host.FlowKey{Dst: dst, Proto: 0xFE}, nil)
+	}
+	if st := c.Layer.Stats(); st.Active != c.Workers() {
+		t.Fatalf("%d transfers in flight, want %d", st.Active, c.Workers())
+	}
+	if got := mapLens(c.Layer); !slices.Equal(got, lens) {
+		t.Fatalf("layer map sizes %v with transfers in flight, %v before: admission must not touch a per-flow map", got, lens)
+	}
+	n.Run()
+}
+
+// mapLens reports the size of every map field of the layer.
+func mapLens(ly *hybrid.Layer) (lens []int) {
+	v := reflect.ValueOf(ly).Elem()
+	for i := range v.NumField() {
+		if f := v.Field(i); f.Kind() == reflect.Map {
+			lens = append(lens, f.Len())
+		}
+	}
+	return lens
 }
