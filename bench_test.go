@@ -259,7 +259,7 @@ func BenchmarkSwitchPopTag(b *testing.B) {
 }
 
 func BenchmarkPathTableLookup(b *testing.B) {
-	pt := host.NewPathTable(4)
+	pt := host.NewPathTable()
 	var keys []packet.MAC
 	for i := 0; i < 10000; i++ {
 		m := packet.MACFromUint64(uint64(i) + 1)

@@ -20,6 +20,7 @@ import (
 	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
+	"dumbnet/internal/vnet"
 )
 
 // requestDelay models per-path-request processing cost.
@@ -96,7 +97,7 @@ type Controller struct {
 	statsSeq     uint64
 
 	// virt, when set, restricts path answers per tenant (§6.1).
-	virt Virtualizer
+	virt *vnet.Manager
 
 	// routes is the cached path-graph service behind handlePathRequest.
 	routes *RouteService
@@ -263,35 +264,10 @@ func decodeFloodBody(msg any) (packet.MsgType, *packet.LinkEvent, error) {
 	return t, inner.(*packet.LinkEvent), nil
 }
 
-// Virtualizer is the controller's hook into network virtualization
-// (§6.1): tenant hosts receive path graphs restricted to their slice.
-// *vnet.Manager implements it.
-type Virtualizer interface {
-	// TenantOf reports the tenant (if any) a host belongs to.
-	TenantOf(h packet.MAC) (string, bool)
-	// PathGraphFor builds a slice-restricted path graph, failing when the
-	// endpoints are not both members.
-	PathGraphFor(tenant string, src, dst packet.MAC) (*topo.PathGraph, error)
-	// TenantGeneration reports the tenant's mutation counter; cached slice
-	// answers are stale (and re-computed) once it moves.
-	TenantGeneration(tenant string) (uint64, bool)
-	// VerifyTenantRoute audits a tag route against the tenant's current
-	// slice, rejecting any route that escapes it.
-	VerifyTenantRoute(tenant string, src, dst packet.MAC, tags packet.Path) error
-}
-
-// topoSink receives applied topology mutations so slice views stay in step
-// with the master. vnet.ControllerAdapter implements it; the controller
-// type-asserts, so a minimal Virtualizer without patch propagation is still
-// accepted.
-type topoSink interface {
-	ApplyLinkDown(sw packet.SwitchID, port packet.Tag)
-	ApplyLinkUp(a packet.SwitchID, pa packet.Tag, b packet.SwitchID, pb packet.Tag)
-	ApplySwitchDown(sw packet.SwitchID)
-}
-
-// SetVirtualization installs a tenant policy on the path service.
-func (c *Controller) SetVirtualization(v Virtualizer) { c.virt = v }
+// SetVirtualization installs a tenant manager on the path service (§6.1):
+// tenant hosts then receive path graphs restricted to their slice, and
+// applied patches reach the slice views.
+func (c *Controller) SetVirtualization(m *vnet.Manager) { c.virt = m }
 
 // pathGraphWire returns the serialized path-graph answer for (src, dst): a
 // ScopeAuto Resolve, which routes tenant members to the route service's
@@ -415,31 +391,30 @@ func (c *Controller) commitPatch(patch *topo.Patch) {
 }
 
 // applyPatchLocal mutates the master topology. Each applied op is mirrored
-// into the virtualizer's topology sink (when it has one) so tenant views
-// shrink with failures and heal with repairs; the sink calls are idempotent
+// into the tenant manager (when there is one) so tenant views shrink with
+// failures and heal with repairs; the manager's calls are idempotent
 // because every replica applies the same committed patches.
 func (c *Controller) applyPatchLocal(patch *topo.Patch) {
-	sink, _ := c.virt.(topoSink)
 	for _, op := range patch.Ops {
 		switch op.Kind {
 		case topo.OpLinkDown:
 			if ep, err := c.master.EndpointAt(op.Switch, op.Port); err == nil && ep.Kind == topo.EndpointSwitch {
 				_ = c.master.Disconnect(op.Switch, op.Port)
 			}
-			if sink != nil {
-				sink.ApplyLinkDown(op.Switch, op.Port)
+			if c.virt != nil {
+				c.virt.ApplyLinkDown(op.Switch, op.Port)
 			}
 		case topo.OpLinkUp:
 			_ = c.master.Connect(op.A, op.PA, op.B, op.PB)
-			if sink != nil {
-				sink.ApplyLinkUp(op.A, op.PA, op.B, op.PB)
+			if c.virt != nil {
+				c.virt.ApplyLinkUp(op.A, op.PA, op.B, op.PB)
 			}
 		case topo.OpHostAdd:
 			_ = c.master.AttachHost(op.Attach.Host, op.Attach.Switch, op.Attach.Port)
 		case topo.OpSwitchDown:
 			_ = c.master.RemoveSwitch(op.Switch)
-			if sink != nil {
-				sink.ApplySwitchDown(op.Switch)
+			if c.virt != nil {
+				c.virt.ApplySwitchDown(op.Switch)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ type RouteQuery struct {
 	// queries (the tree fans out from Src to the whole group).
 	Src, Dst packet.MAC
 	// Tenant selects the slice plane ("" = not a tenant query under
-	// ScopeGlobal/ScopeTree; under ScopeAuto the virtualizer may still
+	// ScopeGlobal/ScopeTree; under ScopeAuto the tenant manager may still
 	// infer a tenant from Src).
 	Tenant string
 	// Group selects the multicast tree plane (0 = unicast).
@@ -145,7 +145,7 @@ func (c *Controller) Resolve(q RouteQuery) (RouteAnswer, error) {
 		// an untenanted source may not route into one.
 		if c.virt != nil {
 			if tenant, ok := c.virt.TenantOf(q.Src); ok {
-				q.Tenant = tenant
+				q.Tenant = string(tenant)
 				return c.routes.lookupTenant(q.Tenant, q.Src, q.Dst)
 			}
 			if _, ok := c.virt.TenantOf(q.Dst); ok {

@@ -8,6 +8,7 @@ import (
 	"dumbnet/internal/packet"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
+	"dumbnet/internal/vnet"
 )
 
 // The route service: the controller's path-graph answers, made O(cache hit).
@@ -37,7 +38,7 @@ type tenantKey struct {
 // tenantEpoch is the tenant plane's token: the controller's Epoch plus the
 // tenant's generation, so both topology change and tenant mutation
 // (create/delete/migrate/resize, slice repair) invalidate lazily. An
-// unknown tenant reports generation 0 and is refused by the virtualizer,
+// unknown tenant reports generation 0 and is refused by the tenant manager,
 // so nothing is ever stored under it.
 type tenantEpoch struct {
 	Epoch
@@ -133,8 +134,8 @@ func (s *RouteService) computeAnswer(ep Epoch, key pairKey, sc *topo.DenseScratc
 }
 
 // lookupTenant answers a tenant member pair from the slice plane,
-// recomputing through the virtualizer on miss or staleness. The answer is
-// computed entirely inside the slice (the virtualizer never sees topology
+// recomputing through the tenant manager on miss or staleness. The answer is
+// computed entirely inside the slice (the manager never sees topology
 // the tenant may not), and a warm hit allocates nothing. Scope and Tenant
 // are reported even on failure so callers (the path-request handler's
 // refusal accounting) can tell a refused slice answer from a global miss.
@@ -147,12 +148,13 @@ func (s *RouteService) lookupTenant(tenant string, src, dst packet.MAC) (RouteAn
 	if v == nil {
 		return refused, ErrIsolated
 	}
-	tgen, _ := v.TenantGeneration(tenant)
+	id := vnet.TenantID(tenant)
+	tgen, _ := v.Generation(id)
 	tok := tenantEpoch{s.c.Epoch(), tgen}
 	if a, ok := s.tenant.Get(tenantKey{tenant, src, dst}, tok); ok {
 		return *a, nil
 	}
-	pg, err := v.PathGraphFor(tenant, src, dst)
+	pg, err := v.PathGraphFor(id, src, dst)
 	if err != nil {
 		return refused, err
 	}
@@ -183,12 +185,13 @@ func (s *RouteService) AuditTenantRoutes() (checked, evicted int) {
 
 // auditTenantEntry replays a cached answer's tag routes through the slice
 // verifier.
-func (s *RouteService) auditTenantEntry(v Virtualizer, key tenantKey, pg *topo.PathGraph) error {
+func (s *RouteService) auditTenantEntry(v *vnet.Manager, key tenantKey, pg *topo.PathGraph) error {
+	id := vnet.TenantID(key.tenant)
 	tags, err := pg.PrimaryTags()
 	if err != nil {
 		return err
 	}
-	if err := v.VerifyTenantRoute(key.tenant, key.src, key.dst, tags); err != nil {
+	if err := v.VerifyRoute(id, key.src, key.dst, tags); err != nil {
 		return err
 	}
 	if len(pg.Backup) > 0 {
@@ -196,7 +199,7 @@ func (s *RouteService) auditTenantEntry(v Virtualizer, key tenantKey, pg *topo.P
 		if err != nil {
 			return err
 		}
-		if err := v.VerifyTenantRoute(key.tenant, key.src, key.dst, btags); err != nil {
+		if err := v.VerifyRoute(id, key.src, key.dst, btags); err != nil {
 			return err
 		}
 	}

@@ -34,7 +34,7 @@ func newTenantTestController(t testing.TB) (*Controller, *vnet.Manager, []packet
 	if _, err := m.CreateTenant("blue", macs[5:9]); err != nil {
 		t.Fatal(err)
 	}
-	c.SetVirtualization(vnet.ControllerAdapter{M: m})
+	c.SetVirtualization(m)
 	return c, m, macs
 }
 

@@ -52,9 +52,8 @@ func (n *Network) installVirtualization() {
 	if n.vnet == nil {
 		return
 	}
-	ad := vnet.ControllerAdapter{M: n.vnet}
 	for _, c := range n.controllers() {
-		c.SetVirtualization(ad)
+		c.SetVirtualization(n.vnet)
 	}
 }
 

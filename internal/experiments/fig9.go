@@ -92,7 +92,7 @@ func measureDatapath(frameBytes, reps int) (Fig9Measured, error) {
 
 	plain := &packet.Frame{Dst: dst, Src: src, InnerType: packet.EtherTypeIPv4, Payload: payload}
 	tagged := &packet.Frame{Dst: dst, Src: src, Tags: packet.Path{2, 3, 5, 1}, InnerType: packet.EtherTypeIPv4, Payload: payload}
-	pt := host.NewPathTable(4)
+	pt := host.NewPathTable()
 	pt.Install(dst, &host.TableEntry{Paths: []host.CachedPath{{Tags: packet.Path{2, 3, 5, 1}}}})
 	ns, err := interleavedMedians(reps,
 		func() error { _, err := plain.EncodeTo(buf); return err },

@@ -52,7 +52,7 @@ func StorageOverhead(k int, destinations int, seed int64) (*Result, error) {
 	src := hosts[0].Host
 
 	cache, sc := topo.NewSubgraph(), topo.NewDenseScratch()
-	pt := host.NewPathTable(4)
+	pt := host.NewPathTable()
 	tbl := metrics.NewTable(
 		fmt.Sprintf("§7.3 storage overhead: host caches on a k=%d fat-tree (%d switches)", k, ft.NumSwitches()),
 		"destinations cached", "TopoCache bytes", "PathTable bytes")

@@ -46,7 +46,7 @@ func RunTable2Micro(sz Table2Sizes) (Table2Micro, error) {
 	rng := rand.New(rand.NewSource(42))
 
 	// --- PathTable lookup over 10K random entries. ---
-	pt := host.NewPathTable(4)
+	pt := host.NewPathTable()
 	var keys []packet.MAC
 	for i := 0; i < sz.TableEntries; i++ {
 		m := packet.MACFromUint64(uint64(i) + 1)

@@ -162,10 +162,7 @@ type Agent struct {
 	ctrlListSeq uint64
 	ctrlIdx     int // index of ctrl within ctrlList, -1 if not from the list
 
-	pending      map[packet.MAC][]pendingPacket
-	requestOpen  map[packet.MAC]bool
-	requestCtrl  map[packet.MAC]packet.MAC // which controller each open query targets
-	reqStart     map[packet.MAC]sim.Time   // open path queries -> first-send time
+	queries      map[packet.MAC]*pathQuery // open path queries by destination
 	reqLat       *trace.Histogram          // query-to-route-install latency (sim ns)
 	seenEvents   map[eventKey]bool
 	eventOrder   []eventKey // FIFO eviction order for seenEvents
@@ -177,10 +174,9 @@ type Agent struct {
 	mcastTrees   map[uint32][]byte       // group -> cached encoded tree
 
 	// Bulk-transfer state (lazily allocated; see bulk.go).
-	pendingRoute map[packet.MAC][]pendingResolve
-	bulkTx       map[uint32]*bulkTx
-	bulkRx       map[bulkRxKey]*bulkRx
-	bulkSeq      uint32
+	bulkTx  map[uint32]*bulkTx
+	bulkRx  map[bulkRxKey]*bulkRx
+	bulkSeq uint32
 
 	// OnData delivers application payloads (src, innerType, payload).
 	// payload aliases the receive buffer, which goes back to the frame pool
@@ -204,7 +200,7 @@ type Agent struct {
 	OnBulkDone func(src packet.MAC, id uint32, at sim.Time)
 	// Chooser selects among cached paths per flow; defaults to sticky
 	// per-flow binding. Replace with NewFlowletChooser for flowlet TE.
-	Chooser RouteChooser
+	Chooser Policy
 
 	// linkHealth, when set, lets path-aware choosers (the "telemetry"
 	// policy) consult the telemetry scoreboard of this agent's shard.
@@ -239,23 +235,20 @@ func New(eng *sim.Engine, mac packet.MAC, cfg Config) *Agent {
 		cfg.RequestBudget = 6
 	}
 	a := &Agent{
-		eng:         eng,
-		mac:         mac,
-		cfg:         cfg,
-		cache:       topo.NewSubgraph(),
-		ctrlIdx:     -1,
-		pending:     make(map[packet.MAC][]pendingPacket),
-		requestOpen: make(map[packet.MAC]bool),
-		requestCtrl: make(map[packet.MAC]packet.MAC),
-		reqStart:    make(map[packet.MAC]sim.Time),
-		reqLat:      eng.Metrics().Histogram("host.pathreq.latency"),
-		seenEvents:  make(map[eventKey]bool),
-		lastEcho:    make(map[packet.MAC]sim.Time),
-		bh:          make(map[packet.MAC]*bhState),
-		suspect:     make(map[HopRef]sim.Time),
-		mcastTrees:  make(map[uint32][]byte),
+		eng:        eng,
+		mac:        mac,
+		cfg:        cfg,
+		cache:      topo.NewSubgraph(),
+		ctrlIdx:    -1,
+		queries:    make(map[packet.MAC]*pathQuery),
+		reqLat:     eng.Metrics().Histogram("host.pathreq.latency"),
+		seenEvents: make(map[eventKey]bool),
+		lastEcho:   make(map[packet.MAC]sim.Time),
+		bh:         make(map[packet.MAC]*bhState),
+		suspect:    make(map[HopRef]sim.Time),
+		mcastTrees: make(map[uint32][]byte),
 	}
-	a.table = NewPathTable(kPaths)
+	a.table = NewPathTable()
 	a.Chooser = NewStickyChooser()
 	return a
 }
@@ -423,15 +416,15 @@ func (a *Agent) SendParts(dst packet.MAC, innerType uint16, head, body []byte, f
 		a.stats.NoRouteDrops++
 		return ErrNoController
 	}
-	if len(a.pending[dst]) >= maxPending {
+	if q := a.queries[dst]; q != nil && len(q.packets) >= maxPending {
 		a.stats.PendingDrops++
 		return ErrPending
 	}
 	// The queue outlives this call, so it holds its own copy: the caller's
 	// slices may be a receive buffer about to be recycled, or a buffer the
 	// application is about to refill.
-	a.pending[dst] = append(a.pending[dst], pendingPacket{innerType: innerType, payload: joinParts(head, body), flow: flow})
-	a.requestPath(dst)
+	q := a.query(dst)
+	q.packets = append(q.packets, pendingPacket{innerType: innerType, payload: joinParts(head, body), flow: flow})
 	return nil
 }
 

@@ -351,7 +351,7 @@ func TestVerifyRouteAllocFree(t *testing.T) {
 }
 
 func TestPathTableDropLink(t *testing.T) {
-	pt := host.NewPathTable(4)
+	pt := host.NewPathTable()
 	dst := packet.MACFromUint64(5)
 	pt.Install(dst, &host.TableEntry{
 		Paths: []host.CachedPath{
@@ -397,7 +397,7 @@ func TestPathTableDropLink(t *testing.T) {
 }
 
 func TestPathTableAccessors(t *testing.T) {
-	pt := host.NewPathTable(2)
+	pt := host.NewPathTable()
 	if pt.Len() != 0 || len(pt.Destinations()) != 0 {
 		t.Fatal("empty table")
 	}

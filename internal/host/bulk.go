@@ -54,29 +54,9 @@ func (a *Agent) ResolveRoute(dst packet.MAC, flow FlowKey, w RouteWaiter) (packe
 		w.RouteResolved(nil, nil, false)
 		return nil, nil, false
 	}
-	if a.pendingRoute == nil {
-		a.pendingRoute = make(map[packet.MAC][]pendingResolve)
-	}
-	a.pendingRoute[dst] = append(a.pendingRoute[dst], pendingResolve{flow: flow, w: w})
-	a.requestPath(dst)
+	q := a.query(dst)
+	q.waiters = append(q.waiters, pendingResolve{flow: flow, w: w})
 	return nil, nil, false
-}
-
-// flushPendingRoutes resolves queued reservations after a route for dst
-// installed (ok) or its query was abandoned (!ok).
-func (a *Agent) flushPendingRoutes(dst packet.MAC, ok bool) {
-	queued := a.pendingRoute[dst]
-	if len(queued) == 0 {
-		return
-	}
-	delete(a.pendingRoute, dst)
-	for _, p := range queued {
-		if ok {
-			p.w.RouteResolved(a.routeForHops(dst, p.flow))
-		} else {
-			p.w.RouteResolved(nil, nil, false)
-		}
-	}
 }
 
 // --- Packet-level windowed bulk transfer (fidelity reference) ---

@@ -87,7 +87,7 @@ func NewECNChooser(cooldown sim.Time, clock func() sim.Time) *ECNChooser {
 	}
 }
 
-// Choose implements RouteChooser.
+// Choose implements Policy.
 func (c *ECNChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int {
 	if nPaths <= 1 {
 		return 0

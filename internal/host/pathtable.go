@@ -2,6 +2,7 @@ package host
 
 import (
 	"dumbnet/internal/packet"
+	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
 )
@@ -46,13 +47,13 @@ type TableEntry struct {
 
 // PathTable maps destination MAC to cached routes.
 type PathTable struct {
-	k       int
 	entries map[packet.MAC]*TableEntry
 }
 
-// NewPathTable creates a table caching up to k paths per destination.
-func NewPathTable(k int) *PathTable {
-	return &PathTable{k: k, entries: make(map[packet.MAC]*TableEntry)}
+// NewPathTable creates an empty table. How many paths an entry holds is
+// up to whoever installs it (the agent installs up to kPaths).
+func NewPathTable() *PathTable {
+	return &PathTable{entries: make(map[packet.MAC]*TableEntry)}
 }
 
 // Lookup returns the entry for dst, or nil.
@@ -206,64 +207,106 @@ func (a *Agent) VerifyRoute(dst packet.MAC, tags packet.Path) error {
 	return nil
 }
 
-// requestPath sends (or re-sends) a MsgPathRequest for dst.
-func (a *Agent) requestPath(dst packet.MAC) {
-	if a.requestOpen[dst] {
-		return
-	}
-	a.requestOpen[dst] = true
-	a.reqStart[dst] = a.eng.Now()
-	a.sendPathRequest(dst, 0)
+// pathQuery is one open path request: everything the agent keeps about a
+// destination it has asked the controller for, from the first request until
+// closeQuery ends it. It is also its own retry timer — each attempt
+// schedules the record itself, so a retry costs no closure, and a timer
+// whose record is no longer the destination's open query (answered or
+// abandoned since) does nothing. Records are never recycled: a closed one
+// may still have its timer pending.
+type pathQuery struct {
+	a       *Agent
+	dst     packet.MAC
+	ctrl    packet.MAC // controller the last attempt went to
+	start   sim.Time   // first-send time, for the query-to-answer latency
+	attempt int
+	packets []pendingPacket  // sends queued until the route installs
+	waiters []pendingResolve // route reservations (ResolveRoute misses)
 }
 
-func (a *Agent) sendPathRequest(dst packet.MAC, attempt int) {
-	if !a.requestOpen[dst] {
+// RunEvent is the retry timer: re-send the query if it is still open.
+func (q *pathQuery) RunEvent() {
+	if q.a.queries[q.dst] != q {
 		return
 	}
+	q.attempt++
+	q.a.sendPathRequest(q)
+}
+
+// query returns dst's open path query, opening one (and sending its first
+// request) when there is none.
+func (a *Agent) query(dst packet.MAC) *pathQuery {
+	if q := a.queries[dst]; q != nil {
+		return q
+	}
+	q := &pathQuery{a: a, dst: dst, start: a.eng.Now()}
+	a.queries[dst] = q
+	a.sendPathRequest(q)
+	return q
+}
+
+// closeQuery ends q, the open query for its destination: its queued
+// packets are sent (ok) or dropped, then its route reservations are
+// resolved (ok) or refused. The query leaves the map first, so a send that
+// re-opens one for the same destination gets a fresh record.
+func (a *Agent) closeQuery(q *pathQuery, ok bool) {
+	delete(a.queries, q.dst)
+	if ok {
+		for _, p := range q.packets {
+			_ = a.Send(q.dst, p.innerType, p.payload, p.flow)
+		}
+	} else {
+		a.stats.NoRouteDrops += uint64(len(q.packets))
+	}
+	for _, p := range q.waiters {
+		if ok {
+			p.w.RouteResolved(a.routeForHops(q.dst, p.flow))
+		} else {
+			p.w.RouteResolved(nil, nil, false)
+		}
+	}
+}
+
+// sendPathRequest sends attempt q.attempt of q, or abandons q once every
+// controller in the rotation has had its budget.
+func (a *Agent) sendPathRequest(q *pathQuery) {
 	budget := a.cfg.RequestBudget
 	// Each controller in the rotation (the current one plus every
 	// advertised replica) gets one budget's worth of attempts; after that
 	// the query is abandoned and queued packets are dropped.
-	if attempt >= budget*(1+len(a.ctrlList)) {
-		delete(a.requestOpen, dst)
-		delete(a.requestCtrl, dst)
-		delete(a.reqStart, dst)
-		a.stats.NoRouteDrops += uint64(len(a.pending[dst]))
-		delete(a.pending, dst)
+	if q.attempt >= budget*(1+len(a.ctrlList)) {
 		a.stats.QueriesAbandoned++
-		a.flushPendingRoutes(dst, false)
+		a.closeQuery(q, false)
 		return
 	}
-	if attempt > 0 && attempt%budget == 0 && a.requestCtrl[dst] == a.ctrl {
+	if q.attempt > 0 && q.attempt%budget == 0 && q.ctrl == a.ctrl {
 		// This query exhausted its budget against the current controller
 		// and nobody else has rotated yet: fail over to the next replica.
 		a.failoverController()
 	}
-	a.requestCtrl[dst] = a.ctrl
+	q.ctrl = a.ctrl
 	seq := a.nextSeq()
 	body, err := packet.EncodeControl(packet.MsgPathRequest, &packet.PathRequest{
-		Src: a.mac, Dst: dst, Seq: seq,
+		Src: a.mac, Dst: q.dst, Seq: seq,
 	})
 	if err != nil {
 		return
 	}
 	a.stats.PathQueries++
 	op := trace.CtrlPathRequest
-	if attempt > 0 {
+	if q.attempt > 0 {
 		a.stats.QueryRetries++
 		op = trace.CtrlPathRetry
 	}
-	a.eng.Tracer().Ctrl(int64(a.eng.Now()), op, a.mac, dst, seq)
+	a.eng.Tracer().Ctrl(int64(a.eng.Now()), op, a.mac, q.dst, seq)
 	_ = a.SendFrame(a.ctrl, a.ctrlPath, packet.EtherTypeControl, body)
-	a.eng.After(a.retryDelay(attempt), func() {
-		if a.requestOpen[dst] {
-			a.sendPathRequest(dst, attempt+1)
-		}
-	})
+	a.eng.AfterEvent(a.retryDelay(q.attempt), q)
 }
 
 // handlePathResponse integrates a controller-issued path graph: the body is
 // read straight into the TopoCache, and only once all of it has checked out.
+// The answer closes dst's open query, if any: with the new route when one
+// is usable, as a failure otherwise.
 func (a *Agent) handlePathResponse(blob *packet.Blob) {
 	pg, err := topo.DecodePathGraph(blob.Body, a.cache)
 	if err != nil {
@@ -273,13 +316,11 @@ func (a *Agent) handlePathResponse(blob *packet.Blob) {
 	a.stats.PathResponses++
 	a.eng.Tracer().Ctrl(int64(a.eng.Now()), trace.CtrlPathResponse, a.mac, pg.Dst, blob.Seq)
 	dst := pg.Dst
-	delete(a.requestOpen, dst)
-	delete(a.requestCtrl, dst)
-	if t0, ok := a.reqStart[dst]; ok {
+	q := a.queries[dst]
+	if q != nil {
 		// Query-to-answer latency as the host saw it: cache-hit answers
 		// shorten this directly, warm-up makes it near-constant.
-		a.reqLat.Observe(int64(a.eng.Now() - t0))
-		delete(a.reqStart, dst)
+		a.reqLat.Observe(int64(a.eng.Now() - q.start))
 	}
 
 	entry := &TableEntry{}
@@ -298,20 +339,18 @@ func (a *Agent) handlePathResponse(blob *packet.Blob) {
 		}
 	}
 	if len(entry.Paths) == 0 {
-		// Nothing usable arrived and the query is closed: reservations
-		// would otherwise wait forever (a later Send re-opens the query).
-		a.flushPendingRoutes(dst, false)
+		// Nothing usable arrived: the query fails as if abandoned (a later
+		// Send re-opens one).
+		if q != nil {
+			a.closeQuery(q, false)
+		}
 		return
 	}
 	a.table.Install(dst, entry)
 	a.eng.Tracer().Ctrl(int64(a.eng.Now()), trace.CtrlRouteInstall, a.mac, dst, blob.Seq)
-	// Flush pending packets and bulk route reservations.
-	queued := a.pending[dst]
-	delete(a.pending, dst)
-	for _, p := range queued {
-		_ = a.Send(dst, p.innerType, p.payload, p.flow)
+	if q != nil {
+		a.closeQuery(q, true)
 	}
-	a.flushPendingRoutes(dst, true)
 }
 
 // RoutesReady reports whether the PathTable can serve dst right now.
@@ -327,6 +366,6 @@ func (a *Agent) WarmUp(dst packet.MAC) error {
 	if a.ctrl.IsZero() {
 		return ErrNoController
 	}
-	a.requestPath(dst)
+	a.query(dst)
 	return nil
 }

@@ -9,14 +9,14 @@ import (
 
 // Policy is the unified host routing-policy interface: every way a host can
 // pick among its k cached paths — sticky flows, flowlet TE, packet spraying,
-// single-path pinning, ECN-driven rerouting — behind one type. A Policy is
-// a RouteChooser plus an installation hook: Install runs when the policy is
-// attached to an agent and is where a policy captures agent facilities (the
-// virtual clock, config defaults). Congestion-reactive policies additionally
-// implement CongestionAware; the agent feeds them ECN echoes exactly as
-// before.
+// single-path pinning, ECN-driven rerouting — behind one type. Choose
+// picks the path; Install runs when the policy is attached to an agent and
+// is where a policy captures agent facilities (the virtual clock, config
+// defaults). Congestion-reactive policies additionally implement
+// CongestionAware; the agent feeds them ECN echoes exactly as before.
 type Policy interface {
-	RouteChooser
+	// Choose selects a path index in [0, nPaths) for a flow.
+	Choose(now sim.Time, flow FlowKey, nPaths int) int
 	// Install binds the policy to its agent. Called once per attachment by
 	// Agent.SetPolicy; a policy attached to two agents is a bug (choosers
 	// keep per-flow state).

@@ -133,7 +133,7 @@ func (a *Agent) onBlackhole(dst packet.MAC, s *bhState) {
 		a.stats.FailoverHits++
 	}
 	if !a.ctrl.IsZero() {
-		a.requestPath(dst)
+		a.query(dst)
 	}
 	// Disarm until dst is heard from again, so one silent destination
 	// cannot poison every detour in a cascade.

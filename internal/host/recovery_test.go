@@ -195,6 +195,68 @@ func TestControllerFailoverRotatesThroughReplicaList(t *testing.T) {
 	}
 }
 
+// A retry timer outlives the query that set it: the first request is
+// answered in microseconds while its retry is still milliseconds away. That
+// leftover timer must not drive the next query for the same destination —
+// one query, one retry chain, one budget.
+func TestStaleRetryTimerIgnored(t *testing.T) {
+	n := deployTestbed(t)
+	hosts := n.Hosts()
+	src, dst := hosts[0], hosts[len(hosts)-1]
+	a := n.Agent(src)
+	if err := a.WarmUp(dst); err != nil {
+		t.Fatal(err)
+	}
+	n.RunFor(sim.Millisecond) // the answer arrives; the first retry is ≥3.75 ms out
+	if !a.RoutesReady(dst) || a.Stats().PathQueries != 1 {
+		t.Fatalf("first query not answered on its first attempt: %+v", a.Stats())
+	}
+	// Forget the route and silence the controller: the second query gets no
+	// answer and must walk exactly one budget before it is abandoned.
+	a.Table().Invalidate(dst)
+	n.Ctrl.Crash()
+	before := a.Stats()
+	if err := a.WarmUp(dst); err != nil {
+		t.Fatal(err)
+	}
+	n.Run()
+	st := a.Stats()
+	if got := st.PathQueries - before.PathQueries; got != uint64(a.RequestBudget()) {
+		t.Fatalf("second query sent %d requests, want one budget (%d)", got, a.RequestBudget())
+	}
+	if got := st.QueriesAbandoned - before.QueriesAbandoned; got != 1 {
+		t.Fatalf("second query abandoned %d times, want 1", got)
+	}
+}
+
+// A path query that walks its whole budget costs a fixed handful of
+// allocations per attempt (the encoded request, the failed send) plus one
+// record for the query — no closure per retry.
+func TestPathQueryAllocs(t *testing.T) {
+	eng, a := soloAgent(t, host.DefaultConfig())
+	dst := uint64(1000)
+	allocs := testing.AllocsPerRun(50, func() {
+		dst++
+		if err := a.WarmUp(packet.MACFromUint64(dst)); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	})
+	if st := a.Stats(); st.QueriesAbandoned != 51 {
+		t.Fatalf("QueriesAbandoned = %d, want 51 (every query walks its budget)", st.QueriesAbandoned)
+	}
+	// A closure per retry costs 36-37 (50-52 under -race, where this
+	// change reads 43-45).
+	limit := 31.0
+	if raceEnabled {
+		limit = 47
+	}
+	t.Logf("%.0f allocations per abandoned %d-attempt query", allocs, a.RequestBudget())
+	if allocs > limit {
+		t.Fatalf("an abandoned query allocated %.0f times, want at most %.0f", allocs, limit)
+	}
+}
+
 func TestBlackholeDetectionAndRecovery(t *testing.T) {
 	n := deployTestbed(t)
 	hosts := n.Hosts()

@@ -10,11 +10,6 @@ import (
 // timeout, spreading bursts over all available paths without reordering
 // packets inside a burst.
 
-// RouteChooser selects a path index in [0, nPaths) for a flow.
-type RouteChooser interface {
-	Choose(now sim.Time, flow FlowKey, nPaths int) int
-}
-
 // StickyChooser hashes each flow to one path and keeps it there — the
 // default per-flow binding ("PathTable remembers the previously used choice
 // for each flow, and binds a flow to a particular path", §5.2).
@@ -27,7 +22,7 @@ func NewStickyChooser() *StickyChooser {
 	return &StickyChooser{bound: make(map[FlowKey]int)}
 }
 
-// Choose implements RouteChooser.
+// Choose implements Policy.
 func (c *StickyChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int {
 	if nPaths <= 1 {
 		return 0
@@ -61,7 +56,7 @@ func NewFlowletChooser(timeout sim.Time) *FlowletChooser {
 	return &FlowletChooser{Timeout: timeout, state: make(map[FlowKey]*flowletState)}
 }
 
-// Choose implements RouteChooser.
+// Choose implements Policy.
 func (c *FlowletChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int {
 	if nPaths <= 1 {
 		return 0
@@ -98,7 +93,7 @@ func NewRoundRobinChooser() *RoundRobinChooser {
 	return &RoundRobinChooser{next: make(map[FlowKey]int)}
 }
 
-// Choose implements RouteChooser.
+// Choose implements Policy.
 func (c *RoundRobinChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int {
 	if nPaths <= 1 {
 		return 0
@@ -112,5 +107,5 @@ func (c *RoundRobinChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int {
 // baseline of Fig 13.
 type SinglePathChooser struct{}
 
-// Choose implements RouteChooser.
+// Choose implements Policy.
 func (SinglePathChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int { return 0 }

@@ -38,7 +38,7 @@ func TestStickyChooserSpreadsFlows(t *testing.T) {
 }
 
 func TestChoosersSinglePathAlwaysZero(t *testing.T) {
-	choosers := []host.RouteChooser{
+	choosers := []host.Policy{
 		host.NewStickyChooser(),
 		host.NewFlowletChooser(sim.Millisecond),
 		host.NewRoundRobinChooser(),

@@ -27,53 +27,41 @@ func (a *Agent) SetLinkHealth(lh LinkHealth) { a.linkHealth = lh }
 // LinkHealth returns the wired scoreboard (nil when telemetry is off).
 func (a *Agent) LinkHealth() LinkHealth { return a.linkHealth }
 
-// PathAwareChooser is an optional RouteChooser refinement: a chooser that
+// PathAwareChooser is an optional Policy refinement: a chooser that
 // wants the candidate paths themselves (to inspect their hops), not just
 // how many there are. routeForHops prefers ChoosePath when implemented.
 type PathAwareChooser interface {
-	RouteChooser
+	Policy
 	// ChoosePath returns the index of the path to use. Out-of-range returns
 	// fall back to index 0, as with Choose.
 	ChoosePath(now sim.Time, flow FlowKey, paths []CachedPath) int
 }
 
-// TelemetryChooser is the "telemetry" policy: sticky per-flow path binding
-// (hash + per-destination epoch, like ECN) refined by the telemetry
+// TelemetryChooser is the "telemetry" policy: the ECN chooser's sticky
+// per-flow binding (hash + per-destination epoch) refined by the telemetry
 // scoreboard — when the bound path crosses a flagged link, the chooser
 // walks the other cached paths and picks the one crossing the fewest
 // flagged links (first zero-cost candidate wins). ECN echoes still bump the
 // destination epoch, so the policy composes both signals: the scoreboard
 // gives fabric-wide windowed verdicts, ECN gives per-RTT marks.
 type TelemetryChooser struct {
-	// Cooldown bounds per-destination epoch bumps from ECN echoes.
-	Cooldown sim.Time
+	ECNChooser
 
 	agent   *Agent
-	epoch   map[packet.MAC]uint64
-	bumped  map[packet.MAC]sim.Time
 	steered uint64 // times the scoreboard moved a flow off its bound path
 }
 
 // NewTelemetryChooser creates a scoreboard-aware chooser. The agent (and
 // through it the scoreboard and clock) binds at Install time.
 func NewTelemetryChooser(cooldown sim.Time) *TelemetryChooser {
-	return &TelemetryChooser{
-		Cooldown: cooldown,
-		epoch:    make(map[packet.MAC]uint64),
-		bumped:   make(map[packet.MAC]sim.Time),
-	}
+	return &TelemetryChooser{ECNChooser: *NewECNChooser(cooldown, nil)}
 }
 
-// Install implements Policy.
-func (c *TelemetryChooser) Install(a *Agent) { c.agent = a }
-
-// Choose implements RouteChooser — the sticky baseline used when no path
-// detail is available.
-func (c *TelemetryChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int {
-	if nPaths <= 1 {
-		return 0
-	}
-	return int((flow.hash() + c.epoch[flow.Dst]) % uint64(nPaths))
+// Install implements Policy: the ECN half takes the agent's clock, the
+// scoreboard half keeps the agent.
+func (c *TelemetryChooser) Install(a *Agent) {
+	c.ECNChooser.Install(a)
+	c.agent = a
 }
 
 // ChoosePath implements PathAwareChooser: start from the sticky choice and
@@ -117,23 +105,6 @@ func pathCost(lh LinkHealth, p *CachedPath) int {
 	return cost
 }
 
-// OnCongestion implements CongestionAware (same cooldown-gated epoch bump
-// as ECNChooser).
-func (c *TelemetryChooser) OnCongestion(dst packet.MAC) {
-	now := sim.Time(0)
-	if c.agent != nil {
-		now = c.agent.eng.Now()
-	}
-	if last, ok := c.bumped[dst]; ok && c.Cooldown > 0 && now-last < c.Cooldown {
-		return
-	}
-	c.bumped[dst] = now
-	c.epoch[dst]++
-}
-
 // Steered reports how many sends the scoreboard moved off their sticky
 // path (tests and the closed-loop demo read this).
 func (c *TelemetryChooser) Steered() uint64 { return c.steered }
-
-// Epoch exposes a destination's ECN reroute count.
-func (c *TelemetryChooser) Epoch(dst packet.MAC) uint64 { return c.epoch[dst] }

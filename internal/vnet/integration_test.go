@@ -34,7 +34,7 @@ func deployTenants(t *testing.T) (*core.Network, *vnet.Manager, []packet.MAC, []
 	if _, err := mgr.CreateTenant("blue", blue); err != nil {
 		t.Fatal(err)
 	}
-	n.Ctrl.SetVirtualization(vnet.ControllerAdapter{M: mgr})
+	n.Ctrl.SetVirtualization(mgr)
 	return n, mgr, red, blue
 }
 

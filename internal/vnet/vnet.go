@@ -674,45 +674,3 @@ func (m *Manager) AuditViews() []string {
 	}
 	return out
 }
-
-// ControllerAdapter adapts a Manager to the controller's Virtualizer
-// interface (which uses plain strings to avoid an import cycle). It also
-// satisfies the controller's topology-sink interface so applied patches
-// propagate into tenant views.
-type ControllerAdapter struct{ M *Manager }
-
-// TenantOf implements controller.Virtualizer.
-func (a ControllerAdapter) TenantOf(h packet.MAC) (string, bool) {
-	id, ok := a.M.TenantOf(h)
-	return string(id), ok
-}
-
-// PathGraphFor implements controller.Virtualizer.
-func (a ControllerAdapter) PathGraphFor(tenant string, src, dst packet.MAC) (*topo.PathGraph, error) {
-	return a.M.PathGraphFor(TenantID(tenant), src, dst)
-}
-
-// TenantGeneration implements controller.Virtualizer.
-func (a ControllerAdapter) TenantGeneration(tenant string) (uint64, bool) {
-	return a.M.Generation(TenantID(tenant))
-}
-
-// VerifyTenantRoute implements controller.Virtualizer.
-func (a ControllerAdapter) VerifyTenantRoute(tenant string, src, dst packet.MAC, tags packet.Path) error {
-	return a.M.VerifyRoute(TenantID(tenant), src, dst, tags)
-}
-
-// ApplyLinkDown implements the controller's topology sink.
-func (a ControllerAdapter) ApplyLinkDown(sw packet.SwitchID, port topo.Port) {
-	a.M.ApplyLinkDown(sw, port)
-}
-
-// ApplyLinkUp implements the controller's topology sink.
-func (a ControllerAdapter) ApplyLinkUp(x packet.SwitchID, px topo.Port, y packet.SwitchID, py topo.Port) {
-	a.M.ApplyLinkUp(x, px, y, py)
-}
-
-// ApplySwitchDown implements the controller's topology sink.
-func (a ControllerAdapter) ApplySwitchDown(sw packet.SwitchID) {
-	a.M.ApplySwitchDown(sw)
-}
