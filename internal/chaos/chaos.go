@@ -173,19 +173,13 @@ type Report struct {
 func (r *Report) Ok() bool { return len(r.Violations) == 0 }
 
 // Digest folds the event trace into one comparable value — the determinism
-// golden: two same-seed runs must produce identical digests. The loop is
-// FNV-1a's, but the start value is one digit short of its offset basis,
-// 14695981039346656037; the pinned chaos digests fix it.
+// golden: two same-seed runs must produce identical digests. It is FNV-1a
+// over each event's line, from packet.FNVShortBasis, which the pinned chaos
+// digests fix.
 func (r *Report) Digest() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * 1099511628211
-		}
-		h = (h ^ '\n') * 1099511628211
-	}
+	h := packet.FNVShortBasis
 	for _, e := range r.Trace {
-		mix(e.String())
+		h = packet.FNVMix(packet.FNV(h, e.String()), '\n')
 	}
 	return h
 }

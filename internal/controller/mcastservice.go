@@ -79,14 +79,10 @@ func (c *Controller) Mcast() *McastService { return c.mcast }
 // pairSeed it depends only on the identity and the token, so the
 // same (group, source, epoch) always yields the same tree — and trees
 // re-randomize their equal-cost choices each topology or membership epoch,
-// spreading load the way §4.3 intends for unicast. It starts from
-// pairSeed's value, not FNV-1a's offset basis.
+// spreading load the way §4.3 intends for unicast. Like pairSeed it starts
+// from packet.FNVShortBasis, which the pinned digests fix.
 func groupSeed(group mcast.GroupID, src packet.MAC, version, topoGen, groupGen uint64) int64 {
-	h := uint64(1469598103934665603)
-	for _, b := range src {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	h = (h ^ uint64(group)) * 1099511628211
+	h := packet.FNVMix(packet.FNV(packet.FNVShortBasis, src[:]), uint64(group))
 	h ^= version * 0x9E3779B97F4A7C15
 	h ^= topoGen * 0xBF58476D1CE4E5B9
 	h ^= groupGen * 0x94D049BB133111EB

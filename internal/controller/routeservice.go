@@ -85,17 +85,10 @@ func newRouteService(c *Controller) *RouteService {
 // depends only on the pair and the epoch, so a cached answer is identical
 // no matter which code path (request, warm-up shard, audit) computed it
 // first — and re-randomizes each topology epoch, preserving the §4.3
-// load-balancing intent across invalidations. The loop is FNV-1a's, but
-// the start value is one digit short of its offset basis,
-// 14695981039346656037; the pinned digests fix it.
+// load-balancing intent across invalidations. It is FNV-1a from
+// packet.FNVShortBasis, which the pinned digests fix.
 func pairSeed(src, dst packet.MAC, version, gen uint64) int64 {
-	h := uint64(1469598103934665603)
-	for _, b := range src {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	for _, b := range dst {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
+	h := packet.FNV(packet.FNV(packet.FNVShortBasis, src[:]), dst[:])
 	h ^= version * 0x9E3779B97F4A7C15
 	h ^= gen * 0xBF58476D1CE4E5B9
 	return int64(h)

@@ -111,21 +111,13 @@ type FlowKey struct {
 	Proto            uint8
 }
 
-// hash mixes the flow key into a uint64 (an FNV-1a loop with a
-// splitmix-style finalizer; raw FNV low bits correlate badly under small
-// moduli). The start value is one digit short of FNV-1a's offset basis,
-// 14695981039346656037; the pinned digests fix it.
+// hash mixes the flow key into a uint64 (FNV-1a from packet.FNVShortBasis,
+// which the pinned digests fix, with a splitmix-style finalizer; raw FNV
+// low bits correlate badly under small moduli).
 func (k FlowKey) hash() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
-	for _, b := range k.Dst {
-		mix(b)
-	}
-	mix(byte(k.SrcPort >> 8))
-	mix(byte(k.SrcPort))
-	mix(byte(k.DstPort >> 8))
-	mix(byte(k.DstPort))
-	mix(k.Proto)
+	b := [11]byte{6: byte(k.SrcPort >> 8), 7: byte(k.SrcPort), 8: byte(k.DstPort >> 8), 9: byte(k.DstPort), 10: k.Proto}
+	copy(b[:], k.Dst[:])
+	h := packet.FNV(packet.FNVShortBasis, b[:])
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 27

@@ -167,7 +167,7 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) (*Layer, error) {
 		net:     flowsim.NewNetwork(),
 		cfg:     cfg.withDefaults(),
 		hostIdx: make(map[packet.MAC]int32),
-		digest:  14695981039346656037, // FNV-1a offset basis
+		digest:  packet.FNVBasis,
 	}
 	fcfg := fab.Config()
 	swBps := fluidBps(fcfg.SwitchLink.BandwidthBps)
@@ -564,7 +564,7 @@ func (ly *Layer) digestFlow(f *Flow) {
 	h := ly.digest
 	mix := func(v uint64) {
 		for i := 0; i < 8; i++ {
-			h = (h ^ (v & 0xFF)) * 1099511628211
+			h = packet.FNVMix(h, v&0xFF)
 			v >>= 8
 		}
 	}
@@ -577,13 +577,7 @@ func (ly *Layer) digestFlow(f *Flow) {
 	} else {
 		mix(0)
 	}
-	for _, b := range f.Src {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	for _, b := range f.Dst {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	ly.digest = h
+	ly.digest = packet.FNV(packet.FNV(h, f.Src[:]), f.Dst[:])
 }
 
 // Digest returns the FNV-1a digest over all completion records so far —

@@ -35,9 +35,14 @@ type DenseGraph struct {
 }
 
 // snapshot rebuilds g from v in place, reusing the edge arrays; edges is a
-// capacity hint for a first build (a reused g has grown to fit already).
+// capacity hint for a first build (a reused g has grown to fit already). A
+// Subgraph's switch list is read in place, its rows already in ID order.
 func (g *DenseGraph) snapshot(v View, edges int) {
-	g.ids = v.SwitchIDs()
+	if s, ok := v.(*Subgraph); ok {
+		g.ids = s.appendIDs(g.ids[:0])
+	} else {
+		g.ids = v.SwitchIDs()
+	}
 	g.start = append(slices.Grow(g.start[:0], len(g.ids)+1), 0)
 	g.nbr, g.port = slices.Grow(g.nbr[:0], edges), slices.Grow(g.port[:0], edges)
 	for _, id := range g.ids {
@@ -125,16 +130,15 @@ type DenseScratch struct {
 	g      DenseGraph    // snapshot of a view that keeps none of its own (denseOf)
 	dist   []int32       // BFS hop counts (-1 = unreached)
 	queue  []int32       // BFS work queue
-	wdist  []float64     // Dijkstra tentative distances (+Inf: unreached or settled)
+	wdist  []float64     // Dijkstra tentative distances (+Inf: unreached, -1: settled)
 	prev   []int32       // Dijkstra predecessors
-	done   Bitset        // Dijkstra visited set
 	nodes  Bitset        // path-graph node set under construction
 	path   []int32       // primary path buffer
 	pathB  []int32       // backup path buffer
 	nbrs   []uint64      // path-graph writer: one node's in-set edges
 	w      packet.Writer // path-graph writer: the answer's wire form
 	cand   []int32       // equal-cost candidate set
-	mask   denseMask     // Yen: root nodes and used links hidden from a spur search
+	mask   denseMask     // Yen: root nodes and used links hidden from a spur search; backup: primary links
 	arena  []int32       // Yen: accepted and candidate paths, back to back
 	found  []span        // Yen: accepted paths, in order
 	queued []span        // Yen: candidates not yet accepted
@@ -259,18 +263,17 @@ func (g *DenseGraph) shortestPath(sc *DenseScratch, src, dst int32, rng *rand.Ra
 	return buf, nil
 }
 
-// WeightedShortestPathInto runs Dijkstra from src to dst with per-edge
-// weights from cost (values <= 0 count as 1), appending the path to buf[:0].
-// Used for backup paths, where primary-path links are made expensive (§4.3).
-// Selection is by smallest distance, then smallest node index (= smallest
-// switch ID), with strict-improvement relaxation: a heap-free scan, since the
-// graphs are small and the fixed order keeps results reproducible. Weights
-// are positive, so every open node at the smallest open distance is final
-// and nothing relaxed from one can join them: one scan finds that distance
-// and one ascending pass settles the whole level, in the order selecting
-// the minimum again for each node would (which cost a scan of all 320
-// switches per settled switch on a k=16 fat-tree, most of a cold compute).
-func (g *DenseGraph) WeightedShortestPathInto(sc *DenseScratch, src, dst int32, cost func(a, b int32) float64, buf []int32) ([]int32, error) {
+// WeightedShortestPathInto runs Dijkstra from src to dst, appending the
+// path to buf[:0]: an edge in heavy costs penalty (> 0), any other 1. It is
+// the backup search of §4.3, heavy holding the primary's links. Nodes
+// settle by smallest distance, then smallest node index (= smallest switch
+// ID), with strict-improvement relaxation, so results are reproducible.
+// Weights are positive, so every open node at the smallest open distance is
+// final and nothing relaxed from one can join them: one scan finds that
+// distance and one ascending pass settles the whole level, in the order a
+// heap of (distance, index) would pop it. A settled node's distance reads
+// -1, below any relaxed one, so relaxing needs no visited set.
+func (g *DenseGraph) WeightedShortestPathInto(sc *DenseScratch, src, dst int32, heavy *Bitset, penalty float64, buf []int32) ([]int32, error) {
 	n := len(g.ids)
 	sc.wdist = grow(sc.wdist, n)
 	sc.prev = grow(sc.prev, n)
@@ -278,13 +281,14 @@ func (g *DenseGraph) WeightedShortestPathInto(sc *DenseScratch, src, dst int32, 
 		sc.wdist[i] = math.Inf(1)
 		sc.prev[i] = -1
 	}
-	sc.done.Reset(n)
 	sc.wdist[src] = 0
 settle:
 	for {
 		bd := math.Inf(1)
 		for _, d := range sc.wdist {
-			bd = min(bd, d)
+			if d < bd && d >= 0 {
+				bd = d
+			}
 		}
 		if math.IsInf(bd, 1) {
 			return buf[:0], ErrNoPath
@@ -296,16 +300,11 @@ settle:
 			if best == dst {
 				break settle
 			}
-			sc.done.Set(best)
-			sc.wdist[best] = math.Inf(1) // settled: out of later scans
+			sc.wdist[best] = -1
 			for e := g.start[best]; e < g.start[best+1]; e++ {
-				nb := g.nbr[e]
-				if sc.done.Has(nb) {
-					continue
-				}
-				w := cost(best, nb)
-				if w <= 0 {
-					w = 1
+				nb, w := g.nbr[e], 1.0
+				if heavy.Has(e) {
+					w = penalty
 				}
 				if nd := bd + w; nd < sc.wdist[nb] {
 					sc.wdist[nb] = nd
@@ -321,13 +320,8 @@ settle:
 			break
 		}
 		cur = sc.prev[cur]
-		if cur < 0 {
-			return buf[:0], ErrNoPath
-		}
 	}
-	for i, j := 0, len(buf)-1; i < j; i, j = i+1, j-1 {
-		buf[i], buf[j] = buf[j], buf[i]
-	}
+	slices.Reverse(buf)
 	return buf, nil
 }
 
@@ -341,17 +335,11 @@ func (g *DenseGraph) primaryBackupInto(sc *DenseScratch, src, dst int32, penalty
 	if sc.path, err = g.ShortestPathInto(sc, src, dst, rng, sc.path); err != nil {
 		return err
 	}
-	// The primary is short, so a linear membership scan beats an edge set.
-	cost := func(a, b int32) float64 {
-		p := sc.path
-		for i := 0; i+1 < len(p); i++ {
-			if (p[i] == a && p[i+1] == b) || (p[i] == b && p[i+1] == a) {
-				return penalty
-			}
-		}
-		return 1
+	sc.mask.edges.Reset(len(g.nbr))
+	for i := 0; i+1 < len(sc.path); i++ {
+		g.maskLink(&sc.mask.edges, sc.path[i], sc.path[i+1])
 	}
-	sc.pathB, _ = g.WeightedShortestPathInto(sc, src, dst, cost, sc.pathB) // best-effort
+	sc.pathB, _ = g.WeightedShortestPathInto(sc, src, dst, &sc.mask.edges, penalty, sc.pathB) // best-effort
 	return nil
 }
 

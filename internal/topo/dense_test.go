@@ -111,10 +111,11 @@ func TestKernelsMatchOracle(t *testing.T) {
 			}
 		}
 		// Backup paths: the primary's links penalized, as §4.3 does.
+		penalties := []float64{1.2, 1.5, 8, 100}
 		for trial := 0; trial < 40; trial++ {
 			r := rand.New(rand.NewSource(int64(trial)))
 			src, dst := ids[r.Intn(len(ids))], ids[r.Intn(len(ids))]
-			penalty := []float64{8, 1.5, 100}[trial%3]
+			penalty := penalties[trial%len(penalties)]
 			wantP, err := oracleShortestPath(v, src, dst, rand.New(rand.NewSource(int64(trial))))
 			gotP, gotB, gotErr := PrimaryBackup(v, src, dst, PathGraphOptions{BackupPenalty: penalty}, rand.New(rand.NewSource(int64(trial))))
 			if !errors.Is(gotErr, err) || !wantP.Equal(gotP) {
@@ -141,24 +142,34 @@ func TestKernelsMatchOracle(t *testing.T) {
 				t.Fatalf("%s: backup %d->%d penalty %v: oracle %v, dense %v", name, src, dst, penalty, wantB, gotB)
 			}
 		}
-		// Dijkstra under mixed per-link weights from a small set: many
-		// equal distances (the index tie-break) and nodes improved more
-		// than once (the frontier's lazy deletion).
+		// The backup kernel with a third of all links heavy: many equal
+		// distances (the index tie-break) and nodes improved more than
+		// once (strict-improvement relaxation).
 		for trial := 0; trial < 40; trial++ {
 			r := rand.New(rand.NewSource(int64(1000 + trial)))
 			src, dst := ids[r.Intn(len(ids))], ids[r.Intn(len(ids))]
-			weight := func(a, b SwitchID) float64 {
-				if a > b {
-					a, b = b, a
-				}
-				return []float64{1, 1.5, 2, 3, 0}[(int(a)*31+int(b)*17+trial)%5]
+			penalty := penalties[trial%len(penalties)]
+			heavyLink := func(a, b SwitchID) bool {
+				return (int(min(a, b))*31+int(max(a, b))*17+trial)%3 == 0
 			}
-			want, wantErr := oracleWeightedShortestPath(v, src, dst, weight)
+			var heavy Bitset
+			heavy.Reset(len(g.nbr))
+			for i := int32(0); i < int32(g.NumNodes()); i++ {
+				for e := g.start[i]; e < g.start[i+1]; e++ {
+					if heavyLink(g.IDOf(i), g.IDOf(g.nbr[e])) {
+						heavy.Set(e)
+					}
+				}
+			}
+			want, wantErr := oracleWeightedShortestPath(v, src, dst, func(a, b SwitchID) float64 {
+				if heavyLink(a, b) {
+					return penalty
+				}
+				return 1
+			})
 			si, _ := g.IndexOf(src)
 			di, _ := g.IndexOf(dst)
-			got, gotErr := g.WeightedShortestPathInto(sc, si, di, func(a, b int32) float64 {
-				return weight(g.IDOf(a), g.IDOf(b))
-			}, nil)
+			got, gotErr := g.WeightedShortestPathInto(sc, si, di, &heavy, penalty, nil)
 			if !errors.Is(gotErr, wantErr) || !want.Equal(g.idsOf(got)) {
 				t.Fatalf("%s: weighted %d->%d trial %d: oracle %v (%v), dense %v (%v)", name, src, dst, trial, want, wantErr, g.idsOf(got), gotErr)
 			}
@@ -187,7 +198,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 }
 
 // TestDenseKernelsAllocFree pins the tentpole property: with a warm scratch
-// and warm rows, the distance, shortest-path and Dijkstra kernels allocate
+// and warm rows, the distance, shortest-path and backup kernels allocate
 // nothing.
 func TestDenseKernelsAllocFree(t *testing.T) {
 	tp, err := FatTree(4, 1, 0)
@@ -199,15 +210,14 @@ func TestDenseKernelsAllocFree(t *testing.T) {
 	hosts := tp.Hosts()
 	si, _ := g.IndexOf(hosts[0].Switch)
 	di, _ := g.IndexOf(hosts[len(hosts)-1].Switch)
-	unit := func(a, b int32) float64 { return 1 }
+	rng := rand.New(rand.NewSource(1))
 	warm := func() {
 		g.DistTo(sc, si)
-		var err error
-		sc.path, err = g.ShortestPathInto(sc, si, di, nil, sc.path)
-		if err != nil {
-			t.Fatal(err)
+		if err := g.primaryBackupInto(sc, si, di, 8, rng); err != nil || len(sc.pathB) == 0 {
+			t.Fatalf("route pair: %v, backup %v", err, sc.pathB)
 		}
-		sc.pathB, err = g.WeightedShortestPathInto(sc, si, di, unit, sc.pathB)
+		var err error
+		sc.pathB, err = g.WeightedShortestPathInto(sc, si, di, &sc.mask.edges, 1.5, sc.pathB)
 		if err != nil {
 			t.Fatal(err)
 		}

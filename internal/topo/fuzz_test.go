@@ -50,25 +50,38 @@ func FuzzUnmarshalPathGraph(f *testing.F) {
 	}
 	addSeeds(f, goldenPathGraph().Marshal(), pg.Marshal())
 	// A host cache that already holds the golden graph's switches, one of
-	// its links on another port and a host it does not name.
+	// its links on another port and a host it does not name, and the same
+	// cache in the map form.
 	base := goldenPathGraph().Graph
-	base.AddEdge(1, 7, 2, 7)
-	base.AddHost(HostAttach{Host: packet.MACFromUint64(0x33), Switch: 9, Port: 1})
+	_, obase, err := oracleUnmarshalPathGraph(goldenPathGraph().Marshal())
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, c := range []interface {
+		AddEdge(SwitchID, Port, SwitchID, Port)
+		AddHost(HostAttach)
+	}{base, obase} {
+		c.AddEdge(1, 7, 2, 7)
+		c.AddHost(HostAttach{Host: packet.MACFromUint64(0x33), Switch: 9, Port: 1})
+	}
+	if !bytes.Equal(base.Marshal(), obase.Marshal()) {
+		f.Fatal("the base cache differs from its map form")
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzStable(t, data, UnmarshalPathGraph, (*PathGraph).Marshal)
-		checkDecodeIntoCache(t, data, base)
+		checkDecodeIntoCache(t, data, base, obase)
 	})
 }
 
 // checkDecodeIntoCache decodes data into a copy of base and holds the
-// result to the reader DecodePathGraph replaced: the same verdict; on
-// acceptance, the cache that reader's graph merged into base gives; on
-// rejection, base's bytes unchanged.
-func checkDecodeIntoCache(t *testing.T, data []byte, base *Subgraph) {
+// result to the map reference in oracle_test.go, whose form of base is
+// obase: the same verdict as its reader; on acceptance, the cache its
+// decode-then-Merge leaves; on rejection, base's bytes unchanged.
+func checkDecodeIntoCache(t *testing.T, data []byte, base *Subgraph, obase *oracleSubgraph) {
 	t.Helper()
 	cache := base.Clone()
 	pg, err := DecodePathGraph(data, cache)
-	ref, refErr := oracleUnmarshalPathGraph(data)
+	ref, refGraph, refErr := oracleUnmarshalPathGraph(data)
 	if (err != nil) != (refErr != nil) {
 		t.Fatalf("verdict %v, the reference reader's %v\n% x", err, refErr, data)
 	}
@@ -78,8 +91,8 @@ func checkDecodeIntoCache(t *testing.T, data []byte, base *Subgraph) {
 		}
 		return
 	}
-	want := base.Clone()
-	want.Merge(ref.Graph)
+	want := obase.Clone()
+	want.Merge(refGraph)
 	if !bytes.Equal(cache.Marshal(), want.Marshal()) {
 		t.Fatalf("decoding into the cache differs from decode-then-Merge\n% x", data)
 	}

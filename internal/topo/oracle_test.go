@@ -1,8 +1,10 @@
 package topo
 
 import (
+	"cmp"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dumbnet/internal/packet"
@@ -258,7 +260,7 @@ func oraclePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand
 		backup = g.idsOf(sc.pathB)
 	}
 	nodes := pathGraphNodes(g, sc, opts)
-	sub := NewSubgraph()
+	sub := newOracleSubgraph()
 	for i := int32(0); i < int32(len(g.ids)); i++ {
 		if !nodes.Has(i) {
 			continue
@@ -277,14 +279,26 @@ func oraclePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand
 	}
 	sub.AddHost(sat)
 	sub.AddHost(dat)
-	return (&PathGraph{Src: src, Dst: dst, Primary: primary, Backup: backup, Graph: sub}).Marshal(), nil
+	var w packet.Writer
+	writeHeader(&w, pathgrafMagic)
+	w.MAC(src)
+	w.MAC(dst)
+	for _, p := range []SwitchPath{primary, backup} {
+		w.U16(uint16(len(p)))
+		for _, sw := range p {
+			w.U32(uint32(sw))
+		}
+	}
+	w.Raw(sub.Marshal())
+	return w.Bytes(), nil
 }
 
 // oracleUnmarshalPathGraph is the path-graph reader as it was shipped
-// before DecodePathGraph: it builds a fresh Subgraph while it reads, and a
-// host then merged that into its cache. DecodePathGraph must accept exactly
-// what it accepts and leave a cache as that merge did.
-func oracleUnmarshalPathGraph(b []byte) (*PathGraph, error) {
+// before DecodePathGraph: it builds a fresh map subgraph while it reads,
+// and a host then merged that into its cache. DecodePathGraph must accept
+// exactly what it accepts and leave a cache as that merge did. The
+// returned header's Graph is nil; the graph comes back on its own.
+func oracleUnmarshalPathGraph(b []byte) (*PathGraph, *oracleSubgraph, error) {
 	r := packet.NewReader(b)
 	readHeader(&r, pathgrafMagic)
 	readPath := func() SwitchPath {
@@ -307,7 +321,7 @@ func oracleUnmarshalPathGraph(b []byte) (*PathGraph, error) {
 	if n > 1<<22 {
 		r.Fail()
 	}
-	s := NewSubgraph()
+	s := newOracleSubgraph()
 	for i := 0; i < n && r.Ok(); i++ {
 		id := SwitchID(r.U32())
 		cnt := int(r.U16())
@@ -328,8 +342,165 @@ func oracleUnmarshalPathGraph(b []byte) (*PathGraph, error) {
 		s.hosts[at.Host] = at
 	}
 	if !r.Ok() || len(r.Rest()) != 0 {
-		return nil, ErrBadTopology
+		return nil, nil, ErrBadTopology
 	}
-	pg.Graph = s
-	return pg, nil
+	return pg, s, nil
+}
+
+// oracleSubgraph is the TopoCache as it was shipped before Subgraph stored
+// sorted rows: nested maps, the switch list and each neighbour list sorted
+// on every read. Subgraph must answer every read as it does, after the
+// same writes (TestSubgraphMatchesOracle). One change from the shipped
+// type: RemoveEdgeByPort took whichever link on the port a map range met
+// first; here, as in Subgraph, it takes the one neighborAt names.
+type oracleSubgraph struct {
+	adj   map[SwitchID]map[SwitchID]Port // adj[a][b] = a's port toward b
+	hosts map[MAC]HostAttach
+}
+
+func newOracleSubgraph() *oracleSubgraph {
+	return &oracleSubgraph{adj: make(map[SwitchID]map[SwitchID]Port), hosts: make(map[MAC]HostAttach)}
+}
+
+func (s *oracleSubgraph) AddEdge(a SwitchID, pa Port, b SwitchID, pb Port) {
+	if s.adj[a] == nil {
+		s.adj[a] = make(map[SwitchID]Port)
+	}
+	if s.adj[b] == nil {
+		s.adj[b] = make(map[SwitchID]Port)
+	}
+	s.adj[a][b] = pa
+	s.adj[b][a] = pb
+}
+
+func (s *oracleSubgraph) RemoveEdge(a, b SwitchID) {
+	if m := s.adj[a]; m != nil {
+		delete(m, b)
+	}
+	if m := s.adj[b]; m != nil {
+		delete(m, a)
+	}
+}
+
+func (s *oracleSubgraph) RemoveEdgeByPort(sw SwitchID, p Port) bool {
+	nb, ok := s.neighborAt(sw, p)
+	if ok {
+		s.RemoveEdge(sw, nb)
+	}
+	return ok
+}
+
+func (s *oracleSubgraph) RemoveSwitch(id SwitchID) {
+	for nb := range s.adj[id] {
+		delete(s.adj[nb], id)
+	}
+	delete(s.adj, id)
+}
+
+func (s *oracleSubgraph) RemoveHost(h MAC) { delete(s.hosts, h) }
+
+func (s *oracleSubgraph) AddHost(at HostAttach) {
+	s.hosts[at.Host] = at
+	if s.adj[at.Switch] == nil {
+		s.adj[at.Switch] = make(map[SwitchID]Port)
+	}
+}
+
+func (s *oracleSubgraph) NumLinks() int {
+	n := 0
+	for _, m := range s.adj {
+		n += len(m)
+	}
+	return n / 2
+}
+
+func (s *oracleSubgraph) SwitchIDs() []SwitchID {
+	out := make([]SwitchID, 0, len(s.adj))
+	for id := range s.adj {
+		out = append(out, id)
+	}
+	slices.Sort(out)
+	return out
+}
+
+func (s *oracleSubgraph) Hosts() []HostAttach {
+	out := make([]HostAttach, 0, len(s.hosts))
+	for _, at := range s.hosts {
+		out = append(out, at)
+	}
+	slices.SortFunc(out, byHost)
+	return out
+}
+
+func (s *oracleSubgraph) Neighbors(id SwitchID) []Neighbor {
+	m := s.adj[id]
+	if len(m) == 0 {
+		return nil
+	}
+	out := make([]Neighbor, 0, len(m))
+	for sw, p := range m {
+		out = append(out, Neighbor{Sw: sw, Port: p})
+	}
+	slices.SortFunc(out, func(a, b Neighbor) int { return cmp.Compare(a.Sw, b.Sw) })
+	return out
+}
+
+func (s *oracleSubgraph) neighborAt(sw SwitchID, p Port) (SwitchID, bool) {
+	next, ok := SwitchID(0), false
+	for nb, port := range s.adj[sw] {
+		if port == p && (!ok || nb < next) {
+			next, ok = nb, true
+		}
+	}
+	return next, ok
+}
+
+func (s *oracleSubgraph) PortToward(from, to SwitchID) (Port, error) {
+	if p, ok := s.adj[from][to]; ok {
+		return p, nil
+	}
+	return 0, ErrNoLink
+}
+
+// Merge unions other into s, the incoming port winning on a conflict.
+func (s *oracleSubgraph) Merge(other *oracleSubgraph) {
+	for a, m := range other.adj {
+		if s.adj[a] == nil {
+			s.adj[a] = make(map[SwitchID]Port)
+		}
+		for b, p := range m {
+			s.adj[a][b] = p
+		}
+	}
+	for h, at := range other.hosts {
+		s.hosts[h] = at
+	}
+}
+
+func (s *oracleSubgraph) Clone() *oracleSubgraph {
+	c := newOracleSubgraph()
+	c.Merge(s)
+	return c
+}
+
+func (s *oracleSubgraph) Marshal() []byte {
+	var w packet.Writer
+	writeHeader(&w, subgraphMagic)
+	ids := s.SwitchIDs()
+	w.U32(uint32(len(ids)))
+	for _, id := range ids {
+		nbs := s.Neighbors(id)
+		w.U32(uint32(id))
+		w.U16(uint16(len(nbs)))
+		for _, nb := range nbs {
+			w.U32(uint32(nb.Sw))
+			w.U8(nb.Port)
+		}
+	}
+	hosts := s.Hosts()
+	w.U32(uint32(len(hosts)))
+	for _, h := range hosts {
+		writeAttach(&w, h)
+	}
+	return w.Bytes()
 }

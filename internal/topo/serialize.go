@@ -138,13 +138,11 @@ func UnmarshalTopology(b []byte) (*Topology, error) {
 func (s *Subgraph) Marshal() []byte {
 	var w packet.Writer
 	writeHeader(&w, subgraphMagic)
-	ids := s.SwitchIDs()
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		nbs := s.Neighbors(id) // ID order
-		w.U32(uint32(id))
-		w.U16(uint16(len(nbs)))
-		for _, nb := range nbs {
+	w.U32(uint32(len(s.rows)))
+	for _, r := range s.rows { // ID order, each row in neighbour ID order
+		w.U32(uint32(r.id))
+		w.U16(uint16(len(r.nbs)))
+		for _, nb := range r.nbs {
 			w.U32(uint32(nb.Sw))
 			w.U8(nb.Port)
 		}
@@ -180,9 +178,9 @@ func UnmarshalPathGraph(b []byte) (*PathGraph, error) {
 
 // DecodePathGraph reads a serialized path graph into s and returns it with
 // Graph set to s. It checks all of b before it writes anything, so a
-// rejected b leaves s as it was; an accepted one is written the way Merge
-// writes, the incoming port winning on a conflict. This is how a host takes
-// a path response into its TopoCache with no Subgraph in between.
+// rejected b leaves s as it was; an accepted one is merged in, the incoming
+// port winning on a conflict. This is how a host takes a path response
+// into its TopoCache with no Subgraph in between.
 func DecodePathGraph(b []byte, s *Subgraph) (*PathGraph, error) {
 	r := packet.NewReader(b)
 	readHeader(&r, pathgrafMagic)
@@ -218,18 +216,31 @@ func DecodePathGraph(b []byte, s *Subgraph) (*PathGraph, error) {
 	if r.Skip(11 * int(hn)); !r.Ok() || len(r.Rest()) != 0 {
 		return nil, ErrBadTopology
 	}
+	// One pass adds the rows s lacks, in one merge; then each switch's list
+	// is merged into its row link by link, a later port overwriting an
+	// earlier one. Order on the wire is not trusted: a list may be
+	// unsorted or name a neighbour twice, and a switch may come twice.
 	r = packet.NewReader(body[3:])
+	recs, old := r, len(s.rows)
 	for i := r.U32(); i > 0; i-- {
-		id, cnt := SwitchID(r.U32()), int(r.U16())
-		m := s.adj[id]
-		if m == nil {
-			m = make(map[SwitchID]Port, cnt)
-			s.adj[id] = m
+		id := SwitchID(r.U32())
+		if _, ok := findRow(s.rows[:old], id); !ok {
+			s.rows = append(s.rows, sgRow{id: id})
+		}
+		r.Skip(5 * int(r.U16()))
+	}
+	s.mergeRows(old)
+	for i := recs.U32(); i > 0; i-- {
+		j, _ := findRow(s.rows, SwitchID(recs.U32()))
+		row, cnt := &s.rows[j], recs.U16()
+		if row.nbs == nil {
+			row.nbs = make([]Neighbor, 0, cnt)
 		}
 		for ; cnt > 0; cnt-- {
-			m[SwitchID(r.U32())] = r.U8() // neighbour, then port
+			row.nbs = setNeighbor(row.nbs, SwitchID(recs.U32()), recs.U8()) // neighbour, then port
 		}
 	}
+	r = recs
 	for i := r.U32(); i > 0; i-- {
 		at := readAttach(&r)
 		s.hosts[at.Host] = at

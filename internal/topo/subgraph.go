@@ -3,6 +3,7 @@ package topo
 import (
 	"bytes"
 	"cmp"
+	"maps"
 	"math/rand"
 	"slices"
 
@@ -12,62 +13,126 @@ import (
 // Subgraph is a lightweight partial view of the fabric: the structure hosts
 // cache locally (TopoCache), a tenant's slice, and a decoded path graph.
 // Unlike Topology it stores only directed port mappings between switches it
-// knows about, plus the host attachments it has learned.
+// knows about, plus the host attachments it has learned. The switches are
+// rows in ascending ID order, each with its links in ascending neighbour ID
+// order, one per neighbour: the order View promises, kept in storage so
+// that reading it copies and sorts nothing. A neighbour may lack a row of
+// its own (a path-graph body need not list both ends of a link). Nothing is
+// built lazily, so concurrent readers are safe.
 type Subgraph struct {
-	adj   map[SwitchID]map[SwitchID]Port // adj[a][b] = a's port toward b
+	rows  []sgRow
 	hosts map[MAC]HostAttach
+}
+
+// sgRow is one switch and its outgoing links, ascending by neighbour ID.
+type sgRow struct {
+	id  SwitchID
+	nbs []Neighbor
 }
 
 // NewSubgraph returns an empty subgraph.
 func NewSubgraph() *Subgraph {
-	return &Subgraph{
-		adj:   make(map[SwitchID]map[SwitchID]Port),
-		hosts: make(map[MAC]HostAttach),
+	return &Subgraph{hosts: make(map[MAC]HostAttach)}
+}
+
+func byRowID(a, b sgRow) int                 { return cmp.Compare(a.id, b.id) }
+func neighborIs(n Neighbor, id SwitchID) int { return cmp.Compare(n.Sw, id) }
+
+// findRow locates switch id among ascending rows: its index, or where it
+// would be inserted.
+func findRow(rows []sgRow, id SwitchID) (int, bool) {
+	lo, hi := 0, len(rows)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); rows[m].id < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(rows) && rows[lo].id == id
+}
+
+// row returns switch id's links (nil when s has no row for it).
+func (s *Subgraph) row(id SwitchID) []Neighbor {
+	if i, ok := findRow(s.rows, id); ok {
+		return s.rows[i].nbs
+	}
+	return nil
+}
+
+// addRow returns the index of switch id's row, inserting an empty one.
+func (s *Subgraph) addRow(id SwitchID) int {
+	i, ok := findRow(s.rows, id)
+	if !ok {
+		s.rows = slices.Insert(s.rows, i, sgRow{id: id})
+	}
+	return i
+}
+
+// link records a's port toward b, creating a's row.
+func (s *Subgraph) link(a, b SwitchID, p Port) {
+	r := &s.rows[s.addRow(a)]
+	r.nbs = setNeighbor(r.nbs, b, p)
+}
+
+// setNeighbor sets the port toward nb in a row, overwriting the link to nb
+// or inserting it where it sorts.
+func setNeighbor(nbs []Neighbor, nb SwitchID, p Port) []Neighbor {
+	j, ok := slices.BinarySearchFunc(nbs, nb, neighborIs)
+	if ok {
+		nbs[j].Port = p
+		return nbs
+	}
+	return slices.Insert(nbs, j, Neighbor{Sw: nb, Port: p})
+}
+
+// unlink forgets a's link toward b.
+func (s *Subgraph) unlink(a, b SwitchID) {
+	if i, ok := findRow(s.rows, a); ok {
+		r := &s.rows[i]
+		if j, ok := slices.BinarySearchFunc(r.nbs, b, neighborIs); ok {
+			r.nbs = slices.Delete(r.nbs, j, j+1)
+		}
 	}
 }
 
 // AddEdge records the bidirectional link a:pa <-> b:pb.
 func (s *Subgraph) AddEdge(a SwitchID, pa Port, b SwitchID, pb Port) {
-	if s.adj[a] == nil {
-		s.adj[a] = make(map[SwitchID]Port)
-	}
-	if s.adj[b] == nil {
-		s.adj[b] = make(map[SwitchID]Port)
-	}
-	s.adj[a][b] = pa
-	s.adj[b][a] = pb
+	s.link(a, b, pa)
+	s.link(b, a, pb)
 }
 
 // RemoveEdge deletes the link between a and b in both directions.
 func (s *Subgraph) RemoveEdge(a, b SwitchID) {
-	if m := s.adj[a]; m != nil {
-		delete(m, b)
-	}
-	if m := s.adj[b]; m != nil {
-		delete(m, a)
-	}
+	s.unlink(a, b)
+	s.unlink(b, a)
 }
 
 // RemoveEdgeByPort deletes the cached link leaving switch sw through the
 // given local port, if any, and reports whether an edge was removed. Link
 // failure notifications identify links as (switch, port), so this is how
-// hosts patch their TopoCache (§4.2).
+// hosts patch their TopoCache (§4.2). Should two cached links share the
+// port, the one neighborAt names goes.
 func (s *Subgraph) RemoveEdgeByPort(sw SwitchID, p Port) bool {
-	for nb, port := range s.adj[sw] {
-		if port == p {
-			s.RemoveEdge(sw, nb)
-			return true
-		}
+	nb, ok := s.neighborAt(sw, p)
+	if ok {
+		s.RemoveEdge(sw, nb)
 	}
-	return false
+	return ok
 }
 
-// RemoveSwitch deletes a switch and all links touching it.
+// RemoveSwitch deletes a switch and all links its row lists.
 func (s *Subgraph) RemoveSwitch(id SwitchID) {
-	for nb := range s.adj[id] {
-		delete(s.adj[nb], id)
+	i, ok := findRow(s.rows, id)
+	if !ok {
+		return
 	}
-	delete(s.adj, id)
+	for _, nb := range s.rows[i].nbs {
+		if nb.Sw != id {
+			s.unlink(nb.Sw, id)
+		}
+	}
+	s.rows = slices.Delete(s.rows, i, i+1)
 }
 
 // RemoveHost forgets a cached host attachment. Tenant membership changes
@@ -79,9 +144,7 @@ func (s *Subgraph) RemoveHost(h MAC) {
 // AddHost records a host attachment.
 func (s *Subgraph) AddHost(at HostAttach) {
 	s.hosts[at.Host] = at
-	if s.adj[at.Switch] == nil {
-		s.adj[at.Switch] = make(map[SwitchID]Port)
-	}
+	s.addRow(at.Switch)
 }
 
 // HostAt returns a host's attachment point, if known.
@@ -95,18 +158,18 @@ func (s *Subgraph) HostAt(h MAC) (HostAttach, error) {
 
 // HasSwitch reports whether the subgraph knows switch id.
 func (s *Subgraph) HasSwitch(id SwitchID) bool {
-	_, ok := s.adj[id]
+	_, ok := findRow(s.rows, id)
 	return ok
 }
 
 // NumSwitches reports how many switches the subgraph covers.
-func (s *Subgraph) NumSwitches() int { return len(s.adj) }
+func (s *Subgraph) NumSwitches() int { return len(s.rows) }
 
 // NumLinks reports how many links the subgraph covers.
 func (s *Subgraph) NumLinks() int {
 	n := 0
-	for _, m := range s.adj {
-		n += len(m)
+	for _, r := range s.rows {
+		n += len(r.nbs)
 	}
 	return n / 2
 }
@@ -115,13 +178,14 @@ func (s *Subgraph) NumLinks() int {
 func (s *Subgraph) NumHosts() int { return len(s.hosts) }
 
 // SwitchIDs lists the covered switch IDs in ascending order.
-func (s *Subgraph) SwitchIDs() []SwitchID {
-	out := make([]SwitchID, 0, len(s.adj))
-	for id := range s.adj {
-		out = append(out, id)
+func (s *Subgraph) SwitchIDs() []SwitchID { return s.appendIDs(make([]SwitchID, 0, len(s.rows))) }
+
+// appendIDs appends the covered switch IDs to ids in ascending order.
+func (s *Subgraph) appendIDs(ids []SwitchID) []SwitchID {
+	for _, r := range s.rows {
+		ids = append(ids, r.id)
 	}
-	slices.Sort(out)
-	return out
+	return ids
 }
 
 // Hosts returns the cached attachments in MAC order, so callers that fan
@@ -139,64 +203,63 @@ func (s *Subgraph) Hosts() []HostAttach {
 // byHost orders host attachments by MAC.
 func byHost(a, b HostAttach) int { return bytes.Compare(a.Host[:], b.Host[:]) }
 
-// Neighbors implements View with deterministic (ID-sorted) order.
-func (s *Subgraph) Neighbors(id SwitchID) []Neighbor {
-	m := s.adj[id]
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]Neighbor, 0, len(m))
-	for sw, p := range m {
-		out = append(out, Neighbor{Sw: sw, Port: p})
-	}
-	slices.SortFunc(out, func(a, b Neighbor) int { return cmp.Compare(a.Sw, b.Sw) })
-	return out
-}
+// Neighbors implements View with deterministic (ID-sorted) order. The list
+// is s's own storage: callers must not modify it, and it is valid until the
+// next change to s.
+func (s *Subgraph) Neighbors(id SwitchID) []Neighbor { return slices.Clip(s.row(id)) }
 
 // neighborAt implements attachedView. Should a merge have left two cached
 // links on one port, the lower switch ID wins, as in Neighbors order.
 func (s *Subgraph) neighborAt(sw SwitchID, p Port) (SwitchID, bool) {
-	next, ok := SwitchID(0), false
-	for nb, port := range s.adj[sw] {
-		if port == p && (!ok || nb < next) {
-			next, ok = nb, true
+	for _, nb := range s.row(sw) {
+		if nb.Port == p {
+			return nb.Sw, true
 		}
 	}
-	return next, ok
+	return 0, false
 }
 
 // PortToward returns the local port on from toward adjacent switch to.
 func (s *Subgraph) PortToward(from, to SwitchID) (Port, error) {
-	if p, ok := s.adj[from][to]; ok {
-		return p, nil
+	nbs := s.row(from)
+	if j, ok := slices.BinarySearchFunc(nbs, to, neighborIs); ok {
+		return nbs[j].Port, nil
 	}
 	return 0, ErrNoLink
 }
 
-// Merge unions other into s. On conflicting port assignments the incoming
-// value wins (newer information from the controller supersedes stale cache).
-func (s *Subgraph) Merge(other *Subgraph) {
-	for a, m := range other.adj {
-		for b, p := range m {
-			if s.adj[a] == nil {
-				s.adj[a] = make(map[SwitchID]Port)
-			}
-			s.adj[a][b] = p
-		}
-		if s.adj[a] == nil {
-			s.adj[a] = make(map[SwitchID]Port)
-		}
+// Clone deep-copies the subgraph: the links of every row share one array,
+// each row capped at its own length so that growing one reallocates it.
+func (s *Subgraph) Clone() *Subgraph {
+	flat := make([]Neighbor, 0, 2*s.NumLinks()+1)
+	c := &Subgraph{rows: make([]sgRow, len(s.rows)), hosts: maps.Clone(s.hosts)}
+	for i, r := range s.rows {
+		off := len(flat)
+		flat = append(flat, r.nbs...)
+		c.rows[i] = sgRow{id: r.id, nbs: flat[off:len(flat):len(flat)]}
 	}
-	for h, at := range other.hosts {
-		s.hosts[h] = at
-	}
+	return c
 }
 
-// Clone deep-copies the subgraph.
-func (s *Subgraph) Clone() *Subgraph {
-	c := NewSubgraph()
-	c.Merge(s)
-	return c
+// mergeRows merges the rows appended to s.rows past old (switches the
+// ascending rows before old lack, in any order, repeats allowed) into
+// place: sorted, parked past the merged length and merged in from the top
+// down, so no row moves twice.
+func (s *Subgraph) mergeRows(old int) {
+	add := s.rows[old:]
+	slices.SortFunc(add, byRowID)
+	m := len(slices.CompactFunc(add, func(a, b sgRow) bool { return a.id == b.id }))
+	s.rows = slices.Grow(s.rows[:old+m], m)[:old+2*m]
+	park := s.rows[old+m:]
+	copy(park, add[:m])
+	for i, j, w := old-1, m-1, old+m-1; j >= 0; w-- {
+		if i >= 0 && s.rows[i].id > park[j].id {
+			s.rows[w], i = s.rows[i], i-1
+		} else {
+			s.rows[w], j = park[j], j-1
+		}
+	}
+	s.rows = s.rows[:old+m]
 }
 
 // TagsForSwitchPath encodes a switch path into port tags using only cached

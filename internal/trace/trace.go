@@ -499,9 +499,8 @@ func (r *Recorder) Reset() {
 	r.next, r.count, r.total = 0, 0, 0
 }
 
-// flowHash mixes the 12 Ethernet address bytes (dst ‖ src) with an FNV-1a
-// loop whose start value is one digit short of FNV-1a's offset basis
-// (14695981039346656037); the pinned trace digests fix it. It is the
+// flowHash mixes the 12 Ethernet address bytes (dst ‖ src) with FNV-1a from
+// packet.FNVShortBasis; the pinned trace digests fix it. It is the
 // flow-sampling key: deterministic for an address pair, so the same
 // seed yields the same sampled flows.
 // A splitmix64 finalizer follows the FNV loop because SampleMod reads the
@@ -509,10 +508,7 @@ func (r *Recorder) Reset() {
 // those badly skewed — without it, mod-2 sampling keeps ~100% of
 // sequentially-numbered hosts (see TestFlowHashSamplingUniformity).
 func flowHash(frame []byte) uint64 {
-	h := uint64(1469598103934665603)
-	for _, b := range frame[:12] {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
+	h := packet.FNV(packet.FNVShortBasis, frame[:12])
 	h ^= h >> 30
 	h *= 0xBF58476D1CE4E5B9
 	h ^= h >> 27

@@ -201,14 +201,10 @@ func (m *Manager) SetMaster(t *topo.Topology) {
 }
 
 // tenantSeed mixes the manager seed with a tenant identity and generation
-// (an FNV-1a loop plus splitmix-style avalanche). The start value is one
-// digit short of FNV-1a's offset basis, 14695981039346656037; the pinned
-// digests fix it.
+// (FNV-1a from packet.FNVShortBasis, which the pinned digests fix, plus a
+// splitmix-style avalanche).
 func tenantSeed(seed int64, id TenantID, gen uint64) uint64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint64(id[i])) * 1099511628211
-	}
+	h := packet.FNV(packet.FNVShortBasis, id)
 	h ^= uint64(seed) * 0x9E3779B97F4A7C15
 	h ^= gen * 0xBF58476D1CE4E5B9
 	h ^= h >> 31
@@ -220,14 +216,7 @@ func tenantSeed(seed int64, id TenantID, gen uint64) uint64 {
 // recomputed answer is bit-identical to the cached one — mutating tenant A
 // can never perturb tenant B's routes.
 func pairSeed(seed int64, id TenantID, gen uint64, src, dst packet.MAC) int64 {
-	h := tenantSeed(seed, id, gen)
-	for _, b := range src {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	for _, b := range dst {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return int64(h)
+	return int64(packet.FNV(packet.FNV(tenantSeed(seed, id, gen), src[:]), dst[:]))
 }
 
 // buildSlice computes the union of path graphs between every member pair:
