@@ -42,7 +42,7 @@ func main() {
 		len(blue.Hosts()), blue.View().NumSwitches(), blue.View().NumLinks())
 
 	// Intra-tenant routing works and verifies.
-	tags, err := mgr.PathFor("red", macs[0], macs[5])
+	_, tags, _, err := mgr.PathGraphFor("red", macs[0], macs[5])
 	if err != nil {
 		log.Fatal(err)
 	}

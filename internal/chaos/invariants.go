@@ -263,7 +263,7 @@ func (r *linkBattery) checkIsolation() {
 		if erra != nil || errb != nil || len(ma) == 0 || len(mb) == 0 {
 			continue
 		}
-		if _, err := r.mgr.PathGraphFor(id, ma[0], mb[0]); err == nil {
+		if _, _, _, err := r.mgr.PathGraphFor(id, ma[0], mb[0]); err == nil {
 			r.violate("tenant-isolation", "PathGraphFor(%s, %v, %v) crossed into %s", id, ma[0], mb[0], other)
 		}
 	}

@@ -101,14 +101,15 @@ type RouteAnswer struct {
 	// switches is how many switches a computed global answer's graph
 	// holds, for the ctrl.route.pgsize histogram.
 	switches int
-	// pg is a tenant answer's slice-built graph, replayed by the tenant
-	// route audit.
-	pg   *topo.PathGraph
+	// tags holds a tenant answer's primary and backup tag stacks (the
+	// backup nil when it has none), replayed by the tenant route audit. A
+	// pointer, so the answer every cache hit copies stays 72 bytes.
+	tags *[2]packet.Path
 	tree *mcast.Tree
 }
 
 // Graph decodes a unicast answer's Wire into a fresh path graph the caller
-// may mutate; nil for tree answers. Decoding builds the graph's maps, so hot
+// may mutate; nil for tree answers. Decoding allocates a Subgraph, so hot
 // paths should use Wire.
 func (a RouteAnswer) Graph() *topo.PathGraph {
 	if a.Scope == ScopeTree {

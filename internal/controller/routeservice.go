@@ -37,7 +37,7 @@ type tenantKey struct {
 
 // tenantEpoch is the tenant plane's token: the controller's Epoch plus the
 // tenant's generation, so both topology change and tenant mutation
-// (create/delete/migrate/resize, slice repair) invalidate lazily. An
+// (create/delete/migrate, slice repair) invalidate lazily. An
 // unknown tenant reports generation 0 and is refused by the tenant manager,
 // so nothing is ever stored under it.
 type tenantEpoch struct {
@@ -147,11 +147,11 @@ func (s *RouteService) lookupTenant(tenant string, src, dst packet.MAC) (RouteAn
 	if a, ok := s.tenant.Get(tenantKey{tenant, src, dst}, tok); ok {
 		return *a, nil
 	}
-	pg, err := v.PathGraphFor(id, src, dst)
+	wire, primary, backup, err := v.PathGraphFor(id, src, dst)
 	if err != nil {
 		return refused, err
 	}
-	a := &RouteAnswer{Wire: pg.Marshal(), Scope: ScopeTenant, Tenant: tenant, pg: pg}
+	a := &RouteAnswer{Wire: wire, Scope: ScopeTenant, Tenant: tenant, tags: &[2]packet.Path{primary, backup}}
 	s.tenant.Put(tenantKey{tenant, src, dst}, tok, a)
 	return *a, nil
 }
@@ -170,7 +170,7 @@ func (s *RouteService) AuditTenantRoutes() (checked, evicted int) {
 	checked = s.tenant.Len()
 	s.taudits.Add(uint64(checked))
 	evicted = s.tenant.DeleteFunc(func(key tenantKey, a *RouteAnswer) bool {
-		return s.auditTenantEntry(v, key, a.pg) != nil
+		return s.auditTenantEntry(v, key, a) != nil
 	})
 	s.tevicted.Add(uint64(evicted))
 	return checked, evicted
@@ -178,25 +178,13 @@ func (s *RouteService) AuditTenantRoutes() (checked, evicted int) {
 
 // auditTenantEntry replays a cached answer's tag routes through the slice
 // verifier.
-func (s *RouteService) auditTenantEntry(v *vnet.Manager, key tenantKey, pg *topo.PathGraph) error {
+func (s *RouteService) auditTenantEntry(v *vnet.Manager, key tenantKey, a *RouteAnswer) error {
 	id := vnet.TenantID(key.tenant)
-	tags, err := pg.PrimaryTags()
-	if err != nil {
+	primary, backup := a.tags[0], a.tags[1]
+	if err := v.VerifyRoute(id, key.src, key.dst, primary); err != nil || backup == nil {
 		return err
 	}
-	if err := v.VerifyRoute(id, key.src, key.dst, tags); err != nil {
-		return err
-	}
-	if len(pg.Backup) > 0 {
-		btags, err := pg.BackupTags()
-		if err != nil {
-			return err
-		}
-		if err := v.VerifyRoute(id, key.src, key.dst, btags); err != nil {
-			return err
-		}
-	}
-	return nil
+	return v.VerifyRoute(id, key.src, key.dst, backup)
 }
 
 // Len reports how many pairs are currently cached (fresh or not).

@@ -81,30 +81,13 @@ func (n *Network) onTenantChange(ch vnet.Change) {
 		}
 	}
 	touched := make(map[MAC]bool, len(ch.Members)+len(ch.Departed))
-	for _, m := range ch.Members {
-		touched[m] = true
-	}
-	for _, m := range ch.Departed {
-		touched[m] = true
-	}
-	for _, m := range ch.Members {
-		a := n.agents[m]
-		if a == nil {
-			continue
+	for _, macs := range [2][]MAC{ch.Members, ch.Departed} {
+		for _, m := range macs {
+			touched[m] = true
+			if a := n.agents[m]; a != nil {
+				n.revokeRoutes(a)
+			}
 		}
-		if ch.Class.Policy != "" {
-			_, _ = a.UsePolicy(ch.Class.Policy)
-		}
-		a.SetRequestBudget(ch.Class.RequestBudget)
-		n.revokeRoutes(a)
-	}
-	for _, m := range ch.Departed {
-		a := n.agents[m]
-		if a == nil {
-			continue
-		}
-		a.SetRequestBudget(n.cfg.Host.RequestBudget) // back to the default class
-		n.revokeRoutes(a)
 	}
 	for mac, a := range n.agents {
 		if touched[mac] {

@@ -5,9 +5,7 @@ import (
 
 	"dumbnet/internal/controller"
 	"dumbnet/internal/core"
-	"dumbnet/internal/host"
 	"dumbnet/internal/topo"
-	"dumbnet/internal/vnet"
 )
 
 func deployTenanted(t *testing.T, count int) *core.Network {
@@ -147,30 +145,6 @@ func TestMigrationMovesReachability(t *testing.T) {
 	// Other tenants untouched.
 	if _, err := n.PingSync(blue[0], blue[1]); err != nil {
 		t.Fatalf("blue perturbed by red's migration: %v", err)
-	}
-}
-
-// TestTenantClassAppliesPolicy: a tenant's degradation class (routing
-// policy + request budget) is pushed onto its members, and members dropped
-// back out revert to the default budget.
-func TestTenantClassAppliesPolicy(t *testing.T) {
-	n := deployTenanted(t, 0)
-	members := n.Hosts()[:3]
-	if _, err := n.Vnet().CreateTenantClass("red", members, vnet.Class{Policy: "rr", RequestBudget: 2}); err != nil {
-		t.Fatal(err)
-	}
-	a := n.Agent(members[0])
-	if got := a.RequestBudget(); got != 2 {
-		t.Fatalf("member budget = %d, want 2", got)
-	}
-	if _, ok := a.Chooser.(*host.RoundRobinChooser); !ok {
-		t.Fatalf("member chooser is %T, want the tenant class's rr", a.Chooser)
-	}
-	if err := n.Vnet().DeleteTenant("red"); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.RequestBudget(); got == 2 {
-		t.Fatal("departed member kept the tenant budget")
 	}
 }
 

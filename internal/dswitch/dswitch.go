@@ -257,6 +257,7 @@ func (s *Switch) receiveMPLS(frame []byte) {
 
 // handleIDQueryMPLS answers an ID query carried in the MPLS encoding.
 func (s *Switch) handleIDQueryMPLS(frame []byte) {
+	defer packet.PutBuffer(frame)
 	var f packet.Frame
 	if err := packet.DecodeMPLSFrom(&f, frame); err != nil || len(f.Tags) < 2 {
 		s.stats.DropBadFrame++
@@ -360,6 +361,7 @@ func (s *Switch) transmit(port int, frame []byte, okCounter *uint64) bool {
 // reply with its sequence echoed; a stats request (the §8 extension) gets
 // the soft-state counter snapshot.
 func (s *Switch) handleIDQuery(frame []byte) {
+	defer packet.PutBuffer(frame) // the reply is encoded into its own buffer
 	var f packet.Frame
 	if err := packet.DecodeFrom(&f, frame); err != nil || len(f.Tags) < 2 {
 		// Need at least the query marker plus one return hop.
@@ -408,8 +410,10 @@ func (s *Switch) handleIDQuery(frame []byte) {
 
 // handleEndOfPath processes frames whose path terminates at this switch.
 // The only legitimate case is a hop-limited link-event broadcast; anything
-// else is a misrouted data frame and is dropped.
+// else is a misrouted data frame and is dropped. Either way the frame ends
+// here: a re-flood is encoded into fresh buffers.
 func (s *Switch) handleEndOfPath(inPort int, frame []byte) {
+	defer packet.PutBuffer(frame)
 	var f packet.Frame
 	if err := packet.DecodeFrom(&f, frame); err != nil || f.InnerType != packet.EtherTypeControl {
 		s.stats.DropEndOfPath++

@@ -37,10 +37,6 @@ type Config struct {
 	// DPDK/KNI overhead measured in Fig 9/10); charged on send and on
 	// receive.
 	ProcessDelay sim.Time
-	// RequestBudget is how many attempts a path query gets per controller
-	// before failing over to the next advertised replica (and, once every
-	// replica's budget is spent, abandoning the query); 0 means 6.
-	RequestBudget int
 	// VerifyPaths runs the path verifier on every application-installed
 	// route (§6.1). Routes from the agent's own cache are trusted.
 	VerifyPaths bool
@@ -55,10 +51,7 @@ type Config struct {
 
 // DefaultConfig mirrors the prototype's behaviour.
 func DefaultConfig() Config {
-	return Config{
-		ProcessDelay:  2 * sim.Microsecond,
-		RequestBudget: 6,
-	}
+	return Config{ProcessDelay: 2 * sim.Microsecond}
 }
 
 // Stats counts agent activity.
@@ -223,9 +216,6 @@ type bhState struct {
 
 // New creates an agent for the host with the given MAC.
 func New(eng *sim.Engine, mac packet.MAC, cfg Config) *Agent {
-	if cfg.RequestBudget <= 0 {
-		cfg.RequestBudget = 6
-	}
 	a := &Agent{
 		eng:        eng,
 		mac:        mac,
@@ -262,19 +252,6 @@ func (a *Agent) Cache() *topo.Subgraph { return a.cache }
 
 // Table exposes the PathTable.
 func (a *Agent) Table() *PathTable { return a.table }
-
-// RequestBudget reports the current per-controller path-query retry budget.
-func (a *Agent) RequestBudget() int { return a.cfg.RequestBudget }
-
-// SetRequestBudget overrides the per-controller path-query retry budget at
-// runtime — tenant degradation classes throttle how hard a slice's hosts
-// may hammer the controller. n <= 0 restores the default.
-func (a *Agent) SetRequestBudget(n int) {
-	if n <= 0 {
-		n = 6
-	}
-	a.cfg.RequestBudget = n
-}
 
 // Attach returns the host's own attachment point (zero until bootstrapped).
 func (a *Agent) Attach() topo.HostAttach { return a.attach }

@@ -270,16 +270,15 @@ func (a *Agent) closeQuery(q *pathQuery, ok bool) {
 // sendPathRequest sends attempt q.attempt of q, or abandons q once every
 // controller in the rotation has had its budget.
 func (a *Agent) sendPathRequest(q *pathQuery) {
-	budget := a.cfg.RequestBudget
 	// Each controller in the rotation (the current one plus every
 	// advertised replica) gets one budget's worth of attempts; after that
 	// the query is abandoned and queued packets are dropped.
-	if q.attempt >= budget*(1+len(a.ctrlList)) {
+	if q.attempt >= RequestBudget*(1+len(a.ctrlList)) {
 		a.stats.QueriesAbandoned++
 		a.closeQuery(q, false)
 		return
 	}
-	if q.attempt > 0 && q.attempt%budget == 0 && q.ctrl == a.ctrl {
+	if q.attempt > 0 && q.attempt%RequestBudget == 0 && q.ctrl == a.ctrl {
 		// This query exhausted its budget against the current controller
 		// and nobody else has rotated yet: fail over to the next replica.
 		a.failoverController()

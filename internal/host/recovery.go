@@ -47,6 +47,10 @@ func (a *Agent) failoverController() {
 
 // Path-request retry and blackhole-detection constants.
 const (
+	// RequestBudget is how many attempts a path query gets per controller
+	// before failing over to the next advertised replica (and, once every
+	// replica's budget is spent, abandoning the query).
+	RequestBudget = 6
 	// requestTimeout is the base controller path-request retry interval;
 	// retries back off exponentially from it (with jitter) up to
 	// requestBackoffMax.
@@ -68,7 +72,7 @@ const (
 // fresh replica gets fast retries again.
 func (a *Agent) retryDelay(attempt int) sim.Time {
 	d := requestTimeout
-	for i := 0; i < attempt%a.cfg.RequestBudget; i++ {
+	for i := 0; i < attempt%RequestBudget; i++ {
 		d *= 2
 		if d >= requestBackoffMax {
 			break

@@ -123,11 +123,11 @@ func TestRequestBackoffExhaustsBudgetAndAbandons(t *testing.T) {
 	}
 	eng.Run()
 	st := a.Stats()
-	if st.PathQueries != uint64(cfg.RequestBudget) {
-		t.Fatalf("PathQueries = %d, want %d", st.PathQueries, cfg.RequestBudget)
+	if st.PathQueries != uint64(host.RequestBudget) {
+		t.Fatalf("PathQueries = %d, want %d", st.PathQueries, host.RequestBudget)
 	}
-	if st.QueryRetries != uint64(cfg.RequestBudget-1) {
-		t.Fatalf("QueryRetries = %d, want %d", st.QueryRetries, cfg.RequestBudget-1)
+	if st.QueryRetries != uint64(host.RequestBudget-1) {
+		t.Fatalf("QueryRetries = %d, want %d", st.QueryRetries, host.RequestBudget-1)
 	}
 	if st.QueriesAbandoned != 1 {
 		t.Fatalf("QueriesAbandoned = %d, want 1", st.QueriesAbandoned)
@@ -179,7 +179,7 @@ func TestControllerFailoverRotatesThroughReplicaList(t *testing.T) {
 	st := a.Stats()
 	// One budget for the bootstrap controller plus one per advertised
 	// replica (the primary appears in both roles).
-	want := uint64(cfg.RequestBudget * 4)
+	want := uint64(host.RequestBudget * 4)
 	if st.PathQueries != want {
 		t.Fatalf("PathQueries = %d, want %d (one budget per rotation stop)", st.PathQueries, want)
 	}
@@ -221,8 +221,8 @@ func TestStaleRetryTimerIgnored(t *testing.T) {
 	}
 	n.Run()
 	st := a.Stats()
-	if got := st.PathQueries - before.PathQueries; got != uint64(a.RequestBudget()) {
-		t.Fatalf("second query sent %d requests, want one budget (%d)", got, a.RequestBudget())
+	if got := st.PathQueries - before.PathQueries; got != uint64(host.RequestBudget) {
+		t.Fatalf("second query sent %d requests, want one budget (%d)", got, host.RequestBudget)
 	}
 	if got := st.QueriesAbandoned - before.QueriesAbandoned; got != 1 {
 		t.Fatalf("second query abandoned %d times, want 1", got)
@@ -251,7 +251,7 @@ func TestPathQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		limit = 47
 	}
-	t.Logf("%.0f allocations per abandoned %d-attempt query", allocs, a.RequestBudget())
+	t.Logf("%.0f allocations per abandoned %d-attempt query", allocs, host.RequestBudget)
 	if allocs > limit {
 		t.Fatalf("an abandoned query allocated %.0f times, want at most %.0f", allocs, limit)
 	}

@@ -30,7 +30,7 @@ func FuzzVerifyTenantRoute(f *testing.F) {
 	}
 
 	// Seed with a genuine in-slice route and a few junk stacks.
-	if tags, err := m.PathFor("a", macs[0], macs[5]); err == nil {
+	if _, tags, _, err := m.PathGraphFor("a", macs[0], macs[5]); err == nil {
 		f.Add(uint8(0), uint8(5), []byte(tagBytes(tags)))
 	}
 	f.Add(uint8(0), uint8(3), []byte{60, 61, 62})

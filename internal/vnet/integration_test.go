@@ -1,6 +1,7 @@
 package vnet_test
 
 import (
+	"slices"
 	"testing"
 
 	"dumbnet/internal/core"
@@ -111,14 +112,19 @@ func TestTenantOfAndDelete(t *testing.T) {
 
 func TestPathGraphForValidates(t *testing.T) {
 	n, mgr, red, blue := deployTenants(t)
-	pg, err := mgr.PathGraphFor("red", red[0], red[2])
+	wire, primary, _, err := mgr.PathGraphFor("red", red[0], red[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := topo.UnmarshalPathGraph(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := pg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// The returned tags must be valid on the real fabric.
+	// The returned tags must be valid on the real fabric, and be the
+	// wire's own primary.
 	tags, err := pg.PrimaryTags()
 	if err != nil {
 		t.Fatal(err)
@@ -126,10 +132,13 @@ func TestPathGraphForValidates(t *testing.T) {
 	if err := n.Topo.VerifyTags(red[0], red[2], tags); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.PathGraphFor("red", red[0], blue[0]); err == nil {
+	if !slices.Equal(tags, primary) {
+		t.Fatalf("answer's primary tags %v, its wire says %v", primary, tags)
+	}
+	if _, _, _, err := mgr.PathGraphFor("red", red[0], blue[0]); err == nil {
 		t.Fatal("cross-tenant path graph built")
 	}
-	if _, err := mgr.PathGraphFor("nope", red[0], red[1]); err == nil {
+	if _, _, _, err := mgr.PathGraphFor("nope", red[0], red[1]); err == nil {
 		t.Fatal("unknown tenant accepted")
 	}
 }

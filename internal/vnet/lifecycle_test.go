@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -35,10 +36,10 @@ func TestMigrateHostSwapsMembership(t *testing.T) {
 		t.Fatalf("generation did not advance: %d -> %d", g0, g1)
 	}
 	// The new slice must route to the new member and refuse the old one.
-	if _, err := m.PathFor("a", macs[1], macs[10]); err != nil {
+	if _, _, _, err := m.PathGraphFor("a", macs[1], macs[10]); err != nil {
 		t.Fatalf("no path to migrated-in host: %v", err)
 	}
-	if _, err := m.PathGraphFor("a", macs[1], macs[0]); !errors.Is(err, ErrForeignHost) {
+	if _, _, _, err := m.PathGraphFor("a", macs[1], macs[0]); !errors.Is(err, ErrForeignHost) {
 		t.Fatalf("departed host still routable: %v", err)
 	}
 }
@@ -59,31 +60,6 @@ func TestMigrateHostErrors(t *testing.T) {
 	}
 	if err := m.MigrateHost("nope", macs[0], macs[10]); !errors.Is(err, ErrNoTenant) {
 		t.Fatalf("unknown tenant: %v", err)
-	}
-}
-
-func TestResizeTenant(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ResizeTenant("a", macs[2:7]); err != nil {
-		t.Fatal(err)
-	}
-	members, err := m.Members("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(members) != 5 {
-		t.Fatalf("members = %d, want 5", len(members))
-	}
-	for _, h := range macs[0:2] {
-		if _, ok := m.TenantOf(h); ok {
-			t.Fatalf("host %v still indexed after shrink", h)
-		}
-	}
-	if err := m.ResizeTenant("a", macs[0:1]); !errors.Is(err, ErrTooFewHosts) {
-		t.Fatalf("resize to singleton: %v", err)
 	}
 }
 
@@ -163,6 +139,78 @@ func TestSliceRepairOnLinkUp(t *testing.T) {
 	}
 }
 
+// TestApplySwitchDown: a dead switch leaves exactly the slices that hold it,
+// each bumping its generation once; a repeat report changes nothing; and
+// the heals of its links graft back exactly the edges it had.
+func TestApplySwitchDown(t *testing.T) {
+	_, m, macs := deploy(t)
+	a, err := m.CreateTenant("a", []packet.MAC{macs[0], macs[20]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := m.CreateTenant("b", macs[1:3]) // one leaf: no spine in its slice
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A switch in a's slice, not in b's, with none of a's hosts on it.
+	attached := map[packet.SwitchID]bool{}
+	for _, at := range a.View().Hosts() {
+		attached[at.Switch] = true
+	}
+	var dead packet.SwitchID
+	for _, sw := range a.View().SwitchIDs() {
+		if !attached[sw] && !b.View().HasSwitch(sw) {
+			dead = sw
+			break
+		}
+	}
+	if dead == 0 {
+		t.Fatal("no transit switch in a's slice outside b's")
+	}
+	type link struct {
+		peer       packet.SwitchID
+		port, back topo.Port
+	}
+	var links []link
+	for _, nb := range a.View().Neighbors(dead) {
+		back, err := a.View().PortToward(nb.Sw, dead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		links = append(links, link{nb.Sw, nb.Port, back})
+	}
+	before, gb := a.View().Marshal(), b.Generation()
+	next := m.nextGen
+
+	m.ApplySwitchDown(dead)
+	if a.View().HasSwitch(dead) {
+		t.Fatalf("switch %d still in a's slice", dead)
+	}
+	if a.Generation() != next+1 || m.nextGen != next+1 {
+		t.Fatalf("generation after switch down: a=%d, manager=%d, want both %d", a.Generation(), m.nextGen, next+1)
+	}
+	if b.Generation() != gb {
+		t.Fatalf("b's generation moved %d -> %d without the switch in its slice", gb, b.Generation())
+	}
+	m.ApplySwitchDown(dead)
+	if a.Generation() != next+1 || b.Generation() != gb || m.nextGen != next+1 {
+		t.Fatalf("a repeated switch down bumped a generation: a=%d b=%d manager=%d", a.Generation(), b.Generation(), m.nextGen)
+	}
+
+	for _, l := range links {
+		m.ApplyLinkUp(dead, l.port, l.peer, l.back)
+	}
+	if got := a.View().Marshal(); !bytes.Equal(got, before) {
+		t.Fatal("healing the dead switch's links did not restore exactly its edges")
+	}
+	if b.Generation() != gb {
+		t.Fatal("healing a's links moved b's generation")
+	}
+	if problems := m.AuditViews(); len(problems) != 0 {
+		t.Fatalf("audit after the heals: %v", problems)
+	}
+}
+
 func TestVerifyRouteUnknownSwitch(t *testing.T) {
 	_, m, macs := deploy(t)
 	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {
@@ -176,12 +224,11 @@ func TestVerifyRouteUnknownSwitch(t *testing.T) {
 	}
 }
 
-func TestClassAndOnChange(t *testing.T) {
+func TestOnChangeReportsMutations(t *testing.T) {
 	_, m, macs := deploy(t)
 	var changes []Change
 	m.OnChange = func(ch Change) { changes = append(changes, ch) }
-	cls := Class{Policy: "rr", RequestBudget: 2}
-	if _, err := m.CreateTenantClass("a", macs[0:3], cls); err != nil {
+	if _, err := m.CreateTenant("a", macs[0:3]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.MigrateHost("a", macs[0], macs[10]); err != nil {
@@ -193,7 +240,7 @@ func TestClassAndOnChange(t *testing.T) {
 	if len(changes) != 3 {
 		t.Fatalf("changes = %d, want 3", len(changes))
 	}
-	if changes[0].Kind != ChangeCreate || changes[0].Class != cls {
+	if changes[0].Kind != ChangeCreate || len(changes[0].Members) != 3 {
 		t.Fatalf("create change: %+v", changes[0])
 	}
 	if changes[1].Kind != ChangeMigrate {

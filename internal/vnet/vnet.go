@@ -5,8 +5,8 @@
 // hosts, "to prevent malicious applications from violating the separation".
 //
 // The Manager is a full tenant-lifecycle service, safe for concurrent
-// controller access: tenants are created, deleted, resized and migrated
-// mid-run; every mutation bumps the tenant's generation counter so cached
+// controller access: tenants are created, deleted and migrated mid-run;
+// every mutation bumps the tenant's generation counter so cached
 // slice answers are detectable as stale; and the as-built slice is kept as
 // a baseline ceiling, so link heals repair a degraded view without ever
 // widening it beyond its original permission.
@@ -45,22 +45,11 @@ var (
 // both flavors of escape.
 var ErrUnknownSwitch = fmt.Errorf("vnet: route crosses unknown switch: %w", ErrOutsideSlice)
 
-// Class is a tenant's degradation/rate class: the routing policy and the
-// per-controller path-query retry budget installed on its member hosts.
-// Zero fields mean "leave the host default in place".
-type Class struct {
-	// Policy names a host routing policy (host.PolicyNames).
-	Policy string
-	// RequestBudget overrides the hosts' path-query retry budget.
-	RequestBudget int
-}
-
 // Change kinds reported through Manager.OnChange.
 const (
 	ChangeCreate  = "create"
 	ChangeDelete  = "delete"
 	ChangeMigrate = "migrate"
-	ChangeResize  = "resize"
 )
 
 // Change describes one committed tenant mutation. Members is the
@@ -72,7 +61,6 @@ type Change struct {
 	Gen      uint64
 	Members  []packet.MAC
 	Departed []packet.MAC
-	Class    Class
 }
 
 // Tenant is one virtual network slice.
@@ -87,8 +75,7 @@ type Tenant struct {
 	baseline *topo.Subgraph
 	// gen counts slice mutations (lifecycle and link events); cached
 	// answers carry the gen they were computed under.
-	gen   uint64
-	class Class
+	gen uint64
 }
 
 // Hosts lists the tenant's member MACs in MAC order.
@@ -102,9 +89,6 @@ func (t *Tenant) View() *topo.Subgraph { return t.view }
 
 // Generation returns the tenant's mutation counter.
 func (t *Tenant) Generation() uint64 { return t.gen }
-
-// Class returns the tenant's degradation class.
-func (t *Tenant) Class() Class { return t.class }
 
 func sortedMACs(set map[packet.MAC]bool) []packet.MAC {
 	out := make([]packet.MAC, 0, len(set))
@@ -123,7 +107,6 @@ type managerMetrics struct {
 	creates    *trace.Counter
 	deletes    *trace.Counter
 	migrates   *trace.Counter
-	resizes    *trace.Counter
 	repairs    *trace.Counter
 	audits     *trace.Counter
 	violations *trace.Counter
@@ -132,7 +115,7 @@ type managerMetrics struct {
 func standaloneMetrics() managerMetrics {
 	return managerMetrics{
 		tenants: &trace.Gauge{}, creates: &trace.Counter{}, deletes: &trace.Counter{},
-		migrates: &trace.Counter{}, resizes: &trace.Counter{}, repairs: &trace.Counter{},
+		migrates: &trace.Counter{}, repairs: &trace.Counter{},
 		audits: &trace.Counter{}, violations: &trace.Counter{},
 	}
 }
@@ -155,8 +138,8 @@ type Manager struct {
 
 	// OnChange, when set, observes every committed tenant mutation. It is
 	// called outside the manager lock, after the mutation took effect — the
-	// deployment layer uses it to flush member host caches and apply
-	// degradation classes. Set it before the first mutation.
+	// deployment layer uses it to flush member host caches. Set it before
+	// the first mutation.
 	OnChange func(Change)
 }
 
@@ -184,7 +167,6 @@ func (m *Manager) SetMetrics(reg *trace.Registry) {
 		creates:    reg.Counter("vnet.creates"),
 		deletes:    reg.Counter("vnet.deletes"),
 		migrates:   reg.Counter("vnet.migrates"),
-		resizes:    reg.Counter("vnet.resizes"),
 		repairs:    reg.Counter("vnet.slice_repairs"),
 		audits:     reg.Counter("vnet.isolation_audits"),
 		violations: reg.Counter("vnet.audit_violations"),
@@ -244,11 +226,6 @@ func (m *Manager) notify(ch Change) {
 // CreateTenant builds a slice covering the given hosts. Hosts already owned
 // by another tenant are rejected (a host joins at most one tenant).
 func (m *Manager) CreateTenant(id TenantID, hosts []packet.MAC) (*Tenant, error) {
-	return m.CreateTenantClass(id, hosts, Class{})
-}
-
-// CreateTenantClass is CreateTenant with a degradation class attached.
-func (m *Manager) CreateTenantClass(id TenantID, hosts []packet.MAC, class Class) (*Tenant, error) {
 	m.mu.Lock()
 	if _, ok := m.tenants[id]; ok {
 		m.mu.Unlock()
@@ -275,7 +252,7 @@ func (m *Manager) CreateTenantClass(id TenantID, hosts []packet.MAC, class Class
 		return nil, fmt.Errorf("create %q: %w", id, err)
 	}
 	t := &Tenant{ID: id, hosts: make(map[packet.MAC]bool, len(members)),
-		view: view, baseline: view.Clone(), gen: gen, class: class}
+		view: view, baseline: view.Clone(), gen: gen}
 	for _, h := range members {
 		t.hosts[h] = true
 		m.byHost[h] = id
@@ -283,7 +260,7 @@ func (m *Manager) CreateTenantClass(id TenantID, hosts []packet.MAC, class Class
 	m.tenants[id] = t
 	m.met.creates.Inc()
 	m.met.tenants.Set(float64(len(m.tenants)))
-	ch := Change{Kind: ChangeCreate, Tenant: id, Gen: gen, Members: members, Class: class}
+	ch := Change{Kind: ChangeCreate, Tenant: id, Gen: gen, Members: members}
 	m.mu.Unlock()
 	m.notify(ch)
 	return t, nil
@@ -307,7 +284,7 @@ func (m *Manager) DeleteTenant(id TenantID) error {
 	m.nextGen++
 	m.met.deletes.Inc()
 	m.met.tenants.Set(float64(len(m.tenants)))
-	ch := Change{Kind: ChangeDelete, Tenant: id, Gen: m.nextGen, Departed: departed, Class: t.class}
+	ch := Change{Kind: ChangeDelete, Tenant: id, Gen: m.nextGen, Departed: departed}
 	m.mu.Unlock()
 	m.notify(ch)
 	return nil
@@ -355,63 +332,7 @@ func (m *Manager) MigrateHost(id TenantID, from, to packet.MAC) error {
 	t.gen = gen
 	m.met.migrates.Inc()
 	ch := Change{Kind: ChangeMigrate, Tenant: id, Gen: gen, Members: members,
-		Departed: []packet.MAC{from}, Class: t.class}
-	m.mu.Unlock()
-	m.notify(ch)
-	return nil
-}
-
-// ResizeTenant replaces the tenant's membership wholesale (grow or shrink).
-// Like MigrateHost it is atomic: a failed rebuild leaves the tenant as it
-// was.
-func (m *Manager) ResizeTenant(id TenantID, hosts []packet.MAC) error {
-	m.mu.Lock()
-	t, ok := m.tenants[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("resize %q: %w", id, ErrNoTenant)
-	}
-	if len(hosts) < 2 {
-		m.mu.Unlock()
-		return fmt.Errorf("resize %q: %w", id, ErrTooFewHosts)
-	}
-	for _, h := range hosts {
-		if owner, ok := m.byHost[h]; ok && owner != id {
-			m.mu.Unlock()
-			return fmt.Errorf("resize %q: host %v owned by %q: %w", id, h, owner, ErrHostOwned)
-		}
-	}
-	members := append([]packet.MAC(nil), hosts...)
-	sort.Slice(members, func(i, j int) bool { return bytes.Compare(members[i][:], members[j][:]) < 0 })
-	gen := m.nextGen + 1
-	view, err := m.buildSlice(id, gen, members)
-	if err != nil {
-		m.mu.Unlock()
-		return fmt.Errorf("resize %q: %w", id, err)
-	}
-	m.nextGen = gen
-	keep := make(map[packet.MAC]bool, len(members))
-	for _, h := range members {
-		keep[h] = true
-	}
-	var departed []packet.MAC
-	for h := range t.hosts {
-		if !keep[h] {
-			departed = append(departed, h)
-			delete(m.byHost, h)
-		}
-	}
-	sort.Slice(departed, func(i, j int) bool { return bytes.Compare(departed[i][:], departed[j][:]) < 0 })
-	t.hosts = keep
-	for _, h := range members {
-		m.byHost[h] = id
-	}
-	t.view = view
-	t.baseline = view.Clone()
-	t.gen = gen
-	m.met.resizes.Inc()
-	ch := Change{Kind: ChangeResize, Tenant: id, Gen: gen, Members: members,
-		Departed: departed, Class: t.class}
+		Departed: []packet.MAC{from}}
 	m.mu.Unlock()
 	m.notify(ch)
 	return nil
@@ -484,49 +405,43 @@ func (m *Manager) Generation(id TenantID) (uint64, bool) {
 
 // PathGraphFor builds the controller's answer to a tenant host's path
 // request: the primary/backup routes computed inside the slice, with the
-// slice itself as the cached subgraph — the tenant's TopoCache never learns
-// anything outside its permission (§6.1). The equal-cost tie-break is a
-// pure function of (seed, tenant, generation, pair), so recomputing an
-// answer yields identical bytes until the slice actually changes.
-func (m *Manager) PathGraphFor(id TenantID, src, dst packet.MAC) (*topo.PathGraph, error) {
+// slice itself as the path graph — the tenant's TopoCache never learns
+// anything outside its permission (§6.1). It returns the MsgPathResponse
+// body and the primary and backup tag stacks (backup nil when there is
+// none), all written from the live slice under the read lock. The
+// equal-cost tie-break is a pure function of (seed, tenant, generation,
+// pair), so recomputing an answer yields identical bytes until the slice
+// actually changes.
+func (m *Manager) PathGraphFor(id TenantID, src, dst packet.MAC) (wire []byte, primary, backup packet.Path, err error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	t, ok := m.tenants[id]
 	if !ok {
-		return nil, fmt.Errorf("path graph %q: %w", id, ErrNoTenant)
+		return nil, nil, nil, fmt.Errorf("path graph %q: %w", id, ErrNoTenant)
 	}
 	if !t.hosts[src] || !t.hosts[dst] {
-		return nil, fmt.Errorf("path graph %q: %v->%v: %w", id, src, dst, ErrForeignHost)
+		return nil, nil, nil, fmt.Errorf("path graph %q: %v->%v: %w", id, src, dst, ErrForeignHost)
 	}
 	sat, err := t.view.HostAt(src)
 	if err != nil {
-		return nil, fmt.Errorf("path graph %q: %v: %w", id, src, ErrForeignHost)
+		return nil, nil, nil, fmt.Errorf("path graph %q: %v: %w", id, src, ErrForeignHost)
 	}
 	dat, err := t.view.HostAt(dst)
 	if err != nil {
-		return nil, fmt.Errorf("path graph %q: %v: %w", id, dst, ErrForeignHost)
+		return nil, nil, nil, fmt.Errorf("path graph %q: %v: %w", id, dst, ErrForeignHost)
 	}
 	rng := rand.New(rand.NewSource(pairSeed(m.seed, id, t.gen, src, dst)))
-	primary, backup, err := topo.PrimaryBackup(t.view, sat.Switch, dat.Switch, m.opts, rng)
+	pg := &topo.PathGraph{Src: src, Dst: dst, Graph: t.view}
+	if pg.Primary, pg.Backup, err = topo.PrimaryBackup(t.view, sat.Switch, dat.Switch, m.opts, rng); err == nil {
+		primary, err = pg.PrimaryTags()
+	}
+	if err == nil && len(pg.Backup) > 0 {
+		backup, err = pg.BackupTags()
+	}
 	if err != nil {
-		return nil, fmt.Errorf("path graph %q: %v->%v: %w: %v", id, src, dst, ErrNotRoutable, err)
+		return nil, nil, nil, fmt.Errorf("path graph %q: %v->%v: %w: %v", id, src, dst, ErrNotRoutable, err)
 	}
-	return &topo.PathGraph{Src: src, Dst: dst, Primary: primary, Backup: backup, Graph: t.view.Clone()}, nil
-}
-
-// PathFor computes a route for a tenant flow inside the slice.
-func (m *Manager) PathFor(id TenantID, src, dst packet.MAC) (packet.Path, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	t, ok := m.tenants[id]
-	if !ok {
-		return nil, fmt.Errorf("path %q: %w", id, ErrNoTenant)
-	}
-	if !t.hosts[src] || !t.hosts[dst] {
-		return nil, fmt.Errorf("path %q: %v->%v: %w", id, src, dst, ErrForeignHost)
-	}
-	rng := rand.New(rand.NewSource(pairSeed(m.seed, id, t.gen, src, dst)))
-	return t.view.HostPath(src, dst, rng)
+	return pg.Marshal(), primary, backup, nil
 }
 
 // VerifyRoute is the virtualization-aware path verifier: the route must

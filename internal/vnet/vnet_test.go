@@ -39,7 +39,7 @@ func TestCreateTenantAndView(t *testing.T) {
 		t.Fatal("empty view")
 	}
 	// The view must route between members.
-	if _, err := m.PathFor("a", macs[0], macs[3]); err != nil {
+	if _, _, _, err := m.PathGraphFor("a", macs[0], macs[3]); err != nil {
 		t.Fatalf("no path in slice: %v", err)
 	}
 }
@@ -71,7 +71,7 @@ func TestVerifyRouteInsideSlice(t *testing.T) {
 	if _, err := m.CreateTenant("a", macs[0:6]); err != nil {
 		t.Fatal(err)
 	}
-	tags, err := m.PathFor("a", macs[0], macs[5])
+	_, tags, _, err := m.PathGraphFor("a", macs[0], macs[5])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,11 @@ func TestPathGraphForHonoursBackupPenalty(t *testing.T) {
 		if _, err := m.CreateTenant("a", []packet.MAC{src, dst}); err != nil {
 			t.Fatal(err)
 		}
-		pg, err := m.PathGraphFor("a", src, dst)
+		wire, _, _, err := m.PathGraphFor("a", src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg, err := topo.UnmarshalPathGraph(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
