@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dumbnet/internal/chaos"
+	"dumbnet/internal/controller"
 	"dumbnet/internal/core"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
@@ -127,12 +128,12 @@ func TestChaosWithoutReplication(t *testing.T) {
 	}
 }
 
-// TestRouteCacheInvalidationUnderChaos is the cache-coherence scenario from
-// the issue: a k=4 fat-tree with a warmed path-graph cache, the seeded fault
-// driver churning links and switches on top of it. The mid-run audits plus
-// the post-heal route-cache sweep must find no answer traversing a dead
+// TestRouteCacheInvalidationUnderChaos is the cache-coherence scenario: a
+// k=4 fat-tree whose hosts have asked for every path graph, the seeded
+// fault driver churning links and switches on top of it. The mid-run audits
+// plus the post-heal route-cache sweep must find no answer traversing a dead
 // link, and the counters must show the cache was genuinely exercised —
-// warm-up filled it, patches invalidated entries, and repeated lookups hit.
+// misses filled it, patches invalidated entries, and repeated lookups hit.
 func TestRouteCacheInvalidationUnderChaos(t *testing.T) {
 	tp, err := topo.FatTree(4, 1, 0)
 	if err != nil {
@@ -147,10 +148,18 @@ func TestRouteCacheInvalidationUnderChaos(t *testing.T) {
 	if err := n.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	if warmed := n.WarmRoutes(4); warmed == 0 {
-		t.Fatal("sharded warm-up computed no entries")
-	}
 	n.WarmAll()
+	// Every host asked once, so every pair missed; asking again hits.
+	for _, src := range n.Hosts() {
+		for _, dst := range n.Hosts() {
+			if src == dst {
+				continue
+			}
+			if _, err := n.Ctrl.Resolve(controller.RouteQuery{Src: src, Dst: dst, Scope: controller.ScopeGlobal}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	cfg := chaos.DefaultConfig(99)
 	cfg.Events = 20
@@ -173,7 +182,7 @@ func TestRouteCacheInvalidationUnderChaos(t *testing.T) {
 	}
 
 	snap := n.Eng.Metrics().Snapshot(int64(n.Eng.Now()))
-	for _, name := range []string{"ctrl.route.hit", "ctrl.route.miss", "ctrl.route.invalidated", "ctrl.route.warmed"} {
+	for _, name := range []string{"ctrl.route.hit", "ctrl.route.miss", "ctrl.route.invalidated"} {
 		e, ok := snap.Get(name)
 		if !ok || e.Value == 0 {
 			t.Errorf("%s = %v, want > 0 — cache not exercised", name, e.Value)

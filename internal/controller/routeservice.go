@@ -2,7 +2,6 @@ package controller
 
 import (
 	"math/rand"
-	"sync"
 
 	"dumbnet/internal/gencache"
 	"dumbnet/internal/packet"
@@ -55,7 +54,6 @@ type RouteService struct {
 	rng *rand.Rand
 
 	coalesced *trace.Counter
-	warmed    *trace.Counter
 	tevicted  *trace.Counter
 	taudits   *trace.Counter
 	// compute observes the size (switch count) of each Algorithm-1 result —
@@ -74,7 +72,6 @@ func newRouteService(c *Controller) *RouteService {
 		tenant: gencache.New[tenantKey, tenantEpoch, *RouteAnswer](
 			reg.Counter("ctrl.route.tenant_hit"), reg.Counter("ctrl.route.tenant_miss"), reg.Counter("ctrl.route.tenant_invalidated")),
 		coalesced: reg.Counter("ctrl.route.coalesced"),
-		warmed:    reg.Counter("ctrl.route.warmed"),
 		tevicted:  reg.Counter("ctrl.route.tenant_evicted"),
 		taudits:   reg.Counter("ctrl.route.tenant_audits"),
 		compute:   reg.ValueHistogram("ctrl.route.pgsize"),
@@ -83,10 +80,10 @@ func newRouteService(c *Controller) *RouteService {
 
 // pairSeed derives the equal-cost tie-break seed for one cached pair. It
 // depends only on the pair and the epoch, so a cached answer is identical
-// no matter which code path (request, warm-up shard, audit) computed it
-// first — and re-randomizes each topology epoch, preserving the §4.3
-// load-balancing intent across invalidations. It is FNV-1a from
-// packet.FNVShortBasis, which the pinned digests fix.
+// whatever order the pairs were first asked in — and re-randomizes each
+// topology epoch, preserving the §4.3 load-balancing intent across
+// invalidations. It is FNV-1a from packet.FNVShortBasis, which the pinned
+// digests fix.
 func pairSeed(src, dst packet.MAC, version, gen uint64) int64 {
 	h := packet.FNV(packet.FNV(packet.FNVShortBasis, src[:]), dst[:])
 	h ^= version * 0x9E3779B97F4A7C15
@@ -104,26 +101,15 @@ func (s *RouteService) lookup(src, dst packet.MAC) (RouteAnswer, error) {
 	if a, ok := s.global.Get(pairKey{src, dst}, ep); ok {
 		return *a, nil
 	}
-	a, err := s.computeAnswer(ep, pairKey{src, dst}, s.c.sc, s.rng)
+	s.rng.Seed(pairSeed(src, dst, ep.version, ep.gen))
+	wire, switches, err := topo.WritePathGraph(ep.top, src, dst, PathGraphOptions(), s.rng, s.c.sc)
 	if err != nil {
 		return RouteAnswer{}, err
 	}
-	s.compute.Observe(int64(a.switches))
+	a := &RouteAnswer{Wire: wire, Scope: ScopeGlobal, switches: switches}
+	s.compute.Observe(int64(switches))
 	s.global.Put(pairKey{src, dst}, ep, a)
 	return *a, nil
-}
-
-// computeAnswer runs Algorithm 1 for key at epoch ep over the given
-// scratch, reseeding rng with the pair's seed. It touches no registry
-// instruments, so warm-up shards may call it concurrently (each with its own
-// scratch and rng).
-func (s *RouteService) computeAnswer(ep Epoch, key pairKey, sc *topo.DenseScratch, rng *rand.Rand) (*RouteAnswer, error) {
-	rng.Seed(pairSeed(key.src, key.dst, ep.version, ep.gen))
-	wire, switches, err := topo.WritePathGraph(ep.top, key.src, key.dst, PathGraphOptions(), rng, sc)
-	if err != nil {
-		return nil, err
-	}
-	return &RouteAnswer{Wire: wire, Scope: ScopeGlobal, switches: switches}, nil
 }
 
 // lookupTenant answers a tenant member pair from the slice plane,
@@ -208,82 +194,5 @@ func (s *RouteService) Invalidate() {
 	s.tenant.Clear()
 }
 
-// Warm precomputes path graphs for the given host pairs across a worker
-// pool and installs them in the cache, returning how many entries were
-// computed. The master's dense snapshot is forced up front so workers share
-// it read-only; each worker owns its scratch and result slice, and the
-// per-pair seeding makes the cache contents independent of the worker
-// count. Pairs already fresh are skipped; unroutable pairs are left to
-// lazy, on-demand retry.
-func (s *RouteService) Warm(pairs [][2]packet.MAC, workers int) int {
-	m := s.c.master
-	if m == nil || len(pairs) == 0 {
-		return 0
-	}
-	m.Dense()
-	ep := s.c.Epoch()
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(pairs) {
-		workers = len(pairs)
-	}
-	type result struct {
-		key pairKey
-		a   *RouteAnswer
-	}
-	out := make([][]result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sc, rng := topo.NewDenseScratch(), rand.New(rand.NewSource(0))
-			for i := w; i < len(pairs); i += workers {
-				key := pairKey{src: pairs[i][0], dst: pairs[i][1]}
-				if _, ok := s.global.Peek(key, ep); ok {
-					continue
-				}
-				a, err := s.computeAnswer(ep, key, sc, rng)
-				if err != nil {
-					continue
-				}
-				out[w] = append(out[w], result{key: key, a: a})
-			}
-		}(w)
-	}
-	wg.Wait()
-	n := 0
-	for _, rs := range out {
-		for _, r := range rs {
-			s.global.Put(r.key, ep, r.a)
-			s.compute.Observe(int64(r.a.switches))
-			n++
-		}
-	}
-	s.warmed.Add(uint64(n))
-	return n
-}
-
 // Routes exposes the controller's route service.
 func (c *Controller) Routes() *RouteService { return c.routes }
-
-// WarmPathCache precomputes the route service for every ordered host pair
-// in the master view across a worker pool — the post-discovery warm-up that
-// takes first-packet latency off the critical path. Returns the number of
-// entries computed.
-func (c *Controller) WarmPathCache(workers int) int {
-	if c.master == nil {
-		return 0
-	}
-	hosts := c.master.Hosts()
-	pairs := make([][2]packet.MAC, 0, len(hosts)*(len(hosts)-1))
-	for _, a := range hosts {
-		for _, b := range hosts {
-			if a.Host != b.Host {
-				pairs = append(pairs, [2]packet.MAC{a.Host, b.Host})
-			}
-		}
-	}
-	return c.routes.Warm(pairs, workers)
-}

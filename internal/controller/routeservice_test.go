@@ -130,8 +130,9 @@ func TestColdComputeReusesRng(t *testing.T) {
 		}
 		return wire
 	}
-	reused := func(key pairKey) *RouteAnswer {
-		a, err := s.computeAnswer(ep, key, c.sc, s.rng)
+	reused := func(key pairKey) RouteAnswer {
+		s.global.Clear()
+		a, err := s.lookup(key.src, key.dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,57 +191,40 @@ func TestLookupCloneSafety(t *testing.T) {
 	}
 }
 
-// TestWarmShardingDeterministic pins the warm-up contract: the cache
-// contents are identical regardless of worker count, because every pair is
-// seeded independently of which shard computes it.
-func TestWarmShardingDeterministic(t *testing.T) {
-	c, _, macs := newRouteTestController(t)
-	svc := c.Routes()
-
-	n1 := c.WarmPathCache(1)
-	if n1 == 0 {
-		t.Fatal("warm-up computed nothing")
-	}
-	wires := make(map[pairKey][]byte)
+// TestLazyAnswersIgnoreQueryOrder pins pairSeed's property: a cached answer
+// depends only on its pair and the epoch, never on which pairs were asked
+// before it. Two controllers share one master; one resolves every pair
+// forward, the other in reverse, and the wire bytes must agree.
+func TestLazyAnswersIgnoreQueryOrder(t *testing.T) {
+	c, tp, macs := newRouteTestController(t)
+	eng := sim.NewEngine(1)
+	r := New(eng, host.New(eng, macs[0], host.DefaultConfig()), DefaultConfig())
+	r.SetMaster(tp)
+	var pairs []pairKey
 	for _, a := range macs {
 		for _, b := range macs {
-			if a == b {
-				continue
-			}
-			w, err := wireOf(c.Resolve(RouteQuery{Src: a, Dst: b, Scope: ScopeGlobal}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wires[pairKey{a, b}] = append([]byte(nil), w...)
-		}
-	}
-
-	svc.Invalidate()
-	n8 := c.WarmPathCache(8)
-	if n8 != n1 {
-		t.Fatalf("worker counts computed different entry counts: %d vs %d", n1, n8)
-	}
-	for _, a := range macs {
-		for _, b := range macs {
-			if a == b {
-				continue
-			}
-			w, err := wireOf(c.Resolve(RouteQuery{Src: a, Dst: b, Scope: ScopeGlobal}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(w, wires[pairKey{a, b}]) {
-				t.Fatalf("pair %v->%v differs between 1-worker and 8-worker warm-up", a, b)
+			if a != b {
+				pairs = append(pairs, pairKey{a, b})
 			}
 		}
 	}
-	// Everything the warm-up installed must now be a hit.
-	hits := count(c, "ctrl.route.hit")
-	if _, err := wireOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[2], Scope: ScopeGlobal})); err != nil {
-		t.Fatal(err)
+	forward := make(map[pairKey][]byte, len(pairs))
+	for _, p := range pairs {
+		w, err := wireOf(c.Resolve(RouteQuery{Src: p.src, Dst: p.dst, Scope: ScopeGlobal}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		forward[p] = w
 	}
-	if count(c, "ctrl.route.hit") != hits+1 {
-		t.Fatal("post-warm-up lookup missed the cache")
+	for i := len(pairs) - 1; i >= 0; i-- {
+		p := pairs[i]
+		w, err := wireOf(r.Resolve(RouteQuery{Src: p.src, Dst: p.dst, Scope: ScopeGlobal}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w, forward[p]) {
+			t.Fatalf("pair %v->%v differs between forward and reverse query order", p.src, p.dst)
+		}
 	}
 }
 

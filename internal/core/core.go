@@ -561,17 +561,6 @@ func (n *Network) SetPolicy(h MAC, name string) error {
 	return err
 }
 
-// SetPolicyAll installs a named routing policy on every host,
-// controller included. Each host gets a fresh policy instance.
-func (n *Network) SetPolicyAll(name string) error {
-	for _, a := range n.agents {
-		if _, err := a.UsePolicy(name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Run drains all pending virtual-time events. Once replication is enabled,
 // heartbeat timers keep the queue non-empty forever, so Run advances a
 // bounded settle window (1 virtual second) instead.
@@ -663,14 +652,4 @@ func (n *Network) WarmAll() {
 		}
 	}
 	n.Run()
-}
-
-// WarmRoutes precomputes the controller's path-graph cache for every host
-// pair across a worker pool, so the first wave of path requests after
-// discovery hits warm entries. Returns the number of entries computed.
-func (n *Network) WarmRoutes(workers int) int {
-	if n.Ctrl == nil {
-		return 0
-	}
-	return n.Ctrl.WarmPathCache(workers)
 }

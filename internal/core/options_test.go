@@ -139,12 +139,6 @@ func TestWithPolicyAndSetPolicy(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "unknown routing policy") {
 		t.Fatalf("unexpected error: %v", err)
 	}
-	if err := n.SetPolicyAll("single"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := n.Agent(h).Chooser.(host.SinglePathChooser); !ok {
-		t.Fatalf("SetPolicyAll(single): chooser is %T", n.Agent(h).Chooser)
-	}
 
 	if _, err := core.New(tp, core.WithPolicy("bogus")); err == nil {
 		t.Fatal("WithPolicy(bogus) should fail construction")

@@ -176,18 +176,11 @@ func TestEnableTelemetryLifecycle(t *testing.T) {
 	if err != nil || again != hub {
 		t.Fatalf("second EnableTelemetry = (%p, %v), want (%p, nil)", again, err, hub)
 	}
-	// The network's hub is the one merged view, with both exporters.
+	// The network's hub is the one merged view, with its JSON exporter.
 	if n.Telemetry() != hub {
 		t.Fatal("Network.Telemetry does not return the enabled hub")
 	}
 	if _, err := hub.SnapshotJSON(); err != nil {
 		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := hub.WriteProm(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "dumbnet_telemetry_windows_total") {
-		t.Fatalf("prometheus export missing telemetry families:\n%s", sb.String())
 	}
 }

@@ -199,8 +199,7 @@ func (s *Switch) Restart() {
 // selects the pop stage, exactly as static MPLS label→port rules would.
 func (s *Switch) Receive(inPort int, frame []byte) {
 	if s.down {
-		s.stats.DropSwitchDown++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropSwitchDown, frame)
+		s.drop(&s.stats.DropSwitchDown, trace.DropSwitchDown, frame)
 		return
 	}
 	if len(frame) >= packet.EthernetHeaderLen {
@@ -215,8 +214,7 @@ func (s *Switch) Receive(inPort int, frame []byte) {
 	}
 	tag, err := packet.TopTag(frame)
 	if err != nil {
-		s.stats.DropBadFrame++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropBadFrame, frame)
+		s.drop(&s.stats.DropBadFrame, trace.DropBadFrame, frame)
 		return
 	}
 	switch tag {
@@ -236,8 +234,7 @@ func (s *Switch) receiveMPLS(frame []byte) {
 	label, bottom, err := packet.TopLabelMPLS(frame)
 	if err != nil || bottom {
 		// ø at a switch: a misrouted frame in the MPLS encoding.
-		s.stats.DropEndOfPath++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropEndOfPath, frame)
+		s.drop(&s.stats.DropEndOfPath, trace.DropEndOfPath, frame)
 		return
 	}
 	if label == packet.TagIDQuery {
@@ -246,8 +243,7 @@ func (s *Switch) receiveMPLS(frame []byte) {
 	}
 	rest, tag, err := packet.PopLabelMPLS(frame)
 	if err != nil {
-		s.stats.DropBadFrame++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropBadFrame, frame)
+		s.drop(&s.stats.DropBadFrame, trace.DropBadFrame, frame)
 		return
 	}
 	if s.transmit(int(tag), rest, &s.stats.Forwarded) {
@@ -297,8 +293,7 @@ func (s *Switch) handleIDQueryMPLS(frame []byte) {
 func (s *Switch) receiveMcast(frame []byte) {
 	var it packet.McastBranches
 	if err := it.Init(frame); err != nil {
-		s.stats.DropBadMcast++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropBadFrame, frame)
+		s.drop(&s.stats.DropBadMcast, trace.DropBadFrame, frame)
 		return
 	}
 	s.stats.McastIn++
@@ -322,8 +317,7 @@ func (s *Switch) receiveMcast(frame []byte) {
 func (s *Switch) forward(frame []byte) {
 	rest, tag, err := packet.PopTag(frame)
 	if err != nil {
-		s.stats.DropBadFrame++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropBadFrame, frame)
+		s.drop(&s.stats.DropBadFrame, trace.DropBadFrame, frame)
 		return
 	}
 	if s.transmit(int(tag), rest, &s.stats.Forwarded) {
@@ -332,17 +326,16 @@ func (s *Switch) forward(frame []byte) {
 }
 
 // transmit sends a frame out a port, counting okCounter on success; it
-// reports whether the frame went out.
+// reports whether the frame went out. Either way the frame is no longer the
+// caller's.
 func (s *Switch) transmit(port int, frame []byte, okCounter *uint64) bool {
 	if port < 1 || port >= len(s.links) || s.links[port] == nil {
-		s.stats.DropNoPort++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropNoPort, frame)
+		s.drop(&s.stats.DropNoPort, trace.DropNoPort, frame)
 		return false
 	}
 	l := s.links[port]
 	if !l.Up() {
-		s.stats.DropLinkDown++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropLinkDown, frame)
+		s.drop(&s.stats.DropLinkDown, trace.DropLinkDown, frame)
 		return false
 	}
 	if okCounter != nil {
@@ -354,6 +347,14 @@ func (s *Switch) transmit(port int, frame []byte, okCounter *uint64) bool {
 	}
 	l.SendFromAfter(s, frame, forwardDelay)
 	return true
+}
+
+// drop discards a frame the switch owns: it counts it on counter, records
+// it, and only then returns its buffer to the frame pool.
+func (s *Switch) drop(counter *uint64, cause trace.DropCause, frame []byte) {
+	*counter++
+	s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, cause, frame)
+	packet.PutBuffer(frame)
 }
 
 // handleIDQuery implements the switch-CPU punt path: the tag stack after

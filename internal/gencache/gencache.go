@@ -61,17 +61,6 @@ func (c *Cache[K, T, V]) Get(k K, tok T) (V, bool) {
 	return zero, false
 }
 
-// Peek is Get without side effects: no counter moves and a stale entry
-// stays. Any number of goroutines may Peek while none writes.
-func (c *Cache[K, T, V]) Peek(k K, tok T) (V, bool) {
-	e, ok := c.m[k]
-	if !ok || e.tok != tok {
-		var zero V
-		return zero, false
-	}
-	return e.v, true
-}
-
 // Put stores v under k as computed from tok, replacing any entry there.
 func (c *Cache[K, T, V]) Put(k K, tok T, v V) { c.m[k] = entry[T, V]{tok: tok, v: v} }
 

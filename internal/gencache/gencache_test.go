@@ -1,7 +1,6 @@
 package gencache
 
 import (
-	"sync"
 	"testing"
 
 	"dumbnet/internal/trace"
@@ -43,10 +42,10 @@ func TestGetPutStaleness(t *testing.T) {
 	t0 := tok{top: top1, ver: 1, gen: 7}
 
 	type step struct {
-		op      string // "get", "peek" or "put"
+		op      string // "get" or "put"
 		k       key
 		tok     tok
-		v       string // value to put, or value a get/peek must return
+		v       string // value to put, or value a get must return
 		ok      bool
 		want    counts // cumulative, after the step
 		wantLen int
@@ -83,13 +82,6 @@ func TestGetPutStaleness(t *testing.T) {
 			{"get", k1, tok{top1, 1, 8}, "B", true, counts{1, 0, 0}, 1},
 			{"get", k1, t0, "", false, counts{1, 1, 1}, 0},
 		}},
-		{"peek counts nothing and keeps a stale entry", []step{
-			{"peek", k1, t0, "", false, counts{}, 0},
-			{"put", k1, t0, "A", false, counts{}, 1},
-			{"peek", k1, t0, "A", true, counts{}, 1},
-			{"peek", k1, tok{top1, 1, 8}, "", false, counts{}, 1},
-			{"get", k1, t0, "A", true, counts{1, 0, 0}, 1},
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,12 +90,8 @@ func TestGetPutStaleness(t *testing.T) {
 				switch s.op {
 				case "put":
 					f.c.Put(s.k, s.tok, s.v)
-				case "get", "peek":
-					get := f.c.Get
-					if s.op == "peek" {
-						get = f.c.Peek
-					}
-					if v, ok := get(s.k, s.tok); v != s.v || ok != s.ok {
+				case "get":
+					if v, ok := f.c.Get(s.k, s.tok); v != s.v || ok != s.ok {
 						t.Fatalf("step %d: %s = (%q, %v), want (%q, %v)", i, s.op, v, ok, s.v, s.ok)
 					}
 				}
@@ -138,10 +126,10 @@ func TestDeleteFuncClearLen(t *testing.T) {
 	if n != 4 || f.c.Len() != 4 {
 		t.Fatalf("DeleteFunc dropped %d, Len = %d; want 4, 4", n, f.c.Len())
 	}
-	if _, ok := f.c.Peek(key{tenant: "a"}, t0); ok {
-		t.Fatal("a deleted entry is still served")
+	if _, ok := f.c.m[key{tenant: "a"}]; ok {
+		t.Fatal("a deleted entry is still held")
 	}
-	if v, ok := f.c.Peek(key{tenant: "b", a: [6]byte{3}}, t1); !ok || v != "b" {
+	if e, ok := f.c.m[key{tenant: "b", a: [6]byte{3}}]; !ok || e.v != "b" {
 		t.Fatal("DeleteFunc dropped an entry it was not asked to")
 	}
 	if n := f.c.DeleteFunc(func(key, string) bool { return false }); n != 0 || f.c.Len() != 4 {
@@ -156,37 +144,7 @@ func TestDeleteFuncClearLen(t *testing.T) {
 		t.Fatal("cache unusable after Clear")
 	}
 	if got, want := f.counts(), (counts{hits: 1}); got != want {
-		t.Fatalf("DeleteFunc/Clear/Len/Peek moved counters: %+v, want %+v", got, want)
-	}
-}
-
-// TestPeekConcurrentReaders is RouteService.Warm's contract: any number of
-// workers may Peek while nobody writes. Run under -race.
-func TestPeekConcurrentReaders(t *testing.T) {
-	f := newFixture()
-	t0 := tok{gen: 1}
-	for i := byte(0); i < 64; i++ {
-		f.c.Put(key{a: [6]byte{i}}, t0, "v")
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 128; i++ {
-				_, ok := f.c.Peek(key{a: [6]byte{byte(i)}}, t0)
-				if want := i < 64; ok != want {
-					t.Errorf("Peek(%d) ok = %v, want %v", i, ok, want)
-				}
-				if _, ok := f.c.Peek(key{a: [6]byte{byte(i)}}, tok{gen: 2}); ok {
-					t.Errorf("Peek(%d) served a stale entry", i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := f.counts(); got != (counts{}) {
-		t.Fatalf("Peek moved counters: %+v", got)
+		t.Fatalf("DeleteFunc/Clear/Len moved counters: %+v, want %+v", got, want)
 	}
 }
 

@@ -85,21 +85,6 @@ func (d *Dist) Mean() float64 {
 	return sum / float64(len(d.values))
 }
 
-// Stddev returns the population standard deviation.
-func (d *Dist) Stddev() float64 {
-	n := len(d.values)
-	if n == 0 {
-		return 0
-	}
-	mean := d.Mean()
-	var ss float64
-	for _, v := range d.values {
-		dv := v - mean
-		ss += dv * dv
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. Returns 0 for an empty distribution.
 func (d *Dist) Percentile(p float64) float64 {
@@ -126,39 +111,6 @@ func (d *Dist) Percentile(p float64) float64 {
 
 // Median is Percentile(50).
 func (d *Dist) Median() float64 { return d.Percentile(50) }
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value float64 // observation value
-	Frac  float64 // fraction of observations <= Value, in (0, 1]
-}
-
-// CDF returns the empirical CDF evaluated at up to points equally spaced
-// quantiles. If points <= 0 the full per-sample CDF is returned.
-func (d *Dist) CDF(points int) []CDFPoint {
-	n := len(d.values)
-	if n == 0 {
-		return nil
-	}
-	d.sort()
-	if points <= 0 || points >= n {
-		out := make([]CDFPoint, n)
-		for i, v := range d.values {
-			out[i] = CDFPoint{Value: v, Frac: float64(i+1) / float64(n)}
-		}
-		return out
-	}
-	out := make([]CDFPoint, points)
-	for i := 0; i < points; i++ {
-		frac := float64(i+1) / float64(points)
-		idx := int(math.Ceil(frac*float64(n))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out[i] = CDFPoint{Value: d.values[idx], Frac: frac}
-	}
-	return out
-}
 
 // FracBelow reports the fraction of observations <= x.
 func (d *Dist) FracBelow(x float64) float64 {
@@ -289,17 +241,6 @@ func (ts *TimeSeries) At(t float64) float64 {
 		return 0
 	}
 	return ts.Values[idx-1]
-}
-
-// FirstTimeAtLeast returns the earliest time whose value is >= v, or -1 if
-// the series never reaches v.
-func (ts *TimeSeries) FirstTimeAtLeast(v float64) float64 {
-	for i, val := range ts.Values {
-		if val >= v {
-			return ts.Times[i]
-		}
-	}
-	return -1
 }
 
 // FirstTimeAtLeastAfter returns the earliest time >= after whose value is

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -19,9 +18,6 @@ func TestDistEmpty(t *testing.T) {
 	if d.Percentile(50) != 0 {
 		t.Fatalf("empty percentile should be 0")
 	}
-	if d.CDF(10) != nil {
-		t.Fatalf("empty CDF should be nil")
-	}
 }
 
 func TestDistBasicStats(t *testing.T) {
@@ -37,9 +33,6 @@ func TestDistBasicStats(t *testing.T) {
 	}
 	if !almostEqual(d.Median(), 3, 1e-12) {
 		t.Fatalf("median = %v, want 3", d.Median())
-	}
-	if !almostEqual(d.Stddev(), math.Sqrt(2), 1e-12) {
-		t.Fatalf("stddev = %v, want sqrt(2)", d.Stddev())
 	}
 }
 
@@ -67,42 +60,6 @@ func TestDistAddDuration(t *testing.T) {
 	d.AddDuration(1500 * time.Millisecond)
 	if !almostEqual(d.Max(), 1.5, 1e-12) {
 		t.Fatalf("duration sample = %v, want 1.5", d.Max())
-	}
-}
-
-func TestCDFFull(t *testing.T) {
-	d := NewDist(3, 1, 2)
-	pts := d.CDF(0)
-	if len(pts) != 3 {
-		t.Fatalf("full CDF should have 3 points, got %d", len(pts))
-	}
-	if pts[0].Value != 1 || !almostEqual(pts[0].Frac, 1.0/3, 1e-12) {
-		t.Fatalf("first point = %+v", pts[0])
-	}
-	if pts[2].Value != 3 || !almostEqual(pts[2].Frac, 1, 1e-12) {
-		t.Fatalf("last point = %+v", pts[2])
-	}
-}
-
-func TestCDFDownsampled(t *testing.T) {
-	var d Dist
-	for i := 1; i <= 100; i++ {
-		d.Add(float64(i))
-	}
-	pts := d.CDF(10)
-	if len(pts) != 10 {
-		t.Fatalf("want 10 points, got %d", len(pts))
-	}
-	// last point must be the max with frac 1
-	last := pts[len(pts)-1]
-	if last.Value != 100 || !almostEqual(last.Frac, 1, 1e-12) {
-		t.Fatalf("last = %+v", last)
-	}
-	// fractions must be increasing
-	for i := 1; i < len(pts); i++ {
-		if pts[i].Frac <= pts[i-1].Frac || pts[i].Value < pts[i-1].Value {
-			t.Fatalf("CDF not monotone at %d: %+v %+v", i, pts[i-1], pts[i])
-		}
 	}
 }
 
@@ -231,49 +188,11 @@ func TestTimeSeries(t *testing.T) {
 	if got := ts.At(-1); got != 0 {
 		t.Fatalf("At(-1) = %v, want 0", got)
 	}
-	if got := ts.FirstTimeAtLeast(400); got != 2 {
-		t.Fatalf("FirstTimeAtLeast(400) = %v, want 2", got)
-	}
-	if got := ts.FirstTimeAtLeast(1000); got != -1 {
-		t.Fatalf("FirstTimeAtLeast(1000) = %v, want -1", got)
-	}
 	if got := ts.FirstTimeAtLeastAfter(1.5, 100); got != 2 {
 		t.Fatalf("FirstTimeAtLeastAfter = %v, want 2", got)
 	}
-}
-
-// Property: Dist.CDF values are a subset of the inputs and sorted.
-func TestCDFValuesSortedProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		var vals []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				vals = append(vals, v)
-			}
-		}
-		if len(vals) == 0 {
-			return true
-		}
-		d := NewDist(vals...)
-		pts := d.CDF(0)
-		got := make([]float64, len(pts))
-		for i, p := range pts {
-			got[i] = p.Value
-		}
-		if !sort.Float64sAreSorted(got) {
-			return false
-		}
-		want := append([]float64(nil), vals...)
-		sort.Float64s(want)
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
+	if got := ts.FirstTimeAtLeastAfter(0, 1000); got != -1 {
+		t.Fatalf("FirstTimeAtLeastAfter(0, 1000) = %v, want -1", got)
 	}
 }
 

@@ -311,25 +311,3 @@ func hasNativeFlags(buf []byte) bool {
 	et := binary.BigEndian.Uint16(buf[12:14])
 	return et == EtherTypeDumbNet || et == EtherTypeDumbNetMcast
 }
-
-// StripAtHost validates that the frame has reached the end of its path
-// (first tag is ø), removes the DumbNet encapsulation and returns a plain
-// Ethernet frame (dst, src, innerType, payload) ready for the normal stack.
-// The returned slice aliases buf. (The flags byte is dropped; callers that
-// need it should read it with HasCE first.)
-func StripAtHost(buf []byte) ([]byte, error) {
-	tag, err := TopTag(buf)
-	if err != nil {
-		return nil, err
-	}
-	if tag != TagEnd {
-		return nil, ErrNotAtEnd
-	}
-	if len(buf) < headerLen+1+2 {
-		return nil, ErrTooShort
-	}
-	// Move the 12 address bytes right over [flags ø innerType]: the inner
-	// EtherType becomes the Ethernet EtherType.
-	copy(buf[4:4+12], buf[0:12])
-	return buf[4:], nil
-}

@@ -156,39 +156,6 @@ func TestTopTagAndPopTag(t *testing.T) {
 	}
 }
 
-func TestStripAtHost(t *testing.T) {
-	payload := []byte("ip packet bytes")
-	f := &Frame{Dst: mac(5), Src: mac(4), Tags: nil, InnerType: EtherTypeIPv4, Payload: payload}
-	buf, _ := f.Encode()
-	eth, err := StripAtHost(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(eth) != EthernetHeaderLen+len(payload) {
-		t.Fatalf("len = %d", len(eth))
-	}
-	var dst, src MAC
-	copy(dst[:], eth[0:6])
-	copy(src[:], eth[6:12])
-	if dst != f.Dst || src != f.Src {
-		t.Fatal("addresses corrupted")
-	}
-	if et := uint16(eth[12])<<8 | uint16(eth[13]); et != EtherTypeIPv4 {
-		t.Fatalf("inner ethertype = %#x", et)
-	}
-	if !bytes.Equal(eth[14:], payload) {
-		t.Fatal("payload corrupted")
-	}
-}
-
-func TestStripAtHostRejectsMidPath(t *testing.T) {
-	f := &Frame{Dst: mac(5), Src: mac(4), Tags: Path{3}, InnerType: EtherTypeIPv4}
-	buf, _ := f.Encode()
-	if _, err := StripAtHost(buf); !errors.Is(err, ErrNotAtEnd) {
-		t.Fatalf("err = %v, want ErrNotAtEnd", err)
-	}
-}
-
 // Property: encode→decode round-trips arbitrary frames.
 func TestEncodeDecodeProperty(t *testing.T) {
 	f := func(dst, src [6]byte, rawTags []byte, payload []byte) bool {
@@ -218,7 +185,8 @@ func TestEncodeDecodeProperty(t *testing.T) {
 	}
 }
 
-// Property: popping all tags then stripping yields the original payload.
+// Property: popping all tags leaves a frame that decodes with no tags left
+// and the original payload.
 func TestFullPathConsumptionProperty(t *testing.T) {
 	f := func(nTags uint8, payload []byte) bool {
 		n := int(nTags % 16)
@@ -238,11 +206,12 @@ func TestFullPathConsumptionProperty(t *testing.T) {
 				return false
 			}
 		}
-		eth, err := StripAtHost(buf)
+		g, err := Decode(buf)
 		if err != nil {
 			return false
 		}
-		return bytes.Equal(eth[EthernetHeaderLen:], payload)
+		return len(g.Tags) == 0 && g.Dst == fr.Dst && g.Src == fr.Src &&
+			g.InnerType == EtherTypeIPv4 && bytes.Equal(g.Payload, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,9 @@
 package sim
 
-import "dumbnet/internal/trace"
+import (
+	"dumbnet/internal/packet"
+	"dumbnet/internal/trace"
+)
 
 // Node is anything that can receive frames from a link: a switch or a host
 // NIC. Receive runs at frame-delivery virtual time.
@@ -297,6 +300,7 @@ func (d *deliverEvent) RunEvent() {
 	}
 	if !rx.up {
 		rx.stats.LostInFlight++ // link died while the frame was in flight
+		packet.PutBuffer(frame)
 		return
 	}
 	rx.node.Receive(rx.port, frame)
@@ -348,13 +352,11 @@ func (l *Link) SendFrom(from Node, frame []byte) {
 func (l *Link) transmit(tx *linkEnd, frame []byte) {
 	rx, eng := l.other(tx), tx.eng
 	if !tx.up {
-		tx.stats.DownTx++
-		eng.tracer.PacketDrop(int64(eng.Now()), 0, trace.DropLinkDownTx, frame)
+		drop(&tx.stats.DownTx, eng, trace.DropLinkDownTx, frame)
 		return
 	}
 	if l.imp.LossProb > 0 && eng.Rand().Float64() < l.imp.LossProb {
-		tx.stats.ImpairLost++
-		eng.tracer.PacketDrop(int64(eng.Now()), 0, trace.DropImpairLoss, frame)
+		drop(&tx.stats.ImpairLost, eng, trace.DropImpairLoss, frame)
 		return
 	}
 	if l.imp.CorruptProb > 0 && len(frame) > 0 && eng.Rand().Float64() < l.imp.CorruptProb {
@@ -369,8 +371,7 @@ func (l *Link) transmit(tx *linkEnd, frame []byte) {
 		start = now
 	}
 	if start-now > l.cfg.MaxBacklog {
-		tx.stats.Drops++
-		eng.tracer.PacketDrop(int64(now), 0, trace.DropQueueOverflow, frame)
+		drop(&tx.stats.Drops, eng, trace.DropQueueOverflow, frame)
 		return
 	}
 	var txTime Time
@@ -389,4 +390,13 @@ func (l *Link) transmit(tx *linkEnd, frame []byte) {
 	d := eng.freeDelivers.Get()
 	d.rx, d.frame = rx, frame
 	eng.crossSchedule(rx.eng, deliverAt, nil, d)
+}
+
+// drop discards a frame the link owns (SendFrom handed it over): it counts
+// it on counter, records it, and only then returns its buffer to the frame
+// pool.
+func drop(counter *uint64, eng *Engine, cause trace.DropCause, frame []byte) {
+	*counter++
+	eng.tracer.PacketDrop(int64(eng.Now()), 0, cause, frame)
+	packet.PutBuffer(frame)
 }

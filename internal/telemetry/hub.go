@@ -3,7 +3,6 @@ package telemetry
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"dumbnet/internal/metrics"
@@ -250,56 +249,6 @@ func (h *Hub) SummaryLine() string {
 // SnapshotJSON renders the merged snapshot as indented JSON.
 func (h *Hub) SnapshotJSON() ([]byte, error) {
 	return json.MarshalIndent(h.Snapshot(), "", "  ")
-}
-
-// WriteProm renders the merged snapshot in Prometheus text exposition
-// format (dumbnet_telemetry_* metric family).
-func (h *Hub) WriteProm(w io.Writer) error {
-	s := h.Snapshot()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	p("# TYPE dumbnet_telemetry_windows_total counter\n")
-	p("dumbnet_telemetry_windows_total %d\n", s.Windows)
-	p("# TYPE dumbnet_telemetry_frames_total counter\n")
-	p("dumbnet_telemetry_frames_total %d\n", s.Frames)
-	p("# TYPE dumbnet_telemetry_drops_total counter\n")
-	p("dumbnet_telemetry_drops_total %d\n", s.Drops)
-	p("# TYPE dumbnet_telemetry_tap_dropped_total counter\n")
-	p("dumbnet_telemetry_tap_dropped_total %d\n", s.TapDropped)
-	p("# TYPE dumbnet_telemetry_flagged gauge\n")
-	p("dumbnet_telemetry_flagged %d\n", s.Flagged)
-	p("# TYPE dumbnet_telemetry_flags_raised_total counter\n")
-	p("dumbnet_telemetry_flags_raised_total %d\n", s.Raised)
-	p("# TYPE dumbnet_telemetry_flags_cleared_total counter\n")
-	p("dumbnet_telemetry_flags_cleared_total %d\n", s.Cleared)
-	p("# TYPE dumbnet_telemetry_heal_breaches_total counter\n")
-	p("dumbnet_telemetry_heal_breaches_total %d\n", s.HealBreaches)
-	p("# TYPE dumbnet_telemetry_link_frames_total counter\n")
-	for _, l := range s.Links {
-		p("dumbnet_telemetry_link_frames_total{link=%q} %d\n", l.Link, l.Frames)
-	}
-	p("# TYPE dumbnet_telemetry_drop_cause_total counter\n")
-	causes := make([]string, 0, len(s.DropCauses))
-	for cause := range s.DropCauses {
-		causes = append(causes, cause)
-	}
-	sort.Strings(causes)
-	for _, cause := range causes {
-		p("dumbnet_telemetry_drop_cause_total{cause=%q} %d\n", cause, s.DropCauses[cause])
-	}
-	p("# TYPE dumbnet_telemetry_flow_frames_total counter\n")
-	for _, f := range s.TopFlows {
-		p("dumbnet_telemetry_flow_frames_total{flow=%q} %d\n", f.Flow, f.Count)
-	}
-	p("# TYPE dumbnet_telemetry_recovery_p99_ns gauge\n")
-	p("dumbnet_telemetry_recovery_p99_ns %d\n", s.Recovery.P99)
-	p("# TYPE dumbnet_telemetry_ctrl_latency_p99_ns gauge\n")
-	p("dumbnet_telemetry_ctrl_latency_p99_ns %d\n", s.CtrlLatency.P99)
-	return err
 }
 
 // Offline replays saved records through an engine-less consumer, windowing

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"sort"
 	"strings"
 
 	"dumbnet/internal/packet"
@@ -42,12 +41,6 @@ func (r FlagReason) String() string {
 type flagState struct {
 	reasons FlagReason
 	sloTTL  int
-}
-
-// Flag is one scoreboard entry in an exported listing.
-type Flag struct {
-	Link    LinkKey
-	Reasons FlagReason
 }
 
 // Scoreboard holds the detector verdicts for one consumer (one shard). It
@@ -152,19 +145,4 @@ func (b *Scoreboard) Reasons(key LinkKey) FlagReason {
 		return fs.reasons
 	}
 	return 0
-}
-
-// Flags lists the active verdicts sorted by subject (deterministic).
-func (b *Scoreboard) Flags() []Flag {
-	out := make([]Flag, 0, len(b.flags))
-	for key, fs := range b.flags {
-		out = append(out, Flag{Link: key, Reasons: fs.reasons})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Link.Sw != out[j].Link.Sw {
-			return out[i].Link.Sw < out[j].Link.Sw
-		}
-		return out[i].Link.Port < out[j].Link.Port
-	})
-	return out
 }

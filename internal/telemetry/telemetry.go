@@ -516,15 +516,3 @@ func (c *Consumer) detectSwitch(key LinkKey, ls *linkState) {
 		ls.burstCool = 0
 	}
 }
-
-// SummaryLine renders a one-line live summary of this consumer (shard-local
-// state only; safe to call from the consumer's own engine).
-func (c *Consumer) SummaryLine() string {
-	top := ""
-	if flows := c.top.Top(); len(flows) > 0 {
-		top = fmt.Sprintf(" top=%v->%v(%d)", flows[0].Flow.Src, flows[0].Flow.Dst, flows[0].Count)
-	}
-	return fmt.Sprintf("windows=%d frames=%d drops=%d flagged=%d raised=%d cleared=%d tapdrop=%d%s",
-		c.flushes, c.totalFrames, c.totalDrops, c.board.FlaggedCount(),
-		c.board.Raised(), c.board.Cleared(), c.TapDropped(), top)
-}

@@ -1,9 +1,7 @@
 package telemetry_test
 
 import (
-	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"dumbnet/internal/packet"
@@ -340,8 +338,8 @@ func TestOnlineConsumerFlush(t *testing.T) {
 	if !c.Board().LinkFlagged(5, 2) {
 		t.Fatal("sustained over-threshold traffic did not flag the link online")
 	}
-	if !strings.Contains(c.SummaryLine(), "flagged=1") {
-		t.Fatalf("summary line does not show the flag: %s", c.SummaryLine())
+	if n := c.Board().FlaggedCount(); n != 1 {
+		t.Fatalf("scoreboard holds %d flags, want 1", n)
 	}
 
 	// Traffic stopped: the flag must clear on its own after quiet windows.
@@ -403,20 +401,6 @@ func TestHubExporters(t *testing.T) {
 	}
 	if snap.Frames != 1 {
 		t.Fatalf("snapshot frames = %d, want 1", snap.Frames)
-	}
-
-	var buf bytes.Buffer
-	if err := hub.WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"dumbnet_telemetry_windows_total 1",
-		"dumbnet_telemetry_frames_total 1",
-		"dumbnet_telemetry_link_frames_total{link=\"sw1:p2\"} 1",
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("prometheus output missing %q:\n%s", want, buf.String())
-		}
 	}
 }
 

@@ -349,22 +349,6 @@ func (t *Topology) HostAt(h MAC) (HostAttach, error) {
 	return at, nil
 }
 
-// HostsOn lists hosts attached to a switch, sorted by port.
-func (t *Topology) HostsOn(id SwitchID) []HostAttach {
-	sw, ok := t.switches[id]
-	if !ok {
-		return nil
-	}
-	var out []HostAttach
-	for p, ep := range sw.wired {
-		if ep.Kind == EndpointHost {
-			out = append(out, HostAttach{Host: ep.Host, Switch: id, Port: p})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
-	return out
-}
-
 // PortToward returns the local port on from that leads to the adjacent
 // switch to, or an error if they are not adjacent.
 func (t *Topology) PortToward(from, to SwitchID) (Port, error) {

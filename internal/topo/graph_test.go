@@ -89,10 +89,6 @@ func TestAttachDetachHost(t *testing.T) {
 	if err != nil || ep.Kind != EndpointHost || ep.Host != h {
 		t.Fatalf("EndpointAt = %+v, %v", ep, err)
 	}
-	hosts := tp.HostsOn(1)
-	if len(hosts) != 1 || hosts[0].Host != h {
-		t.Fatalf("HostsOn = %+v", hosts)
-	}
 	if err := tp.DetachHost(h); err != nil {
 		t.Fatal(err)
 	}

@@ -167,12 +167,6 @@ func hostPath(v attachedView, src, dst MAC, rng *rand.Rand) (packet.Path, error)
 	return tagsForSwitchPath(v, sp, dst)
 }
 
-// TagsForSwitchPath encodes a switch path as header tags ending at dst's
-// attachment port.
-func (t *Topology) TagsForSwitchPath(sp SwitchPath, dst MAC) (packet.Path, error) {
-	return tagsForSwitchPath(t, sp, dst)
-}
-
 // HostPath computes one source-routed tag path from host src to host dst
 // over the topology, with randomized equal-cost choice when rng != nil.
 func (t *Topology) HostPath(src, dst MAC, rng *rand.Rand) (packet.Path, error) {

@@ -161,15 +161,15 @@ func TestTagsForSwitchPathErrors(t *testing.T) {
 	tp, _ := Line(3, 4)
 	hosts := tp.Hosts()
 	h2 := hosts[1].Host
-	if _, err := tp.TagsForSwitchPath(nil, h2); !errors.Is(err, ErrNoPath) {
+	if _, err := tagsForSwitchPath(tp, nil, h2); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("empty: %v", err)
 	}
 	// Path ending at wrong switch.
-	if _, err := tp.TagsForSwitchPath(SwitchPath{1, 2}, h2); !errors.Is(err, ErrPathInvalid) {
+	if _, err := tagsForSwitchPath(tp, SwitchPath{1, 2}, h2); !errors.Is(err, ErrPathInvalid) {
 		t.Fatalf("wrong end: %v", err)
 	}
 	// Non-adjacent hop.
-	if _, err := tp.TagsForSwitchPath(SwitchPath{1, 3}, h2); !errors.Is(err, ErrNoLink) {
+	if _, err := tagsForSwitchPath(tp, SwitchPath{1, 3}, h2); !errors.Is(err, ErrNoLink) {
 		t.Fatalf("non-adjacent: %v", err)
 	}
 }

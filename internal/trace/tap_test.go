@@ -99,24 +99,6 @@ func TestTapWrapsAcrossDrains(t *testing.T) {
 	}
 }
 
-func TestUnsubscribeStopsDelivery(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 16, SampleMod: 1})
-	t1 := r.Subscribe(8)
-	t2 := r.Subscribe(8)
-	r.PacketHop(1, 10, 1, 2, hopFrame(1, 2))
-	r.Unsubscribe(t1)
-	r.PacketHop(2, 10, 1, 2, hopFrame(1, 2))
-	if t1.Len() != 1 {
-		t.Fatalf("unsubscribed tap Len = %d, want 1 (queued records stay drainable)", t1.Len())
-	}
-	if t2.Len() != 2 {
-		t.Fatalf("live tap Len = %d, want 2", t2.Len())
-	}
-	// Unsubscribing an unknown/nil tap is a no-op.
-	r.Unsubscribe(t1)
-	r.Unsubscribe(nil)
-}
-
 func TestRecorderResetLeavesTapsAttached(t *testing.T) {
 	r := NewRecorder(Config{Capacity: 8, SampleMod: 1})
 	tap := r.Subscribe(2)
@@ -154,7 +136,6 @@ func TestNilTapIsSafe(t *testing.T) {
 	if n := tap.Drain(func(*Record) { t.Fatal("fn called on nil tap") }); n != 0 {
 		t.Fatalf("nil tap Drain = %d, want 0", n)
 	}
-	nilRec.Unsubscribe(tap)
 }
 
 func TestSubscribeDefaultCapacity(t *testing.T) {

@@ -374,20 +374,6 @@ func (r *Recorder) Subscribe(capacity int) *Tap {
 	return t
 }
 
-// Unsubscribe detaches a tap; further records are no longer offered to it.
-// Records already queued remain drainable.
-func (r *Recorder) Unsubscribe(t *Tap) {
-	if r == nil || t == nil {
-		return
-	}
-	for i, have := range r.taps {
-		if have == t {
-			r.taps = append(r.taps[:i], r.taps[i+1:]...)
-			return
-		}
-	}
-}
-
 // offer copies one record into the tap, or counts a drop when full.
 func (t *Tap) offer(rec Record) {
 	if t.n == len(t.buf) {

@@ -33,14 +33,6 @@ func WebSearchDist() *SizeDist {
 		[]float64{0.15, 0.30, 0.45, 0.60, 0.70, 0.80, 0.90, 0.97, 0.997, 1.0})
 }
 
-// DataMiningDist is the VL2/pFabric data-mining mix: extremely heavy
-// tail — half the flows are tiny, a sliver carries most bytes.
-func DataMiningDist() *SizeDist {
-	return NewSizeDist("data-mining",
-		[]float64{100, 1e3, 10e3, 100e3, 1e6, 10e6, 100e6, 1e9},
-		[]float64{0.50, 0.60, 0.70, 0.80, 0.90, 0.96, 0.99, 1.0})
-}
-
 // Sample draws one flow size.
 func (d *SizeDist) Sample(rng *rand.Rand) float64 {
 	u := rng.Float64()

@@ -64,18 +64,6 @@ func (n *LeafSpineNet) PathVia(src, dst, spine int) []flowsim.LinkID {
 	return append(path, n.hostDown[dst])
 }
 
-// FailSpineLink zeroes the capacity of one leaf<->spine link pair.
-func (n *LeafSpineNet) FailSpineLink(leaf, spine int) {
-	n.Net.SetCapacity(n.up[[2]int{leaf, spine}], 0)
-	n.Net.SetCapacity(n.down[[2]int{spine, leaf}], 0)
-}
-
-// UpLink returns the leaf->spine link.
-func (n *LeafSpineNet) UpLink(leaf, spine int) flowsim.LinkID { return n.up[[2]int{leaf, spine}] }
-
-// DownLink returns the spine->leaf link.
-func (n *LeafSpineNet) DownLink(spine, leaf int) flowsim.LinkID { return n.down[[2]int{spine, leaf}] }
-
 // SinglePathPolicy pins every transfer to spine 0 — the "DumbNet single
 // path" baseline of Fig 13 (no load balancing at all).
 func (n *LeafSpineNet) SinglePathPolicy() RouteFunc {

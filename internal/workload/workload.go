@@ -7,7 +7,6 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 )
 
 // Flow is one host-to-host transfer inside a stage.
@@ -206,43 +205,4 @@ func HiBenchSuiteWidth(workers, width int, inputGB float64) []Job {
 		Terasort(workers, width, inputGB),
 		Wordcount(workers, width, inputGB),
 	}
-}
-
-// --- Micro-benchmark traffic -------------------------------------------
-
-// Permutation builds a random permutation traffic matrix: every host sends
-// bytes to exactly one distinct other host.
-func Permutation(hosts int, bytes float64, rng *rand.Rand) []Flow {
-	perm := rng.Perm(hosts)
-	// Fix fixed points by rotating them onto their neighbor.
-	for i := 0; i < hosts; i++ {
-		if perm[i] == i {
-			j := (i + 1) % hosts
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-	}
-	flows := make([]Flow, 0, hosts)
-	for s, d := range perm {
-		if s == d {
-			d = (d + 1) % hosts
-		}
-		flows = append(flows, Flow{Src: s, Dst: d, Bytes: bytes})
-	}
-	return flows
-}
-
-// AllToAll builds a full mesh moving totalBytes.
-func AllToAll(hosts int, totalBytes float64) []Flow {
-	return shuffle(hosts, 0, totalBytes)
-}
-
-// Incast builds n-to-1 traffic into dst.
-func Incast(hosts, dst int, bytesPerSender float64) []Flow {
-	var flows []Flow
-	for s := 0; s < hosts; s++ {
-		if s != dst {
-			flows = append(flows, Flow{Src: s, Dst: dst, Bytes: bytesPerSender})
-		}
-	}
-	return flows
 }

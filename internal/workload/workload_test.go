@@ -66,38 +66,6 @@ func TestValidateRejectsForwardDeps(t *testing.T) {
 	}
 }
 
-func TestPermutationTraffic(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	flows := Permutation(10, 100, rng)
-	if len(flows) != 10 {
-		t.Fatalf("flows = %d", len(flows))
-	}
-	for _, f := range flows {
-		if f.Src == f.Dst {
-			t.Fatal("permutation has a self flow")
-		}
-	}
-}
-
-func TestIncast(t *testing.T) {
-	flows := Incast(5, 2, 100)
-	if len(flows) != 4 {
-		t.Fatalf("flows = %d", len(flows))
-	}
-	for _, f := range flows {
-		if f.Dst != 2 || f.Src == 2 {
-			t.Fatalf("bad flow %+v", f)
-		}
-	}
-}
-
-func TestAllToAll(t *testing.T) {
-	flows := AllToAll(3, 600)
-	if len(flows) != 6 {
-		t.Fatalf("flows = %d", len(flows))
-	}
-}
-
 func TestRunJobSimpleChain(t *testing.T) {
 	// Two hosts, one 1 Gbps link each way; a job with 1 GB shuffle-ish
 	// stage should take ~8 s of network time plus compute.
@@ -178,7 +146,7 @@ func TestLeafSpinePolicies(t *testing.T) {
 	// SinglePath always uses spine 0's uplink.
 	sp := ls.SinglePathPolicy()
 	p := sp(0, 3, 5)
-	if p[1] != ls.UpLink(0, 0) {
+	if p[1] != ls.up[[2]int{0, 0}] {
 		t.Fatal("single path not pinned to spine 0")
 	}
 	// Flowlet round-robins.
@@ -228,45 +196,28 @@ func TestECMPBetweenFlowletAndSingle(t *testing.T) {
 	}
 }
 
-func TestFailSpineLink(t *testing.T) {
-	ls := NewLeafSpine(2, 2, 1, 10e9, 1e9)
-	ls.FailSpineLink(0, 0)
-	if ls.Net.Capacity(ls.UpLink(0, 0)) != 0 {
-		t.Fatal("uplink not failed")
-	}
-	if ls.Net.Capacity(ls.DownLink(0, 0)) != 0 {
-		t.Fatal("downlink not failed")
-	}
-	if ls.Net.Capacity(ls.UpLink(0, 1)) == 0 {
-		t.Fatal("wrong link failed")
-	}
-}
-
 func TestSizeDistSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, d := range []*SizeDist{WebSearchDist(), DataMiningDist()} {
-		minS, maxS := math.Inf(1), 0.0
-		for i := 0; i < 5000; i++ {
-			s := d.Sample(rng)
-			if s <= 0 {
-				t.Fatalf("%s: non-positive sample %v", d.Name, s)
-			}
-			if s < minS {
-				minS = s
-			}
-			if s > maxS {
-				maxS = s
-			}
+	d := WebSearchDist()
+	minS, maxS := math.Inf(1), 0.0
+	for i := 0; i < 5000; i++ {
+		s := d.Sample(rng)
+		if s <= 0 {
+			t.Fatalf("%s: non-positive sample %v", d.Name, s)
 		}
-		if minS < 50 || maxS > 2e9 {
-			t.Fatalf("%s: samples out of range [%v, %v]", d.Name, minS, maxS)
+		if s < minS {
+			minS = s
+		}
+		if s > maxS {
+			maxS = s
 		}
 	}
-	// Data mining has the heavier tail: larger mean despite smaller median.
-	ws := WebSearchDist().Mean(20000, 2)
-	dm := DataMiningDist().Mean(20000, 2)
-	if dm <= ws {
-		t.Fatalf("data-mining mean %v should exceed web-search %v", dm, ws)
+	if minS < 50 || maxS > 30e6 {
+		t.Fatalf("%s: samples out of range [%v, %v]", d.Name, minS, maxS)
+	}
+	// The heavy tail lifts the mean well above the 33 kB median.
+	if m := d.Mean(20000, 2); m < 100e3 || m > 30e6 {
+		t.Fatalf("%s: mean %v outside (100 kB, 30 MB)", d.Name, m)
 	}
 }
 
