@@ -295,6 +295,9 @@ type linkBattery struct {
 	protected map[packet.SwitchID]bool // switches under controller replicas
 	ctrlDown  bool
 	baseline  *topo.Topology // master view before any fault was injected
+	// viewConnected's fault lists, reused across calls.
+	cut  [][2]packet.SwitchID
+	gone []packet.SwitchID
 
 	// tenant churn state: the virtualization manager (nil disables all
 	// tenancy invariants) and a counter naming churn-created tenants.
@@ -330,12 +333,8 @@ func Run(n Target, cfg Config) (*Report, error) {
 		protected: make(map[packet.SwitchID]bool),
 		mgr:       n.Vnet(),
 	}
-	for _, id := range n.Topology().SwitchIDs() {
-		for _, nb := range n.Topology().Neighbors(id) {
-			if nb.Sw > id {
-				r.links = append(r.links, pair{a: id, b: nb.Sw})
-			}
-		}
+	for _, l := range n.Topology().Links() {
+		r.links = append(r.links, pair{a: l.A, b: l.B})
 	}
 	// Never crash a switch that carries a controller replica: the
 	// scenario tests failover between controllers, not the (hopeless)
@@ -403,29 +402,22 @@ func (r *linkBattery) audit() {
 // Flapping links count as down for the whole phase (pessimistic), so a
 // flap can never conspire with later failures into a partition.
 func (r *linkBattery) viewConnected(extraDown *pair, extraCrash *packet.SwitchID) bool {
-	v := r.n.Topology().Clone()
-	drop := func(p pair) {
-		if pa, err := v.PortToward(p.a, p.b); err == nil {
-			_ = v.Disconnect(p.a, pa)
-		}
-	}
+	r.cut, r.gone = r.cut[:0], r.gone[:0]
 	for _, p := range r.links {
 		if r.down[p] || r.flap[p] {
-			drop(p)
+			r.cut = append(r.cut, [2]packet.SwitchID{p.a, p.b})
 		}
 	}
 	if extraDown != nil {
-		drop(*extraDown)
+		r.cut = append(r.cut, [2]packet.SwitchID{extraDown.a, extraDown.b})
 	}
-	for _, id := range r.n.Topology().SwitchIDs() {
-		if r.crashed[id] {
-			_ = v.RemoveSwitch(id)
-		}
+	for id := range r.crashed {
+		r.gone = append(r.gone, id)
 	}
-	if extraCrash != nil && v.HasSwitch(*extraCrash) {
-		_ = v.RemoveSwitch(*extraCrash)
+	if extraCrash != nil {
+		r.gone = append(r.gone, *extraCrash)
 	}
-	return v.Connected()
+	return r.n.Topology().Connected(r.cut, r.gone)
 }
 
 // linkCandidates lists links eligible for a new fail or flap: currently
@@ -440,8 +432,7 @@ func (r *linkBattery) linkCandidates() []pair {
 		if err != nil || !l.Up() {
 			continue
 		}
-		q := p
-		if r.viewConnected(&q, nil) {
+		if r.viewConnected(&p, nil) {
 			out = append(out, p)
 		}
 	}
@@ -464,8 +455,7 @@ func (r *linkBattery) crashCandidates() []packet.SwitchID {
 		if r.crashed[id] || r.protected[id] {
 			continue
 		}
-		sw := id
-		if r.viewConnected(nil, &sw) {
+		if r.viewConnected(nil, &id) {
 			out = append(out, id)
 		}
 	}

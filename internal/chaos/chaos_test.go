@@ -236,7 +236,7 @@ func TestChaosPartitionAvoidance(t *testing.T) {
 		case trace.ScenarioRestartSwitch:
 			delete(crashed, e.Sw)
 		}
-		if mirror = rebuild(); !mirror.Connected() {
+		if mirror = rebuild(); !mirror.Connected(nil, nil) {
 			t.Fatalf("trace partitions the fabric at %v", e)
 		}
 	}

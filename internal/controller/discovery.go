@@ -21,8 +21,6 @@ type DiscoveryConfig struct {
 	// MaxPorts bounds the per-switch port scan (paper: "we can pass the
 	// maximum number of ports to the discovery process").
 	MaxPorts int
-	// Window bounds in-flight probes ("PMs are sent out in parallel").
-	Window int
 	// ProbeSendCost is the controller CPU time consumed per probe sent —
 	// the discovery bottleneck per §7.2.1.
 	ProbeSendCost sim.Time
@@ -36,7 +34,6 @@ type DiscoveryConfig struct {
 func DefaultDiscoveryConfig() DiscoveryConfig {
 	return DiscoveryConfig{
 		MaxPorts:      64,
-		Window:        64,
 		ProbeSendCost: 33 * sim.Microsecond,
 		ReplyCost:     2 * sim.Microsecond,
 		ProbeTimeout:  2 * sim.Millisecond,
@@ -102,21 +99,17 @@ var ErrDiscoveryFailed = errors.New("controller: discovery failed to find uplink
 var ErrOtherController = errors.New("controller: another controller already owns the network")
 
 type swInfo struct {
-	id  packet.SwitchID
 	fwd packet.Path // tags controller -> this switch (exclusive of scan port)
 	ret packet.Path // tags this switch -> controller host
 }
 
 // discovery is one BFS session.
 type discovery struct {
-	c    *Controller
-	tr   ProbeTransport
-	cfg  DiscoveryConfig
-	t    *topo.Topology
-	info map[packet.SwitchID]*swInfo
-	// wired marks ports already known (hosts or confirmed links) so the
-	// scan skips them.
-	wired map[packet.SwitchID]map[topo.Port]bool
+	c     *Controller
+	tr    ProbeTransport
+	cfg   DiscoveryConfig
+	t     *topo.Topology
+	info  map[packet.SwitchID]*swInfo
 	queue []packet.SwitchID
 
 	scanning  bool
@@ -139,21 +132,18 @@ func (c *Controller) Discover(tr ProbeTransport, done func(DiscoveryReport, erro
 		cfg:       cfg,
 		t:         topo.New(),
 		info:      make(map[packet.SwitchID]*swInfo),
-		wired:     make(map[packet.SwitchID]map[topo.Port]bool),
 		startTime: c.eng.Now(),
 		done:      done,
 	}
 	d.findUplink()
 }
 
-func (d *discovery) markWired(sw packet.SwitchID, p topo.Port) {
-	if d.wired[sw] == nil {
-		d.wired[sw] = make(map[topo.Port]bool)
-	}
-	d.wired[sw][p] = true
+// isWired reports whether (sw, p) is already known, a host or a confirmed
+// link, so the scan skips it. A switch not yet found has no wired ports.
+func (d *discovery) isWired(sw packet.SwitchID, p topo.Port) bool {
+	ep, err := d.t.EndpointAt(sw, p)
+	return err == nil && ep.Kind != topo.EndpointNone
 }
-
-func (d *discovery) isWired(sw packet.SwitchID, p topo.Port) bool { return d.wired[sw][p] }
 
 // findUplink probes [0, p] for every p: the ID reply that makes it home
 // reveals both the attach switch's ID and the controller's own port.
@@ -184,8 +174,7 @@ func (d *discovery) rootFound(root packet.SwitchID, ownPort topo.Port) {
 		d.finish(err)
 		return
 	}
-	d.markWired(root, ownPort)
-	d.info[root] = &swInfo{id: root, fwd: packet.Path{}, ret: packet.Path{ownPort}}
+	d.info[root] = &swInfo{fwd: packet.Path{}, ret: packet.Path{ownPort}}
 	d.queue = append(d.queue, root)
 	d.scanNext()
 }
@@ -239,9 +228,9 @@ func (d *discovery) probePort(sw packet.SwitchID, p topo.Port, next func()) {
 				d.finish(ErrOtherController)
 				return
 			}
-			if err := d.t.AttachHost(r.Host, sw, p); err == nil {
-				d.markWired(sw, p)
-			}
+			// A refused attach (the host is known on another port)
+			// leaves the port unwired, as the scan found it.
+			_ = d.t.AttachHost(r.Host, sw, p)
 			next()
 		case ResultBounce:
 			// The probe returned to the controller itself: (sw, p) is
@@ -322,13 +311,12 @@ func (d *discovery) linkConfirmed(sw packet.SwitchID, p topo.Port, far packet.Sw
 		}
 		fwd := append(inf.fwd.Clone(), p)
 		ret := append(packet.Path{in}, inf.ret...)
-		d.info[far] = &swInfo{id: far, fwd: fwd, ret: ret}
+		d.info[far] = &swInfo{fwd: fwd, ret: ret}
 		d.queue = append(d.queue, far)
 	}
-	if err := d.t.Connect(sw, p, far, in); err == nil {
-		d.markWired(sw, p)
-		d.markWired(far, in)
-	}
+	// A refused Connect (an end already wired) leaves both ports as the
+	// topology has them.
+	_ = d.t.Connect(sw, p, far, in)
 }
 
 func (d *discovery) finish(err error) {

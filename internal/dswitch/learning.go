@@ -30,7 +30,8 @@ type LearningSwitch struct {
 
 	// control, when set, sees every incoming frame before normal
 	// switching; returning true consumes it (BPDUs are processed even on
-	// blocked ports, per 802.1D).
+	// blocked ports, per 802.1D). It must not keep the frame: the switch
+	// returns a consumed frame to the pool.
 	control func(inPort int, frame []byte) bool
 
 	// mplsRules enables the static DumbNet label→port rules.
@@ -99,7 +100,8 @@ func (s *LearningSwitch) FlushTable() { s.table = make(map[packet.MAC]int) }
 // SetMonitor installs a port-state observer.
 func (s *LearningSwitch) SetMonitor(fn func(port int, up bool)) { s.monitor = fn }
 
-// SetControl installs a control-frame interceptor (the STP BPDU handler).
+// SetControl installs a control-frame interceptor (the STP BPDU handler),
+// which must not keep the frames it sees.
 func (s *LearningSwitch) SetControl(fn func(inPort int, frame []byte) bool) { s.control = fn }
 
 // SendRaw transmits a frame out a specific port, bypassing learning and
@@ -132,19 +134,21 @@ func (s *LearningSwitch) EnableMPLS() { s.mplsRules = true }
 func (s *LearningSwitch) receiveMPLS(frame []byte) {
 	rest, tag, err := packet.PopLabelMPLS(frame)
 	if err != nil {
-		s.stats.Dropped++
+		s.drop(frame)
 		return
 	}
 	s.send(int(tag), rest, &s.stats.Forwarded)
 }
 
-// Receive implements sim.Node: learn, then forward or flood.
+// Receive implements sim.Node: learn, then forward or flood. A frame that
+// goes no further goes back to the pool.
 func (s *LearningSwitch) Receive(inPort int, frame []byte) {
 	if len(frame) < packet.EthernetHeaderLen {
-		s.stats.Dropped++
+		s.drop(frame)
 		return
 	}
 	if s.control != nil && s.control(inPort, frame) {
+		packet.PutBuffer(frame)
 		return
 	}
 	if s.mplsRules && EtherTypeOf(frame) == packet.EtherTypeMPLS {
@@ -154,7 +158,7 @@ func (s *LearningSwitch) Receive(inPort int, frame []byte) {
 	if s.Blocked(inPort) {
 		// BPDU-style control traffic is handled by the STP layer before
 		// frames reach here; data on blocked ports is discarded.
-		s.stats.Dropped++
+		s.drop(frame)
 		return
 	}
 	var dst, src packet.MAC
@@ -177,19 +181,27 @@ func (s *LearningSwitch) Receive(inPort int, frame []byte) {
 		if port == inPort || s.links[port] == nil || s.Blocked(port) {
 			continue
 		}
-		dup := append([]byte(nil), frame...)
+		dup := packet.GetBuffer(len(frame))
+		copy(dup, frame)
 		s.send(port, dup, &s.stats.Flooded)
 	}
+	packet.PutBuffer(frame)
 }
 
 func (s *LearningSwitch) send(port int, frame []byte, counter *uint64) {
-	l := s.links[port]
+	l := s.LinkAt(port)
 	if l == nil || !l.Up() {
-		s.stats.Dropped++
+		s.drop(frame)
 		return
 	}
 	*counter++
 	l.SendFromAfter(s, frame, s.delay)
+}
+
+// drop counts a frame the switch discards and returns it to the pool.
+func (s *LearningSwitch) drop(frame []byte) {
+	s.stats.Dropped++
+	packet.PutBuffer(frame)
 }
 
 // EtherTypeOf extracts the EtherType of a raw Ethernet frame (helper shared

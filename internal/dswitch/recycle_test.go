@@ -147,3 +147,99 @@ func TestConsumedFramesRecycled(t *testing.T) {
 		t.Fatalf("%d ID replies, want %d", sink.n, want)
 	}
 }
+
+// poolSink counts the frames it receives and returns each to the pool.
+type poolSink struct{ n int }
+
+func (s *poolSink) Receive(_ int, frame []byte) {
+	s.n++
+	packet.PutBuffer(frame)
+}
+
+// The learning switch returns every frame that goes no further to the frame
+// pool once it has counted it: a short frame, one on a blocked port, one a
+// control hook consumed, a failed MPLS pop and a send onto a missing, down
+// or out-of-range port. A flood draws its copies from the pool and returns
+// the original. As in TestConsumedFramesRecycled, a pooled run must cost
+// what a run on a buffer too small for the pool costs, so a kept frame shows
+// as one extra allocation per run.
+func TestLearningFramesRecycled(t *testing.T) {
+	eng := sim.NewEngine(1)
+	lcfg := sim.LinkConfig{PropDelay: 500 * sim.Nanosecond, BandwidthBps: 10e9}
+	sw := dswitch.NewLearning(eng, 1, 5, sim.Microsecond)
+	sw.EnableMPLS()
+	sinks := [2]*poolSink{{}, {}}
+	for i, s := range sinks {
+		sw.AttachLink(2+i, sim.NewLink(eng, sw, 2+i, s, 1, lcfg))
+	}
+	down := sim.NewLink(eng, sw, 4, &poolSink{}, 1, lcfg)
+	sw.AttachLink(4, down)
+	down.Fail()
+	blocked := dswitch.NewLearning(eng, 2, 4, sim.Microsecond)
+	blocked.SetBlocked(1, true)
+	ctl := dswitch.NewLearning(eng, 3, 4, sim.Microsecond)
+	ctl.SetControl(func(int, []byte) bool { return true })
+	eng.Run()
+
+	mpls := func(tags packet.Path) []byte {
+		f := packet.Frame{Dst: packet.MACFromUint64(2), Src: packet.MACFromUint64(1),
+			Tags: tags, InnerType: packet.EtherTypeIPv4, Payload: []byte("data")}
+		b, err := f.EncodeMPLS()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	flood := rawFrame(packet.BroadcastMAC, packet.MACFromUint64(1), "data")
+	dropped := func(s dswitch.LearningStats) uint64 { return s.Dropped }
+	for _, tc := range []struct {
+		name   string
+		sw     *dswitch.LearningSwitch
+		master []byte
+		// counter reads the counter one run moves by per, nil when the
+		// frame moves none.
+		counter func(dswitch.LearningStats) uint64
+		per     uint64
+	}{
+		{"short frame", sw, flood[:packet.EthernetHeaderLen-1], dropped, 1},
+		{"blocked port", blocked, flood, dropped, 1},
+		{"consumed control frame", ctl, flood, nil, 0},
+		{"MPLS bottom label", sw, mpls(nil), dropped, 1},
+		{"MPLS label to an unwired port", sw, mpls(packet.Path{5}), dropped, 1},
+		{"MPLS label to a down port", sw, mpls(packet.Path{4}), dropped, 1},
+		{"MPLS label past the last port", sw, mpls(packet.Path{200}), dropped, 1},
+		{"flood", sw, flood, func(s dswitch.LearningStats) uint64 { return s.Flooded }, 2},
+	} {
+		var before uint64
+		if tc.counter != nil {
+			before = tc.counter(tc.sw.Stats())
+		}
+		small := make([]byte, len(tc.master)) // below the pool's recycle size
+		unpooled := func() {
+			copy(small, tc.master)
+			tc.sw.Receive(1, small)
+			eng.Run()
+		}
+		pooled := func() {
+			buf := packet.GetBuffer(len(tc.master))
+			copy(buf, tc.master)
+			tc.sw.Receive(1, buf)
+			eng.Run()
+		}
+		pooled()
+		base := testing.AllocsPerRun(200, unpooled)
+		got := testing.AllocsPerRun(200, pooled)
+		t.Logf("%s: %.1f allocations per pooled frame, %.1f per unpooled one", tc.name, got, base)
+		if !raceEnabled && got != base {
+			t.Errorf("%s: %.1f allocations per pooled frame, want %.1f: the switch kept the frame", tc.name, got, base)
+		}
+		if tc.counter != nil {
+			if n := tc.counter(tc.sw.Stats()) - before; n != tc.per*(1+2*201) {
+				t.Errorf("%s: counter moved by %d, want %d", tc.name, n, tc.per*(1+2*201))
+			}
+		}
+	}
+	if want := 1 + 2*201; sinks[0].n != want || sinks[1].n != want {
+		t.Fatalf("sinks got %d and %d flooded frames, want %d each", sinks[0].n, sinks[1].n, want)
+	}
+}

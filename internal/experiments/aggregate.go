@@ -88,7 +88,6 @@ func TestbedDiscovery() (*Result, error) {
 	// are wired, so the controller scans all of them, like the paper.
 	cfg.Controller.Discovery = controller.DiscoveryConfig{
 		MaxPorts:      64,
-		Window:        64,
 		ProbeSendCost: 120 * sim.Microsecond,
 		ReplyCost:     5 * sim.Microsecond,
 		// Datacenter RTTs are tens of µs; 2 ms declares a probe lost.

@@ -30,12 +30,6 @@ func DefaultConfig() Config {
 	return Config{Switch: dswitch.DefaultConfig(), SwitchLink: link, HostLink: link}
 }
 
-// linkKey identifies a switch-to-switch link by its lower endpoint first.
-type linkKey struct {
-	a  packet.SwitchID
-	ap topo.Port
-}
-
 // Fabric is a live simulated network.
 type Fabric struct {
 	// Eng is the fabric's home engine: the only engine in a single-shard
@@ -45,7 +39,6 @@ type Fabric struct {
 	Topo     *topo.Topology
 	cfg      Config
 	switches map[packet.SwitchID]*dswitch.Switch
-	links    map[linkKey]*sim.Link
 	hostLink map[packet.MAC]*sim.Link
 
 	// group and shardOf are set only by BuildSharded.
@@ -87,7 +80,6 @@ func build(eng *sim.Engine, g *sim.ShardGroup, part map[packet.SwitchID]int, t *
 		Topo:     t,
 		cfg:      cfg,
 		switches: make(map[packet.SwitchID]*dswitch.Switch),
-		links:    make(map[linkKey]*sim.Link),
 		hostLink: make(map[packet.MAC]*sim.Link),
 		group:    g,
 		shardOf:  part,
@@ -99,24 +91,11 @@ func build(eng *sim.Engine, g *sim.ShardGroup, part map[packet.SwitchID]int, t *
 		}
 		f.switches[id] = dswitch.New(f.EngineFor(id), id, ports, cfg.Switch)
 	}
-	for _, id := range t.SwitchIDs() {
-		sw := f.switches[id]
-		for _, nb := range t.Neighbors(id) {
-			if nb.Sw < id {
-				continue // wired from the other side
-			}
-			far := f.switches[nb.Sw]
-			farPort, err := t.PortToward(nb.Sw, id)
-			if err != nil {
-				return nil, err
-			}
-			l := sim.NewLinkBetween(f.EngineFor(id), sw, int(nb.Port),
-				f.EngineFor(nb.Sw), far, int(farPort), cfg.SwitchLink)
-			sw.AttachLink(int(nb.Port), l)
-			far.AttachLink(int(farPort), l)
-			// Keyed from the lower-ID side (id < nb.Sw here).
-			f.links[linkKey{a: id, ap: nb.Port}] = l
-		}
+	for _, c := range t.Links() {
+		a, b := f.switches[c.A], f.switches[c.B]
+		l := sim.NewLinkBetween(f.EngineFor(c.A), a, int(c.PA), f.EngineFor(c.B), b, int(c.PB), cfg.SwitchLink)
+		a.AttachLink(int(c.PA), l)
+		b.AttachLink(int(c.PB), l)
 	}
 	f.registerMetrics()
 	return f, nil
@@ -208,24 +187,15 @@ func (f *Fabric) AttachHost(mac packet.MAC, node sim.Node) (*sim.Link, error) {
 // HostLink returns a host's uplink.
 func (f *Fabric) HostLink(mac packet.MAC) *sim.Link { return f.hostLink[mac] }
 
-// LinkBetween returns the link connecting two adjacent switches.
+// LinkBetween returns the link connecting two adjacent switches: of
+// parallel links, the one on the lower-ID switch's lowest port.
 func (f *Fabric) LinkBetween(a, b packet.SwitchID) (*sim.Link, error) {
-	pa, err := f.Topo.PortToward(a, b)
+	lo, hi := min(a, b), max(a, b)
+	p, err := f.Topo.PortToward(lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	pb, err := f.Topo.PortToward(b, a)
-	if err != nil {
-		return nil, err
-	}
-	key := linkKey{a: a, ap: pa}
-	if b < a {
-		key = linkKey{a: b, ap: pb}
-	}
-	if l, ok := f.links[key]; ok {
-		return l, nil
-	}
-	return nil, topo.ErrNoLink
+	return f.switches[lo].LinkAt(int(p)), nil
 }
 
 // FailLink injects a failure on the link between two adjacent switches.
@@ -248,11 +218,12 @@ func (f *Fabric) RestoreLink(a, b packet.SwitchID) error {
 	return nil
 }
 
-// Links returns all switch-to-switch links (iteration order unspecified).
+// Links returns all switch-to-switch links, read off the switches' ports
+// in topology order.
 func (f *Fabric) Links() []*sim.Link {
-	out := make([]*sim.Link, 0, len(f.links))
-	for _, l := range f.links {
-		out = append(out, l)
+	var out []*sim.Link
+	for _, c := range f.Topo.Links() {
+		out = append(out, f.switches[c.A].LinkAt(int(c.PA)))
 	}
 	return out
 }
@@ -294,7 +265,7 @@ func (f *Fabric) RestartSwitch(id packet.SwitchID) error {
 // link (pass the zero Impairment to clear). Host uplinks stay clean: the
 // paper's failure domain is the fabric, not the NIC cable.
 func (f *Fabric) ImpairAllLinks(imp sim.Impairment) {
-	for _, l := range f.links {
+	for _, l := range f.Links() {
 		l.Impair(imp)
 	}
 }
@@ -333,7 +304,7 @@ func (f *Fabric) Drops() DropCounters {
 			d.ImpairCorrupt += s.ImpairCorrupt
 		}
 	}
-	for _, l := range f.links {
+	for _, l := range f.Links() {
 		addLink(l)
 	}
 	for _, l := range f.hostLink {

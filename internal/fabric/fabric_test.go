@@ -135,3 +135,37 @@ func TestAttachUnknownHostFails(t *testing.T) {
 		t.Fatal("unknown host attached")
 	}
 }
+
+// TestParallelLinksWiredByCable: the two ports of each cable share one
+// link, also where parallel cables pair the lower-ID end's lowest port with
+// the far end's highest; LinkBetween names the cable on the lower-ID end's
+// lowest port from either side.
+func TestParallelLinksWiredByCable(t *testing.T) {
+	tp := topo.New()
+	for id := topo.SwitchID(1); id <= 2; id++ {
+		if err := tp.AddSwitch(id, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cables := [][2]topo.Port{{1, 3}, {2, 1}} // switch 1 port, switch 2 port
+	for _, c := range cables {
+		if err := tp.Connect(1, c[0], 2, c[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fb, err := fabric.Build(sim.NewEngine(1), tp, fabric.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cables {
+		if la, lb := fb.Switch(1).LinkAt(int(c[0])), fb.Switch(2).LinkAt(int(c[1])); la == nil || la != lb {
+			t.Fatalf("cable 1:%d-2:%d: links %p and %p", c[0], c[1], la, lb)
+		}
+	}
+	if l, err := fb.LinkBetween(2, 1); err != nil || l != fb.Switch(1).LinkAt(1) {
+		t.Fatalf("LinkBetween(2, 1) = %p, %v; want the link on switch 1 port 1", l, err)
+	}
+	if n := len(fb.Links()); n != len(cables) {
+		t.Fatalf("%d links, want %d", n, len(cables))
+	}
+}

@@ -16,7 +16,6 @@ type EthernetFabric struct {
 	Topo     *topo.Topology
 	Switches map[packet.SwitchID]*dswitch.LearningSwitch
 	Domain   *Domain
-	links    map[[2]packet.SwitchID]*sim.Link
 }
 
 // BuildEthernet assembles learning switches and links for t and starts
@@ -26,7 +25,6 @@ func BuildEthernet(eng *sim.Engine, t *topo.Topology, link sim.LinkConfig, fwdDe
 		Eng:      eng,
 		Topo:     t,
 		Switches: make(map[packet.SwitchID]*dswitch.LearningSwitch),
-		links:    make(map[[2]packet.SwitchID]*sim.Link),
 	}
 	for _, id := range t.SwitchIDs() {
 		ports, err := t.PortCount(id)
@@ -35,20 +33,10 @@ func BuildEthernet(eng *sim.Engine, t *topo.Topology, link sim.LinkConfig, fwdDe
 		}
 		f.Switches[id] = dswitch.NewLearning(eng, id, ports, fwdDelay)
 	}
-	for _, id := range t.SwitchIDs() {
-		for _, nb := range t.Neighbors(id) {
-			if nb.Sw < id {
-				continue
-			}
-			farPort, err := t.PortToward(nb.Sw, id)
-			if err != nil {
-				return nil, err
-			}
-			l := sim.NewLink(eng, f.Switches[id], int(nb.Port), f.Switches[nb.Sw], int(farPort), link)
-			f.Switches[id].AttachLink(int(nb.Port), l)
-			f.Switches[nb.Sw].AttachLink(int(farPort), l)
-			f.links[[2]packet.SwitchID{id, nb.Sw}] = l
-		}
+	for _, c := range t.Links() {
+		l := sim.NewLink(eng, f.Switches[c.A], int(c.PA), f.Switches[c.B], int(c.PB), link)
+		f.Switches[c.A].AttachLink(int(c.PA), l)
+		f.Switches[c.B].AttachLink(int(c.PB), l)
 	}
 	f.Domain = NewDomain(eng, f.Switches)
 	return f, nil
@@ -66,15 +54,15 @@ func (f *EthernetFabric) AttachHost(mac packet.MAC, node sim.Node, link sim.Link
 	return l, nil
 }
 
-// LinkBetween returns the link connecting two adjacent switches.
+// LinkBetween returns the link connecting two adjacent switches: of
+// parallel links, the one on the lower-ID switch's lowest port.
 func (f *EthernetFabric) LinkBetween(a, b packet.SwitchID) (*sim.Link, error) {
-	if a > b {
-		a, b = b, a
+	lo, hi := min(a, b), max(a, b)
+	p, err := f.Topo.PortToward(lo, hi)
+	if err != nil {
+		return nil, err
 	}
-	if l, ok := f.links[[2]packet.SwitchID{a, b}]; ok {
-		return l, nil
-	}
-	return nil, topo.ErrNoLink
+	return f.Switches[lo].LinkAt(int(p)), nil
 }
 
 // FailLink injects a failure between two adjacent switches.

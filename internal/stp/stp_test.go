@@ -239,3 +239,33 @@ func TestBPDUBetterOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestParallelLinksWiredByCable: the two ports of each cable share one
+// link, also where parallel cables pair the lower-ID end's lowest port with
+// the far end's highest.
+func TestParallelLinksWiredByCable(t *testing.T) {
+	tp := topo.New()
+	for id := topo.SwitchID(1); id <= 2; id++ {
+		if err := tp.AddSwitch(id, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cables := [][2]topo.Port{{1, 3}, {2, 1}} // switch 1 port, switch 2 port
+	for _, c := range cables {
+		if err := tp.Connect(1, c[0], 2, c[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := BuildEthernet(sim.NewEngine(1), tp, sim.LinkConfig{PropDelay: sim.Microsecond}, sim.Microsecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cables {
+		if la, lb := f.Switches[1].LinkAt(int(c[0])), f.Switches[2].LinkAt(int(c[1])); la == nil || la != lb {
+			t.Fatalf("cable 1:%d-2:%d: links %p and %p", c[0], c[1], la, lb)
+		}
+	}
+	if l, err := f.LinkBetween(2, 1); err != nil || l != f.Switches[1].LinkAt(1) {
+		t.Fatalf("LinkBetween(2, 1) = %p, %v; want the link on switch 1 port 1", l, err)
+	}
+}

@@ -352,8 +352,8 @@ func TestKShortestPathsAllocsOnlyResult(t *testing.T) {
 
 // TestTopologyConcurrentReaders routes over one topology from several
 // goroutines at once, starting right after a mutation so the readers also
-// race to rebuild the derived adjacency, the dense snapshot and its distance
-// rows (Algorithm 1's detour windows read cold rows). Run under -race.
+// race to rebuild the dense snapshot and its distance rows (Algorithm 1's
+// detour windows read cold rows). Run under -race.
 func TestTopologyConcurrentReaders(t *testing.T) {
 	tp, err := FatTree(4, 2, 0)
 	if err != nil {

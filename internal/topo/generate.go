@@ -313,32 +313,21 @@ func RandomRegular(n, d, hostsPerSwitch, ports int, rng *rand.Rand) (*Topology, 
 			return nil, err
 		}
 	}
-	nextPort := make(map[SwitchID]Port, n)
-	// Link allocation leaves hostsPerSwitch ports free on every switch so
-	// the host-attachment phase cannot starve.
+	// Ports are taken in order, so a switch's next free port is the one
+	// past its highest wired port. Links stop at linkBudget, leaving
+	// hostsPerSwitch ports free on every switch so the host-attachment
+	// phase cannot starve.
 	linkBudget := ports - hostsPerSwitch
-	alloc := func(id SwitchID) (Port, bool) {
-		p := nextPort[id] + 1
-		if int(p) > linkBudget {
-			return 0, false
-		}
-		nextPort[id] = p
-		return p, true
-	}
-	allocHost := func(id SwitchID) (Port, bool) {
-		p := nextPort[id] + 1
-		if int(p) > ports {
-			return 0, false
-		}
-		nextPort[id] = p
-		return p, true
+	next := func(id SwitchID, limit int) (Port, bool) {
+		p := len(t.switches[id].wired) + 1
+		return Port(p), p <= limit
 	}
 	// Random spanning tree: connect each node i>1 to a random earlier node
 	// that still has a free port.
 	perm := rng.Perm(n)
 	for i := 1; i < n; i++ {
 		a := SwitchID(perm[i] + 1)
-		pa, oka := alloc(a)
+		pa, oka := next(a, linkBudget)
 		if !oka {
 			return nil, fmt.Errorf("topo: out of ports while building spanning tree")
 		}
@@ -347,7 +336,7 @@ func RandomRegular(n, d, hostsPerSwitch, ports int, rng *rand.Rand) (*Topology, 
 		found := false
 		for _, j := range rng.Perm(i) {
 			cand := SwitchID(perm[j] + 1)
-			if p, ok := alloc(cand); ok {
+			if p, ok := next(cand, linkBudget); ok {
 				b, pb, found = cand, p, true
 				break
 			}
@@ -372,13 +361,9 @@ func RandomRegular(n, d, hostsPerSwitch, ports int, rng *rand.Rand) (*Topology, 
 		if _, err := t.PortToward(a, b); err == nil {
 			continue // already adjacent
 		}
-		pa, oka := alloc(a)
-		if !oka {
-			continue
-		}
-		pb, okb := alloc(b)
-		if !okb {
-			nextPort[a]-- // roll back
+		pa, oka := next(a, linkBudget)
+		pb, okb := next(b, linkBudget)
+		if !oka || !okb {
 			continue
 		}
 		if err := t.Connect(a, pa, b, pb); err != nil {
@@ -388,7 +373,7 @@ func RandomRegular(n, d, hostsPerSwitch, ports int, rng *rand.Rand) (*Topology, 
 	hn := 0
 	for i := 1; i <= n; i++ {
 		for h := 0; h < hostsPerSwitch; h++ {
-			p, ok := allocHost(SwitchID(i))
+			p, ok := next(SwitchID(i), ports)
 			if !ok {
 				return nil, fmt.Errorf("topo: out of ports for hosts on switch %d", i)
 			}

@@ -26,7 +26,7 @@ func TestFatTreeShape(t *testing.T) {
 	if err := tp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !tp.Connected() {
+	if !tp.Connected(nil, nil) {
 		t.Fatal("fat-tree should be connected")
 	}
 }
@@ -78,7 +78,7 @@ func TestCubeShape(t *testing.T) {
 	if err := tp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !tp.Connected() {
+	if !tp.Connected(nil, nil) {
 		t.Fatal("cube should be connected")
 	}
 }
@@ -135,7 +135,7 @@ func TestTestbedShape(t *testing.T) {
 	if err := tp.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if !tp.Connected() {
+	if !tp.Connected(nil, nil) {
 		t.Fatal("testbed should be connected")
 	}
 }
@@ -162,7 +162,7 @@ func TestRandomRegular(t *testing.T) {
 	if tp.NumSwitches() != 20 || tp.NumHosts() != 20 {
 		t.Fatalf("random = %d sw %d hosts", tp.NumSwitches(), tp.NumHosts())
 	}
-	if !tp.Connected() {
+	if !tp.Connected(nil, nil) {
 		t.Fatal("random graph must be connected (spanning tree base)")
 	}
 	if err := tp.Validate(); err != nil {

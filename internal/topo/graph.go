@@ -6,10 +6,10 @@
 package topo
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync/atomic"
 
 	"dumbnet/internal/packet"
@@ -43,17 +43,68 @@ type Endpoint struct {
 	Host   MAC      // valid when Kind == EndpointHost
 }
 
-// Switch is one dumb switch: an ID, a port count, and per-port wiring.
-type Switch struct {
-	ID    SwitchID
-	Ports int
-	wired map[Port]Endpoint
+// switchRec is one dumb switch: its port count, what each port is wired to
+// (entry p-1 for port p; the slice ends at the highest wired port, so an
+// unwired port past it costs nothing) and its neighbour row, the switch
+// links in port order. A mutation replaces the row rather than edit it, so
+// a row a reader already holds never changes under it.
+type switchRec struct {
+	ports int
+	wired []Endpoint
+	nbrs  []Neighbor
+}
+
+// at returns what port p is wired to.
+func (sw *switchRec) at(p Port) Endpoint {
+	if int(p) > len(sw.wired) {
+		return Endpoint{}
+	}
+	return sw.wired[p-1]
+}
+
+// wire records ep (not EndpointNone) on the unwired port p.
+func (sw *switchRec) wire(p Port, ep Endpoint) {
+	if n := int(p) - len(sw.wired); n > 0 {
+		sw.wired = append(sw.wired, make([]Endpoint, n)...)
+	}
+	sw.wired[p-1] = ep
+	if ep.Kind == EndpointSwitch {
+		i := sw.nbrIndex(p)
+		sw.nbrs = slices.Concat(sw.nbrs[:i], []Neighbor{{Sw: ep.Switch, Port: p}}, sw.nbrs[i:])
+	}
+}
+
+// unwire clears the wired port p, then trims unwired ports off the end.
+func (sw *switchRec) unwire(p Port) {
+	if sw.wired[p-1].Kind == EndpointSwitch {
+		i := sw.nbrIndex(p)
+		sw.nbrs = slices.Concat(sw.nbrs[:i], sw.nbrs[i+1:])
+	}
+	sw.wired[p-1] = Endpoint{}
+	for n := len(sw.wired); n > 0 && sw.wired[n-1].Kind == EndpointNone; n-- {
+		sw.wired = sw.wired[:n-1]
+	}
+}
+
+// nbrIndex returns where port p's entry sits, or would sit, in the row.
+func (sw *switchRec) nbrIndex(p Port) int {
+	i, _ := slices.BinarySearchFunc(sw.nbrs, p, func(nb Neighbor, p Port) int { return cmp.Compare(nb.Port, p) })
+	return i
 }
 
 // Neighbor is an adjacent switch reachable through a local port.
 type Neighbor struct {
 	Sw   SwitchID
 	Port Port // local outgoing port toward Sw
+}
+
+// Link is one switch-to-switch cable: port PA on A to port PB on B, A the
+// lower switch ID.
+type Link struct {
+	A  SwitchID
+	PA Port
+	B  SwitchID
+	PB Port
 }
 
 // HostAttach records where a host plugs into the fabric.
@@ -66,23 +117,21 @@ type HostAttach struct {
 // Topology is the full fabric graph. It is not safe for concurrent mutation;
 // any number of readers may share a topology nobody is mutating.
 type Topology struct {
-	switches map[SwitchID]*Switch
+	switches map[SwitchID]*switchRec
 	hosts    map[MAC]HostAttach
 	// gen counts mutations; it is the invalidation token for everything
-	// derived from this topology (the two caches below, the controller's
-	// path-graph cache).
+	// derived from this topology (the dense snapshot below, the
+	// controller's path-graph cache).
 	gen uint64
-	// Derived state, dropped by every mutation and rebuilt by the first
-	// read after it. Concurrent readers may all be that first read: each
-	// builds the same value and the first to publish wins.
-	neighbors atomic.Pointer[map[SwitchID][]Neighbor] // per switch, in port order
-	dense     atomic.Pointer[DenseGraph]
+	// dense is the one derived cache, dropped by every mutation and rebuilt
+	// by the first read after it. Concurrent readers may all be that first
+	// read: each builds the same value and the first to publish wins.
+	dense atomic.Pointer[DenseGraph]
 }
 
-// mutated invalidates every cache derived from the topology.
+// mutated invalidates the dense snapshot.
 func (t *Topology) mutated() {
 	t.gen++
-	t.neighbors.Store(nil)
 	t.dense.Store(nil)
 }
 
@@ -133,7 +182,7 @@ var (
 // New returns an empty topology.
 func New() *Topology {
 	return &Topology{
-		switches: make(map[SwitchID]*Switch),
+		switches: make(map[SwitchID]*switchRec),
 		hosts:    make(map[MAC]HostAttach),
 	}
 }
@@ -146,7 +195,7 @@ func (t *Topology) AddSwitch(id SwitchID, ports int) error {
 	if _, ok := t.switches[id]; ok {
 		return ErrDupSwitch
 	}
-	t.switches[id] = &Switch{ID: id, Ports: ports, wired: make(map[Port]Endpoint)}
+	t.switches[id] = &switchRec{ports: ports}
 	t.mutated()
 	return nil
 }
@@ -161,13 +210,22 @@ func (t *Topology) NumHosts() int { return len(t.hosts) }
 func (t *Topology) NumLinks() int {
 	n := 0
 	for _, sw := range t.switches {
-		for _, ep := range sw.wired {
-			if ep.Kind == EndpointSwitch {
-				n++
+		n += len(sw.nbrs)
+	}
+	return n / 2
+}
+
+// Links lists every switch-to-switch cable once, in ascending A, then PA.
+func (t *Topology) Links() []Link {
+	out := make([]Link, 0, t.NumLinks())
+	for _, id := range t.SwitchIDs() {
+		for _, nb := range t.switches[id].nbrs {
+			if id < nb.Sw {
+				out = append(out, Link{A: id, PA: nb.Port, B: nb.Sw, PB: t.switches[id].at(nb.Port).Port})
 			}
 		}
 	}
-	return n / 2
+	return out
 }
 
 // SwitchIDs returns all switch IDs in ascending order.
@@ -176,7 +234,7 @@ func (t *Topology) SwitchIDs() []SwitchID {
 	for id := range t.switches {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 
@@ -186,14 +244,7 @@ func (t *Topology) Hosts() []HostAttach {
 	for _, h := range t.hosts {
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		for k := 0; k < 6; k++ {
-			if out[i].Host[k] != out[j].Host[k] {
-				return out[i].Host[k] < out[j].Host[k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(out, byHost)
 	return out
 }
 
@@ -209,16 +260,16 @@ func (t *Topology) PortCount(id SwitchID) (int, error) {
 	if !ok {
 		return 0, ErrNoSwitch
 	}
-	return sw.Ports, nil
+	return sw.ports, nil
 }
 
 // checkPort validates a (switch, port) pair and returns the switch.
-func (t *Topology) checkPort(id SwitchID, p Port) (*Switch, error) {
+func (t *Topology) checkPort(id SwitchID, p Port) (*switchRec, error) {
 	sw, ok := t.switches[id]
 	if !ok {
 		return nil, fmt.Errorf("%w: %d", ErrNoSwitch, id)
 	}
-	if p < 1 || int(p) > sw.Ports {
+	if p < 1 || int(p) > sw.ports {
 		return nil, fmt.Errorf("%w: switch %d port %d", ErrBadPort, id, p)
 	}
 	return sw, nil
@@ -237,14 +288,14 @@ func (t *Topology) Connect(a SwitchID, pa Port, b SwitchID, pb Port) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := swa.wired[pa]; ok {
+	if swa.at(pa).Kind != EndpointNone {
 		return fmt.Errorf("%w: switch %d port %d", ErrPortWired, a, pa)
 	}
-	if _, ok := swb.wired[pb]; ok {
+	if swb.at(pb).Kind != EndpointNone {
 		return fmt.Errorf("%w: switch %d port %d", ErrPortWired, b, pb)
 	}
-	swa.wired[pa] = Endpoint{Kind: EndpointSwitch, Switch: b, Port: pb}
-	swb.wired[pb] = Endpoint{Kind: EndpointSwitch, Switch: a, Port: pa}
+	swa.wire(pa, Endpoint{Kind: EndpointSwitch, Switch: b, Port: pb})
+	swb.wire(pb, Endpoint{Kind: EndpointSwitch, Switch: a, Port: pa})
 	t.mutated()
 	return nil
 }
@@ -258,10 +309,10 @@ func (t *Topology) AttachHost(h MAC, id SwitchID, p Port) error {
 	if _, ok := t.hosts[h]; ok {
 		return fmt.Errorf("%w: %v", ErrDupHost, h)
 	}
-	if _, ok := sw.wired[p]; ok {
+	if sw.at(p).Kind != EndpointNone {
 		return fmt.Errorf("%w: switch %d port %d", ErrPortWired, id, p)
 	}
-	sw.wired[p] = Endpoint{Kind: EndpointHost, Host: h}
+	sw.wire(p, Endpoint{Kind: EndpointHost, Host: h})
 	t.hosts[h] = HostAttach{Host: h, Switch: id, Port: p}
 	t.mutated()
 	return nil
@@ -273,7 +324,7 @@ func (t *Topology) DetachHost(h MAC) error {
 	if !ok {
 		return ErrNoHost
 	}
-	delete(t.switches[at.Switch].wired, at.Port)
+	t.switches[at.Switch].unwire(at.Port)
 	delete(t.hosts, h)
 	t.mutated()
 	return nil
@@ -285,17 +336,16 @@ func (t *Topology) Disconnect(id SwitchID, p Port) error {
 	if err != nil {
 		return err
 	}
-	ep, ok := sw.wired[p]
-	if !ok {
-		return ErrNoLink
-	}
+	ep := sw.at(p)
 	switch ep.Kind {
+	case EndpointNone:
+		return ErrNoLink
 	case EndpointSwitch:
-		delete(t.switches[ep.Switch].wired, ep.Port)
+		t.switches[ep.Switch].unwire(ep.Port)
 	case EndpointHost:
 		delete(t.hosts, ep.Host)
 	}
-	delete(sw.wired, p)
+	sw.unwire(p)
 	t.mutated()
 	return nil
 }
@@ -306,13 +356,9 @@ func (t *Topology) RemoveSwitch(id SwitchID) error {
 	if !ok {
 		return ErrNoSwitch
 	}
-	// Disconnect mutates sw.wired; collect first.
-	ports := make([]Port, 0, len(sw.wired))
-	for p := range sw.wired {
-		ports = append(ports, p)
-	}
-	for _, p := range ports {
-		if err := t.Disconnect(id, p); err != nil {
+	// The last entry is always wired, and Disconnect trims it.
+	for len(sw.wired) > 0 {
+		if err := t.Disconnect(id, Port(len(sw.wired))); err != nil {
 			return err
 		}
 	}
@@ -327,11 +373,7 @@ func (t *Topology) EndpointAt(id SwitchID, p Port) (Endpoint, error) {
 	if err != nil {
 		return Endpoint{}, err
 	}
-	ep, ok := sw.wired[p]
-	if !ok {
-		return Endpoint{Kind: EndpointNone}, nil
-	}
-	return ep, nil
+	return sw.at(p), nil
 }
 
 // neighborAt implements attachedView.
@@ -361,40 +403,21 @@ func (t *Topology) PortToward(from, to SwitchID) (Port, error) {
 }
 
 // Neighbors returns the switches adjacent to id in deterministic port order.
-// The returned slice must not be mutated.
+// The returned slice is the switch's own row: it must not be mutated, and a
+// later mutation of the topology replaces the row instead of changing it.
 func (t *Topology) Neighbors(id SwitchID) []Neighbor {
-	m := t.neighbors.Load()
-	if m == nil {
-		m = t.deriveNeighbors()
+	if sw := t.switches[id]; sw != nil {
+		return sw.nbrs
 	}
-	return (*m)[id]
+	return nil
 }
 
-// deriveNeighbors rebuilds and publishes the adjacency cache.
-func (t *Topology) deriveNeighbors() *map[SwitchID][]Neighbor {
-	m := make(map[SwitchID][]Neighbor, len(t.switches))
-	for id, sw := range t.switches {
-		var nbs []Neighbor
-		for p, ep := range sw.wired {
-			if ep.Kind == EndpointSwitch {
-				nbs = append(nbs, Neighbor{Sw: ep.Switch, Port: p})
-			}
-		}
-		sort.Slice(nbs, func(i, j int) bool { return nbs[i].Port < nbs[j].Port })
-		m[id] = nbs
-	}
-	return publish(&t.neighbors, &m)
-}
-
-// Clone returns a deep copy.
+// Clone returns a deep copy. Neighbour rows are shared: no mutation edits
+// one in place.
 func (t *Topology) Clone() *Topology {
 	c := New()
 	for id, sw := range t.switches {
-		ns := &Switch{ID: id, Ports: sw.Ports, wired: make(map[Port]Endpoint, len(sw.wired))}
-		for p, ep := range sw.wired {
-			ns.wired[p] = ep
-		}
-		c.switches[id] = ns
+		c.switches[id] = &switchRec{ports: sw.ports, wired: slices.Clone(sw.wired), nbrs: sw.nbrs}
 	}
 	for h, at := range t.hosts {
 		c.hosts[h] = at
@@ -409,14 +432,11 @@ func (t *Topology) Equal(o *Topology) bool {
 		return false
 	}
 	for id, sw := range t.switches {
+		// Both slices end at their highest wired port, so equal wiring
+		// means equal slices.
 		osw, ok := o.switches[id]
-		if !ok || osw.Ports != sw.Ports || len(osw.wired) != len(sw.wired) {
+		if !ok || osw.ports != sw.ports || !slices.Equal(osw.wired, sw.wired) {
 			return false
-		}
-		for p, ep := range sw.wired {
-			if oep, ok := osw.wired[p]; !ok || oep != ep {
-				return false
-			}
 		}
 	}
 	for h, at := range t.hosts {
@@ -427,29 +447,65 @@ func (t *Topology) Equal(o *Topology) bool {
 	return true
 }
 
-// Connected reports whether every switch can reach every other switch.
-func (t *Topology) Connected() bool {
-	if len(t.switches) == 0 {
-		return true
-	}
+// Connected reports whether every switch not in crashed can reach every
+// other one once each link in down is cut. An entry {a, b} cuts the cable
+// PortToward(a, b) would pick once the entries before it are cut: the
+// lowest-port cable still intact, both directions, not its parallel twins.
+// Entries naming no cable, and crashed IDs naming no switch, change
+// nothing. It is a masked BFS over the Dense snapshot, so the topology is
+// neither copied nor mutated.
+func (t *Topology) Connected(down [][2]SwitchID, crashed []SwitchID) bool {
+	g := t.Dense()
 	sc := scratchPool.Get().(*DenseScratch)
 	defer scratchPool.Put(sc)
-	return !slices.Contains(t.Dense().DistTo(sc, 0), -1)
+	m := &sc.mask
+	m.nodes.Reset(len(g.ids))
+	m.edges.Reset(len(g.nbr))
+	for _, id := range crashed {
+		if i, ok := g.IndexOf(id); ok {
+			m.nodes.Set(i)
+		}
+	}
+	for _, l := range down {
+		ai, _ := g.IndexOf(l[0])
+		bi, _ := g.IndexOf(l[1])
+		// A neighbour row and its CSR edges share port order.
+		for k, nb := range t.Neighbors(l[0]) {
+			if e := g.start[ai] + int32(k); nb.Sw == l[1] && !m.edges.Has(e) {
+				far := t.switches[l[0]].at(nb.Port).Port
+				m.edges.Set(e)
+				m.edges.Set(g.start[bi] + int32(t.switches[l[1]].nbrIndex(far)))
+				break
+			}
+		}
+	}
+	for src := range int32(len(g.ids)) {
+		if !m.nodes.Has(src) {
+			sc.dist, sc.queue = g.bfsInto(sc.dist, sc.queue, src, m)
+			for i, d := range sc.dist {
+				if d < 0 && !m.nodes.Has(int32(i)) {
+					return false
+				}
+			}
+			break
+		}
+	}
+	return true
 }
 
 // Validate checks structural invariants: all wiring is symmetric and host
 // attachments match switch port records.
 func (t *Topology) Validate() error {
 	for id, sw := range t.switches {
-		for p, ep := range sw.wired {
+		for i, ep := range sw.wired {
+			p := Port(i + 1)
 			switch ep.Kind {
 			case EndpointSwitch:
 				far, ok := t.switches[ep.Switch]
 				if !ok {
 					return fmt.Errorf("%w: dangling link %d:%d", ErrNoSwitch, id, p)
 				}
-				fep, ok := far.wired[ep.Port]
-				if !ok || fep.Kind != EndpointSwitch || fep.Switch != id || fep.Port != p {
+				if fep := far.at(ep.Port); fep.Kind != EndpointSwitch || fep.Switch != id || fep.Port != p {
 					return fmt.Errorf("%w: asymmetric link %d:%d", ErrNoLink, id, p)
 				}
 			case EndpointHost:
@@ -465,8 +521,7 @@ func (t *Topology) Validate() error {
 		if !ok {
 			return fmt.Errorf("%w: host %v on missing switch", ErrNoSwitch, h)
 		}
-		ep, ok := sw.wired[at.Port]
-		if !ok || ep.Kind != EndpointHost || ep.Host != h {
+		if ep := sw.at(at.Port); ep.Kind != EndpointHost || ep.Host != h {
 			return fmt.Errorf("%w: host %v port mismatch", ErrNoHost, h)
 		}
 	}

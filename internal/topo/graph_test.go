@@ -3,6 +3,9 @@ package topo
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"dumbnet/internal/packet"
@@ -163,17 +166,17 @@ func TestCloneEqualValidate(t *testing.T) {
 
 func TestConnected(t *testing.T) {
 	tp, _ := Line(4, 4)
-	if !tp.Connected() {
+	if !tp.Connected(nil, nil) {
 		t.Fatal("line should be connected")
 	}
 	// Cut the middle.
 	if err := tp.Disconnect(2, 2); err != nil {
 		t.Fatal(err)
 	}
-	if tp.Connected() {
+	if tp.Connected(nil, nil) {
 		t.Fatal("cut line should be disconnected")
 	}
-	if New().Connected() != true {
+	if New().Connected(nil, nil) != true {
 		t.Fatal("empty topology is trivially connected")
 	}
 }
@@ -209,5 +212,257 @@ func TestPortCount(t *testing.T) {
 	}
 	if _, err := tp.PortCount(8); !errors.Is(err, ErrNoSwitch) {
 		t.Fatalf("missing: %v", err)
+	}
+}
+
+// oracleFabrics returns the four generator families of oracleTopos (the
+// oracle tests' fabrics) plus a fabric with parallel links, which no
+// generator makes.
+func oracleFabrics(t *testing.T) map[string]*Topology {
+	out := oracleTopos(t)
+	out["parallel-links"] = parallelLinkFabric(t)
+	return out
+}
+
+// oracleOf copies tp into the map oracle through its public reads.
+func oracleOf(t *testing.T, tp *Topology) *oracleTopology {
+	t.Helper()
+	o := newOracleTopology()
+	for _, id := range tp.SwitchIDs() {
+		n, _ := tp.PortCount(id)
+		if err := o.AddSwitch(id, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range tp.SwitchIDs() {
+		for _, nb := range tp.Neighbors(id) {
+			if id > nb.Sw {
+				continue // wired from the other end
+			}
+			ep, _ := tp.EndpointAt(id, nb.Port)
+			if err := o.Connect(id, nb.Port, nb.Sw, ep.Port); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, at := range tp.Hosts() {
+		if err := o.AttachHost(at.Host, at.Switch, at.Port); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return o
+}
+
+// sentinel names the topology error err wraps, nil for none.
+func sentinel(err error) error {
+	for _, s := range []error{ErrDupSwitch, ErrNoSwitch, ErrBadPort, ErrPortWired, ErrDupHost, ErrNoHost, ErrNoLink, ErrSelfLoop, ErrPortCount} {
+		if errors.Is(err, s) {
+			return s
+		}
+	}
+	return err
+}
+
+// sameWiring fails t unless tp and o answer Neighbors, EndpointAt (every
+// port and one past the last, of every switch either knows), Links and
+// Marshal alike.
+func sameWiring(t *testing.T, what string, tp *Topology, o *oracleTopology) {
+	t.Helper()
+	for id := SwitchID(0); id <= 1000; id++ {
+		osw, ok := o.switches[id]
+		if ok != tp.HasSwitch(id) {
+			t.Fatalf("%s: switch %d present %v, oracle %v", what, id, tp.HasSwitch(id), ok)
+		}
+		if !ok {
+			continue
+		}
+		if got, want := tp.Neighbors(id), o.Neighbors(id); !slices.Equal(got, want) {
+			t.Fatalf("%s: Neighbors(%d) = %v, oracle %v", what, id, got, want)
+		}
+		for p := 0; p <= osw.ports+1; p++ {
+			got, gerr := tp.EndpointAt(id, Port(p))
+			want, werr := o.EndpointAt(id, Port(p))
+			if got != want || sentinel(gerr) != sentinel(werr) {
+				t.Fatalf("%s: EndpointAt(%d, %d) = %+v, %v; oracle %+v, %v", what, id, p, got, gerr, want, werr)
+			}
+		}
+	}
+	if got, want := tp.Links(), o.Links(); !slices.Equal(got, want) {
+		t.Fatalf("%s: Links() = %v, oracle %v", what, got, want)
+	}
+	if !bytes.Equal(tp.Marshal(), o.Marshal()) {
+		t.Fatalf("%s: Marshal bytes differ from the oracle's", what)
+	}
+}
+
+// TestTopologyMatchesMapOracle runs seeded random Connect, Disconnect,
+// AttachHost, DetachHost, RemoveSwitch and AddSwitch sequences on every
+// fabric of oracleFabrics and on the map form of the same wiring, and
+// after every step holds Topology to the oracle: the same error,
+// Neighbors, EndpointAt, Links and Marshal bytes; a Clone equal to its
+// source both ways; Equal against the pre-step clone answering as the
+// oracle's Equal does; and that pre-step clone, which shares neighbour rows
+// with the topology the step changed, still reading as the pre-step oracle.
+func TestTopologyMatchesMapOracle(t *testing.T) {
+	for name, tp := range oracleFabrics(t) {
+		t.Run(name, func(t *testing.T) {
+			o := oracleOf(t, tp)
+			sameWiring(t, "start", tp, o)
+			ids := tp.SwitchIDs()
+			maxPorts := 0
+			for _, id := range ids {
+				n, _ := tp.PortCount(id)
+				maxPorts = max(maxPorts, n)
+			}
+			rng := rand.New(rand.NewSource(int64(len(ids))))
+			randSw := func() SwitchID { return ids[rng.Intn(len(ids))] }
+			randPort := func() Port { return Port(rng.Intn(maxPorts + 1)) }
+			macs := 2*tp.NumHosts() + 2
+			randHost := func() MAC { return packet.MACFromUint64(uint64(rng.Intn(macs))) }
+			for step := 0; step < 600; step++ {
+				prev, oprev := tp.Clone(), o.Clone()
+				var what string
+				var gerr, werr error
+				switch r := rng.Intn(100); {
+				case r < 30:
+					a, pa, b, pb := randSw(), randPort(), randSw(), randPort()
+					what = fmt.Sprintf("Connect(%d, %d, %d, %d)", a, pa, b, pb)
+					gerr, werr = tp.Connect(a, pa, b, pb), o.Connect(a, pa, b, pb)
+				case r < 50:
+					sw, p := randSw(), randPort()
+					if nbs := tp.Neighbors(sw); len(nbs) > 0 && rng.Intn(2) == 0 {
+						p = nbs[rng.Intn(len(nbs))].Port
+					}
+					what = fmt.Sprintf("Disconnect(%d, %d)", sw, p)
+					gerr, werr = tp.Disconnect(sw, p), o.Disconnect(sw, p)
+				case r < 70:
+					h, sw, p := randHost(), randSw(), randPort()
+					what = fmt.Sprintf("AttachHost(%v, %d, %d)", h, sw, p)
+					gerr, werr = tp.AttachHost(h, sw, p), o.AttachHost(h, sw, p)
+				case r < 90:
+					h := randHost()
+					what = fmt.Sprintf("DetachHost(%v)", h)
+					gerr, werr = tp.DetachHost(h), o.DetachHost(h)
+				case r < 95:
+					sw := randSw()
+					what = fmt.Sprintf("RemoveSwitch(%d)", sw)
+					gerr, werr = tp.RemoveSwitch(sw), o.RemoveSwitch(sw)
+				default:
+					sw, n := randSw(), 1+rng.Intn(maxPorts)
+					what = fmt.Sprintf("AddSwitch(%d, %d)", sw, n)
+					gerr, werr = tp.AddSwitch(sw, n), o.AddSwitch(sw, n)
+				}
+				what = fmt.Sprintf("step %d %s", step, what)
+				if sentinel(gerr) != sentinel(werr) {
+					t.Fatalf("%s: error %v, oracle %v", what, gerr, werr)
+				}
+				sameWiring(t, what, tp, o)
+				sameWiring(t, what+", pre-step clone", prev, oprev)
+				if c := tp.Clone(); !c.Equal(tp) || !tp.Equal(c) {
+					t.Fatalf("%s: clone not equal to its source", what)
+				}
+				if got, want := tp.Equal(prev), o.Equal(oprev); got != want {
+					t.Fatalf("%s: Equal(pre-step) = %v, oracle %v", what, got, want)
+				}
+				if err := tp.Validate(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			}
+		})
+	}
+}
+
+// TestUnmarshalSizesByWiredPorts: a decoded switch's wiring slice ends at
+// its highest wired port, so a declared 255-port switch with nothing wired
+// costs no port storage at all.
+func TestUnmarshalSizesByWiredPorts(t *testing.T) {
+	src := New()
+	for id := SwitchID(1); id <= 64; id++ {
+		if err := src.AddSwitch(id, int(packet.MaxPort)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := src.AttachHost(packet.MACFromUint64(1), 64, 3); err != nil {
+		t.Fatal(err)
+	}
+	tp, err := UnmarshalTopology(src.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, sw := range tp.switches {
+		if n, _ := tp.PortCount(id); n != int(packet.MaxPort) {
+			t.Fatalf("switch %d decoded with %d ports", id, n)
+		}
+		want := 0
+		if id == 64 {
+			want = 3
+		}
+		if len(sw.wired) != want || cap(sw.wired) >= int(packet.MaxPort) || (want == 0 && cap(sw.wired) != 0) {
+			t.Fatalf("switch %d: wiring slice len %d cap %d, want len %d and no port storage past it", id, len(sw.wired), cap(sw.wired), want)
+		}
+	}
+}
+
+// TestSeverableMatchesClone holds the masked connectivity check to the
+// clone it replaced: clone, cut each down link's cable with PortToward and
+// Disconnect in list order, remove each crashed switch, then ask an
+// unfaulted Connected. Seeded random fault sets over every fabric of
+// oracleFabrics; a down list may name a pair in either orientation, twice,
+// or with no cable left, and a crashed list may name a missing switch.
+func TestSeverableMatchesClone(t *testing.T) {
+	for name, tp := range oracleFabrics(t) {
+		t.Run(name, func(t *testing.T) {
+			var links [][2]SwitchID
+			for _, id := range tp.SwitchIDs() {
+				for _, nb := range tp.Neighbors(id) {
+					if id < nb.Sw {
+						links = append(links, [2]SwitchID{id, nb.Sw})
+					}
+				}
+			}
+			ids := tp.SwitchIDs()
+			rng := rand.New(rand.NewSource(int64(len(links))))
+			verdicts := map[bool]int{}
+			for trial := 0; trial < 400; trial++ {
+				var down [][2]SwitchID
+				for range rng.Intn(1 + len(links)/3) {
+					l := links[rng.Intn(len(links))]
+					if rng.Intn(2) == 0 {
+						l[0], l[1] = l[1], l[0]
+					}
+					down = append(down, l)
+				}
+				var crashed []SwitchID
+				for range rng.Intn(3) {
+					crashed = append(crashed, ids[rng.Intn(len(ids))])
+				}
+				if rng.Intn(4) == 0 {
+					crashed = append(crashed, 9999)
+				}
+				v := tp.Clone()
+				for _, l := range down {
+					if p, err := v.PortToward(l[0], l[1]); err == nil {
+						if err := v.Disconnect(l[0], p); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for _, id := range crashed {
+					if v.HasSwitch(id) {
+						if err := v.RemoveSwitch(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				want := v.Connected(nil, nil)
+				if got := tp.Connected(down, crashed); got != want {
+					t.Fatalf("trial %d: down %v crashed %v: masked %v, clone %v", trial, down, crashed, got, want)
+				}
+				verdicts[want]++
+			}
+			if verdicts[true] == 0 || verdicts[false] == 0 {
+				t.Fatalf("verdicts %v: the trials never exercised one side", verdicts)
+			}
+		})
 	}
 }

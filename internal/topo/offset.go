@@ -2,7 +2,6 @@ package topo
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"dumbnet/internal/packet"
 )
@@ -16,35 +15,19 @@ import (
 // address space before interconnecting them. The input is not mutated.
 func Offset(t *Topology, swOff SwitchID, macOff uint64) (*Topology, error) {
 	out := New()
-	ids := t.SwitchIDs()
-	for _, id := range ids {
-		if err := out.AddSwitch(id+swOff, t.switches[id].Ports); err != nil {
+	for _, id := range t.SwitchIDs() {
+		if err := out.AddSwitch(id+swOff, t.switches[id].ports); err != nil {
 			return nil, err
 		}
 	}
-	for _, id := range ids {
-		sw := t.switches[id]
-		ports := make([]Port, 0, len(sw.wired))
-		for p := range sw.wired {
-			ports = append(ports, p)
+	for _, l := range t.Links() {
+		if err := out.Connect(l.A+swOff, l.PA, l.B+swOff, l.PB); err != nil {
+			return nil, err
 		}
-		sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
-		for _, p := range ports {
-			ep := sw.wired[p]
-			switch ep.Kind {
-			case EndpointSwitch:
-				// Each cable appears once from either side; wire it from the
-				// lower-ID side only.
-				if id < ep.Switch || (id == ep.Switch && p < ep.Port) {
-					if err := out.Connect(id+swOff, p, ep.Switch+swOff, ep.Port); err != nil {
-						return nil, err
-					}
-				}
-			case EndpointHost:
-				if err := out.AttachHost(offsetMAC(ep.Host, macOff), id+swOff, p); err != nil {
-					return nil, err
-				}
-			}
+	}
+	for _, at := range t.Hosts() {
+		if err := out.AttachHost(offsetMAC(at.Host, macOff), at.Switch+swOff, at.Port); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

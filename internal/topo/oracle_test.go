@@ -504,3 +504,239 @@ func (s *oracleSubgraph) Marshal() []byte {
 	}
 	return w.Bytes()
 }
+
+// oracleTopology is the Topology as it was shipped before each switch kept
+// its wiring in a port-indexed slice: one map per switch, neighbour lists
+// built from it and sorted by port, and the ports sorted again by Marshal.
+// Topology must answer every read as it does, after the same writes
+// (TestTopologyMatchesMapOracle).
+type oracleTopology struct {
+	switches map[SwitchID]*oracleSwitch
+	hosts    map[MAC]HostAttach
+}
+
+type oracleSwitch struct {
+	ports int
+	wired map[Port]Endpoint
+}
+
+func newOracleTopology() *oracleTopology {
+	return &oracleTopology{switches: make(map[SwitchID]*oracleSwitch), hosts: make(map[MAC]HostAttach)}
+}
+
+func (t *oracleTopology) AddSwitch(id SwitchID, ports int) error {
+	if ports < 1 || ports > int(packet.MaxPort) {
+		return ErrPortCount
+	}
+	if _, ok := t.switches[id]; ok {
+		return ErrDupSwitch
+	}
+	t.switches[id] = &oracleSwitch{ports: ports, wired: make(map[Port]Endpoint)}
+	return nil
+}
+
+func (t *oracleTopology) checkPort(id SwitchID, p Port) (*oracleSwitch, error) {
+	sw, ok := t.switches[id]
+	if !ok {
+		return nil, ErrNoSwitch
+	}
+	if p < 1 || int(p) > sw.ports {
+		return nil, ErrBadPort
+	}
+	return sw, nil
+}
+
+func (t *oracleTopology) Connect(a SwitchID, pa Port, b SwitchID, pb Port) error {
+	if a == b {
+		return ErrSelfLoop
+	}
+	swa, err := t.checkPort(a, pa)
+	if err != nil {
+		return err
+	}
+	swb, err := t.checkPort(b, pb)
+	if err != nil {
+		return err
+	}
+	if _, ok := swa.wired[pa]; ok {
+		return ErrPortWired
+	}
+	if _, ok := swb.wired[pb]; ok {
+		return ErrPortWired
+	}
+	swa.wired[pa] = Endpoint{Kind: EndpointSwitch, Switch: b, Port: pb}
+	swb.wired[pb] = Endpoint{Kind: EndpointSwitch, Switch: a, Port: pa}
+	return nil
+}
+
+func (t *oracleTopology) AttachHost(h MAC, id SwitchID, p Port) error {
+	sw, err := t.checkPort(id, p)
+	if err != nil {
+		return err
+	}
+	if _, ok := t.hosts[h]; ok {
+		return ErrDupHost
+	}
+	if _, ok := sw.wired[p]; ok {
+		return ErrPortWired
+	}
+	sw.wired[p] = Endpoint{Kind: EndpointHost, Host: h}
+	t.hosts[h] = HostAttach{Host: h, Switch: id, Port: p}
+	return nil
+}
+
+func (t *oracleTopology) DetachHost(h MAC) error {
+	at, ok := t.hosts[h]
+	if !ok {
+		return ErrNoHost
+	}
+	delete(t.switches[at.Switch].wired, at.Port)
+	delete(t.hosts, h)
+	return nil
+}
+
+func (t *oracleTopology) Disconnect(id SwitchID, p Port) error {
+	sw, err := t.checkPort(id, p)
+	if err != nil {
+		return err
+	}
+	ep, ok := sw.wired[p]
+	if !ok {
+		return ErrNoLink
+	}
+	switch ep.Kind {
+	case EndpointSwitch:
+		delete(t.switches[ep.Switch].wired, ep.Port)
+	case EndpointHost:
+		delete(t.hosts, ep.Host)
+	}
+	delete(sw.wired, p)
+	return nil
+}
+
+func (t *oracleTopology) RemoveSwitch(id SwitchID) error {
+	sw, ok := t.switches[id]
+	if !ok {
+		return ErrNoSwitch
+	}
+	for p := range sw.wired {
+		if err := t.Disconnect(id, p); err != nil {
+			return err
+		}
+	}
+	delete(t.switches, id)
+	return nil
+}
+
+func (t *oracleTopology) EndpointAt(id SwitchID, p Port) (Endpoint, error) {
+	sw, err := t.checkPort(id, p)
+	if err != nil {
+		return Endpoint{}, err
+	}
+	return sw.wired[p], nil
+}
+
+func (t *oracleTopology) Neighbors(id SwitchID) []Neighbor {
+	sw := t.switches[id]
+	if sw == nil {
+		return nil
+	}
+	var nbs []Neighbor
+	for p, ep := range sw.wired {
+		if ep.Kind == EndpointSwitch {
+			nbs = append(nbs, Neighbor{Sw: ep.Switch, Port: p})
+		}
+	}
+	sort.Slice(nbs, func(i, j int) bool { return nbs[i].Port < nbs[j].Port })
+	return nbs
+}
+
+func (t *oracleTopology) Links() []Link {
+	ids := make([]SwitchID, 0, len(t.switches))
+	for id := range t.switches {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	var out []Link
+	for _, id := range ids {
+		for _, nb := range t.Neighbors(id) {
+			if id < nb.Sw {
+				out = append(out, Link{A: id, PA: nb.Port, B: nb.Sw, PB: t.switches[id].wired[nb.Port].Port})
+			}
+		}
+	}
+	return out
+}
+
+func (t *oracleTopology) Clone() *oracleTopology {
+	c := newOracleTopology()
+	for id, sw := range t.switches {
+		ns := &oracleSwitch{ports: sw.ports, wired: make(map[Port]Endpoint, len(sw.wired))}
+		for p, ep := range sw.wired {
+			ns.wired[p] = ep
+		}
+		c.switches[id] = ns
+	}
+	for h, at := range t.hosts {
+		c.hosts[h] = at
+	}
+	return c
+}
+
+func (t *oracleTopology) Equal(o *oracleTopology) bool {
+	if len(t.switches) != len(o.switches) || len(t.hosts) != len(o.hosts) {
+		return false
+	}
+	for id, sw := range t.switches {
+		osw, ok := o.switches[id]
+		if !ok || osw.ports != sw.ports || len(osw.wired) != len(sw.wired) {
+			return false
+		}
+		for p, ep := range sw.wired {
+			if oep, ok := osw.wired[p]; !ok || oep != ep {
+				return false
+			}
+		}
+	}
+	for h, at := range t.hosts {
+		if oat, ok := o.hosts[h]; !ok || oat != at {
+			return false
+		}
+	}
+	return true
+}
+
+func (t *oracleTopology) Marshal() []byte {
+	var w packet.Writer
+	writeHeader(&w, topoMagic)
+	ids := make([]SwitchID, 0, len(t.switches))
+	for id := range t.switches {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	w.U32(uint32(len(ids)))
+	for _, id := range ids {
+		sw := t.switches[id]
+		w.U32(uint32(id))
+		w.U16(uint16(sw.ports))
+		ports := make([]Port, 0, len(sw.wired))
+		for p := range sw.wired {
+			ports = append(ports, p)
+		}
+		slices.Sort(ports)
+		w.U16(uint16(len(ports)))
+		for _, p := range ports {
+			ep := sw.wired[p]
+			w.U8(p)
+			w.U8(uint8(ep.Kind))
+			switch ep.Kind {
+			case EndpointSwitch:
+				w.U32(uint32(ep.Switch))
+				w.U8(ep.Port)
+			case EndpointHost:
+				w.MAC(ep.Host)
+			}
+		}
+	}
+	return w.Bytes()
+}

@@ -138,11 +138,9 @@ func PartitionStats(t *Topology, part map[SwitchID]int) (sizes []int, crossLinks
 	for _, s := range part {
 		sizes[s]++
 	}
-	for _, id := range t.SwitchIDs() {
-		for _, nb := range t.Neighbors(id) {
-			if nb.Sw > id && part[id] != part[nb.Sw] {
-				crossLinks++
-			}
+	for _, l := range t.Links() {
+		if part[l.A] != part[l.B] {
+			crossLinks++
 		}
 	}
 	return sizes, crossLinks

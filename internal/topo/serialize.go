@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"slices"
-
-	"dumbnet/internal/packet"
-)
+import "dumbnet/internal/packet"
 
 // Binary serialization for topologies, subgraphs and path graphs. These are
 // the payloads of MsgPathResponse / MsgTopoPatch control messages and the
@@ -51,16 +47,19 @@ func (t *Topology) Marshal() []byte {
 	for _, id := range ids {
 		sw := t.switches[id]
 		w.U32(uint32(id))
-		w.U16(uint16(sw.Ports))
-		ports := make([]Port, 0, len(sw.wired))
-		for p := range sw.wired {
-			ports = append(ports, p)
+		w.U16(uint16(sw.ports))
+		n := 0
+		for _, ep := range sw.wired {
+			if ep.Kind != EndpointNone {
+				n++
+			}
 		}
-		slices.Sort(ports)
-		w.U16(uint16(len(ports)))
-		for _, p := range ports {
-			ep := sw.wired[p]
-			w.U8(p)
+		w.U16(uint16(n))
+		for i, ep := range sw.wired {
+			if ep.Kind == EndpointNone {
+				continue
+			}
+			w.U8(Port(i + 1))
 			w.U8(uint8(ep.Kind))
 			switch ep.Kind {
 			case EndpointSwitch:
