@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dumbnet/internal/experiments"
 )
 
 // docFlags returns the flags given to dumbnet-bench anywhere in text, one
@@ -122,10 +124,10 @@ func TestHybridScaleDeterministic(t *testing.T) {
 // experiment for every name -list prints.
 func TestExperimentNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
-	for _, e := range registry("../..") {
-		if seen[e.name] {
-			t.Errorf("experiment %q is registered twice", e.name)
+	for _, e := range experiments.Registry("../..") {
+		if seen[e.Name] {
+			t.Errorf("experiment %q is registered twice", e.Name)
 		}
-		seen[e.name] = true
+		seen[e.Name] = true
 	}
 }

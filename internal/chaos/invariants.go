@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -86,7 +87,10 @@ func (r *linkBattery) checkNoLoops() {
 	var seen []packet.SwitchID
 	for _, h := range r.allHosts() {
 		a := r.n.Agent(h)
-		for _, dst := range a.Table().Destinations() {
+		// In MAC order, so that violations print in the same order every run.
+		dsts := a.Table().Destinations()
+		slices.SortFunc(dsts, func(x, y packet.MAC) int { return cmp.Compare(x.Uint64(), y.Uint64()) })
+		for _, dst := range dsts {
 			e := a.Table().Lookup(dst)
 			if e == nil {
 				continue

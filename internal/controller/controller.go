@@ -59,14 +59,6 @@ type Stats struct {
 	Proposals     uint64
 }
 
-// removedLink remembers a failed link so a later link-up can restore it.
-type removedLink struct {
-	a  packet.SwitchID
-	pa topo.Port
-	b  packet.SwitchID
-	pb topo.Port
-}
-
 // Controller is one controller instance (primary or replica).
 type Controller struct {
 	Agent *host.Agent
@@ -76,9 +68,9 @@ type Controller struct {
 
 	master  *topo.Topology // authoritative topology view
 	version uint64
-	// graveyard maps (switch, port) of a removed link to its full record
-	// so link-up events can restore it without re-probing.
-	graveyard map[host.HopRef]removedLink
+	// graveyard maps each end of a failed link to the whole cable, so a
+	// link-up event on either end restores it without re-probing.
+	graveyard map[topo.PortRef]topo.Link
 
 	// replica is the consensus node backing this controller, when
 	// replication is enabled.
@@ -139,7 +131,7 @@ func New(eng *sim.Engine, agent *host.Agent, cfg Config) *Controller {
 		eng:         eng,
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(int64(agent.MAC()[5]) + 7)),
-		graveyard:   make(map[host.HopRef]removedLink),
+		graveyard:   make(map[topo.PortRef]topo.Link),
 		pathWaiters: make(map[pairKey][]uint64),
 		sc:          topo.NewDenseScratch(),
 	}
@@ -352,9 +344,9 @@ func (c *Controller) handleLinkEvent(ev *packet.LinkEvent) {
 	if err != nil || ep.Kind != topo.EndpointSwitch {
 		return // already removed (we hear each failure from both sides)
 	}
-	rl := removedLink{a: ev.Switch, pa: ev.Port, b: ep.Switch, pb: ep.Port}
-	c.graveyard[host.HopRef{Switch: rl.a, Port: rl.pa}] = rl
-	c.graveyard[host.HopRef{Switch: rl.b, Port: rl.pb}] = rl
+	rl := topo.Link{A: ev.Switch, PA: ev.Port, B: ep.Switch, PB: ep.Port}
+	c.graveyard[topo.PortRef{Switch: rl.A, Port: rl.PA}] = rl
+	c.graveyard[topo.PortRef{Switch: rl.B, Port: rl.PB}] = rl
 	patch := &topo.Patch{Ops: []topo.PatchOp{{Kind: topo.OpLinkDown, Switch: ev.Switch, Port: ev.Port}}}
 	c.commitPatch(patch)
 }
@@ -363,13 +355,13 @@ func (c *Controller) handleLinkEvent(ev *packet.LinkEvent) {
 // would be discovered by re-probing the port; restoring from the graveyard
 // covers the paper's repair scenario without a full re-discovery.)
 func (c *Controller) handleLinkUp(ev *packet.LinkEvent) {
-	rl, ok := c.graveyard[host.HopRef{Switch: ev.Switch, Port: ev.Port}]
+	rl, ok := c.graveyard[topo.PortRef{Switch: ev.Switch, Port: ev.Port}]
 	if !ok {
 		return
 	}
-	delete(c.graveyard, host.HopRef{Switch: rl.a, Port: rl.pa})
-	delete(c.graveyard, host.HopRef{Switch: rl.b, Port: rl.pb})
-	patch := &topo.Patch{Ops: []topo.PatchOp{{Kind: topo.OpLinkUp, A: rl.a, PA: rl.pa, B: rl.b, PB: rl.pb}}}
+	delete(c.graveyard, topo.PortRef{Switch: rl.A, Port: rl.PA})
+	delete(c.graveyard, topo.PortRef{Switch: rl.B, Port: rl.PB})
+	patch := &topo.Patch{Ops: []topo.PatchOp{{Kind: topo.OpLinkUp, A: rl.A, PA: rl.PA, B: rl.B, PB: rl.PB}}}
 	c.commitPatch(patch)
 }
 

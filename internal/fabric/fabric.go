@@ -39,7 +39,6 @@ type Fabric struct {
 	Topo     *topo.Topology
 	cfg      Config
 	switches map[packet.SwitchID]*dswitch.Switch
-	hostLink map[packet.MAC]*sim.Link
 
 	// group and shardOf are set only by BuildSharded.
 	group   *sim.ShardGroup
@@ -80,7 +79,6 @@ func build(eng *sim.Engine, g *sim.ShardGroup, part map[packet.SwitchID]int, t *
 		Topo:     t,
 		cfg:      cfg,
 		switches: make(map[packet.SwitchID]*dswitch.Switch),
-		hostLink: make(map[packet.MAC]*sim.Link),
 		group:    g,
 		shardOf:  part,
 	}
@@ -180,12 +178,17 @@ func (f *Fabric) AttachHost(mac packet.MAC, node sim.Node) (*sim.Link, error) {
 	eng := f.EngineFor(at.Switch)
 	l := sim.NewLink(eng, sw, int(at.Port), node, 1, f.cfg.HostLink)
 	sw.AttachLink(int(at.Port), l)
-	f.hostLink[mac] = l
 	return l, nil
 }
 
-// HostLink returns a host's uplink.
-func (f *Fabric) HostLink(mac packet.MAC) *sim.Link { return f.hostLink[mac] }
+// HostLink returns a host's uplink, read off its attachment switch's port
+// (nil before AttachHost).
+func (f *Fabric) HostLink(mac packet.MAC) *sim.Link {
+	if at, err := f.Topo.HostAt(mac); err == nil {
+		return f.switches[at.Switch].LinkAt(int(at.Port))
+	}
+	return nil
+}
 
 // LinkBetween returns the link connecting two adjacent switches: of
 // parallel links, the one on the lower-ID switch's lowest port.
@@ -307,8 +310,10 @@ func (f *Fabric) Drops() DropCounters {
 	for _, l := range f.Links() {
 		addLink(l)
 	}
-	for _, l := range f.hostLink {
-		addLink(l)
+	for _, at := range f.Topo.Hosts() {
+		if l := f.switches[at.Switch].LinkAt(int(at.Port)); l != nil {
+			addLink(l)
+		}
 	}
 	for _, sw := range f.switches {
 		s := sw.Stats()

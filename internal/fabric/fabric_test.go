@@ -169,3 +169,101 @@ func TestParallelLinksWiredByCable(t *testing.T) {
 		t.Fatalf("%d links, want %d", n, len(cables))
 	}
 }
+
+// TestHostLinkIsPortLink: a host's uplink is the link on its attachment
+// switch's port, nil before AttachHost and for a MAC the topology lacks;
+// after a run with loss on every cable, Drops equals the sum over the
+// switch links, those uplinks and the switches.
+func TestHostLinkIsPortLink(t *testing.T) {
+	ft, err := topo.FatTree(4, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls, err := topo.LeafSpine(2, 4, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tp := range map[string]*topo.Topology{"fat-tree": ft, "leaf-spine": ls} {
+		t.Run(name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			fb, err := fabric.Build(eng, tp, fabric.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := tp.Hosts()
+			sinks := make([]*sink, len(hosts))
+			for i, at := range hosts {
+				if fb.HostLink(at.Host) != nil {
+					t.Fatalf("host %v has an uplink before AttachHost", at.Host)
+				}
+				sinks[i] = &sink{}
+				l, err := fb.AttachHost(at.Host, sinks[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fb.HostLink(at.Host); got != l || got != fb.Switch(at.Switch).LinkAt(int(at.Port)) {
+					t.Fatalf("host %v: HostLink %p, AttachHost %p, port link %p", at.Host, got, l, fb.Switch(at.Switch).LinkAt(int(at.Port)))
+				}
+			}
+			if fb.HostLink(packet.MACFromUint64(0xDEAD)) != nil {
+				t.Fatal("a MAC the topology lacks has an uplink")
+			}
+
+			lossy := sim.Impairment{LossProb: 0.2}
+			fb.ImpairAllLinks(lossy)
+			for _, at := range hosts {
+				fb.HostLink(at.Host).Impair(lossy)
+			}
+			for i, src := range hosts {
+				dst := hosts[(i+len(hosts)/2)%len(hosts)]
+				tags, err := tp.HostPath(src.Host, dst.Host, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for range 20 {
+					f := &packet.Frame{Dst: dst.Host, Src: src.Host, Tags: tags, InnerType: packet.EtherTypeIPv4}
+					buf, err := f.Encode()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fb.HostLink(src.Host).SendFrom(sinks[i], buf)
+				}
+			}
+			eng.Run()
+
+			var want fabric.DropCounters
+			add := func(l *sim.Link) {
+				for _, s := range []sim.LinkStats{l.StatsFrom(true), l.StatsFrom(false)} {
+					want.LinkQueue += s.Drops
+					want.LinkDownTx += s.DownTx
+					want.LinkLostInFlight += s.LostInFlight
+					want.ImpairLost += s.ImpairLost
+					want.ImpairCorrupt += s.ImpairCorrupt
+				}
+			}
+			for _, c := range tp.Links() {
+				add(fb.Switch(c.A).LinkAt(int(c.PA)))
+			}
+			var uplinkLost uint64
+			for _, at := range hosts {
+				l := fb.Switch(at.Switch).LinkAt(int(at.Port))
+				add(l)
+				uplinkLost += l.StatsFrom(true).ImpairLost + l.StatsFrom(false).ImpairLost
+			}
+			for _, id := range tp.SwitchIDs() {
+				s := fb.Switch(id).Stats()
+				want.SwNoPort += s.DropNoPort
+				want.SwLinkDown += s.DropLinkDown
+				want.SwBadFrame += s.DropBadFrame
+				want.SwEndOfPath += s.DropEndOfPath
+				want.SwSwitchDown += s.DropSwitchDown
+			}
+			if got := fb.Drops(); got != want {
+				t.Fatalf("Drops() = %+v, sum over the links and switches %+v", got, want)
+			}
+			if uplinkLost == 0 || want.ImpairLost == uplinkLost {
+				t.Fatalf("uplinks lost %d of %d impairment drops: the run must lose frames on both kinds of link", uplinkLost, want.ImpairLost)
+			}
+		})
+	}
+}

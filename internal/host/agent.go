@@ -154,9 +154,9 @@ type Agent struct {
 	eventHead    int
 	patchVersion uint64
 	lastEcho     map[packet.MAC]sim.Time
-	bh           map[packet.MAC]*bhState // blackhole detector state per destination
-	suspect      map[HopRef]sim.Time     // blackhole-suspected hops → expiry
-	mcastTrees   map[uint32][]byte       // group -> cached encoded tree
+	bh           map[packet.MAC]*bhState   // blackhole detector state per destination
+	suspect      map[topo.PortRef]sim.Time // blackhole-suspected hops → expiry
+	mcastTrees   map[uint32][]byte         // group -> cached encoded tree
 
 	// Bulk-transfer state (lazily allocated; see bulk.go).
 	bulkTx  map[uint32]*bulkTx
@@ -198,20 +198,19 @@ type Agent struct {
 }
 
 type eventKey struct {
-	sw   packet.SwitchID
-	port packet.Tag
-	seq  uint64
-	up   bool
+	topo.PortRef
+	seq uint64
+	up  bool
 }
 
 // bhState tracks return-traffic liveness per destination for blackhole
 // detection. The detector only arms once the destination has been heard
 // from at least once (one-way traffic is not evidence of a dead path).
 type bhState struct {
-	sends    int         // consecutive sends since the last frame from dst
-	lastRx   sim.Time    // virtual time we last heard from dst (0 = never)
-	lastHops []HopRef    // hops of the most recently used path
-	lastTags packet.Path // tags of the most recently used path
+	sends    int            // consecutive sends since the last frame from dst
+	lastRx   sim.Time       // virtual time we last heard from dst (0 = never)
+	lastHops []topo.PortRef // hops of the most recently used path
+	lastTags packet.Path    // tags of the most recently used path
 }
 
 // New creates an agent for the host with the given MAC.
@@ -227,7 +226,7 @@ func New(eng *sim.Engine, mac packet.MAC, cfg Config) *Agent {
 		seenEvents: make(map[eventKey]bool),
 		lastEcho:   make(map[packet.MAC]sim.Time),
 		bh:         make(map[packet.MAC]*bhState),
-		suspect:    make(map[HopRef]sim.Time),
+		suspect:    make(map[topo.PortRef]sim.Time),
 		mcastTrees: make(map[uint32][]byte),
 	}
 	a.table = NewPathTable()
@@ -405,7 +404,7 @@ func (a *Agent) routeFor(dst packet.MAC, flow FlowKey) (packet.Path, bool) {
 
 // routeForHops is routeFor plus the chosen path's hop references, which the
 // blackhole detector records so it can mark the right links suspect.
-func (a *Agent) routeForHops(dst packet.MAC, flow FlowKey) (packet.Path, []HopRef, bool) {
+func (a *Agent) routeForHops(dst packet.MAC, flow FlowKey) (packet.Path, []topo.PortRef, bool) {
 	entry := a.table.Lookup(dst)
 	if entry == nil {
 		// Try to synthesize from the TopoCache (the destination may be

@@ -355,10 +355,10 @@ func TestPathTableDropLink(t *testing.T) {
 	dst := packet.MACFromUint64(5)
 	pt.Install(dst, &host.TableEntry{
 		Paths: []host.CachedPath{
-			{Tags: packet.Path{1, 2}, Hops: []host.HopRef{{Switch: 1, Port: 1}, {Switch: 2, Port: 2}}},
-			{Tags: packet.Path{3, 2}, Hops: []host.HopRef{{Switch: 1, Port: 3}, {Switch: 3, Port: 2}}},
+			{Tags: packet.Path{1, 2}, Hops: []topo.PortRef{{Switch: 1, Port: 1}, {Switch: 2, Port: 2}}},
+			{Tags: packet.Path{3, 2}, Hops: []topo.PortRef{{Switch: 1, Port: 3}, {Switch: 3, Port: 2}}},
 		},
-		Backup: &host.CachedPath{Tags: packet.Path{4, 2}, Hops: []host.HopRef{{Switch: 1, Port: 4}, {Switch: 4, Port: 2}}},
+		Backup: &host.CachedPath{Tags: packet.Path{4, 2}, Hops: []topo.PortRef{{Switch: 1, Port: 4}, {Switch: 4, Port: 2}}},
 	})
 	dead, rerouted := pt.DropLink(1, 1)
 	if rerouted != 1 {

@@ -5,6 +5,7 @@ import (
 
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
+	"dumbnet/internal/topo"
 )
 
 // This file is the host side of bulk transfers, in both simulation modes.
@@ -26,7 +27,7 @@ import (
 // table. ok=false means the route could not be resolved (no controller, or
 // the request budget was exhausted).
 type RouteWaiter interface {
-	RouteResolved(tags packet.Path, hops []HopRef, ok bool)
+	RouteResolved(tags packet.Path, hops []topo.PortRef, ok bool)
 }
 
 // pendingResolve is a route reservation awaiting a controller response.
@@ -42,7 +43,7 @@ type pendingResolve struct {
 // tracing of the packet path) and w hears the outcome when the route
 // installs or the query is abandoned — at once when there is no controller
 // to ask.
-func (a *Agent) ResolveRoute(dst packet.MAC, flow FlowKey, w RouteWaiter) (packet.Path, []HopRef, bool) {
+func (a *Agent) ResolveRoute(dst packet.MAC, flow FlowKey, w RouteWaiter) (packet.Path, []topo.PortRef, bool) {
 	a.stats.BulkResolves++
 	if dst == a.mac {
 		return nil, nil, true

@@ -33,7 +33,7 @@ func (a *Agent) handleHostFlood(blob *packet.Blob) {
 
 // applyLinkEvent is the shared core; flood controls onward propagation.
 func (a *Agent) applyLinkEvent(ev *packet.LinkEvent, flood bool) {
-	key := eventKey{sw: ev.Switch, port: ev.Port, seq: ev.Seq, up: ev.Up}
+	key := eventKey{PortRef: topo.PortRef{Switch: ev.Switch, Port: ev.Port}, seq: ev.Seq, up: ev.Up}
 	if a.seenEvents[key] {
 		a.stats.EventsDup++
 		return

@@ -40,9 +40,7 @@ func (a *Agent) DropMcastTree(group uint32) {
 // dropAllMcastTrees evicts every cached tree — the topology-patch response:
 // after the fabric changed shape, no cached tree is trustworthy.
 func (a *Agent) dropAllMcastTrees() {
-	for g := range a.mcastTrees {
-		delete(a.mcastTrees, g)
-	}
+	clear(a.mcastTrees)
 }
 
 // McastTreeCount reports how many trees are cached (tests and audits).

@@ -1,6 +1,8 @@
 package host
 
 import (
+	"slices"
+
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
@@ -12,27 +14,10 @@ import (
 // the per-destination fast path, caching k shortest paths plus the backup
 // path and remembering which path each flow uses.
 
-// HopRef identifies one directed link a path traverses, as (switch, out
-// port) — the granularity of link-failure notifications.
-type HopRef struct {
-	Switch packet.SwitchID
-	Port   packet.Tag
-}
-
 // CachedPath is one ready-to-use route.
 type CachedPath struct {
 	Tags packet.Path
-	Hops []HopRef // for invalidation on link events
-}
-
-// usesLink reports whether the path crosses (sw, port) in either direction.
-func (p *CachedPath) usesLink(sw packet.SwitchID, port packet.Tag) bool {
-	for _, h := range p.Hops {
-		if h.Switch == sw && h.Port == port {
-			return true
-		}
-	}
-	return false
+	Hops []topo.PortRef // for invalidation on link events
 }
 
 // TableEntry is the PathTable record for one destination.
@@ -84,17 +69,18 @@ func (t *PathTable) Destinations() []packet.MAC {
 // still have a usable route. Rerouted entries are flagged so the next send
 // through them records the recovery timeline's first-packet span.
 func (t *PathTable) DropLink(sw packet.SwitchID, port packet.Tag) (dead []packet.MAC, rerouted int) {
+	link := topo.PortRef{Switch: sw, Port: port}
 	for dst, e := range t.entries {
 		before := len(e.Paths)
 		kept := e.Paths[:0]
 		for _, p := range e.Paths {
-			if !p.usesLink(sw, port) {
+			if !slices.Contains(p.Hops, link) {
 				kept = append(kept, p)
 			}
 		}
 		e.Paths = kept
 		changed := len(e.Paths) < before
-		if e.Backup != nil && e.Backup.usesLink(sw, port) {
+		if e.Backup != nil && slices.Contains(e.Backup.Hops, link) {
 			e.Backup = nil
 		}
 		if len(e.Paths) == 0 {
@@ -149,9 +135,9 @@ func cachedPathFor(view *topo.Subgraph, sp topo.SwitchPath, dst packet.MAC) (Cac
 	if err != nil {
 		return CachedPath{}, err
 	}
-	hops := make([]HopRef, 0, len(tags))
+	hops := make([]topo.PortRef, 0, len(tags))
 	for i, sw := range sp {
-		hops = append(hops, HopRef{Switch: sw, Port: tags[i]})
+		hops = append(hops, topo.PortRef{Switch: sw, Port: tags[i]})
 	}
 	return CachedPath{Tags: tags, Hops: hops}, nil
 }

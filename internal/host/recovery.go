@@ -3,6 +3,7 @@ package host
 import (
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
+	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
 )
 
@@ -103,7 +104,7 @@ func (a *Agent) noteRx(src packet.MAC) {
 // once blackholeThreshold consecutive sends have gone unanswered for longer
 // than blackholeWindow. Only destinations we have heard from at least once
 // are eligible — one-way traffic proves nothing about the return of silence.
-func (a *Agent) noteSend(dst packet.MAC, tags packet.Path, hops []HopRef) {
+func (a *Agent) noteSend(dst packet.MAC, tags packet.Path, hops []topo.PortRef) {
 	s := a.bh[dst]
 	if s == nil {
 		s = &bhState{}

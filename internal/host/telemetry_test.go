@@ -6,6 +6,7 @@ import (
 	"dumbnet/internal/host"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
+	"dumbnet/internal/topo"
 )
 
 // fakeHealth flags an explicit set of directed links.
@@ -49,8 +50,8 @@ func telemetryAgent(t *testing.T) (*host.Agent, *host.TelemetryChooser, *fakeHea
 // twoPaths is a pair of disjoint two-hop candidate routes.
 func twoPaths() []host.CachedPath {
 	return []host.CachedPath{
-		{Tags: packet.Path{1, 2}, Hops: []host.HopRef{{Switch: 1, Port: 1}, {Switch: 2, Port: 2}}},
-		{Tags: packet.Path{3, 2}, Hops: []host.HopRef{{Switch: 1, Port: 3}, {Switch: 3, Port: 2}}},
+		{Tags: packet.Path{1, 2}, Hops: []topo.PortRef{{Switch: 1, Port: 1}, {Switch: 2, Port: 2}}},
+		{Tags: packet.Path{3, 2}, Hops: []topo.PortRef{{Switch: 1, Port: 3}, {Switch: 3, Port: 2}}},
 	}
 }
 

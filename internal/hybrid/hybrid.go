@@ -95,7 +95,7 @@ const flowSlab = 64
 // missed the path table, or a reroute probe, hears its route here.
 type resolver Flow
 
-func (r *resolver) RouteResolved(tags packet.Path, hops []host.HopRef, ok bool) {
+func (r *resolver) RouteResolved(tags packet.Path, hops []topo.PortRef, ok bool) {
 	f := (*Flow)(r)
 	if f.rerouting {
 		f.ly.rerouted(f, hops, ok)
@@ -331,7 +331,7 @@ func (ly *Layer) pathAlive(path []flowsim.LinkID) bool {
 // (host-side hop references): source uplink, one directed CSR edge per
 // switch-to-switch hop, and the destination downlink (the final hop's port
 // points at the host, which the byPort table resolves to the downlink).
-func (ly *Layer) fluidPath(path []flowsim.LinkID, src packet.MAC, hops []host.HopRef) ([]flowsim.LinkID, error) {
+func (ly *Layer) fluidPath(path []flowsim.LinkID, src packet.MAC, hops []topo.PortRef) ([]flowsim.LinkID, error) {
 	h, ok := ly.hostIdx[src]
 	if !ok {
 		return nil, fmt.Errorf("hybrid: unknown source host %v", src)
@@ -388,7 +388,7 @@ func (ly *Layer) Open(a *host.Agent, dst packet.MAC, bytes int64, key host.FlowK
 // admit hands a route-reserved transfer to the fluid simulator. It runs
 // either synchronously under Open (warm path table) or from the path-
 // response engine event (cold).
-func (ly *Layer) admit(f *Flow, tags packet.Path, hops []host.HopRef, ok bool) {
+func (ly *Layer) admit(f *Flow, tags packet.Path, hops []topo.PortRef, ok bool) {
 	if !ok {
 		ly.finish(f, true)
 		return
@@ -498,7 +498,7 @@ func (ly *Layer) tryReroute(f *Flow) {
 
 // rerouted moves a stranded flow onto a freshly reserved route, or retries
 // after RerouteDelay when the route is missing or still crosses a dead link.
-func (ly *Layer) rerouted(f *Flow, hops []host.HopRef, ok bool) {
+func (ly *Layer) rerouted(f *Flow, hops []topo.PortRef, ok bool) {
 	if f.Done {
 		f.rerouting = false
 		return

@@ -10,9 +10,10 @@
 package mcast
 
 import (
-	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dumbnet/internal/packet"
@@ -62,17 +63,14 @@ func (t *Tree) Clone() *Tree {
 // canonical order makes member lists comparable and the builder's rng draw
 // sequence independent of caller ordering.
 func SortMembers(src packet.MAC, members []packet.MAC) []packet.MAC {
-	seen := make(map[packet.MAC]bool, len(members))
 	out := make([]packet.MAC, 0, len(members))
 	for _, m := range members {
-		if m == src || seen[m] {
-			continue
+		if m != src {
+			out = append(out, m)
 		}
-		seen[m] = true
-		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
-	return out
+	slices.SortFunc(out, func(a, b packet.MAC) int { return cmp.Compare(a.Uint64(), b.Uint64()) })
+	return slices.Compact(out)
 }
 
 // BuildTree computes the group's distribution tree from src over top. The

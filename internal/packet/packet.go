@@ -73,6 +73,13 @@ func (m MAC) String() string {
 // IsZero reports whether the address is all zeros.
 func (m MAC) IsZero() bool { return m == MAC{} }
 
+// Uint64 packs the address big-endian into the low 48 bits, so integer
+// order is byte order: the one MAC order every sorted list and search in
+// the fabric uses.
+func (m MAC) Uint64() uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(binary.BigEndian.Uint32(m[2:]))
+}
+
 // MACFromUint64 derives a locally-administered unicast MAC from an integer,
 // convenient for assigning unique host addresses in simulations.
 func MACFromUint64(v uint64) MAC {

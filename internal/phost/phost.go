@@ -17,9 +17,10 @@
 package phost
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
-	"sort"
+	"slices"
 
 	"dumbnet/internal/host"
 	"dumbnet/internal/packet"
@@ -305,24 +306,29 @@ func (t *Transport) ensurePacing() {
 	t.eng.After(t.packetTime(), t.tokenTick)
 }
 
-// tokenTick grants one token per packet-time to the SRPT-preferred flow,
-// or reissues tokens for missing segments of stalled flows (loss recovery).
+// tokenTick grants one token per packet-time to the SRPT-preferred flow —
+// the smallest remaining grant budget first, like pHost's default receiver
+// policy — or reissues tokens for missing segments of stalled flows (loss
+// recovery).
 func (t *Transport) tokenTick() {
 	if len(t.receiving) == 0 {
 		t.pacing = false
 		return
 	}
-	if f := t.pickSRPT(); f != nil {
-		f.granted++
-		t.stats.TokensSent++
-		_ = t.send(f.src, encodeMsg(kindToken, f.id, seqNext, 0, nil))
-		t.eng.After(t.packetTime(), t.tokenTick)
-		return
+	flows := t.flowsBySRPT()
+	for _, f := range flows {
+		if f.granted < f.totalPkts {
+			f.granted++
+			t.stats.TokensSent++
+			_ = t.send(f.src, encodeMsg(kindToken, f.id, seqNext, 0, nil))
+			t.eng.After(t.packetTime(), t.tokenTick)
+			return
+		}
 	}
 	// Everything is granted but some flows are incomplete: retransmission
 	// tokens for the segments a stalled flow is missing.
 	now := t.eng.Now()
-	for _, f := range t.receiving {
+	for _, f := range flows {
 		if now-f.lastProgress < stallTimeout {
 			continue
 		}
@@ -340,26 +346,17 @@ func (t *Transport) tokenTick() {
 	t.eng.After(stallTimeout, t.tokenTick)
 }
 
-// pickSRPT returns the registered flow with the smallest remaining grant
-// budget — shortest remaining processing time first, like pHost's default
-// receiver policy.
-func (t *Transport) pickSRPT() *recvFlow {
-	var flows []*recvFlow
+// flowsBySRPT lists the receiving flows by remaining grant budget, then
+// FlowID, then sender MAC. A FlowID is local to its sender, so only the
+// MAC makes the order total and keeps map order off the wire.
+func (t *Transport) flowsBySRPT() []*recvFlow {
+	flows := make([]*recvFlow, 0, len(t.receiving))
 	for _, f := range t.receiving {
-		if f.granted < f.totalPkts {
-			flows = append(flows, f)
-		}
+		flows = append(flows, f)
 	}
-	if len(flows) == 0 {
-		return nil
-	}
-	sort.Slice(flows, func(i, j int) bool {
-		ri := flows[i].totalPkts - flows[i].granted
-		rj := flows[j].totalPkts - flows[j].granted
-		if ri != rj {
-			return ri < rj
-		}
-		return flows[i].id < flows[j].id
+	slices.SortFunc(flows, func(a, b *recvFlow) int {
+		return cmp.Or(cmp.Compare(a.totalPkts-a.granted, b.totalPkts-b.granted),
+			cmp.Compare(a.id, b.id), cmp.Compare(a.src.Uint64(), b.src.Uint64()))
 	})
-	return flows[0]
+	return flows
 }

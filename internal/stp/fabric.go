@@ -38,7 +38,11 @@ func BuildEthernet(eng *sim.Engine, t *topo.Topology, link sim.LinkConfig, fwdDe
 		f.Switches[c.A].AttachLink(int(c.PA), l)
 		f.Switches[c.B].AttachLink(int(c.PB), l)
 	}
-	f.Domain = NewDomain(eng, f.Switches)
+	// Bridges start in ID order: each sends its first hellos as it starts.
+	f.Domain = &Domain{Bridges: make(map[packet.SwitchID]*Bridge, len(f.Switches))}
+	for _, id := range t.SwitchIDs() {
+		f.Domain.Bridges[id] = NewBridge(eng, f.Switches[id])
+	}
 	return f, nil
 }
 

@@ -302,15 +302,6 @@ type Domain struct {
 	Bridges map[packet.SwitchID]*Bridge
 }
 
-// NewDomain starts spanning tree on every switch.
-func NewDomain(eng *sim.Engine, switches map[packet.SwitchID]*dswitch.LearningSwitch) *Domain {
-	d := &Domain{Bridges: make(map[packet.SwitchID]*Bridge, len(switches))}
-	for id, sw := range switches {
-		d.Bridges[id] = NewBridge(eng, sw)
-	}
-	return d
-}
-
 // Converged reports whether all bridges agree on one root and no two
 // forwarding ports form a cycle candidate (approximated by agreement on the
 // root — sufficient for tests on our small fabrics).

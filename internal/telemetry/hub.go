@@ -1,13 +1,15 @@
 package telemetry
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dumbnet/internal/metrics"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
+	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
 )
 
@@ -177,8 +179,8 @@ func histStat(hs *metrics.StreamHist) HistStat {
 // only (sim parked).
 func (h *Hub) Snapshot() *Snapshot {
 	s := &Snapshot{DropCauses: make(map[string]uint64)}
-	linkTotals := make(map[LinkKey]*LinkStat)
-	var keys []LinkKey
+	linkTotals := make(map[topo.PortRef]*LinkStat)
+	var keys []topo.PortRef
 	top := NewTopK(h.cfg.TopK)
 	var recovery, ctrlLat metrics.StreamHist
 
@@ -213,11 +215,8 @@ func (h *Hub) Snapshot() *Snapshot {
 		ctrlLat.Merge(&c.ctrlLat)
 	}
 
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Sw != keys[j].Sw {
-			return keys[i].Sw < keys[j].Sw
-		}
-		return keys[i].Port < keys[j].Port
+	slices.SortFunc(keys, func(a, b topo.PortRef) int {
+		return cmp.Or(cmp.Compare(a.Switch, b.Switch), cmp.Compare(a.Port, b.Port))
 	})
 	for _, key := range keys {
 		st := linkTotals[key]

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"dumbnet/internal/packet"
+	"dumbnet/internal/topo"
 )
 
 // FlagReason is a bitmask of detector verdicts against one subject.
@@ -48,18 +49,18 @@ type flagState struct {
 // from their route choosers; the consumer raises and clears flags from its
 // flush event. Both run on the subject engine's goroutine, so no locking.
 type Scoreboard struct {
-	flags   map[LinkKey]*flagState
+	flags   map[topo.PortRef]*flagState
 	raised  uint64 // 0→flagged transitions
 	cleared uint64 // flagged→0 transitions
 }
 
 // NewScoreboard returns an empty scoreboard.
 func NewScoreboard() *Scoreboard {
-	return &Scoreboard{flags: make(map[LinkKey]*flagState)}
+	return &Scoreboard{flags: make(map[topo.PortRef]*flagState)}
 }
 
 // raise sets reason on key, counting the not-flagged → flagged transition.
-func (b *Scoreboard) raise(key LinkKey, reason FlagReason) {
+func (b *Scoreboard) raise(key topo.PortRef, reason FlagReason) {
 	fs, ok := b.flags[key]
 	if !ok {
 		fs = &flagState{}
@@ -71,7 +72,7 @@ func (b *Scoreboard) raise(key LinkKey, reason FlagReason) {
 
 // raiseTTL raises reason with a window-count lifetime (heal-SLO flags decay
 // rather than being cleared by a symmetric detector).
-func (b *Scoreboard) raiseTTL(key LinkKey, reason FlagReason, ttl int) {
+func (b *Scoreboard) raiseTTL(key topo.PortRef, reason FlagReason, ttl int) {
 	b.raise(key, reason)
 	if fs := b.flags[key]; fs.sloTTL < ttl {
 		fs.sloTTL = ttl
@@ -80,7 +81,7 @@ func (b *Scoreboard) raiseTTL(key LinkKey, reason FlagReason, ttl int) {
 
 // clear drops reason from key, counting the flagged → not-flagged
 // transition and deleting empty entries.
-func (b *Scoreboard) clear(key LinkKey, reason FlagReason) {
+func (b *Scoreboard) clear(key topo.PortRef, reason FlagReason) {
 	fs, ok := b.flags[key]
 	if !ok {
 		return
@@ -96,7 +97,7 @@ func (b *Scoreboard) clear(key LinkKey, reason FlagReason) {
 }
 
 // has reports whether reason is currently raised on key.
-func (b *Scoreboard) has(key LinkKey, reason FlagReason) bool {
+func (b *Scoreboard) has(key topo.PortRef, reason FlagReason) bool {
 	fs, ok := b.flags[key]
 	return ok && fs.reasons&reason != 0
 }
@@ -121,11 +122,11 @@ func (b *Scoreboard) LinkFlagged(sw packet.SwitchID, port packet.Tag) bool {
 	if sw == 0 {
 		return false
 	}
-	if _, ok := b.flags[LinkKey{Sw: sw, Port: port}]; ok {
+	if _, ok := b.flags[topo.PortRef{Switch: sw, Port: port}]; ok {
 		return true
 	}
 	if port != 0 {
-		if _, ok := b.flags[LinkKey{Sw: sw}]; ok {
+		if _, ok := b.flags[topo.PortRef{Switch: sw}]; ok {
 			return true
 		}
 	}
@@ -140,7 +141,7 @@ func (b *Scoreboard) Raised() uint64  { return b.raised }
 func (b *Scoreboard) Cleared() uint64 { return b.cleared }
 
 // Reasons returns the active verdicts on key (0 if unflagged).
-func (b *Scoreboard) Reasons(key LinkKey) FlagReason {
+func (b *Scoreboard) Reasons(key topo.PortRef) FlagReason {
 	if fs, ok := b.flags[key]; ok {
 		return fs.reasons
 	}

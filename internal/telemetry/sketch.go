@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
 	"sort"
 	"strings"
 
@@ -20,10 +19,10 @@ func (f FlowID) less(o FlowID) bool {
 	if f.Tenant != o.Tenant {
 		return f.Tenant < o.Tenant
 	}
-	if c := bytes.Compare(f.Src[:], o.Src[:]); c != 0 {
-		return c < 0
+	if f.Src != o.Src {
+		return f.Src.Uint64() < o.Src.Uint64()
 	}
-	return bytes.Compare(f.Dst[:], o.Dst[:]) < 0
+	return f.Dst.Uint64() < o.Dst.Uint64()
 }
 
 func (f FlowID) String() string {
@@ -147,7 +146,5 @@ func (t *TopK) Merge(other *TopK) {
 // Reset empties the sketch, keeping capacity.
 func (t *TopK) Reset() {
 	t.entries = t.entries[:0]
-	for k := range t.idx {
-		delete(t.idx, k)
-	}
+	clear(t.idx)
 }

@@ -27,37 +27,18 @@
 package telemetry
 
 import (
-	"fmt"
-
 	"dumbnet/internal/metrics"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
+	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
 )
 
-// LinkKey identifies a telemetry subject. Port > 0 names a directed link:
-// the transmitting switch and the output port (the popped tag of hop
-// records, the alarmed port of recovery records). Port == 0 with Sw != 0
-// names the switch itself (switch-attributed drops carry no port). The zero
-// key names the whole fabric (link-level drops carry no switch).
-type LinkKey struct {
-	Sw   packet.SwitchID
-	Port packet.Tag
-}
-
-// GlobalKey is the scoreboard subject for fabric-wide verdicts.
-var GlobalKey = LinkKey{}
-
-func (k LinkKey) String() string {
-	switch {
-	case k == GlobalKey:
-		return "fabric"
-	case k.Port == 0:
-		return fmt.Sprintf("sw%d", k.Sw)
-	default:
-		return fmt.Sprintf("sw%d:p%d", k.Sw, k.Port)
-	}
-}
+// GlobalKey is the scoreboard subject for fabric-wide verdicts. Every
+// subject is a topo.PortRef: a directed link (a hop's popped tag, a
+// recovery record's alarmed port), a switch (Port 0: switch drops carry no
+// port), or, as here, the fabric (link-level drops carry no switch).
+var GlobalKey = topo.PortRef{}
 
 // Config tunes the windowed aggregation and the detector set. The zero
 // value is not useful; start from DefaultConfig.
@@ -202,7 +183,7 @@ type Consumer struct {
 	tap   *trace.Tap
 	board *Scoreboard
 
-	links map[LinkKey]*linkState
+	links map[topo.PortRef]*linkState
 
 	dropWindow [dropCauseSlots]uint64
 	dropTotal  [dropCauseSlots]uint64
@@ -222,7 +203,7 @@ type Consumer struct {
 
 	healBreaches uint64
 	pendingReq   map[reqKey]int64
-	pendingDown  map[LinkKey]int64
+	pendingDown  map[topo.PortRef]int64
 
 	flushes uint64
 	drained uint64
@@ -246,10 +227,10 @@ func NewConsumer(eng *sim.Engine, tap *trace.Tap, cfg Config) *Consumer {
 		cfg:         cfg,
 		tap:         tap,
 		board:       NewScoreboard(),
-		links:       make(map[LinkKey]*linkState),
+		links:       make(map[topo.PortRef]*linkState),
 		top:         NewTopK(cfg.TopK),
 		pendingReq:  make(map[reqKey]int64),
-		pendingDown: make(map[LinkKey]int64),
+		pendingDown: make(map[topo.PortRef]int64),
 	}
 	c.ev.c = c
 	return c
@@ -327,7 +308,7 @@ func (c *Consumer) ingest(rec *trace.Record) {
 	case trace.KindHop:
 		c.windowFrames++
 		c.totalFrames++
-		ls := c.link(LinkKey{Sw: rec.Sw, Port: rec.Port})
+		ls := c.link(topo.PortRef{Switch: rec.Sw, Port: rec.Port})
 		ls.frames++
 		ls.totalFrames++
 		id := FlowID{Src: rec.Src, Dst: rec.Dst}
@@ -344,7 +325,7 @@ func (c *Consumer) ingest(rec *trace.Record) {
 			c.dropTotal[rec.Op]++
 		}
 		if rec.Sw != 0 {
-			ls := c.link(LinkKey{Sw: rec.Sw})
+			ls := c.link(topo.PortRef{Switch: rec.Sw})
 			ls.drops++
 			ls.totalDrops++
 		}
@@ -364,7 +345,7 @@ func (c *Consumer) ingest(rec *trace.Record) {
 		}
 
 	case trace.KindRecovery:
-		key := LinkKey{Sw: rec.Sw, Port: rec.Port}
+		key := topo.PortRef{Switch: rec.Sw, Port: rec.Port}
 		switch trace.RecoveryOp(rec.Op) {
 		case trace.RecoveryDetect:
 			if rec.Up {
@@ -402,7 +383,7 @@ func (c *Consumer) ingest(rec *trace.Record) {
 }
 
 // link returns (creating) a subject's state.
-func (c *Consumer) link(k LinkKey) *linkState {
+func (c *Consumer) link(k topo.PortRef) *linkState {
 	ls, ok := c.links[k]
 	if !ok {
 		ls = &linkState{}
@@ -454,7 +435,7 @@ func (c *Consumer) EndWindow() {
 }
 
 // detectLink runs the per-directed-link detectors at a window boundary.
-func (c *Consumer) detectLink(key LinkKey, ls *linkState, idle bool) {
+func (c *Consumer) detectLink(key topo.PortRef, ls *linkState, idle bool) {
 	// Sustained-utilization congestion.
 	if ls.frames >= c.cfg.UtilThreshold {
 		ls.cool = 0
@@ -504,7 +485,7 @@ func (c *Consumer) detectLink(key LinkKey, ls *linkState, idle bool) {
 }
 
 // detectSwitch runs the per-switch drop-burst detector.
-func (c *Consumer) detectSwitch(key LinkKey, ls *linkState) {
+func (c *Consumer) detectSwitch(key topo.PortRef, ls *linkState) {
 	if ls.drops >= c.cfg.DropBurst {
 		ls.burstCool = 0
 		c.board.raise(key, ReasonDropBurst)

@@ -7,6 +7,7 @@ import (
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/telemetry"
+	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
 )
 
@@ -46,7 +47,7 @@ func hops(c *telemetry.Consumer, n int, sw packet.SwitchID, port packet.Tag) {
 
 func TestCongestionRaisesAndClears(t *testing.T) {
 	c := telemetry.NewOfflineConsumer(testConfig())
-	key := telemetry.LinkKey{Sw: 5, Port: 2}
+	key := topo.PortRef{Switch: 5, Port: 2}
 
 	// One hot window is not enough (UtilWindows = 2).
 	hops(c, 8, 5, 2)
@@ -89,7 +90,7 @@ func TestCongestionRaisesAndClears(t *testing.T) {
 // nor clear: the hysteresis band holds existing state.
 func TestCongestionHysteresisBand(t *testing.T) {
 	c := telemetry.NewOfflineConsumer(testConfig())
-	key := telemetry.LinkKey{Sw: 5, Port: 2}
+	key := topo.PortRef{Switch: 5, Port: 2}
 	for i := 0; i < 2; i++ {
 		hops(c, 8, 5, 2)
 		c.EndWindow()
@@ -109,7 +110,7 @@ func TestCongestionHysteresisBand(t *testing.T) {
 
 func TestSwitchDropBurst(t *testing.T) {
 	c := telemetry.NewOfflineConsumer(testConfig())
-	key := telemetry.LinkKey{Sw: 7}
+	key := topo.PortRef{Switch: 7}
 	for i := 0; i < 4; i++ {
 		c.IngestRecord(&trace.Record{Kind: trace.KindDrop, Sw: 7, Op: uint8(trace.DropNoPort)})
 	}
@@ -153,7 +154,7 @@ func TestGlobalDropBurst(t *testing.T) {
 
 func TestBlackholeSilence(t *testing.T) {
 	c := telemetry.NewOfflineConsumer(testConfig())
-	key := telemetry.LinkKey{Sw: 5, Port: 2}
+	key := topo.PortRef{Switch: 5, Port: 2}
 	// Arm: sustained activity for ActiveWindows.
 	for i := 0; i < 2; i++ {
 		hops(c, 4, 5, 2)
@@ -183,7 +184,7 @@ func TestBlackholeSilence(t *testing.T) {
 // RecoveryDetect(down) must not raise the blackhole flag.
 func TestAlarmedDownIsNotABlackhole(t *testing.T) {
 	c := telemetry.NewOfflineConsumer(testConfig())
-	key := telemetry.LinkKey{Sw: 5, Port: 2}
+	key := topo.PortRef{Switch: 5, Port: 2}
 	for i := 0; i < 2; i++ {
 		hops(c, 4, 5, 2)
 		c.EndWindow()
@@ -202,7 +203,7 @@ func TestAlarmedDownIsNotABlackhole(t *testing.T) {
 // blackhole flags, and disarms previously active links.
 func TestIdleEngineDisarmsBlackhole(t *testing.T) {
 	c := telemetry.NewOfflineConsumer(testConfig())
-	key := telemetry.LinkKey{Sw: 5, Port: 2}
+	key := topo.PortRef{Switch: 5, Port: 2}
 	for i := 0; i < 2; i++ {
 		hops(c, 4, 5, 2)
 		c.EndWindow()
@@ -218,7 +219,7 @@ func TestIdleEngineDisarmsBlackhole(t *testing.T) {
 func TestHealSLOBreachAndDecay(t *testing.T) {
 	cfg := testConfig()
 	c := telemetry.NewOfflineConsumer(cfg)
-	key := telemetry.LinkKey{Sw: 3, Port: 1}
+	key := topo.PortRef{Switch: 3, Port: 1}
 	down := func(at int64) {
 		c.IngestRecord(&trace.Record{At: at, Kind: trace.KindRecovery, Op: uint8(trace.RecoveryDetect), Sw: 3, Port: 1, Up: false})
 	}

@@ -319,7 +319,7 @@ func RandomRegular(n, d, hostsPerSwitch, ports int, rng *rand.Rand) (*Topology, 
 	// phase cannot starve.
 	linkBudget := ports - hostsPerSwitch
 	next := func(id SwitchID, limit int) (Port, bool) {
-		p := len(t.switches[id].wired) + 1
+		p := len(t.sw(id).wired) + 1
 		return Port(p), p <= limit
 	}
 	// Random spanning tree: connect each node i>1 to a random earlier node

@@ -43,12 +43,13 @@ type Endpoint struct {
 	Host   MAC      // valid when Kind == EndpointHost
 }
 
-// switchRec is one dumb switch: its port count, what each port is wired to
-// (entry p-1 for port p; the slice ends at the highest wired port, so an
-// unwired port past it costs nothing) and its neighbour row, the switch
-// links in port order. A mutation replaces the row rather than edit it, so
-// a row a reader already holds never changes under it.
+// switchRec is one dumb switch: its ID, its port count, what each port is
+// wired to (entry p-1 for port p; the slice ends at the highest wired port,
+// so an unwired port past it costs nothing) and its neighbour row, the
+// switch links in port order. A mutation replaces the row rather than edit
+// it, so a row a reader already holds never changes under it.
 type switchRec struct {
+	id    SwitchID
 	ports int
 	wired []Endpoint
 	nbrs  []Neighbor
@@ -98,13 +99,33 @@ type Neighbor struct {
 	Port Port // local outgoing port toward Sw
 }
 
-// Link is one switch-to-switch cable: port PA on A to port PB on B, A the
-// lower switch ID.
+// Link is one switch-to-switch cable: port PA on A to port PB on B.
+// Topology.Links lists each cable once, A the lower switch ID.
 type Link struct {
 	A  SwitchID
 	PA Port
 	B  SwitchID
 	PB Port
+}
+
+// PortRef names one switch port, and so the directed link leaving it: the
+// granularity of link-failure notifications, path hops and telemetry
+// subjects. Port 0 names the switch itself, and the zero PortRef the whole
+// fabric.
+type PortRef struct {
+	Switch SwitchID
+	Port   Port
+}
+
+func (r PortRef) String() string {
+	switch {
+	case r == PortRef{}:
+		return "fabric"
+	case r.Port == 0:
+		return fmt.Sprintf("sw%d", r.Switch)
+	default:
+		return fmt.Sprintf("sw%d:p%d", r.Switch, r.Port)
+	}
 }
 
 // HostAttach records where a host plugs into the fabric.
@@ -114,11 +135,13 @@ type HostAttach struct {
 	Port   Port
 }
 
-// Topology is the full fabric graph. It is not safe for concurrent mutation;
-// any number of readers may share a topology nobody is mutating.
+// Topology is the full fabric graph: its switches ascending by ID (a
+// switch's position is its Dense index) and its host attachments ascending
+// by MAC. It is not safe for concurrent mutation; any number of readers
+// may share a topology nobody is mutating.
 type Topology struct {
-	switches map[SwitchID]*switchRec
-	hosts    map[MAC]HostAttach
+	switches []switchRec
+	hostTable
 	// gen counts mutations; it is the invalidation token for everything
 	// derived from this topology (the dense snapshot below, the
 	// controller's path-graph cache).
@@ -180,11 +203,21 @@ var (
 )
 
 // New returns an empty topology.
-func New() *Topology {
-	return &Topology{
-		switches: make(map[SwitchID]*switchRec),
-		hosts:    make(map[MAC]HostAttach),
+func New() *Topology { return &Topology{} }
+
+// find locates switch id: its index, or where it would be inserted.
+func (t *Topology) find(id SwitchID) (int, bool) {
+	i := search(t.switches, uint64(id), func(sw *switchRec) uint64 { return uint64(sw.id) })
+	return i, i < len(t.switches) && t.switches[i].id == id
+}
+
+// sw returns switch id's record, nil when there is none. The pointer is
+// valid until a switch is added or removed.
+func (t *Topology) sw(id SwitchID) *switchRec {
+	if i, ok := t.find(id); ok {
+		return &t.switches[i]
 	}
+	return nil
 }
 
 // AddSwitch creates a switch with the given ID and port count.
@@ -192,10 +225,11 @@ func (t *Topology) AddSwitch(id SwitchID, ports int) error {
 	if ports < 1 || ports > int(packet.MaxPort) {
 		return ErrPortCount
 	}
-	if _, ok := t.switches[id]; ok {
+	i, ok := t.find(id)
+	if ok {
 		return ErrDupSwitch
 	}
-	t.switches[id] = &switchRec{ports: ports}
+	t.switches = slices.Insert(t.switches, i, switchRec{id: id, ports: ports})
 	t.mutated()
 	return nil
 }
@@ -203,14 +237,11 @@ func (t *Topology) AddSwitch(id SwitchID, ports int) error {
 // NumSwitches reports the number of switches.
 func (t *Topology) NumSwitches() int { return len(t.switches) }
 
-// NumHosts reports the number of attached hosts.
-func (t *Topology) NumHosts() int { return len(t.hosts) }
-
 // NumLinks reports the number of switch-to-switch links (each counted once).
 func (t *Topology) NumLinks() int {
 	n := 0
-	for _, sw := range t.switches {
-		n += len(sw.nbrs)
+	for i := range t.switches {
+		n += len(t.switches[i].nbrs)
 	}
 	return n / 2
 }
@@ -218,10 +249,11 @@ func (t *Topology) NumLinks() int {
 // Links lists every switch-to-switch cable once, in ascending A, then PA.
 func (t *Topology) Links() []Link {
 	out := make([]Link, 0, t.NumLinks())
-	for _, id := range t.SwitchIDs() {
-		for _, nb := range t.switches[id].nbrs {
-			if id < nb.Sw {
-				out = append(out, Link{A: id, PA: nb.Port, B: nb.Sw, PB: t.switches[id].at(nb.Port).Port})
+	for i := range t.switches {
+		sw := &t.switches[i]
+		for _, nb := range sw.nbrs {
+			if sw.id < nb.Sw {
+				out = append(out, Link{A: sw.id, PA: nb.Port, B: nb.Sw, PB: sw.at(nb.Port).Port})
 			}
 		}
 	}
@@ -230,34 +262,20 @@ func (t *Topology) Links() []Link {
 
 // SwitchIDs returns all switch IDs in ascending order.
 func (t *Topology) SwitchIDs() []SwitchID {
-	ids := make([]SwitchID, 0, len(t.switches))
-	for id := range t.switches {
-		ids = append(ids, id)
+	ids := make([]SwitchID, len(t.switches))
+	for i := range t.switches {
+		ids[i] = t.switches[i].id
 	}
-	slices.Sort(ids)
 	return ids
 }
 
-// Hosts returns all host attachments sorted by MAC.
-func (t *Topology) Hosts() []HostAttach {
-	out := make([]HostAttach, 0, len(t.hosts))
-	for _, h := range t.hosts {
-		out = append(out, h)
-	}
-	slices.SortFunc(out, byHost)
-	return out
-}
-
 // HasSwitch reports whether id exists.
-func (t *Topology) HasSwitch(id SwitchID) bool {
-	_, ok := t.switches[id]
-	return ok
-}
+func (t *Topology) HasSwitch(id SwitchID) bool { return t.sw(id) != nil }
 
 // PortCount returns the number of ports on a switch.
 func (t *Topology) PortCount(id SwitchID) (int, error) {
-	sw, ok := t.switches[id]
-	if !ok {
+	sw := t.sw(id)
+	if sw == nil {
 		return 0, ErrNoSwitch
 	}
 	return sw.ports, nil
@@ -265,8 +283,8 @@ func (t *Topology) PortCount(id SwitchID) (int, error) {
 
 // checkPort validates a (switch, port) pair and returns the switch.
 func (t *Topology) checkPort(id SwitchID, p Port) (*switchRec, error) {
-	sw, ok := t.switches[id]
-	if !ok {
+	sw := t.sw(id)
+	if sw == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSwitch, id)
 	}
 	if p < 1 || int(p) > sw.ports {
@@ -306,26 +324,26 @@ func (t *Topology) AttachHost(h MAC, id SwitchID, p Port) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := t.hosts[h]; ok {
+	if _, ok := t.hostTable.find(h); ok {
 		return fmt.Errorf("%w: %v", ErrDupHost, h)
 	}
 	if sw.at(p).Kind != EndpointNone {
 		return fmt.Errorf("%w: switch %d port %d", ErrPortWired, id, p)
 	}
 	sw.wire(p, Endpoint{Kind: EndpointHost, Host: h})
-	t.hosts[h] = HostAttach{Host: h, Switch: id, Port: p}
+	t.hostTable.set(HostAttach{Host: h, Switch: id, Port: p})
 	t.mutated()
 	return nil
 }
 
 // DetachHost removes a host and frees its port.
 func (t *Topology) DetachHost(h MAC) error {
-	at, ok := t.hosts[h]
-	if !ok {
-		return ErrNoHost
+	at, err := t.HostAt(h)
+	if err != nil {
+		return err
 	}
-	t.switches[at.Switch].unwire(at.Port)
-	delete(t.hosts, h)
+	t.sw(at.Switch).unwire(at.Port)
+	t.hostTable.remove(h)
 	t.mutated()
 	return nil
 }
@@ -341,9 +359,9 @@ func (t *Topology) Disconnect(id SwitchID, p Port) error {
 	case EndpointNone:
 		return ErrNoLink
 	case EndpointSwitch:
-		t.switches[ep.Switch].unwire(ep.Port)
+		t.sw(ep.Switch).unwire(ep.Port)
 	case EndpointHost:
-		delete(t.hosts, ep.Host)
+		t.hostTable.remove(ep.Host)
 	}
 	sw.unwire(p)
 	t.mutated()
@@ -352,17 +370,17 @@ func (t *Topology) Disconnect(id SwitchID, p Port) error {
 
 // RemoveSwitch deletes a switch and every link touching it.
 func (t *Topology) RemoveSwitch(id SwitchID) error {
-	sw, ok := t.switches[id]
+	i, ok := t.find(id)
 	if !ok {
 		return ErrNoSwitch
 	}
 	// The last entry is always wired, and Disconnect trims it.
-	for len(sw.wired) > 0 {
+	for sw := &t.switches[i]; len(sw.wired) > 0; {
 		if err := t.Disconnect(id, Port(len(sw.wired))); err != nil {
 			return err
 		}
 	}
-	delete(t.switches, id)
+	t.switches = slices.Delete(t.switches, i, i+1)
 	t.mutated()
 	return nil
 }
@@ -382,15 +400,6 @@ func (t *Topology) neighborAt(sw SwitchID, p Port) (SwitchID, bool) {
 	return ep.Switch, err == nil && ep.Kind == EndpointSwitch
 }
 
-// HostAt returns the attachment point of a host.
-func (t *Topology) HostAt(h MAC) (HostAttach, error) {
-	at, ok := t.hosts[h]
-	if !ok {
-		return HostAttach{}, ErrNoHost
-	}
-	return at, nil
-}
-
 // PortToward returns the local port on from that leads to the adjacent
 // switch to, or an error if they are not adjacent.
 func (t *Topology) PortToward(from, to SwitchID) (Port, error) {
@@ -406,7 +415,7 @@ func (t *Topology) PortToward(from, to SwitchID) (Port, error) {
 // The returned slice is the switch's own row: it must not be mutated, and a
 // later mutation of the topology replaces the row instead of changing it.
 func (t *Topology) Neighbors(id SwitchID) []Neighbor {
-	if sw := t.switches[id]; sw != nil {
+	if sw := t.sw(id); sw != nil {
 		return sw.nbrs
 	}
 	return nil
@@ -415,36 +424,20 @@ func (t *Topology) Neighbors(id SwitchID) []Neighbor {
 // Clone returns a deep copy. Neighbour rows are shared: no mutation edits
 // one in place.
 func (t *Topology) Clone() *Topology {
-	c := New()
-	for id, sw := range t.switches {
-		c.switches[id] = &switchRec{ports: sw.ports, wired: slices.Clone(sw.wired), nbrs: sw.nbrs}
-	}
-	for h, at := range t.hosts {
-		c.hosts[h] = at
+	c := &Topology{switches: slices.Clone(t.switches), hostTable: slices.Clone(t.hostTable)}
+	for i := range c.switches {
+		c.switches[i].wired = slices.Clone(c.switches[i].wired)
 	}
 	return c
 }
 
 // Equal reports whether two topologies have identical switches, wiring and
-// host attachments.
+// host attachments. Wiring slices end at their highest wired port, so
+// equal wiring means equal slices.
 func (t *Topology) Equal(o *Topology) bool {
-	if len(t.switches) != len(o.switches) || len(t.hosts) != len(o.hosts) {
-		return false
-	}
-	for id, sw := range t.switches {
-		// Both slices end at their highest wired port, so equal wiring
-		// means equal slices.
-		osw, ok := o.switches[id]
-		if !ok || osw.ports != sw.ports || !slices.Equal(osw.wired, sw.wired) {
-			return false
-		}
-	}
-	for h, at := range t.hosts {
-		if oat, ok := o.hosts[h]; !ok || oat != at {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(t.hostTable, o.hostTable) && slices.EqualFunc(t.switches, o.switches, func(a, b switchRec) bool {
+		return a.id == b.id && a.ports == b.ports && slices.Equal(a.wired, b.wired)
+	})
 }
 
 // Connected reports whether every switch not in crashed can reach every
@@ -469,12 +462,13 @@ func (t *Topology) Connected(down [][2]SwitchID, crashed []SwitchID) bool {
 	for _, l := range down {
 		ai, _ := g.IndexOf(l[0])
 		bi, _ := g.IndexOf(l[1])
-		// A neighbour row and its CSR edges share port order.
+		// A neighbour row and its CSR edges share port order, and a
+		// switch's dense index is its position in t.switches.
 		for k, nb := range t.Neighbors(l[0]) {
 			if e := g.start[ai] + int32(k); nb.Sw == l[1] && !m.edges.Has(e) {
-				far := t.switches[l[0]].at(nb.Port).Port
+				far := t.switches[ai].at(nb.Port).Port
 				m.edges.Set(e)
-				m.edges.Set(g.start[bi] + int32(t.switches[l[1]].nbrIndex(far)))
+				m.edges.Set(g.start[bi] + int32(t.switches[bi].nbrIndex(far)))
 				break
 			}
 		}
@@ -496,33 +490,34 @@ func (t *Topology) Connected(down [][2]SwitchID, crashed []SwitchID) bool {
 // Validate checks structural invariants: all wiring is symmetric and host
 // attachments match switch port records.
 func (t *Topology) Validate() error {
-	for id, sw := range t.switches {
-		for i, ep := range sw.wired {
-			p := Port(i + 1)
+	for i := range t.switches {
+		id := t.switches[i].id
+		for j, ep := range t.switches[i].wired {
+			p := Port(j + 1)
 			switch ep.Kind {
 			case EndpointSwitch:
-				far, ok := t.switches[ep.Switch]
-				if !ok {
+				far := t.sw(ep.Switch)
+				if far == nil {
 					return fmt.Errorf("%w: dangling link %d:%d", ErrNoSwitch, id, p)
 				}
 				if fep := far.at(ep.Port); fep.Kind != EndpointSwitch || fep.Switch != id || fep.Port != p {
 					return fmt.Errorf("%w: asymmetric link %d:%d", ErrNoLink, id, p)
 				}
 			case EndpointHost:
-				at, ok := t.hosts[ep.Host]
-				if !ok || at.Switch != id || at.Port != p {
+				at, err := t.HostAt(ep.Host)
+				if err != nil || at.Switch != id || at.Port != p {
 					return fmt.Errorf("%w: host record mismatch at %d:%d", ErrNoHost, id, p)
 				}
 			}
 		}
 	}
-	for h, at := range t.hosts {
-		sw, ok := t.switches[at.Switch]
-		if !ok {
-			return fmt.Errorf("%w: host %v on missing switch", ErrNoSwitch, h)
+	for _, at := range t.hostTable {
+		sw := t.sw(at.Switch)
+		if sw == nil {
+			return fmt.Errorf("%w: host %v on missing switch", ErrNoSwitch, at.Host)
 		}
-		if ep := sw.at(at.Port); ep.Kind != EndpointHost || ep.Host != h {
-			return fmt.Errorf("%w: host %v port mismatch", ErrNoHost, h)
+		if ep := sw.at(at.Port); ep.Kind != EndpointHost || ep.Host != at.Host {
+			return fmt.Errorf("%w: host %v port mismatch", ErrNoHost, at.Host)
 		}
 	}
 	return nil

@@ -389,7 +389,8 @@ func TestUnmarshalSizesByWiredPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id, sw := range tp.switches {
+	for _, sw := range tp.switches {
+		id := sw.id
 		if n, _ := tp.PortCount(id); n != int(packet.MaxPort) {
 			t.Fatalf("switch %d decoded with %d ports", id, n)
 		}

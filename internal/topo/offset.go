@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"encoding/binary"
-
-	"dumbnet/internal/packet"
-)
+import "dumbnet/internal/packet"
 
 // Offset rebuilds a topology with every switch ID shifted by swOff and
 // every host MAC shifted by macOff (applied to the generator's 40-bit
@@ -15,8 +11,8 @@ import (
 // address space before interconnecting them. The input is not mutated.
 func Offset(t *Topology, swOff SwitchID, macOff uint64) (*Topology, error) {
 	out := New()
-	for _, id := range t.SwitchIDs() {
-		if err := out.AddSwitch(id+swOff, t.switches[id].ports); err != nil {
+	for _, sw := range t.switches {
+		if err := out.AddSwitch(sw.id+swOff, sw.ports); err != nil {
 			return nil, err
 		}
 	}
@@ -36,8 +32,7 @@ func Offset(t *Topology, swOff SwitchID, macOff uint64) (*Topology, error) {
 // offsetMAC adds off to the 40-bit numeric payload of a generator MAC
 // (the MACFromUint64 layout), keeping byte 0 intact.
 func offsetMAC(m MAC, off uint64) MAC {
-	v := uint64(m[1])<<32 | uint64(binary.BigEndian.Uint32(m[2:]))
-	nm := packet.MACFromUint64(v + off)
+	nm := packet.MACFromUint64(m.Uint64()&(1<<40-1) + off)
 	nm[0] = m[0]
 	return nm
 }

@@ -42,11 +42,10 @@ func readAttach(r *packet.Reader) HostAttach {
 func (t *Topology) Marshal() []byte {
 	var w packet.Writer
 	writeHeader(&w, topoMagic)
-	ids := t.SwitchIDs()
-	w.U32(uint32(len(ids)))
-	for _, id := range ids {
-		sw := t.switches[id]
-		w.U32(uint32(id))
+	w.U32(uint32(len(t.switches)))
+	for i := range t.switches {
+		sw := &t.switches[i]
+		w.U32(uint32(sw.id))
 		w.U16(uint16(sw.ports))
 		n := 0
 		for _, ep := range sw.wired {
@@ -82,13 +81,7 @@ func UnmarshalTopology(b []byte) (*Topology, error) {
 		return nil, ErrBadTopology
 	}
 	t := New()
-	type pending struct {
-		a  SwitchID
-		pa Port
-		b  SwitchID
-		pb Port
-	}
-	var links []pending
+	var links []Link
 	var hosts []HostAttach
 	for i := 0; i < n; i++ {
 		id := SwitchID(r.U32())
@@ -108,7 +101,7 @@ func UnmarshalTopology(b []byte) (*Topology, error) {
 				far, fp := SwitchID(r.U32()), r.U8()
 				// Record each link once (from the lower (id,port) side).
 				if id < far || (id == far && p < fp) {
-					links = append(links, pending{a: id, pa: p, b: far, pb: fp})
+					links = append(links, Link{A: id, PA: p, B: far, PB: fp})
 				}
 			case EndpointHost:
 				hosts = append(hosts, HostAttach{Host: r.MAC(), Switch: id, Port: p})
@@ -121,7 +114,7 @@ func UnmarshalTopology(b []byte) (*Topology, error) {
 		return nil, ErrBadTopology
 	}
 	for _, l := range links {
-		if err := t.Connect(l.a, l.pa, l.b, l.pb); err != nil {
+		if err := t.Connect(l.A, l.PA, l.B, l.PB); err != nil {
 			return nil, err
 		}
 	}
@@ -240,9 +233,11 @@ func DecodePathGraph(b []byte, s *Subgraph) (*PathGraph, error) {
 		}
 	}
 	r = recs
+	if need := len(s.hostTable) + int(hn); need > cap(s.hostTable) {
+		s.hostTable = append(make(hostTable, 0, need), s.hostTable...)
+	}
 	for i := r.U32(); i > 0; i-- {
-		at := readAttach(&r)
-		s.hosts[at.Host] = at
+		s.hostTable.set(readAttach(&r))
 	}
 	return pg, nil
 }

@@ -1,9 +1,7 @@
 package topo
 
 import (
-	"bytes"
 	"cmp"
-	"maps"
 	"math/rand"
 	"slices"
 
@@ -17,11 +15,12 @@ import (
 // rows in ascending ID order, each with its links in ascending neighbour ID
 // order, one per neighbour: the order View promises, kept in storage so
 // that reading it copies and sorts nothing. A neighbour may lack a row of
-// its own (a path-graph body need not list both ends of a link). Nothing is
-// built lazily, so concurrent readers are safe.
+// its own (a path-graph body need not list both ends of a link). The hosts
+// are a hostTable, ascending by MAC. Nothing is built lazily, so concurrent
+// readers are safe.
 type Subgraph struct {
-	rows  []sgRow
-	hosts map[MAC]HostAttach
+	rows []sgRow
+	hostTable
 }
 
 // sgRow is one switch and its outgoing links, ascending by neighbour ID.
@@ -31,9 +30,7 @@ type sgRow struct {
 }
 
 // NewSubgraph returns an empty subgraph.
-func NewSubgraph() *Subgraph {
-	return &Subgraph{hosts: make(map[MAC]HostAttach)}
-}
+func NewSubgraph() *Subgraph { return &Subgraph{} }
 
 func byRowID(a, b sgRow) int                 { return cmp.Compare(a.id, b.id) }
 func neighborIs(n Neighbor, id SwitchID) int { return cmp.Compare(n.Sw, id) }
@@ -41,15 +38,8 @@ func neighborIs(n Neighbor, id SwitchID) int { return cmp.Compare(n.Sw, id) }
 // findRow locates switch id among ascending rows: its index, or where it
 // would be inserted.
 func findRow(rows []sgRow, id SwitchID) (int, bool) {
-	lo, hi := 0, len(rows)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); rows[m].id < id {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return lo, lo < len(rows) && rows[lo].id == id
+	i := search(rows, uint64(id), func(r *sgRow) uint64 { return uint64(r.id) })
+	return i, i < len(rows) && rows[i].id == id
 }
 
 // row returns switch id's links (nil when s has no row for it).
@@ -137,23 +127,12 @@ func (s *Subgraph) RemoveSwitch(id SwitchID) {
 
 // RemoveHost forgets a cached host attachment. Tenant membership changes
 // revoke attachments from caches that are no longer permitted to hold them.
-func (s *Subgraph) RemoveHost(h MAC) {
-	delete(s.hosts, h)
-}
+func (s *Subgraph) RemoveHost(h MAC) { s.hostTable.remove(h) }
 
 // AddHost records a host attachment.
 func (s *Subgraph) AddHost(at HostAttach) {
-	s.hosts[at.Host] = at
+	s.hostTable.set(at)
 	s.addRow(at.Switch)
-}
-
-// HostAt returns a host's attachment point, if known.
-func (s *Subgraph) HostAt(h MAC) (HostAttach, error) {
-	at, ok := s.hosts[h]
-	if !ok {
-		return HostAttach{}, ErrNoHost
-	}
-	return at, nil
 }
 
 // HasSwitch reports whether the subgraph knows switch id.
@@ -174,9 +153,6 @@ func (s *Subgraph) NumLinks() int {
 	return n / 2
 }
 
-// NumHosts reports how many host attachments are cached.
-func (s *Subgraph) NumHosts() int { return len(s.hosts) }
-
 // SwitchIDs lists the covered switch IDs in ascending order.
 func (s *Subgraph) SwitchIDs() []SwitchID { return s.appendIDs(make([]SwitchID, 0, len(s.rows))) }
 
@@ -187,21 +163,6 @@ func (s *Subgraph) appendIDs(ids []SwitchID) []SwitchID {
 	}
 	return ids
 }
-
-// Hosts returns the cached attachments in MAC order, so callers that fan
-// frames out over this list (the stage-1 host flood) schedule sends in a
-// deterministic order.
-func (s *Subgraph) Hosts() []HostAttach {
-	out := make([]HostAttach, 0, len(s.hosts))
-	for _, at := range s.hosts {
-		out = append(out, at)
-	}
-	slices.SortFunc(out, byHost)
-	return out
-}
-
-// byHost orders host attachments by MAC.
-func byHost(a, b HostAttach) int { return bytes.Compare(a.Host[:], b.Host[:]) }
 
 // Neighbors implements View with deterministic (ID-sorted) order. The list
 // is s's own storage: callers must not modify it, and it is valid until the
@@ -232,7 +193,7 @@ func (s *Subgraph) PortToward(from, to SwitchID) (Port, error) {
 // each row capped at its own length so that growing one reallocates it.
 func (s *Subgraph) Clone() *Subgraph {
 	flat := make([]Neighbor, 0, 2*s.NumLinks()+1)
-	c := &Subgraph{rows: make([]sgRow, len(s.rows)), hosts: maps.Clone(s.hosts)}
+	c := &Subgraph{rows: make([]sgRow, len(s.rows)), hostTable: slices.Clone(s.hostTable)}
 	for i, r := range s.rows {
 		off := len(flat)
 		flat = append(flat, r.nbs...)

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -87,7 +86,7 @@ func usec(ns int64) json.RawMessage {
 // macTid derives a stable numeric thread ID from a host MAC (its low five
 // bytes; byte 0 is the constant locally-administered prefix).
 func macTid(m packet.MAC) uint64 {
-	return uint64(m[1])<<32 | uint64(binary.BigEndian.Uint32(m[2:]))
+	return m.Uint64() & (1<<40 - 1)
 }
 
 // eventFor maps one record to its trace_event representation.

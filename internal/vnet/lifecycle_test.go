@@ -3,6 +3,7 @@ package vnet
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"dumbnet/internal/packet"
@@ -41,6 +42,44 @@ func TestMigrateHostSwapsMembership(t *testing.T) {
 	}
 	if _, _, _, err := m.PathGraphFor("a", macs[1], macs[0]); !errors.Is(err, ErrForeignHost) {
 		t.Fatalf("departed host still routable: %v", err)
+	}
+}
+
+// TestMigrateHostKeepsMACOrder: members given out of order come back in
+// byte order of the MAC, and after two migrations (one that sorts first,
+// one that sorts last) Contains and Members hold the new membership in that
+// order, reject both departed hosts, and hand out copies.
+func TestMigrateHostKeepsMACOrder(t *testing.T) {
+	_, m, macs := deploy(t)
+	if _, err := m.CreateTenant("a", []packet.MAC{macs[5], macs[1], macs[7], macs[3], macs[5]}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MigrateHost("a", macs[3], macs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MigrateHost("a", macs[5], macs[9]); err != nil {
+		t.Fatal(err)
+	}
+	want := []packet.MAC{macs[0], macs[1], macs[7], macs[9]}
+	ten, _ := m.Tenant("a")
+	got, err := m.Members("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) || !slices.Equal(ten.Hosts(), want) {
+		t.Fatalf("members %v, hosts %v, want %v", got, ten.Hosts(), want)
+	}
+	if !slices.IsSortedFunc(got, func(a, b packet.MAC) int { return bytes.Compare(a[:], b[:]) }) {
+		t.Fatalf("members %v not in MAC byte order", got)
+	}
+	for _, h := range macs[:11] {
+		if in := slices.Contains(want, h); ten.Contains(h) != in {
+			t.Fatalf("Contains(%v) = %v, want %v", h, !in, in)
+		}
+	}
+	got[0] = macs[10]
+	if again, _ := m.Members("a"); !slices.Equal(again, want) || ten.Contains(macs[10]) {
+		t.Fatal("a caller's edit of Members reached the tenant")
 	}
 }
 

@@ -13,11 +13,11 @@
 package vnet
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"dumbnet/internal/packet"
@@ -65,8 +65,9 @@ type Change struct {
 
 // Tenant is one virtual network slice.
 type Tenant struct {
-	ID    TenantID
-	hosts map[packet.MAC]bool
+	ID TenantID
+	// members is the membership, ascending by MAC.
+	members []packet.MAC
 	// view is the tenant's current slice, patched down by link failures and
 	// repaired (never widened) by heals.
 	view *topo.Subgraph
@@ -79,10 +80,13 @@ type Tenant struct {
 }
 
 // Hosts lists the tenant's member MACs in MAC order.
-func (t *Tenant) Hosts() []packet.MAC { return sortedMACs(t.hosts) }
+func (t *Tenant) Hosts() []packet.MAC { return slices.Clone(t.members) }
 
 // Contains reports membership.
-func (t *Tenant) Contains(m packet.MAC) bool { return t.hosts[m] }
+func (t *Tenant) Contains(m packet.MAC) bool {
+	_, ok := slices.BinarySearchFunc(t.members, m, byMAC)
+	return ok
+}
 
 // View returns the tenant's topology slice — what its applications may see.
 func (t *Tenant) View() *topo.Subgraph { return t.view }
@@ -90,14 +94,8 @@ func (t *Tenant) View() *topo.Subgraph { return t.view }
 // Generation returns the tenant's mutation counter.
 func (t *Tenant) Generation() uint64 { return t.gen }
 
-func sortedMACs(set map[packet.MAC]bool) []packet.MAC {
-	out := make([]packet.MAC, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i][:], out[j][:]) < 0 })
-	return out
-}
+// byMAC orders MACs by their packet.MAC.Uint64 value, which is byte order.
+func byMAC(a, b packet.MAC) int { return cmp.Compare(a.Uint64(), b.Uint64()) }
 
 // managerMetrics are the vnet.* instruments. They default to standalone
 // holders so an unwired Manager costs nothing; SetMetrics rebinds them into
@@ -128,7 +126,7 @@ type Manager struct {
 	master  *topo.Topology
 	opts    topo.PathGraphOptions
 	seed    int64
-	tenants map[TenantID]*Tenant
+	tenants []*Tenant // ascending by ID
 	byHost  map[packet.MAC]TenantID
 	// nextGen is a manager-wide monotonic counter: a recreated tenant never
 	// reuses an old (tenant, gen) pair, so cache keys cannot alias across
@@ -149,12 +147,11 @@ type Manager struct {
 // the same seed reproduces identical slices regardless of call interleaving.
 func NewManager(master *topo.Topology, opts topo.PathGraphOptions, seed int64) *Manager {
 	return &Manager{
-		master:  master,
-		opts:    opts,
-		seed:    seed,
-		tenants: make(map[TenantID]*Tenant),
-		byHost:  make(map[packet.MAC]TenantID),
-		met:     standaloneMetrics(),
+		master: master,
+		opts:   opts,
+		seed:   seed,
+		byHost: make(map[packet.MAC]TenantID),
+		met:    standaloneMetrics(),
 	}
 }
 
@@ -180,6 +177,20 @@ func (m *Manager) SetMaster(t *topo.Topology) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.master = t
+}
+
+// find locates tenant id: its index in m.tenants, or where it would be
+// inserted. Callers hold mu.
+func (m *Manager) find(id TenantID) (int, bool) {
+	return slices.BinarySearchFunc(m.tenants, id, func(t *Tenant, id TenantID) int { return cmp.Compare(t.ID, id) })
+}
+
+// tenant returns tenant id. Callers hold mu.
+func (m *Manager) tenant(id TenantID) (*Tenant, bool) {
+	if i, ok := m.find(id); ok {
+		return m.tenants[i], true
+	}
+	return nil, false
 }
 
 // tenantSeed mixes the manager seed with a tenant identity and generation
@@ -227,7 +238,8 @@ func (m *Manager) notify(ch Change) {
 // by another tenant are rejected (a host joins at most one tenant).
 func (m *Manager) CreateTenant(id TenantID, hosts []packet.MAC) (*Tenant, error) {
 	m.mu.Lock()
-	if _, ok := m.tenants[id]; ok {
+	at, dup := m.find(id)
+	if dup {
 		m.mu.Unlock()
 		return nil, fmt.Errorf("create %q: %w", id, ErrDupTenant)
 	}
@@ -241,8 +253,9 @@ func (m *Manager) CreateTenant(id TenantID, hosts []packet.MAC) (*Tenant, error)
 			return nil, fmt.Errorf("create %q: host %v owned by %q: %w", id, h, owner, ErrHostOwned)
 		}
 	}
-	members := append([]packet.MAC(nil), hosts...)
-	sort.Slice(members, func(i, j int) bool { return bytes.Compare(members[i][:], members[j][:]) < 0 })
+	members := slices.Clone(hosts)
+	slices.SortFunc(members, byMAC)
+	members = slices.Compact(members)
 	m.nextGen++
 	gen := m.nextGen
 	view, err := m.buildSlice(id, gen, members)
@@ -251,13 +264,11 @@ func (m *Manager) CreateTenant(id TenantID, hosts []packet.MAC) (*Tenant, error)
 		m.mu.Unlock()
 		return nil, fmt.Errorf("create %q: %w", id, err)
 	}
-	t := &Tenant{ID: id, hosts: make(map[packet.MAC]bool, len(members)),
-		view: view, baseline: view.Clone(), gen: gen}
+	t := &Tenant{ID: id, members: members, view: view, baseline: view.Clone(), gen: gen}
 	for _, h := range members {
-		t.hosts[h] = true
 		m.byHost[h] = id
 	}
-	m.tenants[id] = t
+	m.tenants = slices.Insert(m.tenants, at, t)
 	m.met.creates.Inc()
 	m.met.tenants.Set(float64(len(m.tenants)))
 	ch := Change{Kind: ChangeCreate, Tenant: id, Gen: gen, Members: members}
@@ -269,18 +280,19 @@ func (m *Manager) CreateTenant(id TenantID, hosts []packet.MAC) (*Tenant, error)
 // DeleteTenant removes a slice and every index entry pointing at it.
 func (m *Manager) DeleteTenant(id TenantID) error {
 	m.mu.Lock()
-	t, ok := m.tenants[id]
+	i, ok := m.find(id)
 	if !ok {
 		m.mu.Unlock()
 		return fmt.Errorf("delete %q: %w", id, ErrNoTenant)
 	}
-	departed := sortedMACs(t.hosts)
+	t := m.tenants[i]
+	departed := t.members
 	for _, h := range departed {
 		if m.byHost[h] == id {
 			delete(m.byHost, h)
 		}
 	}
-	delete(m.tenants, id)
+	m.tenants = slices.Delete(m.tenants, i, i+1)
 	m.nextGen++
 	m.met.deletes.Inc()
 	m.met.tenants.Set(float64(len(m.tenants)))
@@ -295,12 +307,12 @@ func (m *Manager) DeleteTenant(id TenantID) error {
 // tenant untouched.
 func (m *Manager) MigrateHost(id TenantID, from, to packet.MAC) error {
 	m.mu.Lock()
-	t, ok := m.tenants[id]
+	t, ok := m.tenant(id)
 	if !ok {
 		m.mu.Unlock()
 		return fmt.Errorf("migrate %q: %w", id, ErrNoTenant)
 	}
-	if !t.hosts[from] {
+	if !t.Contains(from) {
 		m.mu.Unlock()
 		return fmt.Errorf("migrate %q: %v: %w", id, from, ErrForeignHost)
 	}
@@ -308,14 +320,9 @@ func (m *Manager) MigrateHost(id TenantID, from, to packet.MAC) error {
 		m.mu.Unlock()
 		return fmt.Errorf("migrate %q: host %v owned by %q: %w", id, to, owner, ErrHostOwned)
 	}
-	members := make([]packet.MAC, 0, len(t.hosts))
-	for h := range t.hosts {
-		if h != from {
-			members = append(members, h)
-		}
-	}
-	members = append(members, to)
-	sort.Slice(members, func(i, j int) bool { return bytes.Compare(members[i][:], members[j][:]) < 0 })
+	members := slices.DeleteFunc(slices.Clone(t.members), func(h packet.MAC) bool { return h == from })
+	i, _ := slices.BinarySearchFunc(members, to, byMAC)
+	members = slices.Insert(members, i, to)
 	gen := m.nextGen + 1
 	view, err := m.buildSlice(id, gen, members)
 	if err != nil {
@@ -323,10 +330,9 @@ func (m *Manager) MigrateHost(id TenantID, from, to packet.MAC) error {
 		return fmt.Errorf("migrate %q: %w", id, err)
 	}
 	m.nextGen = gen
-	delete(t.hosts, from)
 	delete(m.byHost, from)
-	t.hosts[to] = true
 	m.byHost[to] = id
+	t.members = members
 	t.view = view
 	t.baseline = view.Clone()
 	t.gen = gen
@@ -351,7 +357,7 @@ func (m *Manager) TenantOf(h packet.MAC) (TenantID, bool) {
 func (m *Manager) Tenant(id TenantID) (*Tenant, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	t, ok := m.tenants[id]
+	t, ok := m.tenant(id)
 	if !ok {
 		return nil, ErrNoTenant
 	}
@@ -362,11 +368,10 @@ func (m *Manager) Tenant(id TenantID) (*Tenant, error) {
 func (m *Manager) Tenants() []TenantID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]TenantID, 0, len(m.tenants))
-	for id := range m.tenants {
-		out = append(out, id)
+	out := make([]TenantID, len(m.tenants))
+	for i, t := range m.tenants {
+		out[i] = t.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -381,11 +386,11 @@ func (m *Manager) Count() int {
 func (m *Manager) Members(id TenantID) ([]packet.MAC, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	t, ok := m.tenants[id]
+	t, ok := m.tenant(id)
 	if !ok {
 		return nil, ErrNoTenant
 	}
-	return sortedMACs(t.hosts), nil
+	return t.Hosts(), nil
 }
 
 // Generation returns the tenant's current generation; ok is false for an
@@ -393,7 +398,7 @@ func (m *Manager) Members(id TenantID) ([]packet.MAC, error) {
 // generation to detect staleness.
 func (m *Manager) Generation(id TenantID) (uint64, bool) {
 	m.mu.RLock()
-	t, ok := m.tenants[id]
+	t, ok := m.tenant(id)
 	if !ok {
 		m.mu.RUnlock()
 		return 0, false
@@ -415,11 +420,11 @@ func (m *Manager) Generation(id TenantID) (uint64, bool) {
 func (m *Manager) PathGraphFor(id TenantID, src, dst packet.MAC) (wire []byte, primary, backup packet.Path, err error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	t, ok := m.tenants[id]
+	t, ok := m.tenant(id)
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("path graph %q: %w", id, ErrNoTenant)
 	}
-	if !t.hosts[src] || !t.hosts[dst] {
+	if !t.Contains(src) || !t.Contains(dst) {
 		return nil, nil, nil, fmt.Errorf("path graph %q: %v->%v: %w", id, src, dst, ErrForeignHost)
 	}
 	sat, err := t.view.HostAt(src)
@@ -453,11 +458,11 @@ func (m *Manager) VerifyRoute(id TenantID, src, dst packet.MAC, tags packet.Path
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	m.met.audits.Inc()
-	t, ok := m.tenants[id]
+	t, ok := m.tenant(id)
 	if !ok {
 		return fmt.Errorf("verify %q: %w", id, ErrNoTenant)
 	}
-	if !t.hosts[src] || !t.hosts[dst] {
+	if !t.Contains(src) || !t.Contains(dst) {
 		return fmt.Errorf("verify %q: %v->%v: %w", id, src, dst, ErrForeignHost)
 	}
 	hop, at, err := topo.FollowTags(t.view, src, dst, tags, nil)
@@ -484,7 +489,7 @@ func (m *Manager) VerifyRoute(id TenantID, src, dst packet.MAC, tags packet.Path
 func (m *Manager) ApplyLinkDown(sw packet.SwitchID, port topo.Port) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, t := range m.sortedTenantsLocked() {
+	for _, t := range m.tenants {
 		if t.view.RemoveEdgeByPort(sw, port) {
 			m.nextGen++
 			t.gen = m.nextGen
@@ -498,7 +503,7 @@ func (m *Manager) ApplyLinkDown(sw packet.SwitchID, port topo.Port) {
 func (m *Manager) ApplyLinkUp(a packet.SwitchID, pa topo.Port, b packet.SwitchID, pb topo.Port) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, t := range m.sortedTenantsLocked() {
+	for _, t := range m.tenants {
 		if _, err := t.view.PortToward(a, b); err == nil {
 			continue // already present
 		}
@@ -521,28 +526,13 @@ func (m *Manager) ApplyLinkUp(a packet.SwitchID, pa topo.Port, b packet.SwitchID
 func (m *Manager) ApplySwitchDown(sw packet.SwitchID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, t := range m.sortedTenantsLocked() {
+	for _, t := range m.tenants {
 		if t.view.HasSwitch(sw) {
 			t.view.RemoveSwitch(sw)
 			m.nextGen++
 			t.gen = m.nextGen
 		}
 	}
-}
-
-// sortedTenantsLocked returns tenants in ID order so generation assignment
-// is deterministic (callers hold mu).
-func (m *Manager) sortedTenantsLocked() []*Tenant {
-	ids := make([]string, 0, len(m.tenants))
-	for id := range m.tenants {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	out := make([]*Tenant, len(ids))
-	for i, id := range ids {
-		out[i] = m.tenants[TenantID(id)]
-	}
-	return out
 }
 
 // AuditViews checks the never-widen invariant for every tenant: each view
@@ -552,7 +542,7 @@ func (m *Manager) AuditViews() []string {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []string
-	for _, t := range m.sortedTenantsLocked() {
+	for _, t := range m.tenants {
 		m.met.audits.Inc()
 		for _, sw := range t.view.SwitchIDs() {
 			for _, nb := range t.view.Neighbors(sw) {
