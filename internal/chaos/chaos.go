@@ -14,13 +14,14 @@ package chaos
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
 	"dumbnet/internal/controller"
-	"dumbnet/internal/fabric"
 	"dumbnet/internal/packet"
 	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
@@ -158,8 +159,6 @@ type Report struct {
 	// PingRetries counts connectivity probes that needed more than one
 	// attempt during the check phase.
 	PingRetries int
-	// Drops snapshots the fabric-wide loss counters after the run.
-	Drops fabric.DropCounters
 	// Timelines reconstructs one recovery story per injected fail-link /
 	// crash-switch event, extracted from the engine's flight recorder.
 	// Empty when the network runs without a tracer attached. Incomplete
@@ -203,8 +202,6 @@ func (r *Report) TimelineSummary() string {
 	}
 	return b.String()
 }
-
-type pair struct{ a, b packet.SwitchID }
 
 // runner is the one scenario loop every battery shares. It owns the
 // config, the rng that draws every event, and the report; a battery
@@ -288,16 +285,23 @@ type linkBattery struct {
 	// produces the same scenario trace with or without audits enabled.
 	auditRng *rand.Rand
 
-	links     []pair // all switch-to-switch links, deterministic order
-	down      map[pair]bool
-	flap      map[pair]bool
-	crashed   map[packet.SwitchID]bool
-	protected map[packet.SwitchID]bool // switches under controller replicas
+	// The blueprint's cables and switches, fixed at Run: a cable is named by
+	// its index in cables (its link is wires[c]), a switch by its dense
+	// index, its position in ids.
+	cables []topo.Link
+	wires  []*sim.Link
+	ids    []packet.SwitchID
+	// The faults held, the lists Topology.Connected reads. cut is the
+	// cables held down, ascending: failed ones, and flapping ones for the
+	// whole phase (pessimistic, so a flap can never conspire with later
+	// failures into a partition); flapping marks the flaps among them.
+	// gone is the crashed switches, ascending.
+	cut       []int
+	flapping  []bool
+	gone      []int32
+	protected []int32 // switches under controller replicas
 	ctrlDown  bool
 	baseline  *topo.Topology // master view before any fault was injected
-	// viewConnected's fault lists, reused across calls.
-	cut  [][2]packet.SwitchID
-	gone []packet.SwitchID
 
 	// tenant churn state: the virtualization manager (nil disables all
 	// tenancy invariants) and a counter naming churn-created tenants.
@@ -317,25 +321,33 @@ type linkBattery struct {
 // bootstrapped and warmed; CrashController additionally requires
 // EnableReplicationAt to have run.
 func Run(n Target, cfg Config) (*Report, error) {
+	r, err := newLinkBattery(n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return r.runAs(r), nil
+}
+
+// newLinkBattery checks the target, builds the battery and impairs the
+// fabric's links.
+func newLinkBattery(n Target, cfg Config) (*linkBattery, error) {
 	if cfg.CrashController && n.Group() == nil {
 		return nil, fmt.Errorf("chaos: CrashController requires controller replication")
 	}
 	if cfg.TenantChurn && n.Vnet() == nil {
 		return nil, fmt.Errorf("chaos: TenantChurn requires network virtualization (core.WithTenants)")
 	}
+	t := n.Topology()
 	r := &linkBattery{
-		runner:    newRunner(n, cfg),
-		n:         n,
-		auditRng:  rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
-		down:      make(map[pair]bool),
-		flap:      make(map[pair]bool),
-		crashed:   make(map[packet.SwitchID]bool),
-		protected: make(map[packet.SwitchID]bool),
-		mgr:       n.Vnet(),
+		runner:   newRunner(n, cfg),
+		n:        n,
+		auditRng: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
+		cables:   t.Links(),
+		wires:    n.Fabric().Links(),
+		ids:      t.SwitchIDs(),
+		mgr:      n.Vnet(),
 	}
-	for _, l := range n.Topology().Links() {
-		r.links = append(r.links, pair{a: l.A, b: l.B})
-	}
+	r.flapping = make([]bool, len(r.cables))
 	// Never crash a switch that carries a controller replica: the
 	// scenario tests failover between controllers, not the (hopeless)
 	// case of every controller unreachable at once.
@@ -344,8 +356,8 @@ func Run(n Target, cfg Config) (*Report, error) {
 		ctrlMACs = g.MACs()
 	}
 	for _, m := range ctrlMACs {
-		if at, err := n.Topology().HostAt(m); err == nil {
-			r.protected[at.Switch] = true
+		if at, err := t.HostAt(m); err == nil {
+			r.protected = append(r.protected, r.index(at.Switch))
 		}
 	}
 	// The convergence invariant is "the master returns to its pre-chaos
@@ -366,13 +378,17 @@ func Run(n Target, cfg Config) (*Report, error) {
 
 	r.n.Fabric().ImpairAllLinks(sim.Impairment{LossProb: r.cfg.Loss, CorruptProb: r.cfg.Corrupt, JitterMax: r.cfg.Jitter})
 	r.record(Event{Kind: trace.ScenarioImpair})
+	return r, nil
+}
 
-	r.run(r)
-	r.rep.Drops = n.Drops()
-	if tr := n.Engine().Tracer(); tr != nil {
+// runAs drives the scenario through b, which is r or a test's wrapper of
+// it, and returns the report.
+func (r *linkBattery) runAs(b battery) *Report {
+	r.run(b)
+	if tr := r.n.Engine().Tracer(); tr != nil {
 		r.rep.Timelines = trace.ExtractTimelines(tr.Records())
 	}
-	return r.rep, nil
+	return r.rep
 }
 
 // inject fires event i: the primary-controller crash one third of the way
@@ -397,79 +413,82 @@ func (r *linkBattery) audit() {
 	r.auditMcastTrees()
 }
 
-// viewConnected checks whether the fabric's switch graph stays connected
-// under the currently injected faults plus a candidate extra fault.
-// Flapping links count as down for the whole phase (pessimistic), so a
-// flap can never conspire with later failures into a partition.
-func (r *linkBattery) viewConnected(extraDown *pair, extraCrash *packet.SwitchID) bool {
-	r.cut, r.gone = r.cut[:0], r.gone[:0]
-	for _, p := range r.links {
-		if r.down[p] || r.flap[p] {
-			r.cut = append(r.cut, [2]packet.SwitchID{p.a, p.b})
-		}
-	}
-	if extraDown != nil {
-		r.cut = append(r.cut, [2]packet.SwitchID{extraDown.a, extraDown.b})
-	}
-	for id := range r.crashed {
-		r.gone = append(r.gone, id)
-	}
-	if extraCrash != nil {
-		r.gone = append(r.gone, *extraCrash)
-	}
-	return r.n.Topology().Connected(r.cut, r.gone)
+// index returns switch id's dense index.
+func (r *linkBattery) index(id packet.SwitchID) int32 {
+	i, _ := slices.BinarySearch(r.ids, id)
+	return int32(i)
 }
 
-// linkCandidates lists links eligible for a new fail or flap: currently
-// clean, both endpoints alive, and severable without partitioning.
-func (r *linkBattery) linkCandidates() []pair {
-	var out []pair
-	for _, p := range r.links {
-		if r.down[p] || r.flap[p] || r.crashed[p.a] || r.crashed[p.b] {
+// crashed reports whether switch id is crashed.
+func (r *linkBattery) crashed(id packet.SwitchID) bool {
+	_, ok := slices.BinarySearch(r.gone, r.index(id))
+	return ok
+}
+
+// severable reports whether the switch graph stays connected once cable c
+// is cut on top of the faults held; crashable, once switch i crashes. The
+// candidate goes past the end of the held list, which keeps any array the
+// append grew for the next candidate.
+func (r *linkBattery) severable(c int) bool {
+	cut := append(r.cut, c)
+	r.cut = cut[:len(cut)-1]
+	return r.n.Topology().Connected(cut, r.gone)
+}
+
+func (r *linkBattery) crashable(i int32) bool {
+	gone := append(r.gone, i)
+	r.gone = gone[:len(gone)-1]
+	return r.n.Topology().Connected(r.cut, gone)
+}
+
+// linkCandidates lists cables eligible for a new fail or flap: not held
+// down, both ends alive, link up, and severable without partitioning.
+func (r *linkBattery) linkCandidates() []int {
+	var out []int
+	for c, l := range r.cables {
+		if _, held := slices.BinarySearch(r.cut, c); held || r.crashed(l.A) || r.crashed(l.B) || !r.wires[c].Up() {
 			continue
 		}
-		l, err := r.n.Fabric().LinkBetween(p.a, p.b)
-		if err != nil || !l.Up() {
+		if r.severable(c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// healCandidates lists the failed cables, ascending.
+func (r *linkBattery) healCandidates() []int {
+	var out []int
+	for _, c := range r.cut {
+		if !r.flapping[c] {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func (r *linkBattery) crashCandidates() []int32 {
+	var out []int32
+	for i := range int32(len(r.ids)) {
+		if _, down := slices.BinarySearch(r.gone, i); down || slices.Contains(r.protected, i) {
 			continue
 		}
-		if r.viewConnected(&p, nil) {
-			out = append(out, p)
+		if r.crashable(i) {
+			out = append(out, i)
 		}
 	}
 	return out
 }
 
-func (r *linkBattery) healCandidates() []pair {
-	var out []pair
-	for _, p := range r.links {
-		if r.down[p] {
-			out = append(out, p)
-		}
-	}
-	return out
+// insert adds x to the ascending list s; remove takes it out.
+func insert[T cmp.Ordered](s []T, x T) []T {
+	i, _ := slices.BinarySearch(s, x)
+	return slices.Insert(s, i, x)
 }
 
-func (r *linkBattery) crashCandidates() []packet.SwitchID {
-	var out []packet.SwitchID
-	for _, id := range r.n.Topology().SwitchIDs() {
-		if r.crashed[id] || r.protected[id] {
-			continue
-		}
-		if r.viewConnected(nil, &id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-func (r *linkBattery) restartCandidates() []packet.SwitchID {
-	var out []packet.SwitchID
-	for _, id := range r.n.Topology().SwitchIDs() {
-		if r.crashed[id] {
-			out = append(out, id)
-		}
-	}
-	return out
+func remove[T cmp.Ordered](s []T, x T) []T {
+	i, _ := slices.BinarySearch(s, x)
+	return slices.Delete(s, i, i+1)
 }
 
 // step injects one randomized event. The roll picks a preferred action;
@@ -520,18 +539,18 @@ func (r *linkBattery) step() {
 		switch act {
 		case actFail:
 			if c := r.linkCandidates(); len(c) > 0 {
-				p := c[r.rng.Intn(len(c))]
-				_ = r.n.FailLink(p.a, p.b)
-				r.down[p] = true
-				r.record(Event{Kind: trace.ScenarioFailLink, A: p.a, B: p.b})
+				cb := c[r.rng.Intn(len(c))]
+				r.wires[cb].Fail()
+				r.cut = insert(r.cut, cb)
+				r.record(Event{Kind: trace.ScenarioFailLink, A: r.cables[cb].A, B: r.cables[cb].B})
 				return
 			}
 		case actHeal:
 			if c := r.healCandidates(); len(c) > 0 {
-				p := c[r.rng.Intn(len(c))]
-				_ = r.n.RestoreLink(p.a, p.b)
-				delete(r.down, p)
-				r.record(Event{Kind: trace.ScenarioHealLink, A: p.a, B: p.b})
+				cb := c[r.rng.Intn(len(c))]
+				r.wires[cb].Restore()
+				r.cut = remove(r.cut, cb)
+				r.record(Event{Kind: trace.ScenarioHealLink, A: r.cables[cb].A, B: r.cables[cb].B})
 				return
 			}
 		case actFlap:
@@ -539,17 +558,14 @@ func (r *linkBattery) step() {
 				continue
 			}
 			if c := r.linkCandidates(); len(c) > 0 {
-				p := c[r.rng.Intn(len(c))]
-				l, err := r.n.Fabric().LinkBetween(p.a, p.b)
-				if err != nil {
-					continue
-				}
+				cb := c[r.rng.Intn(len(c))]
 				downFor := 20*sim.Millisecond + sim.Time(r.rng.Int63n(int64(80*sim.Millisecond)))
 				upFor := 20*sim.Millisecond + sim.Time(r.rng.Int63n(int64(80*sim.Millisecond)))
 				cycles := 2 + r.rng.Intn(3)
-				l.StartFlap(0, downFor, upFor, cycles)
-				r.flap[p] = true
-				r.record(Event{Kind: trace.ScenarioFlapLink, A: p.a, B: p.b})
+				r.wires[cb].StartFlap(0, downFor, upFor, cycles)
+				r.cut = insert(r.cut, cb)
+				r.flapping[cb] = true
+				r.record(Event{Kind: trace.ScenarioFlapLink, A: r.cables[cb].A, B: r.cables[cb].B})
 				return
 			}
 		case actCrash:
@@ -557,18 +573,18 @@ func (r *linkBattery) step() {
 				continue
 			}
 			if c := r.crashCandidates(); len(c) > 0 {
-				sw := c[r.rng.Intn(len(c))]
-				_ = r.n.CrashSwitch(sw)
-				r.crashed[sw] = true
-				r.record(Event{Kind: trace.ScenarioCrashSwitch, Sw: sw})
+				i := c[r.rng.Intn(len(c))]
+				_ = r.n.CrashSwitch(r.ids[i])
+				r.gone = insert(r.gone, i)
+				r.record(Event{Kind: trace.ScenarioCrashSwitch, Sw: r.ids[i]})
 				return
 			}
 		case actRestart:
-			if c := r.restartCandidates(); len(c) > 0 {
-				sw := c[r.rng.Intn(len(c))]
-				_ = r.n.RestartSwitch(sw)
-				delete(r.crashed, sw)
-				r.record(Event{Kind: trace.ScenarioRestartSwitch, Sw: sw})
+			if len(r.gone) > 0 {
+				i := r.gone[r.rng.Intn(len(r.gone))]
+				_ = r.n.RestartSwitch(r.ids[i])
+				r.gone = remove(r.gone, i)
+				r.record(Event{Kind: trace.ScenarioRestartSwitch, Sw: r.ids[i]})
 				return
 			}
 		case actCreateTenant:
@@ -796,25 +812,18 @@ func (r *linkBattery) background() {
 // failed links restored, crashed switches and the controller restarted,
 // impairments cleared.
 func (r *linkBattery) healAll() {
-	for _, p := range r.links {
-		if r.flap[p] {
-			if l, err := r.n.Fabric().LinkBetween(p.a, p.b); err == nil {
-				l.StopFlap()
-				l.Restore()
-			}
-			delete(r.flap, p)
+	for _, c := range r.cut {
+		if r.flapping[c] {
+			r.wires[c].StopFlap()
+			r.flapping[c] = false
 		}
-		if r.down[p] {
-			_ = r.n.RestoreLink(p.a, p.b)
-			delete(r.down, p)
-		}
+		r.wires[c].Restore()
 	}
-	for _, id := range r.n.Topology().SwitchIDs() {
-		if r.crashed[id] {
-			_ = r.n.RestartSwitch(id)
-			delete(r.crashed, id)
-		}
+	r.cut = r.cut[:0]
+	for _, i := range r.gone {
+		_ = r.n.RestartSwitch(r.ids[i])
 	}
+	r.gone = r.gone[:0]
 	if r.ctrlDown {
 		r.n.Controller().Restart()
 		r.ctrlDown = false

@@ -355,3 +355,62 @@ func TestChaosTraceExportDeterminism(t *testing.T) {
 		t.Fatal("round-tripped export is empty")
 	}
 }
+
+// TestParallelCablesHeldByCable runs the link battery on a leaf-spine with
+// two parallel cables between spine 1 and leaf 3, flaps and crashes off so
+// that a cable is down exactly while the battery holds it down. After every
+// event the fabric's down links must number the cables the battery holds,
+// and each of the parallel cables must be failed at some point.
+func TestParallelCablesHeldByCable(t *testing.T) {
+	tp, err := topo.LeafSpine(2, 4, 2, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Spine 1 port 1 meets leaf 3 port 3; the twin is 1:5–3:5.
+	if err := tp.Connect(1, 5, 3, 5); err != nil {
+		t.Fatal(err)
+	}
+	twins := []topo.Link{{A: 1, PA: 1, B: 3, PB: 3}, {A: 1, PA: 5, B: 3, PB: 5}}
+	n, err := core.New(tp, core.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Bootstrap(); err != nil {
+		t.Fatal(err)
+	}
+	n.WarmAll()
+	links := n.Fab.Links()
+	failed := make([]bool, len(twins))
+	steps := 0
+	rep, err := chaos.RunHeld(n, chaos.Config{Seed: 5, Events: 40}, func(held int) {
+		steps++
+		down := 0
+		for c, l := range links {
+			if !l.Up() {
+				down++
+				if i := slices.Index(twins, tp.Links()[c]); i >= 0 {
+					failed[i] = true
+				}
+			}
+		}
+		if down != held {
+			t.Errorf("step %d: %d links down, battery holds %d cables", steps, down, held)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if steps != 40 {
+		t.Fatalf("%d steps, want 40", steps)
+	}
+	for i, ok := range failed {
+		if !ok {
+			t.Errorf("parallel cable %+v never failed", twins[i])
+		}
+	}
+	if !rep.Ok() {
+		for _, v := range rep.Violations {
+			t.Errorf("invariant violated: %v", v)
+		}
+	}
+}

@@ -310,20 +310,15 @@ func (r *linkBattery) checkConvergence() {
 		r.violate("master-convergence", "master does not match its pre-chaos state (%d/%d links)",
 			master.NumLinks(), r.baseline.NumLinks())
 	}
-	// Host caches: every cached edge must exist in the master with the
-	// same port numbering. (Caches are partial views, so subset — not
-	// equality — is the invariant.)
+	// Host caches: every cached edge must be a master cable, leaving by
+	// the same port (a parallel cable has its own). Caches are partial
+	// views, so subset — not equality — is the invariant.
 	for _, h := range r.allHosts() {
 		cache := r.n.Agent(h).Cache()
 		for _, sw := range cache.SwitchIDs() {
 			for _, nb := range cache.Neighbors(sw) {
-				p, err := master.PortToward(sw, nb.Sw)
-				if err != nil {
-					r.violate("cache-convergence", "host %v caches edge %d->%d absent from master", h, sw, nb.Sw)
-					continue
-				}
-				if p != nb.Port {
-					r.violate("cache-convergence", "host %v edge %d->%d port %d, master says %d", h, sw, nb.Sw, nb.Port, p)
+				if ep, err := master.EndpointAt(sw, nb.Port); err != nil || ep.Kind != topo.EndpointSwitch || ep.Switch != nb.Sw {
+					r.violate("cache-convergence", "host %v caches edge %d->%d port %d absent from master", h, sw, nb.Sw, nb.Port)
 				}
 			}
 		}

@@ -20,7 +20,8 @@ type Target interface {
 	// Topology is the deployment's physical graph (the generator
 	// blueprint, not the controller's view).
 	Topology() *topo.Topology
-	// Fabric exposes link/switch handles for impairment and flapping.
+	// Fabric exposes the links the link battery fails, heals, flaps and
+	// impairs, indexed by the blueprint's cable table.
 	Fabric() *fabric.Fabric
 	// Controller returns the bootstrap (primary) controller.
 	Controller() *controller.Controller
@@ -44,9 +45,6 @@ type Target interface {
 	CreateMcastGroup(id uint32, members []packet.MAC) error
 	MulticastProbe(src packet.MAC, id uint32, cb func(member packet.MAC)) error
 
-	FailLink(a, b packet.SwitchID) error
-	RestoreLink(a, b packet.SwitchID) error
 	CrashSwitch(id packet.SwitchID) error
 	RestartSwitch(id packet.SwitchID) error
-	Drops() fabric.DropCounters
 }

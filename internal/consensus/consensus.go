@@ -10,9 +10,10 @@
 package consensus
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"dumbnet/internal/sim"
 )
@@ -465,7 +466,7 @@ func (n *Node) advanceCommit() {
 	for _, peer := range n.cluster.nodes {
 		matches = append(matches, n.matchIndex[peer.id])
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
+	slices.SortFunc(matches, func(a, b uint64) int { return cmp.Compare(b, a) })
 	candidate := matches[n.cluster.quorum()-1]
 	if candidate > n.commit && candidate <= uint64(len(n.log)) &&
 		n.log[candidate-1].Term == n.term {

@@ -2,7 +2,7 @@ package controller
 
 import (
 	"errors"
-	"sort"
+	"slices"
 
 	"dumbnet/internal/gencache"
 	"dumbnet/internal/mcast"
@@ -150,7 +150,7 @@ func (s *McastService) Groups() []mcast.GroupID {
 	for id := range s.groups {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -98,12 +98,9 @@ type RouteAnswer struct {
 	// tenant.
 	Tenant string
 
-	// switches is how many switches a computed global answer's graph
-	// holds, for the ctrl.route.pgsize histogram.
-	switches int
 	// tags holds a tenant answer's primary and backup tag stacks (the
 	// backup nil when it has none), replayed by the tenant route audit. A
-	// pointer, so the answer every cache hit copies stays 72 bytes.
+	// pointer, so the answer every cache hit copies stays 64 bytes.
 	tags *[2]packet.Path
 	tree *mcast.Tree
 }

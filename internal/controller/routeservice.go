@@ -106,7 +106,7 @@ func (s *RouteService) lookup(src, dst packet.MAC) (RouteAnswer, error) {
 	if err != nil {
 		return RouteAnswer{}, err
 	}
-	a := &RouteAnswer{Wire: wire, Scope: ScopeGlobal, switches: switches}
+	a := &RouteAnswer{Wire: wire, Scope: ScopeGlobal}
 	s.compute.Observe(int64(switches))
 	s.global.Put(pairKey{src, dst}, ep, a)
 	return *a, nil

@@ -489,10 +489,6 @@ func (n *Network) CrashSwitch(id SwitchID) error { return n.Fab.CrashSwitch(id) 
 // RestartSwitch powers a crashed switch back on.
 func (n *Network) RestartSwitch(id SwitchID) error { return n.Fab.RestartSwitch(id) }
 
-// Drops aggregates every loss class across the fabric (link queues,
-// impairments, switch drop reasons).
-func (n *Network) Drops() fabric.DropCounters { return n.Fab.Drops() }
-
 // Group returns the controller replica group, nil before replication is
 // enabled.
 func (n *Network) Group() *controller.ReplicaGroup { return n.group }

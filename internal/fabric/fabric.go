@@ -39,6 +39,9 @@ type Fabric struct {
 	Topo     *topo.Topology
 	cfg      Config
 	switches map[packet.SwitchID]*dswitch.Switch
+	// links holds each cable's link, indexed by its position in the
+	// topology's cable table (Topo.Links) when the fabric was built.
+	links []*sim.Link
 
 	// group and shardOf are set only by BuildSharded.
 	group   *sim.ShardGroup
@@ -89,11 +92,14 @@ func build(eng *sim.Engine, g *sim.ShardGroup, part map[packet.SwitchID]int, t *
 		}
 		f.switches[id] = dswitch.New(f.EngineFor(id), id, ports, cfg.Switch)
 	}
-	for _, c := range t.Links() {
+	cables := t.Links()
+	f.links = make([]*sim.Link, len(cables))
+	for i, c := range cables {
 		a, b := f.switches[c.A], f.switches[c.B]
 		l := sim.NewLinkBetween(f.EngineFor(c.A), a, int(c.PA), f.EngineFor(c.B), b, int(c.PB), cfg.SwitchLink)
 		a.AttachLink(int(c.PA), l)
 		b.AttachLink(int(c.PB), l)
+		f.links[i] = l
 	}
 	f.registerMetrics()
 	return f, nil
@@ -119,16 +125,21 @@ func (f *Fabric) EngineFor(id packet.SwitchID) *sim.Engine {
 // unified registry as lazy collectors: the hot paths keep bumping their
 // plain struct counters, and the registry evaluates these sums only at
 // snapshot time. Rebuilding a fabric on the same engine re-registers the
-// collectors against the new instance.
+// collectors against the new instance (a replaced collector keeps its
+// place in the registry's order).
 func (f *Fabric) registerMetrics() {
 	reg := f.Eng.Metrics()
+	// One snapshot walks the fabric once: a snapshot evaluates collectors
+	// in registration order, so the first drop collector refreshes d and
+	// the nine after it read that walk.
+	var d DropCounters
 	drop := func(name string, field func(*DropCounters) uint64) {
-		reg.CounterFunc("fabric/drops/"+name, func() uint64 {
-			d := f.Drops()
-			return field(&d)
-		})
+		reg.CounterFunc("fabric/drops/"+name, func() uint64 { return field(&d) })
 	}
-	drop("link-queue-overflow", func(d *DropCounters) uint64 { return d.LinkQueue })
+	reg.CounterFunc("fabric/drops/link-queue-overflow", func() uint64 {
+		d = f.Drops()
+		return d.LinkQueue
+	})
 	drop("link-down-tx", func(d *DropCounters) uint64 { return d.LinkDownTx })
 	drop("link-lost-in-flight", func(d *DropCounters) uint64 { return d.LinkLostInFlight })
 	drop("impair-lost", func(d *DropCounters) uint64 { return d.ImpairLost })
@@ -191,7 +202,8 @@ func (f *Fabric) HostLink(mac packet.MAC) *sim.Link {
 }
 
 // LinkBetween returns the link connecting two adjacent switches: of
-// parallel links, the one on the lower-ID switch's lowest port.
+// parallel links, the one on the lower-ID switch's lowest port. Code that
+// holds a cable index reads Links instead.
 func (f *Fabric) LinkBetween(a, b packet.SwitchID) (*sim.Link, error) {
 	lo, hi := min(a, b), max(a, b)
 	p, err := f.Topo.PortToward(lo, hi)
@@ -221,15 +233,11 @@ func (f *Fabric) RestoreLink(a, b packet.SwitchID) error {
 	return nil
 }
 
-// Links returns all switch-to-switch links, read off the switches' ports
-// in topology order.
-func (f *Fabric) Links() []*sim.Link {
-	var out []*sim.Link
-	for _, c := range f.Topo.Links() {
-		out = append(out, f.switches[c.A].LinkAt(int(c.PA)))
-	}
-	return out
-}
+// Links returns every switch-to-switch link, indexed by cable: entry c is
+// the link of cable c of the topology's cable table (Topo.Links) at build
+// time. The slice is the fabric's own and must not be modified; appending
+// to it copies.
+func (f *Fabric) Links() []*sim.Link { return f.links[:len(f.links):len(f.links)] }
 
 // Switches returns the live switches keyed by ID in topology order.
 func (f *Fabric) Switches() []*dswitch.Switch {
@@ -268,7 +276,7 @@ func (f *Fabric) RestartSwitch(id packet.SwitchID) error {
 // link (pass the zero Impairment to clear). Host uplinks stay clean: the
 // paper's failure domain is the fabric, not the NIC cable.
 func (f *Fabric) ImpairAllLinks(imp sim.Impairment) {
-	for _, l := range f.Links() {
+	for _, l := range f.links {
 		l.Impair(imp)
 	}
 }
@@ -307,7 +315,7 @@ func (f *Fabric) Drops() DropCounters {
 			d.ImpairCorrupt += s.ImpairCorrupt
 		}
 	}
-	for _, l := range f.Links() {
+	for _, l := range f.links {
 		addLink(l)
 	}
 	for _, at := range f.Topo.Hosts() {

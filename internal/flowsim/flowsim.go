@@ -877,7 +877,7 @@ func (h *shareHeap) down(i int, e shareEntry) {
 func (s *Simulator) allocate() {
 	act := make([]*Flow, len(s.active))
 	copy(act, s.active)
-	sort.Slice(act, func(i, j int) bool { return act[i].aseq < act[j].aseq })
+	slices.SortFunc(act, func(a, b *Flow) int { return cmp.Compare(a.aseq, b.aseq) })
 	for _, f := range act {
 		f.rate = 0
 	}

@@ -210,7 +210,6 @@ type bhState struct {
 	sends    int            // consecutive sends since the last frame from dst
 	lastRx   sim.Time       // virtual time we last heard from dst (0 = never)
 	lastHops []topo.PortRef // hops of the most recently used path
-	lastTags packet.Path    // tags of the most recently used path
 }
 
 // New creates an agent for the host with the given MAC.
@@ -375,7 +374,7 @@ func (a *Agent) SendParts(dst packet.MAC, innerType uint16, head, body []byte, f
 	}
 	tags, hops, ok := a.routeForHops(dst, flow)
 	if ok {
-		a.noteSend(dst, tags, hops)
+		a.noteSend(dst, hops)
 		a.stats.Sent++
 		return a.sendFrame(dst, tags, innerType, head, body)
 	}

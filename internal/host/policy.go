@@ -2,7 +2,7 @@ package host
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dumbnet/internal/sim"
 )
@@ -61,7 +61,7 @@ func PolicyNames() []string {
 	for n := range policies {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 

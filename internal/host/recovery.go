@@ -104,13 +104,12 @@ func (a *Agent) noteRx(src packet.MAC) {
 // once blackholeThreshold consecutive sends have gone unanswered for longer
 // than blackholeWindow. Only destinations we have heard from at least once
 // are eligible — one-way traffic proves nothing about the return of silence.
-func (a *Agent) noteSend(dst packet.MAC, tags packet.Path, hops []topo.PortRef) {
+func (a *Agent) noteSend(dst packet.MAC, hops []topo.PortRef) {
 	s := a.bh[dst]
 	if s == nil {
 		s = &bhState{}
 		a.bh[dst] = s
 	}
-	s.lastTags = tags
 	s.lastHops = hops
 	if s.lastRx == 0 {
 		return // not armed: never heard from dst
@@ -145,7 +144,6 @@ func (a *Agent) onBlackhole(dst packet.MAC, s *bhState) {
 	s.sends = 0
 	s.lastRx = 0
 	s.lastHops = nil
-	s.lastTags = nil
 }
 
 // pathSuspect reports whether a path crosses a currently-suspect hop,

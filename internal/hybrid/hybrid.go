@@ -222,27 +222,11 @@ func New(eng *sim.Engine, fab *fabric.Fabric, cfg Config) (*Layer, error) {
 		ly.byPort[ly.portBase[idx]+int32(at.Port)] = ly.hostDown(int32(h))
 	}
 
-	// Watch every switch link: a state flip zeroes/restores both fluid
-	// directions at the failure's exact virtual time.
-	for i := int32(0); i < n; i++ {
-		lo, hi := g.EdgeRange(i)
-		for e := lo; e < hi; e++ {
-			j := g.EdgeTarget(e)
-			if g.IDOf(i) >= g.IDOf(j) {
-				continue // watched from the lower-ID side
-			}
-			l, err := fab.LinkBetween(g.IDOf(i), g.IDOf(j))
-			if err != nil {
-				return nil, err
-			}
-			rp, ok := g.PortBetween(j, i)
-			if !ok {
-				return nil, topo.ErrNoLink
-			}
-			rev := ly.byPort[ly.portBase[j]+int32(rp)]
-			fwd := e
-			l.Watch(func(up bool) { ly.linkFlip(up, fwd, rev) })
-		}
+	// Watch every cable's link: a state flip zeroes/restores the cable's
+	// two fluid directions at the failure's exact virtual time.
+	for c, l := range fab.Links() {
+		ab, ba := t.CableEdges(c)
+		l.Watch(func(up bool) { ly.linkFlip(up, ab, ba) })
 	}
 	// Watch host links likewise (switch crashes drop them too).
 	for h, at := range hosts {

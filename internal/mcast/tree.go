@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"dumbnet/internal/packet"
 	"dumbnet/internal/topo"
@@ -154,7 +153,7 @@ func BuildTree(top *topo.Topology, group GroupID, src packet.MAC, members []pack
 		}
 	}
 	for _, ports := range hostPorts {
-		sort.Slice(ports, func(i, j int) bool { return ports[i] < ports[j] })
+		slices.Sort(ports)
 	}
 
 	var build func(node int32) ([]packet.TreeHop, error)

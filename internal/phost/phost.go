@@ -99,7 +99,6 @@ type sendFlow struct {
 	totalPkts uint64
 	sentPkts  uint64
 	done      func(at sim.Time)
-	startedAt sim.Time
 }
 
 // recvFlow is receiver-side state.
@@ -182,7 +181,7 @@ func (t *Transport) SendFlow(dst packet.MAC, bytes int64, done func(duration sim
 	id := t.nextFlow
 	pkts := uint64((bytes + packetBytes - 1) / packetBytes)
 	started := t.eng.Now()
-	f := &sendFlow{id: id, dst: dst, totalPkts: pkts, startedAt: started}
+	f := &sendFlow{id: id, dst: dst, totalPkts: pkts}
 	if done != nil {
 		f.done = func(at sim.Time) { done(at - started) }
 	}

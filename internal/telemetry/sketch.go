@@ -1,7 +1,8 @@
 package telemetry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"dumbnet/internal/packet"
@@ -15,14 +16,9 @@ type FlowID struct {
 	Dst    packet.MAC
 }
 
-func (f FlowID) less(o FlowID) bool {
-	if f.Tenant != o.Tenant {
-		return f.Tenant < o.Tenant
-	}
-	if f.Src != o.Src {
-		return f.Src.Uint64() < o.Src.Uint64()
-	}
-	return f.Dst.Uint64() < o.Dst.Uint64()
+func (f FlowID) compare(o FlowID) int {
+	return cmp.Or(cmp.Compare(f.Tenant, o.Tenant), cmp.Compare(f.Src.Uint64(), o.Src.Uint64()),
+		cmp.Compare(f.Dst.Uint64(), o.Dst.Uint64()))
 }
 
 func (f FlowID) String() string {
@@ -100,11 +96,8 @@ func (t *TopK) Len() int { return len(t.entries) }
 // ascending flow key, so output is deterministic).
 func (t *TopK) Top() []FlowCount {
 	out := append([]FlowCount(nil), t.entries...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Flow.less(out[j].Flow)
+	slices.SortFunc(out, func(a, b FlowCount) int {
+		return cmp.Or(cmp.Compare(b.Count, a.Count), a.Flow.compare(b.Flow))
 	})
 	return out
 }

@@ -153,7 +153,6 @@ type linkState struct {
 	frames      uint64 // hop records this window
 	drops       uint64 // switch-attributed drops this window (Port==0 keys)
 	lastFrames  uint64 // previous completed window
-	lastDrops   uint64
 	totalFrames uint64
 	totalDrops  uint64
 
@@ -410,7 +409,7 @@ func (c *Consumer) EndWindow() {
 			c.detectSwitch(key, ls)
 		}
 		ls.lastFrames, ls.frames = ls.frames, 0
-		ls.lastDrops, ls.drops = ls.drops, 0
+		ls.drops = 0
 	}
 	// Fabric-wide drop burst: link-level causes carry no switch, so the
 	// burst detector also watches the engine-wide drop rate.

@@ -352,8 +352,8 @@ func TestKShortestPathsAllocsOnlyResult(t *testing.T) {
 
 // TestTopologyConcurrentReaders routes over one topology from several
 // goroutines at once, starting right after a mutation so the readers also
-// race to rebuild the dense snapshot and its distance rows (Algorithm 1's
-// detour windows read cold rows). Run under -race.
+// race to rebuild the dense snapshot, its distance rows (Algorithm 1's
+// detour windows read cold rows) and the cable table. Run under -race.
 func TestTopologyConcurrentReaders(t *testing.T) {
 	tp, err := FatTree(4, 2, 0)
 	if err != nil {
@@ -366,6 +366,7 @@ func TestTopologyConcurrentReaders(t *testing.T) {
 	}
 	want, wantPG := make([]string, len(hosts)), make([]string, len(hosts))
 	ref := tp.Clone()
+	wantLinks := ref.Links()
 	for i, h := range hosts {
 		tags, err := ref.HostPath(hosts[0].Host, h.Host, nil)
 		if err != nil {
@@ -384,6 +385,9 @@ func TestTopologyConcurrentReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
+			if links := tp.Links(); !slices.Equal(links, wantLinks) {
+				t.Errorf("worker %d: cable table differs", w)
+			}
 			for i, h := range hosts {
 				tags, err := tp.HostPath(hosts[0].Host, h.Host, nil)
 				if err != nil || tags.String() != want[i] {

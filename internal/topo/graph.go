@@ -100,7 +100,8 @@ type Neighbor struct {
 }
 
 // Link is one switch-to-switch cable: port PA on A to port PB on B.
-// Topology.Links lists each cable once, A the lower switch ID.
+// Topology.Links lists each cable once, A the lower switch ID; a cable's
+// position in that list is its index.
 type Link struct {
 	A  SwitchID
 	PA Port
@@ -143,19 +144,30 @@ type Topology struct {
 	switches []switchRec
 	hostTable
 	// gen counts mutations; it is the invalidation token for everything
-	// derived from this topology (the dense snapshot below, the
-	// controller's path-graph cache).
+	// derived from this topology (the two caches below, the controller's
+	// path-graph cache).
 	gen uint64
-	// dense is the one derived cache, dropped by every mutation and rebuilt
-	// by the first read after it. Concurrent readers may all be that first
-	// read: each builds the same value and the first to publish wins.
-	dense atomic.Pointer[DenseGraph]
+	// dense and cables are the derived caches, dropped by every mutation
+	// and rebuilt by the first read after it. Concurrent readers may all be
+	// that first read: each builds the same value and the first to publish
+	// wins.
+	dense  atomic.Pointer[DenseGraph]
+	cables atomic.Pointer[cableTable]
 }
 
-// mutated invalidates the dense snapshot.
+// cableTable is one generation's cables: cable c is links[c], and its A→B
+// and B→A directed edges in that generation's Dense snapshot are
+// edges[c][0] and edges[c][1].
+type cableTable struct {
+	links []Link
+	edges [][2]int32
+}
+
+// mutated invalidates the derived caches.
 func (t *Topology) mutated() {
 	t.gen++
 	t.dense.Store(nil)
+	t.cables.Store(nil)
 }
 
 // Generation returns the mutation counter. Any change to switches, links or
@@ -246,18 +258,42 @@ func (t *Topology) NumLinks() int {
 	return n / 2
 }
 
-// Links lists every switch-to-switch cable once, in ascending A, then PA.
-func (t *Topology) Links() []Link {
-	out := make([]Link, 0, t.NumLinks())
+// Links lists every switch-to-switch cable once, in ascending A, then PA:
+// the cable table, where a cable's position is its index for this
+// generation (Connected, CableEdges). The table is built by the first call
+// after a mutation and shared by every reader until the next one, so
+// callers must not modify it.
+func (t *Topology) Links() []Link { return t.cableTable().links }
+
+// CableEdges returns cable c's two directed edges in this generation's
+// Dense snapshot: A→B, leaving A by port PA, and B→A, leaving B by port PB.
+func (t *Topology) CableEdges(c int) (ab, ba int32) {
+	e := t.cableTable().edges[c]
+	return e[0], e[1]
+}
+
+// cableTable returns this generation's cable table, building it on first
+// use. A neighbour row and its switch's CSR edges share port order, and a
+// switch's dense index is its position in t.switches.
+func (t *Topology) cableTable() *cableTable {
+	if ct := t.cables.Load(); ct != nil {
+		return ct
+	}
+	g := t.Dense()
+	n := t.NumLinks()
+	ct := &cableTable{links: make([]Link, 0, n), edges: make([][2]int32, 0, n)}
 	for i := range t.switches {
 		sw := &t.switches[i]
-		for _, nb := range sw.nbrs {
+		for k, nb := range sw.nbrs {
 			if sw.id < nb.Sw {
-				out = append(out, Link{A: sw.id, PA: nb.Port, B: nb.Sw, PB: sw.at(nb.Port).Port})
+				pb := sw.at(nb.Port).Port
+				j, _ := t.find(nb.Sw)
+				ct.links = append(ct.links, Link{A: sw.id, PA: nb.Port, B: nb.Sw, PB: pb})
+				ct.edges = append(ct.edges, [2]int32{g.start[i] + int32(k), g.start[j] + int32(t.switches[j].nbrIndex(pb))})
 			}
 		}
 	}
-	return out
+	return publish(&t.cables, ct)
 }
 
 // SwitchIDs returns all switch IDs in ascending order.
@@ -441,37 +477,24 @@ func (t *Topology) Equal(o *Topology) bool {
 }
 
 // Connected reports whether every switch not in crashed can reach every
-// other one once each link in down is cut. An entry {a, b} cuts the cable
-// PortToward(a, b) would pick once the entries before it are cut: the
-// lowest-port cable still intact, both directions, not its parallel twins.
-// Entries naming no cable, and crashed IDs naming no switch, change
+// other one once each cable in down is cut, both directions. down holds
+// cable indices (positions in Links) and crashed dense switch indices
+// (positions in Dense), both of this generation; a repeated index changes
 // nothing. It is a masked BFS over the Dense snapshot, so the topology is
 // neither copied nor mutated.
-func (t *Topology) Connected(down [][2]SwitchID, crashed []SwitchID) bool {
-	g := t.Dense()
+func (t *Topology) Connected(down []int, crashed []int32) bool {
+	g, ct := t.Dense(), t.cableTable()
 	sc := scratchPool.Get().(*DenseScratch)
 	defer scratchPool.Put(sc)
 	m := &sc.mask
 	m.nodes.Reset(len(g.ids))
 	m.edges.Reset(len(g.nbr))
-	for _, id := range crashed {
-		if i, ok := g.IndexOf(id); ok {
-			m.nodes.Set(i)
-		}
+	for _, i := range crashed {
+		m.nodes.Set(i)
 	}
-	for _, l := range down {
-		ai, _ := g.IndexOf(l[0])
-		bi, _ := g.IndexOf(l[1])
-		// A neighbour row and its CSR edges share port order, and a
-		// switch's dense index is its position in t.switches.
-		for k, nb := range t.Neighbors(l[0]) {
-			if e := g.start[ai] + int32(k); nb.Sw == l[1] && !m.edges.Has(e) {
-				far := t.switches[ai].at(nb.Port).Port
-				m.edges.Set(e)
-				m.edges.Set(g.start[bi] + int32(t.switches[bi].nbrIndex(far)))
-				break
-			}
-		}
+	for _, c := range down {
+		m.edges.Set(ct.edges[c][0])
+		m.edges.Set(ct.edges[c][1])
 	}
 	for src := range int32(len(g.ids)) {
 		if !m.nodes.Has(src) {

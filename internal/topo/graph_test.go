@@ -404,53 +404,87 @@ func TestUnmarshalSizesByWiredPorts(t *testing.T) {
 	}
 }
 
+// TestCableTable holds each generation's cable table to the wiring on every
+// fabric of oracleFabrics: cable c's two Dense edges leave A by PA toward B
+// and B by PB toward A, and the cables' edges are every edge once. A warm
+// Links call allocates nothing, and a Disconnect publishes a new table
+// without touching the old one.
+func TestCableTable(t *testing.T) {
+	check := func(t *testing.T, tp *Topology) {
+		t.Helper()
+		g, links := tp.Dense(), tp.Links()
+		seen := make([]bool, len(g.nbr))
+		edge := func(e int32, from, to SwitchID, p Port) {
+			t.Helper()
+			i, _ := g.IndexOf(from)
+			lo, hi := g.EdgeRange(i)
+			if e < lo || e >= hi || g.IDOf(g.EdgeTarget(e)) != to || g.EdgePort(e) != p || seen[e] {
+				t.Fatalf("edge %d is not the one cable edge %d:p%d -> %d", e, from, p, to)
+			}
+			seen[e] = true
+		}
+		for c, l := range links {
+			ab, ba := tp.CableEdges(c)
+			edge(ab, l.A, l.B, l.PA)
+			edge(ba, l.B, l.A, l.PB)
+		}
+		if slices.Contains(seen, false) {
+			t.Fatalf("%d cables cover %d of %d edges", len(links), 2*len(links), len(seen))
+		}
+	}
+	for name, tp := range oracleFabrics(t) {
+		t.Run(name, func(t *testing.T) {
+			check(t, tp)
+			if n := testing.AllocsPerRun(100, func() { _ = tp.Links() }); n != 0 {
+				t.Fatalf("warm Links: %v allocs, want 0", n)
+			}
+			old := tp.Links()
+			l := old[len(old)/2]
+			before := slices.Clone(old)
+			if err := tp.Disconnect(l.A, l.PA); err != nil {
+				t.Fatal(err)
+			}
+			if got := tp.Links(); len(got) != len(old)-1 || slices.Contains(got, l) {
+				t.Fatalf("after cutting %+v: %d cables, want %d without it", l, len(got), len(old)-1)
+			}
+			if !slices.Equal(old, before) {
+				t.Fatal("Disconnect changed the previous generation's table")
+			}
+			check(t, tp)
+		})
+	}
+}
+
 // TestSeverableMatchesClone holds the masked connectivity check to the
-// clone it replaced: clone, cut each down link's cable with PortToward and
-// Disconnect in list order, remove each crashed switch, then ask an
-// unfaulted Connected. Seeded random fault sets over every fabric of
-// oracleFabrics; a down list may name a pair in either orientation, twice,
-// or with no cable left, and a crashed list may name a missing switch.
+// clone it replaced: clone, Disconnect each down cable at its own port PA,
+// remove each crashed switch, then ask an unfaulted Connected. Seeded
+// random fault sets over every fabric of oracleFabrics, the parallel-link
+// one included; a down list may name a cable twice, and a crashed list a
+// switch twice.
 func TestSeverableMatchesClone(t *testing.T) {
 	for name, tp := range oracleFabrics(t) {
 		t.Run(name, func(t *testing.T) {
-			var links [][2]SwitchID
-			for _, id := range tp.SwitchIDs() {
-				for _, nb := range tp.Neighbors(id) {
-					if id < nb.Sw {
-						links = append(links, [2]SwitchID{id, nb.Sw})
-					}
-				}
-			}
-			ids := tp.SwitchIDs()
+			links, ids := tp.Links(), tp.SwitchIDs()
 			rng := rand.New(rand.NewSource(int64(len(links))))
 			verdicts := map[bool]int{}
 			for trial := 0; trial < 400; trial++ {
-				var down [][2]SwitchID
+				var down []int
 				for range rng.Intn(1 + len(links)/3) {
-					l := links[rng.Intn(len(links))]
-					if rng.Intn(2) == 0 {
-						l[0], l[1] = l[1], l[0]
-					}
-					down = append(down, l)
+					down = append(down, rng.Intn(len(links)))
 				}
-				var crashed []SwitchID
+				var crashed []int32
 				for range rng.Intn(3) {
-					crashed = append(crashed, ids[rng.Intn(len(ids))])
-				}
-				if rng.Intn(4) == 0 {
-					crashed = append(crashed, 9999)
+					crashed = append(crashed, int32(rng.Intn(len(ids))))
 				}
 				v := tp.Clone()
-				for _, l := range down {
-					if p, err := v.PortToward(l[0], l[1]); err == nil {
-						if err := v.Disconnect(l[0], p); err != nil {
-							t.Fatal(err)
-						}
+				for _, c := range down {
+					if err := v.Disconnect(links[c].A, links[c].PA); err != nil && !errors.Is(err, ErrNoLink) {
+						t.Fatal(err)
 					}
 				}
-				for _, id := range crashed {
-					if v.HasSwitch(id) {
-						if err := v.RemoveSwitch(id); err != nil {
+				for _, i := range crashed {
+					if v.HasSwitch(ids[i]) {
+						if err := v.RemoveSwitch(ids[i]); err != nil {
 							t.Fatal(err)
 						}
 					}

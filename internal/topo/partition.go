@@ -1,6 +1,6 @@
 package topo
 
-import "sort"
+import "slices"
 
 // PartitionShards splits a topology's switches into n balanced,
 // locality-preserving regions for parallel (sharded) simulation. The
@@ -44,7 +44,7 @@ func PartitionShards(t *Topology, n int) map[SwitchID]int {
 			edge = append(edge, h.Switch)
 		}
 	}
-	sort.Slice(edge, func(i, j int) bool { return edge[i] < edge[j] })
+	slices.Sort(edge)
 	pool := edge
 	if len(pool) < n {
 		pool = ids

@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"dumbnet/internal/packet"
@@ -189,7 +189,7 @@ func WriteChrome(w io.Writer, recs []Record) error {
 	for tid := range hostTids {
 		tids = append(tids, tid)
 	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
+	slices.Sort(tids)
 	for _, tid := range tids {
 		for _, pid := range []int{pidControl, pidRecovery} {
 			meta := chromeMeta{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid}

@@ -49,9 +49,8 @@ func (g *Gauge) Value() float64 { return g.v }
 // that genuinely need exact percentiles over a bounded sample set.
 type Histogram = metrics.StreamHist
 
-// instrument binds one name to one kind of holder.
+// instrument is one name's holder, of one kind.
 type instrument struct {
-	name     string
 	counter  *Counter
 	gauge    *Gauge
 	hist     *Histogram
@@ -76,7 +75,7 @@ func (r *Registry) get(name string) *instrument {
 	if in, ok := r.byKey[name]; ok {
 		return in
 	}
-	in := &instrument{name: name}
+	in := &instrument{}
 	r.byKey[name] = in
 	r.order = append(r.order, name)
 	return in
@@ -156,7 +155,7 @@ type SnapshotEntry struct {
 // dimensionless histogram (rendered as raw numbers, not durations).
 type HistSnapshot struct {
 	Count    uint64
-	Min, Max int64
+	Max      int64
 	Mean     float64
 	P50, P99 int64
 	Values   bool
@@ -184,7 +183,7 @@ func (r *Registry) Snapshot(at int64) Snapshot {
 		case in.hist != nil:
 			h := in.hist
 			s.Entries = append(s.Entries, SnapshotEntry{Name: name, Kind: "histogram", Value: float64(h.Count()), Hist: &HistSnapshot{
-				Count: h.Count(), Min: h.Min(), Max: h.Max(), Mean: h.Mean(),
+				Count: h.Count(), Max: h.Max(), Mean: h.Mean(),
 				P50: h.Quantile(0.50), P99: h.Quantile(0.99),
 				Values: in.histVals,
 			}})

@@ -58,7 +58,6 @@ const (
 type Change struct {
 	Kind     string
 	Tenant   TenantID
-	Gen      uint64
 	Members  []packet.MAC
 	Departed []packet.MAC
 }
@@ -271,7 +270,7 @@ func (m *Manager) CreateTenant(id TenantID, hosts []packet.MAC) (*Tenant, error)
 	m.tenants = slices.Insert(m.tenants, at, t)
 	m.met.creates.Inc()
 	m.met.tenants.Set(float64(len(m.tenants)))
-	ch := Change{Kind: ChangeCreate, Tenant: id, Gen: gen, Members: members}
+	ch := Change{Kind: ChangeCreate, Tenant: id, Members: members}
 	m.mu.Unlock()
 	m.notify(ch)
 	return t, nil
@@ -296,7 +295,7 @@ func (m *Manager) DeleteTenant(id TenantID) error {
 	m.nextGen++
 	m.met.deletes.Inc()
 	m.met.tenants.Set(float64(len(m.tenants)))
-	ch := Change{Kind: ChangeDelete, Tenant: id, Gen: m.nextGen, Departed: departed}
+	ch := Change{Kind: ChangeDelete, Tenant: id, Departed: departed}
 	m.mu.Unlock()
 	m.notify(ch)
 	return nil
@@ -337,7 +336,7 @@ func (m *Manager) MigrateHost(id TenantID, from, to packet.MAC) error {
 	t.baseline = view.Clone()
 	t.gen = gen
 	m.met.migrates.Inc()
-	ch := Change{Kind: ChangeMigrate, Tenant: id, Gen: gen, Members: members,
+	ch := Change{Kind: ChangeMigrate, Tenant: id, Members: members,
 		Departed: []packet.MAC{from}}
 	m.mu.Unlock()
 	m.notify(ch)
