@@ -401,13 +401,6 @@ func (c *Controller) applyPatchLocal(patch *topo.Patch) {
 			if c.virt != nil {
 				c.virt.ApplyLinkUp(op.A, op.PA, op.B, op.PB)
 			}
-		case topo.OpHostAdd:
-			_ = c.master.AttachHost(op.Attach.Host, op.Attach.Switch, op.Attach.Port)
-		case topo.OpSwitchDown:
-			_ = c.master.RemoveSwitch(op.Switch)
-			if c.virt != nil {
-				c.virt.ApplySwitchDown(op.Switch)
-			}
 		}
 	}
 	c.version++
@@ -463,7 +456,7 @@ func (c *Controller) Bootstrap() error {
 		}
 		ctrlPath, err := c.master.HostPath(at.Host, c.MAC(), nil)
 		if err != nil {
-			continue // unreachable host; it will be patched in later
+			continue // unreachable host: no hello, and no patch sends one later
 		}
 		hello := &topo.Patch{
 			Version: c.version,

@@ -172,7 +172,9 @@ func TestLookupCloneSafety(t *testing.T) {
 		pg.Backup[len(pg.Backup)-1] = 0xBEEF
 	}
 	for _, sw := range pg.Graph.SwitchIDs() {
-		pg.Graph.RemoveSwitch(sw)
+		for nbs := pg.Graph.Neighbors(sw); len(nbs) > 0; nbs = pg.Graph.Neighbors(sw) {
+			pg.Graph.RemoveEdge(sw, nbs[0].Sw)
+		}
 	}
 
 	after, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Scope: ScopeGlobal}))

@@ -123,9 +123,6 @@ func NewGateway(fabric int, mac packet.MAC, hub *RegionalHub) *Gateway {
 // MAC returns the gateway's host address.
 func (g *Gateway) MAC() packet.MAC { return g.mac }
 
-// Fabric returns the member fabric index the gateway belongs to.
-func (g *Gateway) Fabric() int { return g.fabric }
-
 // Links returns the WAN links terminating at this gateway, in ID order.
 func (g *Gateway) Links() []*WANLink { return g.links }
 

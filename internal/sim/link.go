@@ -70,11 +70,6 @@ type Impairment struct {
 	JitterMax Time
 }
 
-// Active reports whether the impairment does anything.
-func (imp Impairment) Active() bool {
-	return imp.LossProb > 0 || imp.CorruptProb > 0 || imp.JitterMax > 0
-}
-
 // linkEnd is one side of a link. Each end belongs to exactly one engine
 // (shard) and carries its own view of the link state: in a sharded run the
 // far side of a failing cable learns about the failure one propagation
@@ -241,9 +236,6 @@ func (l *Link) Restore() { l.SetUp(true) }
 // Impair installs an impairment model on the link (both directions). Pass
 // the zero Impairment to clear it.
 func (l *Link) Impair(imp Impairment) { l.imp = imp }
-
-// Impairment returns the current impairment model.
-func (l *Link) Impairment() Impairment { return l.imp }
 
 // StartFlap schedules cycles of down/up toggles: after an initial delay the
 // link goes down for downFor, comes back for upFor, and repeats, cycles

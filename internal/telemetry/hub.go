@@ -30,9 +30,6 @@ func NewHub(cfg Config) *Hub {
 	return &Hub{cfg: cfg.withDefaults()}
 }
 
-// Config returns the effective configuration.
-func (h *Hub) Config() Config { return h.cfg }
-
 // SetTenantResolver installs the tenant-label function on the hub and every
 // consumer attached so far (and every one attached later).
 func (h *Hub) SetTenantResolver(fn func(src, dst packet.MAC) string) {

@@ -59,9 +59,6 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, idx: make(map[FlowID]int, k)}
 }
 
-// K returns the sketch capacity.
-func (t *TopK) K() int { return t.k }
-
 // Offer counts one observation of f.
 func (t *TopK) Offer(f FlowID) { t.Add(f, 1) }
 

@@ -267,9 +267,6 @@ func (c *Consumer) Engine() *sim.Engine { return c.eng }
 // implementation its shard's agents consult.
 func (c *Consumer) Board() *Scoreboard { return c.board }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Consumer) Config() Config { return c.cfg }
-
 // Flushes reports completed windows; Drained the records consumed;
 // TapDropped the records the tap discarded because the consumer fell a full
 // buffer behind.

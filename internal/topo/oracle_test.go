@@ -390,13 +390,6 @@ func (s *oracleSubgraph) RemoveEdgeByPort(sw SwitchID, p Port) bool {
 	return ok
 }
 
-func (s *oracleSubgraph) RemoveSwitch(id SwitchID) {
-	for nb := range s.adj[id] {
-		delete(s.adj[nb], id)
-	}
-	delete(s.adj, id)
-}
-
 func (s *oracleSubgraph) RemoveHost(h MAC) { delete(s.hosts, h) }
 
 func (s *oracleSubgraph) AddHost(at HostAttach) {

@@ -19,21 +19,20 @@ const (
 	OpLinkDown
 	// OpLinkUp adds the link A:PA <-> B:PB.
 	OpLinkUp
-	// OpHostAdd records a host attachment.
-	OpHostAdd
+	// Kind 3 is reserved, so that OpHello keeps its byte value;
+	// UnmarshalPatch refuses it.
+	_
 	// OpHello carries bootstrap info: the controller's identity and the
 	// tag path from the receiving host to it, plus the host's own
 	// attachment point.
 	OpHello
-	// OpSwitchDown removes a switch entirely.
-	OpSwitchDown
 )
 
 // PatchOp is one topology mutation.
 type PatchOp struct {
 	Kind PatchOpKind
 
-	// OpLinkDown / OpSwitchDown
+	// OpLinkDown
 	Switch SwitchID
 	Port   Port
 
@@ -41,10 +40,8 @@ type PatchOp struct {
 	A, B   SwitchID
 	PA, PB Port
 
-	// OpHostAdd / OpHello
-	Attach HostAttach
-
 	// OpHello
+	Attach   HostAttach
 	Ctrl     MAC
 	CtrlPath packet.Path
 }
@@ -57,8 +54,7 @@ type Patch struct {
 }
 
 // Apply mutates a subgraph cache with the patch ops. Hello ops are skipped
-// (they are interpreted by the host agent, not the cache); unknown-switch
-// downs are no-ops.
+// (they are interpreted by the host agent, not the cache).
 func (p *Patch) Apply(s *Subgraph) {
 	for _, op := range p.Ops {
 		switch op.Kind {
@@ -66,10 +62,6 @@ func (p *Patch) Apply(s *Subgraph) {
 			s.RemoveEdgeByPort(op.Switch, op.Port)
 		case OpLinkUp:
 			s.AddEdge(op.A, op.PA, op.B, op.PB)
-		case OpHostAdd:
-			s.AddHost(op.Attach)
-		case OpSwitchDown:
-			s.RemoveSwitch(op.Switch)
 		}
 	}
 }
@@ -87,7 +79,7 @@ func (p *Patch) Marshal() []byte {
 	for _, op := range p.Ops {
 		w.U8(uint8(op.Kind))
 		switch op.Kind {
-		case OpLinkDown, OpSwitchDown:
+		case OpLinkDown:
 			w.U32(uint32(op.Switch))
 			w.U8(op.Port)
 		case OpLinkUp:
@@ -95,8 +87,6 @@ func (p *Patch) Marshal() []byte {
 			w.U8(op.PA)
 			w.U32(uint32(op.B))
 			w.U8(op.PB)
-		case OpHostAdd:
-			writeAttach(&w, op.Attach)
 		case OpHello:
 			writeAttach(&w, op.Attach)
 			w.MAC(op.Ctrl)
@@ -119,12 +109,10 @@ func UnmarshalPatch(b []byte) (*Patch, error) {
 	for i := 0; i < n && r.Ok(); i++ {
 		op := PatchOp{Kind: PatchOpKind(r.U8())}
 		switch op.Kind {
-		case OpLinkDown, OpSwitchDown:
+		case OpLinkDown:
 			op.Switch, op.Port = SwitchID(r.U32()), r.U8()
 		case OpLinkUp:
 			op.A, op.PA, op.B, op.PB = SwitchID(r.U32()), r.U8(), SwitchID(r.U32()), r.U8()
-		case OpHostAdd:
-			op.Attach = readAttach(&r)
 		case OpHello:
 			op.Attach, op.Ctrl, op.CtrlPath = readAttach(&r), r.MAC(), r.Path()
 		default:

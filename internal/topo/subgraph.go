@@ -111,20 +111,6 @@ func (s *Subgraph) RemoveEdgeByPort(sw SwitchID, p Port) bool {
 	return ok
 }
 
-// RemoveSwitch deletes a switch and all links its row lists.
-func (s *Subgraph) RemoveSwitch(id SwitchID) {
-	i, ok := findRow(s.rows, id)
-	if !ok {
-		return
-	}
-	for _, nb := range s.rows[i].nbs {
-		if nb.Sw != id {
-			s.unlink(nb.Sw, id)
-		}
-	}
-	s.rows = slices.Delete(s.rows, i, i+1)
-}
-
 // RemoveHost forgets a cached host attachment. Tenant membership changes
 // revoke attachments from caches that are no longer permitted to hold them.
 func (s *Subgraph) RemoveHost(h MAC) { s.hostTable.remove(h) }

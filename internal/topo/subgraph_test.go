@@ -52,12 +52,17 @@ func TestSubgraphRemove(t *testing.T) {
 	if _, err := s.PortToward(2, 1); err == nil {
 		t.Fatal("reverse edge still present")
 	}
-	s.RemoveSwitch(4)
-	if s.HasSwitch(4) {
-		t.Fatal("switch still present")
+	if s.RemoveEdgeByPort(3, 3) {
+		t.Fatal("removed an edge through an unwired port")
 	}
-	if _, err := s.PortToward(3, 4); err == nil {
-		t.Fatal("dangling edge to removed switch")
+	if !s.RemoveEdgeByPort(3, 2) {
+		t.Fatal("edge 3:2-4 not removed by port")
+	}
+	if _, err := s.PortToward(4, 3); err == nil {
+		t.Fatal("reverse of a port-removed edge still present")
+	}
+	if !s.HasSwitch(4) || s.NumLinks() != 2 {
+		t.Fatalf("after two removals: switch 4 known %v, %d links, want true and 2", s.HasSwitch(4), s.NumLinks())
 	}
 }
 
@@ -321,7 +326,7 @@ func matchOracle(t *testing.T, name string, r *rand.Rand, bodies [][]byte, maxID
 			o.Merge(ref)
 		}
 		compareWithOracle(t, fmt.Sprintf("%s step %d (%s)", name, step, what), s, o, maxID, maxPort)
-		switch r.Intn(8) {
+		switch r.Intn(7) {
 		case 0:
 			a, pa, b, pb := id(), port(), id(), port()
 			s.AddEdge(a, pa, b, pb)
@@ -339,16 +344,11 @@ func matchOracle(t *testing.T, name string, r *rand.Rand, bodies [][]byte, maxID
 			}
 			what = fmt.Sprintf("RemoveEdgeByPort(%d, %d)", sw, p)
 		case 3:
-			sw := id()
-			s.RemoveSwitch(sw)
-			o.RemoveSwitch(sw)
-			what = fmt.Sprintf("RemoveSwitch(%d)", sw)
-		case 4:
 			at := HostAttach{Host: host(), Switch: id(), Port: port()}
 			s.AddHost(at)
 			o.AddHost(at)
 			what = fmt.Sprintf("AddHost(%v)", at)
-		case 5:
+		case 4:
 			h := host()
 			s.RemoveHost(h)
 			o.RemoveHost(h)

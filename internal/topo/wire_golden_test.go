@@ -15,7 +15,7 @@ import (
 const (
 	goldenTopologyHex  = "d0b10100000002000000010004000201010000000201020202000000001100000002000400030101000000010102020200000000220302020000000023"
 	goldenPathGraphHex = "d0b301020000000011020000000022000200000001000000020003000000010000000300000002d0b201000000030000000100020000000201000000030300000002000200000001010000000303000000030002000000010100000002020000000202000000001100000001020200000000220000000202"
-	goldenPatchHex     = "d0b4010000000000000007000501000000030602000000010200000004050302000000000900000002030500000008000402000000000100000005010200000000020003040209"
+	goldenPatchHex     = "d0b4010000000000000007000301000000030602000000010200000004050402000000000100000005010200000000020003040209"
 )
 
 // goldenTopology is two 4-port switches joined port 1 to port 1, a host on

@@ -319,9 +319,6 @@ func NewRecorder(cfg Config) *Recorder {
 	return &Recorder{cfg: cfg, ring: make([]Record, cfg.Capacity)}
 }
 
-// Config returns the recorder's configuration.
-func (r *Recorder) Config() Config { return r.cfg }
-
 // append writes one record, overwriting the oldest when full, and offers a
 // copy to every live tap. Both halves are allocation-free: the ring write is
 // an indexed copy, and Tap.offer either copies into the tap's preallocated

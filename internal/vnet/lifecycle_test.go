@@ -178,78 +178,6 @@ func TestSliceRepairOnLinkUp(t *testing.T) {
 	}
 }
 
-// TestApplySwitchDown: a dead switch leaves exactly the slices that hold it,
-// each bumping its generation once; a repeat report changes nothing; and
-// the heals of its links graft back exactly the edges it had.
-func TestApplySwitchDown(t *testing.T) {
-	_, m, macs := deploy(t)
-	a, err := m.CreateTenant("a", []packet.MAC{macs[0], macs[20]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := m.CreateTenant("b", macs[1:3]) // one leaf: no spine in its slice
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A switch in a's slice, not in b's, with none of a's hosts on it.
-	attached := map[packet.SwitchID]bool{}
-	for _, at := range a.View().Hosts() {
-		attached[at.Switch] = true
-	}
-	var dead packet.SwitchID
-	for _, sw := range a.View().SwitchIDs() {
-		if !attached[sw] && !b.View().HasSwitch(sw) {
-			dead = sw
-			break
-		}
-	}
-	if dead == 0 {
-		t.Fatal("no transit switch in a's slice outside b's")
-	}
-	type link struct {
-		peer       packet.SwitchID
-		port, back topo.Port
-	}
-	var links []link
-	for _, nb := range a.View().Neighbors(dead) {
-		back, err := a.View().PortToward(nb.Sw, dead)
-		if err != nil {
-			t.Fatal(err)
-		}
-		links = append(links, link{nb.Sw, nb.Port, back})
-	}
-	before, gb := a.View().Marshal(), b.Generation()
-	next := m.nextGen
-
-	m.ApplySwitchDown(dead)
-	if a.View().HasSwitch(dead) {
-		t.Fatalf("switch %d still in a's slice", dead)
-	}
-	if a.Generation() != next+1 || m.nextGen != next+1 {
-		t.Fatalf("generation after switch down: a=%d, manager=%d, want both %d", a.Generation(), m.nextGen, next+1)
-	}
-	if b.Generation() != gb {
-		t.Fatalf("b's generation moved %d -> %d without the switch in its slice", gb, b.Generation())
-	}
-	m.ApplySwitchDown(dead)
-	if a.Generation() != next+1 || b.Generation() != gb || m.nextGen != next+1 {
-		t.Fatalf("a repeated switch down bumped a generation: a=%d b=%d manager=%d", a.Generation(), b.Generation(), m.nextGen)
-	}
-
-	for _, l := range links {
-		m.ApplyLinkUp(dead, l.port, l.peer, l.back)
-	}
-	if got := a.View().Marshal(); !bytes.Equal(got, before) {
-		t.Fatal("healing the dead switch's links did not restore exactly its edges")
-	}
-	if b.Generation() != gb {
-		t.Fatal("healing a's links moved b's generation")
-	}
-	if problems := m.AuditViews(); len(problems) != 0 {
-		t.Fatalf("audit after the heals: %v", problems)
-	}
-}
-
 func TestVerifyRouteUnknownSwitch(t *testing.T) {
 	_, m, macs := deploy(t)
 	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {

@@ -521,19 +521,6 @@ func (m *Manager) ApplyLinkUp(a packet.SwitchID, pa topo.Port, b packet.SwitchID
 	}
 }
 
-// ApplySwitchDown removes a dead switch from every tenant view.
-func (m *Manager) ApplySwitchDown(sw packet.SwitchID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, t := range m.tenants {
-		if t.view.HasSwitch(sw) {
-			t.view.RemoveSwitch(sw)
-			m.nextGen++
-			t.gen = m.nextGen
-		}
-	}
-}
-
 // AuditViews checks the never-widen invariant for every tenant: each view
 // edge and host attachment must exist in the as-built baseline with the
 // same port numbering. Returns human-readable violations (empty = clean).
