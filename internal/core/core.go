@@ -19,6 +19,7 @@ import (
 	"dumbnet/internal/chaos"
 	"dumbnet/internal/controller"
 	"dumbnet/internal/fabric"
+	"dumbnet/internal/federation"
 	"dumbnet/internal/host"
 	"dumbnet/internal/hybrid"
 	"dumbnet/internal/packet"
@@ -69,14 +70,13 @@ type Network struct {
 	Fab  *fabric.Fabric
 	Ctrl *controller.Controller
 
-	cfg    Config
-	agents map[MAC]*host.Agent
-	hosts  []MAC // non-controller hosts, MAC order
+	cfg   Config
+	recs  map[uint64]*hostRec // every host, the controller's too, by MAC.Uint64
+	hosts []MAC               // non-controller hosts, MAC order
 
-	// mu guards the cross-shard maps below: in a sharded run, dispatch fires
-	// from per-shard workers concurrently.
+	// mu guards each record's recv and the cross-shard state below: in a
+	// sharded run, dispatch fires from per-shard workers concurrently.
 	mu        sync.Mutex
-	receivers map[MAC]func(src MAC, payload []byte)
 	pingSeq   uint64
 	pingWait  map[uint64]func(rtt sim.Time)
 	mcastSeq  uint64
@@ -88,12 +88,10 @@ type Network struct {
 	simGroup *sim.ShardGroup // nil in single-engine runs
 	chaosCfg *chaos.Config   // stored by WithChaos for RunChaos
 
-	// federation hooks, run on the gateway and destination hosts of
-	// federated envelopes. core.Federate writes them once, before the group
-	// first runs, so shard workers read them without mu. Federated data and
-	// echoes land in receivers and pingWait like intra-fabric ones.
-	fedRelay   func(at MAC, env []byte)
-	fedDeliver func(at MAC, env []byte)
+	// fed is the federation this network is a member of, if any: Federate
+	// writes it before the group first runs, so shard workers read it
+	// without mu. Federated data and echoes land where intra-fabric ones do.
+	fed *Federation
 
 	// virtualization requested via options (WithTenants), applied when the
 	// network boots.
@@ -115,6 +113,14 @@ type Network struct {
 	perpetual bool
 }
 
+// hostRec is what a network keeps about one host. The agent's OnData
+// closure holds its own record, so a delivery looks nothing up.
+type hostRec struct {
+	agent *host.Agent
+	recv  func(src MAC, payload []byte) // guarded by Network.mu
+	gw    *federation.Gateway           // nil unless a border gateway
+}
+
 // Core-protocol payloads are one kind byte followed by a body. They are never
 // assembled in a buffer of their own: the kind byte (plus, for echoes and
 // probes, the sequence number) is the head of a two-part host send, the body
@@ -128,7 +134,7 @@ const (
 	// kindFedRelay carries a federation envelope from a local host to its
 	// border gateway; kindFedDeliver carries one from the ingress gateway
 	// to the local destination host. Both are only dispatched on federated
-	// member networks (core.Federate installs the hooks).
+	// member networks.
 	kindFedRelay
 	kindFedDeliver
 )
@@ -181,8 +187,7 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 		Topo:             t,
 		Fab:              fab,
 		cfg:              cfg,
-		agents:           make(map[MAC]*host.Agent, len(hosts)),
-		receivers:        make(map[MAC]func(MAC, []byte)),
+		recs:             make(map[uint64]*hostRec, len(hosts)),
 		pingWait:         make(map[uint64]func(sim.Time)),
 		mcastWait:        make(map[uint64]func(MAC)),
 		features:         features,
@@ -208,10 +213,10 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 				return nil, err
 			}
 		}
-		n.agents[at.Host] = agent
-		mac := at.Host
+		r := &hostRec{agent: agent}
+		n.recs[at.Host.Uint64()] = r
 		agent.OnData = func(src MAC, innerType uint16, payload []byte) {
-			n.dispatch(mac, src, payload)
+			n.dispatch(r, src, payload)
 		}
 		if at.Host == ctrlMAC {
 			n.Ctrl = controller.New(heng, agent, cfg.Controller)
@@ -237,8 +242,13 @@ func New(t *topo.Topology, opts ...Option) (*Network, error) {
 // Hosts lists the non-controller host MACs in deterministic order.
 func (n *Network) Hosts() []MAC { return n.hosts }
 
-// Agent returns a host's agent (including the controller's).
-func (n *Network) Agent(m MAC) *host.Agent { return n.agents[m] }
+// Agent returns a host's agent (the controller's too), nil if unknown.
+func (n *Network) Agent(m MAC) *host.Agent {
+	if r := n.recs[m.Uint64()]; r != nil {
+		return r.agent
+	}
+	return nil
+}
 
 // Bootstrap installs the topology as the controller's master view directly
 // and delivers hello patches — the "statically configured" bring-up used
@@ -316,10 +326,10 @@ func (n *Network) reconfigureDiscovery(maxPorts int) *controller.Controller {
 	return controller.New(n.Eng, n.Ctrl.Agent, cfg)
 }
 
-// dispatch demultiplexes core-protocol payloads arriving at a host. In a
-// sharded run it is called from per-shard workers, so shared maps are
+// dispatch demultiplexes core-protocol payloads arriving at host at. In a
+// sharded run it is called from per-shard workers, so shared state is
 // locked and clocks are read from the receiving host's own engine.
-func (n *Network) dispatch(at, src MAC, payload []byte) {
+func (n *Network) dispatch(at *hostRec, src MAC, payload []byte) {
 	if len(payload) == 0 {
 		return
 	}
@@ -329,18 +339,18 @@ func (n *Network) dispatch(at, src MAC, payload []byte) {
 		n.deliver(at, src, body)
 	case kindEchoReq:
 		// Reply with the same token.
-		_ = sendKind(n.agents[at], src, kindEchoRep, body)
+		_ = sendKind(at.agent, src, kindEchoRep, body)
 	case kindEchoRep:
 		if len(body) >= 8 {
 			n.echoed(at, binary.BigEndian.Uint64(body))
 		}
 	case kindFedRelay:
-		if n.fedRelay != nil {
-			n.fedRelay(at, body)
+		if at.gw != nil {
+			at.gw.RelayOut(body)
 		}
 	case kindFedDeliver:
-		if n.fedDeliver != nil {
-			n.fedDeliver(at, body)
+		if n.fed != nil {
+			n.fed.handleDeliver(n, at, body)
 		}
 	case kindMcastProbe:
 		if len(body) >= 8 {
@@ -350,7 +360,7 @@ func (n *Network) dispatch(at, src MAC, payload []byte) {
 			fn := n.mcastWait[binary.BigEndian.Uint64(body)]
 			n.mu.Unlock()
 			if fn != nil {
-				fn(at)
+				fn(at.agent.MAC())
 			}
 		}
 	}
@@ -358,9 +368,9 @@ func (n *Network) dispatch(at, src MAC, payload []byte) {
 
 // deliver hands a data payload arriving at host at to its sink. Intra-fabric
 // frames and federation envelopes both end here.
-func (n *Network) deliver(at, src MAC, body []byte) {
+func (n *Network) deliver(at *hostRec, src MAC, body []byte) {
 	n.mu.Lock()
-	fn := n.receivers[at]
+	fn := at.recv
 	n.mu.Unlock()
 	if fn != nil {
 		fn(src, body)
@@ -382,13 +392,13 @@ func (n *Network) expectEcho(a *host.Agent, cb func(rtt sim.Time)) uint64 {
 }
 
 // echoed completes ping seq, whose echo just reached host at.
-func (n *Network) echoed(at MAC, seq uint64) {
+func (n *Network) echoed(at *hostRec, seq uint64) {
 	n.mu.Lock()
 	fn := n.pingWait[seq]
 	delete(n.pingWait, seq)
 	n.mu.Unlock()
 	if fn != nil {
-		fn(n.agents[at].Engine().Now())
+		fn(at.agent.Engine().Now())
 	}
 }
 
@@ -412,11 +422,12 @@ func seqHead(kind byte, seq uint64) [9]byte {
 // only for the duration of the call, and a sink that keeps bytes must copy
 // them.
 func (n *Network) OnReceive(h MAC, fn func(src MAC, payload []byte)) error {
-	if _, ok := n.agents[h]; !ok {
+	r := n.recs[h.Uint64()]
+	if r == nil {
 		return ErrNoSuchHost
 	}
 	n.mu.Lock()
-	n.receivers[h] = fn
+	r.recv = fn
 	n.mu.Unlock()
 	return nil
 }
@@ -424,8 +435,8 @@ func (n *Network) OnReceive(h MAC, fn func(src MAC, payload []byte)) error {
 // Send delivers an application payload from src to dst (runs in virtual
 // time; call Run to drain events).
 func (n *Network) Send(src, dst MAC, payload []byte) error {
-	a, ok := n.agents[src]
-	if !ok {
+	a := n.Agent(src)
+	if a == nil {
 		return ErrNoSuchHost
 	}
 	if !n.booted {
@@ -437,8 +448,8 @@ func (n *Network) Send(src, dst MAC, payload []byte) error {
 // Ping measures an application-level RTT: the echo reply hands back the
 // arrival time via cb. Returns immediately; run the engine to resolve.
 func (n *Network) Ping(src, dst MAC, cb func(rtt sim.Time)) error {
-	a, ok := n.agents[src]
-	if !ok {
+	a := n.Agent(src)
+	if a == nil {
 		return ErrNoSuchHost
 	}
 	if !n.booted {
@@ -524,8 +535,8 @@ func (n *Network) OpenFlow(src, dst MAC, bytes int64, onDone func(*hybrid.Flow))
 	if n.hybrid == nil {
 		return nil, ErrNoHybrid
 	}
-	a, ok := n.agents[src]
-	if !ok {
+	a := n.Agent(src)
+	if a == nil {
 		return nil, ErrNoSuchHost
 	}
 	if !n.booted {
@@ -549,8 +560,8 @@ func (n *Network) RunChaos() (*chaos.Report, error) {
 // SetPolicy installs a named routing policy (see host.PolicyNames) on
 // one host.
 func (n *Network) SetPolicy(h MAC, name string) error {
-	a, ok := n.agents[h]
-	if !ok {
+	a := n.Agent(h)
+	if a == nil {
 		return ErrNoSuchHost
 	}
 	_, err := a.UsePolicy(name)
@@ -592,8 +603,8 @@ func (n *Network) EnableReplicationAt(macs []MAC) (*controller.ReplicaGroup, err
 		if m == n.Ctrl.MAC() {
 			continue
 		}
-		agent, ok := n.agents[m]
-		if !ok {
+		agent := n.Agent(m)
+		if agent == nil {
 			return nil, ErrNoSuchHost
 		}
 		ctrls = append(ctrls, controller.New(n.Eng, agent, n.cfg.Controller))
@@ -643,7 +654,7 @@ func (n *Network) WarmAll() {
 			// Cross-domain warms would only burn their retry budget on
 			// refusals, so virtualized deployments warm within domains.
 			if a != b && !n.crossDomain(a, b) {
-				_ = n.agents[a].WarmUp(b)
+				_ = n.Agent(a).WarmUp(b)
 			}
 		}
 	}

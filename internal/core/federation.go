@@ -71,7 +71,6 @@ type Federation struct {
 	nets     []*Network
 	names    []string
 	gateways [][]*federation.Gateway
-	gwByHost map[MAC]*federation.Gateway
 	wans     []*federation.WANLink
 	regional *federation.Regional
 	hub      *federation.RegionalHub
@@ -97,10 +96,7 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 		return nil, fmt.Errorf("core: too many member fabrics (%d)", len(specs))
 	}
 	group := sim.NewShardedEngine(cfg.Seed, len(specs))
-	f := &Federation{
-		group:    group,
-		gwByHost: make(map[MAC]*federation.Gateway),
-	}
+	f := &Federation{group: group}
 
 	// Build every member on its shard, with disjoint ID/MAC namespaces.
 	for i, spec := range specs {
@@ -138,7 +134,7 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 		for g := 0; g < cfg.Gateways; g++ {
 			mac := hosts[len(hosts)-cfg.Gateways+g]
 			gws[g] = federation.NewGateway(i, mac, f.hub)
-			f.gwByHost[mac] = gws[g]
+			n.recs[mac.Uint64()].gw = gws[g]
 		}
 		f.gateways = append(f.gateways, gws)
 	}
@@ -161,14 +157,9 @@ func Federate(cfg FederationConfig, specs ...FabricSpec) (*Federation, error) {
 		all := append([]MAC{n.Ctrl.MAC()}, n.Hosts()...)
 		f.regional.AddMember(f.names[i], n.Ctrl, f.gateways[i], all)
 
-		n.fedRelay = func(at MAC, env []byte) {
-			if gw := f.gwByHost[at]; gw != nil {
-				gw.RelayOut(env)
-			}
-		}
-		n.fedDeliver = f.handleDeliver
+		n.fed = f
 		for _, gw := range f.gateways[i] {
-			gwAgent := n.agents[gw.MAC()]
+			gwAgent := n.Agent(gw.MAC())
 			gw.SetDeliver(func(dst MAC, env []byte) {
 				_ = sendKind(gwAgent, dst, kindFedDeliver, env)
 			})
@@ -294,31 +285,39 @@ func (f *Federation) RouteWAN(src, dst MAC) (wan int, gwNear, gwFar MAC, err err
 	return r.WAN, r.Gateway, r.FarGateway, nil
 }
 
+// gateway returns the border gateway host m runs, found on its record.
+func (f *Federation) gateway(m MAC) (*federation.Gateway, error) {
+	for _, n := range f.nets {
+		if r := n.recs[m.Uint64()]; r != nil && r.gw != nil {
+			return r.gw, nil
+		}
+	}
+	return nil, fmt.Errorf("core: %v is not a gateway", m)
+}
+
 // CrashGateway power-fails a border gateway: every federation envelope
 // touching it is eaten until RestartGateway.
 func (f *Federation) CrashGateway(m MAC) error {
-	gw, ok := f.gwByHost[m]
-	if !ok {
-		return fmt.Errorf("core: %v is not a gateway", m)
+	gw, err := f.gateway(m)
+	if err == nil {
+		gw.Crash()
 	}
-	gw.Crash()
-	return nil
+	return err
 }
 
 // RestartGateway brings a crashed gateway back.
 func (f *Federation) RestartGateway(m MAC) error {
-	gw, ok := f.gwByHost[m]
-	if !ok {
-		return fmt.Errorf("core: %v is not a gateway", m)
+	gw, err := f.gateway(m)
+	if err == nil {
+		gw.Restart()
 	}
-	gw.Restart()
-	return nil
+	return err
 }
 
 // GatewayDown reports whether a gateway host is crashed.
 func (f *Federation) GatewayDown(m MAC) bool {
-	gw, ok := f.gwByHost[m]
-	return ok && gw.Down()
+	gw, err := f.gateway(m)
+	return err == nil && gw.Down()
 }
 
 // Run drains pending events across the whole federation (a bounded settle
@@ -387,7 +386,7 @@ func (f *Federation) Ping(src, dst MAC, cb func(rtt sim.Time)) error {
 		return f.nets[sf].Ping(src, dst, cb)
 	}
 	n := f.nets[sf]
-	seq := n.expectEcho(n.agents[src], cb)
+	seq := n.expectEcho(n.Agent(src), cb)
 	return f.sendEnvelope(src, dst, federation.EnvEchoReq, seq, nil)
 }
 
@@ -417,27 +416,22 @@ func (f *Federation) sendEnvelope(src, dst MAC, kind byte, seq uint64, payload [
 		Dst:       dst,
 		Seq:       seq,
 	}.AppendHeader(head)
-	return f.nets[r.SrcFabric].agents[src].SendParts(r.Gateway, packet.EtherTypeIPv4, head, payload,
+	return f.nets[r.SrcFabric].Agent(src).SendParts(r.Gateway, packet.EtherTypeIPv4, head, payload,
 		host.FlowKey{Dst: r.Gateway})
 }
 
-// handleDeliver terminates federation envelopes at their destination host.
-// Runs on the destination's shard worker.
-func (f *Federation) handleDeliver(at MAC, env []byte) {
+// handleDeliver terminates federation envelopes at their destination host
+// at, a host of member n. Runs on the destination's shard worker.
+func (f *Federation) handleDeliver(n *Network, at *hostRec, env []byte) {
 	e, ok := federation.DecodeEnvelope(env)
-	if !ok || e.Dst != at {
+	if !ok || e.Dst != at.agent.MAC() {
 		return
 	}
-	fab, ok := f.regional.FabricOf(at)
-	if !ok {
-		return
-	}
-	n := f.nets[fab]
 	switch e.Kind {
 	case federation.EnvData:
 		n.deliver(at, e.Src, e.Payload)
 	case federation.EnvEchoReq:
-		_ = f.sendEnvelope(at, e.Src, federation.EnvEchoRep, e.Seq, nil)
+		_ = f.sendEnvelope(at.agent.MAC(), e.Src, federation.EnvEchoRep, e.Seq, nil)
 	case federation.EnvEchoRep:
 		n.echoed(at, e.Seq)
 	}

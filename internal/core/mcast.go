@@ -25,7 +25,7 @@ func (n *Network) CreateMcastGroup(id uint32, members []MAC) error {
 		return ErrNotDeployed
 	}
 	for _, m := range members {
-		if _, ok := n.agents[m]; !ok {
+		if n.Agent(m) == nil {
 			return ErrNoSuchHost
 		}
 	}
@@ -38,7 +38,7 @@ func (n *Network) UpdateMcastGroup(id uint32, members []MAC) error {
 		return ErrNotDeployed
 	}
 	for _, m := range members {
-		if _, ok := n.agents[m]; !ok {
+		if n.Agent(m) == nil {
 			return ErrNoSuchHost
 		}
 	}
@@ -72,8 +72,8 @@ func (n *Network) MulticastProbe(src MAC, id uint32, cb func(member MAC)) error 
 // fetch, it fails while the controller is down, leaving the host to retry
 // later).
 func (n *Network) mcastSend(src MAC, id uint32, head, body []byte) error {
-	a, ok := n.agents[src]
-	if !ok {
+	a := n.Agent(src)
+	if a == nil {
 		return ErrNoSuchHost
 	}
 	if !n.booted {

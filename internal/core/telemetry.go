@@ -42,9 +42,9 @@ func (n *Network) EnableTelemetry(cfg telemetry.Config) (*telemetry.Hub, error) 
 	} else {
 		hub.Attach(n.Eng)
 	}
-	for _, a := range n.agents {
-		if c := hub.ConsumerFor(a.Engine()); c != nil {
-			a.SetLinkHealth(c.Board())
+	for _, r := range n.recs {
+		if c := hub.ConsumerFor(r.agent.Engine()); c != nil {
+			r.agent.SetLinkHealth(c.Board())
 		}
 	}
 	hub.Start()
@@ -75,7 +75,7 @@ func (n *Network) tenantLabel(src, dst packet.MAC) string {
 // TelemetryChooserOf returns the agent's telemetry chooser when the
 // "telemetry" policy is installed on mac, or nil (test/demo accessor).
 func (n *Network) TelemetryChooserOf(mac MAC) *host.TelemetryChooser {
-	a := n.agents[mac]
+	a := n.Agent(mac)
 	if a == nil {
 		return nil
 	}

@@ -84,18 +84,18 @@ func (n *Network) onTenantChange(ch vnet.Change) {
 	for _, macs := range [2][]MAC{ch.Members, ch.Departed} {
 		for _, m := range macs {
 			touched[m] = true
-			if a := n.agents[m]; a != nil {
+			if a := n.Agent(m); a != nil {
 				n.revokeRoutes(a)
 			}
 		}
 	}
-	for mac, a := range n.agents {
-		if touched[mac] {
+	for _, r := range n.recs {
+		if touched[r.agent.MAC()] {
 			continue
 		}
 		for t := range touched {
-			a.Table().Invalidate(t)
-			a.Cache().RemoveHost(t)
+			r.agent.Table().Invalidate(t)
+			r.agent.Cache().RemoveHost(t)
 		}
 	}
 }

@@ -147,20 +147,16 @@ type Agent struct {
 	ctrlListSeq uint64
 	ctrlIdx     int // index of ctrl within ctrlList, -1 if not from the list
 
-	queries      map[packet.MAC]*pathQuery // open path queries by destination
-	reqLat       *trace.Histogram          // query-to-route-install latency (sim ns)
+	reqLat       *trace.Histogram // query-to-route-install latency (sim ns)
 	seenEvents   map[eventKey]bool
 	eventOrder   []eventKey // FIFO eviction order for seenEvents
 	eventHead    int
 	patchVersion uint64
-	lastEcho     map[packet.MAC]sim.Time
-	bh           map[packet.MAC]*bhState   // blackhole detector state per destination
 	suspect      map[topo.PortRef]sim.Time // blackhole-suspected hops → expiry
 	mcastTrees   map[uint32][]byte         // group -> cached encoded tree
 
-	// Bulk-transfer state (lazily allocated; see bulk.go).
+	// Outbound bulk transfers (lazily allocated; see bulk.go).
 	bulkTx  map[uint32]*bulkTx
-	bulkRx  map[bulkRxKey]*bulkRx
 	bulkSeq uint32
 
 	// OnData delivers application payloads (src, innerType, payload).
@@ -203,15 +199,6 @@ type eventKey struct {
 	up  bool
 }
 
-// bhState tracks return-traffic liveness per destination for blackhole
-// detection. The detector only arms once the destination has been heard
-// from at least once (one-way traffic is not evidence of a dead path).
-type bhState struct {
-	sends    int            // consecutive sends since the last frame from dst
-	lastRx   sim.Time       // virtual time we last heard from dst (0 = never)
-	lastHops []topo.PortRef // hops of the most recently used path
-}
-
 // New creates an agent for the host with the given MAC.
 func New(eng *sim.Engine, mac packet.MAC, cfg Config) *Agent {
 	a := &Agent{
@@ -220,15 +207,12 @@ func New(eng *sim.Engine, mac packet.MAC, cfg Config) *Agent {
 		cfg:        cfg,
 		cache:      topo.NewSubgraph(),
 		ctrlIdx:    -1,
-		queries:    make(map[packet.MAC]*pathQuery),
 		reqLat:     eng.Metrics().Histogram("host.pathreq.latency"),
 		seenEvents: make(map[eventKey]bool),
-		lastEcho:   make(map[packet.MAC]sim.Time),
-		bh:         make(map[packet.MAC]*bhState),
 		suspect:    make(map[topo.PortRef]sim.Time),
 		mcastTrees: make(map[uint32][]byte),
 	}
-	a.table = NewPathTable()
+	a.table = &PathTable{a: a, peers: make(map[uint64]*peer)}
 	a.Chooser = NewStickyChooser()
 	return a
 }
@@ -372,9 +356,10 @@ func (a *Agent) SendParts(dst packet.MAC, innerType uint16, head, body []byte, f
 		}
 		return nil
 	}
-	tags, hops, ok := a.routeForHops(dst, flow)
+	p := a.table.peer(dst)
+	tags, hops, ok := a.route(p, flow)
 	if ok {
-		a.noteSend(dst, hops)
+		a.noteSend(p, hops)
 		a.stats.Sent++
 		return a.sendFrame(dst, tags, innerType, head, body)
 	}
@@ -383,36 +368,26 @@ func (a *Agent) SendParts(dst packet.MAC, innerType uint16, head, body []byte, f
 		a.stats.NoRouteDrops++
 		return ErrNoController
 	}
-	if q := a.queries[dst]; q != nil && len(q.packets) >= maxPending {
+	if len(p.q.packets) >= maxPending {
 		a.stats.PendingDrops++
 		return ErrPending
 	}
 	// The queue outlives this call, so it holds its own copy: the caller's
 	// slices may be a receive buffer about to be recycled, or a buffer the
 	// application is about to refill.
-	q := a.query(dst)
-	q.packets = append(q.packets, pendingPacket{innerType: innerType, payload: joinParts(head, body), flow: flow})
+	a.query(p)
+	p.q.packets = append(p.q.packets, pendingPacket{innerType: innerType, payload: joinParts(head, body), flow: flow})
 	return nil
 }
 
-// routeFor returns header tags for dst, or false on a cache miss.
-func (a *Agent) routeFor(dst packet.MAC, flow FlowKey) (packet.Path, bool) {
-	tags, _, ok := a.routeForHops(dst, flow)
-	return tags, ok
-}
-
-// routeForHops is routeFor plus the chosen path's hop references, which the
-// blackhole detector records so it can mark the right links suspect.
-func (a *Agent) routeForHops(dst packet.MAC, flow FlowKey) (packet.Path, []topo.PortRef, bool) {
-	entry := a.table.Lookup(dst)
-	if entry == nil {
-		// Try to synthesize from the TopoCache (the destination may be
-		// reachable via previously merged path graphs).
-		if !a.fillTableFromCache(dst) {
-			return nil, nil, false
-		}
-		entry = a.table.Lookup(dst)
+// route returns header tags toward p and the chosen path's hops (which the
+// blackhole detector records), or false when neither the PathTable nor the
+// TopoCache's merged path graphs have a route.
+func (a *Agent) route(p *peer, flow FlowKey) (packet.Path, []topo.PortRef, bool) {
+	if p.entry == nil && !a.fillFromCache(p) {
+		return nil, nil, false
 	}
+	entry := p.entry
 	var idx int
 	if pa, ok := a.Chooser.(PathAwareChooser); ok {
 		idx = pa.ChoosePath(a.eng.Now(), flow, entry.Paths)
@@ -426,7 +401,7 @@ func (a *Agent) routeForHops(dst packet.MAC, flow FlowKey) (packet.Path, []topo.
 		// First packet routed through a recovery-repaired entry: close the
 		// recovery timeline.
 		entry.Rerouted = false
-		a.eng.Tracer().Recovery(int64(a.eng.Now()), trace.RecoveryFirstPacket, 0, 0, false, a.mac, dst)
+		a.eng.Tracer().Recovery(int64(a.eng.Now()), trace.RecoveryFirstPacket, 0, 0, false, a.mac, p.mac)
 	}
 	return entry.Paths[idx].Tags, entry.Paths[idx].Hops, true
 }
@@ -464,17 +439,18 @@ func (a *Agent) Receive(port int, frame []byte) {
 }
 
 func (a *Agent) deliver(f *packet.Frame) {
+	p := a.table.peer(f.Src)
 	if f.Flags&packet.FlagCE != 0 {
-		a.handleCE(f.Src)
+		a.handleCE(p)
 	}
-	a.noteRx(f.Src)
+	a.noteRx(p)
 	if f.InnerType != packet.EtherTypeControl {
 		a.stats.Received++
 		if f.Dst[0] == 0x33 && f.Dst[1] == 0x33 {
 			a.stats.McastReceived++
 		}
 		if f.InnerType == EtherTypeBulk {
-			a.handleBulk(f.Src, f.Payload)
+			a.handleBulk(p, f.Payload)
 			return
 		}
 		if a.OnData != nil {

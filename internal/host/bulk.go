@@ -48,15 +48,16 @@ func (a *Agent) ResolveRoute(dst packet.MAC, flow FlowKey, w RouteWaiter) (packe
 	if dst == a.mac {
 		return nil, nil, true
 	}
-	if tags, hops, ok := a.routeForHops(dst, flow); ok {
+	p := a.table.peer(dst)
+	if tags, hops, ok := a.route(p, flow); ok {
 		return tags, hops, true
 	}
 	if a.ctrl.IsZero() {
 		w.RouteResolved(nil, nil, false)
 		return nil, nil, false
 	}
-	q := a.query(dst)
-	q.waiters = append(q.waiters, pendingResolve{flow: flow, w: w})
+	a.query(p)
+	p.q.waiters = append(p.q.waiters, pendingResolve{flow: flow, w: w})
 	return nil, nil, false
 }
 
@@ -122,12 +123,6 @@ type bulkTx struct {
 	onDone func(at sim.Time)
 }
 
-// bulkRxKey identifies an inbound transfer.
-type bulkRxKey struct {
-	src packet.MAC
-	id  uint32
-}
-
 // bulkRx tracks an inbound transfer: seen is a bitmap over frame seqs
 // (reroutes can reorder frames).
 type bulkRx struct {
@@ -181,8 +176,8 @@ func (a *Agent) pumpBulk(id uint32, tx *bulkTx) {
 	}
 }
 
-// handleBulk dispatches bulk-protocol frames (called from deliver).
-func (a *Agent) handleBulk(src packet.MAC, payload []byte) {
+// handleBulk dispatches bulk-protocol frames from p (called from deliver).
+func (a *Agent) handleBulk(p *peer, payload []byte) {
 	if len(payload) < bulkHdrLen {
 		a.stats.BadFrames++
 		return
@@ -196,14 +191,13 @@ func (a *Agent) handleBulk(src packet.MAC, payload []byte) {
 			a.stats.BadFrames++
 			return
 		}
-		key := bulkRxKey{src: src, id: id}
-		if a.bulkRx == nil {
-			a.bulkRx = make(map[bulkRxKey]*bulkRx)
+		if p.bulkRx == nil {
+			p.bulkRx = make(map[uint32]*bulkRx)
 		}
-		rx := a.bulkRx[key]
+		rx := p.bulkRx[id]
 		if rx == nil {
 			rx = &bulkRx{total: total, seen: make([]uint64, (total+63)/64)}
-			a.bulkRx[key] = rx
+			p.bulkRx[id] = rx
 		}
 		if seq < rx.total && rx.seen[seq/64]&(1<<(seq%64)) == 0 {
 			rx.seen[seq/64] |= 1 << (seq % 64)
@@ -211,16 +205,16 @@ func (a *Agent) handleBulk(src packet.MAC, payload []byte) {
 		}
 		done := rx.got == rx.total
 		if done {
-			delete(a.bulkRx, key)
+			delete(p.bulkRx, id)
 			if a.OnBulkDone != nil {
-				a.OnBulkDone(src, id, a.eng.Now())
+				a.OnBulkDone(p.mac, id, a.eng.Now())
 			}
 		}
 		ack := make([]byte, bulkHdrLen)
 		ack[0] = bulkKindAck
 		binary.BigEndian.PutUint32(ack[1:5], id)
 		binary.BigEndian.PutUint32(ack[5:9], seq)
-		_ = a.Send(src, EtherTypeBulk, ack, FlowKey{Dst: src, SrcPort: uint16(id), Proto: 0xBB})
+		_ = a.Send(p.mac, EtherTypeBulk, ack, FlowKey{Dst: p.mac, SrcPort: uint16(id), Proto: 0xBB})
 	case bulkKindAck:
 		tx := a.bulkTx[id]
 		if tx == nil {

@@ -22,22 +22,22 @@ type CongestionAware interface {
 	OnCongestion(dst packet.MAC)
 }
 
-// handleCE processes a congestion-experienced mark on a received frame:
-// echo it to the sender, rate-limited per source.
-func (a *Agent) handleCE(src packet.MAC) {
+// handleCE processes a congestion-experienced mark on a frame from p: echo
+// it to the sender, rate-limited per source.
+func (a *Agent) handleCE(p *peer) {
 	a.stats.CEReceived++
-	if src == a.mac || src == packet.BroadcastMAC {
+	if p.mac == a.mac || p.mac == packet.BroadcastMAC {
 		return
 	}
 	now := a.eng.Now()
-	if last, ok := a.lastEcho[src]; ok && now-last < ecnEchoInterval {
+	if p.lastEcho != 0 && now-p.lastEcho < ecnEchoInterval {
 		return
 	}
-	tags, ok := a.routeFor(src, FlowKey{Dst: src})
+	tags, _, ok := a.route(p, FlowKey{Dst: p.mac})
 	if !ok {
 		return // no cached route back; the mark is best-effort
 	}
-	a.lastEcho[src] = now
+	p.lastEcho = now
 	body, err := packet.EncodeControl(packet.MsgCongestion, &packet.Congestion{
 		Reporter: a.mac,
 		Seq:      a.nextSeq(),
@@ -46,7 +46,7 @@ func (a *Agent) handleCE(src packet.MAC) {
 		return
 	}
 	a.stats.CongestionEchoes++
-	_ = a.SendFrame(src, tags, packet.EtherTypeControl, body)
+	_ = a.SendFrame(p.mac, tags, packet.EtherTypeControl, body)
 }
 
 // handleCongestion processes an incoming echo: tell the chooser to move
@@ -65,15 +65,23 @@ func (a *Agent) handleCongestion(m *packet.Congestion) {
 // with the sticky default, but every congestion notice for a destination
 // bumps that destination's epoch, shifting all its flows to the next of the
 // k cached paths. Combined with switch marking it implements the
-// congestion-avoiding rerouting the paper leaves as future work.
+// congestion-avoiding rerouting the paper leaves as future work. Its
+// per-destination state is its own map rather than a slot in the agent's
+// peer records: a Policy stands alone, and the ablation experiments and
+// the unit tests build one with no agent at all.
 type ECNChooser struct {
 	// Cooldown bounds how often one destination's epoch may advance, so a
 	// burst of echoes causes one reroute, not k.
 	Cooldown sim.Time
 
-	epoch  map[packet.MAC]uint64
-	bumped map[packet.MAC]sim.Time
-	clock  func() sim.Time
+	dsts  map[packet.MAC]ecnState
+	clock func() sim.Time
+}
+
+// ecnState is one destination's reroute count and when its cooldown ends.
+type ecnState struct {
+	epoch uint64
+	calm  sim.Time // no bump before this time
 }
 
 // NewECNChooser creates a congestion-aware chooser. The clock is supplied
@@ -81,8 +89,7 @@ type ECNChooser struct {
 func NewECNChooser(cooldown sim.Time, clock func() sim.Time) *ECNChooser {
 	return &ECNChooser{
 		Cooldown: cooldown,
-		epoch:    make(map[packet.MAC]uint64),
-		bumped:   make(map[packet.MAC]sim.Time),
+		dsts:     make(map[packet.MAC]ecnState),
 		clock:    clock,
 	}
 }
@@ -92,7 +99,7 @@ func (c *ECNChooser) Choose(now sim.Time, flow FlowKey, nPaths int) int {
 	if nPaths <= 1 {
 		return 0
 	}
-	return int((flow.hash() + c.epoch[flow.Dst]) % uint64(nPaths))
+	return int((flow.hash() + c.dsts[flow.Dst].epoch) % uint64(nPaths))
 }
 
 // OnCongestion implements CongestionAware.
@@ -101,16 +108,16 @@ func (c *ECNChooser) OnCongestion(dst packet.MAC) {
 	if c.clock != nil {
 		now = c.clock()
 	}
-	if last, ok := c.bumped[dst]; ok && c.Cooldown > 0 && now-last < c.Cooldown {
+	s := c.dsts[dst]
+	if now < s.calm {
 		return
 	}
-	c.bumped[dst] = now
-	c.epoch[dst]++
+	c.dsts[dst] = ecnState{epoch: s.epoch + 1, calm: now + c.Cooldown}
 }
 
 // Epoch exposes a destination's reroute count (for tests/observability).
-func (c *ECNChooser) Epoch(dst packet.MAC) uint64 { return c.epoch[dst] }
+func (c *ECNChooser) Epoch(dst packet.MAC) uint64 { return c.dsts[dst].epoch }
 
 // SetEpoch pins a destination's epoch — experiments use it to start a flow
 // on a known path index before measuring rerouting behaviour.
-func (c *ECNChooser) SetEpoch(dst packet.MAC, e uint64) { c.epoch[dst] = e }
+func (c *ECNChooser) SetEpoch(dst packet.MAC, e uint64) { c.dsts[dst] = ecnState{e, c.dsts[dst].calm} }

@@ -16,23 +16,19 @@ import (
 // first.
 const maxSeenEvents = 4096
 
-// handleLinkEvent processes a switch-originated broadcast.
-func (a *Agent) handleLinkEvent(ev *packet.LinkEvent) {
-	a.applyLinkEvent(ev, true)
-}
-
-// handleHostFlood processes a host-flooded copy.
+// handleHostFlood processes a host-flooded copy of a link event.
 func (a *Agent) handleHostFlood(blob *packet.Blob) {
 	t, msg, err := packet.DecodeControl(blob.Body)
 	if err != nil || t != packet.MsgLinkEvent {
 		a.stats.BadFrames++
 		return
 	}
-	a.applyLinkEvent(msg.(*packet.LinkEvent), true)
+	a.handleLinkEvent(msg.(*packet.LinkEvent))
 }
 
-// applyLinkEvent is the shared core; flood controls onward propagation.
-func (a *Agent) applyLinkEvent(ev *packet.LinkEvent, flood bool) {
+// handleLinkEvent applies a link event, the switch's broadcast or a host's
+// flooded copy, once, and floods it on.
+func (a *Agent) handleLinkEvent(ev *packet.LinkEvent) {
 	key := eventKey{PortRef: topo.PortRef{Switch: ev.Switch, Port: ev.Port}, seq: ev.Seq, up: ev.Up}
 	if a.seenEvents[key] {
 		a.stats.EventsDup++
@@ -63,11 +59,9 @@ func (a *Agent) applyLinkEvent(ev *packet.LinkEvent, flood bool) {
 		for _, dst := range dead {
 			// Try detours from the cache; otherwise re-query lazily on
 			// the next send.
-			if a.fillTableFromCache(dst) {
+			if p := a.table.peer(dst); a.fillFromCache(p) {
 				a.stats.FailoverHits++
-				if e := a.table.Lookup(dst); e != nil {
-					e.Rerouted = true
-				}
+				p.entry.Rerouted = true
 				rerouted++
 			}
 		}
@@ -84,7 +78,7 @@ func (a *Agent) applyLinkEvent(ev *packet.LinkEvent, flood bool) {
 	if a.OnLinkEvent != nil {
 		a.OnLinkEvent(ev)
 	}
-	if flood && !a.cfg.DisableHostFlood {
+	if !a.cfg.DisableHostFlood {
 		a.floodLinkEvent(ev)
 	}
 }
@@ -105,7 +99,7 @@ func (a *Agent) floodLinkEvent(ev *packet.LinkEvent) {
 		if at.Host == a.mac {
 			continue
 		}
-		tags, ok := a.routeFor(at.Host, FlowKey{Dst: at.Host})
+		tags, _, ok := a.route(a.table.peer(at.Host), FlowKey{Dst: at.Host})
 		if !ok {
 			continue
 		}
@@ -148,11 +142,14 @@ func (a *Agent) handleTopoPatch(blob *packet.Blob) {
 	a.stats.PatchesAppled++
 	// Cached multicast trees may cross links this patch removed; drop them
 	// all and let senders re-fetch against the patched view.
-	a.dropAllMcastTrees()
+	clear(a.mcastTrees)
 	// Re-validate cached routes: recompute entries whose paths vanished
 	// from the cache (a patch may remove links not seen via stage 1).
-	for _, dst := range a.table.Destinations() {
-		e := a.table.Lookup(dst)
+	for _, p := range a.table.peers {
+		e := p.entry
+		if e == nil {
+			continue
+		}
 		valid := e.Paths[:0]
 		for _, cp := range e.Paths {
 			if a.routeStillValid(cp) {
@@ -161,8 +158,7 @@ func (a *Agent) handleTopoPatch(blob *packet.Blob) {
 		}
 		e.Paths = valid
 		if len(e.Paths) == 0 {
-			a.table.Invalidate(dst)
-			a.fillTableFromCache(dst)
+			a.fillFromCache(p)
 		}
 	}
 	if a.OnPatch != nil {

@@ -32,17 +32,6 @@ func (a *Agent) SetMcastTree(group uint32, wire []byte) {
 	a.mcastTrees[group] = append([]byte(nil), wire...)
 }
 
-// DropMcastTree evicts one group's cached tree.
-func (a *Agent) DropMcastTree(group uint32) {
-	delete(a.mcastTrees, group)
-}
-
-// dropAllMcastTrees evicts every cached tree — the topology-patch response:
-// after the fabric changed shape, no cached tree is trustworthy.
-func (a *Agent) dropAllMcastTrees() {
-	clear(a.mcastTrees)
-}
-
 // McastTreeCount reports how many trees are cached (tests and audits).
 func (a *Agent) McastTreeCount() int { return len(a.mcastTrees) }
 
@@ -78,5 +67,5 @@ func (a *Agent) SendMcastParts(group uint32, innerType uint16, head, body []byte
 // tree (if any) is stale, so drop it; the next send re-fetches.
 func (a *Agent) handleGroupEvent(ev *packet.GroupEvent) {
 	a.stats.GroupEventsIn++
-	a.DropMcastTree(ev.Group)
+	delete(a.mcastTrees, ev.Group)
 }

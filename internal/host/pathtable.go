@@ -30,34 +30,76 @@ type TableEntry struct {
 	Rerouted bool
 }
 
-// PathTable maps destination MAC to cached routes.
+// PathTable is the agent's peer table: one record per destination, keyed by
+// packet.MAC.Uint64, holding its cached routes and all else the agent keeps
+// about it, so a send looks its destination up once and a receive its source.
 type PathTable struct {
-	entries map[packet.MAC]*TableEntry
+	a     *Agent // the owning agent, nil for a standalone table
+	peers map[uint64]*peer
+}
+
+// peer is the agent's record of one destination. Invalidate clears the
+// route and keeps the rest: blackhole arming and the echo rate limit
+// outlive a dropped route.
+type peer struct {
+	a        *Agent
+	mac      packet.MAC
+	entry    *TableEntry        // cached routes, nil when there are none
+	q        pathQuery          // the open path query, when q.open
+	lastEcho sim.Time           // last congestion echo sent to it (0 = never)
+	bulkRx   map[uint32]*bulkRx // inbound bulk transfers from it, by ID
+
+	// Return-traffic liveness for blackhole detection (noteRx, noteSend).
+	sends    int            // consecutive sends since the last frame from it
+	lastRx   sim.Time       // virtual time we last heard from it (0 = never)
+	lastHops []topo.PortRef // hops of the most recently used path
 }
 
 // NewPathTable creates an empty table. How many paths an entry holds is
 // up to whoever installs it (the agent installs up to kPaths).
 func NewPathTable() *PathTable {
-	return &PathTable{entries: make(map[packet.MAC]*TableEntry)}
+	return &PathTable{peers: make(map[uint64]*peer)}
+}
+
+// peer returns dst's record, creating it when there is none.
+func (t *PathTable) peer(dst packet.MAC) *peer {
+	k := dst.Uint64()
+	p := t.peers[k]
+	if p == nil {
+		p = &peer{a: t.a, mac: dst}
+		t.peers[k] = p
+	}
+	return p
 }
 
 // Lookup returns the entry for dst, or nil.
-func (t *PathTable) Lookup(dst packet.MAC) *TableEntry { return t.entries[dst] }
+func (t *PathTable) Lookup(dst packet.MAC) *TableEntry {
+	if p := t.peers[dst.Uint64()]; p != nil {
+		return p.entry
+	}
+	return nil
+}
 
 // Install replaces the entry for dst.
-func (t *PathTable) Install(dst packet.MAC, e *TableEntry) { t.entries[dst] = e }
+func (t *PathTable) Install(dst packet.MAC, e *TableEntry) { t.peer(dst).entry = e }
 
-// Invalidate removes the entry for dst.
-func (t *PathTable) Invalidate(dst packet.MAC) { delete(t.entries, dst) }
+// Invalidate removes the entry for dst; the rest of its record stays.
+func (t *PathTable) Invalidate(dst packet.MAC) {
+	if p := t.peers[dst.Uint64()]; p != nil {
+		p.entry = nil
+	}
+}
 
 // Len reports the number of destinations cached.
-func (t *PathTable) Len() int { return len(t.entries) }
+func (t *PathTable) Len() int { return len(t.Destinations()) }
 
 // Destinations lists cached destinations (order unspecified).
 func (t *PathTable) Destinations() []packet.MAC {
-	out := make([]packet.MAC, 0, len(t.entries))
-	for m := range t.entries {
-		out = append(out, m)
+	out := make([]packet.MAC, 0, len(t.peers))
+	for _, p := range t.peers {
+		if p.entry != nil {
+			out = append(out, p.mac)
+		}
 	}
 	return out
 }
@@ -70,12 +112,16 @@ func (t *PathTable) Destinations() []packet.MAC {
 // through them records the recovery timeline's first-packet span.
 func (t *PathTable) DropLink(sw packet.SwitchID, port packet.Tag) (dead []packet.MAC, rerouted int) {
 	link := topo.PortRef{Switch: sw, Port: port}
-	for dst, e := range t.entries {
+	for _, p := range t.peers {
+		e := p.entry
+		if e == nil {
+			continue
+		}
 		before := len(e.Paths)
 		kept := e.Paths[:0]
-		for _, p := range e.Paths {
-			if !slices.Contains(p.Hops, link) {
-				kept = append(kept, p)
+		for _, cp := range e.Paths {
+			if !slices.Contains(cp.Hops, link) {
+				kept = append(kept, cp)
 			}
 		}
 		e.Paths = kept
@@ -91,8 +137,8 @@ func (t *PathTable) DropLink(sw packet.SwitchID, port packet.Tag) (dead []packet
 				e.Paths = append(e.Paths, *e.Backup)
 				e.Backup = nil
 			} else {
-				delete(t.entries, dst)
-				dead = append(dead, dst)
+				p.entry = nil
+				dead = append(dead, p.mac)
 				continue
 			}
 		}
@@ -142,14 +188,15 @@ func cachedPathFor(view *topo.Subgraph, sp topo.SwitchPath, dst packet.MAC) (Cac
 	return CachedPath{Tags: tags, Hops: hops}, nil
 }
 
-// fillTableFromCache recomputes the PathTable entry for dst from the
-// TopoCache, reporting success.
-func (a *Agent) fillTableFromCache(dst packet.MAC) bool {
-	paths, err := routesFromView(a.cache, a.mac, dst, kPaths)
+// fillFromCache replaces p's entry with one computed from the TopoCache
+// (none when the cache has no route), reporting success.
+func (a *Agent) fillFromCache(p *peer) bool {
+	p.entry = nil
+	paths, err := routesFromView(a.cache, a.mac, p.mac, kPaths)
 	if err != nil || len(paths) == 0 {
 		return false
 	}
-	a.table.Install(dst, &TableEntry{Paths: a.filterSuspects(paths)})
+	p.entry = &TableEntry{Paths: a.filterSuspects(paths)}
 	return true
 }
 
@@ -164,10 +211,11 @@ func (a *Agent) InstallRoute(dst packet.MAC, tags packet.Path) error {
 			return err
 		}
 	}
-	e := a.table.Lookup(dst)
-	if e == nil {
-		e = &TableEntry{}
+	p := a.table.peer(dst)
+	if p.entry == nil {
+		p.entry = &TableEntry{}
 	}
+	e := p.entry
 	// Deduplicate: replace an identical cached path instead of shadowing
 	// it (keeps the k-path set diverse for multi-path choosers).
 	kept := e.Paths[:0]
@@ -177,7 +225,6 @@ func (a *Agent) InstallRoute(dst packet.MAC, tags packet.Path) error {
 		}
 	}
 	e.Paths = append([]CachedPath{{Tags: tags.Clone()}}, kept...)
-	a.table.Install(dst, e)
 	return nil
 }
 
@@ -193,75 +240,72 @@ func (a *Agent) VerifyRoute(dst packet.MAC, tags packet.Path) error {
 	return nil
 }
 
-// pathQuery is one open path request: everything the agent keeps about a
-// destination it has asked the controller for, from the first request until
-// closeQuery ends it. It is also its own retry timer — each attempt
-// schedules the record itself, so a retry costs no closure, and a timer
-// whose record is no longer the destination's open query (answered or
-// abandoned since) does nothing. Records are never recycled: a closed one
-// may still have its timer pending.
+// pathQuery is one open path request, from the first request until
+// closeQuery ends it. It lives in its peer's record by value, and the record
+// is its retry timer, so neither a query nor a retry allocates.
 type pathQuery struct {
-	a       *Agent
-	dst     packet.MAC
+	open    bool
 	ctrl    packet.MAC // controller the last attempt went to
 	start   sim.Time   // first-send time, for the query-to-answer latency
 	attempt int
+	retryAt sim.Time         // when the last attempt's retry timer fires
 	packets []pendingPacket  // sends queued until the route installs
 	waiters []pendingResolve // route reservations (ResolveRoute misses)
 }
 
-// RunEvent is the retry timer: re-send the query if it is still open.
-func (q *pathQuery) RunEvent() {
-	if q.a.queries[q.dst] != q {
+// RunEvent is the retry timer. It acts only at the open query's recorded
+// deadline: any other firing is left over from an earlier query, so every
+// query gets exactly one retry chain.
+func (p *peer) RunEvent() {
+	if !p.q.open || p.a.eng.Now() != p.q.retryAt {
 		return
 	}
-	q.attempt++
-	q.a.sendPathRequest(q)
+	p.q.attempt++
+	p.a.sendPathRequest(p)
 }
 
-// query returns dst's open path query, opening one (and sending its first
-// request) when there is none.
-func (a *Agent) query(dst packet.MAC) *pathQuery {
-	if q := a.queries[dst]; q != nil {
-		return q
+// query opens p's path query (sending its first request) unless one is
+// open already.
+func (a *Agent) query(p *peer) {
+	if p.q.open {
+		return
 	}
-	q := &pathQuery{a: a, dst: dst, start: a.eng.Now()}
-	a.queries[dst] = q
-	a.sendPathRequest(q)
-	return q
+	p.q = pathQuery{open: true, start: a.eng.Now()}
+	a.sendPathRequest(p)
 }
 
-// closeQuery ends q, the open query for its destination: its queued
-// packets are sent (ok) or dropped, then its route reservations are
-// resolved (ok) or refused. The query leaves the map first, so a send that
-// re-opens one for the same destination gets a fresh record.
-func (a *Agent) closeQuery(q *pathQuery, ok bool) {
-	delete(a.queries, q.dst)
+// closeQuery ends p's open query, if any: its queued packets are sent (ok)
+// or dropped, then its route reservations resolved (ok) or refused. The
+// record lets go of it first, so a send may re-open one afresh.
+func (a *Agent) closeQuery(p *peer, ok bool) {
+	q := p.q
+	p.q = pathQuery{}
 	if ok {
-		for _, p := range q.packets {
-			_ = a.Send(q.dst, p.innerType, p.payload, p.flow)
+		for _, pk := range q.packets {
+			_ = a.Send(p.mac, pk.innerType, pk.payload, pk.flow)
 		}
 	} else {
 		a.stats.NoRouteDrops += uint64(len(q.packets))
 	}
-	for _, p := range q.waiters {
+	for _, w := range q.waiters {
 		if ok {
-			p.w.RouteResolved(a.routeForHops(q.dst, p.flow))
+			w.w.RouteResolved(a.route(p, w.flow))
 		} else {
-			p.w.RouteResolved(nil, nil, false)
+			w.w.RouteResolved(nil, nil, false)
 		}
 	}
 }
 
-// sendPathRequest sends attempt q.attempt of q, or abandons q once every
-// controller in the rotation has had its budget.
-func (a *Agent) sendPathRequest(q *pathQuery) {
+// sendPathRequest sends attempt q.attempt of p's query, or abandons it once
+// every controller in the rotation has had its budget.
+func (a *Agent) sendPathRequest(p *peer) {
+	q := &p.q
 	// Each controller in the rotation (the current one plus every
 	// advertised replica) gets one budget's worth of attempts; after that
 	// the query is abandoned and queued packets are dropped.
 	if q.attempt >= RequestBudget*(1+len(a.ctrlList)) {
 		a.stats.QueriesAbandoned++
-		a.closeQuery(q, false)
+		a.closeQuery(p, false)
 		return
 	}
 	if q.attempt > 0 && q.attempt%RequestBudget == 0 && q.ctrl == a.ctrl {
@@ -272,7 +316,7 @@ func (a *Agent) sendPathRequest(q *pathQuery) {
 	q.ctrl = a.ctrl
 	seq := a.nextSeq()
 	body, err := packet.EncodeControl(packet.MsgPathRequest, &packet.PathRequest{
-		Src: a.mac, Dst: q.dst, Seq: seq,
+		Src: a.mac, Dst: p.mac, Seq: seq,
 	})
 	if err != nil {
 		return
@@ -283,9 +327,11 @@ func (a *Agent) sendPathRequest(q *pathQuery) {
 		a.stats.QueryRetries++
 		op = trace.CtrlPathRetry
 	}
-	a.eng.Tracer().Ctrl(int64(a.eng.Now()), op, a.mac, q.dst, seq)
+	a.eng.Tracer().Ctrl(int64(a.eng.Now()), op, a.mac, p.mac, seq)
 	_ = a.SendFrame(a.ctrl, a.ctrlPath, packet.EtherTypeControl, body)
-	a.eng.AfterEvent(a.retryDelay(q.attempt), q)
+	d := a.retryDelay(q.attempt)
+	q.retryAt = a.eng.Now() + d
+	a.eng.AfterEvent(d, p)
 }
 
 // handlePathResponse integrates a controller-issued path graph: the body is
@@ -301,11 +347,11 @@ func (a *Agent) handlePathResponse(blob *packet.Blob) {
 	a.stats.PathResponses++
 	a.eng.Tracer().Ctrl(int64(a.eng.Now()), trace.CtrlPathResponse, a.mac, pg.Dst, blob.Seq)
 	dst := pg.Dst
-	q := a.queries[dst]
-	if q != nil {
+	p := a.table.peer(dst)
+	if p.q.open {
 		// Query-to-answer latency as the host saw it: cache-hit answers
 		// shorten this directly, warm-up makes it near-constant.
-		a.reqLat.Observe(int64(a.eng.Now() - q.start))
+		a.reqLat.Observe(int64(a.eng.Now() - p.q.start))
 	}
 
 	entry := &TableEntry{}
@@ -326,16 +372,12 @@ func (a *Agent) handlePathResponse(blob *packet.Blob) {
 	if len(entry.Paths) == 0 {
 		// Nothing usable arrived: the query fails as if abandoned (a later
 		// Send re-opens one).
-		if q != nil {
-			a.closeQuery(q, false)
-		}
+		a.closeQuery(p, false)
 		return
 	}
-	a.table.Install(dst, entry)
+	p.entry = entry
 	a.eng.Tracer().Ctrl(int64(a.eng.Now()), trace.CtrlRouteInstall, a.mac, dst, blob.Seq)
-	if q != nil {
-		a.closeQuery(q, true)
-	}
+	a.closeQuery(p, true)
 }
 
 // RoutesReady reports whether the PathTable can serve dst right now.
@@ -351,6 +393,6 @@ func (a *Agent) WarmUp(dst packet.MAC) error {
 	if a.ctrl.IsZero() {
 		return ErrNoController
 	}
-	a.query(dst)
+	a.query(a.table.peer(dst))
 	return nil
 }

@@ -88,62 +88,51 @@ func (a *Agent) retryDelay(attempt int) sim.Time {
 	return d
 }
 
-// noteRx records return traffic from src: the path toward src is evidently
+// noteRx records return traffic from p: the path toward it is evidently
 // alive, so the blackhole counter resets and the detector (re)arms.
-func (a *Agent) noteRx(src packet.MAC) {
-	s := a.bh[src]
-	if s == nil {
-		s = &bhState{}
-		a.bh[src] = s
-	}
-	s.sends = 0
-	s.lastRx = a.eng.Now()
+func (a *Agent) noteRx(p *peer) {
+	p.sends = 0
+	p.lastRx = a.eng.Now()
 }
 
-// noteSend counts a data send toward dst and triggers blackhole handling
-// once blackholeThreshold consecutive sends have gone unanswered for longer
-// than blackholeWindow. Only destinations we have heard from at least once
-// are eligible — one-way traffic proves nothing about the return of silence.
-func (a *Agent) noteSend(dst packet.MAC, hops []topo.PortRef) {
-	s := a.bh[dst]
-	if s == nil {
-		s = &bhState{}
-		a.bh[dst] = s
+// noteSend counts a data send toward p and triggers blackhole handling once
+// blackholeThreshold consecutive sends have gone unanswered for longer than
+// blackholeWindow. Only destinations we have heard from at least once are
+// eligible — one-way traffic proves nothing about the return of silence.
+func (a *Agent) noteSend(p *peer, hops []topo.PortRef) {
+	p.lastHops = hops
+	if p.lastRx == 0 {
+		return // not armed: never heard from p
 	}
-	s.lastHops = hops
-	if s.lastRx == 0 {
-		return // not armed: never heard from dst
-	}
-	s.sends++
-	if s.sends < blackholeThreshold || a.eng.Now()-s.lastRx < blackholeWindow {
+	p.sends++
+	if p.sends < blackholeThreshold || a.eng.Now()-p.lastRx < blackholeWindow {
 		return
 	}
-	a.onBlackhole(dst, s)
+	a.onBlackhole(p)
 }
 
 // onBlackhole invalidates the suspect path, negatively caches its hops for
 // suspectTTL, tries a local detour from the TopoCache, and re-queries the
 // controller in the background.
-func (a *Agent) onBlackhole(dst packet.MAC, s *bhState) {
+func (a *Agent) onBlackhole(p *peer) {
 	a.stats.Blackholes++
-	a.eng.Tracer().Recovery(int64(a.eng.Now()), trace.RecoveryBlackhole, 0, 0, false, a.mac, dst)
+	a.eng.Tracer().Recovery(int64(a.eng.Now()), trace.RecoveryBlackhole, 0, 0, false, a.mac, p.mac)
 	expiry := a.eng.Now() + suspectTTL
-	for _, h := range s.lastHops {
+	for _, h := range p.lastHops {
 		a.suspect[h] = expiry
 	}
-	// Drop the poisoned entry; fillTableFromCache filters suspect hops.
-	a.table.Invalidate(dst)
-	if a.fillTableFromCache(dst) {
+	// Replace the poisoned entry; fillFromCache filters suspect hops.
+	if a.fillFromCache(p) {
 		a.stats.FailoverHits++
 	}
 	if !a.ctrl.IsZero() {
-		a.query(dst)
+		a.query(p)
 	}
-	// Disarm until dst is heard from again, so one silent destination
+	// Disarm until p is heard from again, so one silent destination
 	// cannot poison every detour in a cascade.
-	s.sends = 0
-	s.lastRx = 0
-	s.lastHops = nil
+	p.sends = 0
+	p.lastRx = 0
+	p.lastHops = nil
 }
 
 // pathSuspect reports whether a path crosses a currently-suspect hop,

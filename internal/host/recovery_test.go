@@ -200,38 +200,121 @@ func TestControllerFailoverRotatesThroughReplicaList(t *testing.T) {
 // leftover timer must not drive the next query for the same destination —
 // one query, one retry chain, one budget.
 func TestStaleRetryTimerIgnored(t *testing.T) {
-	n := deployTestbed(t)
-	hosts := n.Hosts()
-	src, dst := hosts[0], hosts[len(hosts)-1]
-	a := n.Agent(src)
-	if err := a.WarmUp(dst); err != nil {
-		t.Fatal(err)
-	}
-	n.RunFor(sim.Millisecond) // the answer arrives; the first retry is ≥3.75 ms out
-	if !a.RoutesReady(dst) || a.Stats().PathQueries != 1 {
-		t.Fatalf("first query not answered on its first attempt: %+v", a.Stats())
-	}
-	// Forget the route and silence the controller: the second query gets no
-	// answer and must walk exactly one budget before it is abandoned.
-	a.Table().Invalidate(dst)
-	n.Ctrl.Crash()
-	before := a.Stats()
-	if err := a.WarmUp(dst); err != nil {
-		t.Fatal(err)
-	}
-	n.Run()
-	st := a.Stats()
-	if got := st.PathQueries - before.PathQueries; got != uint64(host.RequestBudget) {
-		t.Fatalf("second query sent %d requests, want one budget (%d)", got, host.RequestBudget)
-	}
-	if got := st.QueriesAbandoned - before.QueriesAbandoned; got != 1 {
-		t.Fatalf("second query abandoned %d times, want 1", got)
+	// answered is how many queries for dst are answered before the silent
+	// one: each leaves a retry timer pending on dst's record.
+	for _, answered := range []int{1, 2} {
+		t.Run(fmt.Sprintf("answered=%d", answered), func(t *testing.T) {
+			n := deployTestbed(t)
+			hosts := n.Hosts()
+			src, dst := hosts[0], hosts[len(hosts)-1]
+			a := n.Agent(src)
+			for i := 0; i < answered; i++ {
+				a.Table().Invalidate(dst)
+				if err := a.WarmUp(dst); err != nil {
+					t.Fatal(err)
+				}
+				n.RunFor(sim.Millisecond) // the answer arrives; the first retry is ≥3.75 ms out
+				if !a.RoutesReady(dst) || a.Stats().PathQueries != uint64(i+1) {
+					t.Fatalf("query %d not answered on its first attempt: %+v", i+1, a.Stats())
+				}
+			}
+			// Forget the route and silence the controller: the next query
+			// gets no answer and must walk exactly one budget, at its own
+			// backoff, before it is abandoned, whatever timers the answered
+			// ones left behind. A left-over timer that drove it would add a
+			// second retry chain, which spends the budget early.
+			a.Table().Invalidate(dst)
+			n.Ctrl.Crash()
+			before := a.Stats()
+			if err := a.WarmUp(dst); err != nil {
+				t.Fatal(err)
+			}
+			n.RunFor(host.ShortestBudget() - sim.Millisecond)
+			if a.Stats().QueriesAbandoned != before.QueriesAbandoned {
+				t.Fatalf("silent query abandoned within %d ms, before its backoff could spend the budget",
+					host.ShortestBudget()/sim.Millisecond)
+			}
+			n.Run()
+			st := a.Stats()
+			if got := st.PathQueries - before.PathQueries; got != uint64(host.RequestBudget) {
+				t.Fatalf("silent query sent %d requests, want one budget (%d)", got, host.RequestBudget)
+			}
+			if got := st.QueriesAbandoned - before.QueriesAbandoned; got != 1 {
+				t.Fatalf("silent query abandoned %d times, want 1", got)
+			}
+		})
 	}
 }
 
+// injectData feeds the agent a data frame from src, CE-marked when ce is
+// set, as if it had arrived on the uplink, and runs it through the datapath
+// delay.
+func injectData(t *testing.T, eng *sim.Engine, a *host.Agent, src packet.MAC, ce bool) {
+	t.Helper()
+	f := &packet.Frame{Dst: a.MAC(), Src: src, InnerType: packet.EtherTypeIPv4, Payload: []byte("x")}
+	if ce {
+		f.Flags = packet.FlagCE
+	}
+	buf, err := f.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Receive(0, buf)
+	eng.RunFor(10 * sim.Microsecond)
+}
+
+// Invalidate drops a destination's route and nothing else it knows about
+// the destination: a blackhole detector armed by earlier return traffic
+// stays armed, and the congestion-echo rate limit stays in force.
+func TestInvalidateKeepsPeerState(t *testing.T) {
+	dst := packet.MACFromUint64(5)
+	route := func() *host.TableEntry {
+		return &host.TableEntry{Paths: []host.CachedPath{{Tags: packet.Path{2}}}}
+	}
+	t.Run("blackhole", func(t *testing.T) {
+		eng, a := soloAgent(t, host.DefaultConfig())
+		a.Table().Install(dst, route())
+		injectData(t, eng, a, dst, false) // arms the detector
+		a.Table().Invalidate(dst)
+		a.Table().Install(dst, route())
+		eng.RunFor(host.BlackholeWindow)
+		// The agent has no uplink, so every send fails on the wire after
+		// the detector has counted it.
+		for i := 1; i <= host.BlackholeThreshold; i++ {
+			_ = a.SendData(dst, []byte("lost"))
+			want := uint64(0)
+			if i == host.BlackholeThreshold {
+				want = 1
+			}
+			if got := a.Stats().Blackholes; got != want {
+				t.Fatalf("after send %d: %d blackholes, want %d", i, got, want)
+			}
+		}
+	})
+	t.Run("echo rate limit", func(t *testing.T) {
+		eng, a := soloAgent(t, host.DefaultConfig())
+		a.Table().Install(dst, route())
+		injectData(t, eng, a, dst, true)
+		if got := a.Stats().CongestionEchoes; got != 1 {
+			t.Fatalf("first CE mark: %d echoes, want 1", got)
+		}
+		a.Table().Invalidate(dst)
+		a.Table().Install(dst, route())
+		injectData(t, eng, a, dst, true) // well inside ECNEchoInterval
+		if got := a.Stats().CongestionEchoes; got != 1 {
+			t.Fatalf("second CE mark inside the echo interval: %d echoes, want 1", got)
+		}
+		eng.RunFor(host.ECNEchoInterval)
+		injectData(t, eng, a, dst, true)
+		if got := a.Stats().CongestionEchoes; got != 2 {
+			t.Fatalf("CE mark after the interval: %d echoes, want 2", got)
+		}
+	})
+}
+
 // A path query that walks its whole budget costs a fixed handful of
-// allocations per attempt (the encoded request, the failed send) plus one
-// record for the query — no closure per retry.
+// allocations per attempt (the encoded request, the failed send) plus the
+// new destination's record, which holds the query — no closure per retry.
 func TestPathQueryAllocs(t *testing.T) {
 	eng, a := soloAgent(t, host.DefaultConfig())
 	dst := uint64(1000)

@@ -29,7 +29,7 @@ func (a *Agent) LinkHealth() LinkHealth { return a.linkHealth }
 
 // PathAwareChooser is an optional Policy refinement: a chooser that
 // wants the candidate paths themselves (to inspect their hops), not just
-// how many there are. routeForHops prefers ChoosePath when implemented.
+// how many there are. The agent's route prefers ChoosePath when implemented.
 type PathAwareChooser interface {
 	Policy
 	// ChoosePath returns the index of the path to use. Out-of-range returns

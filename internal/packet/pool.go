@@ -16,8 +16,8 @@ import "sync"
 //     calls PutBuffer. Payload slices handed to application callbacks alias
 //     the buffer and die with it: a sink that keeps bytes copies them.
 //
-// Frames dropped in flight (link down, queue overflow, loss) are simply not
-// returned; the collector takes them.
+// Dropped frames come back too: every drop by a link in internal/sim (down,
+// overflow, loss, LostInFlight) or a switch in internal/dswitch calls PutBuffer.
 //
 // The pool is a pair of sync.Pools, so it has no lock shared between engine
 // shards and no size cap, and the collector may empty it. That last property
