@@ -748,20 +748,6 @@ func (r *linkBattery) assertOthersStable(mutated vnet.TenantID, kind string, bef
 	}
 }
 
-// crossDomain reports whether src->dst traffic crosses an isolation
-// boundary (one endpoint tenanted and the other not, or different tenants).
-func (r *linkBattery) crossDomain(a, b packet.MAC) bool {
-	if r.mgr == nil {
-		return false
-	}
-	ta, aok := r.mgr.TenantOf(a)
-	tb, bok := r.mgr.TenantOf(b)
-	if !aok && !bok {
-		return false
-	}
-	return !(aok && bok && ta == tb)
-}
-
 // background fires a little best-effort traffic between events so the
 // datapath, retry and blackhole machinery actually run under impairment.
 // With virtualization installed, a pair that crosses an isolation boundary
@@ -780,7 +766,7 @@ func (r *linkBattery) background() {
 		if src == dst {
 			continue
 		}
-		if r.crossDomain(src, dst) {
+		if r.mgr.CrossDomain(src, dst) {
 			s, d := src, dst
 			_ = r.n.Ping(s, d, func(sim.Time) {
 				r.violate("tenant-isolation", "cross-tenant ping %v -> %v completed", s, d)

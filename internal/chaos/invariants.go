@@ -40,7 +40,7 @@ func (r *linkBattery) samplePairs() [][2]packet.MAC {
 	var all [][2]packet.MAC
 	for _, src := range hosts {
 		for _, dst := range hosts {
-			if src == dst || r.crossDomain(src, dst) {
+			if src == dst || r.mgr.CrossDomain(src, dst) {
 				continue
 			}
 			all = append(all, [2]packet.MAC{src, dst})
@@ -279,7 +279,7 @@ func (r *linkBattery) checkIsolation() {
 			break
 		}
 		for _, dst := range hosts {
-			if src == dst || !r.crossDomain(src, dst) {
+			if src == dst || !r.mgr.CrossDomain(src, dst) {
 				continue
 			}
 			if _, err := r.n.PingSync(src, dst); err == nil {

@@ -653,7 +653,7 @@ func (n *Network) WarmAll() {
 		for _, b := range all {
 			// Cross-domain warms would only burn their retry budget on
 			// refusals, so virtualized deployments warm within domains.
-			if a != b && !n.crossDomain(a, b) {
+			if a != b && !n.vnet.CrossDomain(a, b) {
 				_ = n.Agent(a).WarmUp(b)
 			}
 		}

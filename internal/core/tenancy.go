@@ -113,17 +113,3 @@ func (n *Network) revokeRoutes(a *host.Agent) {
 		a.Cache().RemoveHost(at.Host)
 	}
 }
-
-// crossDomain reports whether traffic between a and b crosses an isolation
-// boundary: one endpoint tenanted and the other not, or different tenants.
-func (n *Network) crossDomain(a, b MAC) bool {
-	if n.vnet == nil {
-		return false
-	}
-	ta, aok := n.vnet.TenantOf(a)
-	tb, bok := n.vnet.TenantOf(b)
-	if !aok && !bok {
-		return false
-	}
-	return !(aok && bok && ta == tb)
-}

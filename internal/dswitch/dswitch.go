@@ -223,7 +223,7 @@ func (s *Switch) Receive(inPort int, frame []byte) {
 	case packet.TagIDQuery:
 		s.handleIDQuery(frame)
 	default:
-		s.forward(frame)
+		s.forward(packet.PopTag(frame))
 	}
 }
 
@@ -238,50 +238,10 @@ func (s *Switch) receiveMPLS(frame []byte) {
 		return
 	}
 	if label == packet.TagIDQuery {
-		s.handleIDQueryMPLS(frame)
+		s.handleIDQuery(frame)
 		return
 	}
-	rest, tag, err := packet.PopLabelMPLS(frame)
-	if err != nil {
-		s.drop(&s.stats.DropBadFrame, trace.DropBadFrame, frame)
-		return
-	}
-	if s.transmit(int(tag), rest, &s.stats.Forwarded) {
-		s.eng.Tracer().PacketHop(int64(s.eng.Now()), int64(forwardDelay), s.id, tag, rest)
-	}
-}
-
-// handleIDQueryMPLS answers an ID query carried in the MPLS encoding.
-func (s *Switch) handleIDQueryMPLS(frame []byte) {
-	defer packet.PutBuffer(frame)
-	var f packet.Frame
-	if err := packet.DecodeMPLSFrom(&f, frame); err != nil || len(f.Tags) < 2 {
-		s.stats.DropBadFrame++
-		return
-	}
-	var seq uint64
-	if t, msg, err := packet.DecodeControl(f.Payload); err == nil && t == packet.MsgProbe {
-		seq = msg.(*packet.Probe).Seq
-	}
-	body, err := packet.EncodeControl(packet.MsgIDReply, &packet.IDReply{ID: s.id, Seq: seq})
-	if err != nil {
-		s.stats.DropBadFrame++
-		return
-	}
-	returnPath := f.Tags[1:]
-	reply := packet.Frame{
-		Dst:       f.Src,
-		Src:       f.Dst,
-		Tags:      returnPath[1:],
-		InnerType: packet.EtherTypeControl,
-		Payload:   body,
-	}
-	buf := packet.GetBuffer(packet.EncodedLenMPLS(len(reply.Tags), len(reply.Payload)))
-	if _, err := reply.EncodeMPLSTo(buf); err != nil {
-		s.stats.DropBadFrame++
-		return
-	}
-	s.transmit(int(returnPath[0]), buf, &s.stats.IDReplies)
+	s.forward(packet.PopLabelMPLS(frame))
 }
 
 // receiveMcast is the replicate-and-forward stage: pop the top tree block
@@ -312,12 +272,11 @@ func (s *Switch) receiveMcast(frame []byte) {
 	packet.PutBuffer(frame)
 }
 
-// forward pops the top tag and transmits out that port after the pipeline
-// delay.
-func (s *Switch) forward(frame []byte) {
-	rest, tag, err := packet.PopTag(frame)
-	if err != nil {
-		s.drop(&s.stats.DropBadFrame, trace.DropBadFrame, frame)
+// forward transmits a frame whose top tag or label was popped (either
+// encoding's pop stage) out that port after the pipeline delay.
+func (s *Switch) forward(rest []byte, tag packet.Tag, err error) {
+	if err != nil { // the pop returns the frame whole
+		s.drop(&s.stats.DropBadFrame, trace.DropBadFrame, rest)
 		return
 	}
 	if s.transmit(int(tag), rest, &s.stats.Forwarded) {
@@ -345,7 +304,7 @@ func (s *Switch) transmit(port int, frame []byte, okCounter *uint64) bool {
 		packet.MarkCE(frame)
 		s.stats.ECNMarked++
 	}
-	l.SendFromAfter(s, frame, forwardDelay)
+	l.ForwardFrom(s, frame, forwardDelay)
 	return true
 }
 
@@ -357,21 +316,28 @@ func (s *Switch) drop(counter *uint64, cause trace.DropCause, frame []byte) {
 	packet.PutBuffer(frame)
 }
 
-// handleIDQuery implements the switch-CPU punt path: the tag stack after
-// the query marker is the return path. A probe payload gets the fixed-ID
-// reply with its sequence echoed; a stats request (the §8 extension) gets
-// the soft-state counter snapshot.
+// handleIDQuery implements the switch-CPU punt path, for both encodings:
+// the tags after the query marker are the return path, and the reply goes
+// back in the encoding the query came in. A probe payload gets the
+// fixed-ID reply with its sequence echoed; a stats request (the §8
+// extension) gets the soft-state counter snapshot.
 func (s *Switch) handleIDQuery(frame []byte) {
 	defer packet.PutBuffer(frame) // the reply is encoded into its own buffer
+	mpls := EtherTypeOf(frame) == packet.EtherTypeMPLS
 	var f packet.Frame
-	if err := packet.DecodeFrom(&f, frame); err != nil || len(f.Tags) < 2 {
+	var err error
+	if mpls {
+		err = packet.DecodeMPLSFrom(&f, frame)
+	} else {
+		err = packet.DecodeFrom(&f, frame)
+	}
+	if err != nil || len(f.Tags) < 2 {
 		// Need at least the query marker plus one return hop.
 		s.stats.DropBadFrame++
 		return
 	}
 	var seq uint64
 	var body []byte
-	var err error
 	t, msg, derr := packet.DecodeControl(f.Payload)
 	if derr == nil && t == packet.MsgStatsRequest {
 		req := msg.(*packet.StatsRequest)
@@ -401,8 +367,15 @@ func (s *Switch) handleIDQuery(frame []byte) {
 		InnerType: packet.EtherTypeControl,
 		Payload:   body,
 	}
-	buf := packet.GetBuffer(packet.EncodedLen(len(reply.Tags), len(reply.Payload)))
-	if _, err := reply.EncodeTo(buf); err != nil {
+	var buf []byte
+	if mpls {
+		buf = packet.GetBuffer(packet.EncodedLenMPLS(len(reply.Tags), len(reply.Payload)))
+		_, err = reply.EncodeMPLSTo(buf)
+	} else {
+		buf = packet.GetBuffer(packet.EncodedLen(len(reply.Tags), len(reply.Payload)))
+		_, err = reply.EncodeTo(buf)
+	}
+	if err != nil {
 		s.stats.DropBadFrame++
 		return
 	}
@@ -414,48 +387,41 @@ func (s *Switch) handleIDQuery(frame []byte) {
 // else is a misrouted data frame and is dropped. Either way the frame ends
 // here: a re-flood is encoded into fresh buffers.
 func (s *Switch) handleEndOfPath(inPort int, frame []byte) {
-	defer packet.PutBuffer(frame)
 	var f packet.Frame
-	if err := packet.DecodeFrom(&f, frame); err != nil || f.InnerType != packet.EtherTypeControl {
-		s.stats.DropEndOfPath++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropEndOfPath, frame)
-		return
+	var t packet.MsgType
+	var msg any // nil, so dropped below, unless a control message decodes
+	if err := packet.DecodeFrom(&f, frame); err == nil && f.InnerType == packet.EtherTypeControl {
+		t, msg, _ = packet.DecodeControl(f.Payload)
 	}
-	t, msg, err := packet.DecodeControl(f.Payload)
-	if err != nil {
-		s.stats.DropEndOfPath++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropEndOfPath, frame)
-		return
-	}
-	switch t {
-	case packet.MsgLinkEvent:
-		ev := msg.(*packet.LinkEvent)
-		s.stats.FloodsIn++
-		if ev.HopsLeft == 0 {
-			return
-		}
-		if s.floodSeenBefore(floodKindLink, uint32(ev.Switch), ev.Port, ev.Seq, ev.Up) {
-			s.stats.FloodsSquelch++
-			return
-		}
-		ev.HopsLeft--
-		s.floodLinkEvent(ev, inPort)
-	case packet.MsgGroupEvent:
-		ev := msg.(*packet.GroupEvent)
-		s.stats.FloodsIn++
-		if ev.HopsLeft == 0 {
-			return
-		}
-		if s.floodSeenBefore(floodKindGroup, ev.Group, 0, ev.Gen, false) {
-			s.stats.FloodsSquelch++
-			return
-		}
-		ev.HopsLeft--
-		s.floodGroupEvent(ev, inPort)
+	// A flooded control event passes on out every up port but the one it
+	// came in on, one hop fewer, unless its hops are spent or storm control
+	// has seen its signature.
+	var hops *uint8
+	var kind uint8
+	var key uint32
+	var port packet.Tag
+	var seq uint64
+	var up bool
+	switch ev := msg.(type) {
+	case *packet.LinkEvent:
+		hops, kind, key, port, seq, up = &ev.HopsLeft, floodKindLink, uint32(ev.Switch), ev.Port, ev.Seq, ev.Up
+	case *packet.GroupEvent:
+		hops, kind, key, seq = &ev.HopsLeft, floodKindGroup, ev.Group, ev.Gen
 	default:
-		s.stats.DropEndOfPath++
-		s.eng.Tracer().PacketDrop(int64(s.eng.Now()), s.id, trace.DropEndOfPath, frame)
+		s.drop(&s.stats.DropEndOfPath, trace.DropEndOfPath, frame)
+		return
 	}
+	defer packet.PutBuffer(frame)
+	s.stats.FloodsIn++
+	if *hops == 0 {
+		return
+	}
+	if s.floodSeenBefore(kind, key, port, seq, up) {
+		s.stats.FloodsSquelch++
+		return
+	}
+	*hops--
+	s.flood(t, msg, inPort)
 }
 
 // Storm-control signature kinds. The table is shared by every flooded
@@ -492,36 +458,10 @@ func (s *Switch) floodSeenBefore(kind uint8, sw uint32, port packet.Tag, seq uin
 	return false
 }
 
-// floodGroupEvent re-floods a group-generation notice out every up port
-// except exceptPort, exactly like a link event.
-func (s *Switch) floodGroupEvent(ev *packet.GroupEvent, exceptPort int) {
-	body, err := packet.EncodeControl(packet.MsgGroupEvent, ev)
-	if err != nil {
-		return
-	}
-	f := packet.Frame{
-		Dst:       packet.BroadcastMAC,
-		Tags:      nil,
-		InnerType: packet.EtherTypeControl,
-		Payload:   body,
-	}
-	need := packet.EncodedLen(0, len(body))
-	for port := 1; port < len(s.links); port++ {
-		if port == exceptPort || s.links[port] == nil || !s.links[port].Up() {
-			continue
-		}
-		buf := packet.GetBuffer(need)
-		if _, err := f.EncodeTo(buf); err != nil {
-			return
-		}
-		s.transmit(port, buf, &s.stats.FloodsOut)
-	}
-}
-
-// floodLinkEvent sends a link-event broadcast out every up port except
-// exceptPort (0 floods everywhere).
-func (s *Switch) floodLinkEvent(ev *packet.LinkEvent, exceptPort int) {
-	body, err := packet.EncodeControl(packet.MsgLinkEvent, ev)
+// flood broadcasts a control message — a link event or a group-generation
+// notice — out every up port except exceptPort (0 floods everywhere).
+func (s *Switch) flood(t packet.MsgType, msg any, exceptPort int) {
+	body, err := packet.EncodeControl(t, msg)
 	if err != nil {
 		return
 	}
@@ -602,5 +542,5 @@ func (s *Switch) sendAlarm(port int, up bool) {
 	// Record our own alarm in the storm-control table so copies echoed back
 	// around fabric cycles die here instead of re-flooding.
 	s.floodSeenBefore(floodKindLink, uint32(ev.Switch), ev.Port, ev.Seq, ev.Up)
-	s.floodLinkEvent(ev, 0)
+	s.flood(packet.MsgLinkEvent, ev, 0)
 }

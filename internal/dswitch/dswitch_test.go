@@ -149,6 +149,37 @@ func TestIDQueryReply(t *testing.T) {
 	}
 }
 
+// TestIDQueryStatsBothEncodings: a stats request gets the counter snapshot
+// back in the encoding it was sent in, MPLS as well as native.
+func TestIDQueryStatsBothEncodings(t *testing.T) {
+	for _, mpls := range []bool{false, true} {
+		eng, _, h1, _, m1, _ := buildLine(t)
+		body, _ := packet.EncodeControl(packet.MsgStatsRequest, &packet.StatsRequest{Origin: m1, Seq: 5})
+		f := &packet.Frame{Dst: packet.BroadcastMAC, Src: m1, Tags: packet.Path{0, 3}, InnerType: packet.EtherTypeControl, Payload: body}
+		encode, decode := f.Encode, packet.Decode
+		if mpls {
+			encode, decode = f.EncodeMPLS, packet.DecodeMPLS
+		}
+		buf, _ := encode()
+		h1.send(buf)
+		eng.Run()
+		if len(h1.frames) != 1 {
+			t.Fatalf("mpls=%v: received %d frames", mpls, len(h1.frames))
+		}
+		got, err := decode(h1.frames[0])
+		if err != nil {
+			t.Fatalf("mpls=%v: decode reply: %v", mpls, err)
+		}
+		typ, msg, err := packet.DecodeControl(got.Payload)
+		if err != nil || typ != packet.MsgStatsReply {
+			t.Fatalf("mpls=%v: reply type %v err %v", mpls, typ, err)
+		}
+		if rep := msg.(*packet.StatsReply); rep.ID != 1 || rep.Seq != 5 {
+			t.Fatalf("mpls=%v: reply = %+v", mpls, rep)
+		}
+	}
+}
+
 func TestIDQueryMultiHop(t *testing.T) {
 	eng, _, h1, _, m1, _ := buildLine(t)
 	// Query switch 2 from h1: out port 2 to sw2, query, return path 1-3:

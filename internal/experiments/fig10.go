@@ -44,6 +44,7 @@ func DefaultFig10Config() Fig10Config {
 
 // rawEchoHost is a native-Ethernet endpoint: it echoes frames addressed to
 // it after the kernel-stack delay and timestamps replies to its own probes.
+// The link spends the stack's receive cost (ReceiveDelay).
 type rawEchoHost struct {
 	eng   *sim.Engine
 	mac   packet.MAC
@@ -62,27 +63,27 @@ func (h *rawEchoHost) Receive(port int, frame []byte) {
 	if dst != h.mac {
 		return
 	}
-	kind := frame[packet.EthernetHeaderLen]
 	var seq uint64
 	for i := 0; i < 8; i++ {
 		seq = seq<<8 | uint64(frame[packet.EthernetHeaderLen+1+i])
 	}
-	h.eng.After(h.cost, func() {
-		switch kind {
-		case 1: // request: echo back
-			reply := append([]byte(nil), frame...)
-			copy(reply[0:6], src[:])
-			copy(reply[6:12], h.mac[:])
-			reply[packet.EthernetHeaderLen] = 2
-			h.eng.After(h.cost, func() { h.link.SendFrom(h, reply) })
-		case 2: // reply: resolve the waiter
-			if fn, ok := h.waits[seq]; ok {
-				delete(h.waits, seq)
-				fn(h.eng.Now())
-			}
+	switch frame[packet.EthernetHeaderLen] {
+	case 1: // request: echo back
+		reply := append([]byte(nil), frame...)
+		copy(reply[0:6], src[:])
+		copy(reply[6:12], h.mac[:])
+		reply[packet.EthernetHeaderLen] = 2
+		h.link.SendFromAfter(h, reply, h.cost)
+	case 2: // reply: resolve the waiter
+		if fn, ok := h.waits[seq]; ok {
+			delete(h.waits, seq)
+			fn(h.eng.Now())
 		}
-	})
+	}
 }
+
+// ReceiveDelay implements sim.ReceiveDelayer.
+func (h *rawEchoHost) ReceiveDelay() sim.Time { return h.cost }
 
 func (h *rawEchoHost) ping(dst packet.MAC, seq uint64, cb func(rtt sim.Time)) {
 	frame := make([]byte, packet.EthernetHeaderLen+9+64)
@@ -95,7 +96,7 @@ func (h *rawEchoHost) ping(dst packet.MAC, seq uint64, cb func(rtt sim.Time)) {
 	}
 	sent := h.eng.Now()
 	h.waits[seq] = func(at sim.Time) { cb(at - sent) }
-	h.eng.After(h.cost, func() { h.link.SendFrom(h, frame) })
+	h.link.SendFromAfter(h, frame, h.cost)
 }
 
 // nativeRTTs measures all-pairs RTTs on a learning-switch deployment.

@@ -187,9 +187,6 @@ type Agent struct {
 	// policy) consult the telemetry scoreboard of this agent's shard.
 	linkHealth LinkHealth
 
-	// freeDelivers recycles deliver events; the agent lives on one engine.
-	freeDelivers sim.FreeList[deliverEvent]
-
 	stats Stats
 }
 
@@ -261,29 +258,6 @@ func (a *Agent) nextSeq() uint64 {
 	return a.seq
 }
 
-// deliverEvent defers one parsed frame through the datapath processing
-// delay. Recycled through the agent's free list, so the per-frame receive
-// path allocates nothing. buf is the raw receive buffer, which the agent
-// owns from Receive on and returns to the frame pool once deliver is done
-// with it: DecodeControl copies control payloads out in full, and OnData
-// payloads are callback-scoped. It is nil for the self-addressed loopback,
-// whose payload is a plain heap copy.
-type deliverEvent struct {
-	a   *Agent
-	f   packet.Frame
-	buf []byte
-}
-
-func (d *deliverEvent) RunEvent() {
-	a := d.a
-	a.deliver(&d.f)
-	if d.buf != nil {
-		packet.PutBuffer(d.buf)
-	}
-	*d = deliverEvent{}
-	a.freeDelivers.Put(d)
-}
-
 // SendFrame transmits a raw DumbNet frame with explicit tags after the
 // datapath processing delay. Exported for the controller and extensions.
 func (a *Agent) SendFrame(dst packet.MAC, tags packet.Path, innerType uint16, payload []byte) error {
@@ -297,10 +271,8 @@ func (a *Agent) sendFrame(dst packet.MAC, tags packet.Path, innerType uint16, he
 	if dst == a.mac && len(tags) == 0 {
 		// Self-addressed control (e.g. the controller's own agent talking
 		// to the controller process): loop back locally.
-		d := a.freeDelivers.Get()
-		d.a = a
-		d.f = packet.Frame{Dst: dst, Src: a.mac, InnerType: innerType, Payload: joinParts(head, body)}
-		a.eng.AfterEvent(a.cfg.ProcessDelay, d)
+		f := packet.Frame{Dst: dst, Src: a.mac, InnerType: innerType, Payload: joinParts(head, body)}
+		a.eng.After(a.cfg.ProcessDelay, func() { a.deliver(&f) })
 		return nil
 	}
 	if a.link == nil {
@@ -406,36 +378,39 @@ func (a *Agent) route(p *peer, flow FlowKey) (packet.Path, []topo.PortRef, bool)
 	return entry.Paths[idx].Tags, entry.Paths[idx].Hops, true
 }
 
-// Receive implements sim.Node: the ingress half of the kernel module. Both
-// encodings are accepted regardless of the send-side configuration, as on
-// a real NIC. The frame is decoded straight into a recycled deliver event:
-// no Frame allocation, no closure.
+// ReceiveDelay implements sim.ReceiveDelayer: the link spends the
+// datapath's processing delay before it hands the agent a frame.
+func (a *Agent) ReceiveDelay() sim.Time { return a.cfg.ProcessDelay }
+
+// Receive implements sim.Node: the ingress half of the kernel module, run
+// once the datapath's processing delay is spent. Both encodings are
+// accepted regardless of the send-side configuration, as on a real NIC.
+// The agent owns frame from here on and returns it to the frame pool once
+// deliver is done with it: DecodeControl copies control payloads out in
+// full, and OnData payloads are callback-scoped.
 func (a *Agent) Receive(port int, frame []byte) {
-	d := a.freeDelivers.Get()
+	var f packet.Frame
 	var err error
 	if len(frame) >= packet.EthernetHeaderLen &&
 		frame[12] == byte(packet.EtherTypeMPLS>>8) && frame[13] == byte(packet.EtherTypeMPLS&0xFF) {
-		err = packet.DecodeMPLSFrom(&d.f, frame)
+		err = packet.DecodeMPLSFrom(&f, frame)
 	} else if len(frame) >= packet.EthernetHeaderLen &&
 		frame[12] == byte(packet.EtherTypeDumbNetMcast>>8) && frame[13] == byte(packet.EtherTypeDumbNetMcast&0xFF) {
 		// A multicast frame reaching a host must have its tree fully
 		// consumed (the switch pops one level per fork); DecodeMcastFrom
 		// rejects anything mid-tree.
-		err = packet.DecodeMcastFrom(&d.f, frame)
+		err = packet.DecodeMcastFrom(&f, frame)
 	} else {
-		err = packet.DecodeFrom(&d.f, frame)
+		err = packet.DecodeFrom(&f, frame)
 	}
-	if err != nil || len(d.f.Tags) != 0 {
+	if err != nil || len(f.Tags) != 0 {
 		// Undecodable, or path not fully consumed: the kernel module drops
 		// it (§5.1).
-		*d = deliverEvent{}
-		a.freeDelivers.Put(d)
 		a.stats.BadFrames++
 		return
 	}
-	d.a = a
-	d.buf = frame
-	a.eng.AfterEvent(a.cfg.ProcessDelay, d)
+	a.deliver(&f)
+	packet.PutBuffer(frame)
 }
 
 func (a *Agent) deliver(f *packet.Frame) {

@@ -30,7 +30,7 @@ func (a *Agent) handleCE(p *peer) {
 		return
 	}
 	now := a.eng.Now()
-	if p.lastEcho != 0 && now-p.lastEcho < ecnEchoInterval {
+	if now-p.lastEcho < ecnEchoInterval {
 		return
 	}
 	tags, _, ok := a.route(p, FlowKey{Dst: p.mac})

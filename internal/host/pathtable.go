@@ -38,6 +38,11 @@ type PathTable struct {
 	peers map[uint64]*peer
 }
 
+// never is a peer's last-echo and last-heard time before there was one: far
+// enough back that no interval reaches it, and not 0, which is a time a
+// frame can be handled at.
+const never sim.Time = -1 << 62
+
 // peer is the agent's record of one destination. Invalidate clears the
 // route and keeps the rest: blackhole arming and the echo rate limit
 // outlive a dropped route.
@@ -46,12 +51,12 @@ type peer struct {
 	mac      packet.MAC
 	entry    *TableEntry        // cached routes, nil when there are none
 	q        pathQuery          // the open path query, when q.open
-	lastEcho sim.Time           // last congestion echo sent to it (0 = never)
+	lastEcho sim.Time           // last congestion echo sent to it (never: none)
 	bulkRx   map[uint32]*bulkRx // inbound bulk transfers from it, by ID
 
 	// Return-traffic liveness for blackhole detection (noteRx, noteSend).
 	sends    int            // consecutive sends since the last frame from it
-	lastRx   sim.Time       // virtual time we last heard from it (0 = never)
+	lastRx   sim.Time       // virtual time we last heard from it (never: not armed)
 	lastHops []topo.PortRef // hops of the most recently used path
 }
 
@@ -66,7 +71,7 @@ func (t *PathTable) peer(dst packet.MAC) *peer {
 	k := dst.Uint64()
 	p := t.peers[k]
 	if p == nil {
-		p = &peer{a: t.a, mac: dst}
+		p = &peer{a: t.a, mac: dst, lastEcho: never, lastRx: never}
 		t.peers[k] = p
 	}
 	return p

@@ -101,7 +101,7 @@ func (a *Agent) noteRx(p *peer) {
 // eligible — one-way traffic proves nothing about the return of silence.
 func (a *Agent) noteSend(p *peer, hops []topo.PortRef) {
 	p.lastHops = hops
-	if p.lastRx == 0 {
+	if p.lastRx == never {
 		return // not armed: never heard from p
 	}
 	p.sends++
@@ -131,7 +131,7 @@ func (a *Agent) onBlackhole(p *peer) {
 	// Disarm until p is heard from again, so one silent destination
 	// cannot poison every detour in a cascade.
 	p.sends = 0
-	p.lastRx = 0
+	p.lastRx = never
 	p.lastHops = nil
 }
 

@@ -312,6 +312,35 @@ func TestInvalidateKeepsPeerState(t *testing.T) {
 	})
 }
 
+// A frame handled at virtual time 0 counts like any other: it arms the
+// blackhole detector and opens the echo interval. Both once used 0 as their
+// "never" mark, so a frame at 0 did neither.
+func TestPeerStateFromTimeZero(t *testing.T) {
+	dst := packet.MACFromUint64(5)
+	route := &host.TableEntry{Paths: []host.CachedPath{{Tags: packet.Path{2}}}}
+	t.Run("blackhole", func(t *testing.T) {
+		eng, a := soloAgent(t, host.DefaultConfig())
+		a.Table().Install(dst, route)
+		injectData(t, eng, a, dst, false) // handled at t=0
+		eng.RunFor(host.BlackholeWindow)
+		for i := 0; i < host.BlackholeThreshold; i++ {
+			_ = a.SendData(dst, []byte("lost"))
+		}
+		if got := a.Stats().Blackholes; got != 1 {
+			t.Fatalf("%d blackholes after a frame at t=0 and %d silent sends, want 1", got, host.BlackholeThreshold)
+		}
+	})
+	t.Run("echo interval", func(t *testing.T) {
+		eng, a := soloAgent(t, host.DefaultConfig())
+		a.Table().Install(dst, route)
+		injectData(t, eng, a, dst, true) // handled at t=0
+		injectData(t, eng, a, dst, true) // 10 µs later
+		if got := a.Stats().CongestionEchoes; got != 1 {
+			t.Fatalf("%d echoes for CE marks at t=0 and 10 µs, want 1", got)
+		}
+	})
+}
+
 // A path query that walks its whole budget costs a fixed handful of
 // allocations per attempt (the encoded request, the failed send) plus the
 // new destination's record, which holds the query — no closure per retry.

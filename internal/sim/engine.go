@@ -169,14 +169,17 @@ type QueueStats struct {
 // the open run for a deadline in O(1). Arena, heap and table keep their
 // storage, so a steady-state schedule/execute cycle allocates nothing.
 type Engine struct {
-	now       Time
-	arena     []node // arena[0] is the nil link, never an event
-	free      int32  // head of the free-node list, 0 when empty
-	runs      runHeap
-	newest    [newestRuns]newestRun
-	pending   int
-	stats     QueueStats
-	seq       uint64
+	now     Time
+	arena   []node // arena[0] is the nil link, never an event
+	free    int32  // head of the free-node list, 0 when empty
+	runs    runHeap
+	newest  [newestRuns]newestRun
+	pending int
+	stats   QueueStats
+	seq     uint64
+	// cur is the schedule number of the run executing now: the events for
+	// now under smaller numbers have run. Between runs it is seq.
+	cur       uint64
 	rng       *rand.Rand
 	processed uint64
 	tracer    *trace.Recorder
@@ -271,10 +274,30 @@ func (e *Engine) schedule(t Time, fn func(), h Handler) {
 // enqueue is schedule without the affinity guard — the barrier merge calls
 // it from the driver goroutine while shard ownership is parked.
 func (e *Engine) enqueue(t Time, fn func(), h Handler) {
+	e.seq++
+	e.insert(t, e.seq, fn, h)
+}
+
+// requeue schedules h at t under seq, the number an earlier schedule took,
+// in a run of its own: it runs exactly where an event scheduled then for t
+// would have, provided seal(t) was called then (Link.replay).
+func (e *Engine) requeue(t Time, seq uint64, h Handler) { e.insert(t, seq, nil, h) }
+
+// seal closes the open run for t, if there is one, so that no run for t
+// holds events scheduled both before and after this call.
+func (e *Engine) seal(t Time) {
+	if s := &e.newest[slotOf(t)]; s.at == t {
+		s.seq = 0
+	}
+}
+
+// insert adds one event at t under schedule number seq: a new schedule
+// (seq is the latest) joins or opens the newest run for t; a requeue opens
+// a run of its own.
+func (e *Engine) insert(t Time, seq uint64, fn func(), h Handler) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
 	n := e.free
 	if n != 0 {
 		e.free = e.arena[n].next
@@ -289,17 +312,20 @@ func (e *Engine) enqueue(t Time, fn func(), h Handler) {
 	if e.pending++; e.pending > e.stats.PeakPending {
 		e.stats.PeakPending = e.pending
 	}
-	s := &e.newest[slotOf(t)]
-	if s.seq != 0 && s.at == t {
-		e.arena[s.tail].next = n
-		s.tail = n
-		return
+	if seq == e.seq {
+		s := &e.newest[slotOf(t)]
+		if s.seq != 0 && s.at == t {
+			e.arena[s.tail].next = n
+			s.tail = n
+			return
+		}
+		// No open run for t in its slot: open one and make it the slot's
+		// newest. An older run it displaces (same deadline or not) is
+		// sealed; its events all carry smaller seqs, so it still drains
+		// first.
+		*s = newestRun{at: t, seq: seq, tail: n}
 	}
-	// No open run for t in its slot: open one and make it the slot's newest.
-	// An older run it displaces (same deadline or not) is sealed; its events
-	// all carry smaller seqs, so it still drains first.
-	*s = newestRun{at: t, seq: e.seq, tail: n}
-	e.runs = append(e.runs, run{at: t, seq: e.seq, head: n})
+	e.runs = append(e.runs, run{at: t, seq: seq, head: n})
 	e.runs.up(len(e.runs) - 1)
 	if len(e.runs) > e.stats.PeakRuns {
 		e.stats.PeakRuns = len(e.runs)
@@ -333,6 +359,7 @@ func (e *Engine) Step() bool {
 	}
 	r := &e.runs[0]
 	at, i := r.at, r.head
+	e.cur = r.seq
 	nd := &e.arena[i]
 	fn, h := nd.fn, nd.h
 	if r.head = nd.next; r.head == 0 {
@@ -381,16 +408,8 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.group.RunUntil(deadline)
 		return
 	}
-	for {
-		at, ok := e.nextEventTime()
-		if !ok || at > deadline {
-			break
-		}
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
+	e.runWindow(boundedAdd(deadline, 1))
+	e.now, e.cur = max(e.now, deadline), e.seq
 }
 
 // RunFor executes events for d nanoseconds of virtual time from now.
@@ -399,15 +418,7 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // runWindow executes this shard's events with time strictly before end.
 // The clock is left at the last executed event; the group advances it to
 // the window boundary only when a deadline requires it.
-func (e *Engine) runWindow(end Time) {
-	for {
-		at, ok := e.nextEventTime()
-		if !ok || at >= end {
-			return
-		}
-		e.Step()
-	}
-}
+func (e *Engine) runWindow(end Time) { e.runWindowSolo(end, maxTime) }
 
 // runWindowSolo is runWindow for a window in which every other shard is
 // idle: the bound tightens dynamically to crossMin+la — the earliest time
@@ -417,7 +428,7 @@ func (e *Engine) runWindow(end Time) {
 func (e *Engine) runWindowSolo(end, la Time) {
 	for {
 		limit := end
-		if e.crossMin < maxTime && e.crossMin+la < limit {
+		if e.crossMin < limit-la { // with la = maxTime, never
 			limit = e.crossMin + la
 		}
 		at, ok := e.nextEventTime()

@@ -337,9 +337,7 @@ func (g *ShardGroup) run(deadline Time, clamp bool) {
 
 	if clamp {
 		for _, e := range g.shards {
-			if e.now < deadline {
-				e.now = deadline
-			}
+			e.now, e.cur = max(e.now, deadline), e.seq
 		}
 	}
 }

@@ -352,6 +352,18 @@ func (m *Manager) TenantOf(h packet.MAC) (TenantID, bool) {
 	return id, ok
 }
 
+// CrossDomain reports whether traffic between a and b crosses an isolation
+// boundary: one endpoint tenanted and the other not, or different tenants.
+// A nil manager has no boundaries.
+func (m *Manager) CrossDomain(a, b packet.MAC) bool {
+	if m == nil {
+		return false
+	}
+	ta, aok := m.TenantOf(a)
+	tb, bok := m.TenantOf(b)
+	return (aok || bok) && !(aok && bok && ta == tb)
+}
+
 // Tenant returns a tenant by ID.
 func (m *Manager) Tenant(id TenantID) (*Tenant, error) {
 	m.mu.RLock()
