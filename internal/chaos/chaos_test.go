@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"dumbnet/internal/sim"
 	"dumbnet/internal/topo"
 	"dumbnet/internal/trace"
+	"dumbnet/internal/vnet"
 )
 
 // buildNetwork stands up the acceptance fabric: a 3-spine 6-leaf
@@ -360,8 +362,31 @@ func TestChaosTraceExportDeterminism(t *testing.T) {
 // two parallel cables between spine 1 and leaf 3, flaps and crashes off so
 // that a cable is down exactly while the battery holds it down. After every
 // event the fabric's down links must number the cables the battery holds,
-// and each of the parallel cables must be failed at some point.
+// each of the parallel cables must be failed at some point, and every
+// invariant must hold. The second case adds two tenants and multicast
+// groups, whose slices and trees cross the twins, over ten seeds; once the
+// battery has healed every cable, each tenant slice must be as built.
 func TestParallelCablesHeldByCable(t *testing.T) {
+	cases := []struct {
+		name  string
+		seeds []int64
+		opts  []core.Option
+		mcast bool
+	}{
+		{name: "links", seeds: []int64{5}},
+		{name: "tenants+mcast", seeds: []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, opts: []core.Option{core.WithTenants(2)}, mcast: true},
+	}
+	for _, c := range cases {
+		for _, seed := range c.seeds {
+			t.Run(fmt.Sprintf("%s/seed%d", c.name, seed), func(t *testing.T) {
+				runParallelCables(t, seed, c.opts, c.mcast)
+			})
+		}
+	}
+}
+
+func runParallelCables(t *testing.T, seed int64, opts []core.Option, mcast bool) {
+	const events = 40
 	tp, err := topo.LeafSpine(2, 4, 2, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -371,7 +396,7 @@ func TestParallelCablesHeldByCable(t *testing.T) {
 		t.Fatal(err)
 	}
 	twins := []topo.Link{{A: 1, PA: 1, B: 3, PB: 3}, {A: 1, PA: 5, B: 3, PB: 5}}
-	n, err := core.New(tp, core.WithSeed(5))
+	n, err := core.New(tp, append([]core.Option{core.WithSeed(seed)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,10 +404,17 @@ func TestParallelCablesHeldByCable(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.WarmAll()
+	built := map[vnet.TenantID]string{}
+	if v := n.Vnet(); v != nil {
+		for _, id := range v.Tenants() {
+			ten, _ := v.Tenant(id)
+			built[id] = string(ten.View().Marshal())
+		}
+	}
 	links := n.Fab.Links()
 	failed := make([]bool, len(twins))
 	steps := 0
-	rep, err := chaos.RunHeld(n, chaos.Config{Seed: 5, Events: 40}, func(held int) {
+	rep, err := chaos.RunHeld(n, chaos.Config{Seed: seed, Events: events, Mcast: mcast}, func(held int) {
 		steps++
 		down := 0
 		for c, l := range links {
@@ -400,12 +432,17 @@ func TestParallelCablesHeldByCable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if steps != 40 {
-		t.Fatalf("%d steps, want 40", steps)
+	if steps != events {
+		t.Fatalf("%d steps, want %d", steps, events)
 	}
 	for i, ok := range failed {
 		if !ok {
 			t.Errorf("parallel cable %+v never failed", twins[i])
+		}
+	}
+	for id, want := range built {
+		if ten, _ := n.Vnet().Tenant(id); string(ten.View().Marshal()) != want {
+			t.Errorf("tenant %s: slice after the heal differs from the slice as built", id)
 		}
 	}
 	if !rep.Ok() {

@@ -173,7 +173,7 @@ func TestLookupCloneSafety(t *testing.T) {
 	}
 	for _, sw := range pg.Graph.SwitchIDs() {
 		for nbs := pg.Graph.Neighbors(sw); len(nbs) > 0; nbs = pg.Graph.Neighbors(sw) {
-			pg.Graph.RemoveEdge(sw, nbs[0].Sw)
+			pg.Graph.RemoveEdgeByPort(sw, nbs[0].Port)
 		}
 	}
 

@@ -34,30 +34,18 @@ func (c *Controller) QuerySwitchStats(sw packet.SwitchID, cb func(*packet.StatsR
 		cb(nil, err)
 		return
 	}
-	sp, err := topo.ShortestPath(c.master, myAt.Switch, sw, nil)
+	r, err := topo.ShortestPath(c.master, myAt.Switch, sw, nil)
 	if err != nil {
 		cb(nil, err)
 		return
 	}
-	// Forward tags: hop to the target switch (none if it is our own).
-	var tags packet.Path
-	for i := 0; i+1 < len(sp); i++ {
-		p, err := c.master.PortToward(sp[i], sp[i+1])
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		tags = append(tags, p)
-	}
-	tags = append(tags, packet.TagIDQuery)
-	// Return tags: back down the path, then our access port.
-	for i := len(sp) - 1; i > 0; i-- {
-		p, err := c.master.PortToward(sp[i], sp[i-1])
-		if err != nil {
-			cb(nil, err)
-			return
-		}
-		tags = append(tags, p)
+	// Forward tags: to the target switch, then the ID query there.
+	tags := r.Tags()
+	tags[len(tags)-1] = packet.TagIDQuery
+	// Return tags: back over the route's own cables, then our access port.
+	for i := len(r) - 2; i >= 0; i-- {
+		far, _ := c.master.CableAt(r[i].Switch, r[i].Port)
+		tags = append(tags, far.Port)
 	}
 	tags = append(tags, myAt.Port)
 

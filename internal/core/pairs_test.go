@@ -15,14 +15,15 @@ import (
 )
 
 // pairFeature is one switch the pairwise test combines: construction
-// options, replication after boot, federation, or a change to the chaos
-// run every pair ends with. table names the refusals-table features it
-// turns on.
+// options, replication after boot, federation, a twin cable in the fabric,
+// or a change to the chaos run every pair ends with. table names the
+// refusals-table features it turns on.
 type pairFeature struct {
 	name      string
 	opts      []core.Option
 	replicate bool // EnableReplicationAt after boot
 	federate  bool // deploy as member 0 of a two-fabric federation
+	twin      bool // a second cable between spine 1 and leaf 3
 	chaos     func(*chaos.Config)
 	table     []string
 }
@@ -40,6 +41,7 @@ func pairFeatures() []pairFeature {
 		{name: "ctrl-crash", replicate: true, chaos: func(c *chaos.Config) { c.CrashController = true }, table: []string{"EnableReplicationAt"}},
 		{name: "churn", opts: []core.Option{core.WithTenants(2)}, chaos: func(c *chaos.Config) { c.TenantChurn = true }, table: []string{"WithTenants"}},
 		{name: "mcast", chaos: func(c *chaos.Config) { c.Mcast = true }},
+		{name: "twin-cable", twin: true},
 	}
 	// A host runs one routing policy, so policies pair with every other
 	// feature but not with each other.
@@ -119,7 +121,18 @@ func runPair(t *testing.T, a, b pairFeature) {
 		return true
 	}
 	build := func() *topo.Topology {
-		tp, err := topo.LeafSpine(2, 4, 3, 0)
+		if !a.twin && !b.twin {
+			tp, err := topo.LeafSpine(2, 4, 3, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return tp
+		}
+		// A sixth port on every switch carries the twin 1:6–3:6.
+		tp, err := topo.LeafSpine(2, 4, 3, 6)
+		if err == nil {
+			err = tp.Connect(1, 6, 3, 6)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,25 +63,23 @@ func AblationPathGraph(trials int, seed int64) (*Result, error) {
 		ksub := topo.NewSubgraph()
 		ksub.AddHost(sat)
 		ksub.AddHost(dat)
-		kswitches := map[topo.SwitchID]bool{}
 		for _, p := range kpaths {
 			for j := 0; j+1 < len(p); j++ {
-				pa, _ := cube.PortToward(p[j], p[j+1])
-				pb, _ := cube.PortToward(p[j+1], p[j])
-				ksub.AddEdge(p[j], pa, p[j+1], pb)
-			}
-			for _, sw := range p {
-				kswitches[sw] = true
+				far, _ := cube.EndpointAt(p[j].Switch, p[j].Port)
+				ksub.AddEdge(p[j].Switch, p[j].Port, p[j+1].Switch, far.Port)
 			}
 		}
-		strategies[1].switches += float64(len(kswitches))
+		strategies[1].switches += float64(ksub.NumSwitches())
 
 		// Fail one random interior primary-path link; can each cache still
 		// route?
 		cut := 1 + rng.Intn(len(pg.Primary)-2)
-		a, b := pg.Primary[cut], pg.Primary[cut+1]
+		primary, err := pg.RouteOf(pg.Primary)
+		if err != nil {
+			return nil, err
+		}
 		for si, sub := range []*topo.Subgraph{pg.Graph.Clone(), ksub.Clone()} {
-			sub.RemoveEdge(a, b)
+			sub.RemoveEdgeByPort(primary[cut].Switch, primary[cut].Port)
 			strategies[si].attempted++
 			if _, err := sub.HostPath(src, dst, nil); err == nil {
 				strategies[si].survived++

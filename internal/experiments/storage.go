@@ -71,17 +71,14 @@ func StorageOverhead(k int, destinations int, seed int64) (*Result, error) {
 		}
 		sat, _ := cache.HostAt(src)
 		dat, _ := cache.HostAt(dst)
-		sps, err := topo.KShortestPaths(cache, sat.Switch, dat.Switch, 4)
+		routes, err := topo.KShortestPaths(cache, sat.Switch, dat.Switch, 4)
 		if err != nil {
 			continue
 		}
 		var paths []host.CachedPath
-		for _, sp := range sps {
-			tags, err := cache.TagsForSwitchPath(sp, dst)
-			if err != nil {
-				continue
-			}
-			paths = append(paths, host.CachedPath{Tags: tags})
+		for _, r := range routes {
+			r[len(r)-1].Port = dat.Port
+			paths = append(paths, host.CachedPath{Tags: r.Tags()})
 		}
 		pt.Install(dst, &host.TableEntry{Paths: paths})
 		if sampled < len(samplePoints) && i == samplePoints[sampled] {

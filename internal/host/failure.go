@@ -166,16 +166,14 @@ func (a *Agent) handleTopoPatch(blob *packet.Blob) {
 	}
 }
 
-// routeStillValid checks a cached path's hops against the current cache.
+// routeStillValid reports whether each hop's port still holds a cable to
+// the next hop's switch.
 func (a *Agent) routeStillValid(cp CachedPath) bool {
-	if len(cp.Hops) == 0 {
-		return true // application-installed route without hop refs
-	}
 	for i := 0; i+1 < len(cp.Hops); i++ {
-		p, err := a.cache.PortToward(cp.Hops[i].Switch, cp.Hops[i+1].Switch)
-		if err != nil || p != cp.Hops[i].Port {
+		far, ok := a.cache.CableAt(cp.Hops[i].Switch, cp.Hops[i].Port)
+		if !ok || far.Switch != cp.Hops[i+1].Switch {
 			return false
 		}
 	}
-	return true
+	return true // also an application-installed route without hop refs
 }

@@ -165,33 +165,20 @@ func routesFromView(view *topo.Subgraph, src, dst packet.MAC, k int) ([]CachedPa
 	if err != nil {
 		return nil, err
 	}
-	sps, err := topo.KShortestPaths(view, sat.Switch, dat.Switch, k)
+	routes, err := topo.KShortestPaths(view, sat.Switch, dat.Switch, k)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]CachedPath, 0, len(sps))
-	for _, sp := range sps {
-		cp, err := cachedPathFor(view, sp, dst)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cp)
+	out := make([]CachedPath, len(routes))
+	for i, r := range routes {
+		r[len(r)-1].Port = dat.Port
+		out[i] = cachedPath(r)
 	}
 	return out, nil
 }
 
-// cachedPathFor converts a switch path into tags plus hop references.
-func cachedPathFor(view *topo.Subgraph, sp topo.SwitchPath, dst packet.MAC) (CachedPath, error) {
-	tags, err := view.TagsForSwitchPath(sp, dst)
-	if err != nil {
-		return CachedPath{}, err
-	}
-	hops := make([]topo.PortRef, 0, len(tags))
-	for i, sw := range sp {
-		hops = append(hops, topo.PortRef{Switch: sw, Port: tags[i]})
-	}
-	return CachedPath{Tags: tags, Hops: hops}, nil
-}
+// cachedPath caches a route to a host: its hops, and its ports as tags.
+func cachedPath(r topo.Route) CachedPath { return CachedPath{Tags: r.Tags(), Hops: r} }
 
 // fillFromCache replaces p's entry with one computed from the TopoCache
 // (none when the cache has no route), reporting success.
@@ -363,15 +350,14 @@ func (a *Agent) handlePathResponse(blob *packet.Blob) {
 	if paths, err := routesFromView(a.cache, a.mac, dst, kPaths); err == nil {
 		entry.Paths = a.filterSuspects(paths)
 	}
-	if len(pg.Backup) > 0 {
-		if bp, err := cachedPathFor(a.cache, pg.Backup, dst); err == nil {
-			entry.Backup = &bp
-		}
+	if r, err := pg.RouteOf(pg.Backup); err == nil {
+		bp := cachedPath(r)
+		entry.Backup = &bp
 	}
 	if len(entry.Paths) == 0 {
 		// Fall back to the primary path as delivered.
-		if pp, err := cachedPathFor(a.cache, pg.Primary, dst); err == nil {
-			entry.Paths = append(entry.Paths, pp)
+		if r, err := pg.RouteOf(pg.Primary); err == nil {
+			entry.Paths = append(entry.Paths, cachedPath(r))
 		}
 	}
 	if len(entry.Paths) == 0 {

@@ -94,11 +94,12 @@ func BuildTree(top *topo.Topology, group GroupID, src packet.MAC, members []pack
 	}
 	dist := g.DistTo(sc, root)
 
+	// up[i] is the edge node i's walk toward the root took.
 	n := g.NumNodes()
-	parent := make([]int32, n)
+	up := make([]int32, n)
 	inTree := make([]bool, n)
-	for i := range parent {
-		parent[i] = -1
+	for i := range up {
+		up[i] = -1
 	}
 	inTree[root] = true
 
@@ -129,26 +130,27 @@ func BuildTree(top *topo.Topology, group GroupID, src packet.MAC, members []pack
 			cand = cand[:0]
 			lo, hi := g.EdgeRange(cur)
 			for e := lo; e < hi; e++ {
-				if nb := g.EdgeTarget(e); dist[nb] == want {
-					cand = append(cand, nb)
+				if dist[g.EdgeTarget(e)] == want {
+					cand = append(cand, e)
 				}
 			}
 			if len(cand) == 0 {
 				return nil, fmt.Errorf("mcast: member %v: %w", m, topo.ErrNoPath)
 			}
-			next := cand[0]
+			e := cand[0]
 			if len(cand) > 1 {
-				next = cand[rng.Intn(len(cand))]
+				e = cand[rng.Intn(len(cand))]
 			}
-			parent[cur] = next
+			up[cur] = e
 			inTree[cur] = true
-			cur = next
+			cur = g.EdgeTarget(e)
 		}
 	}
 
 	children := make(map[int32][]int32)
 	for i := int32(0); i < int32(n); i++ {
-		if p := parent[i]; p >= 0 {
+		if e := up[i]; e >= 0 {
+			p := g.EdgeTarget(e)
 			children[p] = append(children[p], i)
 		}
 	}
@@ -163,15 +165,11 @@ func BuildTree(top *topo.Topology, group GroupID, src packet.MAC, members []pack
 			hops = append(hops, packet.TreeHop{Port: packet.Tag(p)})
 		}
 		for _, c := range children[node] {
-			port, ok := g.PortBetween(node, c)
-			if !ok {
-				return nil, fmt.Errorf("mcast: no port %d->%d: %w", node, c, topo.ErrNoPath)
-			}
 			sub, err := build(c)
 			if err != nil {
 				return nil, err
 			}
-			hops = append(hops, packet.TreeHop{Port: packet.Tag(port), Sub: sub})
+			hops = append(hops, packet.TreeHop{Port: packet.Tag(g.EdgeFarPort(up[c])), Sub: sub})
 		}
 		return hops, nil
 	}

@@ -18,15 +18,16 @@ import (
 // walks they replaced live on in oracle_test.go as the reference.
 
 // DenseGraph is an index-compressed CSR snapshot of a View's switch graph.
-// Node indices are the rank of each switch ID in ascending order; per-node
-// edge order equals the view's Neighbors order (local port order for a
-// Topology, neighbour ID order for a Subgraph), which is what fixes
-// equal-cost tie-breaking and the rng draw sequence.
+// Node indices are the rank of each switch ID in ascending order; an edge
+// is one direction of one cable, and per-node edge order equals the view's
+// Neighbors order (local port order for a Topology, cable order for a
+// Subgraph), which fixes equal-cost tie-breaking and the rng draw sequence.
 type DenseGraph struct {
 	ids   []SwitchID // node index -> switch ID, ascending
 	start []int32    // CSR row offsets, len(ids)+1
 	nbr   []int32    // edge target node index
 	port  []Port     // local out-port per edge, parallel to nbr
+	far   []Port     // the port the edge's cable arrives at, parallel to nbr
 	// rows caches, per destination node, the hop count from every node to
 	// it (DistTo). Only a Topology's per-generation snapshot has rows: a
 	// mutation drops the snapshot and its rows together, while a scratch
@@ -44,12 +45,13 @@ func (g *DenseGraph) snapshot(v View, edges int) {
 		g.ids = v.SwitchIDs()
 	}
 	g.start = append(slices.Grow(g.start[:0], len(g.ids)+1), 0)
-	g.nbr, g.port = slices.Grow(g.nbr[:0], edges), slices.Grow(g.port[:0], edges)
+	g.nbr, g.port, g.far = slices.Grow(g.nbr[:0], edges), slices.Grow(g.port[:0], edges), slices.Grow(g.far[:0], edges)
 	for _, id := range g.ids {
 		for _, nb := range v.Neighbors(id) {
 			if j, ok := g.IndexOf(nb.Sw); ok {
 				g.nbr = append(g.nbr, j)
 				g.port = append(g.port, nb.Port)
+				g.far = append(g.far, nb.FarPort)
 			}
 		}
 		g.start = append(g.start, int32(len(g.nbr)))
@@ -79,23 +81,36 @@ func (g *DenseGraph) EdgeTarget(e int32) int32 { return g.nbr[e] }
 // EdgePort returns the local out-port of edge e.
 func (g *DenseGraph) EdgePort(e int32) Port { return g.port[e] }
 
-// PortBetween returns from's lowest-numbered port toward to (the same
-// lowest-port-wins answer Topology.PortToward gives).
-func (g *DenseGraph) PortBetween(from, to int32) (Port, bool) {
-	for e := g.start[from]; e < g.start[from+1]; e++ {
-		if g.nbr[e] == to {
-			return g.port[e], true
-		}
-	}
-	return 0, false
+// EdgeFarPort returns the port edge e's cable arrives at.
+func (g *DenseGraph) EdgeFarPort(e int32) Port { return g.far[e] }
+
+// edgeFrom returns the node edge e leaves.
+func (g *DenseGraph) edgeFrom(e int32) int32 {
+	i, _ := slices.BinarySearch(g.start, e+1)
+	return int32(i - 1)
 }
 
-// idsOf converts a path of node indices into switch IDs.
-func (g *DenseGraph) idsOf(p []int32) SwitchPath {
-	out := make(SwitchPath, len(p))
-	for i, idx := range p {
-		out[i] = g.ids[idx]
+// maskCable hides edge e and the edge its cable comes back by: a cable is
+// masked both ways.
+func (g *DenseGraph) maskCable(edges *Bitset, e int32) {
+	edges.Set(e)
+	from, to := g.edgeFrom(e), g.nbr[e]
+	for r := g.start[to]; r < g.start[to+1]; r++ {
+		if g.nbr[r] == from && g.port[r] == g.far[e] {
+			edges.Set(r)
+		}
 	}
+}
+
+// routeOf turns the edges a dense path takes from src into a Route.
+func (g *DenseGraph) routeOf(src int32, edges []int32) Route {
+	out := make(Route, len(edges)+1)
+	cur := src
+	for i, e := range edges {
+		out[i] = PortRef{Switch: g.ids[cur], Port: g.port[e]}
+		cur = g.nbr[e]
+	}
+	out[len(edges)] = PortRef{Switch: g.ids[cur]}
 	return out
 }
 
@@ -131,15 +146,15 @@ type DenseScratch struct {
 	dist   []int32       // BFS hop counts (-1 = unreached)
 	queue  []int32       // BFS work queue
 	wdist  []float64     // Dijkstra tentative distances (+Inf: unreached, -1: settled)
-	prev   []int32       // Dijkstra predecessors
+	prev   []int32       // Dijkstra: the edge each node was reached by
 	nodes  Bitset        // path-graph node set under construction
-	path   []int32       // primary path buffer
-	pathB  []int32       // backup path buffer
+	path   []int32       // primary path buffer (its edges)
+	pathB  []int32       // backup path buffer (its edges)
 	nbrs   []uint64      // path-graph writer: one node's in-set edges
 	w      packet.Writer // path-graph writer: the answer's wire form
-	cand   []int32       // equal-cost candidate set
-	mask   denseMask     // Yen: root nodes and used links hidden from a spur search; backup: primary links
-	arena  []int32       // Yen: accepted and candidate paths, back to back
+	cand   []int32       // equal-cost candidate edges
+	mask   denseMask     // Yen: root nodes and used cables hidden from a spur search; backup: primary cables
+	arena  []int32       // Yen: accepted and candidate paths' edges, back to back
 	found  []span        // Yen: accepted paths, in order
 	queued []span        // Yen: candidates not yet accepted
 }
@@ -149,7 +164,7 @@ type denseMask struct {
 	nodes, edges Bitset
 }
 
-// span locates one path inside DenseScratch.arena.
+// span locates one path's edges inside DenseScratch.arena.
 type span struct{ off, n int32 }
 
 func (sc *DenseScratch) at(s span) []int32 { return sc.arena[s.off : s.off+s.n] }
@@ -213,13 +228,12 @@ func (g *DenseGraph) DistTo(sc *DenseScratch, dst int32) []int32 {
 	return *publish(&g.rows[dst], &row)
 }
 
-// ShortestPathInto appends one shortest path from src to dst (as dense node
-// indices) to buf[:0] and returns it: the hop-count row to dst (DistTo),
-// then a downhill walk collecting each hop's candidates in edge order. The
-// first candidate wins with a nil rng (lowest port on a Topology), a uniform
-// draw otherwise (paper §4.3: "randomizes the choice for equal cost links").
-// On error the result is buf emptied, so `sc.path, err = ...` keeps the
-// buffer.
+// ShortestPathInto appends the edges of one shortest path from src to dst
+// to buf[:0] and returns them: a downhill walk over DistTo's row, the first
+// candidate edge winning with a nil rng (lowest port on a Topology), a
+// uniform draw otherwise (paper §4.3: "randomizes the choice for equal cost
+// links"). On error the result is buf emptied, so `sc.path, err = ...`
+// keeps the buffer.
 func (g *DenseGraph) ShortestPathInto(sc *DenseScratch, src, dst int32, rng *rand.Rand, buf []int32) ([]int32, error) {
 	return g.shortestPath(sc, src, dst, rng, buf, nil)
 }
@@ -227,7 +241,7 @@ func (g *DenseGraph) ShortestPathInto(sc *DenseScratch, src, dst int32, rng *ran
 func (g *DenseGraph) shortestPath(sc *DenseScratch, src, dst int32, rng *rand.Rand, buf []int32, mask *denseMask) ([]int32, error) {
 	buf = buf[:0]
 	if src == dst {
-		return append(buf, src), nil
+		return buf, nil
 	}
 	var dist []int32
 	if mask == nil {
@@ -237,35 +251,34 @@ func (g *DenseGraph) shortestPath(sc *DenseScratch, src, dst int32, rng *rand.Ra
 		dist = sc.dist
 	}
 	if dist[src] < 0 {
-		return buf[:0], ErrNoPath
+		return buf, ErrNoPath
 	}
-	buf = append(buf, src)
 	for cur := src; cur != dst; {
 		want := dist[cur] - 1
 		sc.cand = sc.cand[:0]
 		for e := g.start[cur]; e < g.start[cur+1]; e++ {
 			// Masked nodes are unreached; a masked edge may still lead
 			// to a node that was reached another way.
-			if nb := g.nbr[e]; dist[nb] == want && (mask == nil || !mask.edges.Has(e)) {
-				sc.cand = append(sc.cand, nb)
+			if dist[g.nbr[e]] == want && (mask == nil || !mask.edges.Has(e)) {
+				sc.cand = append(sc.cand, e)
 			}
 		}
 		if len(sc.cand) == 0 {
 			return buf[:0], ErrNoPath
 		}
-		next := sc.cand[0]
+		e := sc.cand[0]
 		if rng != nil && len(sc.cand) > 1 {
-			next = sc.cand[rng.Intn(len(sc.cand))]
+			e = sc.cand[rng.Intn(len(sc.cand))]
 		}
-		buf = append(buf, next)
-		cur = next
+		buf = append(buf, e)
+		cur = g.nbr[e]
 	}
 	return buf, nil
 }
 
 // WeightedShortestPathInto runs Dijkstra from src to dst, appending the
-// path to buf[:0]: an edge in heavy costs penalty (> 0), any other 1. It is
-// the backup search of §4.3, heavy holding the primary's links. Nodes
+// path's edges to buf[:0]: an edge in heavy costs penalty (> 0), any other
+// 1. It is the backup search of §4.3, heavy holding the primary's cables. Nodes
 // settle by smallest distance, then smallest node index (= smallest switch
 // ID), with strict-improvement relaxation, so results are reproducible.
 // Weights are positive, so every open node at the smallest open distance is
@@ -308,18 +321,14 @@ settle:
 				}
 				if nd := bd + w; nd < sc.wdist[nb] {
 					sc.wdist[nb] = nd
-					sc.prev[nb] = best
+					sc.prev[nb] = e
 				}
 			}
 		}
 	}
 	buf = buf[:0]
-	for cur := dst; ; {
-		buf = append(buf, cur)
-		if cur == src {
-			break
-		}
-		cur = sc.prev[cur]
+	for cur := dst; cur != src; cur = g.edgeFrom(buf[len(buf)-1]) {
+		buf = append(buf, sc.prev[cur])
 	}
 	slices.Reverse(buf)
 	return buf, nil
@@ -327,29 +336,29 @@ settle:
 
 // primaryBackupInto computes the §4.3 route pair between src and dst: a
 // shortest path with randomized equal-cost choice into sc.path, and into
-// sc.pathB the shortest path once every primary link costs penalty, so the
-// two share as few links as they can. A backup is best-effort: sc.pathB is
-// left empty when there is none.
+// sc.pathB the shortest path once every primary cable costs penalty both
+// ways, so the two share as few cables as they can. A penalty only raises
+// costs, so there is a backup whenever there is a primary.
 func (g *DenseGraph) primaryBackupInto(sc *DenseScratch, src, dst int32, penalty float64, rng *rand.Rand) error {
 	var err error
 	if sc.path, err = g.ShortestPathInto(sc, src, dst, rng, sc.path); err != nil {
 		return err
 	}
 	sc.mask.edges.Reset(len(g.nbr))
-	for i := 0; i+1 < len(sc.path); i++ {
-		g.maskLink(&sc.mask.edges, sc.path[i], sc.path[i+1])
+	for _, e := range sc.path {
+		g.maskCable(&sc.mask.edges, e)
 	}
-	sc.pathB, _ = g.WeightedShortestPathInto(sc, src, dst, &sc.mask.edges, penalty, sc.pathB) // best-effort
-	return nil
+	sc.pathB, err = g.WeightedShortestPathInto(sc, src, dst, &sc.mask.edges, penalty, sc.pathB)
+	return err
 }
 
-// KShortestPaths returns up to k loop-free shortest paths from src to dst in
-// ascending length order (Yen's algorithm over unit weights); paths of equal
-// length are ordered by switch ID, hop by hop. Each spur search is the
+// KShortestPaths returns up to k loop-free shortest routes from src to dst
+// in ascending length order (Yen's algorithm over unit weights; ties as in
+// less, so twin cables give twin routes). Each spur search is the
 // shortest-path kernel under a mask that hides the root's nodes and the
-// links earlier paths took out of the spur node. Only the returned paths are
-// allocated; the candidate pool lives in sc.
-func (g *DenseGraph) KShortestPaths(sc *DenseScratch, src, dst int32, k int) ([]SwitchPath, error) {
+// cables earlier paths took out of the spur node. Only the returned routes
+// are allocated; the candidate pool lives in sc.
+func (g *DenseGraph) KShortestPaths(sc *DenseScratch, src, dst int32, k int) ([]Route, error) {
 	var err error
 	if sc.path, err = g.ShortestPathInto(sc, src, dst, nil, sc.path); err != nil {
 		return nil, err
@@ -359,25 +368,27 @@ func (g *DenseGraph) KShortestPaths(sc *DenseScratch, src, dst int32, k int) ([]
 	sc.queued = sc.queued[:0]
 	for len(sc.found) < k {
 		last := sc.found[len(sc.found)-1]
-		for i := int32(0); i+1 < last.n; i++ {
-			root := sc.at(last)[:i+1]
+		for i := int32(0); i < last.n; i++ {
+			root := sc.at(last)[:i]
 			sc.mask.nodes.Reset(len(g.ids))
 			sc.mask.edges.Reset(len(g.nbr))
-			for _, x := range root[:i] {
-				sc.mask.nodes.Set(x)
+			spur := src
+			for _, e := range root {
+				sc.mask.nodes.Set(spur)
+				spur = g.nbr[e]
 			}
 			for _, s := range sc.found {
-				if p := sc.at(s); s.n > i+1 && slices.Equal(p[:i+1], root) {
-					g.maskLink(&sc.mask.edges, p[i], p[i+1])
+				if p := sc.at(s); s.n > i && slices.Equal(p[:i], root) {
+					g.maskCable(&sc.mask.edges, p[i])
 				}
 			}
-			if sc.pathB, err = g.shortestPath(sc, root[i], dst, nil, sc.pathB, &sc.mask); err != nil {
+			if sc.pathB, err = g.shortestPath(sc, spur, dst, nil, sc.pathB, &sc.mask); err != nil {
 				continue
 			}
 			// root aliases the arena; appending from it is safe because
 			// the copy source sits below the append point.
 			off := int32(len(sc.arena))
-			sc.arena = append(append(sc.arena, root[:i]...), sc.pathB...)
+			sc.arena = append(append(sc.arena, root...), sc.pathB...)
 			total := span{off, int32(len(sc.arena)) - off}
 			if sc.known(total) {
 				sc.arena = sc.arena[:off]
@@ -390,7 +401,7 @@ func (g *DenseGraph) KShortestPaths(sc *DenseScratch, src, dst int32, k int) ([]
 		}
 		best := 0
 		for c := 1; c < len(sc.queued); c++ {
-			if sc.less(sc.queued[c], sc.queued[best]) {
+			if g.less(sc, sc.queued[c], sc.queued[best]) {
 				best = c
 			}
 		}
@@ -398,22 +409,11 @@ func (g *DenseGraph) KShortestPaths(sc *DenseScratch, src, dst int32, k int) ([]
 		sc.queued[best] = sc.queued[len(sc.queued)-1]
 		sc.queued = sc.queued[:len(sc.queued)-1]
 	}
-	out := make([]SwitchPath, len(sc.found))
+	out := make([]Route, len(sc.found))
 	for i, s := range sc.found {
-		out[i] = g.idsOf(sc.at(s))
+		out[i] = g.routeOf(src, sc.at(s))
 	}
 	return out, nil
-}
-
-// maskLink hides every edge between a and b, both directions.
-func (g *DenseGraph) maskLink(edges *Bitset, a, b int32) {
-	for _, d := range [2][2]int32{{a, b}, {b, a}} {
-		for e := g.start[d[0]]; e < g.start[d[0]+1]; e++ {
-			if g.nbr[e] == d[1] {
-				edges.Set(e)
-			}
-		}
-	}
 }
 
 // known reports whether path s was already accepted or queued.
@@ -429,11 +429,17 @@ func (sc *DenseScratch) known(s span) bool {
 	return false
 }
 
-// less orders paths by length, then hop by hop by node index (which ranks
-// like switch ID).
-func (sc *DenseScratch) less(a, b span) bool {
+// less orders paths from one node by length, then hop by hop by the node
+// reached (ranked like its switch ID), then by edge, in the view's order.
+func (g *DenseGraph) less(sc *DenseScratch, a, b span) bool {
 	if a.n != b.n {
 		return a.n < b.n
 	}
-	return slices.Compare(sc.at(a), sc.at(b)) < 0
+	pa, pb := sc.at(a), sc.at(b)
+	for i := range pa {
+		if na, nb := g.nbr[pa[i]], g.nbr[pb[i]]; na != nb {
+			return na < nb
+		}
+	}
+	return slices.Compare(pa, pb) < 0
 }

@@ -36,8 +36,8 @@ func oracleTopos(t *testing.T) map[string]*Topology {
 // oracleViews returns every topology of oracleTopos plus, for each, the
 // Subgraph views routing really runs on: two path-graph bodies, and one of
 // them again after a host-style RemoveEdgeByPort patch. Subgraphs list
-// neighbours in ID order where a Topology lists them in port order, so they
-// exercise the other tie-break.
+// cables in neighbour ID order where a Topology lists them in port order,
+// so they exercise the other tie-break.
 func oracleViews(t *testing.T) map[string]View {
 	t.Helper()
 	out := make(map[string]View)
@@ -53,9 +53,9 @@ func oracleViews(t *testing.T) map[string]View {
 			out[fmt.Sprintf("%s/pathgraph%d", name, i)] = pg.Graph
 			if i == 0 {
 				cut := pg.Graph.Clone()
-				port, err := cut.PortToward(pg.Primary[0], pg.Primary[1])
-				if err != nil || !cut.RemoveEdgeByPort(pg.Primary[0], port) {
-					t.Fatalf("%s: cut primary's first link: %v", name, err)
+				port, ok := cut.firstCable(pg.Primary[0], pg.Primary[1])
+				if !ok || !cut.RemoveEdgeByPort(pg.Primary[0], port) {
+					t.Fatalf("%s: cut primary's first link", name)
 				}
 				out[name+"/pathgraph0-cut"] = cut
 			}
@@ -64,8 +64,9 @@ func oracleViews(t *testing.T) map[string]View {
 	return out
 }
 
-func samePaths(a, b []SwitchPath) bool {
-	return slices.EqualFunc(a, b, SwitchPath.Equal)
+// samePaths reports whether routes visit the switches of paths, in order.
+func samePaths(paths []SwitchPath, routes []Route) bool {
+	return slices.EqualFunc(paths, routes, func(p SwitchPath, r Route) bool { return p.Equal(r.Switches()) })
 }
 
 // TestKernelsMatchOracle holds the shipped routing entry points to the map
@@ -95,14 +96,14 @@ func TestKernelsMatchOracle(t *testing.T) {
 			for _, dst := range ids {
 				wantP, wantErr := oracleShortestPath(v, src, dst, nil)
 				gotP, gotErr := ShortestPath(v, src, dst, nil)
-				if !errors.Is(gotErr, wantErr) || !wantP.Equal(gotP) {
+				if !errors.Is(gotErr, wantErr) || !wantP.Equal(gotP.Switches()) {
 					t.Fatalf("%s: %d->%d: oracle %v (%v), dense %v (%v)", name, src, dst, wantP, wantErr, gotP, gotErr)
 				}
 				r1 := rand.New(rand.NewSource(int64(src)*1000 + int64(dst)))
 				r2 := rand.New(rand.NewSource(int64(src)*1000 + int64(dst)))
 				wantP, wantErr = oracleShortestPath(v, src, dst, r1)
 				gotP, gotErr = ShortestPath(v, src, dst, r2)
-				if !errors.Is(gotErr, wantErr) || !wantP.Equal(gotP) {
+				if !errors.Is(gotErr, wantErr) || !wantP.Equal(gotP.Switches()) {
 					t.Fatalf("%s: %d->%d rng: oracle %v (%v), dense %v (%v)", name, src, dst, wantP, wantErr, gotP, gotErr)
 				}
 				if r1.Int63() != r2.Int63() {
@@ -118,7 +119,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 			penalty := penalties[trial%len(penalties)]
 			wantP, err := oracleShortestPath(v, src, dst, rand.New(rand.NewSource(int64(trial))))
 			gotP, gotB, gotErr := PrimaryBackup(v, src, dst, PathGraphOptions{BackupPenalty: penalty}, rand.New(rand.NewSource(int64(trial))))
-			if !errors.Is(gotErr, err) || !wantP.Equal(gotP) {
+			if !errors.Is(gotErr, err) || !wantP.Equal(gotP.Switches()) {
 				t.Fatalf("%s: primary %d->%d: oracle %v (%v), dense %v (%v)", name, src, dst, wantP, err, gotP, gotErr)
 			}
 			if err != nil {
@@ -138,7 +139,7 @@ func TestKernelsMatchOracle(t *testing.T) {
 			if err != nil {
 				wantB = nil
 			}
-			if !wantB.Equal(gotB) {
+			if !wantB.Equal(gotB.Switches()) {
 				t.Fatalf("%s: backup %d->%d penalty %v: oracle %v, dense %v", name, src, dst, penalty, wantB, gotB)
 			}
 		}
@@ -170,8 +171,12 @@ func TestKernelsMatchOracle(t *testing.T) {
 			si, _ := g.IndexOf(src)
 			di, _ := g.IndexOf(dst)
 			got, gotErr := g.WeightedShortestPathInto(sc, si, di, &heavy, penalty, nil)
-			if !errors.Is(gotErr, wantErr) || !want.Equal(g.idsOf(got)) {
-				t.Fatalf("%s: weighted %d->%d trial %d: oracle %v (%v), dense %v (%v)", name, src, dst, trial, want, wantErr, g.idsOf(got), gotErr)
+			var gotP SwitchPath
+			if gotErr == nil {
+				gotP = g.routeOf(si, got).Switches()
+			}
+			if !errors.Is(gotErr, wantErr) || !want.Equal(gotP) {
+				t.Fatalf("%s: weighted %d->%d trial %d: oracle %v (%v), dense %v (%v)", name, src, dst, trial, want, wantErr, gotP, gotErr)
 			}
 		}
 		// Yen. All pairs on the small views, a stride of them on the rest.
@@ -326,7 +331,7 @@ func TestBuildPathGraphScratchMatchesBuild(t *testing.T) {
 }
 
 // TestKShortestPathsAllocsOnlyResult pins what Yen costs on a k=8 fat-tree
-// once the scratch is warm: the returned paths and the slice holding them.
+// once the scratch is warm: the returned routes and the slice holding them.
 func TestKShortestPathsAllocsOnlyResult(t *testing.T) {
 	tp, err := FatTree(8, 1, 0)
 	if err != nil {
@@ -346,7 +351,7 @@ func TestKShortestPathsAllocsOnlyResult(t *testing.T) {
 	}
 	run()
 	if n := testing.AllocsPerRun(50, run); n != k+1 {
-		t.Fatalf("warm KShortestPaths(k=%d) allocates %v/op, want %d (the paths and their slice)", k, n, k+1)
+		t.Fatalf("warm KShortestPaths(k=%d) allocates %v/op, want %d (the routes and their slice)", k, n, k+1)
 	}
 }
 

@@ -49,14 +49,18 @@ func FuzzUnmarshalPathGraph(f *testing.F) {
 		f.Fatal(err)
 	}
 	addSeeds(f, goldenPathGraph().Marshal(), pg.Marshal())
-	// A host cache that already holds the golden graph's switches, one of
-	// its links on another port and a host it does not name, and the same
-	// cache in the map form.
+	// A host cache that already holds the golden graph's switches, a twin
+	// of one of its cables and a host it does not name, and the same cache
+	// in the map form. A body with the two ends of a pair listing different
+	// counts is refused: the golden graph with switch 1's entries cut to
+	// one, and with switch 2 listing itself.
 	base := goldenPathGraph().Graph
-	_, obase, err := oracleUnmarshalPathGraph(goldenPathGraph().Marshal())
+	_, golden, err := oracleUnmarshalPathGraph(goldenPathGraph().Marshal())
 	if err != nil {
 		f.Fatal(err)
 	}
+	obase := newOracleSubgraph()
+	obase.Merge(golden)
 	for _, c := range []interface {
 		AddEdge(SwitchID, Port, SwitchID, Port)
 		AddHost(HostAttach)
@@ -67,6 +71,12 @@ func FuzzUnmarshalPathGraph(f *testing.F) {
 	if !bytes.Equal(base.Marshal(), obase.Marshal()) {
 		f.Fatal("the base cache differs from its map form")
 	}
+	for _, b := range [][]byte{unevenPathGraph(), selfListingPathGraph()} {
+		if _, err := UnmarshalPathGraph(b); err == nil {
+			f.Fatalf("accepted an unpaired body\n% x", b)
+		}
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzStable(t, data, UnmarshalPathGraph, (*PathGraph).Marshal)
 		checkDecodeIntoCache(t, data, base, obase)
@@ -76,7 +86,7 @@ func FuzzUnmarshalPathGraph(f *testing.F) {
 // checkDecodeIntoCache decodes data into a copy of base and holds the
 // result to the map reference in oracle_test.go, whose form of base is
 // obase: the same verdict as its reader; on acceptance, the cache its
-// decode-then-Merge leaves; on rejection, base's bytes unchanged.
+// Merge of the body leaves; on rejection, base's bytes unchanged.
 func checkDecodeIntoCache(t *testing.T, data []byte, base *Subgraph, obase *oracleSubgraph) {
 	t.Helper()
 	cache := base.Clone()
@@ -94,7 +104,7 @@ func checkDecodeIntoCache(t *testing.T, data []byte, base *Subgraph, obase *orac
 	want := obase.Clone()
 	want.Merge(refGraph)
 	if !bytes.Equal(cache.Marshal(), want.Marshal()) {
-		t.Fatalf("decoding into the cache differs from decode-then-Merge\n% x", data)
+		t.Fatalf("decoding into the cache differs from the map reader's Merge\n% x", data)
 	}
 	if pg.Graph != cache || pg.Src != ref.Src || pg.Dst != ref.Dst || !pg.Primary.Equal(ref.Primary) || !pg.Backup.Equal(ref.Backup) {
 		t.Fatalf("header differs from the reference reader's\n% x", data)
@@ -117,4 +127,24 @@ func FuzzUnmarshalTopology(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzStable(t, data, UnmarshalTopology, (*Topology).Marshal)
 	})
+}
+
+// unevenPathGraph is the golden path graph with switch 1 listing one cable
+// fewer toward switch 2 than switch 2 lists back: the golden body with its
+// first entry's neighbour renamed to 3, so the pair 1–2 lists 0 and 1 and
+// the pair 1–3 lists 2 and 1.
+func unevenPathGraph() []byte {
+	b := goldenPathGraph().Marshal()
+	at := bytes.Index(b, []byte{0xd0, 0xb2, 0x01}) + 3 + 4 + 4 + 2 // switch 1's first entry
+	b[at+3] = 3
+	return b
+}
+
+// selfListingPathGraph is the golden path graph with switch 1's first
+// entry naming switch 1.
+func selfListingPathGraph() []byte {
+	b := goldenPathGraph().Marshal()
+	at := bytes.Index(b, []byte{0xd0, 0xb2, 0x01}) + 3 + 4 + 4 + 2
+	b[at+3] = 1
+	return b
 }

@@ -71,7 +71,7 @@ func (sw *switchRec) wire(p Port, ep Endpoint) {
 	sw.wired[p-1] = ep
 	if ep.Kind == EndpointSwitch {
 		i := sw.nbrIndex(p)
-		sw.nbrs = slices.Concat(sw.nbrs[:i], []Neighbor{{Sw: ep.Switch, Port: p}}, sw.nbrs[i:])
+		sw.nbrs = slices.Concat(sw.nbrs[:i], []Neighbor{{Sw: ep.Switch, Port: p, FarPort: ep.Port}}, sw.nbrs[i:])
 	}
 }
 
@@ -93,10 +93,12 @@ func (sw *switchRec) nbrIndex(p Port) int {
 	return i
 }
 
-// Neighbor is an adjacent switch reachable through a local port.
+// Neighbor is one cable out of a switch: the switch it reaches and its
+// ports at both ends.
 type Neighbor struct {
-	Sw   SwitchID
-	Port Port // local outgoing port toward Sw
+	Sw      SwitchID
+	Port    Port // local outgoing port toward Sw
+	FarPort Port // the port on Sw the cable arrives at
 }
 
 // Link is one switch-to-switch cable: port PA on A to port PB on B.
@@ -286,10 +288,9 @@ func (t *Topology) cableTable() *cableTable {
 		sw := &t.switches[i]
 		for k, nb := range sw.nbrs {
 			if sw.id < nb.Sw {
-				pb := sw.at(nb.Port).Port
 				j, _ := t.find(nb.Sw)
-				ct.links = append(ct.links, Link{A: sw.id, PA: nb.Port, B: nb.Sw, PB: pb})
-				ct.edges = append(ct.edges, [2]int32{g.start[i] + int32(k), g.start[j] + int32(t.switches[j].nbrIndex(pb))})
+				ct.links = append(ct.links, Link{A: sw.id, PA: nb.Port, B: nb.Sw, PB: nb.FarPort})
+				ct.edges = append(ct.edges, [2]int32{g.start[i] + int32(k), g.start[j] + int32(t.switches[j].nbrIndex(nb.FarPort))})
 			}
 		}
 	}
@@ -430,10 +431,10 @@ func (t *Topology) EndpointAt(id SwitchID, p Port) (Endpoint, error) {
 	return sw.at(p), nil
 }
 
-// neighborAt implements attachedView.
-func (t *Topology) neighborAt(sw SwitchID, p Port) (SwitchID, bool) {
+// CableAt returns the far end of the cable on switch sw's port p.
+func (t *Topology) CableAt(sw SwitchID, p Port) (PortRef, bool) {
 	ep, err := t.EndpointAt(sw, p)
-	return ep.Switch, err == nil && ep.Kind == EndpointSwitch
+	return PortRef{Switch: ep.Switch, Port: ep.Port}, err == nil && ep.Kind == EndpointSwitch
 }
 
 // PortToward returns the local port on from that leads to the adjacent

@@ -57,7 +57,7 @@ func TestConnectAndNeighbors(t *testing.T) {
 	}
 
 	nbs := tp.Neighbors(1)
-	if len(nbs) != 2 || nbs[0] != (Neighbor{Sw: 2, Port: 1}) || nbs[1] != (Neighbor{Sw: 3, Port: 2}) {
+	if len(nbs) != 2 || nbs[0] != (Neighbor{Sw: 2, Port: 1, FarPort: 2}) || nbs[1] != (Neighbor{Sw: 3, Port: 2, FarPort: 1}) {
 		t.Fatalf("neighbors = %+v", nbs)
 	}
 	if tp.NumLinks() != 2 {

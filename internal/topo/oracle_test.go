@@ -233,9 +233,8 @@ func (f filteredView) Neighbors(id SwitchID) []Neighbor {
 }
 
 // oraclePathGraph is Algorithm 1 as it was shipped before WritePathGraph:
-// the same dense node set, induced into a Subgraph in ascending node order
-// and each node's port order (a later write to a link's port wins), then
-// marshalled. The writer must produce these bytes.
+// the same dense node set, each cable between two of its nodes added to a
+// map subgraph, then marshalled. The writer must produce these bytes.
 func oraclePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.Rand) ([]byte, error) {
 	opts = opts.withDefaults()
 	sc := NewDenseScratch()
@@ -254,27 +253,17 @@ func oraclePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand
 	if err := g.primaryBackupInto(sc, si, di, opts.BackupPenalty, rng); err != nil {
 		return nil, err
 	}
-	primary := g.idsOf(sc.path)
-	var backup SwitchPath
-	if len(sc.pathB) > 0 {
-		backup = g.idsOf(sc.pathB)
-	}
-	nodes := pathGraphNodes(g, sc, opts)
+	primary, backup := g.routeOf(si, sc.path).Switches(), g.routeOf(si, sc.pathB).Switches()
+	nodes := pathGraphNodes(g, sc, si, opts)
 	sub := newOracleSubgraph()
 	for i := int32(0); i < int32(len(g.ids)); i++ {
 		if !nodes.Has(i) {
 			continue
 		}
 		for e := g.start[i]; e < g.start[i+1]; e++ {
-			nb := g.nbr[e]
-			if !nodes.Has(nb) {
-				continue
+			if nb := g.nbr[e]; nodes.Has(nb) && i < nb {
+				sub.AddEdge(g.ids[i], g.port[e], g.ids[nb], g.far[e])
 			}
-			rp, ok := g.PortBetween(nb, i)
-			if !ok {
-				return nil, ErrNoLink
-			}
-			sub.AddEdge(g.ids[i], g.port[e], g.ids[nb], rp)
 		}
 	}
 	sub.AddHost(sat)
@@ -293,12 +282,22 @@ func oraclePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand
 	return w.Bytes(), nil
 }
 
-// oracleUnmarshalPathGraph is the path-graph reader as it was shipped
-// before DecodePathGraph: it builds a fresh map subgraph while it reads,
-// and a host then merged that into its cache. DecodePathGraph must accept
-// exactly what it accepts and leave a cache as that merge did. The
-// returned header's Graph is nil; the graph comes back on its own.
-func oracleUnmarshalPathGraph(b []byte) (*PathGraph, *oracleSubgraph, error) {
+// oracleBody is a path-graph body as the map reader reads it: the switches
+// it has records for, its cables in the order a cache takes them, and its
+// host attachments.
+type oracleBody struct {
+	switches []SwitchID
+	cables   []Link
+	hosts    []HostAttach
+}
+
+// oracleUnmarshalPathGraph is the path-graph reader in map form: it files
+// each switch's ports toward each neighbour in body order, refuses a body
+// whose two ends of a switch pair list different counts (or a switch that
+// lists itself), and pairs the k-th port either end lists into one cable.
+// DecodePathGraph must accept exactly what it accepts and leave a cache as
+// Merge of its body does. The returned header's Graph is nil.
+func oracleUnmarshalPathGraph(b []byte) (*PathGraph, *oracleBody, error) {
 	r := packet.NewReader(b)
 	readHeader(&r, pathgrafMagic)
 	readPath := func() SwitchPath {
@@ -321,16 +320,23 @@ func oracleUnmarshalPathGraph(b []byte) (*PathGraph, *oracleSubgraph, error) {
 	if n > 1<<22 {
 		r.Fail()
 	}
-	s := newOracleSubgraph()
+	body := &oracleBody{}
+	ends := map[[2]SwitchID][]Port{} // ends[{a, b}]: a's ports toward b
 	for i := 0; i < n && r.Ok(); i++ {
 		id := SwitchID(r.U32())
-		cnt := int(r.U16())
-		if s.adj[id] == nil {
-			s.adj[id] = make(map[SwitchID]Port, min(cnt, len(r.Rest())/5))
+		if i > 0 && id <= body.switches[i-1] {
+			r.Fail() // switches out of order, or repeated
 		}
+		body.switches = append(body.switches, id)
+		cnt := int(r.U16())
+		prev := SwitchID(0)
 		for j := 0; j < cnt && r.Ok(); j++ {
 			nb := SwitchID(r.U32())
-			s.adj[id][nb] = r.U8()
+			if nb == id || nb < prev {
+				r.Fail()
+			}
+			prev = nb
+			ends[[2]SwitchID{id, nb}] = append(ends[[2]SwitchID{id, nb}], r.U8())
 		}
 	}
 	hn := int(r.U32())
@@ -338,54 +344,68 @@ func oracleUnmarshalPathGraph(b []byte) (*PathGraph, *oracleSubgraph, error) {
 		r.Fail()
 	}
 	for i := 0; i < hn && r.Ok(); i++ {
-		at := readAttach(&r)
-		s.hosts[at.Host] = at
+		body.hosts = append(body.hosts, readAttach(&r))
 	}
 	if !r.Ok() || len(r.Rest()) != 0 {
 		return nil, nil, ErrBadTopology
 	}
-	return pg, s, nil
+	var pairs [][2]SwitchID
+	for k, ports := range ends {
+		if len(ends[[2]SwitchID{k[1], k[0]}]) != len(ports) {
+			return nil, nil, ErrBadTopology
+		}
+		if k[0] < k[1] {
+			pairs = append(pairs, k)
+		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]SwitchID) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for _, k := range pairs {
+		for i, pa := range ends[k] {
+			body.cables = append(body.cables, Link{A: k[0], PA: pa, B: k[1], PB: ends[[2]SwitchID{k[1], k[0]}][i]})
+		}
+	}
+	return pg, body, nil
 }
 
-// oracleSubgraph is the TopoCache as it was shipped before Subgraph stored
-// sorted rows: nested maps, the switch list and each neighbour list sorted
-// on every read. Subgraph must answer every read as it does, after the
-// same writes (TestSubgraphMatchesOracle). One change from the shipped
-// type: RemoveEdgeByPort took whichever link on the port a map range met
-// first; here, as in Subgraph, it takes the one neighborAt names.
+// oracleSubgraph is the TopoCache in map form: each switch's cables keyed
+// by its port, the switch list and each row sorted on every read. Subgraph
+// must answer every read as it does, after the same writes
+// (TestSubgraphMatchesOracle).
 type oracleSubgraph struct {
-	adj   map[SwitchID]map[SwitchID]Port // adj[a][b] = a's port toward b
+	adj   map[SwitchID]map[Port]PortRef // adj[a][p]: the far end of a's cable on port p
 	hosts map[MAC]HostAttach
 }
 
 func newOracleSubgraph() *oracleSubgraph {
-	return &oracleSubgraph{adj: make(map[SwitchID]map[SwitchID]Port), hosts: make(map[MAC]HostAttach)}
+	return &oracleSubgraph{adj: make(map[SwitchID]map[Port]PortRef), hosts: make(map[MAC]HostAttach)}
 }
 
+func (s *oracleSubgraph) addSwitch(id SwitchID) {
+	if s.adj[id] == nil {
+		s.adj[id] = make(map[Port]PortRef)
+	}
+}
+
+// AddEdge records a cable, first dropping any cable on either of its ports.
 func (s *oracleSubgraph) AddEdge(a SwitchID, pa Port, b SwitchID, pb Port) {
-	if s.adj[a] == nil {
-		s.adj[a] = make(map[SwitchID]Port)
+	if a == b {
+		return
 	}
-	if s.adj[b] == nil {
-		s.adj[b] = make(map[SwitchID]Port)
-	}
-	s.adj[a][b] = pa
-	s.adj[b][a] = pb
-}
-
-func (s *oracleSubgraph) RemoveEdge(a, b SwitchID) {
-	if m := s.adj[a]; m != nil {
-		delete(m, b)
-	}
-	if m := s.adj[b]; m != nil {
-		delete(m, a)
-	}
+	s.RemoveEdgeByPort(a, pa)
+	s.RemoveEdgeByPort(b, pb)
+	s.addSwitch(a)
+	s.addSwitch(b)
+	s.adj[a][pa] = PortRef{Switch: b, Port: pb}
+	s.adj[b][pb] = PortRef{Switch: a, Port: pa}
 }
 
 func (s *oracleSubgraph) RemoveEdgeByPort(sw SwitchID, p Port) bool {
-	nb, ok := s.neighborAt(sw, p)
+	far, ok := s.adj[sw][p]
 	if ok {
-		s.RemoveEdge(sw, nb)
+		delete(s.adj[sw], p)
+		delete(s.adj[far.Switch], far.Port)
 	}
 	return ok
 }
@@ -394,9 +414,7 @@ func (s *oracleSubgraph) RemoveHost(h MAC) { delete(s.hosts, h) }
 
 func (s *oracleSubgraph) AddHost(at HostAttach) {
 	s.hosts[at.Host] = at
-	if s.adj[at.Switch] == nil {
-		s.adj[at.Switch] = make(map[SwitchID]Port)
-	}
+	s.addSwitch(at.Switch)
 }
 
 func (s *oracleSubgraph) NumLinks() int {
@@ -425,54 +443,70 @@ func (s *oracleSubgraph) Hosts() []HostAttach {
 	return out
 }
 
+// Neighbors lists id's cables by neighbour, then by the port at the
+// cable's lower-ID end.
 func (s *oracleSubgraph) Neighbors(id SwitchID) []Neighbor {
 	m := s.adj[id]
 	if len(m) == 0 {
 		return nil
 	}
 	out := make([]Neighbor, 0, len(m))
-	for sw, p := range m {
-		out = append(out, Neighbor{Sw: sw, Port: p})
+	for p, far := range m {
+		out = append(out, Neighbor{Sw: far.Switch, Port: p, FarPort: far.Port})
 	}
-	slices.SortFunc(out, func(a, b Neighbor) int { return cmp.Compare(a.Sw, b.Sw) })
+	lowEnd := func(nb Neighbor) Port {
+		if nb.Sw < id {
+			return nb.FarPort
+		}
+		return nb.Port
+	}
+	slices.SortFunc(out, func(a, b Neighbor) int {
+		return cmp.Or(cmp.Compare(a.Sw, b.Sw), cmp.Compare(lowEnd(a), lowEnd(b)))
+	})
 	return out
 }
 
-func (s *oracleSubgraph) neighborAt(sw SwitchID, p Port) (SwitchID, bool) {
-	next, ok := SwitchID(0), false
-	for nb, port := range s.adj[sw] {
-		if port == p && (!ok || nb < next) {
-			next, ok = nb, true
-		}
-	}
-	return next, ok
+func (s *oracleSubgraph) CableAt(sw SwitchID, p Port) (PortRef, bool) {
+	far, ok := s.adj[sw][p]
+	return far, ok
 }
 
-func (s *oracleSubgraph) PortToward(from, to SwitchID) (Port, error) {
-	if p, ok := s.adj[from][to]; ok {
-		return p, nil
+// firstCable returns from's port on its first cable toward to, in
+// Neighbors order.
+func (s *oracleSubgraph) firstCable(from, to SwitchID) (Port, bool) {
+	for _, nb := range s.Neighbors(from) {
+		if nb.Sw == to {
+			return nb.Port, true
+		}
 	}
-	return 0, ErrNoLink
+	return 0, false
 }
 
-// Merge unions other into s, the incoming port winning on a conflict.
-func (s *oracleSubgraph) Merge(other *oracleSubgraph) {
-	for a, m := range other.adj {
-		if s.adj[a] == nil {
-			s.adj[a] = make(map[SwitchID]Port)
-		}
-		for b, p := range m {
-			s.adj[a][b] = p
-		}
+// Merge takes a body in: its switches, each of its cables in order, and its
+// hosts.
+func (s *oracleSubgraph) Merge(b *oracleBody) {
+	for _, id := range b.switches {
+		s.addSwitch(id)
 	}
-	for h, at := range other.hosts {
-		s.hosts[h] = at
+	for _, c := range b.cables {
+		s.AddEdge(c.A, c.PA, c.B, c.PB)
+	}
+	for _, at := range b.hosts {
+		s.hosts[at.Host] = at
 	}
 }
 
 func (s *oracleSubgraph) Clone() *oracleSubgraph {
 	c := newOracleSubgraph()
-	c.Merge(s)
+	for id, m := range s.adj {
+		c.addSwitch(id)
+		for p, far := range m {
+			c.adj[id][p] = far
+		}
+	}
+	for h, at := range s.hosts {
+		c.hosts[h] = at
+	}
 	return c
 }
 
@@ -637,7 +671,7 @@ func (t *oracleTopology) Neighbors(id SwitchID) []Neighbor {
 	var nbs []Neighbor
 	for p, ep := range sw.wired {
 		if ep.Kind == EndpointSwitch {
-			nbs = append(nbs, Neighbor{Sw: ep.Switch, Port: p})
+			nbs = append(nbs, Neighbor{Sw: ep.Switch, Port: p, FarPort: ep.Port})
 		}
 	}
 	sort.Slice(nbs, func(i, j int) bool { return nbs[i].Port < nbs[j].Port })

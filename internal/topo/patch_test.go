@@ -88,13 +88,13 @@ func TestPatchApply(t *testing.T) {
 		{Kind: OpHello}, // must be a no-op for the cache
 	}}
 	p.Apply(s)
-	if _, err := s.PortToward(3, 4); err == nil {
+	if _, ok := s.firstCable(3, 4); ok {
 		t.Fatal("link-down op not applied")
 	}
-	if _, err := s.PortToward(10, 11); err != nil {
+	if _, ok := s.firstCable(10, 11); !ok {
 		t.Fatal("link-up op not applied")
 	}
-	if _, err := s.PortToward(3, 5); err != nil {
+	if _, ok := s.firstCable(3, 5); !ok {
 		t.Fatal("a link the patch did not name was removed")
 	}
 }

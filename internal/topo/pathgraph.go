@@ -2,6 +2,7 @@ package topo
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -11,7 +12,7 @@ import (
 // Path graph construction (paper §4.3, Algorithm 1). A path graph is the
 // unit of caching between controller and host: a primary shortest path,
 // "s-steps ε-good" local detours around every segment of it, and a backup
-// path that avoids the primary's links where possible.
+// path that avoids the primary's cables where possible.
 
 // PathGraphOptions tunes Algorithm 1.
 type PathGraphOptions struct {
@@ -22,8 +23,8 @@ type PathGraphOptions struct {
 	// s-hop segment may be up to s+ε hops (paper constant ε; 0 allows no
 	// slack, a negative value means 1).
 	Epsilon int
-	// BackupPenalty is the multiplicative link cost applied to primary
-	// path links when computing the backup path (default 8).
+	// BackupPenalty is the multiplicative link cost applied to the primary
+	// path's cables when computing the backup path (default 8).
 	BackupPenalty float64
 }
 
@@ -83,10 +84,9 @@ func BuildPathGraphInto(s *Subgraph, t *Topology, src, dst MAC, opts PathGraphOp
 //
 // The graph lists every node of the set in ascending ID order (each has a
 // neighbour in the set, or is the one switch of a same-switch pair), and
-// each node's in-set neighbours in ascending ID order. On parallel links a
-// node names its lowest port toward a higher-ID neighbour and its highest
-// toward a lower-ID one: the ports a Subgraph induced in ascending node and
-// port order is left with, so the bytes are the ones its Marshal wrote
+// each node's cables to in-set nodes in cable order (cableKey): by
+// neighbour ID, then, toward one neighbour, by the cable's port at its
+// lower-ID end, so the k-th entry either end lists names the same cable
 // (TestPathGraphWireMatchesOracle).
 func WritePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.Rand, sc *DenseScratch) (wire []byte, switches int, err error) {
 	opts = opts.withDefaults()
@@ -101,7 +101,7 @@ func WritePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.
 	if err := g.primaryBackupInto(sc, si, di, opts.BackupPenalty, rng); err != nil {
 		return nil, 0, err
 	}
-	nodes := pathGraphNodes(g, sc, opts)
+	nodes := pathGraphNodes(g, sc, si, opts)
 
 	w := &sc.w
 	w.Reset()
@@ -109,9 +109,10 @@ func WritePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.
 	w.MAC(src)
 	w.MAC(dst)
 	for _, p := range [2][]int32{sc.path, sc.pathB} {
-		w.U16(uint16(len(p)))
-		for _, idx := range p {
-			w.U32(uint32(g.ids[idx]))
+		w.U16(uint16(len(p) + 1))
+		w.U32(uint32(sat.Switch))
+		for _, e := range p {
+			w.U32(uint32(g.ids[g.nbr[e]]))
 		}
 	}
 	writeHeader(w, subgraphMagic)
@@ -121,28 +122,21 @@ func WritePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.
 		if !nodes.Has(i) {
 			continue
 		}
-		// In-set edges as neighbour<<8 | port, the port inverted toward a
-		// lower ID: sorted, each neighbour's first entry is the one to keep.
+		// In-set cables as their cableKey and local port: sorted, that is
+		// cable order.
 		nbrs := sc.nbrs[:0]
 		for e := g.start[i]; e < g.start[i+1]; e++ {
-			if nb, p := g.nbr[e], g.port[e]; nodes.Has(nb) {
-				if nb < i {
-					p = ^p
-				}
-				nbrs = append(nbrs, uint64(nb)<<8|uint64(p))
+			if nb := g.nbr[e]; nodes.Has(nb) {
+				key := cableKey(g.ids[i], Neighbor{Sw: g.ids[nb], Port: g.port[e], FarPort: g.far[e]})
+				nbrs = append(nbrs, key<<8|uint64(g.port[e]))
 			}
 		}
 		slices.Sort(nbrs)
-		nbrs = slices.CompactFunc(nbrs, func(a, b uint64) bool { return a>>8 == b>>8 })
 		w.U32(uint32(g.ids[i]))
 		w.U16(uint16(len(nbrs)))
 		for _, v := range nbrs {
-			nb, p := int32(v>>8), Port(v)
-			if nb < i {
-				p = ^p
-			}
-			w.U32(uint32(g.ids[nb]))
-			w.U8(p)
+			w.U32(uint32(v >> 16))
+			w.U8(Port(v))
 		}
 		sc.nbrs = nbrs
 		switches++
@@ -159,24 +153,30 @@ func WritePathGraph(t *Topology, src, dst MAC, opts PathGraphOptions, rng *rand.
 }
 
 // pathGraphNodes marks Algorithm 1's node set in sc.nodes: the primary and
-// backup paths (held in sc.path and sc.pathB as dense indices) and, for
+// backup paths (held in sc.path and sc.pathB as edges from src) and, for
 // every s-hop window [a=p_i, b=p_{i+s}] of the primary (the last window cut
 // short at the path's end), all switches x with dist(a,x)+dist(x,b) <= s+ε,
 // advancing i by s/2 (at least 1). The distances are g's cached rows, so g
 // must be a Topology's snapshot; the node set is a bitmap.
-func pathGraphNodes(g *DenseGraph, sc *DenseScratch, opts PathGraphOptions) *Bitset {
+func pathGraphNodes(g *DenseGraph, sc *DenseScratch, src int32, opts PathGraphOptions) *Bitset {
 	sc.nodes.Reset(len(g.ids))
+	sc.nodes.Set(src)
 	for _, p := range [2][]int32{sc.path, sc.pathB} {
-		for _, idx := range p {
-			sc.nodes.Set(idx)
+		for _, e := range p {
+			sc.nodes.Set(g.nbr[e])
 		}
 	}
-	primary := sc.path
-	last, step := len(primary)-1, max(opts.S/2, 1)
+	node := func(i int) int32 {
+		if i == 0 {
+			return src
+		}
+		return g.nbr[sc.path[i-1]]
+	}
+	last, step := len(sc.path), max(opts.S/2, 1)
 	bound := int32(opts.S + opts.Epsilon)
 	for i := 0; i < last; i += step {
 		// a and b are connected, so x reaches both or neither.
-		da, db := g.DistTo(sc, primary[i]), g.DistTo(sc, primary[min(i+opts.S, last)])
+		da, db := g.DistTo(sc, node(i)), g.DistTo(sc, node(min(i+opts.S, last)))
 		for x, d := range da {
 			if d >= 0 && d+db[x] <= bound {
 				sc.nodes.Set(int32(x))
@@ -186,51 +186,43 @@ func pathGraphNodes(g *DenseGraph, sc *DenseScratch, opts PathGraphOptions) *Bit
 	return &sc.nodes
 }
 
-// Validate checks internal consistency: primary and backup lie inside the
-// subgraph and connect the two attachment switches.
+// Validate checks that the primary, and the backup if there is one, run
+// from the source's switch to the destination's over cached cables.
 func (pg *PathGraph) Validate() error {
 	sat, err := pg.Graph.HostAt(pg.Src)
 	if err != nil {
 		return fmt.Errorf("pathgraph: src attach missing: %w", err)
 	}
-	dat, err := pg.Graph.HostAt(pg.Dst)
-	if err != nil {
-		return fmt.Errorf("pathgraph: dst attach missing: %w", err)
-	}
-	check := func(name string, p SwitchPath) error {
-		if len(p) == 0 {
-			return nil
+	for i, p := range []SwitchPath{pg.Primary, pg.Backup} {
+		if i == 1 && len(p) == 0 {
+			break
 		}
-		if p[0] != sat.Switch || p[len(p)-1] != dat.Switch {
-			return fmt.Errorf("pathgraph: %s endpoints %d..%d, want %d..%d",
-				name, p[0], p[len(p)-1], sat.Switch, dat.Switch)
+		if _, err := pg.RouteOf(p); err != nil || p[0] != sat.Switch {
+			return fmt.Errorf("pathgraph: %s path %v, from switch %d: %w", [2]string{"primary", "backup"}[i], p, sat.Switch, cmp.Or(err, ErrPathInvalid))
 		}
-		for i := 0; i+1 < len(p); i++ {
-			if _, err := pg.Graph.PortToward(p[i], p[i+1]); err != nil {
-				return fmt.Errorf("pathgraph: %s hop %d->%d not in subgraph", name, p[i], p[i+1])
-			}
-		}
-		return nil
 	}
-	if len(pg.Primary) == 0 {
-		return fmt.Errorf("pathgraph: empty primary path")
-	}
-	if err := check("primary", pg.Primary); err != nil {
-		return err
-	}
-	return check("backup", pg.Backup)
+	return nil
 }
 
-// PrimaryTags encodes the primary path as header tags.
-func (pg *PathGraph) PrimaryTags() (p []Port, err error) {
-	return pg.Graph.TagsForSwitchPath(pg.Primary, pg.Dst)
-}
-
-// BackupTags encodes the backup path as header tags (ErrNoPath when the
-// path graph has no backup).
-func (pg *PathGraph) BackupTags() ([]Port, error) {
-	if len(pg.Backup) == 0 {
-		return nil, ErrNoPath
+// RouteOf turns Primary or Backup, which the wire names by switches only,
+// into the route over Graph that delivers to Dst: each hop takes its first
+// cached cable toward the next switch.
+func (pg *PathGraph) RouteOf(sp SwitchPath) (Route, error) {
+	at, err := pg.Graph.HostAt(pg.Dst)
+	if err != nil || len(sp) == 0 {
+		return nil, cmp.Or(err, ErrNoPath)
 	}
-	return pg.Graph.TagsForSwitchPath(pg.Backup, pg.Dst)
+	if sp[len(sp)-1] != at.Switch {
+		return nil, fmt.Errorf("%w: path %v does not end at switch %d, where the host is", ErrPathInvalid, sp, at.Switch)
+	}
+	r := make(Route, len(sp))
+	r[len(sp)-1] = PortRef{Switch: at.Switch, Port: at.Port}
+	for i := 0; i+1 < len(sp); i++ {
+		p, ok := pg.Graph.firstCable(sp[i], sp[i+1])
+		if !ok {
+			return nil, fmt.Errorf("%w: no link %d->%d", ErrNoLink, sp[i], sp[i+1])
+		}
+		r[i] = PortRef{Switch: sp[i], Port: p}
+	}
+	return r, nil
 }

@@ -34,21 +34,19 @@ func TestBuildPathGraphBasics(t *testing.T) {
 	if len(pg.Primary) != 10 {
 		t.Fatalf("primary length = %d switches, want 10", len(pg.Primary))
 	}
-	tags, err := pg.PrimaryTags()
+	primary, err := pg.RouteOf(pg.Primary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tp.VerifyTags(src, dst, tags); err != nil {
+	if err := tp.VerifyTags(src, dst, primary.Tags()); err != nil {
 		t.Fatalf("primary tags invalid on real topology: %v", err)
 	}
-	if len(pg.Backup) > 0 {
-		bt, err := pg.BackupTags()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tp.VerifyTags(src, dst, bt); err != nil {
-			t.Fatalf("backup tags invalid: %v", err)
-		}
+	backup, err := pg.RouteOf(pg.Backup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.VerifyTags(src, dst, backup.Tags()); err != nil {
+		t.Fatalf("backup tags invalid: %v", err)
 	}
 }
 
@@ -122,18 +120,18 @@ func TestPathGraphDetourSurvivesSingleFailure(t *testing.T) {
 	}
 	// Remove the middle primary link from the cached subgraph.
 	mid := len(pg.Primary) / 2
-	pg.Graph.RemoveEdge(pg.Primary[mid], pg.Primary[mid+1])
+	primary, err := pg.RouteOf(pg.Primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.Graph.RemoveEdgeByPort(primary[mid].Switch, primary[mid].Port)
 	tags, err := pg.Graph.HostPath(src, dst, nil)
 	if err != nil {
 		t.Fatalf("no route in cache after single link failure: %v", err)
 	}
 	// The rerouted path must still be valid on the damaged topology.
 	real := tp.Clone()
-	p, err := real.PortToward(pg.Primary[mid], pg.Primary[mid+1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := real.Disconnect(pg.Primary[mid], p); err != nil {
+	if err := real.Disconnect(primary[mid].Switch, primary[mid].Port); err != nil {
 		t.Fatal(err)
 	}
 	if err := real.VerifyTags(src, dst, tags); err != nil {
@@ -309,10 +307,10 @@ func TestDetourNodesMatchOracle(t *testing.T) {
 }
 
 // parallelLinkFabric is a four-switch ring whose 1–2 and 3–4 hops are two
-// links each, wired so a lower-ID end's lowest port meets the higher-ID
-// end's highest: only the writer's port rule for parallel links decides
-// which ports those hops go out with. Switch 1 has two hosts, so one pair
-// shares its switch.
+// cables each, wired so a lower-ID end's lowest port meets the higher-ID
+// end's highest: a cable's two ends list their twins in opposite port
+// order, so only pairing by the lower-ID end's port names each cable's
+// ends alike. Switch 1 has two hosts, so one pair shares its switch.
 func parallelLinkFabric(t *testing.T) *Topology {
 	t.Helper()
 	tp := New()
@@ -403,7 +401,8 @@ func TestDistanceRowsPerGeneration(t *testing.T) {
 			t.Fatalf("row %d of the new generation filled before any reader", i)
 		}
 	}
-	crosses := func(p SwitchPath) bool {
+	crosses := func(r Route) bool {
+		p := r.Switches()
 		for i := 0; i+1 < len(p); i++ {
 			if (p[i] == at.Switch && p[i+1] == cut.Sw) || (p[i] == cut.Sw && p[i+1] == at.Switch) {
 				return true

@@ -24,9 +24,8 @@ type View interface {
 type attachedView interface {
 	View
 	HostAt(h MAC) (HostAttach, error)
-	PortToward(from, to SwitchID) (Port, error)
-	// neighborAt returns the switch that port p of sw is wired to, if any.
-	neighborAt(sw SwitchID, p Port) (SwitchID, bool)
+	// CableAt returns the far end of the cable on port p of sw, if any.
+	CableAt(sw SwitchID, p Port) (PortRef, bool)
 }
 
 // SwitchPath is a hop-by-hop sequence of switch IDs, source-side first.
@@ -37,6 +36,29 @@ func (p SwitchPath) Equal(o SwitchPath) bool { return slices.Equal(p, o) }
 
 // Clone copies the path.
 func (p SwitchPath) Clone() SwitchPath { return append(SwitchPath(nil), p...) }
+
+// Route is a path as the cables it crosses: hop i leaves switch r[i].Switch
+// by port r[i].Port, the tag the kernel's cable gives. The last hop's Port
+// is 0 until a caller names the host port the route delivers to.
+type Route []PortRef
+
+// Switches lists the switches the route visits.
+func (r Route) Switches() SwitchPath {
+	out := make(SwitchPath, len(r))
+	for i, h := range r {
+		out[i] = h.Switch
+	}
+	return out
+}
+
+// Tags returns the route's tag stack: each hop's port.
+func (r Route) Tags() packet.Path {
+	out := make(packet.Path, len(r))
+	for i, h := range r {
+		out[i] = h.Port
+	}
+	return out
+}
 
 // scratchPool serves the entry points that take no scratch of their own.
 // Pooling, rather than a scratch field on the view, is what keeps a Topology
@@ -66,14 +88,14 @@ func densePair(v View, sc *DenseScratch, src, dst SwitchID) (g *DenseGraph, si, 
 	return g, si, di, nil
 }
 
-// ShortestPath returns one shortest switch path from src to dst. When rng is
-// non-nil, ties between equal-cost next hops are broken uniformly at random
+// ShortestPath returns one shortest route from src to dst. When rng is
+// non-nil, ties between equal-cost cables are broken uniformly at random
 // (paper §4.3: "randomizes the choice for equal cost links ... useful for
-// load balancing"); with a nil rng the first neighbor in the view's order
+// load balancing"); with a nil rng the first cable in the view's order
 // wins, making the result deterministic.
-func ShortestPath(v View, src, dst SwitchID, rng *rand.Rand) (SwitchPath, error) {
+func ShortestPath(v View, src, dst SwitchID, rng *rand.Rand) (Route, error) {
 	if src == dst {
-		return SwitchPath{src}, nil
+		return Route{{Switch: src}}, nil
 	}
 	sc := scratchPool.Get().(*DenseScratch)
 	defer scratchPool.Put(sc)
@@ -84,14 +106,13 @@ func ShortestPath(v View, src, dst SwitchID, rng *rand.Rand) (SwitchPath, error)
 	if sc.path, err = g.ShortestPathInto(sc, si, di, rng, sc.path); err != nil {
 		return nil, err
 	}
-	return g.idsOf(sc.path), nil
+	return g.routeOf(si, sc.path), nil
 }
 
 // PrimaryBackup returns the §4.3 route pair between two switches of v: a
-// shortest path with randomized equal-cost choice, and a backup that avoids
-// the primary's links where opts.BackupPenalty makes that cheaper (nil when
-// there is none).
-func PrimaryBackup(v View, src, dst SwitchID, opts PathGraphOptions, rng *rand.Rand) (primary, backup SwitchPath, err error) {
+// shortest route with randomized equal-cost choice, and a backup that
+// avoids the primary's cables where opts.BackupPenalty makes that cheaper.
+func PrimaryBackup(v View, src, dst SwitchID, opts PathGraphOptions, rng *rand.Rand) (primary, backup Route, err error) {
 	sc := scratchPool.Get().(*DenseScratch)
 	defer scratchPool.Put(sc)
 	g, si, di, err := densePair(v, sc, src, dst)
@@ -101,16 +122,13 @@ func PrimaryBackup(v View, src, dst SwitchID, opts PathGraphOptions, rng *rand.R
 	if err := g.primaryBackupInto(sc, si, di, opts.withDefaults().BackupPenalty, rng); err != nil {
 		return nil, nil, err
 	}
-	if len(sc.pathB) > 0 {
-		backup = g.idsOf(sc.pathB)
-	}
-	return g.idsOf(sc.path), backup, nil
+	return g.routeOf(si, sc.path), g.routeOf(si, sc.pathB), nil
 }
 
-// KShortestPaths returns up to k loop-free shortest paths from src to dst in
-// ascending length order (Yen's algorithm over the unweighted view). Paths
-// of equal length are ordered deterministically.
-func KShortestPaths(v View, src, dst SwitchID, k int) ([]SwitchPath, error) {
+// KShortestPaths returns up to k loop-free shortest routes from src to dst
+// in ascending length order (Yen's algorithm over the unweighted view),
+// equal lengths in a fixed order; twin cables give twin routes.
+func KShortestPaths(v View, src, dst SwitchID, k int) ([]Route, error) {
 	sc := scratchPool.Get().(*DenseScratch)
 	defer scratchPool.Put(sc)
 	g, si, di, err := densePair(v, sc, src, dst)
@@ -118,31 +136,6 @@ func KShortestPaths(v View, src, dst SwitchID, k int) ([]SwitchPath, error) {
 		return nil, err
 	}
 	return g.KShortestPaths(sc, si, di, k)
-}
-
-// tagsForSwitchPath encodes a switch-level path into the outgoing-port tag
-// sequence a packet header carries: for each hop the local port toward the
-// next switch, and finally the port where the destination host attaches.
-func tagsForSwitchPath(v attachedView, sp SwitchPath, dst MAC) (packet.Path, error) {
-	if len(sp) == 0 {
-		return nil, ErrNoPath
-	}
-	at, err := v.HostAt(dst)
-	if err != nil {
-		return nil, err
-	}
-	if at.Switch != sp[len(sp)-1] {
-		return nil, fmt.Errorf("%w: path ends at switch %d, host on %d", ErrPathInvalid, sp[len(sp)-1], at.Switch)
-	}
-	tags := make(packet.Path, 0, len(sp))
-	for i := 0; i+1 < len(sp); i++ {
-		p, err := v.PortToward(sp[i], sp[i+1])
-		if err != nil {
-			return nil, fmt.Errorf("%w: no link %d->%d", ErrNoLink, sp[i], sp[i+1])
-		}
-		tags = append(tags, p)
-	}
-	return append(tags, at.Port), nil
 }
 
 // attachPair looks up where hosts src and dst attach in v.
@@ -160,11 +153,12 @@ func hostPath(v attachedView, src, dst MAC, rng *rand.Rand) (packet.Path, error)
 	if err != nil {
 		return nil, err
 	}
-	sp, err := ShortestPath(v, sat.Switch, dat.Switch, rng)
+	r, err := ShortestPath(v, sat.Switch, dat.Switch, rng)
 	if err != nil {
 		return nil, err
 	}
-	return tagsForSwitchPath(v, sp, dst)
+	r[len(r)-1].Port = dat.Port
+	return r.Tags(), nil
 }
 
 // HostPath computes one source-routed tag path from host src to host dst
@@ -203,11 +197,11 @@ func FollowTags(v attachedView, src, dst MAC, tags packet.Path, visit func(Switc
 			}
 			break
 		}
-		next, ok := v.neighborAt(cur, tag)
+		far, ok := v.CableAt(cur, tag)
 		if !ok {
 			return i, cur, fmt.Errorf("%w: hop %d: tag %d at switch %d is not a switch link", ErrPathInvalid, i, tag, cur)
 		}
-		cur = next
+		cur = far.Switch
 	}
 	return len(tags), cur, nil
 }

@@ -136,7 +136,7 @@ func TestRoutePropertiesRandomizedTopologies(t *testing.T) {
 					t.Fatalf("trial %d: KShortestPaths on path graph: %v", trial, err)
 				}
 				for _, sp := range kp {
-					assertLoopFree(t, sp)
+					assertLoopFree(t, sp.Switches())
 					if len(sp) > packet.MaxPathLen {
 						t.Fatalf("trial %d: cached route %v exceeds hop limit", trial, sp)
 					}

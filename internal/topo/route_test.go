@@ -27,11 +27,11 @@ func TestShortestPathLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := SwitchPath{1, 2, 3, 4}
-	if !p.Equal(want) {
+	if !p.Switches().Equal(want) {
 		t.Fatalf("path = %v", p)
 	}
 	p, err = ShortestPath(tp, 2, 2, nil)
-	if err != nil || len(p) != 1 || p[0] != 2 {
+	if err != nil || len(p) != 1 || p[0] != (PortRef{Switch: 2}) {
 		t.Fatalf("self path = %v, %v", p, err)
 	}
 }
@@ -55,7 +55,7 @@ func TestShortestPathRandomizedTieBreak(t *testing.T) {
 		if err != nil || len(p) != 3 {
 			t.Fatalf("path = %v, %v", p, err)
 		}
-		via[p[1]] = true
+		via[p[1].Switch] = true
 	}
 	if len(via) != 2 {
 		t.Fatalf("randomized routing used %d spines, want 2", len(via))
@@ -64,7 +64,7 @@ func TestShortestPathRandomizedTieBreak(t *testing.T) {
 	first, _ := ShortestPath(tp, 3, 4, nil)
 	for i := 0; i < 8; i++ {
 		p, _ := ShortestPath(tp, 3, 4, nil)
-		if !p.Equal(first) {
+		if !slices.Equal(p, first) {
 			t.Fatal("nil-rng path not deterministic")
 		}
 	}
@@ -84,7 +84,7 @@ func TestBackupAvoidsPrimaryLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !primary.Equal(SwitchPath{1, 2, 4}) || !backup.Equal(SwitchPath{1, 3, 4}) {
+	if !slices.Equal(primary, Route{{1, 1}, {2, 2}, {4, 0}}) || !slices.Equal(backup, Route{{1, 2}, {3, 2}, {4, 0}}) {
 		t.Fatalf("primary %v backup %v, want via 2 and via 3", primary, backup)
 	}
 }
@@ -101,13 +101,13 @@ func TestKShortestPathsLeafSpine(t *testing.T) {
 	}
 	seen := map[SwitchID]bool{}
 	for _, p := range paths {
-		if len(p) != 3 || p[0] != 5 || p[2] != 6 {
+		if len(p) != 3 || p[0].Switch != 5 || p[2].Switch != 6 {
 			t.Fatalf("bad path %v", p)
 		}
-		if seen[p[1]] {
-			t.Fatalf("duplicate middle switch %d", p[1])
+		if seen[p[1].Switch] {
+			t.Fatalf("duplicate middle switch %d", p[1].Switch)
 		}
-		seen[p[1]] = true
+		seen[p[1].Switch] = true
 	}
 }
 
@@ -133,7 +133,7 @@ func TestKShortestPathsOrdering(t *testing.T) {
 		if len(ps[i]) < len(ps[i-1]) {
 			t.Fatalf("paths not sorted by length: %v", ps)
 		}
-		if ps[i].Equal(ps[i-1]) {
+		if slices.Equal(ps[i], ps[i-1]) {
 			t.Fatal("duplicate path")
 		}
 	}
@@ -157,19 +157,22 @@ func TestTagsForSwitchPathAndHostPath(t *testing.T) {
 	}
 }
 
-func TestTagsForSwitchPathErrors(t *testing.T) {
+func TestRouteOfErrors(t *testing.T) {
 	tp, _ := Line(3, 4)
 	hosts := tp.Hosts()
-	h2 := hosts[1].Host
-	if _, err := tagsForSwitchPath(tp, nil, h2); !errors.Is(err, ErrNoPath) {
+	pg, err := BuildPathGraph(tp, hosts[0].Host, hosts[1].Host, PathGraphOptions{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pg.RouteOf(nil); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("empty: %v", err)
 	}
 	// Path ending at wrong switch.
-	if _, err := tagsForSwitchPath(tp, SwitchPath{1, 2}, h2); !errors.Is(err, ErrPathInvalid) {
+	if _, err := pg.RouteOf(SwitchPath{1, 2}); !errors.Is(err, ErrPathInvalid) {
 		t.Fatalf("wrong end: %v", err)
 	}
 	// Non-adjacent hop.
-	if _, err := tagsForSwitchPath(tp, SwitchPath{1, 3}, h2); !errors.Is(err, ErrNoLink) {
+	if _, err := pg.RouteOf(SwitchPath{1, 3}); !errors.Is(err, ErrNoLink) {
 		t.Fatalf("non-adjacent: %v", err)
 	}
 }
@@ -354,17 +357,17 @@ func TestKShortestLoopFreeProperty(t *testing.T) {
 		}
 		for _, p := range paths {
 			seen := map[SwitchID]bool{}
-			for _, sw := range p {
-				if seen[sw] {
+			for _, h := range p {
+				if seen[h.Switch] {
 					return false // loop
 				}
-				seen[sw] = true
+				seen[h.Switch] = true
 			}
-			if p[0] != src || p[len(p)-1] != dst {
+			if p[0].Switch != src || p[len(p)-1].Switch != dst {
 				return false
 			}
 			for i := 0; i+1 < len(p); i++ {
-				if _, err := tp.PortToward(p[i], p[i+1]); err != nil {
+				if ep, err := tp.EndpointAt(p[i].Switch, p[i].Port); err != nil || ep.Switch != p[i+1].Switch {
 					return false
 				}
 			}

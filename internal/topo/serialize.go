@@ -1,6 +1,12 @@
 package topo
 
-import "dumbnet/internal/packet"
+import (
+	"encoding/binary"
+	"slices"
+	"sort"
+
+	"dumbnet/internal/packet"
+)
 
 // Binary serialization for topologies, subgraphs and path graphs. These are
 // the payloads of MsgPathResponse / MsgTopoPatch control messages and the
@@ -131,7 +137,7 @@ func (s *Subgraph) Marshal() []byte {
 	var w packet.Writer
 	writeHeader(&w, subgraphMagic)
 	w.U32(uint32(len(s.rows)))
-	for _, r := range s.rows { // ID order, each row in neighbour ID order
+	for _, r := range s.rows { // ID order, each row in cable order
 		w.U32(uint32(r.id))
 		w.U16(uint16(len(r.nbs)))
 		for _, nb := range r.nbs {
@@ -170,10 +176,21 @@ func UnmarshalPathGraph(b []byte) (*PathGraph, error) {
 
 // DecodePathGraph reads a serialized path graph into s and returns it with
 // Graph set to s. It checks all of b before it writes anything, so a
-// rejected b leaves s as it was; an accepted one is merged in, the incoming
-// port winning on a conflict. This is how a host takes a path response
-// into its TopoCache with no Subgraph in between.
+// rejected b leaves s as it was; an accepted one is merged in cable by
+// cable, each displacing any cached cable on either of its ports. The k-th
+// entry a switch lists toward a neighbour pairs with the k-th the neighbour
+// lists back, so a body is refused unless its switches ascend, each
+// switch's neighbours ascend and exclude itself, and both ends of a switch
+// pair list the same count (both writers' cable order keeps all three).
 func DecodePathGraph(b []byte, s *Subgraph) (*PathGraph, error) {
+	type bodyRec struct { // a switch's record: its entries start at b[at]; its row in s
+		id           SwitchID
+		at, cnt, row int
+	}
+	type bodyCable struct { // a paired cable: its ends' record indices and ports
+		a, b   int32
+		pa, pb Port
+	}
 	r := packet.NewReader(b)
 	readHeader(&r, pathgrafMagic)
 	readPath := func() SwitchPath {
@@ -189,50 +206,75 @@ func DecodePathGraph(b []byte, s *Subgraph) (*PathGraph, error) {
 		return p
 	}
 	pg := &PathGraph{Src: r.MAC(), Dst: r.MAC(), Primary: readPath(), Backup: readPath(), Graph: s}
-	// The graph: every switch with its (neighbour, port) list, then the
-	// host attachments. Check the counts and the length first.
-	body := r.Rest()
+	// The graph: each switch's (neighbour, port) list, then the hosts. Check
+	// it all, pairing each run toward a lower ID with the one read back.
 	readHeader(&r, subgraphMagic)
 	n := r.U32()
 	if n > 1<<22 {
 		r.Fail()
 	}
+	nbAt := func(at int) SwitchID { return SwitchID(binary.BigEndian.Uint32(b[at:])) }
+	var recStack [64]bodyRec
+	var cableStack [128]bodyCable
+	recs, cables, ends := slices.Grow(recStack[:0], int(min(n, uint32(len(r.Rest())/6)))), cableStack[:0], 0
 	for i := n; i > 0 && r.Ok(); i-- {
-		r.Skip(4)
-		r.Skip(5 * int(r.U16()))
+		rc := bodyRec{id: SwitchID(r.U32()), cnt: int(r.U16())}
+		rc.at = len(b) - len(r.Rest())
+		if len(recs) > 0 && rc.id <= recs[len(recs)-1].id {
+			r.Fail()
+		}
+		c, k, end := 0, 0, 0 // the lower neighbour's record, its next entry back, its end
+		for j, prev := 0, SwitchID(0); j < rc.cnt && r.Ok(); j++ {
+			nb, p := SwitchID(r.U32()), r.U8()
+			switch {
+			case nb < prev || nb == rc.id:
+				r.Fail()
+			case nb < rc.id && (j == 0 || nb != prev):
+				c = search(recs, uint64(nb), func(x *bodyRec) uint64 { return uint64(x.id) })
+				if c == len(recs) || recs[c].id != nb {
+					r.Fail()
+					break
+				}
+				lo := recs[c]
+				k = lo.at + 5*sort.Search(lo.cnt, func(i int) bool { return nbAt(lo.at+5*i) >= rc.id })
+				end = lo.at + 5*lo.cnt
+				fallthrough
+			case nb < rc.id:
+				if k == end || nbAt(k) != rc.id {
+					r.Fail()
+					break
+				}
+				cables = append(cables, bodyCable{a: int32(c), b: int32(len(recs)), pa: b[k+4], pb: p})
+				k += 5
+			}
+			prev = nb
+		}
+		recs, ends = append(recs, rc), ends+rc.cnt
 	}
+	hosts := r
 	hn := r.U32()
 	if hn > 1<<22 {
 		r.Fail()
 	}
-	if r.Skip(11 * int(hn)); !r.Ok() || len(r.Rest()) != 0 {
-		return nil, ErrBadTopology
+	if r.Skip(11 * int(hn)); !r.Ok() || len(r.Rest()) != 0 || 2*len(cables) != ends {
+		return nil, ErrBadTopology // malformed, or an entry left unpaired
 	}
-	// One pass adds the rows s lacks, in one merge; then each switch's list
-	// is merged into its row link by link, a later port overwriting an
-	// earlier one. Order on the wire is not trusted: a list may be
-	// unsorted or name a neighbour twice, and a switch may come twice.
-	r = packet.NewReader(body[3:])
-	recs, old := r, len(s.rows)
-	for i := r.U32(); i > 0; i-- {
-		id := SwitchID(r.U32())
-		if _, ok := findRow(s.rows[:old], id); !ok {
-			s.rows = append(s.rows, sgRow{id: id})
+	// One pass adds the rows s lacks, sized for their entries, in one
+	// merge; then the cables go in, in body order of their higher-ID ends.
+	old := len(s.rows)
+	for _, rc := range recs {
+		if _, ok := findRow(s.rows[:old], rc.id); !ok {
+			s.rows = append(s.rows, sgRow{id: rc.id, nbs: make([]Neighbor, 0, rc.cnt)})
 		}
-		r.Skip(5 * int(r.U16()))
 	}
 	s.mergeRows(old)
-	for i := recs.U32(); i > 0; i-- {
-		j, _ := findRow(s.rows, SwitchID(recs.U32()))
-		row, cnt := &s.rows[j], recs.U16()
-		if row.nbs == nil {
-			row.nbs = make([]Neighbor, 0, cnt)
-		}
-		for ; cnt > 0; cnt-- {
-			row.nbs = setNeighbor(row.nbs, SwitchID(recs.U32()), recs.U8()) // neighbour, then port
-		}
+	for i := range recs {
+		recs[i].row, _ = findRow(s.rows, recs[i].id)
 	}
-	r = recs
+	for _, c := range cables {
+		s.addCable(recs[c.a].row, c.pa, recs[c.b].row, c.pb)
+	}
+	r = hosts
 	if need := len(s.hostTable) + int(hn); need > cap(s.hostTable) {
 		s.hostTable = append(make(hostTable, 0, need), s.hostTable...)
 	}

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 
@@ -10,20 +9,18 @@ import (
 
 // Subgraph is a lightweight partial view of the fabric: the structure hosts
 // cache locally (TopoCache), a tenant's slice, and a decoded path graph.
-// Unlike Topology it stores only directed port mappings between switches it
-// knows about, plus the host attachments it has learned. The switches are
-// rows in ascending ID order, each with its links in ascending neighbour ID
-// order, one per neighbour: the order View promises, kept in storage so
-// that reading it copies and sorts nothing. A neighbour may lack a row of
-// its own (a path-graph body need not list both ends of a link). The hosts
-// are a hostTable, ascending by MAC. Nothing is built lazily, so concurrent
-// readers are safe.
+// It stores the cables it knows, each at both ends (a port holds at most
+// one), as rows in ascending switch ID, each row in cable order (cableKey):
+// the order View promises, kept in storage so that reading it copies and
+// sorts nothing, and the same at both ends of a switch pair, which is how
+// the wire pairs the ends. The hosts are a hostTable, ascending by MAC.
+// Nothing is built lazily, so concurrent readers are safe.
 type Subgraph struct {
 	rows []sgRow
 	hostTable
 }
 
-// sgRow is one switch and its outgoing links, ascending by neighbour ID.
+// sgRow is one switch and its cables, in cable order.
 type sgRow struct {
 	id  SwitchID
 	nbs []Neighbor
@@ -32,8 +29,15 @@ type sgRow struct {
 // NewSubgraph returns an empty subgraph.
 func NewSubgraph() *Subgraph { return &Subgraph{} }
 
-func byRowID(a, b sgRow) int                 { return cmp.Compare(a.id, b.id) }
-func neighborIs(n Neighbor, id SwitchID) int { return cmp.Compare(n.Sw, id) }
+// cableKey is where cable nb sorts in switch self's row: by neighbour, then
+// by the cable's port at its lower-ID end.
+func cableKey(self SwitchID, nb Neighbor) uint64 {
+	p := nb.Port
+	if nb.Sw < self {
+		p = nb.FarPort
+	}
+	return uint64(nb.Sw)<<8 | uint64(p)
+}
 
 // findRow locates switch id among ascending rows: its index, or where it
 // would be inserted.
@@ -42,7 +46,7 @@ func findRow(rows []sgRow, id SwitchID) (int, bool) {
 	return i, i < len(rows) && rows[i].id == id
 }
 
-// row returns switch id's links (nil when s has no row for it).
+// row returns switch id's cables (nil when s has no row for it).
 func (s *Subgraph) row(id SwitchID) []Neighbor {
 	if i, ok := findRow(s.rows, id); ok {
 		return s.rows[i].nbs
@@ -59,56 +63,81 @@ func (s *Subgraph) addRow(id SwitchID) int {
 	return i
 }
 
-// link records a's port toward b, creating a's row.
-func (s *Subgraph) link(a, b SwitchID, p Port) {
-	r := &s.rows[s.addRow(a)]
-	r.nbs = setNeighbor(r.nbs, b, p)
-}
-
-// setNeighbor sets the port toward nb in a row, overwriting the link to nb
-// or inserting it where it sorts.
-func setNeighbor(nbs []Neighbor, nb SwitchID, p Port) []Neighbor {
-	j, ok := slices.BinarySearchFunc(nbs, nb, neighborIs)
-	if ok {
-		nbs[j].Port = p
-		return nbs
-	}
-	return slices.Insert(nbs, j, Neighbor{Sw: nb, Port: p})
-}
-
-// unlink forgets a's link toward b.
-func (s *Subgraph) unlink(a, b SwitchID) {
-	if i, ok := findRow(s.rows, a); ok {
-		r := &s.rows[i]
-		if j, ok := slices.BinarySearchFunc(r.nbs, b, neighborIs); ok {
-			r.nbs = slices.Delete(r.nbs, j, j+1)
+// portIndex returns the index of the entry on port p in a row, or -1.
+func portIndex(nbs []Neighbor, p Port) int {
+	for j := range nbs {
+		if nbs[j].Port == p {
+			return j
 		}
 	}
+	return -1
 }
 
-// AddEdge records the bidirectional link a:pa <-> b:pb.
+// insertCable files cable nb in switch self's row, in cable order.
+func insertCable(nbs []Neighbor, self SwitchID, nb Neighbor) []Neighbor {
+	j := search(nbs, cableKey(self, nb), func(n *Neighbor) uint64 { return cableKey(self, *n) })
+	return slices.Insert(nbs, j, nb)
+}
+
+// removeHalf deletes and returns the entry on port p of switch sw's row.
+func (s *Subgraph) removeHalf(sw SwitchID, p Port) (Neighbor, bool) {
+	if i, ok := findRow(s.rows, sw); ok {
+		r := &s.rows[i]
+		if j := portIndex(r.nbs, p); j >= 0 {
+			nb := r.nbs[j]
+			r.nbs = slices.Delete(r.nbs, j, j+1)
+			return nb, true
+		}
+	}
+	return Neighbor{}, false
+}
+
+// AddEdge records the cable a:pa <-> b:pb. A cable already on either port
+// goes first, since a port holds one cable; a self-link is ignored.
 func (s *Subgraph) AddEdge(a SwitchID, pa Port, b SwitchID, pb Port) {
-	s.link(a, b, pa)
-	s.link(b, a, pb)
+	if a == b {
+		return
+	}
+	s.addRow(a)
+	ib := s.addRow(b)
+	ia, _ := findRow(s.rows, a)
+	s.addCable(ia, pa, ib, pb)
 }
 
-// RemoveEdge deletes the link between a and b in both directions.
-func (s *Subgraph) RemoveEdge(a, b SwitchID) {
-	s.unlink(a, b)
-	s.unlink(b, a)
+// addCable is AddEdge between the switches of rows ia and ib, which differ.
+func (s *Subgraph) addCable(ia int, pa Port, ib int, pb Port) {
+	ra, rb := &s.rows[ia], &s.rows[ib]
+	ja, jb := portIndex(ra.nbs, pa), portIndex(rb.nbs, pb)
+	if ja >= 0 && ra.nbs[ja] == (Neighbor{Sw: rb.id, Port: pa, FarPort: pb}) {
+		return
+	}
+	if ja >= 0 || jb >= 0 {
+		s.RemoveEdgeByPort(ra.id, pa)
+		s.RemoveEdgeByPort(rb.id, pb)
+	}
+	ra.nbs = insertCable(ra.nbs, ra.id, Neighbor{Sw: rb.id, Port: pa, FarPort: pb})
+	rb.nbs = insertCable(rb.nbs, rb.id, Neighbor{Sw: ra.id, Port: pb, FarPort: pa})
 }
 
-// RemoveEdgeByPort deletes the cached link leaving switch sw through the
-// given local port, if any, and reports whether an edge was removed. Link
-// failure notifications identify links as (switch, port), so this is how
-// hosts patch their TopoCache (§4.2). Should two cached links share the
-// port, the one neighborAt names goes.
+// RemoveEdgeByPort deletes the cached cable on switch sw's port p, both
+// ends of it, and reports whether there was one. Link failure
+// notifications identify links as (switch, port), so this is how hosts
+// patch their TopoCache (§4.2).
 func (s *Subgraph) RemoveEdgeByPort(sw SwitchID, p Port) bool {
-	nb, ok := s.neighborAt(sw, p)
+	nb, ok := s.removeHalf(sw, p)
 	if ok {
-		s.RemoveEdge(sw, nb)
+		s.removeHalf(nb.Sw, nb.FarPort)
 	}
 	return ok
+}
+
+// CableAt returns the far end of the cached cable on switch sw's port p.
+func (s *Subgraph) CableAt(sw SwitchID, p Port) (PortRef, bool) {
+	nbs := s.row(sw)
+	if j := portIndex(nbs, p); j >= 0 {
+		return PortRef{Switch: nbs[j].Sw, Port: nbs[j].FarPort}, true
+	}
+	return PortRef{}, false
 }
 
 // RemoveHost forgets a cached host attachment. Tenant membership changes
@@ -130,7 +159,7 @@ func (s *Subgraph) HasSwitch(id SwitchID) bool {
 // NumSwitches reports how many switches the subgraph covers.
 func (s *Subgraph) NumSwitches() int { return len(s.rows) }
 
-// NumLinks reports how many links the subgraph covers.
+// NumLinks reports how many cables the subgraph covers.
 func (s *Subgraph) NumLinks() int {
 	n := 0
 	for _, r := range s.rows {
@@ -150,32 +179,22 @@ func (s *Subgraph) appendIDs(ids []SwitchID) []SwitchID {
 	return ids
 }
 
-// Neighbors implements View with deterministic (ID-sorted) order. The list
-// is s's own storage: callers must not modify it, and it is valid until the
-// next change to s.
+// Neighbors implements View in cable order. The list is s's own storage:
+// callers must not modify it, and it is valid until the next change to s.
 func (s *Subgraph) Neighbors(id SwitchID) []Neighbor { return slices.Clip(s.row(id)) }
 
-// neighborAt implements attachedView. Should a merge have left two cached
-// links on one port, the lower switch ID wins, as in Neighbors order.
-func (s *Subgraph) neighborAt(sw SwitchID, p Port) (SwitchID, bool) {
-	for _, nb := range s.row(sw) {
-		if nb.Port == p {
-			return nb.Sw, true
+// firstCable returns a's port on its first cable toward b in cable order:
+// the cable a hop named only by its two switches is taken to cross.
+func (s *Subgraph) firstCable(a, b SwitchID) (Port, bool) {
+	for _, nb := range s.row(a) {
+		if nb.Sw == b {
+			return nb.Port, true
 		}
 	}
 	return 0, false
 }
 
-// PortToward returns the local port on from toward adjacent switch to.
-func (s *Subgraph) PortToward(from, to SwitchID) (Port, error) {
-	nbs := s.row(from)
-	if j, ok := slices.BinarySearchFunc(nbs, to, neighborIs); ok {
-		return nbs[j].Port, nil
-	}
-	return 0, ErrNoLink
-}
-
-// Clone deep-copies the subgraph: the links of every row share one array,
+// Clone deep-copies the subgraph: the cables of every row share one array,
 // each row capped at its own length so that growing one reallocates it.
 func (s *Subgraph) Clone() *Subgraph {
 	flat := make([]Neighbor, 0, 2*s.NumLinks()+1)
@@ -189,16 +208,13 @@ func (s *Subgraph) Clone() *Subgraph {
 }
 
 // mergeRows merges the rows appended to s.rows past old (switches the
-// ascending rows before old lack, in any order, repeats allowed) into
-// place: sorted, parked past the merged length and merged in from the top
-// down, so no row moves twice.
+// ascending rows before old lack, ascending) into place: parked past the
+// merged length and merged in from the top down, so no row moves twice.
 func (s *Subgraph) mergeRows(old int) {
-	add := s.rows[old:]
-	slices.SortFunc(add, byRowID)
-	m := len(slices.CompactFunc(add, func(a, b sgRow) bool { return a.id == b.id }))
-	s.rows = slices.Grow(s.rows[:old+m], m)[:old+2*m]
+	m := len(s.rows) - old
+	s.rows = slices.Grow(s.rows, m)[:old+2*m]
 	park := s.rows[old+m:]
-	copy(park, add[:m])
+	copy(park, s.rows[old:old+m])
 	for i, j, w := old-1, m-1, old+m-1; j >= 0; w-- {
 		if i >= 0 && s.rows[i].id > park[j].id {
 			s.rows[w], i = s.rows[i], i-1
@@ -207,12 +223,6 @@ func (s *Subgraph) mergeRows(old int) {
 		}
 	}
 	s.rows = s.rows[:old+m]
-}
-
-// TagsForSwitchPath encodes a switch path into port tags using only cached
-// knowledge, ending at dst's attachment port.
-func (s *Subgraph) TagsForSwitchPath(sp SwitchPath, dst MAC) (packet.Path, error) {
-	return tagsForSwitchPath(s, sp, dst)
 }
 
 // HostPath computes a tag path between two cached hosts over the subgraph.

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,16 +27,14 @@ func TestSubgraphEdges(t *testing.T) {
 	if s.NumSwitches() != 4 || s.NumLinks() != 4 {
 		t.Fatalf("size = %d sw %d links", s.NumSwitches(), s.NumLinks())
 	}
-	p, err := s.PortToward(1, 2)
-	if err != nil || p != 1 {
-		t.Fatalf("PortToward(1,2) = %d, %v", p, err)
+	if far, ok := s.CableAt(1, 1); !ok || far != (PortRef{Switch: 2, Port: 1}) {
+		t.Fatalf("CableAt(1, 1) = %v, %v", far, ok)
 	}
-	p, err = s.PortToward(2, 1)
-	if err != nil || p != 1 {
-		t.Fatalf("PortToward(2,1) = %d, %v", p, err)
+	if far, ok := s.CableAt(2, 1); !ok || far != (PortRef{Switch: 1, Port: 1}) {
+		t.Fatalf("CableAt(2, 1) = %v, %v", far, ok)
 	}
-	if _, err := s.PortToward(1, 4); !errors.Is(err, ErrNoLink) {
-		t.Fatalf("non-adjacent: %v", err)
+	if _, ok := s.CableAt(1, 4); ok {
+		t.Fatal("a cable on an unwired port")
 	}
 	nbs := s.Neighbors(1)
 	if len(nbs) != 2 || nbs[0].Sw != 2 || nbs[1].Sw != 3 {
@@ -45,12 +44,12 @@ func TestSubgraphEdges(t *testing.T) {
 
 func TestSubgraphRemove(t *testing.T) {
 	s := buildSquareSub()
-	s.RemoveEdge(1, 2)
-	if _, err := s.PortToward(1, 2); err == nil {
-		t.Fatal("edge still present")
+	s.RemoveEdgeByPort(2, 1)
+	if _, ok := s.CableAt(1, 1); ok {
+		t.Fatal("far end of a port-removed cable still present")
 	}
-	if _, err := s.PortToward(2, 1); err == nil {
-		t.Fatal("reverse edge still present")
+	if _, ok := s.CableAt(2, 1); ok {
+		t.Fatal("cable still present")
 	}
 	if s.RemoveEdgeByPort(3, 3) {
 		t.Fatal("removed an edge through an unwired port")
@@ -58,7 +57,7 @@ func TestSubgraphRemove(t *testing.T) {
 	if !s.RemoveEdgeByPort(3, 2) {
 		t.Fatal("edge 3:2-4 not removed by port")
 	}
-	if _, err := s.PortToward(4, 3); err == nil {
+	if _, ok := s.CableAt(4, 2); ok {
 		t.Fatal("reverse of a port-removed edge still present")
 	}
 	if !s.HasSwitch(4) || s.NumLinks() != 2 {
@@ -102,7 +101,7 @@ func TestSubgraphHostPathAndK(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("k-paths = %d, want 2 (two sides of the square)", len(paths))
 	}
-	if paths[0].Equal(paths[1]) {
+	if slices.Equal(paths[0], paths[1]) {
 		t.Fatal("duplicate k-paths")
 	}
 }
@@ -123,9 +122,9 @@ func TestSubgraphMergeAndClone(t *testing.T) {
 		t.Fatalf("merged = %d/%d/%d", a.NumSwitches(), a.NumLinks(), a.NumHosts())
 	}
 	c := a.Clone()
-	c.RemoveEdge(1, 2)
+	c.RemoveEdgeByPort(1, 1)
 	c.AddEdge(2, 5, 4, 1)
-	if _, err := a.PortToward(1, 2); err != nil || a.HasSwitch(4) {
+	if _, ok := a.CableAt(1, 1); !ok || a.HasSwitch(4) {
 		t.Fatal("clone aliases original")
 	}
 }
@@ -161,11 +160,9 @@ func TestSubgraphSerializationRoundTrip(t *testing.T) {
 	if got.NumSwitches() != s.NumSwitches() || got.NumLinks() != s.NumLinks() || got.NumHosts() != s.NumHosts() {
 		t.Fatal("size mismatch after round trip")
 	}
-	for _, pair := range [][2]SwitchID{{1, 2}, {2, 4}, {1, 3}, {3, 4}} {
-		wp, _ := s.PortToward(pair[0], pair[1])
-		gp, err := got.PortToward(pair[0], pair[1])
-		if err != nil || gp != wp {
-			t.Fatalf("edge %v: %d vs %d (%v)", pair, gp, wp, err)
+	for _, id := range s.SwitchIDs() {
+		if !slices.Equal(got.Neighbors(id), s.Neighbors(id)) {
+			t.Fatalf("switch %d: cables %v, want %v", id, got.Neighbors(id), s.Neighbors(id))
 		}
 	}
 }
@@ -241,12 +238,13 @@ func TestUnmarshalTopologyErrors(t *testing.T) {
 	}
 }
 
-// TestSubgraphMatchesOracle drives Subgraph and the map form it replaced
+// TestSubgraphMatchesOracle drives Subgraph and its map form
 // (oracleSubgraph) through the same seeded writes — path responses merged
 // by DecodePathGraph for every ordered host pair of a k=8 fat-tree and of
-// a fabric with parallel links, hand-made bodies with unsorted lists,
-// repeated neighbours and repeated switches, and edge, switch and host
-// edits between them — and compares every read after each write.
+// a fabric with parallel links, and hand-made bodies with repeated
+// neighbours, now and then an unpaired entry and one in four out of order,
+// with edge, switch and host edits between them — and compares every read
+// after each write.
 func TestSubgraphMatchesOracle(t *testing.T) {
 	ft8, err := FatTree(8, 1, 0)
 	if err != nil {
@@ -279,23 +277,71 @@ func TestSubgraphMatchesOracle(t *testing.T) {
 	matchOracle(t, "hand-made", r, bodies, 12, 6)
 }
 
-// handMadeBody writes a path-graph body whose switches (IDs 1..maxID) come
-// in any order, some twice, each with a neighbour list in any order that
-// may name a neighbour twice on different ports.
+// handMadeBody writes a path-graph body of random cables among switches
+// 1..maxID, ports 0..maxPort (a port may carry two of them): the switches
+// ascending, each switch's ends in neighbour order and toward one neighbour
+// in any order. One body in four gains an entry with no far end, one in
+// eight a switch naming itself, one in three a switch with no cables, and
+// one in four is put out of order: a switch's ends shuffled, a switch split
+// over two records, or two records swapped.
 func handMadeBody(r *rand.Rand, maxID SwitchID, maxPort Port) []byte {
+	id := func() SwitchID { return SwitchID(1 + r.Intn(int(maxID))) }
+	port := func() Port { return Port(r.Intn(int(maxPort) + 1)) }
+	ends := map[SwitchID][]Neighbor{}
+	for n := r.Intn(6); n > 0; n-- {
+		if a, b := id(), id(); a != b {
+			ends[a] = append(ends[a], Neighbor{Sw: b, Port: port()})
+			ends[b] = append(ends[b], Neighbor{Sw: a, Port: port()})
+		}
+	}
+	if r.Intn(4) == 0 {
+		a := id()
+		ends[a] = append(ends[a], Neighbor{Sw: a%maxID + 1, Port: port()})
+	}
+	if r.Intn(8) == 0 {
+		a := id()
+		ends[a] = append(ends[a], Neighbor{Sw: a, Port: port()})
+	}
+	if r.Intn(3) == 0 {
+		a := id()
+		ends[a] = append(ends[a], []Neighbor{}...)
+	}
+	type record struct {
+		id  SwitchID
+		nbs []Neighbor
+	}
+	var recs []record
+	for sw := SwitchID(1); sw <= maxID; sw++ {
+		if nbs, ok := ends[sw]; ok {
+			r.Shuffle(len(nbs), func(i, j int) { nbs[i], nbs[j] = nbs[j], nbs[i] })
+			slices.SortStableFunc(nbs, func(a, b Neighbor) int { return cmp.Compare(a.Sw, b.Sw) })
+			recs = append(recs, record{sw, nbs})
+		}
+	}
+	if len(recs) > 1 && r.Intn(4) == 0 {
+		switch i := r.Intn(len(recs) - 1); r.Intn(3) {
+		case 0:
+			nbs := recs[i].nbs
+			r.Shuffle(len(nbs), func(i, j int) { nbs[i], nbs[j] = nbs[j], nbs[i] })
+		case 1:
+			cut := r.Intn(len(recs[i].nbs) + 1)
+			recs = slices.Insert(recs, i+1, record{recs[i].id, recs[i].nbs[cut:]})
+			recs[i].nbs = recs[i].nbs[:cut]
+		default:
+			recs[i], recs[i+1] = recs[i+1], recs[i]
+		}
+	}
 	var w packet.Writer
 	writeHeader(&w, pathgrafMagic)
 	w.Raw(make([]byte, 6+6+2+2))
 	writeHeader(&w, subgraphMagic)
-	n := r.Intn(6)
-	w.U32(uint32(n))
-	for ; n > 0; n-- {
-		w.U32(uint32(1 + r.Intn(int(maxID))))
-		cnt := r.Intn(6)
-		w.U16(uint16(cnt))
-		for ; cnt > 0; cnt-- {
-			w.U32(uint32(1 + r.Intn(int(maxID))))
-			w.U8(Port(r.Intn(int(maxPort) + 1)))
+	w.U32(uint32(len(recs)))
+	for _, rec := range recs {
+		w.U32(uint32(rec.id))
+		w.U16(uint16(len(rec.nbs)))
+		for _, nb := range rec.nbs {
+			w.U32(uint32(nb.Sw))
+			w.U8(nb.Port)
 		}
 	}
 	hn := r.Intn(3)
@@ -333,10 +379,17 @@ func matchOracle(t *testing.T, name string, r *rand.Rand, bodies [][]byte, maxID
 			o.AddEdge(a, pa, b, pb)
 			what = fmt.Sprintf("AddEdge(%d, %d, %d, %d)", a, pa, b, pb)
 		case 1:
-			a, b := id(), id()
-			s.RemoveEdge(a, b)
-			o.RemoveEdge(a, b)
-			what = fmt.Sprintf("RemoveEdge(%d, %d)", a, b)
+			// Remove a cable the cache holds, from a random end.
+			sw := id()
+			nbs := o.Neighbors(sw)
+			if len(nbs) == 0 {
+				continue
+			}
+			p := nbs[r.Intn(len(nbs))].Port
+			if !s.RemoveEdgeByPort(sw, p) || !o.RemoveEdgeByPort(sw, p) {
+				t.Fatalf("%s step %d: RemoveEdgeByPort(%d, %d) of a held cable removed nothing", name, step, sw, p)
+			}
+			what = fmt.Sprintf("RemoveEdgeByPort(%d, %d) of a held cable", sw, p)
 		case 2:
 			sw, p := id(), port()
 			if s.RemoveEdgeByPort(sw, p) != o.RemoveEdgeByPort(sw, p) {
@@ -381,17 +434,17 @@ func compareWithOracle(t *testing.T, at string, s *Subgraph, o *oracleSubgraph, 
 			t.Fatalf("%s: Neighbors(%d) = %v, oracle %v", at, sw, got, want)
 		}
 		for p := Port(0); p <= maxPort; p++ {
-			gn, gok := s.neighborAt(sw, p)
-			wn, wok := o.neighborAt(sw, p)
+			gn, gok := s.CableAt(sw, p)
+			wn, wok := o.CableAt(sw, p)
 			if gn != wn || gok != wok {
-				t.Fatalf("%s: neighborAt(%d, %d) = %d %v, oracle %d %v", at, sw, p, gn, gok, wn, wok)
+				t.Fatalf("%s: CableAt(%d, %d) = %v %v, oracle %v %v", at, sw, p, gn, gok, wn, wok)
 			}
 		}
 		for _, to := range append([]SwitchID{0, sw + 1, maxID}, nbIDs(o.Neighbors(sw))...) {
-			gp, gErr := s.PortToward(sw, to)
-			wp, wErr := o.PortToward(sw, to)
-			if gp != wp || (gErr == nil) != (wErr == nil) {
-				t.Fatalf("%s: PortToward(%d, %d) = %d %v, oracle %d %v", at, sw, to, gp, gErr, wp, wErr)
+			gp, gok := s.firstCable(sw, to)
+			wp, wok := o.firstCable(sw, to)
+			if gp != wp || gok != wok {
+				t.Fatalf("%s: firstCable(%d, %d) = %d %v, oracle %d %v", at, sw, to, gp, gok, wp, wok)
 			}
 		}
 	}

@@ -125,10 +125,11 @@ func TestPathGraphForValidates(t *testing.T) {
 	}
 	// The returned tags must be valid on the real fabric, and be the
 	// wire's own primary.
-	tags, err := pg.PrimaryTags()
+	r, err := pg.RouteOf(pg.Primary)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tags := r.Tags()
 	if err := n.Topo.VerifyTags(red[0], red[2], tags); err != nil {
 		t.Fatal(err)
 	}

@@ -135,11 +135,7 @@ func TestSliceRepairOnLinkUp(t *testing.T) {
 	found := false
 	for _, id := range ten.View().SwitchIDs() {
 		for _, nb := range ten.View().Neighbors(id) {
-			p, err := ten.View().PortToward(nb.Sw, id)
-			if err != nil {
-				continue
-			}
-			sw, port, peer, back = id, nb.Port, nb.Sw, p
+			sw, port, peer, back = id, nb.Port, nb.Sw, nb.FarPort
 			found = true
 			break
 		}

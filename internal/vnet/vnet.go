@@ -447,17 +447,13 @@ func (m *Manager) PathGraphFor(id TenantID, src, dst packet.MAC) (wire []byte, p
 		return nil, nil, nil, fmt.Errorf("path graph %q: %v: %w", id, dst, ErrForeignHost)
 	}
 	rng := rand.New(rand.NewSource(pairSeed(m.seed, id, t.gen, src, dst)))
-	pg := &topo.PathGraph{Src: src, Dst: dst, Graph: t.view}
-	if pg.Primary, pg.Backup, err = topo.PrimaryBackup(t.view, sat.Switch, dat.Switch, m.opts, rng); err == nil {
-		primary, err = pg.PrimaryTags()
-	}
-	if err == nil && len(pg.Backup) > 0 {
-		backup, err = pg.BackupTags()
-	}
+	pr, br, err := topo.PrimaryBackup(t.view, sat.Switch, dat.Switch, m.opts, rng)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("path graph %q: %v->%v: %w: %v", id, src, dst, ErrNotRoutable, err)
 	}
-	return pg.Marshal(), primary, backup, nil
+	pr[len(pr)-1].Port, br[len(br)-1].Port = dat.Port, dat.Port
+	pg := &topo.PathGraph{Src: src, Dst: dst, Primary: pr.Switches(), Backup: br.Switches(), Graph: t.view}
+	return pg.Marshal(), pr.Tags(), br.Tags(), nil
 }
 
 // VerifyRoute is the virtualization-aware path verifier: the route must
@@ -508,23 +504,19 @@ func (m *Manager) ApplyLinkDown(sw packet.SwitchID, port topo.Port) {
 	}
 }
 
-// ApplyLinkUp repairs tenant views after a heal: the edge is restored to
-// every view whose baseline contains it with the same port numbering —
-// repair without widening. Idempotent.
+// ApplyLinkUp repairs tenant views after a heal: the cable a:pa-b:pb is
+// restored to every view whose baseline holds that cable — repair without
+// widening. Idempotent.
 func (m *Manager) ApplyLinkUp(a packet.SwitchID, pa topo.Port, b packet.SwitchID, pb topo.Port) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	cable := topo.PortRef{Switch: b, Port: pb}
 	for _, t := range m.tenants {
-		if _, err := t.view.PortToward(a, b); err == nil {
+		if far, ok := t.view.CableAt(a, pa); ok && far == cable {
 			continue // already present
 		}
-		bpa, err := t.baseline.PortToward(a, b)
-		if err != nil || bpa != pa {
+		if far, ok := t.baseline.CableAt(a, pa); !ok || far != cable {
 			continue // never part of this slice (or renumbered)
-		}
-		bpb, err := t.baseline.PortToward(b, a)
-		if err != nil || bpb != pb {
-			continue
 		}
 		t.view.AddEdge(a, pa, b, pb)
 		m.nextGen++
@@ -534,7 +526,7 @@ func (m *Manager) ApplyLinkUp(a packet.SwitchID, pa topo.Port, b packet.SwitchID
 }
 
 // AuditViews checks the never-widen invariant for every tenant: each view
-// edge and host attachment must exist in the as-built baseline with the
+// cable and host attachment must exist in the as-built baseline with the
 // same port numbering. Returns human-readable violations (empty = clean).
 func (m *Manager) AuditViews() []string {
 	m.mu.RLock()
@@ -544,13 +536,8 @@ func (m *Manager) AuditViews() []string {
 		m.met.audits.Inc()
 		for _, sw := range t.view.SwitchIDs() {
 			for _, nb := range t.view.Neighbors(sw) {
-				p, err := t.baseline.PortToward(sw, nb.Sw)
-				if err != nil {
-					out = append(out, fmt.Sprintf("tenant %s: view edge %d->%d outside baseline", t.ID, sw, nb.Sw))
-					continue
-				}
-				if p != nb.Port {
-					out = append(out, fmt.Sprintf("tenant %s: view edge %d->%d port %d, baseline says %d", t.ID, sw, nb.Sw, nb.Port, p))
+				if far, ok := t.baseline.CableAt(sw, nb.Port); !ok || far != (topo.PortRef{Switch: nb.Sw, Port: nb.FarPort}) {
+					out = append(out, fmt.Sprintf("tenant %s: view cable %d:%d->%d:%d outside baseline", t.ID, sw, nb.Port, nb.Sw, nb.FarPort))
 				}
 			}
 		}
