@@ -26,28 +26,28 @@ func main() {
 		macs[i] = h.Host
 	}
 
-	mgr := vnet.NewManager(t, topo.PathGraphOptions{S: 2, Epsilon: 1}, 1)
-	red, err := mgr.CreateTenant("red", macs[0:6])
+	mgr := vnet.NewManager(topo.PathGraphOptions{S: 2, Epsilon: 1}, 1)
+	red, err := mgr.CreateTenant(t, "red", macs[0:6])
 	if err != nil {
 		log.Fatal(err)
 	}
-	blue, err := mgr.CreateTenant("blue", macs[10:16])
+	blue, err := mgr.CreateTenant(t, "blue", macs[10:16])
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fabric: %d switches total\n", t.NumSwitches())
-	fmt.Printf("tenant red:  %d hosts, view covers %d switches / %d links\n",
-		len(red.Hosts()), red.View().NumSwitches(), red.View().NumLinks())
-	fmt.Printf("tenant blue: %d hosts, view covers %d switches / %d links\n",
-		len(blue.Hosts()), blue.View().NumSwitches(), blue.View().NumLinks())
+	fmt.Printf("tenant red:  %d hosts, slice covers %d switches / %d links\n",
+		len(red.Hosts()), red.Slice().NumSwitches(), red.Slice().NumLinks())
+	fmt.Printf("tenant blue: %d hosts, slice covers %d switches / %d links\n",
+		len(blue.Hosts()), blue.Slice().NumSwitches(), blue.Slice().NumLinks())
 
 	// Intra-tenant routing works and verifies.
-	_, tags, _, err := mgr.PathGraphFor("red", macs[0], macs[5])
+	_, tags, _, err := mgr.PathGraphFor(t, "red", macs[0], macs[5])
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nred %v -> %v: path %v\n", macs[0], macs[5], tags)
-	if err := mgr.VerifyRoute("red", macs[0], macs[5], tags); err != nil {
+	if err := mgr.VerifyRoute(t, "red", macs[0], macs[5], tags); err != nil {
 		log.Fatalf("verifier rejected a legal route: %v", err)
 	}
 	fmt.Println("verifier: legal intra-tenant route ACCEPTED")
@@ -57,14 +57,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := mgr.VerifyRoute("red", macs[0], macs[10], crossTags); err != nil {
+	if err := mgr.VerifyRoute(t, "red", macs[0], macs[10], crossTags); err != nil {
 		fmt.Printf("verifier: cross-tenant route REJECTED (%v)\n", err)
 	} else {
 		log.Fatal("isolation violated!")
 	}
 
-	// A failure patches every tenant view at once.
-	before := red.View().NumLinks()
-	mgr.ApplyLinkDown(1, 1)
-	fmt.Printf("\nafter link 1:1 failure: red view links %d -> %d\n", before, red.View().NumLinks())
+	// A failure is cut on the topology alone: every tenant reads its slice
+	// against it, so each sees the cut at once.
+	before := red.Slice().Within(t).NumLinks()
+	if err := t.Disconnect(1, 1); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nafter link 1:1 failure: red live links %d -> %d\n", before, red.Slice().Within(t).NumLinks())
 }

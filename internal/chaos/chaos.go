@@ -405,11 +405,11 @@ func (r *linkBattery) inject(i int) {
 	r.background()
 }
 
-// audit runs the mid-chaos invariants: route cache, tenant views,
+// audit runs the mid-chaos invariants: route cache, tenant routes,
 // multicast trees.
 func (r *linkBattery) audit() {
 	r.auditRouteCache()
-	r.auditTenantViews()
+	r.auditTenantRoutes()
 	r.auditMcastTrees()
 }
 
@@ -628,7 +628,7 @@ func (r *linkBattery) createTenant() bool {
 	}
 	start := r.rng.Intn(len(free) - size + 1)
 	id := vnet.TenantID(fmt.Sprintf("chaos-%d", r.tenantSeq))
-	if _, err := r.mgr.CreateTenant(id, free[start:start+size]); err != nil {
+	if _, err := r.mgr.CreateTenant(r.masterView(), id, free[start:start+size]); err != nil {
 		return false
 	}
 	r.tenantSeq++
@@ -675,7 +675,7 @@ func (r *linkBattery) migrateHost() bool {
 	from := members[r.rng.Intn(len(members))]
 	to := free[r.rng.Intn(len(free))]
 	before := r.snapshotOthers(id)
-	if err := r.mgr.MigrateHost(id, from, to); err != nil {
+	if err := r.mgr.MigrateHost(r.masterView(), id, from, to); err != nil {
 		return false
 	}
 	r.assertOthersStable(id, "migrate-host", before)

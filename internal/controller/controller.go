@@ -257,8 +257,9 @@ func decodeFloodBody(msg any) (packet.MsgType, *packet.LinkEvent, error) {
 }
 
 // SetVirtualization installs a tenant manager on the path service (§6.1):
-// tenant hosts then receive path graphs restricted to their slice, and
-// applied patches reach the slice views.
+// tenant hosts then receive path graphs restricted to their slice as live
+// in this controller's master. Replicas may share one manager, since it
+// holds only permissions; each reads its slices against its own master.
 func (c *Controller) SetVirtualization(m *vnet.Manager) { c.virt = m }
 
 // pathGraphWire returns the serialized path-graph answer for (src, dst): a
@@ -382,10 +383,9 @@ func (c *Controller) commitPatch(patch *topo.Patch) {
 	c.floodPatch(patch)
 }
 
-// applyPatchLocal mutates the master topology. Each applied op is mirrored
-// into the tenant manager (when there is one) so tenant views shrink with
-// failures and heal with repairs; the manager's calls are idempotent
-// because every replica applies the same committed patches.
+// applyPatchLocal mutates the master topology. Tenant answers need nothing
+// more: they read slices against this master, and the epoch the patch moves
+// stales the ones cached under the old master.
 func (c *Controller) applyPatchLocal(patch *topo.Patch) {
 	for _, op := range patch.Ops {
 		switch op.Kind {
@@ -393,14 +393,8 @@ func (c *Controller) applyPatchLocal(patch *topo.Patch) {
 			if ep, err := c.master.EndpointAt(op.Switch, op.Port); err == nil && ep.Kind == topo.EndpointSwitch {
 				_ = c.master.Disconnect(op.Switch, op.Port)
 			}
-			if c.virt != nil {
-				c.virt.ApplyLinkDown(op.Switch, op.Port)
-			}
 		case topo.OpLinkUp:
 			_ = c.master.Connect(op.A, op.PA, op.B, op.PB)
-			if c.virt != nil {
-				c.virt.ApplyLinkUp(op.A, op.PA, op.B, op.PB)
-			}
 		}
 	}
 	c.version++

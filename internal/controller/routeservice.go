@@ -35,10 +35,10 @@ type tenantKey struct {
 }
 
 // tenantEpoch is the tenant plane's token: the controller's Epoch plus the
-// tenant's generation, so both topology change and tenant mutation
-// (create/delete/migrate, slice repair) invalidate lazily. An
-// unknown tenant reports generation 0 and is refused by the tenant manager,
-// so nothing is ever stored under it.
+// tenant's generation, so both topology change (an answer reads the slice
+// against the master) and tenant mutation (create/delete/migrate)
+// invalidate lazily. An unknown tenant reports generation 0 and is refused
+// by the tenant manager, so nothing is ever stored under it.
 type tenantEpoch struct {
 	Epoch
 	tenantGen uint64
@@ -133,7 +133,7 @@ func (s *RouteService) lookupTenant(tenant string, src, dst packet.MAC) (RouteAn
 	if a, ok := s.tenant.Get(tenantKey{tenant, src, dst}, tok); ok {
 		return *a, nil
 	}
-	wire, primary, backup, err := v.PathGraphFor(id, src, dst)
+	wire, primary, backup, err := v.PathGraphFor(s.c.master, id, src, dst)
 	if err != nil {
 		return refused, err
 	}
@@ -143,8 +143,8 @@ func (s *RouteService) lookupTenant(tenant string, src, dst packet.MAC) (RouteAn
 }
 
 // AuditTenantRoutes re-verifies every cached tenant answer against the
-// tenant's *current* slice and evicts any route that now escapes it —
-// the paper's path-verifier run as a cache audit. Generation freshness
+// tenant's slice as live in the *current* master and evicts any route that
+// now escapes it — the paper's path-verifier run as a cache audit. Generation freshness
 // already invalidates stale entries lazily; the audit is the belt to that
 // suspender (and the detector if an entry were ever wrongly kept). It runs
 // off the hot path and returns (checked, evicted).
@@ -167,10 +167,10 @@ func (s *RouteService) AuditTenantRoutes() (checked, evicted int) {
 func (s *RouteService) auditTenantEntry(v *vnet.Manager, key tenantKey, a *RouteAnswer) error {
 	id := vnet.TenantID(key.tenant)
 	primary, backup := a.tags[0], a.tags[1]
-	if err := v.VerifyRoute(id, key.src, key.dst, primary); err != nil || backup == nil {
+	if err := v.VerifyRoute(s.c.master, id, key.src, key.dst, primary); err != nil || backup == nil {
 		return err
 	}
-	return v.VerifyRoute(id, key.src, key.dst, backup)
+	return v.VerifyRoute(s.c.master, id, key.src, key.dst, backup)
 }
 
 // Len reports how many pairs are currently cached (fresh or not).

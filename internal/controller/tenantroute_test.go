@@ -27,11 +27,11 @@ func newTenantTestController(t testing.TB) (*Controller, *vnet.Manager, []packet
 	}
 	c := New(eng, host.New(eng, macs[0], host.DefaultConfig()), DefaultConfig())
 	c.SetMaster(tp)
-	m := vnet.NewManager(tp, topo.PathGraphOptions{}, 1)
-	if _, err := m.CreateTenant("red", macs[1:5]); err != nil {
+	m := vnet.NewManager(topo.PathGraphOptions{}, 1)
+	if _, err := m.CreateTenant(tp, "red", macs[1:5]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CreateTenant("blue", macs[5:9]); err != nil {
+	if _, err := m.CreateTenant(tp, "blue", macs[5:9]); err != nil {
 		t.Fatal(err)
 	}
 	c.SetVirtualization(m)
@@ -61,7 +61,7 @@ func TestTenantLookupCachesPerGeneration(t *testing.T) {
 	}
 
 	// A tenant mutation bumps the generation: the cached entry is stale.
-	if err := m.MigrateHost("red", macs[2], macs[9]); err != nil {
+	if err := m.MigrateHost(c.Master(), "red", macs[2], macs[9]); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := wireOf(c.Resolve(RouteQuery{Src: src, Dst: dst, Tenant: "red", Scope: ScopeTenant})); err != nil {
@@ -154,24 +154,41 @@ func TestAuditTenantRoutesEvictsEscapedEntries(t *testing.T) {
 		t.Fatalf("clean audit: checked=%d evicted=%d", checked, evicted)
 	}
 
-	// Sever every link on red's slice switches directly in the VIEW (not via
-	// the manager, which would bump the generation): the cached entry still
-	// looks fresh by generation, so only the audit can catch it escaping.
+	// Cut every cable of red's slice on the master, behind the route
+	// service's back: only the audit can catch the cached entry escaping
+	// the slice as live.
 	ten, err := m.Tenant("red")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sw := range ten.View().SwitchIDs() {
-		for _, nb := range ten.View().Neighbors(sw) {
-			ten.View().RemoveEdgeByPort(sw, nb.Port)
+	var cut []topo.Link
+	for _, sw := range ten.Slice().SwitchIDs() {
+		for _, nb := range ten.Slice().Neighbors(sw) {
+			if sw < nb.Sw {
+				cut = append(cut, topo.Link{A: sw, PA: nb.Port, B: nb.Sw, PB: nb.FarPort})
+			}
+		}
+	}
+	for _, l := range cut {
+		if err := c.Master().Disconnect(l.A, l.PA); err != nil {
+			t.Fatal(err)
 		}
 	}
 	checked, evicted = svc.AuditTenantRoutes()
 	if evicted == 0 {
-		t.Fatalf("audit kept a route that now leaves its slice (checked=%d)", checked)
+		t.Fatalf("audit kept a route that now leaves the live slice (checked=%d)", checked)
 	}
 	if svc.tevicted.Value() == 0 {
 		t.Fatal("eviction counter did not move")
+	}
+	// Healed, red is answered again.
+	for _, l := range cut {
+		if err := c.Master().Connect(l.A, l.PA, l.B, l.PB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := wireOf(c.Resolve(RouteQuery{Src: macs[1], Dst: macs[4], Tenant: "red", Scope: ScopeTenant})); err != nil {
+		t.Fatalf("healed: %v", err)
 	}
 }
 

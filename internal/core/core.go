@@ -635,12 +635,8 @@ func (n *Network) finishReplication(ctrls []*controller.Controller) (*controller
 	}
 	n.RunFor(sim.Second)
 	n.group = group
-	// Snapshot replication replaced each replica's master object: re-point
-	// an already-installed virtualization manager at the new master and put
-	// the adapter on every replica so isolation survives failover.
-	if n.vnet != nil {
-		n.vnet.SetMaster(n.Ctrl.Master())
-	}
+	// Put the manager on every replica so isolation survives failover; each
+	// reads the slices against its own master.
 	n.installVirtualization()
 	return group, nil
 }

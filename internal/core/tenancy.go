@@ -14,8 +14,8 @@ import (
 // longer vouches for — the stale-cache escape a pre-tenancy host would
 // otherwise ride into a freshly carved slice.
 
-// bootTenancy applies WithTenants(count) at boot: a vnet.Manager over the
-// controller's master view, and the non-controller hosts carved into count
+// bootTenancy applies WithTenants(count) at boot: a vnet.Manager, and the
+// non-controller hosts carved, over the controller's master, into count
 // equal tenants ("t000", "t001", ...), leaving any remainder hosts
 // untenanted. count == 0 installs the manager alone (churn drivers create
 // tenants at runtime); count < 0 leaves virtualization off.
@@ -23,7 +23,7 @@ func (n *Network) bootTenancy(count int) error {
 	if count < 0 {
 		return nil
 	}
-	n.vnet = vnet.NewManager(n.Ctrl.Master(), controller.PathGraphOptions(), n.cfg.Seed)
+	n.vnet = vnet.NewManager(controller.PathGraphOptions(), n.cfg.Seed)
 	n.vnet.SetMetrics(n.Eng.Metrics())
 	n.vnet.OnChange = n.onTenantChange
 	n.installVirtualization()
@@ -36,7 +36,7 @@ func (n *Network) bootTenancy(count int) error {
 	}
 	for i := 0; i < count; i++ {
 		id := vnet.TenantID(fmt.Sprintf("t%03d", i))
-		if _, err := n.vnet.CreateTenant(id, n.hosts[i*size:(i+1)*size]); err != nil {
+		if _, err := n.vnet.CreateTenant(n.Ctrl.Master(), id, n.hosts[i*size:(i+1)*size]); err != nil {
 			return err
 		}
 	}

@@ -131,7 +131,7 @@ func TestMigrationMovesReachability(t *testing.T) {
 	if len(free) == 0 {
 		t.Skip("no free host to migrate in")
 	}
-	if err := v.MigrateHost(ids[0], red[0], free[0]); err != nil {
+	if err := v.MigrateHost(n.Ctrl.Master(), ids[0], red[0], free[0]); err != nil {
 		t.Fatal(err)
 	}
 	// The departed host is out: a warmed member must not still reach it.

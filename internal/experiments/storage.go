@@ -66,7 +66,8 @@ func StorageOverhead(k int, destinations int, seed int64) (*Result, error) {
 		if dst == src {
 			continue
 		}
-		if _, err := topo.BuildPathGraphInto(cache, ft, src, dst, controller.PathGraphOptions(), rng, sc); err != nil {
+		pg, err := topo.BuildPathGraphInto(cache, ft, src, dst, controller.PathGraphOptions(), rng, sc)
+		if err != nil {
 			return nil, err
 		}
 		sat, _ := cache.HostAt(src)
@@ -75,12 +76,17 @@ func StorageOverhead(k int, destinations int, seed int64) (*Result, error) {
 		if err != nil {
 			continue
 		}
-		var paths []host.CachedPath
+		// Store what a host's path response installs: each route's tags and
+		// hops, and the answer's backup.
+		entry := &host.TableEntry{}
 		for _, r := range routes {
 			r[len(r)-1].Port = dat.Port
-			paths = append(paths, host.CachedPath{Tags: r.Tags()})
+			entry.Paths = append(entry.Paths, host.CachedPath{Tags: r.Tags(), Hops: r})
 		}
-		pt.Install(dst, &host.TableEntry{Paths: paths})
+		if r, err := pg.RouteOf(pg.Backup); err == nil {
+			entry.Backup = &host.CachedPath{Tags: r.Tags(), Hops: r}
+		}
+		pt.Install(dst, entry)
 		if sampled < len(samplePoints) && i == samplePoints[sampled] {
 			sampled++
 			tc, ptb := subgraphBytes(cache), pathTableBytes(pt)

@@ -207,6 +207,24 @@ func (s *Subgraph) Clone() *Subgraph {
 	return c
 }
 
+// Within copies s keeping only the cables t wires on the same two ports —
+// what of s is live in t — and every switch and host of s; t must not be
+// nil. The copy's rows share one array, as Clone's do.
+func (s *Subgraph) Within(t *Topology) *Subgraph {
+	flat := make([]Neighbor, 0, 2*s.NumLinks()+1)
+	c := &Subgraph{rows: make([]sgRow, len(s.rows)), hostTable: slices.Clone(s.hostTable)}
+	for i, r := range s.rows {
+		off := len(flat)
+		for _, nb := range r.nbs {
+			if far, ok := t.CableAt(r.id, nb.Port); ok && far == (PortRef{Switch: nb.Sw, Port: nb.FarPort}) {
+				flat = append(flat, nb)
+			}
+		}
+		c.rows[i] = sgRow{id: r.id, nbs: flat[off:len(flat):len(flat)]}
+	}
+	return c
+}
+
 // mergeRows merges the rows appended to s.rows past old (switches the
 // ascending rows before old lack, ascending) into place: parked past the
 // merged length and merged in from the top down, so no row moves twice.

@@ -26,13 +26,13 @@ func deployTenants(t *testing.T) (*core.Network, *vnet.Manager, []packet.MAC, []
 	if err := n.Bootstrap(); err != nil {
 		t.Fatal(err)
 	}
-	mgr := vnet.NewManager(n.Ctrl.Master(), topo.PathGraphOptions{}, 1)
+	mgr := vnet.NewManager(topo.PathGraphOptions{}, 1)
 	red := n.Hosts()[0:4]
 	blue := n.Hosts()[10:14]
-	if _, err := mgr.CreateTenant("red", red); err != nil {
+	if _, err := mgr.CreateTenant(n.Ctrl.Master(), "red", red); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mgr.CreateTenant("blue", blue); err != nil {
+	if _, err := mgr.CreateTenant(n.Ctrl.Master(), "blue", blue); err != nil {
 		t.Fatal(err)
 	}
 	n.Ctrl.SetVirtualization(mgr)
@@ -91,9 +91,9 @@ func TestTenantCacheStaysInSlice(t *testing.T) {
 	// The tenant's TopoCache must match the slice, not the fabric.
 	ten, _ := mgr.Tenant("red")
 	cache := n.Agent(red[0]).Cache()
-	if cache.NumSwitches() > ten.View().NumSwitches() {
+	if cache.NumSwitches() > ten.Slice().NumSwitches() {
 		t.Fatalf("tenant cache (%d switches) exceeds slice (%d)",
-			cache.NumSwitches(), ten.View().NumSwitches())
+			cache.NumSwitches(), ten.Slice().NumSwitches())
 	}
 }
 
@@ -112,7 +112,7 @@ func TestTenantOfAndDelete(t *testing.T) {
 
 func TestPathGraphForValidates(t *testing.T) {
 	n, mgr, red, blue := deployTenants(t)
-	wire, primary, _, err := mgr.PathGraphFor("red", red[0], red[2])
+	wire, primary, _, err := mgr.PathGraphFor(n.Ctrl.Master(), "red", red[0], red[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +136,10 @@ func TestPathGraphForValidates(t *testing.T) {
 	if !slices.Equal(tags, primary) {
 		t.Fatalf("answer's primary tags %v, its wire says %v", primary, tags)
 	}
-	if _, _, _, err := mgr.PathGraphFor("red", red[0], blue[0]); err == nil {
+	if _, _, _, err := mgr.PathGraphFor(n.Ctrl.Master(), "red", red[0], blue[0]); err == nil {
 		t.Fatal("cross-tenant path graph built")
 	}
-	if _, _, _, err := mgr.PathGraphFor("nope", red[0], red[1]); err == nil {
+	if _, _, _, err := mgr.PathGraphFor(n.Ctrl.Master(), "nope", red[0], red[1]); err == nil {
 		t.Fatal("unknown tenant accepted")
 	}
 }

@@ -11,12 +11,12 @@ import (
 )
 
 func TestMigrateHostSwapsMembership(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", macs[0:4]); err != nil {
 		t.Fatal(err)
 	}
 	g0, _ := m.Generation("a")
-	if err := m.MigrateHost("a", macs[0], macs[10]); err != nil {
+	if err := m.MigrateHost(tp, "a", macs[0], macs[10]); err != nil {
 		t.Fatal(err)
 	}
 	ten, err := m.Tenant("a")
@@ -37,10 +37,10 @@ func TestMigrateHostSwapsMembership(t *testing.T) {
 		t.Fatalf("generation did not advance: %d -> %d", g0, g1)
 	}
 	// The new slice must route to the new member and refuse the old one.
-	if _, _, _, err := m.PathGraphFor("a", macs[1], macs[10]); err != nil {
+	if _, _, _, err := m.PathGraphFor(tp, "a", macs[1], macs[10]); err != nil {
 		t.Fatalf("no path to migrated-in host: %v", err)
 	}
-	if _, _, _, err := m.PathGraphFor("a", macs[1], macs[0]); !errors.Is(err, ErrForeignHost) {
+	if _, _, _, err := m.PathGraphFor(tp, "a", macs[1], macs[0]); !errors.Is(err, ErrForeignHost) {
 		t.Fatalf("departed host still routable: %v", err)
 	}
 }
@@ -50,14 +50,14 @@ func TestMigrateHostSwapsMembership(t *testing.T) {
 // one that sorts last) Contains and Members hold the new membership in that
 // order, reject both departed hosts, and hand out copies.
 func TestMigrateHostKeepsMACOrder(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", []packet.MAC{macs[5], macs[1], macs[7], macs[3], macs[5]}); err != nil {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", []packet.MAC{macs[5], macs[1], macs[7], macs[3], macs[5]}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MigrateHost("a", macs[3], macs[0]); err != nil {
+	if err := m.MigrateHost(tp, "a", macs[3], macs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MigrateHost("a", macs[5], macs[9]); err != nil {
+	if err := m.MigrateHost(tp, "a", macs[5], macs[9]); err != nil {
 		t.Fatal(err)
 	}
 	want := []packet.MAC{macs[0], macs[1], macs[7], macs[9]}
@@ -84,27 +84,27 @@ func TestMigrateHostKeepsMACOrder(t *testing.T) {
 }
 
 func TestMigrateHostErrors(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", macs[0:4]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CreateTenant("b", macs[4:8]); err != nil {
+	if _, err := m.CreateTenant(tp, "b", macs[4:8]); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MigrateHost("a", macs[10], macs[11]); !errors.Is(err, ErrForeignHost) {
+	if err := m.MigrateHost(tp, "a", macs[10], macs[11]); !errors.Is(err, ErrForeignHost) {
 		t.Fatalf("migrating a non-member: %v", err)
 	}
-	if err := m.MigrateHost("a", macs[0], macs[4]); !errors.Is(err, ErrHostOwned) {
+	if err := m.MigrateHost(tp, "a", macs[0], macs[4]); !errors.Is(err, ErrHostOwned) {
 		t.Fatalf("migrating into another tenant's host: %v", err)
 	}
-	if err := m.MigrateHost("nope", macs[0], macs[10]); !errors.Is(err, ErrNoTenant) {
+	if err := m.MigrateHost(tp, "nope", macs[0], macs[10]); !errors.Is(err, ErrNoTenant) {
 		t.Fatalf("unknown tenant: %v", err)
 	}
 }
 
 func TestGenerationsAreManagerMonotonic(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:3]); err != nil {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", macs[0:3]); err != nil {
 		t.Fatal(err)
 	}
 	ga, _ := m.Generation("a")
@@ -113,7 +113,7 @@ func TestGenerationsAreManagerMonotonic(t *testing.T) {
 	}
 	// A recreated tenant must never reuse a (tenant, gen) pair: caches key
 	// on it, and a reuse would serve the dead tenant's routes.
-	if _, err := m.CreateTenant("a", macs[0:3]); err != nil {
+	if _, err := m.CreateTenant(tp, "a", macs[0:3]); err != nil {
 		t.Fatal(err)
 	}
 	ga2, _ := m.Generation("a")
@@ -122,79 +122,104 @@ func TestGenerationsAreManagerMonotonic(t *testing.T) {
 	}
 }
 
-func TestSliceRepairOnLinkUp(t *testing.T) {
-	_, m, macs := deploy(t)
-	ten, err := m.CreateTenant("a", []packet.MAC{macs[0], macs[20]})
+// TestSliceHealsWithMaster: a slice cable cut on the master leaves the
+// tenant's answers and is refused by the verifier; its heal brings it back;
+// neither moves the tenant's generation (the master's own generation stales
+// cached answers). A slice cable the master rewires to another far end is
+// not live, and a cable outside the slice never enters an answer.
+func TestSliceHealsWithMaster(t *testing.T) {
+	tp, m, macs := deploy(t)
+	src, dst := macs[0], macs[20]
+	ten, err := m.CreateTenant(tp, "a", []packet.MAC{src, dst})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fail a view link, then restore it: the baseline remembers the edge,
-	// so ApplyLinkUp must graft it back into the view.
-	var sw, peer packet.SwitchID
-	var port, back topo.Port
-	found := false
-	for _, id := range ten.View().SwitchIDs() {
-		for _, nb := range ten.View().Neighbors(id) {
-			sw, port, peer, back = id, nb.Port, nb.Sw, nb.FarPort
-			found = true
-			break
+	_, tags, _, err := m.PathGraphFor(tp, "a", src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut the primary's first cable, then heal it.
+	at, err := ten.Slice().HostAt(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, port := at.Switch, tags[0]
+	far, ok := ten.Slice().CableAt(sw, port)
+	if !ok {
+		t.Fatalf("primary's first hop %d:%d is not a slice cable", sw, port)
+	}
+	holds := func(when string, want bool) {
+		t.Helper()
+		wire, _, _, err := m.PathGraphFor(tp, "a", src, dst)
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
 		}
-		if found {
-			break
+		pg, err := topo.UnmarshalPathGraph(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := pg.Graph.CableAt(sw, port); (got == far) != want {
+			t.Fatalf("%s: answer holds %d:%d -> %v: %v, want %v", when, sw, port, far, got == far, want)
+		}
+		if err := m.VerifyRoute(tp, "a", src, dst, tags); (err == nil) != want {
+			t.Fatalf("%s: verifying the route over %d:%d: %v", when, sw, port, err)
 		}
 	}
-	if !found {
-		t.Skip("no switch link in view")
-	}
-	before := ten.View().NumLinks()
+	before := ten.Slice().NumLinks()
 	g0, _ := m.Generation("a")
-	m.ApplyLinkDown(sw, port)
-	if ten.View().NumLinks() != before-1 {
-		t.Fatalf("link not removed: %d -> %d", before, ten.View().NumLinks())
+	holds("as built", true)
+	if err := tp.Disconnect(sw, port); err != nil {
+		t.Fatal(err)
 	}
-	g1, _ := m.Generation("a")
-	if g1 <= g0 {
-		t.Fatal("generation did not advance on link down")
+	holds("cut", false)
+	if err := tp.Connect(sw, port, far.Switch, far.Port); err != nil {
+		t.Fatal(err)
 	}
-	m.ApplyLinkUp(sw, port, peer, back)
-	if ten.View().NumLinks() != before {
-		t.Fatalf("link not repaired: %d, want %d", ten.View().NumLinks(), before)
+	holds("healed", true)
+	if g1, _ := m.Generation("a"); g1 != g0 {
+		t.Fatalf("generation moved on a link event: %d -> %d", g0, g1)
 	}
-	if g2, _ := m.Generation("a"); g2 <= g1 {
-		t.Fatal("generation did not advance on repair")
+	// Rewired: the same port now reaches a switch the slice never held.
+	if err := tp.AddSwitch(900, 4); err != nil {
+		t.Fatal(err)
 	}
-	if problems := m.AuditViews(); len(problems) != 0 {
-		t.Fatalf("audit after repair: %v", problems)
+	if err := tp.Disconnect(sw, port); err != nil {
+		t.Fatal(err)
 	}
-	// A link absent from the baseline must NOT be grafted in.
-	beforeForeign := ten.View().NumLinks()
-	m.ApplyLinkUp(900, 1, 901, 1)
-	if ten.View().NumLinks() != beforeForeign {
-		t.Fatal("foreign link grafted into view")
+	if err := tp.Connect(sw, port, 900, 1); err != nil {
+		t.Fatal(err)
+	}
+	holds("rewired", false)
+	live := ten.Slice().Within(tp)
+	if live.NumLinks() != before-1 || live.HasSwitch(900) {
+		t.Fatalf("rewired: %d live links of %d, switch 900 live: %v", live.NumLinks(), before, live.HasSwitch(900))
+	}
+	if ten.Slice().NumLinks() != before {
+		t.Fatalf("link events reached the slice: %d -> %d links", before, ten.Slice().NumLinks())
 	}
 }
 
 func TestVerifyRouteUnknownSwitch(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", macs[0:4]); err != nil {
 		t.Fatal(err)
 	}
 	// A tag pointing at nothing resolvable is both "unknown switch" and,
 	// transitively, "outside the slice".
-	err := m.VerifyRoute("a", macs[0], macs[3], packet.Path{250, 250, 250})
+	err := m.VerifyRoute(tp, "a", macs[0], macs[3], packet.Path{250, 250, 250})
 	if !errors.Is(err, ErrOutsideSlice) {
 		t.Fatalf("want ErrOutsideSlice, got %v", err)
 	}
 }
 
 func TestOnChangeReportsMutations(t *testing.T) {
-	_, m, macs := deploy(t)
+	tp, m, macs := deploy(t)
 	var changes []Change
 	m.OnChange = func(ch Change) { changes = append(changes, ch) }
-	if _, err := m.CreateTenant("a", macs[0:3]); err != nil {
+	if _, err := m.CreateTenant(tp, "a", macs[0:3]); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MigrateHost("a", macs[0], macs[10]); err != nil {
+	if err := m.MigrateHost(tp, "a", macs[0], macs[10]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.DeleteTenant("a"); err != nil {
@@ -221,22 +246,22 @@ func TestOnChangeReportsMutations(t *testing.T) {
 }
 
 func TestCreateTenantRejectsOwnedHost(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:3]); err != nil {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", macs[0:3]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CreateTenant("b", macs[2:5]); !errors.Is(err, ErrHostOwned) {
+	if _, err := m.CreateTenant(tp, "b", macs[2:5]); !errors.Is(err, ErrHostOwned) {
 		t.Fatalf("overlapping tenant: %v", err)
 	}
 	// The failed create must leave no residue: the hosts stay free.
-	if _, err := m.CreateTenant("b", macs[3:6]); err != nil {
+	if _, err := m.CreateTenant(tp, "b", macs[3:6]); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDeleteTenantCleansIndex(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", macs[0:4]); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.DeleteTenant("a"); err != nil {
@@ -251,7 +276,7 @@ func TestDeleteTenantCleansIndex(t *testing.T) {
 		t.Fatalf("count = %d after delete", m.Count())
 	}
 	// Freed hosts are immediately reusable by a different tenant.
-	if _, err := m.CreateTenant("b", macs[0:4]); err != nil {
+	if _, err := m.CreateTenant(tp, "b", macs[0:4]); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -14,7 +14,7 @@ func deploy(t *testing.T) (*topo.Topology, *Manager, []packet.MAC) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(tp, topo.PathGraphOptions{}, 1)
+	m := NewManager(topo.PathGraphOptions{}, 1)
 	hosts := tp.Hosts()
 	macs := make([]packet.MAC, 0, len(hosts))
 	for _, h := range hosts {
@@ -24,8 +24,8 @@ func deploy(t *testing.T) (*topo.Topology, *Manager, []packet.MAC) {
 }
 
 func TestCreateTenantAndView(t *testing.T) {
-	_, m, macs := deploy(t)
-	tenA, err := m.CreateTenant("a", macs[0:4])
+	tp, m, macs := deploy(t)
+	tenA, err := m.CreateTenant(tp, "a", macs[0:4])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,24 +35,24 @@ func TestCreateTenantAndView(t *testing.T) {
 	if len(tenA.Hosts()) != 4 {
 		t.Fatalf("hosts = %d", len(tenA.Hosts()))
 	}
-	if tenA.View().NumSwitches() == 0 {
+	if tenA.Slice().NumSwitches() == 0 {
 		t.Fatal("empty view")
 	}
 	// The view must route between members.
-	if _, _, _, err := m.PathGraphFor("a", macs[0], macs[3]); err != nil {
+	if _, _, _, err := m.PathGraphFor(tp, "a", macs[0], macs[3]); err != nil {
 		t.Fatalf("no path in slice: %v", err)
 	}
 }
 
 func TestTenantErrors(t *testing.T) {
-	_, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[:1]); !errors.Is(err, ErrTooFewHosts) {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", macs[:1]); !errors.Is(err, ErrTooFewHosts) {
 		t.Fatalf("singleton: %v", err)
 	}
-	if _, err := m.CreateTenant("a", macs[:3]); err != nil {
+	if _, err := m.CreateTenant(tp, "a", macs[:3]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.CreateTenant("a", macs[3:6]); !errors.Is(err, ErrDupTenant) {
+	if _, err := m.CreateTenant(tp, "a", macs[3:6]); !errors.Is(err, ErrDupTenant) {
 		t.Fatalf("dup: %v", err)
 	}
 	if _, err := m.Tenant("nope"); !errors.Is(err, ErrNoTenant) {
@@ -68,14 +68,14 @@ func TestTenantErrors(t *testing.T) {
 
 func TestVerifyRouteInsideSlice(t *testing.T) {
 	tp, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:6]); err != nil {
+	if _, err := m.CreateTenant(tp, "a", macs[0:6]); err != nil {
 		t.Fatal(err)
 	}
-	_, tags, _, err := m.PathGraphFor("a", macs[0], macs[5])
+	_, tags, _, err := m.PathGraphFor(tp, "a", macs[0], macs[5])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.VerifyRoute("a", macs[0], macs[5], tags); err != nil {
+	if err := m.VerifyRoute(tp, "a", macs[0], macs[5], tags); err != nil {
 		t.Fatalf("slice route rejected: %v", err)
 	}
 	// The route must also be valid on the real topology.
@@ -86,7 +86,7 @@ func TestVerifyRouteInsideSlice(t *testing.T) {
 
 func TestVerifyRouteRejectsForeignEndpoints(t *testing.T) {
 	tp, m, macs := deploy(t)
-	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {
+	if _, err := m.CreateTenant(tp, "a", macs[0:4]); err != nil {
 		t.Fatal(err)
 	}
 	// A perfectly valid fabric route to a non-member must be rejected.
@@ -94,23 +94,23 @@ func TestVerifyRouteRejectsForeignEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.VerifyRoute("a", macs[0], macs[10], tags); !errors.Is(err, ErrForeignHost) {
+	if err := m.VerifyRoute(tp, "a", macs[0], macs[10], tags); !errors.Is(err, ErrForeignHost) {
 		t.Fatalf("foreign endpoint: %v", err)
 	}
 }
 
 func TestVerifyRouteRejectsEscapeRoutes(t *testing.T) {
-	_, m, macs := deploy(t)
+	tp, m, macs := deploy(t)
 	// Two tenants on disjoint host sets.
-	if _, err := m.CreateTenant("a", macs[0:4]); err != nil {
+	if _, err := m.CreateTenant(tp, "a", macs[0:4]); err != nil {
 		t.Fatal(err)
 	}
 	// A bogus route between members that wanders out of the slice.
-	if err := m.VerifyRoute("a", macs[0], macs[3], packet.Path{60, 61, 62}); !errors.Is(err, ErrOutsideSlice) {
+	if err := m.VerifyRoute(tp, "a", macs[0], macs[3], packet.Path{60, 61, 62}); !errors.Is(err, ErrOutsideSlice) {
 		t.Fatalf("escape route: %v", err)
 	}
 	// Empty route.
-	if err := m.VerifyRoute("a", macs[0], macs[3], nil); !errors.Is(err, ErrOutsideSlice) {
+	if err := m.VerifyRoute(tp, "a", macs[0], macs[3], nil); !errors.Is(err, ErrOutsideSlice) {
 		t.Fatalf("empty route: %v", err)
 	}
 }
@@ -119,28 +119,34 @@ func TestTenantIsolationOfViews(t *testing.T) {
 	tp, m, macs := deploy(t)
 	// Hosts 0-4 live on leaf 3 (testbed layout): a same-leaf tenant's view
 	// should not include every switch the full fabric has.
-	tenA, err := m.CreateTenant("a", macs[0:4])
+	tenA, err := m.CreateTenant(tp, "a", macs[0:4])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tenA.View().NumSwitches() >= tp.NumSwitches() {
-		t.Fatalf("tenant view covers whole fabric: %d switches", tenA.View().NumSwitches())
+	if tenA.Slice().NumSwitches() >= tp.NumSwitches() {
+		t.Fatalf("tenant view covers whole fabric: %d switches", tenA.Slice().NumSwitches())
 	}
 }
 
-func TestApplyLinkDownPatchesViews(t *testing.T) {
-	_, m, macs := deploy(t)
-	ten, err := m.CreateTenant("a", []packet.MAC{macs[0], macs[20]})
+// TestLinkDownNarrowsLiveSlice: a cut made on the master alone removes the
+// cable from the slice as live in that master; the slice itself is the
+// as-built permission and does not change.
+func TestLinkDownNarrowsLiveSlice(t *testing.T) {
+	tp, m, macs := deploy(t)
+	ten, err := m.CreateTenant(tp, "a", []packet.MAC{macs[0], macs[20]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := ten.View().NumLinks()
-	// Kill a leaf-spine link inside the view: find one from the view.
+	before := ten.Slice().NumLinks()
+	if live := ten.Slice().Within(tp).NumLinks(); live != before {
+		t.Fatalf("live links %d of %d before any cut", live, before)
+	}
+	// Cut a spine link inside the slice: find one from the slice.
 	var sw packet.SwitchID
 	var port packet.Tag
 	found := false
 	for _, id := range []packet.SwitchID{1, 2} {
-		for _, nb := range ten.View().Neighbors(id) {
+		for _, nb := range ten.Slice().Neighbors(id) {
 			sw, port = id, nb.Port
 			found = true
 			break
@@ -150,11 +156,16 @@ func TestApplyLinkDownPatchesViews(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Skip("no spine link in view")
+		t.Skip("no spine link in slice")
 	}
-	m.ApplyLinkDown(sw, port)
-	if ten.View().NumLinks() != before-1 {
-		t.Fatalf("links %d -> %d, want -1", before, ten.View().NumLinks())
+	if err := tp.Disconnect(sw, port); err != nil {
+		t.Fatal(err)
+	}
+	if live := ten.Slice().Within(tp).NumLinks(); live != before-1 {
+		t.Fatalf("live links %d -> %d, want -1", before, live)
+	}
+	if ten.Slice().NumLinks() != before {
+		t.Fatalf("the cut reached the slice: %d -> %d links", before, ten.Slice().NumLinks())
 	}
 }
 
@@ -189,11 +200,11 @@ func TestPathGraphForHonoursBackupPenalty(t *testing.T) {
 		if err := tp.AttachHost(dst, 4, 4); err != nil {
 			t.Fatal(err)
 		}
-		m := NewManager(tp, topo.PathGraphOptions{Epsilon: 1, BackupPenalty: tc.penalty}, 1)
-		if _, err := m.CreateTenant("a", []packet.MAC{src, dst}); err != nil {
+		m := NewManager(topo.PathGraphOptions{Epsilon: 1, BackupPenalty: tc.penalty}, 1)
+		if _, err := m.CreateTenant(tp, "a", []packet.MAC{src, dst}); err != nil {
 			t.Fatal(err)
 		}
-		wire, _, _, err := m.PathGraphFor("a", src, dst)
+		wire, _, _, err := m.PathGraphFor(tp, "a", src, dst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,5 +215,27 @@ func TestPathGraphForHonoursBackupPenalty(t *testing.T) {
 		if !pg.Primary.Equal(topo.SwitchPath{1, 2, 4}) || !pg.Backup.Equal(tc.backup) {
 			t.Errorf("penalty %v: primary %v backup %v, want backup %v", tc.penalty, pg.Primary, pg.Backup, tc.backup)
 		}
+	}
+}
+
+// TestVerifyRouteAllocFree: verifying an accepted tenant route — the walk
+// over the slice and the check of each hop against the master — allocates
+// nothing.
+func TestVerifyRouteAllocFree(t *testing.T) {
+	tp, m, macs := deploy(t)
+	if _, err := m.CreateTenant(tp, "a", macs[0:6]); err != nil {
+		t.Fatal(err)
+	}
+	_, tags, _, err := m.PathGraphFor(tp, "a", macs[0], macs[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	verify := func() {
+		if err := m.VerifyRoute(tp, "a", macs[0], macs[5], tags); err != nil {
+			t.Fatalf("slice route rejected: %v", err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, verify); allocs != 0 {
+		t.Fatalf("VerifyRoute allocates %v/op, want 0", allocs)
 	}
 }
